@@ -27,6 +27,7 @@ from .dataset import (
     parse_features,
     split,
     write_comparisons,
+    write_csv,
     write_features,
 )
 from .equity import build_report, write_lorenz, write_report
@@ -179,29 +180,50 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     return 0
 
 
+def _scale(
+    scaler: str, cset: ComparisonSet, gbt_config: GbtConfig, params: ResilienceParams
+) -> tuple[ScaledComparisonSet, list, list]:
+    """Apply one scaler -> (scaled set, Mehestan affines, Mehestan scores).
+
+    The affine and score lists are empty for the other scalers. Every GBT fit
+    that stopped at the iteration cap is reported on stderr.
+    """
+    if scaler == "minmax":
+        return minmax_scale(cset), [], []
+    if scaler == "normalization":
+        return normalization_scale(cset), [], []
+    if scaler == "mehestan":
+        scaled, affines, scores = mehestan_scale(cset, gbt_config, params)
+        for fit in scores:
+            if not fit.converged:
+                print(
+                    f"equirank: warning: GBT fit did not converge: user={fit.user_id!r} "
+                    f"converged=False n_iter={fit.n_iter} grad_norm={fit.grad_norm:.3e}",
+                    file=sys.stderr,
+                )
+        return scaled, affines, scores
+    return ScaledComparisonSet(columns=cset.columns, scaler_tag="none"), [], []
+
+
 def cmd_scale(args: argparse.Namespace) -> int:
     cset = _load_comparisons_any(args.input)
     if args.criterion is not None:
         cset = cset.restrict(criterion=args.criterion)
         if len(cset) == 0:
             raise ValueError(f"no comparisons with criterion {args.criterion!r}")
-    cset = ComparisonSet(cset.comparisons)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     outputs = [outdir / "scaled.csv"]
-    if args.scaler == "minmax":
-        scaled = minmax_scale(cset)
-    elif args.scaler == "normalization":
-        scaled = normalization_scale(cset)
-    elif args.scaler == "mehestan":
-        gbt_config = GbtConfig(lam=args.lam, tol=args.tol, max_iter=args.max_iter)
-        params = ResilienceParams(weight=args.resilience_weight)
-        scaled, affines, scores = mehestan_scale(cset, gbt_config, params)
+    scaled, affines, scores = _scale(
+        args.scaler,
+        cset,
+        GbtConfig(lam=args.lam, tol=args.tol, max_iter=args.max_iter),
+        ResilienceParams(weight=args.resilience_weight),
+    )
+    if args.scaler == "mehestan":
         write_user_affines(affines, outdir / "affines.csv")
         write_individual_scores(scores, outdir / "theta.csv")
         outputs += [outdir / "affines.csv", outdir / "theta.csv"]
-    else:  # none
-        scaled = ScaledComparisonSet(cset.comparisons, scaler_tag="none")
     write_scaled_comparisons(scaled, outputs[0])
     _write_manifest(outdir, "scale", vars(args), 0, [args.input], outputs)
     print(f"scaled {len(scaled)} comparisons with {args.scaler} to {outputs[0]}")
@@ -231,7 +253,7 @@ def _train_config_from_args(args: argparse.Namespace) -> TrainConfig:
 def cmd_train(args: argparse.Namespace) -> int:
     cset = _load_comparisons_any(args.input)
     if args.criterion is not None:
-        cset = ComparisonSet(cset.restrict(criterion=args.criterion).comparisons)
+        cset = cset.restrict(criterion=args.criterion)
     features = parse_features(args.features)
     result = train(cset, features, _train_config_from_args(args))
     outdir = Path(args.out)
@@ -239,10 +261,11 @@ def cmd_train(args: argparse.Namespace) -> int:
     model_path = outdir / "model.json"
     trace_path = outdir / "loss_trace.csv"
     save_model(result.params, model_path)
-    with trace_path.open("w", newline="\n", encoding="utf-8") as fh:
-        fh.write("epoch,loss\n")
-        for epoch, value in enumerate(result.loss_trace):
-            fh.write(f"{epoch},{value!r}\n")
+    write_csv(
+        trace_path,
+        ["epoch", "loss"],
+        ([str(epoch), repr(value)] for epoch, value in enumerate(result.loss_trace)),
+    )
     _write_manifest(
         outdir,
         "train",
@@ -259,7 +282,7 @@ def cmd_audit(args: argparse.Namespace) -> int:
     model = load_model(args.model)
     cset = _load_comparisons_any(args.test)
     if args.criterion is not None:
-        cset = ComparisonSet(cset.restrict(criterion=args.criterion).comparisons)
+        cset = cset.restrict(criterion=args.criterion)
     features = parse_features(args.features)
     predictions = predict_all(model, cset, features)
     report = build_report(predictions, args.tie_epsilon)
@@ -385,28 +408,13 @@ def _parse_experiment(name: str) -> tuple[str, bool, bool]:
 
 
 def _run_cell(
-    name: str,
+    cell: tuple[str, bool, bool],
     cfg: dict[str, object],
-    train_set: ComparisonSet,
+    fit_set: ComparisonSet,
     test_set: ComparisonSet,
     features: FeatureTable,
 ):
-    scaler, contrastive, embeddings = _parse_experiment(name)
-    if scaler == "minmax":
-        fit_set: ComparisonSet = minmax_scale(train_set)
-    elif scaler == "normalization":
-        fit_set = normalization_scale(train_set)
-    elif scaler == "mehestan":
-        gbt_config = GbtConfig(
-            lam=float(cfg["lam"]),
-            tol=float(cfg["gbt_tol"]),
-            max_iter=int(cfg["gbt_max_iter"]),
-        )
-        fit_set, _, _ = mehestan_scale(
-            train_set, gbt_config, ResilienceParams(weight=float(cfg["resilience_weight"]))
-        )
-    else:
-        fit_set = train_set
+    _, contrastive, embeddings = cell
     config = TrainConfig(
         loss_weights=LossWeights(
             mse=float(cfg["mse_weight"]),
@@ -435,6 +443,7 @@ def _percent(value: float) -> str:
 
 def cmd_pipeline(args: argparse.Namespace) -> int:
     cfg, experiments = parse_pipeline_config(args.config)
+    cells = [_parse_experiment(name) for name in experiments]
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
 
@@ -480,19 +489,25 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
     write_comparisons(train_set, outputs[4])
     write_comparisons(test_set, outputs[5])
 
+    # Each distinct scaler runs once; cells sharing it train on the same set.
+    gbt_config = GbtConfig(
+        lam=float(cfg["lam"]), tol=float(cfg["gbt_tol"]), max_iter=int(cfg["gbt_max_iter"])
+    )
+    params = ResilienceParams(weight=float(cfg["resilience_weight"]))
+    fit_sets: dict[str, ComparisonSet] = {}
+    for scaler, _, _ in cells:
+        if scaler not in fit_sets:
+            fit_sets[scaler] = _scale(scaler, train_set, gbt_config, params)[0]
+
+    def run(cell):
+        return _run_cell(cell, cfg, fit_sets[cell[0]], test_set, features)
+
     threads = max(1, int(os.environ.get("EQUIRANK_THREADS", "1")))
-    if threads > 1 and len(experiments) > 1:
+    if threads > 1 and len(cells) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            reports = list(
-                pool.map(
-                    lambda name: _run_cell(name, cfg, train_set, test_set, features),
-                    experiments,
-                )
-            )
+            reports = list(pool.map(run, cells))
     else:
-        reports = [
-            _run_cell(name, cfg, train_set, test_set, features) for name in experiments
-        ]
+        reports = [run(cell) for cell in cells]
 
     summary_path = outdir / "summary.csv"
     with summary_path.open("w", newline="\n", encoding="utf-8") as fh:

@@ -4,18 +4,36 @@ Comparisons carry a score in [-1, 1]; negative favors the left item,
 positive the right, magnitudes near zero mean "no preference". Scores are
 stored as 64-bit floats and written back with shortest round-trip decimal
 formatting so that serialize(parse(f)) is stable.
+
+A ComparisonSet is stored as columns: one integer code per row for the
+user, the criterion and the left and right items, each indexing a sorted
+vocabulary of ids, plus a float64 score column. Every layer works on these
+columns; `Comparison` objects are built only when a caller iterates a set.
+
+CSV files follow one quoting rule: a field is quoted when it contains a
+comma, a double quote, a carriage return or a line feed, and quotes inside
+it are doubled. That is what `csv.reader` reads back, so every id
+round-trips.
 """
 
 from __future__ import annotations
 
+import bisect
 import csv
-from dataclasses import dataclass, field
+import functools
+import math
+import operator
+from dataclasses import dataclass
+from itertools import islice
 from pathlib import Path
-from typing import Callable, Iterable
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
 COMPARISONS_HEADER = ["user_id", "criterion", "left_item", "right_item", "score"]
+# Rows converted to columns at a time while parsing, so the per-row Python
+# strings of only one chunk are alive at once.
+_CHUNK_ROWS = 512
 
 
 @dataclass(frozen=True)
@@ -37,52 +55,210 @@ class Comparison:
             raise ValueError(f"score {self.score} outside [-1, 1]")
 
 
-@dataclass(frozen=True)
-class ComparisonSet:
-    """An ordered collection of comparisons with derived user/item sets.
+class Columns(NamedTuple):
+    """Column storage of a ComparisonSet.
 
-    Iteration order is the input order; users/items are exactly those
-    appearing in the comparisons.
+    `user`, `criterion`, `left` and `right` are intp codes into the
+    vocabularies `user_ids`, `criterion_ids` and `item_ids` (left and right
+    share `item_ids`); `score` is float64.
     """
 
-    comparisons: tuple[Comparison, ...]
-    users: frozenset[str] = field(init=False)
-    items: frozenset[str] = field(init=False)
+    user_ids: tuple[str, ...]
+    user: np.ndarray
+    criterion_ids: tuple[str, ...]
+    criterion: np.ndarray
+    item_ids: tuple[str, ...]
+    left: np.ndarray
+    right: np.ndarray
+    score: np.ndarray
 
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "users", frozenset(c.user_id for c in self.comparisons)
+
+def _canonical(
+    vocab: Sequence[str], *codes: np.ndarray
+) -> tuple[tuple[str, ...], list[np.ndarray]]:
+    """Sort the vocabulary, drop entries no code refers to, and recode."""
+    codes = [np.asarray(c, dtype=np.intp) for c in codes]
+    present = np.zeros(len(vocab), dtype=bool)
+    for c in codes:
+        present[c] = True
+    ordered = all(a < b for a, b in zip(vocab, vocab[1:]))
+    if ordered and present.all():
+        return tuple(vocab), codes
+    keep = sorted((v, k) for k, v in enumerate(vocab) if present[k])
+    remap = np.zeros(len(vocab), dtype=np.intp)
+    remap[[k for _, k in keep]] = np.arange(len(keep))
+    return tuple(v for v, _ in keep), [remap[c] for c in codes]
+
+
+def group_rows(key: np.ndarray, n_groups: int) -> tuple[np.ndarray, np.ndarray]:
+    """Rows of group g are order[bounds[g]:bounds[g + 1]], in input order."""
+    order = np.argsort(key, kind="stable")
+    bounds = np.zeros(n_groups + 1, dtype=np.intp)
+    np.cumsum(np.bincount(key, minlength=n_groups), out=bounds[1:])
+    return order, bounds
+
+
+class ComparisonSet:
+    """An ordered collection of comparisons, stored as columns.
+
+    Build one from `Comparison` objects, or from `Columns` with the keyword
+    `columns`. Vocabularies are kept sorted and hold exactly the ids that
+    occur, so `users` and `items` are those appearing in the comparisons and
+    user code k is the k-th user in sorted order. Iteration order is the
+    input order. The column arrays are read-only and may be shared between
+    sets.
+    """
+
+    def __init__(
+        self, comparisons: Iterable[Comparison] = (), *, columns: Columns | None = None
+    ):
+        if columns is None:
+            comparisons = tuple(comparisons)
+            columns = _encode(
+                [c.user_id for c in comparisons],
+                [c.criterion for c in comparisons],
+                [c.left_item for c in comparisons],
+                [c.right_item for c in comparisons],
+                np.array([c.score for c in comparisons], dtype=np.float64),
+            )
+        user_ids, (user,) = _canonical(columns.user_ids, columns.user)
+        criterion_ids, (criterion,) = _canonical(columns.criterion_ids, columns.criterion)
+        item_ids, (left, right) = _canonical(columns.item_ids, columns.left, columns.right)
+        score = np.asarray(columns.score, dtype=np.float64)
+        n = score.shape[0]
+        for array in (user, criterion, left, right, score):
+            if array.shape != (n,):
+                raise ValueError("comparison columns must be 1-D and of equal length")
+            array.flags.writeable = False
+        bad = ~(np.isfinite(score) & (score >= -1.0) & (score <= 1.0))
+        if bad.any():
+            raise ValueError(f"score {score[bad][0]} outside [-1, 1]")
+        same = left == right
+        if same.any():
+            item = item_ids[left[same][0]]
+            raise ValueError(f"self-comparison: left and right are both {item!r}")
+        self.user_ids, self.user = user_ids, user
+        self.criterion_ids, self.criterion = criterion_ids, criterion
+        self.item_ids, self.left, self.right = item_ids, left, right
+        self.score = score
+
+    @property
+    def columns(self) -> Columns:
+        return Columns(
+            self.user_ids, self.user, self.criterion_ids, self.criterion,
+            self.item_ids, self.left, self.right, self.score,
         )
-        items: set[str] = set()
-        for c in self.comparisons:
-            items.add(c.left_item)
-            items.add(c.right_item)
-        object.__setattr__(self, "items", frozenset(items))
 
     def __len__(self) -> int:
-        return len(self.comparisons)
+        return self.score.shape[0]
 
     def __iter__(self):
         return iter(self.comparisons)
 
+    def __repr__(self) -> str:
+        return (
+            f"{type(self).__name__}({len(self)} comparisons, "
+            f"{len(self.user_ids)} users, {len(self.item_ids)} items)"
+        )
+
+    @functools.cached_property
+    def comparisons(self) -> tuple[Comparison, ...]:
+        """The rows as `Comparison` objects, built on first use."""
+        items = self.item_ids
+        return tuple(
+            map(
+                Comparison,
+                [self.user_ids[k] for k in self.user.tolist()],
+                [self.criterion_ids[k] for k in self.criterion.tolist()],
+                [items[k] for k in self.left.tolist()],
+                [items[k] for k in self.right.tolist()],
+                self.score.tolist(),
+            )
+        )
+
+    @property
+    def users(self) -> frozenset[str]:
+        return frozenset(self.user_ids)
+
+    @property
+    def items(self) -> frozenset[str]:
+        return frozenset(self.item_ids)
+
     @property
     def criteria(self) -> frozenset[str]:
-        return frozenset(c.criterion for c in self.comparisons)
+        return frozenset(self.criterion_ids)
+
+    @functools.cached_property
+    def by_user(self) -> tuple[np.ndarray, np.ndarray]:
+        """(order, bounds): rows of user code k are order[bounds[k]:bounds[k + 1]],
+        in input order."""
+        return group_rows(self.user, len(self.user_ids))
+
+    def take(self, rows: np.ndarray) -> "ComparisonSet":
+        """The rows selected by an index array or boolean mask, in that order."""
+        c = self.columns
+        return ComparisonSet(
+            columns=Columns(
+                c.user_ids, c.user[rows], c.criterion_ids, c.criterion[rows],
+                c.item_ids, c.left[rows], c.right[rows], c.score[rows],
+            )
+        )
 
     def restrict(
         self, user_id: str | None = None, criterion: str | None = None
     ) -> "ComparisonSet":
         """Subset by user and/or criterion, preserving order."""
-        kept = tuple(
-            c
-            for c in self.comparisons
-            if (user_id is None or c.user_id == user_id)
-            and (criterion is None or c.criterion == criterion)
-        )
-        return ComparisonSet(kept)
+        rows = None
+        if user_id is not None:
+            k = _code(self.user_ids, user_id)
+            if k is None:
+                rows = np.zeros(0, dtype=np.intp)
+            else:
+                order, bounds = self.by_user
+                rows = order[bounds[k] : bounds[k + 1]]
+        if criterion is not None:
+            k = _code(self.criterion_ids, criterion)
+            if k is None:
+                rows = np.zeros(0, dtype=np.intp)
+            elif rows is None:
+                rows = np.flatnonzero(self.criterion == k)
+            else:
+                rows = rows[self.criterion[rows] == k]
+        if rows is None:
+            return ComparisonSet(columns=self.columns)
+        return self.take(rows)
 
     def filter(self, keep: Callable[[Comparison], bool]) -> "ComparisonSet":
-        return ComparisonSet(tuple(c for c in self.comparisons if keep(c)))
+        return self.take(np.fromiter(map(keep, self), dtype=bool, count=len(self)))
+
+
+def _code(vocab: tuple[str, ...], value: str) -> int | None:
+    k = bisect.bisect_left(vocab, value)
+    return k if k < len(vocab) and vocab[k] == value else None
+
+
+class _Vocab:
+    """Codes in first-appearance order, assigned chunk by chunk."""
+
+    def __init__(self) -> None:
+        self.index: dict[str, int] = {}
+
+    def codes(self, values: Sequence[str]) -> np.ndarray:
+        index = self.index
+        for value in dict.fromkeys(values):
+            if value not in index:
+                index[value] = len(index)
+        return np.fromiter(map(index.__getitem__, values), dtype=np.intp, count=len(values))
+
+
+def _encode(users, criteria, lefts, rights, score) -> Columns:
+    user_vocab, criterion_vocab, item_vocab = _Vocab(), _Vocab(), _Vocab()
+    user, criterion = user_vocab.codes(users), criterion_vocab.codes(criteria)
+    left, right = item_vocab.codes(lefts), item_vocab.codes(rights)
+    return Columns(
+        tuple(user_vocab.index), user, tuple(criterion_vocab.index), criterion,
+        tuple(item_vocab.index), left, right, score,
+    )
 
 
 @dataclass(frozen=True)
@@ -109,8 +285,143 @@ class FeatureTable:
         except KeyError:
             raise ValueError(f"item {item_id!r} missing from feature table") from None
 
+    def matrix(self, item_ids: Sequence[str]) -> np.ndarray:
+        """The feature vectors of `item_ids` as the rows of a (len, dim) array."""
+        rows = [self.vector(item) for item in item_ids]
+        return np.array(rows, dtype=np.float64).reshape(len(rows), self.dim)
+
     def __contains__(self, item_id: str) -> bool:
         return item_id in self.features
+
+
+# --- CSV ------------------------------------------------------------------
+
+
+def csv_field(text: str) -> str:
+    """One CSV field under the quoting rule in the module docstring."""
+    if "," in text or '"' in text or "\n" in text or "\r" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence[str]]) -> None:
+    """Write text rows as UTF-8 CSV with LF line ends, quoting each field."""
+    with Path(path).open("w", newline="", encoding="utf-8") as fh:
+        fh.write(",".join(map(csv_field, header)) + "\n")
+        fh.writelines(",".join(map(csv_field, row)) + "\n" for row in rows)
+
+
+def write_columns(
+    path: str | Path, header: Sequence[str], cset: ComparisonSet, extra: tuple[str, ...] = ()
+) -> None:
+    """Write a set in the comparisons schema, plus constant trailing fields.
+
+    Each vocabulary entry is quoted once, then rows are joined from the codes.
+    """
+
+    def text(vocab: tuple[str, ...], codes: np.ndarray) -> list[str]:
+        return list(map([csv_field(v) for v in vocab].__getitem__, codes.tolist()))
+
+    tail = "".join("," + csv_field(v) for v in extra)
+    rows = zip(
+        text(cset.user_ids, cset.user),
+        text(cset.criterion_ids, cset.criterion),
+        text(cset.item_ids, cset.left),
+        text(cset.item_ids, cset.right),
+        cset.score.tolist(),
+    )
+    with Path(path).open("w", newline="", encoding="utf-8") as fh:
+        fh.write(",".join(map(csv_field, header)) + "\n")
+        fh.writelines(f"{u},{c},{l},{r},{s!r}{tail}\n" for u, c, l, r, s in rows)
+
+
+def _row_error(row: list[str], ncols: int) -> str | None:
+    """The first problem with one data row, checked in the order a reader meets it."""
+    if len(row) != ncols:
+        return f"expected {ncols} columns, got {len(row)}"
+    _, _, left, right, score_text = row[:5]
+    try:
+        score = float(score_text)
+    except ValueError:
+        return f"unparsable score {score_text!r}"
+    if not math.isfinite(score) or not -1.0 <= score <= 1.0:
+        return f"score {score_text} outside [-1, 1]"
+    if left == right:
+        return f"self-comparison of item {left!r}"
+    return None
+
+
+def _first_error(path: Path, chunk: list[list[str]], lineno: int, ncols: int) -> str:
+    """Message naming the first bad row of a chunk whose first row is `lineno`."""
+    for offset, row in enumerate(chunk):
+        problem = _row_error(row, ncols) if row else None
+        if problem:
+            return f"{path}: line {lineno + offset}: {problem}"
+    raise AssertionError("a chunk was rejected but none of its rows is bad")
+
+
+def _chunk_columns(rows: list[list[str]], ncols: int) -> list | None:
+    """Transpose one chunk of non-empty rows; None if any row is invalid."""
+    if any(len(row) != ncols for row in rows):
+        return None
+    columns = list(zip(*rows))
+    try:
+        score = np.array(list(map(float, columns[4])), dtype=np.float64)
+    except ValueError:
+        return None
+    if not (np.isfinite(score) & (score >= -1.0) & (score <= 1.0)).all():
+        return None
+    if any(map(operator.eq, columns[2], columns[3])):
+        return None
+    columns[4] = score
+    return columns
+
+
+def read_columns(
+    path: str | Path, header: list[str]
+) -> tuple[Columns, list[tuple[str, ...]]]:
+    """Read a CSV whose first five columns are the comparisons schema.
+
+    Returns the columns and, for each column past the fifth, its distinct
+    values. Raises ValueError naming the 1-based line of the first bad row.
+    """
+    path = Path(path)
+    ncols = len(header)
+    vocabs = [_Vocab(), _Vocab(), _Vocab()]
+    parts: list[tuple[np.ndarray, ...]] = []
+    extra: list[dict[str, None]] = [{} for _ in range(ncols - 5)]
+    with path.open(newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        first = next(reader, None)
+        if first is None:
+            raise ValueError(f"{path}: empty file, expected a header row")
+        if first != header:
+            raise ValueError(f"{path}: bad header {first!r}, expected {header!r}")
+        lineno = 2  # of the chunk's first row
+        while chunk := list(islice(reader, _CHUNK_ROWS)):
+            rows = chunk if all(chunk) else [row for row in chunk if row]
+            if rows:
+                columns = _chunk_columns(rows, ncols)
+                if columns is None:
+                    raise ValueError(_first_error(path, chunk, lineno, ncols))
+                users, criteria, lefts, rights, score = columns[:5]
+                parts.append((
+                    vocabs[0].codes(users), vocabs[1].codes(criteria),
+                    vocabs[2].codes(lefts), vocabs[2].codes(rights), score,
+                ))
+                for seen, values in zip(extra, columns[5:]):
+                    seen.update(dict.fromkeys(values))
+            lineno += len(chunk)
+    if parts:
+        user, criterion, left, right, score = (np.concatenate(p) for p in zip(*parts))
+    else:
+        user = criterion = left = right = np.zeros(0, dtype=np.intp)
+        score = np.zeros(0, dtype=np.float64)
+    columns = Columns(
+        tuple(vocabs[0].index), user, tuple(vocabs[1].index), criterion,
+        tuple(vocabs[2].index), left, right, score,
+    )
+    return columns, [tuple(seen) for seen in extra]
 
 
 def parse_comparisons(path: str | Path) -> ComparisonSet:
@@ -119,53 +430,13 @@ def parse_comparisons(path: str | Path) -> ComparisonSet:
     Raises ValueError naming the offending 1-based line number on malformed
     rows, out-of-range scores, or self-comparisons.
     """
-    path = Path(path)
-    comparisons: list[Comparison] = []
-    with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError(f"{path}: empty file, expected a header row") from None
-        if header != COMPARISONS_HEADER:
-            raise ValueError(
-                f"{path}: bad header {header!r}, expected {COMPARISONS_HEADER!r}"
-            )
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 5:
-                raise ValueError(
-                    f"{path}: line {lineno}: expected 5 columns, got {len(row)}"
-                )
-            user_id, criterion, left, right, score_text = row
-            try:
-                score = float(score_text)
-            except ValueError:
-                raise ValueError(
-                    f"{path}: line {lineno}: unparsable score {score_text!r}"
-                ) from None
-            if not np.isfinite(score) or not -1.0 <= score <= 1.0:
-                raise ValueError(
-                    f"{path}: line {lineno}: score {score_text} outside [-1, 1]"
-                )
-            if left == right:
-                raise ValueError(
-                    f"{path}: line {lineno}: self-comparison of item {left!r}"
-                )
-            comparisons.append(Comparison(user_id, criterion, left, right, score))
-    return ComparisonSet(tuple(comparisons))
+    columns, _ = read_columns(path, COMPARISONS_HEADER)
+    return ComparisonSet(columns=columns)
 
 
 def write_comparisons(cset: ComparisonSet, path: str | Path) -> None:
     """Write the canonical comparisons CSV (UTF-8, LF, shortest float repr)."""
-    path = Path(path)
-    with path.open("w", newline="\n", encoding="utf-8") as fh:
-        fh.write(",".join(COMPARISONS_HEADER) + "\n")
-        for c in cset:
-            fh.write(
-                f"{c.user_id},{c.criterion},{c.left_item},{c.right_item},{c.score!r}\n"
-            )
+    write_columns(path, COMPARISONS_HEADER, cset)
 
 
 def parse_features(path: str | Path) -> FeatureTable:
@@ -209,12 +480,11 @@ def parse_features(path: str | Path) -> FeatureTable:
 
 
 def write_features(table: FeatureTable, path: str | Path) -> None:
-    path = Path(path)
-    with path.open("w", newline="\n", encoding="utf-8") as fh:
-        fh.write("item_id," + ",".join(f"f{i}" for i in range(table.dim)) + "\n")
-        for item in table.features:
-            vec = table.features[item]
-            fh.write(item + "," + ",".join(repr(float(v)) for v in vec) + "\n")
+    write_csv(
+        path,
+        ["item_id"] + [f"f{i}" for i in range(table.dim)],
+        ([item] + [repr(v) for v in vec.tolist()] for item, vec in table.features.items()),
+    )
 
 
 def split(
@@ -225,30 +495,26 @@ def split(
     Every user keeps floor(n_u * train_fraction) comparisons in the train
     part, adjusted so both parts are non-empty; a global split could leave
     users without test comparisons, which would leave per-user metrics
-    undefined. Input order is preserved within both parts.
+    undefined. Users draw one permutation each, in sorted user order.
+    Input order is preserved within both parts.
     """
     if not 0.0 < train_fraction < 1.0:
         raise ValueError(f"train_fraction must be in (0, 1), got {train_fraction}")
-    per_user: dict[str, list[int]] = {}
-    for idx, c in enumerate(cset.comparisons):
-        per_user.setdefault(c.user_id, []).append(idx)
-    offenders = sorted(u for u, idxs in per_user.items() if len(idxs) < 2)
+    order, bounds = cset.by_user
+    counts = np.diff(bounds).tolist()
+    offenders = [u for u, n in zip(cset.user_ids, counts) if n < 2]
     if offenders:
         raise ValueError(
             f"users with fewer than 2 comparisons cannot be split: {offenders}"
         )
     rng = np.random.default_rng(seed)
-    train_idx: set[int] = set()
-    for user in sorted(per_user):
-        idxs = per_user[user]
-        n = len(idxs)
+    in_train = np.zeros(len(cset), dtype=bool)
+    for start, n in zip(bounds.tolist(), counts):
         n_train = int(np.floor(n * train_fraction))
         n_train = min(max(n_train, 1), n - 1)
         chosen = rng.permutation(n)[:n_train]
-        train_idx.update(idxs[i] for i in chosen)
-    train = tuple(c for i, c in enumerate(cset.comparisons) if i in train_idx)
-    test = tuple(c for i, c in enumerate(cset.comparisons) if i not in train_idx)
-    return ComparisonSet(train), ComparisonSet(test)
+        in_train[order[start + chosen]] = True
+    return cset.take(in_train), cset.take(~in_train)
 
 
 def comparison_set(rows: Iterable[tuple[str, str, str, str, float]]) -> ComparisonSet:

@@ -15,7 +15,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .dataset import Comparison
+from .dataset import Comparison, ComparisonSet, write_csv
 
 CLASSES = ("left", "tie", "right")
 
@@ -33,36 +33,113 @@ def classify(value: float, tie_epsilon: float) -> str:
     return "tie"
 
 
-def _macro_recall(truth: Sequence[str], predicted: Sequence[str]) -> float:
-    """Unweighted mean of per-class recall over classes present in `truth`."""
-    recalls = []
-    for cls in CLASSES:
-        total = sum(1 for t in truth if t == cls)
-        if total == 0:
-            continue
-        hit = sum(1 for t, p in zip(truth, predicted) if t == cls and p == cls)
-        recalls.append(hit / total)
-    return float(np.mean(recalls))
+@dataclass(frozen=True, eq=False)
+class Predictions:
+    """Predicted score differences, one per row of `cset`, in row order.
+
+    Iterating yields (Comparison, predicted difference) pairs, so a
+    Predictions compares equal to the list of those pairs.
+    """
+
+    cset: ComparisonSet
+    diff: np.ndarray
+
+    def __post_init__(self) -> None:
+        if self.diff.shape != (len(self.cset),):
+            raise ValueError(
+                f"{self.diff.shape} predictions for {len(self.cset)} comparisons"
+            )
+
+    def __len__(self) -> int:
+        return len(self.cset)
+
+    def __iter__(self):
+        return zip(self.cset, self.diff.tolist())
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, (Predictions, list, tuple)):
+            return list(self) == list(other)
+        return NotImplemented
+
+    __hash__ = None
+
+
+def _classes(values: np.ndarray, tie_epsilon: float) -> np.ndarray:
+    """classify() over an array, as codes 0 (left), 1 (tie), 2 (right)."""
+    if tie_epsilon < 0:
+        raise ValueError(f"tie_epsilon must be >= 0, got {tie_epsilon}")
+    finite = np.isfinite(values)
+    if not finite.all():
+        raise ValueError(f"value must be finite, got {values[~finite][0]}")
+    return np.where(values < -tie_epsilon, 0, np.where(values > tie_epsilon, 2, 1))
+
+
+@dataclass
+class _Tally:
+    """Per-user and per-class counts of classified predictions.
+
+    Users are listed in order of first appearance, as the report's maps are.
+    `totals[u, c]` counts user u's comparisons of true class c and `hits[u, c]`
+    those predicted correctly.
+    """
+
+    users: list[str]
+    totals: np.ndarray
+    hits: np.ndarray
+
+
+def _tally(
+    predictions: Predictions | Sequence[tuple[Comparison, float]], tie_epsilon: float
+) -> _Tally:
+    if not len(predictions):
+        raise ValueError("predictions must be non-empty")
+    if isinstance(predictions, Predictions):
+        cset = predictions.cset
+        order, bounds = cset.by_user
+        # A user's first row is the head of its slice; rank users by it.
+        by_first = np.argsort(order[bounds[:-1]])
+        rank = np.empty_like(by_first)
+        rank[by_first] = np.arange(by_first.size)
+        users = [cset.user_ids[k] for k in by_first.tolist()]
+        codes, truth, predicted = rank[cset.user], cset.score, predictions.diff
+    else:
+        index: dict[str, int] = {}
+        codes = np.array(
+            [index.setdefault(c.user_id, len(index)) for c, _ in predictions], dtype=np.intp
+        )
+        truth = np.array([c.score for c, _ in predictions], dtype=np.float64)
+        predicted = np.array([d for _, d in predictions], dtype=np.float64)
+        users = list(index)
+    truth_cls = _classes(truth, tie_epsilon)
+    hit = truth_cls == _classes(predicted, tie_epsilon)
+    cell = codes * len(CLASSES) + truth_cls
+    shape = (len(users), len(CLASSES))
+    size = shape[0] * shape[1]
+    return _Tally(
+        users,
+        np.bincount(cell, minlength=size).reshape(shape),
+        np.bincount(cell[hit], minlength=size).reshape(shape),
+    )
+
+
+def _macro_recall(totals: Sequence[int], hits: Sequence[int]) -> float:
+    """Unweighted mean of per-class recall over the classes that occur."""
+    return float(np.mean([h / t for t, h in zip(totals, hits) if t]))
 
 
 def per_user_metrics(
-    predictions: Sequence[tuple[Comparison, float]], tie_epsilon: float
+    predictions: Predictions | Sequence[tuple[Comparison, float]], tie_epsilon: float
 ) -> tuple[dict[str, float], dict[str, float]]:
     """Per-user accuracy and macro recall of classified predictions."""
-    if not predictions:
-        raise ValueError("predictions must be non-empty")
-    by_user: dict[str, tuple[list[str], list[str]]] = {}
-    for comparison, predicted in predictions:
-        truth_cls = classify(comparison.score, tie_epsilon)
-        pred_cls = classify(predicted, tie_epsilon)
-        truths, preds = by_user.setdefault(comparison.user_id, ([], []))
-        truths.append(truth_cls)
-        preds.append(pred_cls)
+    return _per_user(_tally(predictions, tie_epsilon))
+
+
+def _per_user(tally: _Tally) -> tuple[dict[str, float], dict[str, float]]:
     accuracy = {}
     recall = {}
-    for user, (truths, preds) in by_user.items():
-        accuracy[user] = sum(t == p for t, p in zip(truths, preds)) / len(truths)
-        recall[user] = _macro_recall(truths, preds)
+    for user, totals, hits in zip(tally.users, tally.totals.tolist(), tally.hits.tolist()):
+        accuracy[user] = sum(hits) / sum(totals)
+        recall[user] = _macro_recall(totals, hits)
     return accuracy, recall
 
 
@@ -145,22 +222,22 @@ class EquityReport:
 
 
 def build_report(
-    predictions: Sequence[tuple[Comparison, float]], tie_epsilon: float
+    predictions: Predictions | Sequence[tuple[Comparison, float]], tie_epsilon: float
 ) -> EquityReport:
     """Assemble the full equity report.
 
     Overall accuracy pools all comparisons (it is not the mean of per-user
     accuracies, which is reported separately as mean_accuracy).
     """
-    accuracy, recall = per_user_metrics(predictions, tie_epsilon)
-    truth_cls = [classify(c.score, tie_epsilon) for c, _ in predictions]
-    pred_cls = [classify(d, tie_epsilon) for _, d in predictions]
-    overall_accuracy = sum(t == p for t, p in zip(truth_cls, pred_cls)) / len(truth_cls)
+    tally = _tally(predictions, tie_epsilon)
+    accuracy, recall = _per_user(tally)
+    totals = tally.totals.sum(axis=0).tolist()
+    hits = tally.hits.sum(axis=0).tolist()
     return EquityReport(
         per_user_accuracy=accuracy,
         per_user_recall=recall,
-        overall_accuracy=overall_accuracy,
-        overall_recall=_macro_recall(truth_cls, pred_cls),
+        overall_accuracy=sum(hits) / sum(totals),
+        overall_recall=_macro_recall(totals, hits),
         acc_max_gap=max_gap(accuracy),
         acc_std=std_dev(accuracy),
         recall_max_gap=max_gap(recall),
@@ -180,7 +257,8 @@ def write_report(report: EquityReport, path: str | Path) -> None:
 
 def write_lorenz(report: EquityReport, path: str | Path) -> None:
     """Plot-ready CSV: population_fraction,cumulative_share."""
-    with Path(path).open("w", newline="\n", encoding="utf-8") as fh:
-        fh.write("population_fraction,cumulative_share\n")
-        for frac, share in report.lorenz:
-            fh.write(f"{frac!r},{share!r}\n")
+    write_csv(
+        path,
+        ["population_fraction", "cumulative_share"],
+        ([repr(frac), repr(share)] for frac, share in report.lorenz),
+    )

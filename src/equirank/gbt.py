@@ -22,7 +22,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .dataset import ComparisonSet
+from .dataset import ComparisonSet, write_csv
 
 # Below this |delta| the closed forms 2*sinh(d)/d and coth(d) - 1/d lose
 # precision to cancellation; series expansions take over.
@@ -103,19 +103,19 @@ class _Problem:
     """Index-compiled single-user fitting problem over its compared items."""
 
     def __init__(self, comparisons: ComparisonSet, lam: float):
-        users = comparisons.users
+        users = comparisons.user_ids
         if len(users) != 1:
             raise ValueError(
-                f"expected comparisons restricted to one user, got {sorted(users)}"
+                f"expected comparisons restricted to one user, got {list(users)}"
             )
         if len(comparisons) == 0:
             raise ValueError("user has no comparisons")
-        self.user_id = next(iter(users))
-        self.items = sorted(comparisons.items)
-        index = {item: i for i, item in enumerate(self.items)}
-        self.left = np.array([index[c.left_item] for c in comparisons], dtype=np.intp)
-        self.right = np.array([index[c.right_item] for c in comparisons], dtype=np.intp)
-        self.r = np.array([c.score for c in comparisons], dtype=np.float64)
+        self.user_id = users[0]
+        # Item codes of the set index its sorted item vocabulary.
+        self.items = list(comparisons.item_ids)
+        self.left = comparisons.left
+        self.right = comparisons.right
+        self.r = comparisons.score
         self.lam = lam
 
     def objective(self, theta: np.ndarray) -> float:
@@ -224,9 +224,8 @@ def fit_gbt(comparisons: ComparisonSet, config: GbtConfig = GbtConfig()) -> Indi
 
 def write_individual_scores(scores: list[IndividualScores], path: str | Path) -> None:
     """Export fitted scores as CSV with header user_id,item_id,theta."""
-    path = Path(path)
-    with path.open("w", newline="\n", encoding="utf-8") as fh:
-        fh.write("user_id,item_id,theta\n")
-        for s in scores:
-            for item in sorted(s.theta):
-                fh.write(f"{s.user_id},{item},{s.theta[item]!r}\n")
+    write_csv(
+        path,
+        ["user_id", "item_id", "theta"],
+        ([s.user_id, item, repr(s.theta[item])] for s in scores for item in sorted(s.theta)),
+    )

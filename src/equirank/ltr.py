@@ -25,6 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .dataset import Comparison, ComparisonSet, FeatureTable
+from .equity import Predictions
 
 
 @dataclass(frozen=True)
@@ -208,23 +209,18 @@ def loss_gradient(
 
 
 class _Assembled:
-    """Comparison set compiled to difference-feature matrices for training."""
+    """Comparison set compiled to difference-feature matrices for training.
+
+    Row i of `diff` is x(right_i) - x(left_i); `user_idx` holds the set's
+    user codes, which index `users` (sorted ids).
+    """
 
     def __init__(self, cset: ComparisonSet, features: FeatureTable):
-        for c in cset:
-            for item in (c.left_item, c.right_item):
-                if item not in features:
-                    raise ValueError(f"item {item!r} missing from feature table")
-        self.users = sorted(cset.users)
-        user_index = {u: i for i, u in enumerate(self.users)}
-        n = len(cset)
-        self.diff = np.zeros((n, features.dim), dtype=np.float64)
-        self.r = np.zeros(n, dtype=np.float64)
-        self.user_idx = np.zeros(n, dtype=np.intp)
-        for i, c in enumerate(cset):
-            self.diff[i] = features.vector(c.right_item) - features.vector(c.left_item)
-            self.r[i] = c.score
-            self.user_idx[i] = user_index[c.user_id]
+        x = features.matrix(cset.item_ids)
+        self.users = list(cset.user_ids)
+        self.diff = x[cset.right] - x[cset.left]
+        self.r = cset.score
+        self.user_idx = cset.user
 
     def predict(self, w: np.ndarray, offsets: np.ndarray | None) -> np.ndarray:
         d = self.diff @ w
@@ -292,15 +288,23 @@ def train(
 
 def predict_all(
     params: ModelParams, cset: ComparisonSet, features: FeatureTable
-) -> list[tuple[Comparison, float]]:
-    """predict_diff over every comparison, preserving order."""
-    out = []
-    for c in cset:
-        d = predict_diff(
-            params, c.user_id, features.vector(c.left_item), features.vector(c.right_item)
+) -> Predictions:
+    """predict_diff over every comparison, preserving order.
+
+    Each item score is the same dot product `score` takes (`np.vecdot` runs
+    the kernel of `np.dot` row by row), so the differences match
+    `predict_diff` exactly.
+    """
+    if features.dim != params.dim:
+        raise ValueError(
+            f"feature vectors have length {features.dim}, expected {params.dim}"
         )
-        out.append((c, d))
-    return out
+    x = features.matrix(cset.item_ids)
+    weights = np.array(
+        [params.effective_weights(u) for u in cset.user_ids], dtype=np.float64
+    ).reshape(len(cset.user_ids), params.dim)[cset.user]
+    diff = np.vecdot(x[cset.right], weights) - np.vecdot(x[cset.left], weights)
+    return Predictions(cset, diff)
 
 
 def save_model(params: ModelParams, path: str | Path) -> None:

@@ -10,34 +10,46 @@ deliberately not performed; all scores stay per-user.
 
 from __future__ import annotations
 
-import csv
 import itertools
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable
 
 import numpy as np
 
-from .dataset import Comparison, ComparisonSet, COMPARISONS_HEADER
+from .dataset import (
+    COMPARISONS_HEADER,
+    Columns,
+    Comparison,
+    ComparisonSet,
+    group_rows,
+    read_columns,
+    write_columns,
+    write_csv,
+)
 from .gbt import GbtConfig, IndividualScores, fit_gbt
 from .robust import ResilienceParams, br_mean
 
 SCALER_TAGS = ("minmax", "normalization", "mehestan", "none")
 
 
-@dataclass(frozen=True)
 class ScaledComparisonSet(ComparisonSet):
     """A ComparisonSet whose scores were rewritten by a named scaler."""
 
-    scaler_tag: str = "none"
-
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        if self.scaler_tag not in SCALER_TAGS:
+    def __init__(
+        self,
+        comparisons: Iterable[Comparison] = (),
+        scaler_tag: str = "none",
+        *,
+        columns: Columns | None = None,
+    ):
+        super().__init__(comparisons, columns=columns)
+        if scaler_tag not in SCALER_TAGS:
             raise ValueError(
-                f"scaler_tag must be one of {SCALER_TAGS}, got {self.scaler_tag!r}"
+                f"scaler_tag must be one of {SCALER_TAGS}, got {scaler_tag!r}"
             )
+        self.scaler_tag = scaler_tag
 
 
 @dataclass(frozen=True)
@@ -54,20 +66,42 @@ class UserAffine:
 
 
 def _replace_scores(
-    cset: ComparisonSet, new_scores: Sequence[float], tag: str
+    cset: ComparisonSet, new_scores: np.ndarray, tag: str
 ) -> ScaledComparisonSet:
-    rewritten = tuple(
-        Comparison(c.user_id, c.criterion, c.left_item, c.right_item, float(score))
-        for c, score in zip(cset.comparisons, new_scores)
-    )
-    return ScaledComparisonSet(rewritten, scaler_tag=tag)
+    return ScaledComparisonSet(columns=cset.columns._replace(score=new_scores), scaler_tag=tag)
 
 
-def _group_indices(cset: ComparisonSet) -> dict[tuple[str, str], list[int]]:
-    groups: dict[tuple[str, str], list[int]] = {}
-    for idx, c in enumerate(cset.comparisons):
-        groups.setdefault((c.user_id, c.criterion), []).append(idx)
-    return groups
+def _user_criterion_groups(cset: ComparisonSet) -> tuple[np.ndarray, np.ndarray]:
+    """(order, bounds) grouping rows by (user, criterion), input order inside."""
+    n_criteria = len(cset.criterion_ids)
+    if n_criteria <= 1:
+        return cset.by_user
+    key = cset.user * n_criteria + cset.criterion
+    return group_rows(key, len(cset.user_ids) * n_criteria)
+
+
+def _scale_groups(cset: ComparisonSet, scale_one) -> np.ndarray:
+    """New scores: scale_one(scores of one (user, criterion) group) per group.
+
+    Each group's scores are contiguous and in input order, as indexing the
+    group's rows would give, so the arithmetic matches a per-group loop exactly.
+    """
+    order, bounds = _user_criterion_groups(cset)
+    grouped = cset.score[order]
+    out = np.zeros_like(grouped)
+    for start, end in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
+        if end > start:
+            out[start:end] = scale_one(grouped[start:end])
+    scores = np.empty_like(out)
+    scores[order] = out
+    return scores
+
+
+def _minmax_one(vals: np.ndarray) -> np.ndarray | float:
+    lo, hi = vals.min(), vals.max()
+    if hi > lo:
+        return 2.0 * (vals - lo) / (hi - lo) - 1.0
+    return 0.0
 
 
 def minmax_scale(cset: ComparisonSet) -> ScaledComparisonSet:
@@ -75,15 +109,20 @@ def minmax_scale(cset: ComparisonSet) -> ScaledComparisonSet:
 
     Degenerate users whose scores are all equal map to 0.
     """
-    scores = np.array([c.score for c in cset.comparisons], dtype=np.float64)
-    out = np.zeros_like(scores)
-    for _, idxs in _group_indices(cset).items():
-        vals = scores[idxs]
-        lo, hi = vals.min(), vals.max()
-        if hi > lo:
-            out[idxs] = 2.0 * (vals - lo) / (hi - lo) - 1.0
-        # else: leave zeros
-    return _replace_scores(cset, out, "minmax")
+    return _replace_scores(cset, _scale_groups(cset, _minmax_one), "minmax")
+
+
+def _normalization_one(vals: np.ndarray) -> np.ndarray | float:
+    lo, hi = vals.min(), vals.max()
+    # Degeneracy is a range check, not std == 0: the float mean of a
+    # constant list is not exact, which would leave std ~ 1e-17 and blow
+    # the z-scores up to +-1.
+    if hi > lo:
+        unit = (vals - lo) / (hi - lo)
+        centered = unit - unit.mean()
+        centered -= centered.mean()
+        return centered / np.abs(centered).max()
+    return 0.0
 
 
 def normalization_scale(cset: ComparisonSet) -> ScaledComparisonSet:
@@ -97,20 +136,7 @@ def normalization_scale(cset: ComparisonSet) -> ScaledComparisonSet:
     score gaps whose mean is not even representable, then double-center so
     the output mean sits at machine epsilon.
     """
-    scores = np.array([c.score for c in cset.comparisons], dtype=np.float64)
-    out = np.zeros_like(scores)
-    for _, idxs in _group_indices(cset).items():
-        vals = scores[idxs]
-        lo, hi = vals.min(), vals.max()
-        # Degeneracy is a range check, not std == 0: the float mean of a
-        # constant list is not exact, which would leave std ~ 1e-17 and blow
-        # the z-scores up to +-1.
-        if hi > lo:
-            unit = (vals - lo) / (hi - lo)
-            centered = unit - unit.mean()
-            centered -= centered.mean()
-            out[idxs] = centered / np.abs(centered).max()
-    return _replace_scores(cset, out, "normalization")
+    return _replace_scores(cset, _scale_groups(cset, _normalization_one), "normalization")
 
 
 def _aggregate(
@@ -161,7 +187,7 @@ def mehestan_scale(
     scaled per-user latent scores theta'_u. Requires >= 2 users and a
     single criterion (filter first via ComparisonSet.restrict).
     """
-    users = sorted(cset.users)
+    users = list(cset.user_ids)
     if len(users) < 2:
         raise ValueError(f"mehestan_scale needs >= 2 users, got {len(users)}")
     criteria = cset.criteria
@@ -171,7 +197,8 @@ def mehestan_scale(
             "restrict the set first"
         )
 
-    fits = {u: fit_gbt(cset.restrict(user_id=u), gbt_config) for u in users}
+    subsets = [cset.restrict(user_id=u) for u in users]
+    fits = {u: fit_gbt(sub, gbt_config) for u, sub in zip(users, subsets)}
     theta = {u: fits[u].theta for u in users}
 
     # Anchor: most scored items, ties broken lexicographically.
@@ -214,14 +241,12 @@ def mehestan_scale(
         u: {item: scales[u] * val + translations[u] for item, val in theta[u].items()}
         for u in users
     }
-    new_scores = [
-        np.clip(
-            scaled_theta[c.user_id][c.right_item] - scaled_theta[c.user_id][c.left_item],
-            -1.0,
-            1.0,
-        )
-        for c in cset.comparisons
-    ]
+    new_scores = np.empty(len(cset))
+    order, bounds = cset.by_user
+    for k, (u, sub) in enumerate(zip(users, subsets)):
+        vec = np.array([scaled_theta[u][item] for item in sub.item_ids])
+        rows = order[bounds[k] : bounds[k + 1]]
+        new_scores[rows] = np.clip(vec[sub.right] - vec[sub.left], -1.0, 1.0)
     affines = [UserAffine(u, scales[u], translations[u]) for u in users]
     scores = [
         IndividualScores(
@@ -235,52 +260,17 @@ def mehestan_scale(
 
 def write_scaled_comparisons(scaled: ScaledComparisonSet, path: str | Path) -> None:
     """Scaled comparisons CSV: input schema plus a trailing `scaler` column."""
-    path = Path(path)
-    with path.open("w", newline="\n", encoding="utf-8") as fh:
-        fh.write(",".join(COMPARISONS_HEADER + ["scaler"]) + "\n")
-        for c in scaled:
-            fh.write(
-                f"{c.user_id},{c.criterion},{c.left_item},{c.right_item},"
-                f"{c.score!r},{scaled.scaler_tag}\n"
-            )
+    write_columns(path, COMPARISONS_HEADER + ["scaler"], scaled, (scaled.scaler_tag,))
 
 
 def parse_scaled_comparisons(path: str | Path) -> ScaledComparisonSet:
     """Read the scaled comparisons CSV (raw schema plus a `scaler` column)."""
-    path = Path(path)
-    expected = COMPARISONS_HEADER + ["scaler"]
-    comparisons: list[Comparison] = []
-    tags: set[str] = set()
-    with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != expected:
-            raise ValueError(f"{path}: bad header {header!r}, expected {expected!r}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 6:
-                raise ValueError(
-                    f"{path}: line {lineno}: expected 6 columns, got {len(row)}"
-                )
-            user_id, criterion, left, right, score_text, tag = row
-            try:
-                score = float(score_text)
-            except ValueError:
-                raise ValueError(
-                    f"{path}: line {lineno}: unparsable score {score_text!r}"
-                ) from None
-            comparisons.append(Comparison(user_id, criterion, left, right, score))
-            tags.add(tag)
+    columns, (tags,) = read_columns(path, COMPARISONS_HEADER + ["scaler"])
     if len(tags) > 1:
         raise ValueError(f"{path}: mixed scaler tags {sorted(tags)}")
-    tag = tags.pop() if tags else "none"
-    return ScaledComparisonSet(tuple(comparisons), scaler_tag=tag)
+    tag = tags[0] if tags else "none"
+    return ScaledComparisonSet(columns=columns, scaler_tag=tag)
 
 
 def write_user_affines(affines: list[UserAffine], path: str | Path) -> None:
-    path = Path(path)
-    with path.open("w", newline="\n", encoding="utf-8") as fh:
-        fh.write("user_id,s,tau\n")
-        for a in affines:
-            fh.write(f"{a.user_id},{a.s!r},{a.tau!r}\n")
+    write_csv(path, ["user_id", "s", "tau"], ([a.user_id, repr(a.s), repr(a.tau)] for a in affines))

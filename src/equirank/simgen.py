@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import Comparison, ComparisonSet, FeatureTable
+from .dataset import Columns, ComparisonSet, FeatureTable, write_csv
 from .equity import classify
 
 ARCHETYPES = ("neutral", "conservative", "extreme", "malicious")
@@ -163,7 +163,8 @@ def generate(config: SimConfig) -> tuple[ComparisonSet, FeatureTable, GroundTrut
         group_weights[g] = config.weight_scale * _unit(raw)
 
     truth = GroundTruth(features, group_weights, {}, {}, {})
-    comparisons: list[Comparison] = []
+    m = config.comparisons_per_user
+    lefts, rights, scores = [], [], []
     for u_idx, user in enumerate(user_ids):
         group = _group_of(config, u_idx)
         archetype = _archetype_of(config, u_idx)
@@ -181,23 +182,23 @@ def generate(config: SimConfig) -> tuple[ComparisonSet, FeatureTable, GroundTrut
         truth.user_theta[user] = {item: float(theta[i]) for i, item in enumerate(item_ids)}
 
         comp_rng = np.random.default_rng([config.seed, 3, u_idx])
-        m = config.comparisons_per_user
-        lefts = comp_rng.integers(0, config.n_items, size=m)
-        rights = comp_rng.integers(0, config.n_items - 1, size=m)
-        rights = rights + (rights >= lefts)
-        t = theta[rights] - theta[lefts] + comp_rng.normal(0.0, config.noise_std, size=m)
-        scores = _shape_scores(t, archetype, config, comp_rng)
-        for j in range(m):
-            comparisons.append(
-                Comparison(
-                    user,
-                    config.criterion,
-                    item_ids[int(lefts[j])],
-                    item_ids[int(rights[j])],
-                    float(scores[j]),
-                )
-            )
-    return ComparisonSet(tuple(comparisons)), features, truth
+        left = comp_rng.integers(0, config.n_items, size=m)
+        right = comp_rng.integers(0, config.n_items - 1, size=m)
+        right = right + (right >= left)
+        t = theta[right] - theta[left] + comp_rng.normal(0.0, config.noise_std, size=m)
+        lefts.append(left)
+        rights.append(right)
+        scores.append(_shape_scores(t, archetype, config, comp_rng))
+    # Codes are indices into user_ids and item_ids; the set sorts and compacts them.
+    cset = ComparisonSet(
+        columns=Columns(
+            tuple(user_ids), np.repeat(np.arange(config.n_users), m),
+            (config.criterion,), np.zeros(config.n_users * m, dtype=np.intp),
+            tuple(item_ids), np.concatenate(lefts), np.concatenate(rights),
+            np.concatenate(scores),
+        )
+    )
+    return cset, features, truth
 
 
 def true_classes(
@@ -218,15 +219,23 @@ def true_classes(
 
 
 def write_truth_theta(truth: GroundTruth, path: str | Path) -> None:
-    with Path(path).open("w", newline="\n", encoding="utf-8") as fh:
-        fh.write("user_id,item_id,theta\n")
-        for user in sorted(truth.user_theta):
-            for item in sorted(truth.user_theta[user]):
-                fh.write(f"{user},{item},{truth.user_theta[user][item]!r}\n")
+    write_csv(
+        path,
+        ["user_id", "item_id", "theta"],
+        (
+            [user, item, repr(truth.user_theta[user][item])]
+            for user in sorted(truth.user_theta)
+            for item in sorted(truth.user_theta[user])
+        ),
+    )
 
 
 def write_truth_users(truth: GroundTruth, path: str | Path) -> None:
-    with Path(path).open("w", newline="\n", encoding="utf-8") as fh:
-        fh.write("user_id,group,archetype\n")
-        for user in sorted(truth.user_group):
-            fh.write(f"{user},{truth.user_group[user]},{truth.user_archetype[user]}\n")
+    write_csv(
+        path,
+        ["user_id", "group", "archetype"],
+        (
+            [user, str(truth.user_group[user]), truth.user_archetype[user]]
+            for user in sorted(truth.user_group)
+        ),
+    )

@@ -91,6 +91,17 @@ class TestScale:
         assert len(affines) == 3
         assert (out / "theta.csv").read_text().startswith("user_id,item_id,theta")
 
+    def test_unconverged_fits_are_reported(self, tmp_path, capsys):
+        sim = _simulate(tmp_path)
+        capsys.readouterr()
+        out = tmp_path / "stalled"
+        assert _run(["scale", "--input", str(sim / "comparisons.csv"),
+                     "--scaler", "mehestan", "--max-iter", "2", "-o", str(out)]) == 0
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 4
+        for user, line in zip(["u0", "u1", "u2", "u3"], lines):
+            assert f"user={user!r} converged=False n_iter=2 grad_norm=" in line
+
     def test_unknown_scaler_is_usage_error(self, tmp_path):
         sim = _simulate(tmp_path)
         with pytest.raises(SystemExit) as excinfo:
@@ -276,6 +287,27 @@ class TestPipeline:
             )
             outs.append(blob)
         assert outs[0] == outs[1]
+
+    def test_each_scaler_runs_once_per_grid(self, tmp_path, monkeypatch):
+        import equirank.cli
+
+        calls = []
+        original = equirank.cli.mehestan_scale
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(equirank.cli, "mehestan_scale", counting)
+        config = tmp_path / "grid.cfg"
+        config.write_text(PIPELINE_CONFIG + "experiment = mehestan\n"
+                          "experiment = mehestan+contrastive\n")
+        out = tmp_path / "run"
+        assert _run(["pipeline", "--config", str(config), "-o", str(out)]) == 0
+        assert len(calls) == 1
+        a = json.loads((out / "report_mehestan.json").read_text())
+        b = json.loads((out / "report_mehestan_contrastive.json").read_text())
+        assert a["n_users"] == b["n_users"] == 4
 
     def test_parallel_run_matches_sequential(self, tmp_path, monkeypatch):
         config = tmp_path / "grid.cfg"

@@ -1,12 +1,19 @@
 """Parsing, validation, serialization round-trips, and the stratified split."""
 
+import csv
+import io
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from equirank.dataset import (
     Comparison,
     ComparisonSet,
+    FeatureTable,
     comparison_set,
+    csv_field,
     parse_comparisons,
     parse_features,
     split,
@@ -90,6 +97,66 @@ def test_round_trip_is_byte_identical(tmp_path):
     assert first.read_bytes() == second.read_bytes()
 
 
+def test_error_line_numbers_count_past_blank_lines_and_chunks(tmp_path):
+    good = [f"u1,g,a,b{i},0.5" for i in range(5000)]
+    path = _write(tmp_path, "c.csv", HEADER + "\n".join(good) + "\n\nu1,g,a,c,2.0\n")
+    with pytest.raises(ValueError, match="line 5003: score 2.0 outside"):
+        parse_comparisons(path)
+
+
+def test_first_bad_line_wins_over_later_column_errors(tmp_path):
+    path = _write(tmp_path, "c.csv", HEADER + "u1,g,a,a,0.1\nu1,g,a,b\n")
+    with pytest.raises(ValueError, match="line 2: self-comparison"):
+        parse_comparisons(path)
+
+
+# Ids mixing the characters CSV treats specially with arbitrary Unicode.
+_ids = st.text(
+    alphabet=st.one_of(st.sampled_from(',"\n\r '), st.characters(codec="utf-8")),
+    max_size=6,
+)
+
+
+@given(rows=st.lists(
+    st.tuples(_ids, _ids, _ids, _ids, st.floats(-1.0, 1.0)).filter(lambda r: r[2] != r[3]),
+    max_size=12,
+))
+@settings(max_examples=200, deadline=None)
+def test_parse_write_round_trip_any_ids(rows, tmp_path_factory):
+    cset = comparison_set(rows)
+    path = tmp_path_factory.mktemp("rt") / "c.csv"
+    write_comparisons(cset, path)
+    back = parse_comparisons(path)
+    assert back.comparisons == cset.comparisons
+    assert [c.score for c in back] == [c.score for c in cset]
+
+
+@given(st.text(alphabet=st.one_of(st.sampled_from(',"\n '), st.characters(codec="utf-8"))))
+def test_csv_field_quotes_like_csv_writer(text):
+    # csv.writer(lineterminator="\n") leaves a bare CR unquoted, which
+    # csv.reader then reads as a line break; for every other field the two agree.
+    buffer = io.StringIO()
+    csv.writer(buffer, lineterminator="\n").writerow([text, "x"])
+    assert csv_field(text) + ",x\n" == buffer.getvalue()
+
+
+def test_carriage_return_in_id_round_trips(tmp_path):
+    cset = comparison_set([("a\rb", "g", "x", "y\r\n", 0.25)])
+    path = tmp_path / "c.csv"
+    write_comparisons(cset, path)
+    assert parse_comparisons(path).comparisons == cset.comparisons
+
+
+def test_features_round_trip_any_ids(tmp_path):
+    table = FeatureTable(2, {"a,b": np.array([1.0, 2.0]), 'q"\n': np.array([0.5, -1.0])})
+    path = tmp_path / "f.csv"
+    write_features(table, path)
+    back = parse_features(path)
+    assert list(back.features) == list(table.features)
+    for item, vec in table.features.items():
+        np.testing.assert_array_equal(back.features[item], vec)
+
+
 class TestParseFeatures:
     def test_basic(self, tmp_path):
         path = _write(tmp_path, "f.csv", "item_id,f0,f1\na,1.0,2.0\nb,0.0,1.0\n")
@@ -115,8 +182,6 @@ class TestParseFeatures:
 
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(11)
-        from equirank.dataset import FeatureTable
-
         table = FeatureTable(3, {f"i{k}": rng.standard_normal(3) for k in range(5)})
         first = tmp_path / "a.csv"
         second = tmp_path / "b.csv"
