@@ -15,7 +15,6 @@ import json
 import os
 import sys
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -186,7 +185,8 @@ def _scale(
     """Apply one scaler -> (scaled set, Mehestan affines, Mehestan scores).
 
     The affine and score lists are empty for the other scalers. Every GBT fit
-    that stopped at the iteration cap is reported on stderr.
+    that stopped at the iteration cap, and every user whose Mehestan scale or
+    translation fell back to its default, is reported on stderr.
     """
     if scaler == "minmax":
         return minmax_scale(cset), [], []
@@ -199,6 +199,14 @@ def _scale(
                 print(
                     f"equirank: warning: GBT fit did not converge: user={fit.user_id!r} "
                     f"converged=False n_iter={fit.n_iter} grad_norm={fit.grad_norm:.3e}",
+                    file=sys.stderr,
+                )
+        for affine in affines:
+            if not affine.anchor and (affine.votes == 0 or affine.candidates == 0):
+                print(
+                    f"equirank: warning: Mehestan fallback: user={affine.user_id!r} "
+                    f"votes={affine.votes} s={affine.s!r} "
+                    f"candidates={affine.candidates} tau={affine.tau!r}",
                     file=sys.stderr,
                 )
         return scaled, affines, scores
@@ -499,15 +507,7 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
         if scaler not in fit_sets:
             fit_sets[scaler] = _scale(scaler, train_set, gbt_config, params)[0]
 
-    def run(cell):
-        return _run_cell(cell, cfg, fit_sets[cell[0]], test_set, features)
-
-    threads = max(1, int(os.environ.get("EQUIRANK_THREADS", "1")))
-    if threads > 1 and len(cells) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            reports = list(pool.map(run, cells))
-    else:
-        reports = [run(cell) for cell in cells]
+    reports = [_run_cell(cell, cfg, fit_sets[cell[0]], test_set, features) for cell in cells]
 
     summary_path = outdir / "summary.csv"
     with summary_path.open("w", newline="\n", encoding="utf-8") as fh:

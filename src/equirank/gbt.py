@@ -82,6 +82,10 @@ def expected_comparison(delta: float) -> float:
 
 def _expected_vec(delta: np.ndarray) -> np.ndarray:
     a = np.abs(delta)
+    if a.min() >= _SERIES_CUTOFF:
+        # The closed form alone: what np.where below picks when no delta is small.
+        closed = 1.0 + 2.0 / np.expm1(2.0 * np.minimum(a, _EXP_CUTOFF)) - 1.0 / a
+        return np.copysign(closed, delta)
     small = a < _SERIES_CUTOFF
     safe = np.where(small, 1.0, np.minimum(a, _EXP_CUTOFF))
     series = delta / 3.0 - delta**3 / 45.0
@@ -92,6 +96,8 @@ def _expected_vec(delta: np.ndarray) -> np.ndarray:
 def _log_partition_vec(delta: np.ndarray) -> np.ndarray:
     """log Z(delta) = log(2*sinh(delta)/delta), even in delta, log 2 at 0."""
     a = np.abs(delta)
+    if a.min() >= _SERIES_CUTOFF:
+        return a + np.log1p(-np.exp(-2.0 * a)) - np.log(a)
     small = a < _SERIES_CUTOFF
     safe = np.where(small, 1.0, a)
     series = math.log(2.0) + np.log1p(a * a / 6.0 + a**4 / 120.0)
@@ -117,6 +123,8 @@ class _Problem:
         self.right = comparisons.right
         self.r = comparisons.score
         self.lam = lam
+        # Both ends of every comparison, for one bincount in `gradient`.
+        self._ends = np.concatenate([self.right, self.left])
 
     def objective(self, theta: np.ndarray) -> float:
         delta = theta[self.right] - theta[self.left]
@@ -126,9 +134,11 @@ class _Problem:
     def gradient(self, theta: np.ndarray) -> np.ndarray:
         delta = theta[self.right] - theta[self.left]
         resid = _expected_vec(delta) - self.r
-        grad = np.zeros_like(theta)
-        np.add.at(grad, self.right, resid)
-        np.add.at(grad, self.left, -resid)
+        # Adds resid at right ends, then -resid at left ends, in row order,
+        # exactly as two np.add.at calls would.
+        grad = np.bincount(
+            self._ends, np.concatenate([resid, -resid]), minlength=theta.shape[0]
+        )
         grad += self.lam * theta
         return grad
 
@@ -146,7 +156,8 @@ def gbt_objective(
         raise ValueError(f"theta missing items: {missing}")
     vec = np.array([values[item] for item in problem.items], dtype=np.float64)
     # The prior covers every theta entry, including items outside the set.
-    extra = sum(values[k] ** 2 for k in values if k not in set(problem.items))
+    compared = set(problem.items)
+    extra = sum(values[k] ** 2 for k in values if k not in compared)
     return problem.objective(vec) + 0.5 * lam * extra
 
 
@@ -188,7 +199,7 @@ def fit_gbt(comparisons: ComparisonSet, config: GbtConfig = GbtConfig()) -> Indi
                 f"non-finite values in GBT fit for user {problem.user_id!r}; "
                 "check lam and input scores"
             )
-        grad_norm = float(np.linalg.norm(grad))
+        grad_norm = math.sqrt(grad.dot(grad))
         if grad_norm <= config.tol:
             converged = True
             break
@@ -205,7 +216,8 @@ def fit_gbt(comparisons: ComparisonSet, config: GbtConfig = GbtConfig()) -> Indi
                 accepted = True
                 break
             if math.isfinite(trial_obj) and trial_obj <= obj + slack:
-                trial_norm = float(np.linalg.norm(problem.gradient(trial)))
+                trial_grad = problem.gradient(trial)
+                trial_norm = math.sqrt(trial_grad.dot(trial_grad))
                 if trial_norm < grad_norm:
                     accepted = True
                     break

@@ -10,7 +10,6 @@ deliberately not performed; all scores stay per-user.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -54,11 +53,21 @@ class ScaledComparisonSet(ComparisonSet):
 
 @dataclass(frozen=True)
 class UserAffine:
-    """Multiplicative scale and translation applied to one user's latent scores."""
+    """Multiplicative scale and translation applied to one user's latent scores.
+
+    `votes` counts the other users whose median log-ratio voted on `s`, and
+    `candidates` the translation candidates aggregated into `tau`. A user
+    other than the anchor with no votes falls back to s = 1, and one with no
+    candidates to tau = 0. The anchor is pinned at s = 1, tau = 0 and takes
+    neither.
+    """
 
     user_id: str
     s: float
     tau: float
+    votes: int = 0
+    candidates: int = 0
+    anchor: bool = False
 
     def __post_init__(self) -> None:
         if not self.s > 0:
@@ -147,8 +156,48 @@ def _aggregate(
             values, ResilienceParams(weight=weight, default=0.0, clip_radius=clip_radius)
         )
     if aggregator == "mean":
-        return float(np.mean(values)) if values else 0.0
+        return float(np.mean(values)) if len(values) else 0.0
     raise ValueError(f"unknown aggregator {aggregator!r}")
+
+
+# Vote temporaries span blocks of other users of about this many entries.
+_BLOCK_ENTRIES = 32768
+
+
+def _vote_medians(
+    theta: np.ndarray, present: np.ndarray, u: int, others: np.ndarray, epsilon_pair: float
+) -> np.ndarray:
+    """Each other user's median log gap ratio against user u, in user order.
+
+    The pairs are u's item pairs in `itertools.combinations` order whose gaps
+    exceed epsilon_pair for both users; users with no such pair cast no vote.
+    Ratios are sorted and only the middle one or two are logged with
+    `math.log`, which is monotone, then averaged as `np.median` averages them,
+    so each vote equals `np.median` of the logged ratios bit for bit.
+    """
+    items = np.flatnonzero(present[u])
+    first, second = np.triu_indices(len(items), 1)
+    a, b = items[first], items[second]
+    gap_u = np.abs(theta[u, a] - theta[u, b])
+    keep = gap_u > epsilon_pair
+    a, b, gap_u = a[keep], b[keep], gap_u[keep]
+    if not len(a):
+        return np.zeros(0)
+    step = max(1, _BLOCK_ENTRIES // len(a))
+    medians = []
+    for start in range(0, len(others), step):
+        v = others[start : start + step, None]
+        gap_v = np.abs(theta[v, a] - theta[v, b])
+        valid = present[v, a] & present[v, b] & (gap_v > epsilon_pair)
+        ratios = np.where(valid, gap_v, np.inf) / gap_u
+        ratios.sort(axis=1)
+        counts = valid.sum(axis=1)
+        voters = np.flatnonzero(counts)
+        counts = counts[voters]
+        middle = ratios[voters[:, None], np.stack([(counts - 1) // 2, counts // 2], axis=1)]
+        logs = np.array([math.log(x) for x in middle.ravel().tolist()]).reshape(middle.shape)
+        medians.append(np.mean(logs, axis=1))
+    return np.concatenate(medians)
 
 
 def mehestan_scale(
@@ -198,62 +247,65 @@ def mehestan_scale(
         )
 
     subsets = [cset.restrict(user_id=u) for u in users]
-    fits = {u: fit_gbt(sub, gbt_config) for u, sub in zip(users, subsets)}
-    theta = {u: fits[u].theta for u in users}
+    fits = [fit_gbt(sub, gbt_config) for sub in subsets]
 
-    # Anchor: most scored items, ties broken lexicographically.
-    anchor = min(users, key=lambda u: (-len(theta[u]), u))
+    # theta[k, i] is user k's latent score of item code i where present[k, i].
+    index = {item: i for i, item in enumerate(cset.item_ids)}
+    present = np.zeros((len(users), len(cset.item_ids)), dtype=bool)
+    theta = np.zeros(present.shape)
+    codes = [[index[item] for item in fit.theta] for fit in fits]
+    for k, fit in enumerate(fits):
+        present[k, codes[k]] = True
+        theta[k, codes[k]] = list(fit.theta.values())
 
-    scales: dict[str, float] = {anchor: 1.0}
-    for u in users:
+    # Anchor: most scored items, ties broken lexicographically (users are sorted).
+    anchor = int(np.argmax(present.sum(axis=1)))
+    others = [np.delete(np.arange(len(users)), u) for u in range(len(users))]
+
+    scales = np.ones(len(users))
+    votes = np.zeros(len(users), dtype=np.intp)
+    for u in range(len(users)):
         if u == anchor:
             continue
-        votes: list[float] = []
-        for v in users:
-            if v == u:
-                continue
-            common = sorted(set(theta[u]) & set(theta[v]))
-            ratios: list[float] = []
-            for a, b in itertools.combinations(common, 2):
-                gap_u = abs(theta[u][a] - theta[u][b])
-                gap_v = abs(theta[v][a] - theta[v][b])
-                if gap_u > epsilon_pair and gap_v > epsilon_pair:
-                    ratios.append(math.log(gap_v / gap_u))
-            if ratios:
-                votes.append(float(np.median(ratios)))
-        scales[u] = math.exp(_aggregate(votes, params.weight, ratio_clip, aggregator))
-
-    translations: dict[str, float] = {anchor: 0.0}
-    for u in users:
-        if u == anchor:
-            continue
-        candidates: list[float] = []
-        for v in users:
-            if v == u:
-                continue
-            for a in sorted(set(theta[u]) & set(theta[v])):
-                candidates.append(scales[v] * theta[v][a] - scales[u] * theta[u][a])
-        translations[u] = _aggregate(
-            candidates, params.weight, translation_clip, aggregator
+        medians = _vote_medians(theta, present, u, others[u], epsilon_pair)
+        votes[u] = len(medians)
+        # Plain float lists, as before: perfbench's tracer re-reads BrMean's inputs.
+        scales[u] = math.exp(
+            _aggregate(medians.tolist(), params.weight, ratio_clip, aggregator)
         )
 
-    scaled_theta = {
-        u: {item: scales[u] * val + translations[u] for item, val in theta[u].items()}
-        for u in users
-    }
-    new_scores = np.empty(len(cset))
-    order, bounds = cset.by_user
-    for k, (u, sub) in enumerate(zip(users, subsets)):
-        vec = np.array([scaled_theta[u][item] for item in sub.item_ids])
-        rows = order[bounds[k] : bounds[k + 1]]
-        new_scores[rows] = np.clip(vec[sub.right] - vec[sub.left], -1.0, 1.0)
-    affines = [UserAffine(u, scales[u], translations[u]) for u in users]
+    # Candidates s_v*theta_v(a) - s_u*theta_u(a), row-major over (v, common item a).
+    scaled = scales[:, None] * theta
+    translations = np.zeros(len(users))
+    candidates = np.zeros(len(users), dtype=np.intp)
+    for u in range(len(users)):
+        if u == anchor:
+            continue
+        items = np.flatnonzero(present[u])
+        rows = np.ix_(others[u], items)
+        values = (scaled[rows] - scaled[u, items])[present[rows]]
+        candidates[u] = len(values)
+        translations[u] = _aggregate(
+            values.tolist(), params.weight, translation_clip, aggregator
+        )
+
+    scaled_theta = scaled + translations[:, None]
+    new_scores = np.clip(
+        scaled_theta[cset.user, cset.right] - scaled_theta[cset.user, cset.left], -1.0, 1.0
+    )
+    affines = [
+        UserAffine(
+            u, float(scales[k]), float(translations[k]),
+            int(votes[k]), int(candidates[k]), k == anchor,
+        )
+        for k, u in enumerate(users)
+    ]
     scores = [
         IndividualScores(
-            u, scaled_theta[u], gbt_config.lam,
-            fits[u].converged, fits[u].n_iter, fits[u].grad_norm,
+            u, dict(zip(fit.theta, scaled_theta[k, codes[k]].tolist())), gbt_config.lam,
+            fit.converged, fit.n_iter, fit.grad_norm,
         )
-        for u in users
+        for k, (u, fit) in enumerate(zip(users, fits))
     ]
     return _replace_scores(cset, new_scores, "mehestan"), affines, scores
 

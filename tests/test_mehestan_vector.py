@@ -1,0 +1,336 @@
+"""Mehestan on arrays and the GBT kernel against their loop oracles.
+
+The oracles below are the earlier implementations, kept here as the
+reference: the per-pair vote and translation loops of `mehestan_scale`, and
+`_Problem.objective`/`gradient` with `np.where` on every call and
+`np.add.at` accumulation, fitted by the same gradient-descent loop with
+`np.linalg.norm`. Affines, scaled scores and every per-user fit must come
+out bit for bit the same.
+"""
+
+import itertools
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from equirank import gbt, scaling
+from equirank.dataset import comparison_set
+from equirank.gbt import GbtConfig, IndividualScores, _Problem, fit_gbt
+from equirank.robust import ResilienceParams, br_mean
+from equirank.scaling import mehestan_scale
+from equirank.simgen import SimConfig, generate
+
+# --- oracles: the loop implementations ---------------------------------------
+
+
+def oracle_expected_vec(delta):
+    a = np.abs(delta)
+    small = a < gbt._SERIES_CUTOFF
+    safe = np.where(small, 1.0, np.minimum(a, gbt._EXP_CUTOFF))
+    series = delta / 3.0 - delta**3 / 45.0
+    closed = np.copysign(1.0 + 2.0 / np.expm1(2.0 * safe) - 1.0 / np.maximum(a, 1e-300), delta)
+    return np.where(small, series, closed)
+
+
+def oracle_log_partition_vec(delta):
+    a = np.abs(delta)
+    small = a < gbt._SERIES_CUTOFF
+    safe = np.where(small, 1.0, a)
+    series = math.log(2.0) + np.log1p(a * a / 6.0 + a**4 / 120.0)
+    closed = safe + np.log1p(-np.exp(-2.0 * safe)) - np.log(safe)
+    return np.where(small, series, closed)
+
+
+class OracleProblem(_Problem):
+    def objective(self, theta):
+        delta = theta[self.right] - theta[self.left]
+        nll = np.sum(oracle_log_partition_vec(delta) - self.r * delta)
+        return float(nll + 0.5 * self.lam * np.dot(theta, theta))
+
+    def gradient(self, theta):
+        delta = theta[self.right] - theta[self.left]
+        resid = oracle_expected_vec(delta) - self.r
+        grad = np.zeros_like(theta)
+        np.add.at(grad, self.right, resid)
+        np.add.at(grad, self.left, -resid)
+        grad += self.lam * theta
+        return grad
+
+
+def oracle_fit_gbt(comparisons, config=GbtConfig()):
+    problem = OracleProblem(comparisons, config.lam)
+    theta = np.zeros(len(problem.items), dtype=np.float64)
+    obj = problem.objective(theta)
+    step = 1.0
+    n_iter = 0
+    grad_norm = math.inf
+    converged = False
+    for n_iter in range(1, config.max_iter + 1):
+        grad = problem.gradient(theta)
+        assert np.all(np.isfinite(grad)) and math.isfinite(obj)
+        grad_norm = float(np.linalg.norm(grad))
+        if grad_norm <= config.tol:
+            converged = True
+            break
+        slack = 1e-12 * (1.0 + abs(obj))
+        accepted = False
+        while step >= 1e-300:
+            trial = theta - step * grad
+            trial_obj = problem.objective(trial)
+            if math.isfinite(trial_obj) and trial_obj < obj:
+                accepted = True
+                break
+            if math.isfinite(trial_obj) and trial_obj <= obj + slack:
+                trial_norm = float(np.linalg.norm(problem.gradient(trial)))
+                if trial_norm < grad_norm:
+                    accepted = True
+                    break
+            step *= 0.5
+        if not accepted:
+            break
+        theta = trial
+        obj = trial_obj
+        step *= 2.0
+    theta_map = dict(zip(problem.items, theta.tolist()))
+    return IndividualScores(
+        problem.user_id, theta_map, config.lam, converged, n_iter, grad_norm
+    )
+
+
+def _oracle_aggregate(values, weight, clip_radius, aggregator):
+    if aggregator == "brmean":
+        return br_mean(
+            values, ResilienceParams(weight=weight, default=0.0, clip_radius=clip_radius)
+        )
+    return float(np.mean(values)) if values else 0.0
+
+
+def oracle_mehestan_scale(cset, gbt_config, params, aggregator, epsilon_pair=1e-6,
+                          ratio_clip=0.5, translation_clip=1.0):
+    """-> (new scores, {user: (s, tau, votes, candidates)}, {user: fit}, scaled theta)."""
+    users = list(cset.user_ids)
+    subsets = [cset.restrict(user_id=u) for u in users]
+    fits = {u: oracle_fit_gbt(sub, gbt_config) for u, sub in zip(users, subsets)}
+    theta = {u: fits[u].theta for u in users}
+    anchor = min(users, key=lambda u: (-len(theta[u]), u))
+
+    scales = {anchor: 1.0}
+    n_votes = {anchor: 0}
+    for u in users:
+        if u == anchor:
+            continue
+        votes = []
+        for v in users:
+            if v == u:
+                continue
+            common = sorted(set(theta[u]) & set(theta[v]))
+            ratios = []
+            for a, b in itertools.combinations(common, 2):
+                gap_u = abs(theta[u][a] - theta[u][b])
+                gap_v = abs(theta[v][a] - theta[v][b])
+                if gap_u > epsilon_pair and gap_v > epsilon_pair:
+                    ratios.append(math.log(gap_v / gap_u))
+            if ratios:
+                votes.append(float(np.median(ratios)))
+        n_votes[u] = len(votes)
+        scales[u] = math.exp(_oracle_aggregate(votes, params.weight, ratio_clip, aggregator))
+
+    translations = {anchor: 0.0}
+    n_candidates = {anchor: 0}
+    for u in users:
+        if u == anchor:
+            continue
+        candidates = []
+        for v in users:
+            if v == u:
+                continue
+            for a in sorted(set(theta[u]) & set(theta[v])):
+                candidates.append(scales[v] * theta[v][a] - scales[u] * theta[u][a])
+        n_candidates[u] = len(candidates)
+        translations[u] = _oracle_aggregate(
+            candidates, params.weight, translation_clip, aggregator
+        )
+
+    scaled_theta = {
+        u: {item: scales[u] * val + translations[u] for item, val in theta[u].items()}
+        for u in users
+    }
+    new_scores = np.empty(len(cset))
+    order, bounds = cset.by_user
+    for k, (u, sub) in enumerate(zip(users, subsets)):
+        vec = np.array([scaled_theta[u][item] for item in sub.item_ids])
+        rows = order[bounds[k] : bounds[k + 1]]
+        new_scores[rows] = np.clip(vec[sub.right] - vec[sub.left], -1.0, 1.0)
+    affines = {
+        u: (scales[u], translations[u], n_votes[u], n_candidates[u]) for u in users
+    }
+    return new_scores, affines, fits, scaled_theta, anchor
+
+
+# --- comparison --------------------------------------------------------------
+
+
+def _bits(x):
+    return np.asarray(x, dtype=np.float64).tobytes()
+
+
+def assert_matches_oracle(cset, gbt_config=GbtConfig(), params=ResilienceParams(),
+                          aggregator="brmean"):
+    scaled, affines, scores = mehestan_scale(
+        cset, gbt_config, params, aggregator=aggregator
+    )
+    want_scores, want_affines, want_fits, want_theta, anchor = oracle_mehestan_scale(
+        cset, gbt_config, params, aggregator
+    )
+    assert _bits(scaled.score) == _bits(want_scores)
+    assert [a.user_id for a in affines] == sorted(want_affines)
+    for affine in affines:
+        s, tau, votes, candidates = want_affines[affine.user_id]
+        assert _bits(affine.s) == _bits(s)
+        assert _bits(affine.tau) == _bits(tau)
+        assert (affine.votes, affine.candidates) == (votes, candidates)
+        assert affine.anchor == (affine.user_id == anchor)
+    for got in scores:
+        want = want_fits[got.user_id]
+        assert list(got.theta) == list(want_theta[got.user_id])
+        assert _bits(list(got.theta.values())) == _bits(list(want_theta[got.user_id].values()))
+        assert (got.converged, got.n_iter) == (want.converged, want.n_iter)
+        assert _bits(got.grad_norm) == _bits(want.grad_norm)
+        assert got.lam == want.lam
+    return affines
+
+
+ITEMS = [f"i{k}" for k in range(7)]
+_scores = st.one_of(st.floats(-1.0, 1.0), st.sampled_from([-1.0, -0.5, 0.0, 0.5, 1.0]))
+
+
+@st.composite
+def populations(draw):
+    """2-4 users over a shared vocabulary, maybe with a user sharing no item
+    with anyone and a user whose every score is 0 (every fitted gap is 0)."""
+    rows = []
+    for user in ["u0", "u1", "u2", "u3"][: draw(st.integers(2, 4))]:
+        items = draw(st.lists(st.sampled_from(ITEMS), min_size=2, max_size=7, unique=True))
+        for _ in range(draw(st.integers(1, 12))):
+            a, b = draw(st.permutations(items))[:2]
+            rows.append((user, "g", a, b, draw(_scores)))
+    if draw(st.booleans()):
+        rows += [("loner", "g", "z0", "z1", draw(_scores)),
+                 ("loner", "g", "z1", "z2", draw(_scores))]
+    if draw(st.booleans()):
+        tie_items = draw(st.lists(st.sampled_from(ITEMS), min_size=3, max_size=5, unique=True))
+        rows += [("tie", "g", a, b, 0.0) for a, b in zip(tie_items, tie_items[1:])]
+    return comparison_set(draw(st.permutations(rows)))
+
+
+@pytest.mark.parametrize("aggregator", ["brmean", "mean"])
+@given(cset=populations(), weight=st.sampled_from([0.5, 1.0, 10.0]))
+@settings(max_examples=60, deadline=None)
+def test_populations_match_oracle(aggregator, cset, weight):
+    assert_matches_oracle(
+        cset, GbtConfig(tol=1e-6, max_iter=300), ResilienceParams(weight=weight), aggregator
+    )
+
+
+def test_fallback_users_and_even_and_odd_vote_counts():
+    # u0 (anchor) scores i0..i5; u1 shares 4 of them (6 pairs, an even
+    # count), u2 shares 3 (3 pairs, odd); "loner" shares nothing and "flat"
+    # scores only ties, so every gap it has is 0.
+    rng = np.random.default_rng(5)
+    truth = rng.uniform(-1, 1, 6)
+    rows = []
+    for user, items in [("u0", range(6)), ("u1", range(4)), ("u2", (1, 3, 5))]:
+        items = list(items)
+        for a, b in itertools.combinations(items, 2):
+            rows.append((user, "g", f"i{a}", f"i{b}", float(np.clip(truth[b] - truth[a], -1, 1))))
+    rows += [("loner", "g", "z0", "z1", 0.4), ("loner", "g", "z1", "z2", 0.2)]
+    rows += [("flat", "g", "i0", "i1", 0.0), ("flat", "g", "i1", "i2", 0.0)]
+    for aggregator in ("brmean", "mean"):
+        affines = {a.user_id: a for a in assert_matches_oracle(
+            comparison_set(rows), aggregator=aggregator)}
+        assert affines["u0"].anchor
+        assert (affines["loner"].votes, affines["loner"].candidates) == (0, 0)
+        assert (affines["loner"].s, affines["loner"].tau) == (1.0, 0.0)
+        assert affines["flat"].votes == 0 and affines["flat"].s == 1.0
+        assert affines["flat"].candidates == 7
+        assert affines["u1"].votes == affines["u2"].votes == 2
+
+
+def test_two_users():
+    rng = np.random.default_rng(11)
+    truth = rng.uniform(-1, 1, 8)
+    rows = []
+    for user, scale in [("uA", 1.0), ("uB", 0.4)]:
+        for _ in range(40):
+            a, b = rng.choice(8, size=2, replace=False)
+            rows.append((user, "g", f"i{a}", f"i{b}",
+                         float(np.clip(scale * (truth[b] - truth[a]), -1, 1))))
+    for aggregator in ("brmean", "mean"):
+        assert_matches_oracle(comparison_set(rows), aggregator=aggregator)
+
+
+def test_user_with_more_pairs_than_one_block():
+    # "big0" and "big1" score all 300 items; "big0" is the anchor, so "big1"
+    # is voted on over 44850 pairs, more than one block holds, and each of
+    # its three voters is scored in a block of its own.
+    rng = np.random.default_rng(3)
+    n = 300
+    truth = rng.uniform(-2, 2, n)
+
+    def row(user, a, b, scale=1.0):
+        score = float(np.clip(scale * (truth[b] - truth[a]), -1, 1))
+        return (user, "g", f"i{a:03d}", f"i{b:03d}", score)
+
+    rows = []
+    for user, scale in [("big0", 1.0), ("big1", 0.7)]:
+        rows += [row(user, k, k + 1, scale) for k in range(n - 1)]
+        rows += [row(user, *rng.choice(n, size=2, replace=False), scale) for _ in range(200)]
+    for user in ("small0", "small1"):
+        items = rng.choice(n, size=30, replace=False)
+        rows += [row(user, *rng.choice(items, size=2, replace=False), 0.5) for _ in range(60)]
+    cset = comparison_set(rows)
+    config = GbtConfig(max_iter=40)
+    big = fit_gbt(cset.restrict(user_id="big1"), config)
+    gaps = [abs(big.theta[a] - big.theta[b]) for a, b in itertools.combinations(big.theta, 2)]
+    assert sum(g > 1e-6 for g in gaps) > scaling._BLOCK_ENTRIES
+    for aggregator in ("brmean", "mean"):
+        affines = assert_matches_oracle(cset, config, aggregator=aggregator)
+        assert [a.user_id for a in affines if a.anchor] == ["big0"]
+        assert affines[1].votes == 3
+
+
+def test_simulated_crowd_matches_oracle():
+    cset, _, _ = generate(SimConfig(
+        n_items=15, feature_dim=3, n_users=12, comparisons_per_user=25, seed=4,
+        archetype_mix={"neutral": 6, "conservative": 2, "extreme": 2, "malicious": 2},
+    ))
+    for aggregator in ("brmean", "mean"):
+        assert_matches_oracle(cset, GbtConfig(max_iter=2000), aggregator=aggregator)
+
+
+def test_mean_aggregator_takes_arrays():
+    assert scaling._aggregate(np.array([1.0, 2.0, 4.0]), 1.0, 1.0, "mean") == pytest.approx(7 / 3)
+    assert scaling._aggregate(np.zeros(0), 1.0, 1.0, "mean") == 0.0
+
+
+@pytest.mark.parametrize("spread", [1e-3, 0.5, 5.0, 800.0])
+def test_kernel_matches_oracle(spread):
+    # Small spreads take the series branch, large ones the closed form alone
+    # (and, at 800, the exp cutoff); 0.5 mixes both.
+    rng = np.random.default_rng(int(spread * 1000))
+    n_items = 12
+    rows = []
+    for _ in range(50):
+        a, b = rng.choice(n_items, size=2, replace=False)
+        rows.append(("u", "g", f"i{a:02d}", f"i{b:02d}", float(rng.uniform(-1, 1))))
+    cset = comparison_set(rows)
+    new, old = _Problem(cset, 0.1), OracleProblem(cset, 0.1)
+    for _ in range(20):
+        theta = rng.uniform(-spread, spread, len(new.items))
+        assert _bits(new.objective(theta)) == _bits(old.objective(theta))
+        assert _bits(new.gradient(theta)) == _bits(old.gradient(theta))
+    theta = np.zeros(len(new.items))
+    assert _bits(new.gradient(theta)) == _bits(old.gradient(theta))
