@@ -46,12 +46,8 @@ from .ltr import (
     TrainConfig,
     TrainResult,
     load_model,
-    loss,
-    loss_gradient,
     predict_all,
-    predict_diff,
     save_model,
-    score,
     train,
 )
 from .robust import ResilienceParams, br_mean, qr_med
@@ -102,8 +98,6 @@ __all__ = [
     "gini",
     "load_model",
     "lorenz_curve",
-    "loss",
-    "loss_gradient",
     "max_gap",
     "mehestan_scale",
     "minmax_scale",
@@ -113,10 +107,8 @@ __all__ = [
     "parse_scaled_comparisons",
     "per_user_metrics",
     "predict_all",
-    "predict_diff",
     "qr_med",
     "save_model",
-    "score",
     "split",
     "std_dev",
     "train",

@@ -15,6 +15,7 @@ import json
 import os
 import sys
 import tempfile
+from collections.abc import Mapping
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -138,6 +139,17 @@ def _load_comparisons_any(path: str | Path) -> ComparisonSet:
     return parse_comparisons(path)
 
 
+def _restrict_criterion(cset: ComparisonSet, criterion: str | None) -> ComparisonSet:
+    """The comparisons with `criterion` (all of them when it is None); an
+    empty result is an error."""
+    if criterion is None:
+        return cset
+    cset = cset.restrict(criterion=criterion)
+    if len(cset) == 0:
+        raise ValueError(f"no comparisons with criterion {criterion!r}")
+    return cset
+
+
 def cmd_simulate(args: argparse.Namespace) -> int:
     mix = _parse_archetype_mix(args.archetypes, args.users)
     group_sizes = (
@@ -214,11 +226,7 @@ def _scale(
 
 
 def cmd_scale(args: argparse.Namespace) -> int:
-    cset = _load_comparisons_any(args.input)
-    if args.criterion is not None:
-        cset = cset.restrict(criterion=args.criterion)
-        if len(cset) == 0:
-            raise ValueError(f"no comparisons with criterion {args.criterion!r}")
+    cset = _restrict_criterion(_load_comparisons_any(args.input), args.criterion)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     outputs = [outdir / "scaled.csv"]
@@ -238,32 +246,41 @@ def cmd_scale(args: argparse.Namespace) -> int:
     return 0
 
 
-def _train_config_from_args(args: argparse.Namespace) -> TrainConfig:
+_TRAIN_KEYS = (
+    "ranking_margin",
+    "contrastive_margin",
+    "tie_epsilon",
+    "learning_rate",
+    "epochs",
+    "batch_size",
+    "seed",
+    "embedding_l2",
+)
+
+
+def _train_config(
+    values: Mapping[str, object], contrastive: bool, embeddings: bool
+) -> TrainConfig:
+    """TrainConfig from the `train` flags (`vars(args)`) or the pipeline
+    config, which share key names; the contrastive term and the user
+    embeddings are switched on per call."""
     return TrainConfig(
         loss_weights=LossWeights(
-            mse=args.mse_weight,
-            ranking=args.ranking_weight,
-            bce=args.bce_weight,
-            contrastive=args.contrastive_weight,
+            mse=values["mse_weight"],
+            ranking=values["ranking_weight"],
+            bce=values["bce_weight"],
+            contrastive=values["contrastive_weight"] if contrastive else 0.0,
         ),
-        ranking_margin=args.ranking_margin,
-        contrastive_margin=args.contrastive_margin,
-        tie_epsilon=args.tie_epsilon,
-        learning_rate=args.learning_rate,
-        epochs=args.epochs,
-        batch_size=args.batch_size,
-        seed=args.seed,
-        use_user_embeddings=args.user_embeddings,
-        embedding_l2=args.embedding_l2,
+        use_user_embeddings=embeddings,
+        **{key: values[key] for key in _TRAIN_KEYS},
     )
 
 
 def cmd_train(args: argparse.Namespace) -> int:
-    cset = _load_comparisons_any(args.input)
-    if args.criterion is not None:
-        cset = cset.restrict(criterion=args.criterion)
+    cset = _restrict_criterion(_load_comparisons_any(args.input), args.criterion)
     features = parse_features(args.features)
-    result = train(cset, features, _train_config_from_args(args))
+    config = _train_config(vars(args), contrastive=True, embeddings=args.user_embeddings)
+    result = train(cset, features, config)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     model_path = outdir / "model.json"
@@ -288,9 +305,7 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 def cmd_audit(args: argparse.Namespace) -> int:
     model = load_model(args.model)
-    cset = _load_comparisons_any(args.test)
-    if args.criterion is not None:
-        cset = cset.restrict(criterion=args.criterion)
+    cset = _restrict_criterion(_load_comparisons_any(args.test), args.criterion)
     features = parse_features(args.features)
     predictions = predict_all(model, cset, features)
     report = build_report(predictions, args.tie_epsilon)
@@ -423,23 +438,7 @@ def _run_cell(
     features: FeatureTable,
 ):
     _, contrastive, embeddings = cell
-    config = TrainConfig(
-        loss_weights=LossWeights(
-            mse=float(cfg["mse_weight"]),
-            ranking=float(cfg["ranking_weight"]),
-            bce=float(cfg["bce_weight"]),
-            contrastive=float(cfg["contrastive_weight"]) if contrastive else 0.0,
-        ),
-        ranking_margin=float(cfg["ranking_margin"]),
-        contrastive_margin=float(cfg["contrastive_margin"]),
-        tie_epsilon=float(cfg["tie_epsilon"]),
-        learning_rate=float(cfg["learning_rate"]),
-        epochs=int(cfg["epochs"]),
-        batch_size=int(cfg["batch_size"]),
-        seed=int(cfg["seed"]),
-        use_user_embeddings=embeddings,
-        embedding_l2=float(cfg["embedding_l2"]),
-    )
+    config = _train_config(cfg, contrastive, embeddings)
     result = train(fit_set, features, config)
     predictions = predict_all(result.params, test_set, features)
     return build_report(predictions, float(cfg["tie_epsilon"]))

@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import Comparison, ComparisonSet, FeatureTable
+from .dataset import ComparisonSet, FeatureTable
 from .equity import Predictions
 
 
@@ -103,149 +103,123 @@ class TrainResult:
     loss_trace: list[float]
 
 
-def score(params: ModelParams, user_id: str, x: np.ndarray) -> float:
-    """Item score (w + offset_u) . x; unknown users fall back to offset 0."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (params.dim,):
-        raise ValueError(f"feature vector has shape {x.shape}, expected ({params.dim},)")
-    return float(np.dot(params.effective_weights(user_id), x))
-
-
-def predict_diff(
-    params: ModelParams, user_id: str, x_left: np.ndarray, x_right: np.ndarray
-) -> float:
-    """score(right) - score(left); positive means the model prefers the right item."""
-    return score(params, user_id, x_right) - score(params, user_id, x_left)
-
-
 def _softplus(x: np.ndarray) -> np.ndarray:
     return np.logaddexp(0.0, x)
 
 
-def _batch_terms(
-    d: np.ndarray, r: np.ndarray, config: TrainConfig
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-element weighted loss and its derivative with respect to d.
+def _loss_terms(d: np.ndarray, r: np.ndarray, config: TrainConfig) -> np.ndarray:
+    """Per-element weighted loss of predicted differences d against targets r.
 
-    Overflow is silenced here: a diverging run produces non-finite values
-    that the trainer detects and reports as a learning-rate problem.
+    Overflow is silenced here and in `_loss_derivative`: a diverging run
+    produces non-finite values that the trainer detects and reports as a
+    learning-rate problem.
     """
     lw = config.loss_weights
     loss = np.zeros_like(d)
-    grad = np.zeros_like(d)
     non_tie = np.abs(r) > config.tie_epsilon
     with np.errstate(over="ignore"):
         if lw.mse > 0:
             loss += lw.mse * (d - r) ** 2
-            grad += lw.mse * 2.0 * (d - r)
         if lw.ranking > 0:
             margin_gap = config.ranking_margin - np.sign(r) * d
             active = non_tie & (margin_gap > 0)
             loss += lw.ranking * np.where(active, margin_gap, 0.0)
-            grad += lw.ranking * np.where(active, -np.sign(r), 0.0)
         if lw.bce > 0:
             p = (r + 1.0) / 2.0
             loss += lw.bce * (p * _softplus(-d) + (1.0 - p) * _softplus(d))
-            sigmoid = 1.0 / (1.0 + np.exp(-d))
-            grad += lw.bce * (sigmoid - p)
         if lw.contrastive > 0:
             margin_gap = config.contrastive_margin - np.abs(d)
             active = non_tie & (margin_gap > 0)
             loss += lw.contrastive * np.where(active, margin_gap, 0.0)
+    return loss
+
+
+def _loss_derivative(d: np.ndarray, r: np.ndarray, config: TrainConfig) -> np.ndarray:
+    """Derivative of `_loss_terms` with respect to each d."""
+    lw = config.loss_weights
+    grad = np.zeros_like(d)
+    non_tie = np.abs(r) > config.tie_epsilon
+    with np.errstate(over="ignore"):
+        if lw.mse > 0:
+            grad += lw.mse * 2.0 * (d - r)
+        if lw.ranking > 0:
+            active = non_tie & (config.ranking_margin - np.sign(r) * d > 0)
+            grad += lw.ranking * np.where(active, -np.sign(r), 0.0)
+        if lw.bce > 0:
+            sigmoid = 1.0 / (1.0 + np.exp(-d))
+            grad += lw.bce * (sigmoid - (r + 1.0) / 2.0)
+        if lw.contrastive > 0:
+            active = non_tie & (config.contrastive_margin - np.abs(d) > 0)
             grad += lw.contrastive * np.where(active, -np.sign(d), 0.0)
-    return loss, grad
+    return grad
 
 
-def _offset_penalty(params: ModelParams, config: TrainConfig) -> float:
-    if config.embedding_l2 == 0 or not params.user_offsets:
-        return 0.0
-    total = sum(float(np.dot(o, o)) for o in params.user_offsets.values())
-    return config.embedding_l2 * total
+def _predict(
+    w: np.ndarray, offsets: np.ndarray | None, diff: np.ndarray, users: np.ndarray
+) -> np.ndarray:
+    """Predicted differences (w + offsets[users_i]) . diff_i of every row."""
+    d = diff @ w
+    if offsets is not None:
+        d = d + np.einsum("ij,ij->i", diff, offsets[users])
+    return d
 
 
-def loss(
-    params: ModelParams,
-    batch: list[tuple[Comparison, np.ndarray, np.ndarray]],
+def _step_gradient(
+    w: np.ndarray,
+    offsets: np.ndarray | None,
+    diff: np.ndarray,
+    r: np.ndarray,
+    users: np.ndarray,
     config: TrainConfig,
-) -> float:
-    """Mean weighted loss over the batch plus the embedding L2 penalty."""
-    if not batch:
-        raise ValueError("loss requires a non-empty batch")
-    d = np.array(
-        [predict_diff(params, c.user_id, xl, xr) for c, xl, xr in batch],
-        dtype=np.float64,
-    )
-    r = np.array([c.score for c, _, _ in batch], dtype=np.float64)
-    per_element, _ = _batch_terms(d, r, config)
-    return float(per_element.mean() + _offset_penalty(params, config))
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """Gradient of one batch's mean loss plus the embedding L2 penalty.
 
-
-def loss_gradient(
-    params: ModelParams,
-    batch: list[tuple[Comparison, np.ndarray, np.ndarray]],
-    config: TrainConfig,
-) -> tuple[np.ndarray, dict[str, np.ndarray]]:
-    """Analytic gradient of `loss` with respect to w and every user offset."""
-    if not batch:
-        raise ValueError("loss_gradient requires a non-empty batch")
-    d = np.array(
-        [predict_diff(params, c.user_id, xl, xr) for c, xl, xr in batch],
-        dtype=np.float64,
-    )
-    r = np.array([c.score for c, _, _ in batch], dtype=np.float64)
-    _, grad_d = _batch_terms(d, r, config)
-    grad_d = grad_d / len(batch)
-    grad_w = np.zeros(params.dim, dtype=np.float64)
-    grad_offsets = {u: np.zeros(params.dim) for u in params.user_offsets}
-    for g, (c, xl, xr) in zip(grad_d, batch):
-        diff = np.asarray(xr, dtype=np.float64) - np.asarray(xl, dtype=np.float64)
-        grad_w += g * diff
-        if c.user_id in grad_offsets:
-            grad_offsets[c.user_id] += g * diff
-    if config.embedding_l2 > 0:
-        for u, offset in params.user_offsets.items():
-            grad_offsets[u] += 2.0 * config.embedding_l2 * offset
-    return grad_w, grad_offsets
-
-
-class _Assembled:
-    """Comparison set compiled to difference-feature matrices for training.
-
-    Row i of `diff` is x(right_i) - x(left_i); `user_idx` holds the set's
-    user codes, which index `users` (sorted ids).
+    Row i of `diff` is x(right_i) - x(left_i), `r` the targets and `users`
+    the rows of `offsets` (users x dim, or None without embeddings) that the
+    comparisons belong to. Returns the gradient with respect to w and to
+    every row of `offsets`; the offsets part is None when `offsets` is.
     """
-
-    def __init__(self, cset: ComparisonSet, features: FeatureTable):
-        x = features.matrix(cset.item_ids)
-        self.users = list(cset.user_ids)
-        self.diff = x[cset.right] - x[cset.left]
-        self.r = cset.score
-        self.user_idx = cset.user
-
-    def predict(self, w: np.ndarray, offsets: np.ndarray | None) -> np.ndarray:
-        d = self.diff @ w
-        if offsets is not None:
-            d = d + np.einsum("ij,ij->i", self.diff, offsets[self.user_idx])
-        return d
+    grad_d = _loss_derivative(_predict(w, offsets, diff, users), r, config)
+    grad_d /= r.size
+    grad_w = diff.T @ grad_d
+    if offsets is None:
+        return grad_w, None
+    n_users, dim = offsets.shape
+    # One bincount over flat (user, column) cells adds rows in batch order,
+    # as `np.add.at(grad_off, users, diff * grad_d[:, None])` does.
+    cells = (users[:, None] * dim + np.arange(dim)).ravel()
+    grad_off = np.bincount(
+        cells, weights=(diff * grad_d[:, None]).ravel(), minlength=n_users * dim
+    ).reshape(n_users, dim)
+    if config.embedding_l2 > 0:
+        grad_off += 2.0 * config.embedding_l2 * offsets
+    return grad_w, grad_off
 
 
 def train(
     train_set: ComparisonSet, features: FeatureTable, config: TrainConfig
 ) -> TrainResult:
     """Mini-batch SGD from zero initialization; returns params and the
-    epoch-end full-set loss trace (index 0 is the pre-training loss)."""
-    data = _Assembled(train_set, features)
+    epoch-end full-set loss trace (index 0 is the pre-training loss).
+
+    Every step moves against `_step_gradient` of its batch.
+    """
+    n = len(train_set)
+    if n == 0:
+        raise ValueError("cannot train on an empty comparison set")
+    x = features.matrix(train_set.item_ids)
+    diff = x[train_set.right] - x[train_set.left]
+    r, users = train_set.score, train_set.user
     dim = features.dim
     w = np.zeros(dim, dtype=np.float64)
     offsets = (
-        np.zeros((len(data.users), dim), dtype=np.float64)
+        np.zeros((len(train_set.user_ids), dim), dtype=np.float64)
         if config.use_user_embeddings
         else None
     )
 
     def full_loss() -> float:
-        d = data.predict(w, offsets)
-        per_element, _ = _batch_terms(d, data.r, config)
+        per_element = _loss_terms(_predict(w, offsets, diff, users), r, config)
         penalty = 0.0
         if offsets is not None and config.embedding_l2 > 0:
             penalty = config.embedding_l2 * float(np.sum(offsets * offsets))
@@ -253,24 +227,15 @@ def train(
 
     trace = [full_loss()]
     rng = np.random.default_rng(config.seed)
-    n = len(train_set)
     for _ in range(config.epochs):
         order = rng.permutation(n)
         for start in range(0, n, config.batch_size):
             idx = order[start : start + config.batch_size]
-            diff = data.diff[idx]
-            d = diff @ w
-            if offsets is not None:
-                d = d + np.einsum("ij,ij->i", diff, offsets[data.user_idx[idx]])
-            _, grad_d = _batch_terms(d, data.r[idx], config)
-            grad_d /= idx.size
-            grad_w = diff.T @ grad_d
+            grad_w, grad_off = _step_gradient(
+                w, offsets, diff[idx], r[idx], users[idx], config
+            )
             w -= config.learning_rate * grad_w
             if offsets is not None:
-                grad_off = np.zeros_like(offsets)
-                np.add.at(grad_off, data.user_idx[idx], diff * grad_d[:, None])
-                if config.embedding_l2 > 0:
-                    grad_off += 2.0 * config.embedding_l2 * offsets
                 offsets -= config.learning_rate * grad_off
         epoch_loss = full_loss()
         if not math.isfinite(epoch_loss):
@@ -279,7 +244,7 @@ def train(
             )
         trace.append(epoch_loss)
     user_offsets = (
-        {u: offsets[i].copy() for i, u in enumerate(data.users)}
+        {u: offsets[i].copy() for i, u in enumerate(train_set.user_ids)}
         if offsets is not None
         else {}
     )
@@ -289,11 +254,12 @@ def train(
 def predict_all(
     params: ModelParams, cset: ComparisonSet, features: FeatureTable
 ) -> Predictions:
-    """predict_diff over every comparison, preserving order.
+    """Predicted difference score(right) - score(left) of every comparison,
+    in order; unknown users fall back to the shared weights.
 
-    Each item score is the same dot product `score` takes (`np.vecdot` runs
-    the kernel of `np.dot` row by row), so the differences match
-    `predict_diff` exactly.
+    Each item score is the dot product `np.dot((w + offset_u), x)`
+    (`np.vecdot` runs the kernel of `np.dot` row by row), so every difference
+    is bitwise the one computed one comparison at a time.
     """
     if features.dim != params.dim:
         raise ValueError(

@@ -23,19 +23,11 @@ from equirank.cli import main as cli_main
 from equirank.dataset import Comparison, comparison_set, split
 from equirank.equity import build_report, gini, lorenz_curve, max_gap, std_dev
 from equirank.gbt import GbtConfig, expected_comparison, fit_gbt, gbt_gradient, gbt_objective
-from equirank.ltr import (
-    LossWeights,
-    ModelParams,
-    TrainConfig,
-    loss,
-    loss_gradient,
-    predict_all,
-    predict_diff,
-    train,
-)
+from equirank.ltr import LossWeights, ModelParams, TrainConfig, predict_all, train
 from equirank.robust import ResilienceParams, qr_med
 from equirank.scaling import mehestan_scale, minmax_scale, normalization_scale
 from equirank.simgen import SimConfig, generate
+from ltr_oracle import loss, predict_diff, step_gradient
 
 
 def _report(name: str, detail: str) -> None:
@@ -199,7 +191,7 @@ def _ltr_fd_check(rng, weights, n_checks):
                 near_kink = True
         if near_kink:
             continue
-        grad_w, grad_off = loss_gradient(params, batch, config)
+        grad_w, grad_off = step_gradient(params, batch, config)
         fd_w = np.zeros(dim)
         for j in range(dim):
             hi = ModelParams(params.w.copy(), {u: o.copy() for u, o in params.user_offsets.items()})
@@ -233,7 +225,8 @@ def _ltr_fd_check(rng, weights, n_checks):
     ],
 )
 def test_criterion_ltr_gradient_check(name, weights):
-    """Each loss term's gradient vs central differences, 50 instances."""
+    """Each loss term's gradient, as the trainer's step computes it, vs central
+    differences of the oracle loss, 50 instances."""
     rng = np.random.default_rng(1003)
     worst = _ltr_fd_check(rng, weights, 50)
     _report(f"ltr-gradient-{name}", f"worst relative error {worst:.2e}")

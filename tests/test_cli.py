@@ -5,9 +5,9 @@ import json
 import numpy as np
 import pytest
 
-from equirank.cli import main
+from equirank.cli import _PIPELINE_DEFAULTS, _train_config, build_parser, main
 from equirank.dataset import FeatureTable, comparison_set, parse_comparisons, write_comparisons, write_features
-from equirank.ltr import ModelParams, save_model
+from equirank.ltr import LossWeights, ModelParams, TrainConfig, save_model
 from equirank.scaling import parse_scaled_comparisons
 
 
@@ -176,6 +176,42 @@ class TestTrain:
                      "--features", str(sim / "features.csv"),
                      "--epochs", "2", "-o", str(out)]) == 0
 
+    @pytest.mark.parametrize("epochs", ["0", "5"])
+    def test_unknown_criterion_is_runtime_error(self, tmp_path, capsys, epochs):
+        sim = _simulate(tmp_path)
+        out = tmp_path / "model"
+        assert _run(["train", "--input", str(sim / "comparisons.csv"),
+                     "--features", str(sim / "features.csv"), "--criterion", "X",
+                     "--epochs", epochs, "-o", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == "equirank: no comparisons with criterion 'X'\n"
+        assert not out.exists()
+
+    def test_empty_input_is_runtime_error(self, tmp_path, capsys):
+        sim = _simulate(tmp_path)
+        empty = tmp_path / "empty.csv"
+        write_comparisons(comparison_set([]), empty)
+        assert _run(["train", "--input", str(empty),
+                     "--features", str(sim / "features.csv"),
+                     "-o", str(tmp_path / "model")]) == 1
+        assert "empty comparison set" in capsys.readouterr().err
+
+    def test_flags_build_the_train_config(self):
+        args = build_parser().parse_args(
+            ["train", "--input", "c.csv", "--features", "f.csv", "-o", "out",
+             "--mse-weight", "0.5", "--ranking-weight", "0.25", "--bce-weight", "2",
+             "--contrastive-weight", "0.75", "--ranking-margin", "0.2",
+             "--contrastive-margin", "0.4", "--tie-epsilon", "0.01",
+             "--learning-rate", "0.3", "--epochs", "7", "--batch-size", "9",
+             "--seed", "5", "--user-embeddings", "--embedding-l2", "0.125"]
+        )
+        assert _train_config(vars(args), contrastive=True, embeddings=True) == TrainConfig(
+            loss_weights=LossWeights(mse=0.5, ranking=0.25, bce=2.0, contrastive=0.75),
+            ranking_margin=0.2, contrastive_margin=0.4, tie_epsilon=0.01,
+            learning_rate=0.3, epochs=7, batch_size=9, seed=5,
+            use_user_embeddings=True, embedding_l2=0.125,
+        )
+
 
 class TestAudit:
     def _perfect_fixture(self, tmp_path):
@@ -229,6 +265,16 @@ class TestAudit:
         assert _run(["audit", "--model", str(tmp_path / "ghost.json"),
                      "--test", str(test_csv), "--features", str(feat_csv),
                      "-o", str(tmp_path / "x")]) == 1
+
+    def test_unknown_criterion_is_runtime_error(self, tmp_path, capsys):
+        model, test_csv, feat_csv = self._perfect_fixture(tmp_path)
+        out = tmp_path / "audit"
+        assert _run(["audit", "--model", str(model), "--test", str(test_csv),
+                     "--features", str(feat_csv), "--criterion", "X",
+                     "-o", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == "equirank: no comparisons with criterion 'X'\n"
+        assert not out.exists()
 
 
 PIPELINE_CONFIG = """\
@@ -304,6 +350,17 @@ class TestPipeline:
             )
             outs.append(blob)
         assert outs[0] == outs[1]
+
+    def test_cell_switches_build_the_train_config(self):
+        config = _train_config(_PIPELINE_DEFAULTS, contrastive=False, embeddings=True)
+        assert config == TrainConfig(
+            loss_weights=LossWeights(mse=1.0), ranking_margin=0.1,
+            contrastive_margin=0.3, tie_epsilon=0.05, learning_rate=0.05, epochs=15,
+            batch_size=32, seed=42, use_user_embeddings=True, embedding_l2=0.0001,
+        )
+        with_contrastive = _train_config(_PIPELINE_DEFAULTS, True, False)
+        assert with_contrastive.loss_weights == LossWeights(mse=1.0, contrastive=1.0)
+        assert not with_contrastive.use_user_embeddings
 
     def test_each_scaler_runs_once_per_grid(self, tmp_path, monkeypatch):
         import equirank.cli

@@ -19,7 +19,7 @@ from equirank.dataset import (
     write_comparisons,
 )
 from equirank.equity import build_report, classify, per_user_metrics
-from equirank.ltr import ModelParams, predict_all, predict_diff
+from equirank.ltr import ModelParams, predict_all
 from equirank.scaling import (
     minmax_scale,
     normalization_scale,
@@ -27,6 +27,7 @@ from equirank.scaling import (
     write_scaled_comparisons,
 )
 from equirank.simgen import SimConfig, generate
+from ltr_oracle import predict_diff
 
 # --- oracles: the per-comparison implementations -----------------------------
 

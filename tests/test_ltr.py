@@ -1,9 +1,17 @@
-"""Linear pairwise scorer: loss menu, analytic gradients, SGD trainer."""
+"""Linear pairwise scorer: loss menu, analytic gradients, SGD trainer.
 
+`score`, `predict_diff` and `loss` come from `ltr_oracle`, the model one
+comparison at a time; the trainer's step gradient and `train` itself are
+checked against them.
+"""
+
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from equirank.dataset import Comparison, FeatureTable, comparison_set
 from equirank.ltr import (
@@ -11,13 +19,17 @@ from equirank.ltr import (
     ModelParams,
     TrainConfig,
     load_model,
+    predict_all,
+    save_model,
+    train,
+)
+from ltr_oracle import (
     loss,
     loss_gradient,
-    predict_all,
+    oracle_train,
     predict_diff,
-    save_model,
     score,
-    train,
+    step_gradient,
 )
 
 
@@ -158,18 +170,22 @@ def _away_from_kinks(params, batch, config):
     return True
 
 
-@pytest.mark.parametrize(
-    "weights",
-    [
-        LossWeights(mse=1.0),
-        LossWeights(ranking=1.0),
-        LossWeights(bce=1.0),
-        LossWeights(contrastive=1.0),
-        LossWeights(mse=0.5, ranking=0.2, bce=1.5, contrastive=0.7),
-    ],
-    ids=["mse", "ranking", "bce", "contrastive", "mixed"],
+# Each loss alone, and all four together.
+_WEIGHTS = {
+    "mse": LossWeights(mse=1.0),
+    "ranking": LossWeights(ranking=1.0),
+    "bce": LossWeights(bce=1.0),
+    "contrastive": LossWeights(contrastive=1.0),
+    "mixed": LossWeights(mse=0.5, ranking=0.2, bce=1.5, contrastive=0.7),
+}
+each_weighting = pytest.mark.parametrize(
+    "weights", list(_WEIGHTS.values()), ids=list(_WEIGHTS)
 )
+
+
+@each_weighting
 def test_loss_gradient_matches_finite_differences(weights):
+    """The trainer's step gradient vs central differences of the oracle loss."""
     rng = np.random.default_rng(41)
     config = TrainConfig(loss_weights=weights, embedding_l2=0.1)
     checked = 0
@@ -181,7 +197,7 @@ def test_loss_gradient_matches_finite_differences(weights):
         batch = _random_batch(rng, dim, int(rng.integers(2, 8)), with_users=True)
         if not _away_from_kinks(params, batch, config):
             continue
-        grad_w, grad_off = loss_gradient(params, batch, config)
+        grad_w, grad_off = step_gradient(params, batch, config)
         fd_w, fd_off = _fd_gradient(params, batch, config)
         scale = max(np.linalg.norm(grad_w), np.linalg.norm(fd_w), 1e-8)
         assert np.linalg.norm(grad_w - fd_w) <= 1e-4 * scale
@@ -255,6 +271,110 @@ class TestTrain:
         on = train(cset, table, TrainConfig(epochs=2, use_user_embeddings=True)).params
         assert off.user_offsets == {}
         assert set(on.user_offsets) == {"u1"}
+
+    def test_empty_set_rejected(self):
+        table = FeatureTable(2, {"a": np.zeros(2)})
+        with pytest.raises(ValueError, match="empty comparison set"):
+            train(comparison_set([]), table, TrainConfig(epochs=0))
+
+
+@each_weighting
+def test_step_gradient_matches_oracle_at_zero(weights):
+    """At w = offsets = 0 every predicted difference is exactly 0, on the
+    contrastive kink; ties at exactly +-tie_epsilon sit on the hinges' tie
+    boundary. The step takes the oracle's one-sided choices there."""
+    rng = np.random.default_rng(50)
+    config = TrainConfig(loss_weights=weights, tie_epsilon=0.05, embedding_l2=0.1)
+    params = ModelParams(np.zeros(3), {"u0": np.zeros(3), "u1": np.zeros(3)})
+    batch = [
+        (Comparison(f"u{i % 2}", "g", f"l{i}", f"r{i}", r), rng.normal(size=3),
+         rng.normal(size=3))
+        for i, r in enumerate([0.0, 0.05, -0.05, 0.5, -0.7, 0.05])
+    ]
+    grad_w, grad_off = step_gradient(params, batch, config)
+    oracle_w, oracle_off = loss_gradient(params, batch, config)
+    np.testing.assert_allclose(grad_w, oracle_w, rtol=1e-12, atol=1e-15)
+    for u in oracle_off:
+        np.testing.assert_allclose(grad_off[u], oracle_off[u], rtol=1e-12, atol=1e-15)
+
+
+# --- train against the earlier loop, bit for bit ------------------------------
+
+def _bits(values) -> bytes:
+    return np.asarray(values, dtype=np.float64).tobytes()
+
+
+def _assert_train_matches_oracle(cset, table, config):
+    expected = oracle_train(cset, table, config)
+    result = train(cset, table, config)
+    assert _bits(result.params.w) == _bits(expected.params.w)
+    assert result.params.user_offsets.keys() == expected.params.user_offsets.keys()
+    for u, offset in expected.params.user_offsets.items():
+        assert _bits(result.params.user_offsets[u]) == _bits(offset)
+    assert _bits(result.loss_trace) == _bits(expected.loss_trace)
+
+
+def _oracle_case(rng, scores, n_users, dim=3, n_items=5):
+    """Rows in the order given; users interleave (u0, u1, ..., u0, ...)."""
+    table = FeatureTable(dim, {f"i{k}": rng.uniform(-1, 1, size=dim) for k in range(n_items)})
+    rows = []
+    for i, r in enumerate(scores):
+        left, right = rng.choice(n_items, size=2, replace=False)
+        rows.append((f"u{i % n_users}", "g", f"i{left}", f"i{right}", r))
+    return comparison_set(rows), table
+
+
+def test_train_matches_oracle_on_grid():
+    """Each loss alone and all four; scores at 0 and exactly +-tie_epsilon;
+    embeddings off, on without and with L2; batch sizes 1, 5 (does not
+    divide 12) and 40 (> 12); one user and three interleaved; epochs 0-3."""
+    eps = 0.05
+    scores = [0.0, eps, -eps, 0.4, -0.9, 0.02, 0.0, 0.7, -eps, eps, -0.3, 1.0]
+    embedding_cases = [(False, 0.0), (True, 0.0), (True, 0.01)]
+    for weights, (embeddings, l2), batch_size, n_users, epochs in itertools.product(
+        _WEIGHTS.values(), embedding_cases, [1, 5, 40], [1, 3], range(4)
+    ):
+        cset, table = _oracle_case(np.random.default_rng(51), scores, n_users)
+        config = TrainConfig(
+            loss_weights=weights, tie_epsilon=eps, learning_rate=0.1, epochs=epochs,
+            batch_size=batch_size, seed=7, use_user_embeddings=embeddings,
+            embedding_l2=l2,
+        )
+        _assert_train_matches_oracle(cset, table, config)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    weights=st.sampled_from(list(_WEIGHTS.values())),
+    tie_epsilon=st.sampled_from([0.0, 0.05, 0.2]),
+    score_draws=st.lists(
+        st.one_of(
+            st.sampled_from(["zero", "+eps", "-eps"]),
+            st.floats(-1.0, 1.0, allow_nan=False),
+        ),
+        min_size=1, max_size=20,
+    ),
+    n_users=st.integers(1, 4),
+    dim=st.integers(1, 4),
+    embeddings=st.booleans(),
+    embedding_l2=st.sampled_from([0.0, 1e-4, 0.05]),
+    batch_size=st.integers(1, 25),
+    epochs=st.integers(0, 3),
+    learning_rate=st.sampled_from([0.01, 0.05, 0.1]),
+    seed=st.integers(0, 2**16),
+)
+def test_train_matches_oracle(weights, tie_epsilon, score_draws, n_users, dim,
+                              embeddings, embedding_l2, batch_size, epochs,
+                              learning_rate, seed):
+    named = {"zero": 0.0, "+eps": tie_epsilon, "-eps": -tie_epsilon}
+    scores = [named.get(s, s) for s in score_draws]
+    cset, table = _oracle_case(np.random.default_rng(seed), scores, n_users, dim=dim)
+    config = TrainConfig(
+        loss_weights=weights, tie_epsilon=tie_epsilon, learning_rate=learning_rate,
+        epochs=epochs, batch_size=batch_size, seed=seed,
+        use_user_embeddings=embeddings, embedding_l2=embedding_l2,
+    )
+    _assert_train_matches_oracle(cset, table, config)
 
 
 class TestPredictAll:
