@@ -40,7 +40,6 @@ from .ltr import (
     save_model,
     train,
 )
-from .robust import ResilienceParams
 from .scaling import (
     SCALER_TAGS,
     ScaledComparisonSet,
@@ -51,7 +50,7 @@ from .scaling import (
     write_scaled_comparisons,
     write_user_affines,
 )
-from .simgen import ARCHETYPES, SimConfig, generate, write_truth_theta, write_truth_users
+from .simgen import SimConfig, generate, write_truth_theta, write_truth_users
 
 SUMMARY_COLUMNS = [
     "Name of Experiment",
@@ -111,67 +110,63 @@ def _write_manifest(
     return target
 
 
-def _parse_archetype_mix(text: str | None, n_users: int) -> dict[str, int] | None:
-    if text is None:
-        return None
+def _parse_archetype_mix(text: str) -> dict[str, int]:
+    """Counts like `neutral=4,conservative=2`; SimConfig checks names and sum."""
     mix: dict[str, int] = {}
     for part in text.split(","):
-        if not part:
-            continue
-        name, _, count = part.partition("=")
-        if name not in ARCHETYPES:
-            raise ValueError(f"unknown archetype {name!r} in --archetypes")
-        mix[name] = int(count)
-    if sum(mix.values()) != n_users:
-        raise ValueError(
-            f"--archetypes counts sum to {sum(mix.values())}, expected {n_users}"
-        )
+        if part:
+            name, _, count = part.partition("=")
+            mix[name] = int(count)
     return mix
 
 
-def _load_comparisons_any(path: str | Path) -> ComparisonSet:
-    """Accept either the raw schema or the scaled schema (extra scaler column)."""
-    path = Path(path)
-    with path.open(encoding="utf-8") as fh:
+def _sim_config(values: Mapping[str, object]) -> SimConfig:
+    """SimConfig from the `simulate` flags (`vars(args)`) or the pipeline
+    config, which share key names; an empty or missing `archetypes` or
+    `group_sizes` means the default."""
+    return SimConfig(
+        n_items=values["items"],
+        feature_dim=values["dim"],
+        n_users=values["users"],
+        comparisons_per_user=values["per_user"],
+        noise_std=values["noise"],
+        archetype_mix=(
+            _parse_archetype_mix(values["archetypes"]) if values["archetypes"] else None
+        ),
+        n_groups=values["groups"],
+        seed=values["seed"],
+        criterion=values["criterion"],
+        weight_scale=values["weight_scale"],
+        user_jitter=values["user_jitter"],
+        opposed_groups=values["opposed_groups"],
+        group_sizes=(
+            tuple(int(s) for s in values["group_sizes"].split(","))
+            if values["group_sizes"]
+            else None
+        ),
+        malicious_mode=values["malicious_mode"],
+    )
+
+
+def _load_comparisons(path: str | Path, criterion: str | None) -> ComparisonSet:
+    """Read a comparisons file in the raw or the scaled schema (extra scaler
+    column), keep the rows with `criterion` (all when it is None), and reject
+    an empty result."""
+    with Path(path).open(encoding="utf-8") as fh:
         header = fh.readline().strip()
-    if header.endswith(",scaler"):
-        return parse_scaled_comparisons(path)
-    return parse_comparisons(path)
-
-
-def _restrict_criterion(cset: ComparisonSet, criterion: str | None) -> ComparisonSet:
-    """The comparisons with `criterion` (all of them when it is None); an
-    empty result is an error."""
-    if criterion is None:
-        return cset
-    cset = cset.restrict(criterion=criterion)
+    parse = parse_scaled_comparisons if header.endswith(",scaler") else parse_comparisons
+    cset = parse(path)
+    if criterion is not None:
+        cset = cset.restrict(criterion=criterion)
+        if len(cset) == 0:
+            raise ValueError(f"no comparisons with criterion {criterion!r}")
     if len(cset) == 0:
-        raise ValueError(f"no comparisons with criterion {criterion!r}")
+        raise ValueError(f"{path}: empty comparison set")
     return cset
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    mix = _parse_archetype_mix(args.archetypes, args.users)
-    group_sizes = (
-        tuple(int(s) for s in args.group_sizes.split(",")) if args.group_sizes else None
-    )
-    config = SimConfig(
-        n_items=args.items,
-        feature_dim=args.dim,
-        n_users=args.users,
-        comparisons_per_user=args.per_user,
-        noise_std=args.noise,
-        archetype_mix=mix,
-        n_groups=args.groups,
-        seed=args.seed,
-        criterion=args.criterion,
-        weight_scale=args.weight_scale,
-        user_jitter=args.user_jitter,
-        opposed_groups=args.opposed_groups,
-        group_sizes=group_sizes,
-        malicious_mode=args.malicious_mode,
-    )
-    cset, features, truth = generate(config)
+    cset, features, truth = generate(_sim_config(vars(args)))
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     outputs = {
@@ -192,7 +187,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _scale(
-    scaler: str, cset: ComparisonSet, gbt_config: GbtConfig, params: ResilienceParams
+    scaler: str, cset: ComparisonSet, gbt_config: GbtConfig, resilience_weight: float
 ) -> tuple[ScaledComparisonSet, list, list]:
     """Apply one scaler -> (scaled set, Mehestan affines, Mehestan scores).
 
@@ -205,7 +200,7 @@ def _scale(
     if scaler == "normalization":
         return normalization_scale(cset), [], []
     if scaler == "mehestan":
-        scaled, affines, scores = mehestan_scale(cset, gbt_config, params)
+        scaled, affines, scores = mehestan_scale(cset, gbt_config, resilience_weight)
         for fit in scores:
             if not fit.converged:
                 print(
@@ -226,7 +221,7 @@ def _scale(
 
 
 def cmd_scale(args: argparse.Namespace) -> int:
-    cset = _restrict_criterion(_load_comparisons_any(args.input), args.criterion)
+    cset = _load_comparisons(args.input, args.criterion)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     outputs = [outdir / "scaled.csv"]
@@ -234,7 +229,7 @@ def cmd_scale(args: argparse.Namespace) -> int:
         args.scaler,
         cset,
         GbtConfig(lam=args.lam, tol=args.tol, max_iter=args.max_iter),
-        ResilienceParams(weight=args.resilience_weight),
+        args.resilience_weight,
     )
     if args.scaler == "mehestan":
         write_user_affines(affines, outdir / "affines.csv")
@@ -277,7 +272,7 @@ def _train_config(
 
 
 def cmd_train(args: argparse.Namespace) -> int:
-    cset = _restrict_criterion(_load_comparisons_any(args.input), args.criterion)
+    cset = _load_comparisons(args.input, args.criterion)
     features = parse_features(args.features)
     config = _train_config(vars(args), contrastive=True, embeddings=args.user_embeddings)
     result = train(cset, features, config)
@@ -305,7 +300,7 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 def cmd_audit(args: argparse.Namespace) -> int:
     model = load_model(args.model)
-    cset = _restrict_criterion(_load_comparisons_any(args.test), args.criterion)
+    cset = _load_comparisons(args.test, args.criterion)
     features = parse_features(args.features)
     predictions = predict_all(model, cset, features)
     report = build_report(predictions, args.tie_epsilon)
@@ -454,29 +449,7 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
 
-    sim = SimConfig(
-        n_items=int(cfg["items"]),
-        feature_dim=int(cfg["dim"]),
-        n_users=int(cfg["users"]),
-        comparisons_per_user=int(cfg["per_user"]),
-        noise_std=float(cfg["noise"]),
-        archetype_mix=_parse_archetype_mix(
-            str(cfg["archetypes"]) or None, int(cfg["users"])
-        ),
-        n_groups=int(cfg["groups"]),
-        seed=int(cfg["seed"]),
-        criterion=str(cfg["criterion"]),
-        weight_scale=float(cfg["weight_scale"]),
-        user_jitter=float(cfg["user_jitter"]),
-        opposed_groups=bool(cfg["opposed_groups"]),
-        group_sizes=(
-            tuple(int(s) for s in str(cfg["group_sizes"]).split(","))
-            if cfg["group_sizes"]
-            else None
-        ),
-        malicious_mode=str(cfg["malicious_mode"]),
-    )
-    cset, features, truth = generate(sim)
+    cset, features, truth = generate(_sim_config(cfg))
     train_set, test_set = split(cset, float(cfg["train_fraction"]), int(cfg["seed"]))
 
     datadir = outdir / "data"
@@ -500,11 +473,11 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
     gbt_config = GbtConfig(
         lam=float(cfg["lam"]), tol=float(cfg["gbt_tol"]), max_iter=int(cfg["gbt_max_iter"])
     )
-    params = ResilienceParams(weight=float(cfg["resilience_weight"]))
+    weight = float(cfg["resilience_weight"])
     fit_sets: dict[str, ComparisonSet] = {}
     for scaler, _, _ in cells:
         if scaler not in fit_sets:
-            fit_sets[scaler] = _scale(scaler, train_set, gbt_config, params)[0]
+            fit_sets[scaler] = _scale(scaler, train_set, gbt_config, weight)[0]
 
     reports = [_run_cell(cell, cfg, fit_sets[cell[0]], test_set, features) for cell in cells]
 

@@ -8,7 +8,7 @@ formatting so that serialize(parse(f)) is stable.
 A ComparisonSet is stored as columns: one integer code per row for the
 user, the criterion and the left and right items, each indexing a sorted
 vocabulary of ids, plus a float64 score column. Every layer works on these
-columns; `Comparison` objects are built only when a caller iterates a set.
+columns; `Comparison` rows are built only when a caller iterates a set.
 
 CSV files follow one quoting rule: a field is quoted when it contains a
 comma, a double quote, a carriage return or a line feed, and quotes inside
@@ -26,7 +26,7 @@ import operator
 from dataclasses import dataclass
 from itertools import islice
 from pathlib import Path
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -36,23 +36,15 @@ COMPARISONS_HEADER = ["user_id", "criterion", "left_item", "right_item", "score"
 _CHUNK_ROWS = 512
 
 
-@dataclass(frozen=True)
-class Comparison:
-    """One annotation: a preference between two items by one user."""
+class Comparison(NamedTuple):
+    """One annotation, as a row of a ComparisonSet: a preference between two
+    items by one user. Rows are checked when a set is built."""
 
     user_id: str
     criterion: str
     left_item: str
     right_item: str
     score: float
-
-    def __post_init__(self) -> None:
-        if self.left_item == self.right_item:
-            raise ValueError(
-                f"self-comparison: left and right are both {self.left_item!r}"
-            )
-        if not np.isfinite(self.score) or not -1.0 <= self.score <= 1.0:
-            raise ValueError(f"score {self.score} outside [-1, 1]")
 
 
 class Columns(NamedTuple):
@@ -101,26 +93,15 @@ def group_rows(key: np.ndarray, n_groups: int) -> tuple[np.ndarray, np.ndarray]:
 class ComparisonSet:
     """An ordered collection of comparisons, stored as columns.
 
-    Build one from `Comparison` objects, or from `Columns` with the keyword
-    `columns`. Vocabularies are kept sorted and hold exactly the ids that
-    occur, so `users` and `items` are those appearing in the comparisons and
-    user code k is the k-th user in sorted order. Iteration order is the
+    Build one from `Columns` (or from plain rows with `comparison_set`).
+    Vocabularies are kept sorted and hold exactly the ids that occur, so
+    `users` and `items` are those appearing in the comparisons and user code
+    k is the k-th user in sorted order. Iterating yields `Comparison` rows in
     input order. The column arrays are read-only and may be shared between
     sets.
     """
 
-    def __init__(
-        self, comparisons: Iterable[Comparison] = (), *, columns: Columns | None = None
-    ):
-        if columns is None:
-            comparisons = tuple(comparisons)
-            columns = _encode(
-                [c.user_id for c in comparisons],
-                [c.criterion for c in comparisons],
-                [c.left_item for c in comparisons],
-                [c.right_item for c in comparisons],
-                np.array([c.score for c in comparisons], dtype=np.float64),
-            )
+    def __init__(self, columns: Columns):
         user_ids, (user,) = _canonical(columns.user_ids, columns.user)
         criterion_ids, (criterion,) = _canonical(columns.criterion_ids, columns.criterion)
         item_ids, (left, right) = _canonical(columns.item_ids, columns.left, columns.right)
@@ -163,7 +144,7 @@ class ComparisonSet:
 
     @functools.cached_property
     def comparisons(self) -> tuple[Comparison, ...]:
-        """The rows as `Comparison` objects, built on first use."""
+        """The rows as `Comparison` tuples, built on first use."""
         items = self.item_ids
         return tuple(
             map(
@@ -227,9 +208,6 @@ class ComparisonSet:
         if rows is None:
             return ComparisonSet(columns=self.columns)
         return self.take(rows)
-
-    def filter(self, keep: Callable[[Comparison], bool]) -> "ComparisonSet":
-        return self.take(np.fromiter(map(keep, self), dtype=bool, count=len(self)))
 
 
 def _code(vocab: tuple[str, ...], value: str) -> int | None:
@@ -518,5 +496,8 @@ def split(
 
 
 def comparison_set(rows: Iterable[tuple[str, str, str, str, float]]) -> ComparisonSet:
-    """Build a ComparisonSet from plain tuples; convenience for tests/fixtures."""
-    return ComparisonSet(tuple(Comparison(*row) for row in rows))
+    """Build a ComparisonSet from (user_id, criterion, left_item, right_item,
+    score) rows; convenience for tests and fixtures."""
+    users, criteria, lefts, rights, scores = tuple(zip(*rows, strict=True)) or ((),) * 5
+    score = np.array(scores, dtype=np.float64)
+    return ComparisonSet(_encode(users, criteria, lefts, rights, score))

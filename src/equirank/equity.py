@@ -15,7 +15,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .dataset import Comparison, ComparisonSet, write_csv
+from .dataset import ComparisonSet, write_csv
 
 CLASSES = ("left", "tie", "right")
 
@@ -35,11 +35,7 @@ def classify(value: float, tie_epsilon: float) -> str:
 
 @dataclass(frozen=True, eq=False)
 class Predictions:
-    """Predicted score differences, one per row of `cset`, in row order.
-
-    Iterating yields (Comparison, predicted difference) pairs, so a
-    Predictions compares equal to the list of those pairs.
-    """
+    """Predicted score differences, one per row of `cset`, in row order."""
 
     cset: ComparisonSet
     diff: np.ndarray
@@ -52,16 +48,6 @@ class Predictions:
 
     def __len__(self) -> int:
         return len(self.cset)
-
-    def __iter__(self):
-        return zip(self.cset, self.diff.tolist())
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, (Predictions, list, tuple)):
-            return list(self) == list(other)
-        return NotImplemented
-
-    __hash__ = None
 
 
 def _classes(values: np.ndarray, tie_epsilon: float) -> np.ndarray:
@@ -88,30 +74,19 @@ class _Tally:
     hits: np.ndarray
 
 
-def _tally(
-    predictions: Predictions | Sequence[tuple[Comparison, float]], tie_epsilon: float
-) -> _Tally:
+def _tally(predictions: Predictions, tie_epsilon: float) -> _Tally:
     if not len(predictions):
         raise ValueError("predictions must be non-empty")
-    if isinstance(predictions, Predictions):
-        cset = predictions.cset
-        order, bounds = cset.by_user
-        # A user's first row is the head of its slice; rank users by it.
-        by_first = np.argsort(order[bounds[:-1]])
-        rank = np.empty_like(by_first)
-        rank[by_first] = np.arange(by_first.size)
-        users = [cset.user_ids[k] for k in by_first.tolist()]
-        codes, truth, predicted = rank[cset.user], cset.score, predictions.diff
-    else:
-        index: dict[str, int] = {}
-        codes = np.array(
-            [index.setdefault(c.user_id, len(index)) for c, _ in predictions], dtype=np.intp
-        )
-        truth = np.array([c.score for c, _ in predictions], dtype=np.float64)
-        predicted = np.array([d for _, d in predictions], dtype=np.float64)
-        users = list(index)
-    truth_cls = _classes(truth, tie_epsilon)
-    hit = truth_cls == _classes(predicted, tie_epsilon)
+    cset = predictions.cset
+    order, bounds = cset.by_user
+    # A user's first row is the head of its slice; rank users by it.
+    by_first = np.argsort(order[bounds[:-1]])
+    rank = np.empty_like(by_first)
+    rank[by_first] = np.arange(by_first.size)
+    users = [cset.user_ids[k] for k in by_first.tolist()]
+    codes = rank[cset.user]
+    truth_cls = _classes(cset.score, tie_epsilon)
+    hit = truth_cls == _classes(predictions.diff, tie_epsilon)
     cell = codes * len(CLASSES) + truth_cls
     shape = (len(users), len(CLASSES))
     size = shape[0] * shape[1]
@@ -128,7 +103,7 @@ def _macro_recall(totals: Sequence[int], hits: Sequence[int]) -> float:
 
 
 def per_user_metrics(
-    predictions: Predictions | Sequence[tuple[Comparison, float]], tie_epsilon: float
+    predictions: Predictions, tie_epsilon: float
 ) -> tuple[dict[str, float], dict[str, float]]:
     """Per-user accuracy and macro recall of classified predictions."""
     return _per_user(_tally(predictions, tie_epsilon))
@@ -221,9 +196,7 @@ class EquityReport:
         }
 
 
-def build_report(
-    predictions: Predictions | Sequence[tuple[Comparison, float]], tie_epsilon: float
-) -> EquityReport:
+def build_report(predictions: Predictions, tie_epsilon: float) -> EquityReport:
     """Assemble the full equity report.
 
     Overall accuracy pools all comparisons (it is not the mean of per-user

@@ -13,14 +13,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable
 
 import numpy as np
 
 from .dataset import (
     COMPARISONS_HEADER,
     Columns,
-    Comparison,
     ComparisonSet,
     group_rows,
     read_columns,
@@ -32,18 +30,19 @@ from .robust import ResilienceParams, br_mean
 
 SCALER_TAGS = ("minmax", "normalization", "mehestan", "none")
 
+# Mehestan: a latent-score gap must exceed EPSILON_PAIR to enter a scale
+# vote; BrMean clips scale votes (log ratios) at RATIO_CLIP and translation
+# candidates at TRANSLATION_CLIP around its center.
+EPSILON_PAIR = 1e-6
+RATIO_CLIP = 0.5
+TRANSLATION_CLIP = 1.0
+
 
 class ScaledComparisonSet(ComparisonSet):
     """A ComparisonSet whose scores were rewritten by a named scaler."""
 
-    def __init__(
-        self,
-        comparisons: Iterable[Comparison] = (),
-        scaler_tag: str = "none",
-        *,
-        columns: Columns | None = None,
-    ):
-        super().__init__(comparisons, columns=columns)
+    def __init__(self, columns: Columns, scaler_tag: str = "none"):
+        super().__init__(columns)
         if scaler_tag not in SCALER_TAGS:
             raise ValueError(
                 f"scaler_tag must be one of {SCALER_TAGS}, got {scaler_tag!r}"
@@ -165,12 +164,12 @@ _BLOCK_ENTRIES = 32768
 
 
 def _vote_medians(
-    theta: np.ndarray, present: np.ndarray, u: int, others: np.ndarray, epsilon_pair: float
+    theta: np.ndarray, present: np.ndarray, u: int, others: np.ndarray
 ) -> np.ndarray:
     """Each other user's median log gap ratio against user u, in user order.
 
     The pairs are u's item pairs in `itertools.combinations` order whose gaps
-    exceed epsilon_pair for both users; users with no such pair cast no vote.
+    exceed EPSILON_PAIR for both users; users with no such pair cast no vote.
     Ratios are sorted and only the middle one or two are logged with
     `math.log`, which is monotone, then averaged as `np.median` averages them,
     so each vote equals `np.median` of the logged ratios bit for bit.
@@ -179,7 +178,7 @@ def _vote_medians(
     first, second = np.triu_indices(len(items), 1)
     a, b = items[first], items[second]
     gap_u = np.abs(theta[u, a] - theta[u, b])
-    keep = gap_u > epsilon_pair
+    keep = gap_u > EPSILON_PAIR
     a, b, gap_u = a[keep], b[keep], gap_u[keep]
     if not len(a):
         return np.zeros(0)
@@ -188,7 +187,7 @@ def _vote_medians(
     for start in range(0, len(others), step):
         v = others[start : start + step, None]
         gap_v = np.abs(theta[v, a] - theta[v, b])
-        valid = present[v, a] & present[v, b] & (gap_v > epsilon_pair)
+        valid = present[v, a] & present[v, b] & (gap_v > EPSILON_PAIR)
         ratios = np.where(valid, gap_v, np.inf) / gap_u
         ratios.sort(axis=1)
         counts = valid.sum(axis=1)
@@ -203,11 +202,8 @@ def _vote_medians(
 def mehestan_scale(
     cset: ComparisonSet,
     gbt_config: GbtConfig = GbtConfig(),
-    params: ResilienceParams = ResilienceParams(),
+    resilience_weight: float = 1.0,
     *,
-    epsilon_pair: float = 1e-6,
-    ratio_clip: float = 0.5,
-    translation_clip: float = 1.0,
     aggregator: str = "brmean",
 ) -> tuple[ScaledComparisonSet, list[UserAffine], list[IndividualScores]]:
     """Collaboratively rescale every user's latent scores onto a common scale.
@@ -218,24 +214,27 @@ def mehestan_scale(
          is pinned at s=1, tau=0; affine freedom needs a gauge.
       3. For every other user u, every other user v votes on u's scale with
          the median log-ratio log(|theta_v(a)-theta_v(b)| / |theta_u(a)-theta_u(b)|)
-         over common item pairs whose gaps both exceed epsilon_pair;
-         s_u = exp(br_mean(votes, default 0, clip ratio_clip)). No votes: s_u = 1.
+         over common item pairs whose gaps both exceed EPSILON_PAIR;
+         s_u = exp(br_mean(votes, default 0, clip RATIO_CLIP)). No votes: s_u = 1.
       4. Translation candidates are collected per (other user v, common item a):
          s_v*theta_v(a) - s_u*theta_u(a); tau_u = br_mean(candidates, default 0,
-         clip translation_clip). No candidates: tau_u = 0.
+         clip TRANSLATION_CLIP). No candidates: tau_u = 0.
       5. Scaled scores theta'_u = s_u*theta_u + tau_u, kept per user.
       6. New comparison targets r' = clip(theta'_u(right) - theta'_u(left), -1, 1).
 
     Aggregating votes from all users (not only the anchor) keeps the
-    influence of any single malicious voter bounded by the BrMean clipping;
-    `aggregator="mean"` swaps in an unclipped mean for robustness
-    comparisons. The clip radius is ratio_clip in log-ratio space so that
+    influence of any single malicious voter bounded by the BrMean clipping,
+    whose QrMed weight is `resilience_weight` (larger resists outliers
+    harder); `aggregator="mean"` swaps in an unclipped mean for robustness
+    comparisons. The clip radius is RATIO_CLIP in log-ratio space so that
     multiplying or dividing by the same factor is treated symmetrically.
 
     Returns the rescaled comparison set, the per-user affines, and the
     scaled per-user latent scores theta'_u. Requires >= 2 users and a
     single criterion (filter first via ComparisonSet.restrict).
     """
+    if not resilience_weight > 0:
+        raise ValueError(f"resilience_weight must be positive, got {resilience_weight}")
     users = list(cset.user_ids)
     if len(users) < 2:
         raise ValueError(f"mehestan_scale needs >= 2 users, got {len(users)}")
@@ -267,11 +266,11 @@ def mehestan_scale(
     for u in range(len(users)):
         if u == anchor:
             continue
-        medians = _vote_medians(theta, present, u, others[u], epsilon_pair)
+        medians = _vote_medians(theta, present, u, others[u])
         votes[u] = len(medians)
         # Plain float lists, as before: perfbench's tracer re-reads BrMean's inputs.
         scales[u] = math.exp(
-            _aggregate(medians.tolist(), params.weight, ratio_clip, aggregator)
+            _aggregate(medians.tolist(), resilience_weight, RATIO_CLIP, aggregator)
         )
 
     # Candidates s_v*theta_v(a) - s_u*theta_u(a), row-major over (v, common item a).
@@ -286,7 +285,7 @@ def mehestan_scale(
         values = (scaled[rows] - scaled[u, items])[present[rows]]
         candidates[u] = len(values)
         translations[u] = _aggregate(
-            values.tolist(), params.weight, translation_clip, aggregator
+            values.tolist(), resilience_weight, TRANSLATION_CLIP, aggregator
         )
 
     scaled_theta = scaled + translations[:, None]

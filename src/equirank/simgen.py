@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .dataset import Columns, ComparisonSet, FeatureTable, write_csv
-from .equity import classify
+from .equity import CLASSES, _classes
 
 ARCHETYPES = ("neutral", "conservative", "extreme", "malicious")
 CONSERVATIVE_GAIN = 0.2
@@ -204,18 +204,28 @@ def generate(config: SimConfig) -> tuple[ComparisonSet, FeatureTable, GroundTrut
 def true_classes(
     truth: GroundTruth, cset: ComparisonSet, tie_epsilon: float
 ) -> list[str]:
-    """Noise-free oracle labels from the latent utilities."""
-    out = []
-    for c in cset:
-        if c.user_id not in truth.user_theta:
-            raise ValueError(f"unknown user {c.user_id!r}")
-        theta = truth.user_theta[c.user_id]
-        if c.left_item not in theta or c.right_item not in theta:
-            raise ValueError(
-                f"unknown item in comparison ({c.left_item!r}, {c.right_item!r})"
-            )
-        out.append(classify(theta[c.right_item] - theta[c.left_item], tie_epsilon))
-    return out
+    """Noise-free oracle labels from the latent utilities, in row order."""
+    # theta[k, i] is user code k's utility of item code i where known[k, i].
+    index = {item: i for i, item in enumerate(cset.item_ids)}
+    theta = np.zeros((len(cset.user_ids), len(cset.item_ids)))
+    known = np.zeros(theta.shape, dtype=bool)
+    for k, user in enumerate(cset.user_ids):
+        for item, value in truth.user_theta.get(user, {}).items():
+            if item in index:
+                theta[k, index[item]] = value
+                known[k, index[item]] = True
+    user, left, right = cset.user, cset.left, cset.right
+    bad = np.flatnonzero(~(known[user, left] & known[user, right]))
+    if bad.size:
+        row = bad[0]
+        if cset.user_ids[user[row]] not in truth.user_theta:
+            raise ValueError(f"unknown user {cset.user_ids[user[row]]!r}")
+        raise ValueError(
+            f"unknown item in comparison ({cset.item_ids[left[row]]!r}, "
+            f"{cset.item_ids[right[row]]!r})"
+        )
+    diff = theta[user, right] - theta[user, left]
+    return [CLASSES[c] for c in _classes(diff, tie_epsilon).tolist()]
 
 
 def write_truth_theta(truth: GroundTruth, path: str | Path) -> None:

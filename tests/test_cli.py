@@ -5,10 +5,18 @@ import json
 import numpy as np
 import pytest
 
-from equirank.cli import _PIPELINE_DEFAULTS, _train_config, build_parser, main
+from equirank.cli import (
+    _PIPELINE_DEFAULTS,
+    _sim_config,
+    _train_config,
+    build_parser,
+    main,
+    parse_pipeline_config,
+)
 from equirank.dataset import FeatureTable, comparison_set, parse_comparisons, write_comparisons, write_features
 from equirank.ltr import LossWeights, ModelParams, TrainConfig, save_model
 from equirank.scaling import parse_scaled_comparisons
+from equirank.simgen import SimConfig
 
 
 def _run(argv):
@@ -47,6 +55,40 @@ class TestSimulate:
             _run(["simulate", "--users", "0", "--items", "5", "--dim", "2",
                   "--per-user", "5", "-o", str(tmp_path / "x")])
         assert excinfo.value.code == 2
+
+    @pytest.mark.parametrize("mix, message", [
+        ("neutral=2,chaotic=2", "unknown archetypes: ['chaotic']"),
+        ("neutral=3", "archetype counts sum to 3, expected n_users = 4"),
+    ])
+    def test_bad_archetypes_is_runtime_error(self, tmp_path, capsys, mix, message):
+        assert _run(["simulate", "--users", "4", "--items", "5", "--dim", "2",
+                     "--per-user", "5", "--archetypes", mix,
+                     "-o", str(tmp_path / "x")]) == 1
+        assert capsys.readouterr().err == f"equirank: {message}\n"
+
+    def test_flags_and_pipeline_config_build_the_same_sim_config(self, tmp_path):
+        args = build_parser().parse_args(
+            ["simulate", "--users", "6", "--items", "9", "--dim", "3", "--per-user", "20",
+             "--noise", "0.2", "--seed", "5", "--criterion", "calm",
+             "--archetypes", "neutral=3,extreme=2,malicious=1", "--groups", "2",
+             "--opposed-groups", "--group-sizes", "4,2", "--weight-scale", "0.7",
+             "--user-jitter", "0.05", "--malicious-mode", "random", "-o", "out"]
+        )
+        config = tmp_path / "sim.cfg"
+        config.write_text(
+            "users = 6\nitems = 9\ndim = 3\nper_user = 20\nnoise = 0.2\nseed = 5\n"
+            "criterion = calm\narchetypes = neutral=3,extreme=2,malicious=1\n"
+            "groups = 2\nopposed_groups = true\ngroup_sizes = 4,2\n"
+            "weight_scale = 0.7\nuser_jitter = 0.05\nmalicious_mode = random\n"
+        )
+        want = SimConfig(
+            n_items=9, feature_dim=3, n_users=6, comparisons_per_user=20, noise_std=0.2,
+            archetype_mix={"neutral": 3, "extreme": 2, "malicious": 1}, n_groups=2,
+            seed=5, criterion="calm", weight_scale=0.7, user_jitter=0.05,
+            opposed_groups=True, group_sizes=(4, 2), malicious_mode="random",
+        )
+        assert _sim_config(vars(args)) == want
+        assert _sim_config(parse_pipeline_config(config)[0]) == want
 
     def test_manifest_fields(self, tmp_path):
         out = _simulate(tmp_path)
@@ -129,6 +171,16 @@ class TestScale:
     def test_missing_input_is_runtime_error(self, tmp_path):
         assert _run(["scale", "--input", str(tmp_path / "nope.csv"),
                      "--scaler", "minmax", "-o", str(tmp_path / "x")]) == 1
+
+    @pytest.mark.parametrize("scaler", ["minmax", "normalization", "mehestan", "none"])
+    def test_empty_input_is_runtime_error(self, tmp_path, capsys, scaler):
+        empty = tmp_path / "empty.csv"
+        write_comparisons(comparison_set([]), empty)
+        out = tmp_path / "out"
+        assert _run(["scale", "--input", str(empty), "--scaler", scaler,
+                     "-o", str(out)]) == 1
+        assert capsys.readouterr().err == f"equirank: {empty}: empty comparison set\n"
+        assert not out.exists()
 
 
 class TestTrain:

@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from equirank.dataset import (
-    Comparison,
     ComparisonSet,
     FeatureTable,
     comparison_set,
@@ -76,11 +75,11 @@ class TestParseComparisons:
 
 def test_comparison_invariants():
     with pytest.raises(ValueError):
-        Comparison("u", "g", "a", "a", 0.2)
+        comparison_set([("u", "g", "a", "a", 0.2)])
     with pytest.raises(ValueError):
-        Comparison("u", "g", "a", "b", 1.5)
+        comparison_set([("u", "g", "a", "b", 1.5)])
     with pytest.raises(ValueError):
-        Comparison("u", "g", "a", "b", float("nan"))
+        comparison_set([("u", "g", "a", "b", float("nan"))])
 
 
 def test_round_trip_is_byte_identical(tmp_path):

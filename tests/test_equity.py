@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from equirank.dataset import Comparison
+from equirank.dataset import Comparison, comparison_set
 from equirank.equity import (
+    Predictions,
     build_report,
     classify,
     gini,
@@ -38,11 +39,18 @@ def _pred(user, truth, predicted, i=0):
     return (Comparison(user, "g", f"l{i}", f"r{i}", truth), predicted)
 
 
+def _predictions(pairs):
+    """Predictions over the rows of (Comparison, predicted difference) pairs."""
+    return Predictions(
+        comparison_set([c for c, _ in pairs]), np.array([d for _, d in pairs], dtype=float)
+    )
+
+
 class TestPerUserMetrics:
     def test_perfect_predictions(self):
         preds = [_pred("u1", 0.5, 0.4, 0), _pred("u1", -0.5, -0.2, 1),
                  _pred("u1", 0.0, 0.01, 2)]
-        acc, rec = per_user_metrics(preds, 0.05)
+        acc, rec = per_user_metrics(_predictions(preds), 0.05)
         assert acc["u1"] == 1.0
         assert rec["u1"] == 1.0
 
@@ -50,18 +58,18 @@ class TestPerUserMetrics:
         # Truth classes (left, left), predicted (left, right): accuracy 1/2
         # and macro recall = recall(left) = 1/2 since only one class occurs.
         preds = [_pred("u1", -0.5, -0.4, 0), _pred("u1", -0.5, 0.4, 1)]
-        acc, rec = per_user_metrics(preds, 0.05)
+        acc, rec = per_user_metrics(_predictions(preds), 0.05)
         assert acc["u1"] == 0.5
         assert rec["u1"] == 0.5
 
     def test_all_zero_predictions_on_strong_truths(self):
         preds = [_pred("u1", 0.8, 0.0, 0), _pred("u1", -0.9, 0.0, 1)]
-        acc, _ = per_user_metrics(preds, 0.05)
+        acc, _ = per_user_metrics(_predictions(preds), 0.05)
         assert acc["u1"] == 0.0
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            per_user_metrics([], 0.05)
+            per_user_metrics(_predictions([]), 0.05)
 
     def test_recall_bounds(self):
         rng = np.random.default_rng(50)
@@ -70,7 +78,7 @@ class TestPerUserMetrics:
                   float(rng.uniform(-1, 1)), i)
             for i in range(200)
         ]
-        _, rec = per_user_metrics(preds, 0.05)
+        _, rec = per_user_metrics(_predictions(preds), 0.05)
         assert all(0.0 <= v <= 1.0 for v in rec.values())
 
 
@@ -204,7 +212,7 @@ def test_report_matches_brute_force_script():
         truth = float(rng.uniform(-1, 1))
         pred = truth + float(rng.normal(0, 0.4))
         predictions.append((Comparison(user, "g", f"l{i}", f"r{i}", truth), pred))
-    report = build_report(predictions, 0.05)
+    report = build_report(_predictions(predictions), 0.05)
     acc, gap, std, g = _brute_force_report(predictions, 0.05)
     assert report.per_user_accuracy == pytest.approx(acc)
     assert report.acc_max_gap == pytest.approx(gap, abs=1e-12)
@@ -217,7 +225,7 @@ def test_report_perfect_predictions():
         _pred("u1", 0.5, 0.5, 0), _pred("u1", -0.5, -0.5, 1),
         _pred("u2", 0.9, 0.9, 2), _pred("u2", 0.0, 0.0, 3),
     ]
-    report = build_report(predictions, 0.05)
+    report = build_report(_predictions(predictions), 0.05)
     assert report.overall_accuracy == 1.0
     assert report.overall_recall == 1.0
     assert report.acc_max_gap == 0.0
@@ -234,10 +242,10 @@ def test_report_permutation_invariant():
               float(rng.uniform(-1, 1)), i)
         for i in range(120)
     ]
-    report = build_report(predictions, 0.05)
+    report = build_report(_predictions(predictions), 0.05)
     shuffled = list(predictions)
     rng.shuffle(shuffled)
-    report2 = build_report(shuffled, 0.05)
+    report2 = build_report(_predictions(shuffled), 0.05)
     assert report.overall_accuracy == report2.overall_accuracy
     assert report.acc_max_gap == report2.acc_max_gap
     assert report.acc_std == pytest.approx(report2.acc_std, abs=1e-15)
@@ -251,6 +259,6 @@ def test_report_overall_pools_comparisons():
         _pred("u1", 0.5, 0.6, 0), _pred("u1", 0.5, 0.7, 1), _pred("u1", 0.5, 0.8, 2),
         _pred("u2", 0.5, -0.6, 3),
     ]
-    report = build_report(predictions, 0.05)
+    report = build_report(_predictions(predictions), 0.05)
     assert report.overall_accuracy == 0.75
     assert report.mean_accuracy == 0.5

@@ -380,20 +380,20 @@ def test_train_matches_oracle(weights, tie_epsilon, score_draws, n_users, dim,
 class TestPredictAll:
     def test_empty_set(self):
         table = FeatureTable(1, {})
-        assert predict_all(_params([1.0]), comparison_set([]), table) == []
+        assert predict_all(_params([1.0]), comparison_set([]), table).diff.tolist() == []
 
     def test_singleton_matches_predict_diff(self):
         table = FeatureTable(1, {"a": np.array([0.2]), "b": np.array([0.9])})
         cset = comparison_set([("u1", "g", "a", "b", 0.5)])
         p = _params([2.0])
-        [(c, d)] = predict_all(p, cset, table)
+        [d] = predict_all(p, cset, table).diff.tolist()
         assert d == predict_diff(p, "u1", table.vector("a"), table.vector("b"))
 
     def test_length_and_order_preserved(self):
         rng = np.random.default_rng(47)
         cset, table = _linear_fixture(rng, n=25)
         preds = predict_all(_params([1.0, 0.0, 0.0]), cset, table)
-        assert [c for c, _ in preds] == list(cset.comparisons)
+        assert list(preds.cset) == list(cset.comparisons)
 
 
 def test_user_identity_ignored_without_embeddings():
@@ -406,8 +406,8 @@ def test_user_identity_ignored_without_embeddings():
         [(f"u{(int(r[0][1]) + 1) % 3}",) + r[1:] for r in rows]
     )
     p = _params(rng.normal(size=2))
-    base = [d for _, d in predict_all(p, cset, table)]
-    perm = [d for _, d in predict_all(p, permuted, table)]
+    base = predict_all(p, cset, table).diff.tolist()
+    perm = predict_all(p, permuted, table).diff.tolist()
     assert base == perm
 
 

@@ -108,7 +108,7 @@ def _oracle_aggregate(values, weight, clip_radius, aggregator):
     return float(np.mean(values)) if values else 0.0
 
 
-def oracle_mehestan_scale(cset, gbt_config, params, aggregator, epsilon_pair=1e-6,
+def oracle_mehestan_scale(cset, gbt_config, weight, aggregator, epsilon_pair=1e-6,
                           ratio_clip=0.5, translation_clip=1.0):
     """-> (new scores, {user: (s, tau, votes, candidates)}, {user: fit}, scaled theta)."""
     users = list(cset.user_ids)
@@ -136,7 +136,7 @@ def oracle_mehestan_scale(cset, gbt_config, params, aggregator, epsilon_pair=1e-
             if ratios:
                 votes.append(float(np.median(ratios)))
         n_votes[u] = len(votes)
-        scales[u] = math.exp(_oracle_aggregate(votes, params.weight, ratio_clip, aggregator))
+        scales[u] = math.exp(_oracle_aggregate(votes, weight, ratio_clip, aggregator))
 
     translations = {anchor: 0.0}
     n_candidates = {anchor: 0}
@@ -151,7 +151,7 @@ def oracle_mehestan_scale(cset, gbt_config, params, aggregator, epsilon_pair=1e-
                 candidates.append(scales[v] * theta[v][a] - scales[u] * theta[u][a])
         n_candidates[u] = len(candidates)
         translations[u] = _oracle_aggregate(
-            candidates, params.weight, translation_clip, aggregator
+            candidates, weight, translation_clip, aggregator
         )
 
     scaled_theta = {
@@ -177,13 +177,10 @@ def _bits(x):
     return np.asarray(x, dtype=np.float64).tobytes()
 
 
-def assert_matches_oracle(cset, gbt_config=GbtConfig(), params=ResilienceParams(),
-                          aggregator="brmean"):
-    scaled, affines, scores = mehestan_scale(
-        cset, gbt_config, params, aggregator=aggregator
-    )
+def assert_matches_oracle(cset, gbt_config=GbtConfig(), weight=1.0, aggregator="brmean"):
+    scaled, affines, scores = mehestan_scale(cset, gbt_config, weight, aggregator=aggregator)
     want_scores, want_affines, want_fits, want_theta, anchor = oracle_mehestan_scale(
-        cset, gbt_config, params, aggregator
+        cset, gbt_config, weight, aggregator
     )
     assert _bits(scaled.score) == _bits(want_scores)
     assert [a.user_id for a in affines] == sorted(want_affines)
@@ -231,7 +228,7 @@ def populations(draw):
 @settings(max_examples=60, deadline=None)
 def test_populations_match_oracle(aggregator, cset, weight):
     assert_matches_oracle(
-        cset, GbtConfig(tol=1e-6, max_iter=300), ResilienceParams(weight=weight), aggregator
+        cset, GbtConfig(tol=1e-6, max_iter=300), weight, aggregator
     )
 
 

@@ -5,7 +5,6 @@ import pytest
 
 from equirank.dataset import comparison_set
 from equirank.gbt import GbtConfig, expected_comparison
-from equirank.robust import ResilienceParams
 from equirank.scaling import (
     ScaledComparisonSet,
     mehestan_scale,
@@ -104,7 +103,7 @@ class TestNormalization:
 
 def test_scaled_tag_validated():
     with pytest.raises(ValueError, match="scaler_tag"):
-        ScaledComparisonSet(comparison_set([("u", "g", "a", "b", 0.1)]).comparisons,
+        ScaledComparisonSet(comparison_set([("u", "g", "a", "b", 0.1)]).columns,
                             scaler_tag="bogus")
 
 
@@ -248,12 +247,18 @@ def test_mehestan_resilience_params_forwarded():
     rows = _pair_rows("uA", theta, items, np.random.default_rng(7), 300)
     rows += _pair_rows("uB", 2.0 * theta, items, np.random.default_rng(8), 300)
     cset = comparison_set(rows)
-    _, soft, _ = mehestan_scale(cset, params=ResilienceParams(weight=1.0))
-    _, hard, _ = mehestan_scale(cset, params=ResilienceParams(weight=100.0))
+    _, soft, _ = mehestan_scale(cset, resilience_weight=1.0)
+    _, hard, _ = mehestan_scale(cset, resilience_weight=100.0)
     s_soft = next(a for a in soft if a.user_id == "uB").s
     s_hard = next(a for a in hard if a.user_id == "uB").s
     assert abs(np.log(s_hard)) < abs(np.log(s_soft))
     assert s_soft == pytest.approx(0.5, rel=0.1)
+
+
+def test_nonpositive_resilience_weight_rejected():
+    rows = [("uA", "g", "a", "b", 0.5), ("uB", "g", "a", "b", 0.5)]
+    with pytest.raises(ValueError, match="resilience_weight must be positive"):
+        mehestan_scale(comparison_set(rows), resilience_weight=0.0)
 
 
 def test_gbt_config_forwarded():

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from equirank.dataset import comparison_set
+from equirank.equity import classify
 from equirank.simgen import GroundTruth, SimConfig, generate, true_classes
 
 # Standard fixture used across the suite (thresholds below were frozen after
@@ -164,18 +166,81 @@ class TestTrueClasses:
 
     def test_equal_theta_is_tie(self):
         truth = GroundTruth(None, {}, {}, {"u": {"a": 0.4, "b": 0.4}}, {})
-        from equirank.dataset import comparison_set
-
         labels = true_classes(truth, comparison_set([("u", "g", "a", "b", 0.9)]), 0.05)
         assert labels == ["tie"]
 
     def test_unknown_user_rejected(self):
         cset, _, truth = self._fixture()
-        from equirank.dataset import comparison_set
-
         stranger = comparison_set([("nobody", "g", "i0", "i1", 0.1)])
         with pytest.raises(ValueError, match="unknown user"):
             true_classes(truth, stranger, 0.05)
+
+    def test_unknown_item_rejected(self):
+        _, _, truth = self._fixture()
+        rows = [("u0", "g", "i0", "i1", 0.1), ("u1", "g", "i2", "zz", 0.1)]
+        with pytest.raises(ValueError, match=r"unknown item in comparison \('i2', 'zz'\)"):
+            true_classes(truth, comparison_set(rows), 0.05)
+
+    @pytest.mark.parametrize("rows", [
+        [("u0", "g", "i0", "zz", 0.1), ("nobody", "g", "i0", "i1", 0.1)],
+        [("u1", "g", "i0", "i1", 0.1), ("nobody", "g", "i0", "zz", 0.1)],
+        [("u1", "g", "i3", "i1", 0.1), ("u0", "g", "zz", "i1", 0.1),
+         ("nobody", "g", "i0", "i1", 0.1)],
+    ])
+    def test_first_bad_row_is_reported_as_the_oracle_does(self, rows):
+        _, _, truth = self._fixture()
+        cset = comparison_set(rows)
+        with pytest.raises(ValueError) as want:
+            oracle_true_classes(truth, cset, 0.05)
+        with pytest.raises(ValueError) as got:
+            true_classes(truth, cset, 0.05)
+        assert str(got.value) == str(want.value)
+
+
+def oracle_true_classes(truth, cset, tie_epsilon):
+    """The per-comparison loop that true_classes replaced."""
+    out = []
+    for c in cset:
+        if c.user_id not in truth.user_theta:
+            raise ValueError(f"unknown user {c.user_id!r}")
+        theta = truth.user_theta[c.user_id]
+        if c.left_item not in theta or c.right_item not in theta:
+            raise ValueError(
+                f"unknown item in comparison ({c.left_item!r}, {c.right_item!r})"
+            )
+        out.append(classify(theta[c.right_item] - theta[c.left_item], tie_epsilon))
+    return out
+
+
+@pytest.mark.parametrize("config", [
+    STANDARD,
+    SimConfig(n_items=12, feature_dim=3, n_users=10, comparisons_per_user=80,
+              noise_std=0.3, n_groups=2, opposed_groups=True, group_sizes=(7, 3),
+              archetype_mix={"neutral": 4, "conservative": 2, "extreme": 2,
+                             "malicious": 2}, seed=5),
+    SimConfig(n_items=2, feature_dim=1, n_users=3, comparisons_per_user=20,
+              weight_scale=0.05, user_jitter=0.0, seed=8),
+])
+@pytest.mark.parametrize("tie_epsilon", [0.0, 0.05, 0.3])
+def test_true_classes_match_oracle_on_simulated_populations(config, tie_epsilon):
+    cset, _, truth = generate(config)
+    assert true_classes(truth, cset, tie_epsilon) == oracle_true_classes(
+        truth, cset, tie_epsilon
+    )
+
+
+def test_true_classes_match_oracle_on_band_edges_and_partial_truths():
+    # Differences exactly at +-tie_epsilon are ties; users know different items.
+    truth = GroundTruth(None, {}, {}, {
+        "u": {"a": 0.0, "b": 0.05, "c": -0.05, "d": 0.5},
+        "v": {"b": 0.25, "c": 0.25, "e": -1.0},
+    }, {})
+    rows = [("u", "g", "a", "b", 0.0), ("v", "g", "e", "b", 0.0), ("u", "g", "a", "c", 0.0),
+            ("v", "g", "b", "c", 0.0), ("u", "g", "d", "c", 0.0), ("u", "g", "b", "a", 0.0)]
+    cset = comparison_set(rows)
+    labels = true_classes(truth, cset, 0.05)
+    assert labels == oracle_true_classes(truth, cset, 0.05)
+    assert labels == ["tie", "right", "tie", "tie", "left", "tie"]
 
 
 class TestConfigValidation:
