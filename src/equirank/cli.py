@@ -9,7 +9,6 @@ runtime or data error, 2 usage error.
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
 import json
 import os
@@ -481,25 +480,27 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
 
     reports = [_run_cell(cell, cfg, fit_sets[cell[0]], test_set, features) for cell in cells]
 
+    for name, report in zip(experiments, reports):
+        report_path = outdir / f"report_{name.replace('+', '_')}.json"
+        write_report(report, report_path)
+        outputs.append(report_path)
     summary_path = outdir / "summary.csv"
-    with summary_path.open("w", newline="\n", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(SUMMARY_COLUMNS)
-        for name, report in zip(experiments, reports):
-            report_path = outdir / f"report_{name.replace('+', '_')}.json"
-            write_report(report, report_path)
-            outputs.append(report_path)
-            writer.writerow(
-                [
-                    name,
-                    _percent(report.overall_accuracy),
-                    _percent(report.acc_max_gap),
-                    _percent(report.acc_std),
-                    _percent(report.overall_recall),
-                    _percent(report.recall_max_gap),
-                    _percent(report.recall_std),
-                ]
-            )
+    write_csv(
+        summary_path,
+        SUMMARY_COLUMNS,
+        (
+            [
+                name,
+                _percent(report.overall_accuracy),
+                _percent(report.acc_max_gap),
+                _percent(report.acc_std),
+                _percent(report.overall_recall),
+                _percent(report.recall_max_gap),
+                _percent(report.recall_std),
+            ]
+            for name, report in zip(experiments, reports)
+        ),
+    )
     outputs.append(summary_path)
     _write_manifest(
         outdir, "pipeline", {"config": cfg, "experiments": experiments},

@@ -80,29 +80,28 @@ def expected_comparison(delta: float) -> float:
     return math.copysign(val, delta)
 
 
-def _expected_vec(delta: np.ndarray) -> np.ndarray:
-    a = np.abs(delta)
-    if a.min() >= _SERIES_CUTOFF:
+def _expected_vec(delta: np.ndarray, a: np.ndarray, closed: bool) -> np.ndarray:
+    """E[r|delta] elementwise, given a = |delta| and whether every a >= cutoff."""
+    if closed:
         # The closed form alone: what np.where below picks when no delta is small.
-        closed = 1.0 + 2.0 / np.expm1(2.0 * np.minimum(a, _EXP_CUTOFF)) - 1.0 / a
-        return np.copysign(closed, delta)
+        c = 1.0 + 2.0 / np.expm1(2.0 * np.minimum(a, _EXP_CUTOFF)) - 1.0 / a
+        return np.copysign(c, delta)
     small = a < _SERIES_CUTOFF
     safe = np.where(small, 1.0, np.minimum(a, _EXP_CUTOFF))
     series = delta / 3.0 - delta**3 / 45.0
-    closed = np.copysign(1.0 + 2.0 / np.expm1(2.0 * safe) - 1.0 / np.maximum(a, 1e-300), delta)
-    return np.where(small, series, closed)
+    c = np.copysign(1.0 + 2.0 / np.expm1(2.0 * safe) - 1.0 / np.maximum(a, 1e-300), delta)
+    return np.where(small, series, c)
 
 
-def _log_partition_vec(delta: np.ndarray) -> np.ndarray:
-    """log Z(delta) = log(2*sinh(delta)/delta), even in delta, log 2 at 0."""
-    a = np.abs(delta)
-    if a.min() >= _SERIES_CUTOFF:
+def _log_partition_vec(a: np.ndarray, closed: bool) -> np.ndarray:
+    """log Z(delta) = log(2*sinh(delta)/delta) from a = |delta|; log 2 at 0."""
+    if closed:
         return a + np.log1p(-np.exp(-2.0 * a)) - np.log(a)
     small = a < _SERIES_CUTOFF
     safe = np.where(small, 1.0, a)
     series = math.log(2.0) + np.log1p(a * a / 6.0 + a**4 / 120.0)
-    closed = safe + np.log1p(-np.exp(-2.0 * safe)) - np.log(safe)
-    return np.where(small, series, closed)
+    c = safe + np.log1p(-np.exp(-2.0 * safe)) - np.log(safe)
+    return np.where(small, series, c)
 
 
 class _Problem:
@@ -123,24 +122,68 @@ class _Problem:
         self.right = comparisons.right
         self.r = comparisons.score
         self.lam = lam
-        # Both ends of every comparison, for one bincount in `gradient`.
+        # Both ends of every comparison, for one bincount in `_Point.grad`.
         self._ends = np.concatenate([self.right, self.left])
 
-    def objective(self, theta: np.ndarray) -> float:
-        delta = theta[self.right] - theta[self.left]
-        nll = np.sum(_log_partition_vec(delta) - self.r * delta)
-        return float(nll + 0.5 * self.lam * np.dot(theta, theta))
 
-    def gradient(self, theta: np.ndarray) -> np.ndarray:
-        delta = theta[self.right] - theta[self.left]
-        resid = _expected_vec(delta) - self.r
+class _Point:
+    """The objective of a `_Problem` at one theta, with its gradient on demand.
+
+    The deltas, their absolute values and the objective are computed once,
+    when the point is built; the gradient and its L2 norm on first request,
+    and then kept.
+    """
+
+    __slots__ = ("problem", "theta", "delta", "abs_delta", "closed", "obj", "_grad", "_norm")
+
+    def __init__(self, problem: _Problem, theta: np.ndarray):
+        self.problem = problem
+        self.theta = theta
+        self.delta = delta = theta[problem.right] - theta[problem.left]
+        self.abs_delta = a = np.abs(delta)
+        # No |delta| below the cutoff: the closed forms alone apply.
+        self.closed = bool(a.min() >= _SERIES_CUTOFF)
+        nll = (_log_partition_vec(a, self.closed) - problem.r * delta).sum()
+        self.obj = float(nll + 0.5 * problem.lam * np.dot(theta, theta))
+        self._grad: np.ndarray | None = None
+        self._norm = math.nan
+
+    def _evaluate_gradient(self) -> None:
+        p = self.problem
+        resid = _expected_vec(self.delta, self.abs_delta, self.closed) - p.r
         # Adds resid at right ends, then -resid at left ends, in row order,
         # exactly as two np.add.at calls would.
         grad = np.bincount(
-            self._ends, np.concatenate([resid, -resid]), minlength=theta.shape[0]
+            p._ends, np.concatenate([resid, -resid]), minlength=self.theta.shape[0]
         )
-        grad += self.lam * theta
-        return grad
+        grad += p.lam * self.theta
+        self._grad = grad
+        self._norm = math.sqrt(grad.dot(grad))
+
+    @property
+    def grad(self) -> np.ndarray:
+        if self._grad is None:
+            self._evaluate_gradient()
+        return self._grad
+
+    @property
+    def grad_norm(self) -> float:
+        if self._grad is None:
+            self._evaluate_gradient()
+        return self._norm
+
+
+def _point_of(
+    theta: IndividualScores | Mapping[str, float], comparisons: ComparisonSet, lam: float
+) -> tuple[_Point, Mapping[str, float]]:
+    """The point at the compared items' entries of `theta`, and all of `theta`."""
+    values = theta.theta if isinstance(theta, IndividualScores) else theta
+    problem = _Problem(comparisons, lam)
+    missing = [item for item in problem.items if item not in values]
+    if missing:
+        raise ValueError(f"theta missing items: {missing}")
+    vec = np.array([values[item] for item in problem.items], dtype=np.float64)
+    return _Point(problem, vec), values
 
 
 def gbt_objective(
@@ -149,16 +192,11 @@ def gbt_objective(
     lam: float,
 ) -> float:
     """Negative log posterior of `theta` for one user's comparisons."""
-    values = theta.theta if isinstance(theta, IndividualScores) else theta
-    problem = _Problem(comparisons, lam)
-    missing = [item for item in problem.items if item not in values]
-    if missing:
-        raise ValueError(f"theta missing items: {missing}")
-    vec = np.array([values[item] for item in problem.items], dtype=np.float64)
+    point, values = _point_of(theta, comparisons, lam)
     # The prior covers every theta entry, including items outside the set.
-    compared = set(problem.items)
+    compared = set(point.problem.items)
     extra = sum(values[k] ** 2 for k in values if k not in compared)
-    return problem.objective(vec) + 0.5 * lam * extra
+    return point.obj + 0.5 * lam * extra
 
 
 def gbt_gradient(
@@ -167,39 +205,36 @@ def gbt_gradient(
     lam: float,
 ) -> dict[str, float]:
     """Analytic gradient of gbt_objective over the compared items."""
-    values = theta.theta if isinstance(theta, IndividualScores) else theta
-    problem = _Problem(comparisons, lam)
-    missing = [item for item in problem.items if item not in values]
-    if missing:
-        raise ValueError(f"theta missing items: {missing}")
-    vec = np.array([values[item] for item in problem.items], dtype=np.float64)
-    grad = problem.gradient(vec)
-    return {item: float(g) for item, g in zip(problem.items, grad)}
+    point, _ = _point_of(theta, comparisons, lam)
+    return {item: float(g) for item, g in zip(point.problem.items, point.grad)}
 
 
 def fit_gbt(comparisons: ComparisonSet, config: GbtConfig = GbtConfig()) -> IndividualScores:
     """Fit latent scores by full-batch gradient descent with backtracking.
 
-    Deterministic: zero initialization, halve the step while the objective
-    fails to decrease, double it after every accepted step. Stops when the
-    gradient L2 norm drops below config.tol or after config.max_iter
-    iterations (flagged via `converged`).
+    Deterministic: start at zero; try the step theta - step * grad and
+    accept it when the objective falls, or when it stays within
+    1e-12 * (1 + |obj|) of the current objective and the gradient L2 norm
+    shrinks; otherwise halve the step and retry. The step doubles after
+    every accepted step. Each point is evaluated once: an accepted trial
+    keeps the objective and any gradient computed for it. Stops when the
+    gradient norm drops below config.tol (`converged`), when no step down
+    to 1e-300 is accepted, or after config.max_iter iterations.
     """
     problem = _Problem(comparisons, config.lam)
-    theta = np.zeros(len(problem.items), dtype=np.float64)
-    obj = problem.objective(theta)
+    point = _Point(problem, np.zeros(len(problem.items), dtype=np.float64))
     step = 1.0
     n_iter = 0
     grad_norm = math.inf
     converged = False
     for n_iter in range(1, config.max_iter + 1):
-        grad = problem.gradient(theta)
-        if not np.all(np.isfinite(grad)) or not math.isfinite(obj):
+        grad = point.grad
+        if not np.isfinite(grad).all() or not math.isfinite(point.obj):
             raise ValueError(
                 f"non-finite values in GBT fit for user {problem.user_id!r}; "
                 "check lam and input scores"
             )
-        grad_norm = math.sqrt(grad.dot(grad))
+        grad_norm = point.grad_norm
         if grad_norm <= config.tol:
             converged = True
             break
@@ -207,28 +242,21 @@ def fit_gbt(comparisons: ComparisonSet, config: GbtConfig = GbtConfig()) -> Indi
         # resolution while the gradient is still resolvable, so a step that
         # keeps the objective within rounding slack but strictly shrinks the
         # gradient norm also counts as progress.
+        obj = point.obj
         slack = 1e-12 * (1.0 + abs(obj))
-        accepted = False
         while step >= 1e-300:
-            trial = theta - step * grad
-            trial_obj = problem.objective(trial)
-            if math.isfinite(trial_obj) and trial_obj < obj:
-                accepted = True
+            trial = _Point(problem, point.theta - step * grad)
+            if math.isfinite(trial.obj) and (
+                trial.obj < obj or (trial.obj <= obj + slack and trial.grad_norm < grad_norm)
+            ):
                 break
-            if math.isfinite(trial_obj) and trial_obj <= obj + slack:
-                trial_grad = problem.gradient(trial)
-                trial_norm = math.sqrt(trial_grad.dot(trial_grad))
-                if trial_norm < grad_norm:
-                    accepted = True
-                    break
             step *= 0.5
-        if not accepted:
+        else:
             # Flat to float64 precision in every direction tried.
             break
-        theta = trial
-        obj = trial_obj
+        point = trial
         step *= 2.0
-    theta_map = dict(zip(problem.items, theta.tolist()))
+    theta_map = dict(zip(problem.items, point.theta.tolist()))
     return IndividualScores(
         problem.user_id, theta_map, config.lam, converged, n_iter, grad_norm
     )

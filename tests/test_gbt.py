@@ -169,6 +169,25 @@ class TestFit:
         for item in fit.theta:
             assert fit.theta[item] == pytest.approx(fit_mirrored.theta[item], abs=1e-12)
 
+    def test_all_tie_user_stays_exactly_at_zero(self):
+        # Every score 0: the gradient at theta = 0 is exactly 0, so the fit
+        # stops at its first gradient check.
+        rows = [("u1", "g", a, b, 0.0) for a, b in [("a", "b"), ("b", "c"), ("a", "c"), ("c", "d")]]
+        fit = fit_gbt(comparison_set(rows))
+        assert fit.theta == {"a": 0.0, "b": 0.0, "c": 0.0, "d": 0.0}
+        assert (fit.converged, fit.n_iter, fit.grad_norm) == (True, 1, 0.0)
+
+    @pytest.mark.parametrize("score", [-1.0, -0.3, 0.05, 1.0])
+    def test_single_comparison_user(self, score):
+        # Two items at -t and t, where t solves E[r|2t] - r + lam*t = 0.
+        lam = 0.1
+        fit = fit_gbt(comparison_set([("u1", "g", "a", "b", score)]), GbtConfig(lam=lam))
+        assert fit.converged and fit.grad_norm <= 1e-8
+        t = fit.theta["b"]
+        assert fit.theta["a"] == pytest.approx(-t, abs=1e-12)
+        assert math.copysign(1.0, t) == math.copysign(1.0, score)
+        assert expected_comparison(2 * t) + lam * t == pytest.approx(score, abs=1e-8)
+
     def test_uncompared_items_get_no_entry(self):
         cset = comparison_set([("u1", "g", "a", "b", 0.4)])
         fit = fit_gbt(cset)

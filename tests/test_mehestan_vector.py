@@ -2,10 +2,10 @@
 
 The oracles below are the earlier implementations, kept here as the
 reference: the per-pair vote and translation loops of `mehestan_scale`, and
-`_Problem.objective`/`gradient` with `np.where` on every call and
+a separate GBT objective and gradient with `np.where` on every call and
 `np.add.at` accumulation, fitted by the same gradient-descent loop with
-`np.linalg.norm`. Affines, scaled scores and every per-user fit must come
-out bit for bit the same.
+`np.linalg.norm`, which evaluates each point afresh. Affines, scaled scores
+and every per-user fit must come out bit for bit the same.
 """
 
 import itertools
@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from equirank import gbt, scaling
 from equirank.dataset import comparison_set
-from equirank.gbt import GbtConfig, IndividualScores, _Problem, fit_gbt
+from equirank.gbt import GbtConfig, IndividualScores, _Point, _Problem, fit_gbt
 from equirank.robust import ResilienceParams, br_mean
 from equirank.scaling import mehestan_scale
 from equirank.simgen import SimConfig, generate
@@ -327,7 +327,45 @@ def test_kernel_matches_oracle(spread):
     new, old = _Problem(cset, 0.1), OracleProblem(cset, 0.1)
     for _ in range(20):
         theta = rng.uniform(-spread, spread, len(new.items))
-        assert _bits(new.objective(theta)) == _bits(old.objective(theta))
-        assert _bits(new.gradient(theta)) == _bits(old.gradient(theta))
+        point = _Point(new, theta)
+        assert _bits(point.obj) == _bits(old.objective(theta))
+        assert _bits(point.grad) == _bits(old.gradient(theta))
+        assert _bits(point.grad_norm) == _bits(np.linalg.norm(old.gradient(theta)))
     theta = np.zeros(len(new.items))
-    assert _bits(new.gradient(theta)) == _bits(old.gradient(theta))
+    assert _bits(_Point(new, theta).grad) == _bits(old.gradient(theta))
+
+
+def test_each_point_gradient_is_evaluated_once(monkeypatch):
+    # The oracle evaluates the gradient at the top of every iteration, so a
+    # trial it accepted through the slack branch (objective within rounding
+    # slack, gradient norm smaller) has its gradient evaluated twice; each
+    # such repeat is one slack acceptance. fit_gbt must evaluate each point's
+    # gradient once, and the same fit.
+    rng = np.random.default_rng(2)
+    rows = []
+    for _ in range(30):
+        a, b = rng.choice(8, size=2, replace=False)
+        rows.append(("u", "g", f"i{a}", f"i{b}", float(rng.uniform(-1, 1))))
+    cset = comparison_set(rows)
+
+    oracle_thetas, deltas = [], []
+    oracle_gradient, expected_vec = OracleProblem.gradient, gbt._expected_vec
+
+    def recorded_oracle_gradient(self, theta):
+        oracle_thetas.append(theta.tobytes())
+        return oracle_gradient(self, theta)
+
+    def recorded_expected_vec(delta, *args):
+        deltas.append(delta.tobytes())
+        return expected_vec(delta, *args)
+
+    monkeypatch.setattr(OracleProblem, "gradient", recorded_oracle_gradient)
+    monkeypatch.setattr(gbt, "_expected_vec", recorded_expected_vec)
+    want, got = oracle_fit_gbt(cset), fit_gbt(cset)
+
+    slack_accepted = len(oracle_thetas) - len(set(oracle_thetas))
+    assert (want.n_iter, len(oracle_thetas), slack_accepted) == (59, 88, 6)
+    assert (len(deltas), len(set(deltas))) == (88 - 6, 88 - 6)
+    assert (got.converged, got.n_iter) == (want.converged, want.n_iter)
+    assert _bits(got.grad_norm) == _bits(want.grad_norm)
+    assert _bits(list(got.theta.values())) == _bits(list(want.theta.values()))
