@@ -101,6 +101,11 @@ def _write_manifest(
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             json.dump(manifest, fh, indent=2)
             fh.write("\n")
+        # mkstemp creates the file 0600; give it the mode `open` gives the
+        # data files beside it. Reading the umask means setting it.
+        umask = os.umask(0o022)
+        os.umask(umask)
+        os.chmod(tmp_name, 0o666 & ~umask)
         os.replace(tmp_name, target)
     except BaseException:
         if os.path.exists(tmp_name):

@@ -26,14 +26,19 @@ import operator
 from dataclasses import dataclass
 from itertools import islice
 from pathlib import Path
-from typing import Iterable, NamedTuple, Sequence
+from typing import BinaryIO, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
 COMPARISONS_HEADER = ["user_id", "criterion", "left_item", "right_item", "score"]
-# Rows converted to columns at a time while parsing, so the per-row Python
-# strings of only one chunk are alive at once.
+# Rows the csv.reader path converts to columns at a time, so the per-row
+# Python strings of only one chunk are alive at once.
 _CHUNK_ROWS = 512
+# The byte path reads a file in blocks of about _BLOCK_BYTES, each cut after a
+# line end, and reads no field wider than _FIELD_CAP bytes. Blocks of 1 MiB
+# parsed no faster than these and left a process's peak memory higher.
+_BLOCK_BYTES = 1 << 18
+_FIELD_CAP = 64
 
 
 class Comparison(NamedTuple):
@@ -228,6 +233,12 @@ class _Vocab:
                 index[value] = len(index)
         return np.fromiter(map(index.__getitem__, values), dtype=np.intp, count=len(values))
 
+    def key_codes(self, keys: np.ndarray) -> np.ndarray:
+        """Codes of ids given as `_keys`; the new ids of a chunk enter in
+        sorted order. Raises UnicodeDecodeError on an id that is not UTF-8."""
+        distinct, inverse = np.unique(keys, return_inverse=True)
+        return self.codes(_texts(distinct))[inverse]
+
 
 def _encode(users, criteria, lefts, rights, score) -> Columns:
     user_vocab, criterion_vocab, item_vocab = _Vocab(), _Vocab(), _Vocab()
@@ -355,15 +366,8 @@ def _chunk_columns(rows: list[list[str]], ncols: int) -> list | None:
     return columns
 
 
-def read_columns(
-    path: str | Path, header: list[str]
-) -> tuple[Columns, list[tuple[str, ...]]]:
-    """Read a CSV whose first five columns are the comparisons schema.
-
-    Returns the columns and, for each column past the fifth, its distinct
-    values. Raises ValueError naming the 1-based line of the first bad row.
-    """
-    path = Path(path)
+def _read_text(path: Path, header: list[str]) -> tuple[Columns, list[tuple[str, ...]]]:
+    """`read_columns` through csv.reader, which reads any file."""
     ncols = len(header)
     vocabs = [_Vocab(), _Vocab(), _Vocab()]
     parts: list[tuple[np.ndarray, ...]] = []
@@ -400,6 +404,142 @@ def read_columns(
         tuple(vocabs[2].index), left, right, score,
     )
     return columns, [tuple(seen) for seen in extra]
+
+
+def _line_blocks(fh: BinaryIO) -> Iterator[bytes]:
+    """The rest of a binary file in blocks of whole lines of about
+    _BLOCK_BYTES; a last line without a line end is given one."""
+    rest = b""
+    while data := fh.read(_BLOCK_BYTES):
+        cut = data.rfind(b"\n") + 1
+        if cut:
+            yield rest + data[:cut]
+            rest = data[cut:]
+        else:
+            rest += data
+    if rest:
+        yield rest + b"\n"
+
+
+def _block_fields(block: bytes, ncols: int) -> list[np.ndarray] | None:
+    """Each column of a block of whole lines as a zero-padded uint8 matrix,
+    one row per non-blank line and at least 8 bytes wide.
+
+    None where csv.reader could read the block otherwise: it holds a double
+    quote, CR or NUL, a line has other than ncols - 1 commas, or a field is
+    wider than _FIELD_CAP bytes.
+    """
+    if b'"' in block or b"\r" in block or b"\0" in block:
+        return None
+    buf = np.frombuffer(block + bytes(_FIELD_CAP), dtype=np.uint8)
+    ends = np.flatnonzero(buf == ord("\n"))
+    starts = np.concatenate(([0], ends[:-1] + 1))
+    filled = starts < ends
+    starts, ends = starts[filled], ends[filled]
+    n = starts.size
+    commas = np.flatnonzero(buf == ord(","))
+    # Blank lines hold no comma, so every line has ncols - 1 commas exactly
+    # when (i + 1) * (ncols - 1) commas come before the end of line i.
+    if commas.size != (ncols - 1) * n or not np.array_equal(
+        np.searchsorted(commas, ends), np.arange(1, n + 1) * (ncols - 1)
+    ):
+        return None
+    # Field k of a line lies between its delimiters k and k + 1, counting
+    # the byte before the line as delimiter 0 and its LF as the last.
+    delims = [starts - 1, *commas.reshape(n, ncols - 1).T, ends]
+    fields = []
+    for before, after in zip(delims, delims[1:]):
+        start = before + 1
+        length = after - start
+        width = int(length.max(initial=0))
+        if width > _FIELD_CAP:
+            return None
+        cols = np.arange(max(width, 8))
+        field = np.lib.stride_tricks.sliding_window_view(buf, cols.size)[start]
+        field *= cols < length[:, None]
+        fields.append(field)
+    return fields
+
+
+def _keys(field: np.ndarray) -> np.ndarray:
+    """One key per row of a field matrix: its bytes as a big-endian uint64
+    when 8 wide, else as bytes. Both sort in the order of the ids."""
+    return field.view(">u8" if field.shape[1] == 8 else f"S{field.shape[1]}").ravel()
+
+
+def _texts(keys: np.ndarray) -> list[str]:
+    """The ids of `_keys` keys; raises UnicodeDecodeError if one is not UTF-8."""
+    return [key.decode() for key in keys.view(f"S{keys.itemsize}").tolist()]
+
+
+def _read_bytes(path: Path, header: list[str]) -> tuple[Columns, list[tuple[str, ...]]] | None:
+    """`read_columns` on bytes, with numpy, for files that csv.reader splits
+    at every comma and LF.
+
+    Returns None, and leaves the file to `_read_text`, when the first line
+    is not exactly the header, `_block_fields` finds a block it does not
+    read, an id is not UTF-8, numpy cannot parse a score, or any row fails
+    a check.
+    """
+    ncols = len(header)
+    items = _Vocab()
+    vocabs = (_Vocab(), _Vocab(), items, items)
+    extra: list[dict[str, None]] = [{} for _ in range(ncols - 5)]
+    with path.open("rb") as fh:
+        if fh.readline() != ",".join(header).encode() + b"\n":
+            return None
+        # Each row but a last one without a line end ends at a LF, which
+        # bounds the row count. Blocks fill columns allocated once: joining
+        # per-block parts would leave the heap fragmented and the process
+        # larger.
+        body = fh.tell()
+        bound = 1 + sum(data.count(b"\n") for data in iter(lambda: fh.read(_BLOCK_BYTES), b""))
+        fh.seek(body)
+        columns = [np.empty(bound, dtype=np.intp) for _ in range(4)] + [np.empty(bound)]
+        n = 0
+        for block in _line_blocks(fh):
+            fields = _block_fields(block, ncols)
+            if fields is None:
+                return None
+            score_text = fields[4]
+            try:  # UnicodeDecodeError is a ValueError
+                block_score = score_text.view(f"S{score_text.shape[1]}").ravel().astype(np.float64)
+                block_codes = [v.key_codes(_keys(f)) for v, f in zip(vocabs, fields)]
+                values = [_texts(np.unique(_keys(field))) for field in fields[5:]]
+            except ValueError:
+                return None
+            if not (np.isfinite(block_score) & (block_score >= -1.0) & (block_score <= 1.0)).all():
+                return None
+            if (block_codes[2] == block_codes[3]).any():
+                return None
+            for column, part in zip(columns, [*block_codes, block_score]):
+                column[n : n + part.size] = part
+            n += block_score.size
+            for seen, distinct in zip(extra, values):
+                seen.update(dict.fromkeys(distinct))
+    user, criterion, left, right, score = (column[:n] for column in columns)
+    result = Columns(
+        tuple(vocabs[0].index), user, tuple(vocabs[1].index), criterion,
+        tuple(items.index), left, right, score,
+    )
+    return result, [tuple(seen) for seen in extra]
+
+
+def read_columns(
+    path: str | Path, header: list[str]
+) -> tuple[Columns, list[tuple[str, ...]]]:
+    """Read a CSV whose first five columns are the comparisons schema.
+
+    Returns the columns and, for each column past the fifth, its distinct
+    values; the order of vocabularies and distinct values is unspecified.
+    Raises ValueError naming the 1-based line of the first bad row.
+
+    Files are read on bytes with numpy when they can be; whatever that path
+    does not read goes through csv.reader, and both give the same result.
+    """
+    path = Path(path)
+    result = _read_bytes(path, header)
+    return _read_text(path, header) if result is None else result
 
 
 def parse_comparisons(path: str | Path) -> ComparisonSet:

@@ -110,9 +110,9 @@ def _softplus(x: np.ndarray) -> np.ndarray:
 def _loss_terms(d: np.ndarray, r: np.ndarray, config: TrainConfig) -> np.ndarray:
     """Per-element weighted loss of predicted differences d against targets r.
 
-    Overflow is silenced here and in `_loss_derivative`: a diverging run
-    produces non-finite values that the trainer detects and reports as a
-    learning-rate problem.
+    Overflow is silenced here and, for `_loss_derivative`, in `train`: a
+    diverging run produces non-finite values that the trainer detects and
+    reports as a learning-rate problem.
     """
     lw = config.loss_weights
     loss = np.zeros_like(d)
@@ -139,18 +139,17 @@ def _loss_derivative(d: np.ndarray, r: np.ndarray, config: TrainConfig) -> np.nd
     lw = config.loss_weights
     grad = np.zeros_like(d)
     non_tie = np.abs(r) > config.tie_epsilon
-    with np.errstate(over="ignore"):
-        if lw.mse > 0:
-            grad += lw.mse * 2.0 * (d - r)
-        if lw.ranking > 0:
-            active = non_tie & (config.ranking_margin - np.sign(r) * d > 0)
-            grad += lw.ranking * np.where(active, -np.sign(r), 0.0)
-        if lw.bce > 0:
-            sigmoid = 1.0 / (1.0 + np.exp(-d))
-            grad += lw.bce * (sigmoid - (r + 1.0) / 2.0)
-        if lw.contrastive > 0:
-            active = non_tie & (config.contrastive_margin - np.abs(d) > 0)
-            grad += lw.contrastive * np.where(active, -np.sign(d), 0.0)
+    if lw.mse > 0:
+        grad += lw.mse * 2.0 * (d - r)
+    if lw.ranking > 0:
+        active = non_tie & (config.ranking_margin - np.sign(r) * d > 0)
+        grad += lw.ranking * np.where(active, -np.sign(r), 0.0)
+    if lw.bce > 0:
+        sigmoid = 1.0 / (1.0 + np.exp(-d))
+        grad += lw.bce * (sigmoid - (r + 1.0) / 2.0)
+    if lw.contrastive > 0:
+        active = non_tie & (config.contrastive_margin - np.abs(d) > 0)
+        grad += lw.contrastive * np.where(active, -np.sign(d), 0.0)
     return grad
 
 
@@ -178,6 +177,7 @@ def _step_gradient(
     the rows of `offsets` (users x dim, or None without embeddings) that the
     comparisons belong to. Returns the gradient with respect to w and to
     every row of `offsets`; the offsets part is None when `offsets` is.
+    Overflow warns unless the caller silences it.
     """
     grad_d = _loss_derivative(_predict(w, offsets, diff, users), r, config)
     grad_d /= r.size
@@ -202,7 +202,9 @@ def train(
     """Mini-batch SGD from zero initialization; returns params and the
     epoch-end full-set loss trace (index 0 is the pre-training loss).
 
-    Every step moves against `_step_gradient` of its batch.
+    Every step moves against `_step_gradient` of its batch. Each epoch
+    gathers the rows once, in its shuffled order, and its batches are
+    consecutive slices of them.
     """
     n = len(train_set)
     if n == 0:
@@ -227,16 +229,21 @@ def train(
 
     trace = [full_loss()]
     rng = np.random.default_rng(config.seed)
+    size = config.batch_size
     for _ in range(config.epochs):
         order = rng.permutation(n)
-        for start in range(0, n, config.batch_size):
-            idx = order[start : start + config.batch_size]
-            grad_w, grad_off = _step_gradient(
-                w, offsets, diff[idx], r[idx], users[idx], config
-            )
-            w -= config.learning_rate * grad_w
-            if offsets is not None:
-                offsets -= config.learning_rate * grad_off
+        diff_e, r_e, users_e = diff[order], r[order], users[order]
+        with np.errstate(over="ignore"):
+            for start in range(0, n, size):
+                stop = start + size
+                grad_w, grad_off = _step_gradient(
+                    w, offsets, diff_e[start:stop], r_e[start:stop], users_e[start:stop], config
+                )
+                w -= config.learning_rate * grad_w
+                if offsets is not None:
+                    offsets -= config.learning_rate * grad_off
+        # Freed before the epoch-end loss, whose temporaries are as large.
+        del diff_e, r_e, users_e
         epoch_loss = full_loss()
         if not math.isfinite(epoch_loss):
             raise ValueError(

@@ -1,6 +1,8 @@
 """CLI subcommands: file contracts, exit codes, determinism, manifests."""
 
 import json
+import os
+import stat
 
 import numpy as np
 import pytest
@@ -112,6 +114,20 @@ class TestScale:
             scores = [c.score for c in scaled.restrict(user_id=user)]
             assert min(scores) == -1.0
             assert max(scores) == 1.0
+
+    @pytest.mark.parametrize("umask", [0o022, 0o002], ids=oct)
+    def test_manifest_mode_matches_data_files(self, tmp_path, umask):
+        sim = _simulate(tmp_path)
+        out = tmp_path / "scaled"
+        previous = os.umask(umask)
+        try:
+            assert _run(["scale", "--input", str(sim / "comparisons.csv"),
+                         "--scaler", "minmax", "-o", str(out)]) == 0
+        finally:
+            os.umask(previous)
+        mode = stat.S_IMODE((out / "scaled.csv").stat().st_mode)
+        assert mode == 0o666 & ~umask
+        assert stat.S_IMODE((out / "manifest_scale.json").stat().st_mode) == mode
 
     def test_mehestan_writes_affines_for_each_user(self, tmp_path):
         rows = []

@@ -8,7 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from equirank import dataset, simgen
 from equirank.dataset import (
+    COMPARISONS_HEADER,
     ComparisonSet,
     FeatureTable,
     comparison_set,
@@ -19,6 +21,7 @@ from equirank.dataset import (
     write_comparisons,
     write_features,
 )
+from equirank.scaling import minmax_scale, parse_scaled_comparisons, write_scaled_comparisons
 
 
 def _write(tmp_path, name, text):
@@ -261,3 +264,157 @@ def test_derived_sets_match_contents():
     assert cset.users == {"u1", "u2"}
     assert cset.items == {"a", "b", "c"}
     assert isinstance(cset, ComparisonSet)
+
+
+# --- The byte path against csv.reader ---------------------------------------
+#
+# `read_columns` reads a file on bytes when it can and otherwise through
+# csv.reader. Each generated file is parsed as usual and with the byte path
+# switched off; both must give the same set, or the same error.
+
+_BLOCK_SIZES = st.sampled_from([1, 7, 64, dataset._BLOCK_BYTES])
+# Ids the byte path reads: no comma, quote, CR, LF or NUL, at most 40 bytes.
+_plain_ids = st.text(
+    alphabet=st.characters(codec="utf-8", exclude_characters=',"\r\n\x00'), max_size=10
+)
+# Ids it leaves to csv.reader, next to ones it reads.
+_special_ids = st.one_of(
+    st.text(alphabet=st.one_of(st.sampled_from(',"\r\n\x00é'), st.characters(codec="utf-8")),
+            max_size=6),
+    st.text(alphabet=st.characters(codec="utf-8"), min_size=65, max_size=70),
+    _plain_ids,
+)
+_good_scores = st.one_of(
+    st.floats(-1.0, 1.0).map(repr), st.sampled_from([" 0.25", "+.5e-0", "-0.2_5", "1"])
+)
+_bad_scores = st.sampled_from(["1_0", "nan", "١", "1.5", "-inf", "", "0x1p-2", "1e999", "spam"])
+_BAD_ROWS = ("short", "long", "self", "score")
+
+
+@st.composite
+def _comparison_files(draw, ids):
+    """(file bytes, header) in either schema; ids quoted as `csv_field` does,
+    blank lines, a final LF or not, and at most one bad row in four files."""
+    header = draw(st.sampled_from([COMPARISONS_HEADER, COMPARISONS_HEADER + ["scaler"]]))
+    tag = draw(st.sampled_from(["minmax", "none", "bogus"]))
+    rows = draw(st.lists(
+        st.tuples(ids, ids, ids, ids, _good_scores).filter(lambda r: r[2] != r[3]),
+        max_size=12,
+    ))
+    lines = [",".join(header)]
+    bad_at = draw(st.integers(0, 4 * len(rows)))
+    for k, (user, criterion, left, right, score) in enumerate(rows):
+        fields = [user, criterion, left, right]
+        if k == bad_at:
+            kind = draw(st.sampled_from(_BAD_ROWS))
+            if kind == "self":
+                fields[3] = left
+            elif kind == "score":
+                score = draw(_bad_scores)
+            elif kind == "long":
+                fields.append("x")
+            else:
+                fields = fields[:3]
+        fields = [csv_field(f) for f in fields] + [score]
+        lines.append(",".join(fields + [tag] * (len(header) - 5)))
+        if draw(st.integers(0, 5)) == 0:
+            lines.append("")
+    text = "\n".join(lines) + draw(st.sampled_from(["\n", ""]))
+    return text.encode("utf-8"), header
+
+
+def _outcome(path, header):
+    """What parsing gives: the set's vocabularies, code and score bytes and
+    scaler tag, or the type and message of the error."""
+    parse = parse_comparisons if header == COMPARISONS_HEADER else parse_scaled_comparisons
+    try:
+        s = parse(path)
+    except (ValueError, csv.Error) as exc:
+        return type(exc), str(exc)
+    return (
+        type(s), s.user_ids, s.criterion_ids, s.item_ids,
+        *(a.tobytes() for a in (s.user, s.criterion, s.left, s.right, s.score)),
+        getattr(s, "scaler_tag", None),
+    )
+
+
+def _check_both_paths(path, data, header, block_bytes) -> bool:
+    """Assert both paths agree on `data`; True if the byte path read it."""
+    path.write_bytes(data)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dataset, "_BLOCK_BYTES", block_bytes)
+        by_bytes = dataset._read_bytes(path, header) is not None
+        usual = _outcome(path, header)
+        mp.setattr(dataset, "_read_bytes", lambda path, header: None)
+        assert usual == _outcome(path, header)
+    return by_bytes
+
+
+def test_byte_path_matches_csv_path_on_plain_ids(tmp_path):
+    taken = []
+
+    @given(file=_comparison_files(_plain_ids), block_bytes=_BLOCK_SIZES)
+    @settings(max_examples=300, deadline=None)
+    def check(file, block_bytes):
+        path = tmp_path / f"c{len(taken)}.csv"
+        taken.append(_check_both_paths(path, *file, block_bytes))
+
+    check()
+    # Bad rows and numpy-unparsable scores send about a quarter of the files
+    # to csv.reader.
+    assert sum(taken) > len(taken) / 2
+
+
+@given(file=_comparison_files(_special_ids), block_bytes=_BLOCK_SIZES)
+@settings(max_examples=300, deadline=None)
+def test_byte_path_matches_csv_path_on_special_ids(file, block_bytes, tmp_path_factory):
+    _check_both_paths(tmp_path_factory.mktemp("ids") / "c.csv", *file, block_bytes)
+
+
+_SCALED = COMPARISONS_HEADER + ["scaler"]
+
+
+@pytest.mark.parametrize("data, header", [
+    pytest.param(b"", COMPARISONS_HEADER, id="empty"),
+    pytest.param(HEADER.encode(), COMPARISONS_HEADER, id="header-only"),
+    pytest.param(HEADER.encode()[:-1], COMPARISONS_HEADER, id="header-without-lf"),
+    pytest.param(HEADER.replace("\n", "\r\n").encode() + b"u,g,a,b,0.5\r\n",
+                 COMPARISONS_HEADER, id="crlf"),
+    pytest.param(b"\xef\xbb\xbf" + HEADER.encode() + b"u,g,a,b,0.5\n", COMPARISONS_HEADER,
+                 id="bom"),
+    pytest.param(HEADER.encode() + b"\n\n", COMPARISONS_HEADER, id="blank-lines-only"),
+    pytest.param(HEADER.encode() + b"u\xff,g,a,b,0.5\n", COMPARISONS_HEADER, id="not-utf8"),
+    pytest.param(HEADER.encode() + b"u,g,a,b,0.5\n" + b"x" * 65 + b",g,a,b,0.5\n",
+                 COMPARISONS_HEADER, id="65-byte-id"),
+    pytest.param(HEADER.encode() + b"u,g,a,b,\xd9\xa1\n", COMPARISONS_HEADER,
+                 id="arabic-digit-score"),
+    # One row a column long and one short: the comma total is right.
+    pytest.param(",".join(_SCALED).encode() + b"\nu,g,a,b,0.5,none,x\nu,g,a,0.5,none\n",
+                 _SCALED, id="long-and-short-row"),
+])
+def test_byte_path_matches_csv_path_on_edge_files(tmp_path, data, header):
+    _check_both_paths(tmp_path / "c.csv", data, header, dataset._BLOCK_BYTES)
+
+
+@pytest.mark.parametrize("block_bytes", [1, 7, 64])
+def test_rows_straddling_blocks_read_on_bytes(tmp_path, block_bytes):
+    data = (HEADER + "u1,g,a,b,-0.5\n\nuser-2,crit,item-with-long-id,a,0.125").encode()
+    assert _check_both_paths(tmp_path / "c.csv", data, COMPARISONS_HEADER, block_bytes)
+
+
+def test_written_files_take_the_byte_path(tmp_path, monkeypatch):
+    cset, _, _ = simgen.generate(simgen.SimConfig(
+        n_items=30, feature_dim=2, n_users=5, comparisons_per_user=40, seed=3,
+    ))
+    scaled = minmax_scale(cset)
+    write_comparisons(cset, tmp_path / "c.csv")
+    write_scaled_comparisons(scaled, tmp_path / "s.csv")
+
+    def unused(path, header):
+        raise AssertionError("csv.reader path used")
+
+    monkeypatch.setattr(dataset, "_read_text", unused)
+    assert parse_comparisons(tmp_path / "c.csv").comparisons == cset.comparisons
+    back = parse_scaled_comparisons(tmp_path / "s.csv")
+    assert back.comparisons == scaled.comparisons
+    assert back.scaler_tag == "minmax"
