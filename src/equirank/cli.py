@@ -11,9 +11,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import sys
-import tempfile
 from collections.abc import Mapping
 from datetime import datetime, timezone
 from pathlib import Path
@@ -22,6 +20,7 @@ from . import __version__
 from .dataset import (
     ComparisonSet,
     FeatureTable,
+    atomic_write,
     parse_comparisons,
     parse_features,
     split,
@@ -96,58 +95,64 @@ def _write_manifest(
         "created_utc": datetime.now(timezone.utc).isoformat(),
     }
     target = outdir / f"manifest_{subcommand}.json"
-    fd, tmp_name = tempfile.mkstemp(dir=outdir, prefix=".manifest-", suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            json.dump(manifest, fh, indent=2)
-            fh.write("\n")
-        # mkstemp creates the file 0600; give it the mode `open` gives the
-        # data files beside it. Reading the umask means setting it.
-        umask = os.umask(0o022)
-        os.umask(umask)
-        os.chmod(tmp_name, 0o666 & ~umask)
-        os.replace(tmp_name, target)
-    except BaseException:
-        if os.path.exists(tmp_name):
-            os.unlink(tmp_name)
-        raise
+    with atomic_write(target, "w", encoding="utf-8") as fh:
+        json.dump(manifest, fh, indent=2)
+        fh.write("\n")
     return target
 
 
-def _parse_archetype_mix(text: str) -> dict[str, int]:
-    """Counts like `neutral=4,conservative=2`; SimConfig checks names and sum."""
+def _archetype_mix(text: str) -> dict[str, int] | None:
+    """Counts like `neutral=4,conservative=2`, or None (all neutral) for an
+    empty text; SimConfig checks the names and the sum."""
+    if not text:
+        return None
     mix: dict[str, int] = {}
     for part in text.split(","):
         if part:
-            name, _, count = part.partition("=")
-            mix[name] = int(count)
+            name, sep, count = part.partition("=")
+            if not sep or not name:
+                raise argparse.ArgumentTypeError(f"entry {part!r} is not name=count")
+            try:
+                mix[name] = int(count)
+            except ValueError:
+                raise argparse.ArgumentTypeError(
+                    f"entry {part!r}: count {count!r} is not an integer"
+                ) from None
     return mix
+
+
+def _group_sizes(text: str) -> tuple[int, ...] | None:
+    """Comma-separated block sizes, or None (round-robin) for an empty
+    text; SimConfig checks their number and sum."""
+    if not text:
+        return None
+    sizes = []
+    for part in text.split(","):
+        try:
+            sizes.append(int(part))
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"entry {part!r} is not an integer") from None
+    return tuple(sizes)
 
 
 def _sim_config(values: Mapping[str, object]) -> SimConfig:
     """SimConfig from the `simulate` flags (`vars(args)`) or the pipeline
-    config, which share key names; an empty or missing `archetypes` or
-    `group_sizes` means the default."""
+    config, which share key names and hold `archetypes` and `group_sizes`
+    as `_archetype_mix` and `_group_sizes` parse them."""
     return SimConfig(
         n_items=values["items"],
         feature_dim=values["dim"],
         n_users=values["users"],
         comparisons_per_user=values["per_user"],
         noise_std=values["noise"],
-        archetype_mix=(
-            _parse_archetype_mix(values["archetypes"]) if values["archetypes"] else None
-        ),
+        archetype_mix=values["archetypes"],
         n_groups=values["groups"],
         seed=values["seed"],
         criterion=values["criterion"],
         weight_scale=values["weight_scale"],
         user_jitter=values["user_jitter"],
         opposed_groups=values["opposed_groups"],
-        group_sizes=(
-            tuple(int(s) for s in values["group_sizes"].split(","))
-            if values["group_sizes"]
-            else None
-        ),
+        group_sizes=values["group_sizes"],
         malicious_mode=values["malicious_mode"],
     )
 
@@ -341,8 +346,8 @@ _PIPELINE_DEFAULTS: dict[str, object] = {
     "criterion": "overall",
     "groups": 1,
     "opposed_groups": False,
-    "group_sizes": "",
-    "archetypes": "",
+    "group_sizes": None,
+    "archetypes": None,
     "weight_scale": 0.5,
     "user_jitter": 0.1,
     "malicious_mode": "signflip",
@@ -364,6 +369,9 @@ _PIPELINE_DEFAULTS: dict[str, object] = {
     "resilience_weight": 1.0,
 }
 
+# Keys with a syntax of their own, parsed as the `simulate` flags are.
+_PIPELINE_PARSERS = {"archetypes": _archetype_mix, "group_sizes": _group_sizes}
+
 _EXPERIMENT_SCALERS = {"baseline": "none", "none": "none", "minmax": "minmax",
                        "normalization": "normalization", "mehestan": "mehestan"}
 
@@ -384,13 +392,19 @@ def parse_pipeline_config(path: str | Path) -> tuple[dict[str, object], list[str
         if not sep:
             raise UsageError(f"{path}: line {lineno}: expected key = value")
         if key == "experiment":
+            try:
+                _parse_experiment(value)
+            except UsageError as exc:
+                raise UsageError(f"{path}: line {lineno}: {exc}") from None
             experiments.append(value)
             continue
         if key not in _PIPELINE_DEFAULTS:
             raise UsageError(f"{path}: line {lineno}: unknown config key {key!r}")
         default = _PIPELINE_DEFAULTS[key]
         try:
-            if isinstance(default, bool):
+            if key in _PIPELINE_PARSERS:
+                values[key] = _PIPELINE_PARSERS[key](value)
+            elif isinstance(default, bool):
                 if value.lower() not in ("true", "false"):
                     raise ValueError(value)
                 values[key] = value.lower() == "true"
@@ -400,6 +414,10 @@ def parse_pipeline_config(path: str | Path) -> tuple[dict[str, object], list[str
                 values[key] = float(value)
             else:
                 values[key] = value
+        except argparse.ArgumentTypeError as exc:
+            raise UsageError(
+                f"{path}: line {lineno}: bad value {value!r} for key {key!r}: {exc}"
+            ) from None
         except ValueError:
             raise UsageError(
                 f"{path}: line {lineno}: bad value {value!r} for key {key!r}"
@@ -532,11 +550,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--noise", type=float, default=0.1)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--criterion", default="overall")
-    p.add_argument("--archetypes", default=None,
+    p.add_argument("--archetypes", type=_archetype_mix, default=None,
                    help="counts like neutral=4,conservative=2 (default all neutral)")
     p.add_argument("--groups", type=_positive_int, default=1)
     p.add_argument("--opposed-groups", action="store_true")
-    p.add_argument("--group-sizes", default=None, help="comma-separated block sizes")
+    p.add_argument("--group-sizes", type=_group_sizes, default=None,
+                   help="comma-separated block sizes")
     p.add_argument("--weight-scale", type=float, default=0.5)
     p.add_argument("--user-jitter", type=float, default=0.1)
     p.add_argument("--malicious-mode", choices=["signflip", "random"], default="signflip")

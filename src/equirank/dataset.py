@@ -14,19 +14,30 @@ CSV files follow one quoting rule: a field is quoted when it contains a
 comma, a double quote, a carriage return or a line feed, and quotes inside
 it are doubled. That is what `csv.reader` reads back, so every id
 round-trips.
+
+Comparisons are written on bytes: each vocabulary entry is quoted and
+encoded once into a table of tokens, and blocks of rows are gathered from
+the tables by code, with one repr of each block's score list. The bytes are
+those of joining each row from `csv_field` and repr(score). Every CSV file
+is written under a temporary name and moved onto its path when complete, so
+a write cut short leaves the earlier file, or none, and never a truncated
+one.
 """
 
 from __future__ import annotations
 
 import bisect
+import contextlib
 import csv
 import functools
 import math
 import operator
+import os
+import tempfile
 from dataclasses import dataclass
 from itertools import islice
 from pathlib import Path
-from typing import BinaryIO, Iterable, Iterator, NamedTuple, Sequence
+from typing import IO, BinaryIO, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -39,6 +50,11 @@ _CHUNK_ROWS = 512
 # parsed no faster than these and left a process's peak memory higher.
 _BLOCK_BYTES = 1 << 18
 _FIELD_CAP = 64
+# `write_columns` formats _WRITE_ROWS rows at a time, so every temporary is
+# sized to a block and not to the set. No float's repr is longer than
+# _REPR_CAP bytes: a sign, 17 digits, a point and an exponent such as e-308.
+_WRITE_ROWS = 1 << 14
+_REPR_CAP = 24
 
 
 class Comparison(NamedTuple):
@@ -293,11 +309,102 @@ def csv_field(text: str) -> str:
     return text
 
 
+@contextlib.contextmanager
+def atomic_write(path: str | Path, mode: str = "w", **kwargs) -> Iterator[IO]:
+    """Open a new file, with `os.fdopen`'s `mode` and `kwargs`, that replaces
+    `path` when the block exits without an error.
+
+    The file is written under a temporary name in `path`'s directory, given
+    the mode `open` gives a new file, then moved onto `path`. On an error it
+    is removed and `path` is left as it was, so no data file is ever cut
+    short.
+    """
+    path = Path(path)
+    fd, tmp_name = tempfile.mkstemp(dir=path.parent, prefix=".equirank-", suffix=".tmp")
+    try:
+        with os.fdopen(fd, mode, **kwargs) as fh:
+            yield fh
+        # mkstemp creates the file 0600. Reading the umask means setting it.
+        umask = os.umask(0o022)
+        os.umask(umask)
+        os.chmod(tmp_name, 0o666 & ~umask)
+        os.replace(tmp_name, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp_name)
+        raise
+
+
 def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence[str]]) -> None:
     """Write text rows as UTF-8 CSV with LF line ends, quoting each field."""
-    with Path(path).open("w", newline="", encoding="utf-8") as fh:
+    with atomic_write(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(",".join(map(csv_field, header)) + "\n")
         fh.writelines(",".join(map(csv_field, row)) + "\n" for row in rows)
+
+
+def _token_table(vocab: Sequence[str]) -> tuple[np.ndarray, np.ndarray | None]:
+    """Each entry as `csv_field` writes it, in UTF-8, zero-padded in an
+    `S<width>` array; and the entries' byte lengths, or None when they all
+    have the array's width."""
+    tokens = [csv_field(v).encode() for v in vocab]
+    lengths = np.array([len(t) for t in tokens], dtype=np.intp)
+    width = max(int(lengths.max(initial=0)), 1)
+    return np.array(tokens, dtype=f"S{width}"), None if (lengths == width).all() else lengths
+
+
+def _score_tokens(score: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The repr of each score, zero-padded or followed by other bytes in an
+    `S<width>` array, and its byte length.
+
+    One repr of the list formats each float as repr(float) does, joined by
+    ", "; the tokens are cut out of it as `_block_fields` cuts fields.
+    """
+    text = repr(score.tolist()).encode()
+    buf = np.frombuffer(text + bytes(_REPR_CAP), dtype=np.uint8)
+    commas = np.flatnonzero(buf == ord(","))
+    starts = np.concatenate(([1], commas + 2))
+    lengths = np.concatenate((commas, [len(text) - 1])) - starts
+    width = int(lengths.max())
+    tokens = np.lib.stride_tricks.sliding_window_view(buf, width)[starts]
+    return tokens.view(f"S{width}").ravel(), lengths
+
+
+def _row_blocks(cset: ComparisonSet, extra: tuple[str, ...]) -> Iterator[bytes]:
+    """The set's rows as CSV lines ending in the `extra` fields, in blocks
+    of _WRITE_ROWS rows.
+
+    A block's lines are the rows of a byte matrix: each field's tokens are
+    gathered by code into fixed columns, with the commas, the extra fields
+    and the LF in the columns between and after them. The padding of each
+    token is masked out by its length, never by its bytes, since an id may
+    hold a NUL.
+    """
+    items = _token_table(cset.item_ids)
+    tables = (_token_table(cset.user_ids), _token_table(cset.criterion_ids), items, items)
+    codes = (cset.user, cset.criterion, cset.left, cset.right)
+    tail = "".join("," + csv_field(v) for v in extra) + "\n"
+    separators = [np.frombuffer(s.encode(), dtype=np.uint8) for s in (",", ",", ",", ",", tail)]
+    for start in range(0, len(cset), _WRITE_ROWS):
+        rows = slice(start, start + _WRITE_ROWS)
+        block_codes = [c[rows] for c in codes]
+        fields = [
+            (table[c], None if lengths is None else lengths[c])
+            for (table, lengths), c in zip(tables, block_codes)
+        ]
+        fields.append(_score_tokens(cset.score[rows]))
+        n = block_codes[0].size
+        width = sum(tokens.itemsize + sep.size for (tokens, _), sep in zip(fields, separators))
+        lines = np.empty((n, width), dtype=np.uint8)
+        keep = np.ones((n, width), dtype=bool)
+        at = 0
+        for (tokens, lengths), sep in zip(fields, separators):
+            end = at + tokens.itemsize
+            lines[:, at:end].view(tokens.dtype)[:, 0] = tokens
+            if lengths is not None:
+                np.less(np.arange(end - at), lengths[:, None], out=keep[:, at:end])
+            lines[:, end : end + sep.size] = sep
+            at = end + sep.size
+        yield lines[keep].tobytes()
 
 
 def write_columns(
@@ -305,23 +412,14 @@ def write_columns(
 ) -> None:
     """Write a set in the comparisons schema, plus constant trailing fields.
 
-    Each vocabulary entry is quoted once, then rows are joined from the codes.
+    Each vocabulary entry is quoted and encoded once; the rows are written
+    in blocks, each formatted with numpy from the codes and one repr of its
+    scores. The bytes are those of writing each row with `csv_field` and
+    repr(score).
     """
-
-    def text(vocab: tuple[str, ...], codes: np.ndarray) -> list[str]:
-        return list(map([csv_field(v) for v in vocab].__getitem__, codes.tolist()))
-
-    tail = "".join("," + csv_field(v) for v in extra)
-    rows = zip(
-        text(cset.user_ids, cset.user),
-        text(cset.criterion_ids, cset.criterion),
-        text(cset.item_ids, cset.left),
-        text(cset.item_ids, cset.right),
-        cset.score.tolist(),
-    )
-    with Path(path).open("w", newline="", encoding="utf-8") as fh:
-        fh.write(",".join(map(csv_field, header)) + "\n")
-        fh.writelines(f"{u},{c},{l},{r},{s!r}{tail}\n" for u, c, l, r, s in rows)
+    with atomic_write(path, "wb") as fh:
+        fh.write((",".join(map(csv_field, header)) + "\n").encode())
+        fh.writelines(_row_blocks(cset, extra))
 
 
 def _row_error(row: list[str], ncols: int) -> str | None:

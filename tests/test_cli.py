@@ -68,6 +68,18 @@ class TestSimulate:
                      "-o", str(tmp_path / "x")]) == 1
         assert capsys.readouterr().err == f"equirank: {message}\n"
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--group-sizes", "a,b", "entry 'a' is not an integer"),
+        ("--archetypes", "neutral:x", "entry 'neutral:x' is not name=count"),
+        ("--archetypes", "neutral=x", "entry 'neutral=x': count 'x' is not an integer"),
+    ])
+    def test_malformed_mix_is_usage_error(self, tmp_path, capsys, flag, value, message):
+        with pytest.raises(SystemExit) as excinfo:
+            _run(["simulate", "--users", "4", "--items", "5", "--dim", "2",
+                  "--per-user", "5", flag, value, "-o", str(tmp_path / "x")])
+        assert excinfo.value.code == 2
+        assert f"argument {flag}: {message}" in capsys.readouterr().err
+
     def test_flags_and_pipeline_config_build_the_same_sim_config(self, tmp_path):
         args = build_parser().parse_args(
             ["simulate", "--users", "6", "--items", "9", "--dim", "3", "--per-user", "20",
@@ -397,6 +409,18 @@ class TestPipeline:
         assert _run(["pipeline", "--config", str(config),
                      "-o", str(tmp_path / "x")]) == 2
         assert "frobnicate" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("line, message", [
+        ("group_sizes = a,b", "bad value 'a,b' for key 'group_sizes': entry 'a' is not an integer"),
+        ("archetypes = neutral:x",
+         "bad value 'neutral:x' for key 'archetypes': entry 'neutral:x' is not name=count"),
+    ])
+    def test_malformed_mix_names_the_line(self, tmp_path, capsys, line, message):
+        config = tmp_path / "bad.cfg"
+        config.write_text(f"users = 4\n{line}\n")
+        assert _run(["pipeline", "--config", str(config),
+                     "-o", str(tmp_path / "x")]) == 2
+        assert capsys.readouterr().err == f"equirank: {config}: line 2: {message}\n"
 
     def test_unknown_experiment_token_is_usage_error(self, tmp_path, capsys):
         config = tmp_path / "bad.cfg"
