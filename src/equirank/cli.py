@@ -20,13 +20,13 @@ from . import __version__
 from .dataset import (
     ComparisonSet,
     FeatureTable,
-    atomic_write,
     parse_comparisons,
     parse_features,
     split,
     write_comparisons,
     write_csv,
     write_features,
+    write_json,
 )
 from .equity import build_report, write_lorenz, write_report
 from .gbt import GbtConfig, write_individual_scores
@@ -95,9 +95,7 @@ def _write_manifest(
         "created_utc": datetime.now(timezone.utc).isoformat(),
     }
     target = outdir / f"manifest_{subcommand}.json"
-    with atomic_write(target, "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2)
-        fh.write("\n")
+    write_json(target, manifest)
     return target
 
 
@@ -369,8 +367,16 @@ _PIPELINE_DEFAULTS: dict[str, object] = {
     "resilience_weight": 1.0,
 }
 
-# Keys with a syntax of their own, parsed as the `simulate` flags are.
-_PIPELINE_PARSERS = {"archetypes": _archetype_mix, "group_sizes": _group_sizes}
+# Keys parsed and checked as the flags of the same name are.
+_PIPELINE_PARSERS = {
+    "archetypes": _archetype_mix,
+    "group_sizes": _group_sizes,
+    "train_fraction": _fraction,
+    **dict.fromkeys(
+        ["users", "items", "dim", "per_user", "groups", "batch_size", "gbt_max_iter"],
+        _positive_int,
+    ),
+}
 
 _EXPERIMENT_SCALERS = {"baseline": "none", "none": "none", "minmax": "minmax",
                        "normalization": "normalization", "mehestan": "mehestan"}

@@ -15,12 +15,12 @@ comma, a double quote, a carriage return or a line feed, and quotes inside
 it are doubled. That is what `csv.reader` reads back, so every id
 round-trips.
 
-Comparisons are written on bytes: each vocabulary entry is quoted and
-encoded once into a table of tokens, and blocks of rows are gathered from
-the tables by code, with one repr of each block's score list. The bytes are
-those of joining each row from `csv_field` and repr(score). Every CSV file
-is written under a temporary name and moved onto its path when complete, so
-a write cut short leaves the earlier file, or none, and never a truncated
+Comparisons are read on bytes, LF or CRLF, and through csv.reader only when
+a file needs it. They are written on bytes, from a table of quoted tokens
+per vocabulary and one repr of each block's scores; the bytes are those of
+joining each row from `csv_field` and repr(score). Every data file is
+written under a temporary name and moved onto its path when complete, so a
+write cut short leaves the earlier file, or none, and never a truncated
 one.
 """
 
@@ -30,21 +30,18 @@ import bisect
 import contextlib
 import csv
 import functools
+import json
 import math
-import operator
 import os
 import tempfile
+from array import array
 from dataclasses import dataclass
-from itertools import islice
 from pathlib import Path
 from typing import IO, BinaryIO, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
 COMPARISONS_HEADER = ["user_id", "criterion", "left_item", "right_item", "score"]
-# Rows the csv.reader path converts to columns at a time, so the per-row
-# Python strings of only one chunk are alive at once.
-_CHUNK_ROWS = 512
 # The byte path reads a file in blocks of about _BLOCK_BYTES, each cut after a
 # line end, and reads no field wider than _FIELD_CAP bytes. Blocks of 1 MiB
 # parsed no faster than these and left a process's peak memory higher.
@@ -236,33 +233,21 @@ def _code(vocab: tuple[str, ...], value: str) -> int | None:
     return k if k < len(vocab) and vocab[k] == value else None
 
 
-class _Vocab:
-    """Codes in first-appearance order, assigned chunk by chunk."""
-
-    def __init__(self) -> None:
-        self.index: dict[str, int] = {}
-
-    def codes(self, values: Sequence[str]) -> np.ndarray:
-        index = self.index
-        for value in dict.fromkeys(values):
-            if value not in index:
-                index[value] = len(index)
-        return np.fromiter(map(index.__getitem__, values), dtype=np.intp, count=len(values))
-
-    def key_codes(self, keys: np.ndarray) -> np.ndarray:
-        """Codes of ids given as `_keys`; the new ids of a chunk enter in
-        sorted order. Raises UnicodeDecodeError on an id that is not UTF-8."""
-        distinct, inverse = np.unique(keys, return_inverse=True)
-        return self.codes(_texts(distinct))[inverse]
+def _codes(vocab: dict[str, int], values: Sequence[str]) -> np.ndarray:
+    """Codes of `values` in `vocab`, which gives new ids the next codes in
+    first-appearance order."""
+    for value in dict.fromkeys(values):
+        vocab.setdefault(value, len(vocab))
+    return np.fromiter(map(vocab.__getitem__, values), dtype=np.intp, count=len(values))
 
 
 def _encode(users, criteria, lefts, rights, score) -> Columns:
-    user_vocab, criterion_vocab, item_vocab = _Vocab(), _Vocab(), _Vocab()
-    user, criterion = user_vocab.codes(users), criterion_vocab.codes(criteria)
-    left, right = item_vocab.codes(lefts), item_vocab.codes(rights)
+    user_vocab, criterion_vocab, item_vocab = {}, {}, {}
+    user, criterion = _codes(user_vocab, users), _codes(criterion_vocab, criteria)
+    left, right = _codes(item_vocab, lefts), _codes(item_vocab, rights)
     return Columns(
-        tuple(user_vocab.index), user, tuple(criterion_vocab.index), criterion,
-        tuple(item_vocab.index), left, right, score,
+        tuple(user_vocab), user, tuple(criterion_vocab), criterion,
+        tuple(item_vocab), left, right, score,
     )
 
 
@@ -340,6 +325,12 @@ def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence[s
     with atomic_write(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(",".join(map(csv_field, header)) + "\n")
         fh.writelines(",".join(map(csv_field, row)) + "\n" for row in rows)
+
+
+def write_json(path: str | Path, doc: object) -> None:
+    """Write `doc` as JSON indented by two spaces, with a final LF."""
+    with atomic_write(path, "w", encoding="utf-8") as fh:
+        fh.write(json.dumps(doc, indent=2) + "\n")
 
 
 def _token_table(vocab: Sequence[str]) -> tuple[np.ndarray, np.ndarray | None]:
@@ -438,68 +429,49 @@ def _row_error(row: list[str], ncols: int) -> str | None:
     return None
 
 
-def _first_error(path: Path, chunk: list[list[str]], lineno: int, ncols: int) -> str:
-    """Message naming the first bad row of a chunk whose first row is `lineno`."""
-    for offset, row in enumerate(chunk):
-        problem = _row_error(row, ncols) if row else None
-        if problem:
-            return f"{path}: line {lineno + offset}: {problem}"
-    raise AssertionError("a chunk was rejected but none of its rows is bad")
-
-
-def _chunk_columns(rows: list[list[str]], ncols: int) -> list | None:
-    """Transpose one chunk of non-empty rows; None if any row is invalid."""
-    if any(len(row) != ncols for row in rows):
-        return None
-    columns = list(zip(*rows))
-    try:
-        score = np.array(list(map(float, columns[4])), dtype=np.float64)
-    except ValueError:
-        return None
-    if not (np.isfinite(score) & (score >= -1.0) & (score <= 1.0)).all():
-        return None
-    if any(map(operator.eq, columns[2], columns[3])):
-        return None
-    columns[4] = score
-    return columns
+def _csv_rows(path: Path) -> Iterator[list[str]]:
+    """The rows of a UTF-8 CSV file through csv.reader, [] for a blank line.
+    Raises ValueError naming the file if it is empty, or naming the file and
+    the row on a csv.Error, such as a field over csv's size limit."""
+    with path.open(newline="", encoding="utf-8") as fh:
+        lineno = 0
+        try:
+            for lineno, row in enumerate(csv.reader(fh), start=1):
+                yield row
+        except csv.Error as exc:
+            raise ValueError(f"{path}: line {lineno + 1}: {exc}") from None
+    if lineno == 0:
+        raise ValueError(f"{path}: empty file, expected a header row")
 
 
 def _read_text(path: Path, header: list[str]) -> tuple[Columns, list[tuple[str, ...]]]:
-    """`read_columns` through csv.reader, which reads any file."""
+    """`read_columns` through csv.reader, which reads any file, row by row."""
     ncols = len(header)
-    vocabs = [_Vocab(), _Vocab(), _Vocab()]
-    parts: list[tuple[np.ndarray, ...]] = []
+    rows = _csv_rows(path)
+    first = next(rows)
+    if first != header:
+        raise ValueError(f"{path}: bad header {first!r}, expected {header!r}")
+    users, criteria, items = {}, {}, {}
+    codes = [array("q") for _ in range(4)]
+    score = array("d")
     extra: list[dict[str, None]] = [{} for _ in range(ncols - 5)]
-    with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        first = next(reader, None)
-        if first is None:
-            raise ValueError(f"{path}: empty file, expected a header row")
-        if first != header:
-            raise ValueError(f"{path}: bad header {first!r}, expected {header!r}")
-        lineno = 2  # of the chunk's first row
-        while chunk := list(islice(reader, _CHUNK_ROWS)):
-            rows = chunk if all(chunk) else [row for row in chunk if row]
-            if rows:
-                columns = _chunk_columns(rows, ncols)
-                if columns is None:
-                    raise ValueError(_first_error(path, chunk, lineno, ncols))
-                users, criteria, lefts, rights, score = columns[:5]
-                parts.append((
-                    vocabs[0].codes(users), vocabs[1].codes(criteria),
-                    vocabs[2].codes(lefts), vocabs[2].codes(rights), score,
-                ))
-                for seen, values in zip(extra, columns[5:]):
-                    seen.update(dict.fromkeys(values))
-            lineno += len(chunk)
-    if parts:
-        user, criterion, left, right, score = (np.concatenate(p) for p in zip(*parts))
-    else:
-        user = criterion = left = right = np.zeros(0, dtype=np.intp)
-        score = np.zeros(0, dtype=np.float64)
+    for lineno, row in enumerate(rows, start=2):
+        if not row:
+            continue
+        problem = _row_error(row, ncols)
+        if problem:
+            raise ValueError(f"{path}: line {lineno}: {problem}")
+        codes[0].append(users.setdefault(row[0], len(users)))
+        codes[1].append(criteria.setdefault(row[1], len(criteria)))
+        codes[2].append(items.setdefault(row[2], len(items)))
+        codes[3].append(items.setdefault(row[3], len(items)))
+        score.append(float(row[4]))
+        for seen, value in zip(extra, row[5:]):
+            seen[value] = None
+    user, criterion, left, right = (np.array(c, dtype=np.intp) for c in codes)
     columns = Columns(
-        tuple(vocabs[0].index), user, tuple(vocabs[1].index), criterion,
-        tuple(vocabs[2].index), left, right, score,
+        tuple(users), user, tuple(criteria), criterion,
+        tuple(items), left, right, np.array(score, dtype=np.float64),
     )
     return columns, [tuple(seen) for seen in extra]
 
@@ -521,12 +493,15 @@ def _line_blocks(fh: BinaryIO) -> Iterator[bytes]:
 
 def _block_fields(block: bytes, ncols: int) -> list[np.ndarray] | None:
     """Each column of a block of whole lines as a zero-padded uint8 matrix,
-    one row per non-blank line and at least 8 bytes wide.
+    one row per non-blank line and at least 8 bytes wide; a line may end in
+    CRLF.
 
     None where csv.reader could read the block otherwise: it holds a double
-    quote, CR or NUL, a line has other than ncols - 1 commas, or a field is
-    wider than _FIELD_CAP bytes.
+    quote, NUL or a CR outside a CRLF, a line has other than ncols - 1
+    commas, or a field is wider than _FIELD_CAP bytes.
     """
+    if b"\r" in block:
+        block = block.replace(b"\r\n", b"\n")
     if b'"' in block or b"\r" in block or b"\0" in block:
         return None
     buf = np.frombuffer(block + bytes(_FIELD_CAP), dtype=np.uint8)
@@ -570,21 +545,29 @@ def _texts(keys: np.ndarray) -> list[str]:
     return [key.decode() for key in keys.view(f"S{keys.itemsize}").tolist()]
 
 
+def _key_codes(vocab: dict[str, int], field: np.ndarray) -> np.ndarray:
+    """`_codes` of a field matrix's ids; the new ids of a block enter in
+    sorted order. Raises UnicodeDecodeError on an id that is not UTF-8."""
+    distinct, inverse = np.unique(_keys(field), return_inverse=True)
+    return _codes(vocab, _texts(distinct))[inverse]
+
+
 def _read_bytes(path: Path, header: list[str]) -> tuple[Columns, list[tuple[str, ...]]] | None:
     """`read_columns` on bytes, with numpy, for files that csv.reader splits
-    at every comma and LF.
+    at every comma and at every LF or CRLF.
 
     Returns None, and leaves the file to `_read_text`, when the first line
-    is not exactly the header, `_block_fields` finds a block it does not
-    read, an id is not UTF-8, numpy cannot parse a score, or any row fails
-    a check.
+    is not exactly the header ended by LF or CRLF, `_block_fields` finds a
+    block it does not read, an id is not UTF-8, numpy cannot parse a score,
+    or any row fails a check.
     """
     ncols = len(header)
-    items = _Vocab()
-    vocabs = (_Vocab(), _Vocab(), items, items)
+    users, criteria, items = {}, {}, {}
+    vocabs = (users, criteria, items, items)
     extra: list[dict[str, None]] = [{} for _ in range(ncols - 5)]
     with path.open("rb") as fh:
-        if fh.readline() != ",".join(header).encode() + b"\n":
+        line = ",".join(header).encode()
+        if fh.readline() not in (line + b"\n", line + b"\r\n"):
             return None
         # Each row but a last one without a line end ends at a LF, which
         # bounds the row count. Blocks fill columns allocated once: joining
@@ -602,7 +585,7 @@ def _read_bytes(path: Path, header: list[str]) -> tuple[Columns, list[tuple[str,
             score_text = fields[4]
             try:  # UnicodeDecodeError is a ValueError
                 block_score = score_text.view(f"S{score_text.shape[1]}").ravel().astype(np.float64)
-                block_codes = [v.key_codes(_keys(f)) for v, f in zip(vocabs, fields)]
+                block_codes = [_key_codes(v, f) for v, f in zip(vocabs, fields)]
                 values = [_texts(np.unique(_keys(field))) for field in fields[5:]]
             except ValueError:
                 return None
@@ -617,8 +600,7 @@ def _read_bytes(path: Path, header: list[str]) -> tuple[Columns, list[tuple[str,
                 seen.update(dict.fromkeys(distinct))
     user, criterion, left, right, score = (column[:n] for column in columns)
     result = Columns(
-        tuple(vocabs[0].index), user, tuple(vocabs[1].index), criterion,
-        tuple(items.index), left, right, score,
+        tuple(users), user, tuple(criteria), criterion, tuple(items), left, right, score,
     )
     return result, [tuple(seen) for seen in extra]
 
@@ -659,39 +641,29 @@ def parse_features(path: str | Path) -> FeatureTable:
     """Read a features CSV (header item_id,f0,...,f{d-1})."""
     path = Path(path)
     features: dict[str, np.ndarray] = {}
-    with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
+    rows = _csv_rows(path)
+    header = next(rows)
+    if len(header) < 2 or header[0] != "item_id":
+        raise ValueError(f"{path}: bad header {header!r}")
+    dim = len(header) - 1
+    expected = ["item_id"] + [f"f{i}" for i in range(dim)]
+    if header != expected:
+        raise ValueError(f"{path}: bad header {header!r}, expected {expected!r}")
+    for lineno, row in enumerate(rows, start=2):
+        if not row:
+            continue
+        if len(row) != dim + 1:
+            raise ValueError(f"{path}: line {lineno}: expected {dim + 1} columns, got {len(row)}")
+        item_id = row[0]
+        if item_id in features:
+            raise ValueError(f"{path}: line {lineno}: duplicate item_id {item_id!r}")
         try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError(f"{path}: empty file, expected a header row") from None
-        if len(header) < 2 or header[0] != "item_id":
-            raise ValueError(f"{path}: bad header {header!r}")
-        dim = len(header) - 1
-        expected = ["item_id"] + [f"f{i}" for i in range(dim)]
-        if header != expected:
-            raise ValueError(f"{path}: bad header {header!r}, expected {expected!r}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != dim + 1:
-                raise ValueError(
-                    f"{path}: line {lineno}: expected {dim + 1} columns, got {len(row)}"
-                )
-            item_id = row[0]
-            if item_id in features:
-                raise ValueError(
-                    f"{path}: line {lineno}: duplicate item_id {item_id!r}"
-                )
-            try:
-                vec = np.array([float(v) for v in row[1:]], dtype=np.float64)
-            except ValueError:
-                raise ValueError(
-                    f"{path}: line {lineno}: unparsable feature value"
-                ) from None
-            if not np.all(np.isfinite(vec)):
-                raise ValueError(f"{path}: line {lineno}: non-finite feature value")
-            features[item_id] = vec
+            vec = np.array([float(v) for v in row[1:]], dtype=np.float64)
+        except ValueError:
+            raise ValueError(f"{path}: line {lineno}: unparsable feature value") from None
+        if not np.all(np.isfinite(vec)):
+            raise ValueError(f"{path}: line {lineno}: non-finite feature value")
+        features[item_id] = vec
     return FeatureTable(dim, features)
 
 

@@ -8,14 +8,13 @@ of the per-user accuracies, plus the Lorenz curve of their cumulative shares.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .dataset import ComparisonSet, write_csv
+from .dataset import ComparisonSet, write_csv, write_json
 
 CLASSES = ("left", "tie", "right")
 
@@ -223,9 +222,7 @@ def build_report(predictions: Predictions, tie_epsilon: float) -> EquityReport:
 
 
 def write_report(report: EquityReport, path: str | Path) -> None:
-    Path(path).write_text(
-        json.dumps(report.to_dict(), indent=2) + "\n", encoding="utf-8"
-    )
+    write_json(path, report.to_dict())
 
 
 def write_lorenz(report: EquityReport, path: str | Path) -> None:

@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import ComparisonSet, FeatureTable
+from .dataset import ComparisonSet, FeatureTable, write_json
 from .equity import Predictions
 
 
@@ -287,18 +287,42 @@ def save_model(params: ModelParams, path: str | Path) -> None:
         "w": params.w.tolist(),
         "user_offsets": {u: o.tolist() for u, o in sorted(params.user_offsets.items())},
     }
-    Path(path).write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
+    write_json(path, doc)
+
+
+def _vector(path: Path, name: str, value: object) -> np.ndarray:
+    """A JSON array of numbers as a float64 vector."""
+    if not isinstance(value, list) or not all(
+        isinstance(v, (int, float)) and not isinstance(v, bool) for v in value
+    ):
+        raise ValueError(f"{path}: {name} is not an array of numbers")
+    return np.array(value, dtype=np.float64)
 
 
 def load_model(path: str | Path) -> ModelParams:
-    doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    w = np.array(doc["w"], dtype=np.float64)
+    """Read a `save_model` document; raises ValueError naming the file when
+    it is not a JSON object whose `dim` is an integer, `w` an array of `dim`
+    numbers and `user_offsets` an object of such arrays."""
+    path = Path(path)
+    try:
+        doc = json.loads(path.read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    if not isinstance(doc, dict):
+        raise ValueError(f"{path}: model is not a JSON object")
+    for key, kind, name in [("dim", int, "an integer"), ("w", list, "an array"),
+                            ("user_offsets", dict, "an object")]:
+        if key not in doc:
+            raise ValueError(f"{path}: model has no {key!r}")
+        if not isinstance(doc[key], kind) or isinstance(doc[key], bool):
+            raise ValueError(f"{path}: {key!r} is not {name}")
+    w = _vector(path, "w", doc["w"])
     if w.shape != (doc["dim"],):
-        raise ValueError(f"model dim {doc['dim']} does not match weights {w.shape}")
+        raise ValueError(f"{path}: model dim {doc['dim']} does not match weights {w.shape}")
     offsets = {
-        u: np.array(o, dtype=np.float64) for u, o in doc["user_offsets"].items()
+        u: _vector(path, f"offset for user {u!r}", o) for u, o in doc["user_offsets"].items()
     }
     for u, o in offsets.items():
         if o.shape != w.shape:
-            raise ValueError(f"offset for user {u!r} has shape {o.shape}")
+            raise ValueError(f"{path}: offset for user {u!r} has shape {o.shape}")
     return ModelParams(w, offsets)

@@ -4,7 +4,7 @@ QrMed is the quadratically regularized median,
 
     argmin_m (W/2) * (m - default)^2 + sum_i |x_i - m|,
 
-solved exactly by scanning the piecewise-linear subgradient. The W term
+solved exactly, in closed form, from the piecewise-linear subgradient. The W term
 bounds the influence of any single voter by 1/W. BrMean recenters at QrMed
 and averages inputs clipped to a +-clip_radius window around it, so one
 arbitrary voter moves the result by at most about 2/W + clip_radius/(n+1).
@@ -50,28 +50,22 @@ def qr_med(values: Sequence[float] | np.ndarray, params: ResilienceParams) -> fl
     """Exact quadratically regularized median; `default` on empty input.
 
     The subgradient W*(m - default) + sum_i sign(m - x_i) is strictly
-    increasing in m, constant in the count term between sorted inputs, so
-    the minimizer is found by scanning the n+1 gaps for the zero crossing.
+    increasing in m. With k sorted inputs below m and n-k above, the smooth
+    part is stationary at m_k = default + (n - 2k)/W. The zero crossing lies
+    in the first gap whose m_k is at most the next input: at m_k when it is
+    at least the previous input lo_k, else in the subdifferential at the
+    breakpoint lo_k. So the minimizer is max(m_k, lo_k).
     """
     xs = np.sort(_as_finite_array(values))
     n = xs.size
     if n == 0:
         return params.default
-    w = params.weight
-    d = params.default
-    for k in range(n + 1):
-        # With k inputs strictly below m and n-k above, the stationary point
-        # of the smooth part is:
-        m = d + (n - 2 * k) / w
-        lo = -np.inf if k == 0 else xs[k - 1]
-        hi = np.inf if k == n else xs[k]
-        if m < lo:
-            # Zero crossing happened inside the subdifferential at the
-            # breakpoint `lo`.
-            return float(lo)
-        if m <= hi:
-            return float(m)
-    return float(xs[-1])  # pragma: no cover - scan always returns
+    with np.errstate(over="ignore"):  # a tiny W sends m_k to +-inf, as a float division does
+        m = params.default + (n - 2 * np.arange(n + 1)) / params.weight
+    k = int(np.argmax(m <= np.append(xs, np.inf)))
+    lo = xs[k - 1] if k else -np.inf
+    # On a tie Python's max returns m_k, so m_k = -0.0 at lo_k = 0.0 stays -0.0.
+    return float(max(m[k], lo))
 
 
 def br_mean(values: Sequence[float] | np.ndarray, params: ResilienceParams) -> float:

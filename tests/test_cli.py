@@ -210,6 +210,16 @@ class TestScale:
         assert capsys.readouterr().err == f"equirank: {empty}: empty comparison set\n"
         assert not out.exists()
 
+    def test_field_over_csv_limit_is_runtime_error(self, tmp_path, capsys):
+        path = tmp_path / "c.csv"
+        path.write_text("user_id,criterion,left_item,right_item,score\nu,g,a,b,0.5\n"
+                        f'"{"x" * 140_000}",g,a,b,0.5\n', encoding="utf-8")
+        assert _run(["scale", "--input", str(path), "--scaler", "minmax",
+                     "-o", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == (
+            f"equirank: {path}: line 3: field larger than field limit (131072)\n"
+        )
+
 
 class TestTrain:
     def test_writes_model_and_trace(self, tmp_path):
@@ -275,6 +285,16 @@ class TestTrain:
                      "--features", str(sim / "features.csv"),
                      "-o", str(tmp_path / "model")]) == 1
         assert "empty comparison set" in capsys.readouterr().err
+
+    def test_features_field_over_csv_limit_is_runtime_error(self, tmp_path, capsys):
+        sim = _simulate(tmp_path)
+        features = tmp_path / "f.csv"
+        features.write_text(f"item_id,f0\n{'1' * 140_000},0.5\n", encoding="utf-8")
+        assert _run(["train", "--input", str(sim / "comparisons.csv"),
+                     "--features", str(features), "-o", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == (
+            f"equirank: {features}: line 2: field larger than field limit (131072)\n"
+        )
 
     def test_flags_build_the_train_config(self):
         args = build_parser().parse_args(
@@ -346,6 +366,28 @@ class TestAudit:
                      "--test", str(test_csv), "--features", str(feat_csv),
                      "-o", str(tmp_path / "x")]) == 1
 
+    @pytest.mark.parametrize("text, message", [
+        ('{"dim": 2}', "model has no 'w'"),
+        ("[1, 2]", "model is not a JSON object"),
+        ('{"dim": "2", "w": [1.0, 2.0], "user_offsets": {}}', "'dim' is not an integer"),
+        ('{"dim": 2, "w": {}, "user_offsets": {}}', "'w' is not an array"),
+        ('{"dim": 2, "w": [1.0, "2"], "user_offsets": {}}', "w is not an array of numbers"),
+        ('{"dim": 2, "w": [1.0, 2.0], "user_offsets": []}', "'user_offsets' is not an object"),
+        ('{"dim": 2, "w": [1.0, 2.0], "user_offsets": {"u0": null}}',
+         "offset for user 'u0' is not an array of numbers"),
+        ('{"dim": 2, "w": [1.0, 2.0], "user_offsets": {"u0": [1.0]}}',
+         "offset for user 'u0' has shape (1,)"),
+        ("{", "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"),
+    ], ids=["no-w", "not-object", "dim-string", "w-object", "w-string-entry",
+            "offsets-array", "offset-null", "offset-short", "not-json"])
+    def test_malformed_model_is_runtime_error(self, tmp_path, capsys, text, message):
+        _, test_csv, feat_csv = self._perfect_fixture(tmp_path)
+        model = tmp_path / "bad.json"
+        model.write_text(text)
+        assert _run(["audit", "--model", str(model), "--test", str(test_csv),
+                     "--features", str(feat_csv), "-o", str(tmp_path / "x")]) == 1
+        assert capsys.readouterr().err == f"equirank: {model}: {message}\n"
+
     def test_unknown_criterion_is_runtime_error(self, tmp_path, capsys):
         model, test_csv, feat_csv = self._perfect_fixture(tmp_path)
         out = tmp_path / "audit"
@@ -416,6 +458,23 @@ class TestPipeline:
          "bad value 'neutral:x' for key 'archetypes': entry 'neutral:x' is not name=count"),
     ])
     def test_malformed_mix_names_the_line(self, tmp_path, capsys, line, message):
+        config = tmp_path / "bad.cfg"
+        config.write_text(f"users = 4\n{line}\n")
+        assert _run(["pipeline", "--config", str(config),
+                     "-o", str(tmp_path / "x")]) == 2
+        assert capsys.readouterr().err == f"equirank: {config}: line 2: {message}\n"
+
+    @pytest.mark.parametrize("line, message", [
+        ("users = 0", "bad value '0' for key 'users': expected a positive integer, got 0"),
+        ("batch_size = 0",
+         "bad value '0' for key 'batch_size': expected a positive integer, got 0"),
+        ("gbt_max_iter = -3",
+         "bad value '-3' for key 'gbt_max_iter': expected a positive integer, got -3"),
+        ("train_fraction = 1.5",
+         "bad value '1.5' for key 'train_fraction': expected a value in (0, 1), got 1.5"),
+        ("train_fraction = x", "bad value 'x' for key 'train_fraction'"),
+    ])
+    def test_out_of_range_value_names_the_line(self, tmp_path, capsys, line, message):
         config = tmp_path / "bad.cfg"
         config.write_text(f"users = 4\n{line}\n")
         assert _run(["pipeline", "--config", str(config),

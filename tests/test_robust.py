@@ -25,6 +25,47 @@ def _grid_minimum(values, params):
     return grid[np.argmin(objs)]
 
 
+def _qr_med_scan(values, params):
+    """QrMed by scanning the n+1 gaps between sorted inputs for the zero
+    crossing of the subgradient, one gap at a time."""
+    xs = np.sort(np.asarray(values, dtype=np.float64))
+    n = xs.size
+    if n == 0:
+        return params.default
+    for k in range(n + 1):
+        # With k inputs strictly below m and n-k above, the stationary point
+        # of the smooth part is:
+        m = params.default + (n - 2 * k) / params.weight
+        lo = -np.inf if k == 0 else xs[k - 1]
+        hi = np.inf if k == n else xs[k]
+        if m < lo:
+            # The crossing lies in the subdifferential at the breakpoint lo.
+            return float(lo)
+        if m <= hi:
+            return float(m)
+    raise AssertionError("the scan always returns")
+
+
+_tied_values = st.lists(
+    st.one_of(st.sampled_from([-1.0, -0.0, 0.0, 0.5, 1.0, 3.0]),
+              st.floats(-1e6, 1e6, allow_subnormal=True)),
+    max_size=40,
+)
+_weights = st.one_of(
+    st.sampled_from([1e-300, 1e-12, 0.5, 1.0, 3.0, 1e12, 1e300]),
+    st.floats(1e-308, 1e308, exclude_min=True),
+)
+
+
+@given(values=_tied_values, weight=_weights,
+       default=st.one_of(st.sampled_from([0.0, -0.0, 0.5]), st.floats(-1e3, 1e3)))
+@settings(max_examples=500, deadline=None)
+def test_qr_med_matches_gap_scan_bit_for_bit(values, weight, default):
+    params = ResilienceParams(weight=weight, default=default)
+    expected = _qr_med_scan(values, params)
+    assert np.float64(qr_med(values, params)).tobytes() == np.float64(expected).tobytes()
+
+
 class TestQrMed:
     def test_empty_returns_default(self):
         assert qr_med([], ResilienceParams(default=0.0)) == 0.0

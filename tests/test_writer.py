@@ -1,5 +1,9 @@
 """The block writer against the row writer, and atomic data files."""
 
+import json
+import os
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,7 +16,11 @@ from equirank.dataset import (
     write_columns,
     write_comparisons,
     write_csv,
+    write_json,
 )
+from equirank.cli import _write_manifest
+from equirank.equity import build_report, write_report
+from equirank.ltr import ModelParams, predict_all, save_model
 from writer_oracle import oracle_write_columns
 
 # Ids with the bytes CSV quotes or the byte reader refuses, non-ASCII ids,
@@ -106,3 +114,42 @@ def test_completed_write_replaces_target(tmp_path):
     write_comparisons(_CSET, target)
     assert parse_comparisons(target).comparisons == _CSET.comparisons
     assert [p.name for p in tmp_path.iterdir()] == ["c.csv"]
+
+
+@pytest.mark.parametrize("before", [None, b"an earlier file\n"])
+def test_interrupted_write_json_leaves_target_as_it_was(tmp_path, before):
+    target = tmp_path / "t.json"
+    if before is not None:
+        target.write_bytes(before)
+    with pytest.raises(TypeError, match="not JSON serializable"):
+        write_json(target, {"ok": 1, "bad": object()})
+    assert (target.read_bytes() if target.exists() else None) == before
+    assert [p.name for p in tmp_path.iterdir()] == ([] if before is None else ["t.json"])
+
+
+def test_json_files_are_replaced_whole(tmp_path, monkeypatch):
+    params = ModelParams(np.array([-0.5, 1.0]), {"u1": np.array([0.0, 0.25])})
+    table = dataset.FeatureTable(2, {"a": np.array([1.0, 0.0]), "b": np.array([0.0, 1.0])})
+    report = build_report(predict_all(params, _CSET, table), 0.05)
+    save_model(params, tmp_path / "model.json")
+    write_report(report, tmp_path / "report.json")
+    doc = json.loads((tmp_path / "model.json").read_text())
+    assert (tmp_path / "model.json").read_text() == json.dumps(doc, indent=2) + "\n"
+    doc = json.loads((tmp_path / "report.json").read_text())
+    assert (tmp_path / "report.json").read_text() == json.dumps(doc, indent=2) + "\n"
+
+    def cut_short(src, dst):
+        raise OSError("no space left on device")
+
+    monkeypatch.setattr(os, "replace", cut_short)
+    writers = {
+        "model.json": lambda path: save_model(params, path),
+        "report.json": lambda path: write_report(report, path),
+        "manifest_x.json": lambda path: _write_manifest(path.parent, "x", {}, 0, [], []),
+    }
+    for name, write in writers.items():
+        (tmp_path / name).write_bytes(b"an earlier file\n")
+        with pytest.raises(OSError, match="no space"):
+            write(tmp_path / name)
+        assert (tmp_path / name).read_bytes() == b"an earlier file\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(writers)
