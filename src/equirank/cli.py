@@ -158,8 +158,9 @@ def _sim_config(values: Mapping[str, object]) -> SimConfig:
 def _load_comparisons(path: str | Path, criterion: str | None) -> ComparisonSet:
     """Read a comparisons file in the raw or the scaled schema (extra scaler
     column), keep the rows with `criterion` (all when it is None), and reject
-    an empty result."""
-    with Path(path).open(encoding="utf-8") as fh:
+    an empty result. The header only picks the parser, so a byte that is not
+    UTF-8 is left for the parser to report with its line."""
+    with Path(path).open(encoding="utf-8", errors="replace") as fh:
         header = fh.readline().strip()
     parse = parse_scaled_comparisons if header.endswith(",scaler") else parse_comparisons
     cset = parse(path)

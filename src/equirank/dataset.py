@@ -429,10 +429,23 @@ def _row_error(row: list[str], ncols: int) -> str | None:
     return None
 
 
+def _not_utf8(path: Path) -> ValueError:
+    """The error for a file that is not UTF-8, naming the line of its first
+    bad byte (a LF byte never occurs inside a UTF-8 sequence)."""
+    with path.open("rb") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            try:
+                line.decode()
+            except UnicodeDecodeError:
+                break
+    return ValueError(f"{path}: line {lineno}: not valid UTF-8")
+
+
 def _csv_rows(path: Path) -> Iterator[list[str]]:
     """The rows of a UTF-8 CSV file through csv.reader, [] for a blank line.
-    Raises ValueError naming the file if it is empty, or naming the file and
-    the row on a csv.Error, such as a field over csv's size limit."""
+    Raises ValueError naming the file if it is empty, naming the file and
+    the row on a csv.Error, such as a field over csv's size limit, or naming
+    the file and the line of the first byte that is not UTF-8."""
     with path.open(newline="", encoding="utf-8") as fh:
         lineno = 0
         try:
@@ -440,6 +453,8 @@ def _csv_rows(path: Path) -> Iterator[list[str]]:
                 yield row
         except csv.Error as exc:
             raise ValueError(f"{path}: line {lineno + 1}: {exc}") from None
+        except UnicodeDecodeError:
+            raise _not_utf8(path) from None
     if lineno == 0:
         raise ValueError(f"{path}: empty file, expected a header row")
 

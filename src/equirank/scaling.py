@@ -163,40 +163,46 @@ def _aggregate(
 _BLOCK_ENTRIES = 32768
 
 
-def _vote_medians(
-    theta: np.ndarray, present: np.ndarray, u: int, others: np.ndarray
-) -> np.ndarray:
-    """Each other user's median log gap ratio against user u, in user order.
+def _vote_matrix(theta: np.ndarray, present: np.ndarray) -> np.ndarray:
+    """votes[u, v]: user v's vote on user u's scale, NaN where v casts none.
 
-    The pairs are u's item pairs in `itertools.combinations` order whose gaps
-    exceed EPSILON_PAIR for both users; users with no such pair cast no vote.
-    Ratios are sorted and only the middle one or two are logged with
-    `math.log`, which is monotone, then averaged as `np.median` averages them,
-    so each vote equals `np.median` of the logged ratios bit for bit.
+    The vote is the median of `log gap_v - log gap_u` (each gap logged with
+    `np.log`, the middle one or two differences averaged as `np.median`
+    averages them) over u's item pairs whose gaps exceed EPSILON_PAIR for
+    both users. Each unordered pair of users is scored once, from the lower
+    user's row, and the upper user's vote is its exact negation:
+    votes[v, u] == -votes[u, v] bit for bit.
     """
-    items = np.flatnonzero(present[u])
-    first, second = np.triu_indices(len(items), 1)
-    a, b = items[first], items[second]
-    gap_u = np.abs(theta[u, a] - theta[u, b])
-    keep = gap_u > EPSILON_PAIR
-    a, b, gap_u = a[keep], b[keep], gap_u[keep]
-    if not len(a):
-        return np.zeros(0)
-    step = max(1, _BLOCK_ENTRIES // len(a))
-    medians = []
-    for start in range(0, len(others), step):
-        v = others[start : start + step, None]
-        gap_v = np.abs(theta[v, a] - theta[v, b])
-        valid = present[v, a] & present[v, b] & (gap_v > EPSILON_PAIR)
-        ratios = np.where(valid, gap_v, np.inf) / gap_u
-        ratios.sort(axis=1)
-        counts = valid.sum(axis=1)
-        voters = np.flatnonzero(counts)
-        counts = counts[voters]
-        middle = ratios[voters[:, None], np.stack([(counts - 1) // 2, counts // 2], axis=1)]
-        logs = np.array([math.log(x) for x in middle.ravel().tolist()]).reshape(middle.shape)
-        medians.append(np.mean(logs, axis=1))
-    return np.concatenate(medians)
+    n_users = len(theta)
+    # Absent items are NaN, so their gaps fail the EPSILON_PAIR test.
+    latent = np.where(present, theta, np.nan)
+    votes = np.full((n_users, n_users), np.nan)
+    for u in range(n_users - 1):
+        items = np.flatnonzero(present[u])
+        first, second = np.triu_indices(len(items), 1)
+        a, b = items[first], items[second]
+        gap_u = np.abs(theta[u, a] - theta[u, b])
+        keep = gap_u > EPSILON_PAIR
+        if not keep.any():
+            continue
+        a, b, log_u = a[keep], b[keep], np.log(gap_u[keep])
+        step = max(1, _BLOCK_ENTRIES // len(a))
+        for start in range(u + 1, n_users, step):
+            block = latent[start : start + step]
+            gaps = np.abs(block.take(a, axis=1) - block.take(b, axis=1))
+            invalid = ~(gaps > EPSILON_PAIR)
+            gaps[invalid] = 1.0
+            diffs = np.log(gaps)
+            diffs -= log_u
+            diffs[invalid] = np.inf
+            diffs.sort(axis=1)
+            counts = len(a) - invalid.sum(axis=1)
+            voters = np.flatnonzero(counts)
+            counts = counts[voters]
+            medians = (diffs[voters, (counts - 1) // 2] + diffs[voters, counts // 2]) / 2
+            votes[u, start + voters] = medians
+            votes[start + voters, u] = -medians
+    return votes
 
 
 def mehestan_scale(
@@ -213,9 +219,11 @@ def mehestan_scale(
       2. The anchor user (most scored items, ties by lexicographic user_id)
          is pinned at s=1, tau=0; affine freedom needs a gauge.
       3. For every other user u, every other user v votes on u's scale with
-         the median log-ratio log(|theta_v(a)-theta_v(b)| / |theta_u(a)-theta_u(b)|)
+         the median of log|theta_v(a)-theta_v(b)| - log|theta_u(a)-theta_u(b)|
          over common item pairs whose gaps both exceed EPSILON_PAIR;
          s_u = exp(br_mean(votes, default 0, clip RATIO_CLIP)). No votes: s_u = 1.
+         The pair set is the same both ways, so u's vote on v is exactly the
+         negation of v's vote on u, and each pair of users is scored once.
       4. Translation candidates are collected per (other user v, common item a):
          s_v*theta_v(a) - s_u*theta_u(a); tau_u = br_mean(candidates, default 0,
          clip TRANSLATION_CLIP). No candidates: tau_u = 0.
@@ -261,12 +269,14 @@ def mehestan_scale(
     anchor = int(np.argmax(present.sum(axis=1)))
     others = [np.delete(np.arange(len(users)), u) for u in range(len(users))]
 
+    vote_matrix = _vote_matrix(theta, present)
     scales = np.ones(len(users))
     votes = np.zeros(len(users), dtype=np.intp)
     for u in range(len(users)):
         if u == anchor:
             continue
-        medians = _vote_medians(theta, present, u, others[u])
+        row = vote_matrix[u]
+        medians = row[~np.isnan(row)]
         votes[u] = len(medians)
         # Plain float lists, as before: perfbench's tracer re-reads BrMean's inputs.
         scales[u] = math.exp(

@@ -220,6 +220,26 @@ class TestScale:
             f"equirank: {path}: line 3: field larger than field limit (131072)\n"
         )
 
+    @pytest.mark.parametrize("header, bad_line", [
+        (b"user_id,criterion,left_item,right_item,score", 402),
+        (b"user_id,crit\xffrion,left_item,right_item,score", 1),
+        (b"user_id,criterion,left_item,right_item,score,scal\xffer", 1),
+    ], ids=["row", "header", "scaled-header"])
+    def test_not_utf8_names_the_line(self, tmp_path, capsys, header, bad_line):
+        # 600 rows of 34 bytes, so that the bad row lies past the first 8 KiB
+        # the text reader decodes.
+        rows = [header] + [f"user{k % 7},crit,item{k % 5:04d},other{k % 3:04d},0.5".encode()
+                           for k in range(600)]
+        if bad_line > 1:
+            rows[bad_line - 1] = b"u\xff,g,a,b,0.5"
+        path = tmp_path / "c.csv"
+        path.write_bytes(b"\n".join(rows) + b"\n")
+        assert _run(["scale", "--input", str(path), "--scaler", "minmax",
+                     "-o", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == (
+            f"equirank: {path}: line {bad_line}: not valid UTF-8\n"
+        )
+
 
 class TestTrain:
     def test_writes_model_and_trace(self, tmp_path):
@@ -295,6 +315,14 @@ class TestTrain:
         assert capsys.readouterr().err == (
             f"equirank: {features}: line 2: field larger than field limit (131072)\n"
         )
+
+    def test_features_not_utf8_names_the_line(self, tmp_path, capsys):
+        sim = _simulate(tmp_path)
+        features = tmp_path / "f.csv"
+        features.write_bytes(b"item_id,f0\ni0,0.5\ni\xfe1,0.25\n")
+        assert _run(["train", "--input", str(sim / "comparisons.csv"),
+                     "--features", str(features), "-o", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == f"equirank: {features}: line 3: not valid UTF-8\n"
 
     def test_flags_build_the_train_config(self):
         args = build_parser().parse_args(

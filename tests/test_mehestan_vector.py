@@ -132,7 +132,7 @@ def oracle_mehestan_scale(cset, gbt_config, weight, aggregator, epsilon_pair=1e-
                 gap_u = abs(theta[u][a] - theta[u][b])
                 gap_v = abs(theta[v][a] - theta[v][b])
                 if gap_u > epsilon_pair and gap_v > epsilon_pair:
-                    ratios.append(math.log(gap_v / gap_u))
+                    ratios.append(np.log(gap_v) - np.log(gap_u))
             if ratios:
                 votes.append(float(np.median(ratios)))
         n_votes[u] = len(votes)
@@ -232,6 +232,34 @@ def test_populations_match_oracle(aggregator, cset, weight):
     )
 
 
+@given(cset=populations())
+@settings(max_examples=60, deadline=None)
+def test_vote_matrix_is_antisymmetric(cset):
+    # Each unordered pair of users is scored once and the other vote is its
+    # exact negation; NaN marks exactly the pairs of users that share no item
+    # pair whose gaps both exceed EPSILON_PAIR.
+    fits = [fit_gbt(cset.restrict(user_id=u), GbtConfig(tol=1e-6, max_iter=300))
+            for u in cset.user_ids]
+    index = {item: i for i, item in enumerate(cset.item_ids)}
+    theta = np.zeros((len(fits), len(index)))
+    present = np.zeros(theta.shape, dtype=bool)
+    for k, fit in enumerate(fits):
+        codes = [index[item] for item in fit.theta]
+        theta[k, codes] = list(fit.theta.values())
+        present[k, codes] = True
+    votes = scaling._vote_matrix(theta, present)
+
+    def gap(fit, a, b):
+        return abs(fit.theta[a] - fit.theta[b])
+
+    shared = np.array([[fu is not fv and any(
+        min(gap(fu, a, b), gap(fv, a, b)) > scaling.EPSILON_PAIR
+        for a, b in itertools.combinations(sorted(set(fu.theta) & set(fv.theta)), 2)
+    ) for fv in fits] for fu in fits])
+    assert np.array_equal(~np.isnan(votes), shared)
+    assert _bits(votes.T[shared]) == _bits(-votes[shared])
+
+
 def test_fallback_users_and_even_and_odd_vote_counts():
     # u0 (anchor) scores i0..i5; u1 shares 4 of them (6 pairs, an even
     # count), u2 shares 3 (3 pairs, odd); "loner" shares nothing and "flat"
@@ -270,9 +298,11 @@ def test_two_users():
 
 
 def test_user_with_more_pairs_than_one_block():
-    # "big0" and "big1" score all 300 items; "big0" is the anchor, so "big1"
-    # is voted on over 44850 pairs, more than one block holds, and each of
-    # its three voters is scored in a block of its own.
+    # "big0" and "big1" score all 300 items. Row "big0" of the vote matrix
+    # scores the three users after it over big0's 44850 pairs, more than one
+    # block holds, so each of them is scored in a block of its own. "big0" is
+    # the anchor; "big1" takes three votes, one of them the negation of its
+    # entry in that row.
     rng = np.random.default_rng(3)
     n = 300
     truth = rng.uniform(-2, 2, n)
@@ -290,7 +320,7 @@ def test_user_with_more_pairs_than_one_block():
         rows += [row(user, *rng.choice(items, size=2, replace=False), 0.5) for _ in range(60)]
     cset = comparison_set(rows)
     config = GbtConfig(max_iter=40)
-    big = fit_gbt(cset.restrict(user_id="big1"), config)
+    big = fit_gbt(cset.restrict(user_id="big0"), config)
     gaps = [abs(big.theta[a] - big.theta[b]) for a, b in itertools.combinations(big.theta, 2)]
     assert sum(g > 1e-6 for g in gaps) > scaling._BLOCK_ENTRIES
     for aggregator in ("brmean", "mean"):
