@@ -11,7 +11,6 @@ synthetic voter population with known ground truth.
 __version__ = "0.1.0"
 
 from .dataset import (
-    Comparison,
     ComparisonSet,
     FeatureTable,
     comparison_set,
@@ -34,10 +33,7 @@ from .equity import (
 from .gbt import (
     GbtConfig,
     IndividualScores,
-    expected_comparison,
     fit_gbt,
-    gbt_gradient,
-    gbt_objective,
     write_individual_scores,
 )
 from .ltr import (
@@ -71,7 +67,6 @@ from .simgen import (
 )
 
 __all__ = [
-    "Comparison",
     "ComparisonSet",
     "EquityReport",
     "FeatureTable",
@@ -90,10 +85,7 @@ __all__ = [
     "build_report",
     "classify",
     "comparison_set",
-    "expected_comparison",
     "fit_gbt",
-    "gbt_gradient",
-    "gbt_objective",
     "generate",
     "gini",
     "load_model",

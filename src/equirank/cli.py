@@ -20,6 +20,7 @@ from . import __version__
 from .dataset import (
     ComparisonSet,
     FeatureTable,
+    _not_utf8,
     parse_comparisons,
     parse_features,
     split,
@@ -389,9 +390,13 @@ class UsageError(Exception):
 
 def parse_pipeline_config(path: str | Path) -> tuple[dict[str, object], list[str]]:
     """Flat key=value grammar; '#' starts a comment; `experiment` repeats."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError:
+        raise UsageError(*_not_utf8(Path(path)).args) from None
     values = dict(_PIPELINE_DEFAULTS)
     experiments: list[str] = []
-    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

@@ -8,7 +8,7 @@ formatting so that serialize(parse(f)) is stable.
 A ComparisonSet is stored as columns: one integer code per row for the
 user, the criterion and the left and right items, each indexing a sorted
 vocabulary of ids, plus a float64 score column. Every layer works on these
-columns; `Comparison` rows are built only when a caller iterates a set.
+columns.
 
 CSV files follow one quoting rule: a field is quoted when it contains a
 comma, a double quote, a carriage return or a line feed, and quotes inside
@@ -30,12 +30,14 @@ import bisect
 import contextlib
 import csv
 import functools
+import io
 import json
 import math
 import os
 import tempfile
 from array import array
 from dataclasses import dataclass
+from itertools import islice
 from pathlib import Path
 from typing import IO, BinaryIO, Iterable, Iterator, NamedTuple, Sequence
 
@@ -52,17 +54,6 @@ _FIELD_CAP = 64
 # _REPR_CAP bytes: a sign, 17 digits, a point and an exponent such as e-308.
 _WRITE_ROWS = 1 << 14
 _REPR_CAP = 24
-
-
-class Comparison(NamedTuple):
-    """One annotation, as a row of a ComparisonSet: a preference between two
-    items by one user. Rows are checked when a set is built."""
-
-    user_id: str
-    criterion: str
-    left_item: str
-    right_item: str
-    score: float
 
 
 class Columns(NamedTuple):
@@ -113,10 +104,9 @@ class ComparisonSet:
 
     Build one from `Columns` (or from plain rows with `comparison_set`).
     Vocabularies are kept sorted and hold exactly the ids that occur, so
-    `users` and `items` are those appearing in the comparisons and user code
-    k is the k-th user in sorted order. Iterating yields `Comparison` rows in
-    input order. The column arrays are read-only and may be shared between
-    sets.
+    `user_ids` and `item_ids` are those appearing in the comparisons and user
+    code k is the k-th user in sorted order. The column arrays are read-only
+    and may be shared between sets.
     """
 
     def __init__(self, columns: Columns):
@@ -151,41 +141,11 @@ class ComparisonSet:
     def __len__(self) -> int:
         return self.score.shape[0]
 
-    def __iter__(self):
-        return iter(self.comparisons)
-
     def __repr__(self) -> str:
         return (
             f"{type(self).__name__}({len(self)} comparisons, "
             f"{len(self.user_ids)} users, {len(self.item_ids)} items)"
         )
-
-    @functools.cached_property
-    def comparisons(self) -> tuple[Comparison, ...]:
-        """The rows as `Comparison` tuples, built on first use."""
-        items = self.item_ids
-        return tuple(
-            map(
-                Comparison,
-                [self.user_ids[k] for k in self.user.tolist()],
-                [self.criterion_ids[k] for k in self.criterion.tolist()],
-                [items[k] for k in self.left.tolist()],
-                [items[k] for k in self.right.tolist()],
-                self.score.tolist(),
-            )
-        )
-
-    @property
-    def users(self) -> frozenset[str]:
-        return frozenset(self.user_ids)
-
-    @property
-    def items(self) -> frozenset[str]:
-        return frozenset(self.item_ids)
-
-    @property
-    def criteria(self) -> frozenset[str]:
-        return frozenset(self.criterion_ids)
 
     @functools.cached_property
     def by_user(self) -> tuple[np.ndarray, np.ndarray]:
@@ -279,9 +239,6 @@ class FeatureTable:
         """The feature vectors of `item_ids` as the rows of a (len, dim) array."""
         rows = [self.vector(item) for item in item_ids]
         return np.array(rows, dtype=np.float64).reshape(len(rows), self.dim)
-
-    def __contains__(self, item_id: str) -> bool:
-        return item_id in self.features
 
 
 # --- CSV ------------------------------------------------------------------
@@ -429,32 +386,51 @@ def _row_error(row: list[str], ncols: int) -> str | None:
     return None
 
 
-def _not_utf8(path: Path) -> ValueError:
-    """The error for a file that is not UTF-8, naming the line of its first
-    bad byte (a LF byte never occurs inside a UTF-8 sequence)."""
+def _utf8_prefix(path: Path) -> tuple[str, int]:
+    """The text of a file's lines before its first one that is not UTF-8, and
+    that line's number (a LF byte never occurs inside a UTF-8 sequence)."""
+    lines = []
     with path.open("rb") as fh:
         for lineno, line in enumerate(fh, start=1):
             try:
-                line.decode()
+                lines.append(line.decode())
             except UnicodeDecodeError:
                 break
-    return ValueError(f"{path}: line {lineno}: not valid UTF-8")
+    return "".join(lines), lineno
+
+
+def _not_utf8(path: Path) -> ValueError:
+    """The error for a file that is not UTF-8, naming its first bad line."""
+    return ValueError(f"{path}: line {_utf8_prefix(path)[1]}: not valid UTF-8")
 
 
 def _csv_rows(path: Path) -> Iterator[list[str]]:
     """The rows of a UTF-8 CSV file through csv.reader, [] for a blank line.
     Raises ValueError naming the file if it is empty, naming the file and
     the row on a csv.Error, such as a field over csv's size limit, or naming
-    the file and the line of the first byte that is not UTF-8."""
-    with path.open(newline="", encoding="utf-8") as fh:
-        lineno = 0
-        try:
-            for lineno, row in enumerate(csv.reader(fh), start=1):
-                yield row
-        except csv.Error as exc:
-            raise ValueError(f"{path}: line {lineno + 1}: {exc}") from None
-        except UnicodeDecodeError:
-            raise _not_utf8(path) from None
+    the file and the line of the first byte that is not UTF-8, after the
+    rows before that line."""
+    lineno = 0
+    try:
+        with path.open(newline="", encoding="utf-8") as fh:
+            try:
+                for lineno, row in enumerate(csv.reader(fh), start=1):
+                    yield row
+            except UnicodeDecodeError:
+                # The decoder reads a chunk ahead of csv.reader, so the rows
+                # before the bad line are read again, up to a sentinel line:
+                # the row that reaches it is the sentinel, or a quoted field
+                # that runs on into the bad line.
+                text, bad_line = _utf8_prefix(path)
+                lines = io.StringIO(text, newline="").readlines()
+                rows = csv.reader([*lines, "\0"])
+                for lineno, row in enumerate(islice(rows, lineno, None), start=lineno + 1):
+                    if rows.line_num > len(lines):
+                        break
+                    yield row
+                raise ValueError(f"{path}: line {bad_line}: not valid UTF-8") from None
+    except csv.Error as exc:
+        raise ValueError(f"{path}: line {lineno + 1}: {exc}") from None
     if lineno == 0:
         raise ValueError(f"{path}: empty file, expected a header row")
 

@@ -18,7 +18,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping
 
 import numpy as np
 
@@ -48,36 +47,23 @@ class GbtConfig:
             raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
 
 
-@dataclass
+@dataclass(eq=False)
 class IndividualScores:
     """Latent per-item utilities fitted for one user.
 
-    Items the user never compared are absent from `theta` (no information,
-    as opposed to a neutral 0). `converged` is False when the iteration cap
-    was reached before the gradient norm dropped below tolerance.
+    `theta[i]` is the score of `item_ids[i]`, the sorted items the user
+    compared; items never compared have no entry (no information, as opposed
+    to a neutral 0). `converged` is False when the iteration cap was reached
+    before the gradient norm dropped below tolerance.
     """
 
     user_id: str
-    theta: dict[str, float]
+    item_ids: tuple[str, ...]
+    theta: np.ndarray
     lam: float
     converged: bool = True
     n_iter: int = 0
     grad_norm: float = 0.0
-
-
-def expected_comparison(delta: float) -> float:
-    """Mean comparison score E[r|delta] = coth(delta) - 1/delta.
-
-    Odd, strictly increasing, |result| < 1. Uses the series
-    delta/3 - delta^3/45 for |delta| < 1e-2.
-    """
-    if not math.isfinite(delta):
-        raise ValueError(f"delta must be finite, got {delta}")
-    a = abs(delta)
-    if a < _SERIES_CUTOFF:
-        return delta / 3.0 - delta**3 / 45.0
-    val = 1.0 + 2.0 / math.expm1(2.0 * min(a, _EXP_CUTOFF)) - 1.0 / a
-    return math.copysign(val, delta)
 
 
 def _expected_vec(delta: np.ndarray, a: np.ndarray, closed: bool) -> np.ndarray:
@@ -117,7 +103,7 @@ class _Problem:
             raise ValueError("user has no comparisons")
         self.user_id = users[0]
         # Item codes of the set index its sorted item vocabulary.
-        self.items = list(comparisons.item_ids)
+        self.items = comparisons.item_ids
         self.left = comparisons.left
         self.right = comparisons.right
         self.r = comparisons.score
@@ -173,42 +159,6 @@ class _Point:
         return self._norm
 
 
-def _point_of(
-    theta: IndividualScores | Mapping[str, float], comparisons: ComparisonSet, lam: float
-) -> tuple[_Point, Mapping[str, float]]:
-    """The point at the compared items' entries of `theta`, and all of `theta`."""
-    values = theta.theta if isinstance(theta, IndividualScores) else theta
-    problem = _Problem(comparisons, lam)
-    missing = [item for item in problem.items if item not in values]
-    if missing:
-        raise ValueError(f"theta missing items: {missing}")
-    vec = np.array([values[item] for item in problem.items], dtype=np.float64)
-    return _Point(problem, vec), values
-
-
-def gbt_objective(
-    theta: IndividualScores | Mapping[str, float],
-    comparisons: ComparisonSet,
-    lam: float,
-) -> float:
-    """Negative log posterior of `theta` for one user's comparisons."""
-    point, values = _point_of(theta, comparisons, lam)
-    # The prior covers every theta entry, including items outside the set.
-    compared = set(point.problem.items)
-    extra = sum(values[k] ** 2 for k in values if k not in compared)
-    return point.obj + 0.5 * lam * extra
-
-
-def gbt_gradient(
-    theta: IndividualScores | Mapping[str, float],
-    comparisons: ComparisonSet,
-    lam: float,
-) -> dict[str, float]:
-    """Analytic gradient of gbt_objective over the compared items."""
-    point, _ = _point_of(theta, comparisons, lam)
-    return {item: float(g) for item, g in zip(point.problem.items, point.grad)}
-
-
 def fit_gbt(comparisons: ComparisonSet, config: GbtConfig = GbtConfig()) -> IndividualScores:
     """Fit latent scores by full-batch gradient descent with backtracking.
 
@@ -256,16 +206,15 @@ def fit_gbt(comparisons: ComparisonSet, config: GbtConfig = GbtConfig()) -> Indi
             break
         point = trial
         step *= 2.0
-    theta_map = dict(zip(problem.items, point.theta.tolist()))
     return IndividualScores(
-        problem.user_id, theta_map, config.lam, converged, n_iter, grad_norm
+        problem.user_id, problem.items, point.theta, config.lam, converged, n_iter, grad_norm
     )
 
 
 def write_individual_scores(scores: list[IndividualScores], path: str | Path) -> None:
-    """Export fitted scores as CSV with header user_id,item_id,theta."""
-    write_csv(
-        path,
-        ["user_id", "item_id", "theta"],
-        ([s.user_id, item, repr(s.theta[item])] for s in scores for item in sorted(s.theta)),
-    )
+    """Export fitted scores as CSV with header user_id,item_id,theta, one row
+    per (user, item) in the order of `scores` and then of each `item_ids`."""
+    write_csv(path, ["user_id", "item_id", "theta"], (
+        [s.user_id, item, repr(value)]
+        for s in scores for item, value in zip(s.item_ids, s.theta.tolist())
+    ))

@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import ComparisonSet, FeatureTable, write_json
+from .dataset import ComparisonSet, FeatureTable, _not_utf8, write_json
 from .equity import Predictions
 
 
@@ -301,13 +301,16 @@ def _vector(path: Path, name: str, value: object) -> np.ndarray:
 
 def load_model(path: str | Path) -> ModelParams:
     """Read a `save_model` document; raises ValueError naming the file when
-    it is not a JSON object whose `dim` is an integer, `w` an array of `dim`
-    numbers and `user_offsets` an object of such arrays."""
+    it is not UTF-8 (and the line), or not a JSON object whose `dim` is an
+    integer, `w` an array of `dim` numbers and `user_offsets` an object of
+    such arrays."""
     path = Path(path)
     try:
         doc = json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path}: {exc}") from None
+    except UnicodeDecodeError:
+        raise _not_utf8(path) from None
     if not isinstance(doc, dict):
         raise ValueError(f"{path}: model is not a JSON object")
     for key, kind, name in [("dim", int, "an integer"), ("w", list, "an array"),

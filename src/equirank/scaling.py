@@ -11,7 +11,7 @@ deliberately not performed; all scores stay per-user.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -215,7 +215,7 @@ def mehestan_scale(
     """Collaboratively rescale every user's latent scores onto a common scale.
 
     Procedure:
-      1. Fit GBT scores theta_u per user.
+      1. Fit GBT scores theta_u per user, from one grouping of the rows by user.
       2. The anchor user (most scored items, ties by lexicographic user_id)
          is pinned at s=1, tau=0; affine freedom needs a gauge.
       3. For every other user u, every other user v votes on u's scale with
@@ -237,33 +237,32 @@ def mehestan_scale(
     comparisons. The clip radius is RATIO_CLIP in log-ratio space so that
     multiplying or dividing by the same factor is treated symmetrically.
 
-    Returns the rescaled comparison set, the per-user affines, and the
-    scaled per-user latent scores theta'_u. Requires >= 2 users and a
-    single criterion (filter first via ComparisonSet.restrict).
+    Returns the rescaled comparison set, the per-user affines, and each
+    user's fit with its `theta` array replaced by the scaled scores theta'_u.
+    Requires >= 2 users and one criterion (filter first via restrict).
     """
     if not resilience_weight > 0:
         raise ValueError(f"resilience_weight must be positive, got {resilience_weight}")
     users = list(cset.user_ids)
     if len(users) < 2:
         raise ValueError(f"mehestan_scale needs >= 2 users, got {len(users)}")
-    criteria = cset.criteria
-    if len(criteria) > 1:
+    if len(cset.criterion_ids) > 1:
         raise ValueError(
-            f"mehestan_scale operates on one criterion at a time, got {sorted(criteria)}; "
-            "restrict the set first"
+            f"mehestan_scale operates on one criterion at a time, got "
+            f"{list(cset.criterion_ids)}; restrict the set first"
         )
 
-    subsets = [cset.restrict(user_id=u) for u in users]
-    fits = [fit_gbt(sub, gbt_config) for sub in subsets]
-
     # theta[k, i] is user k's latent score of item code i where present[k, i].
-    index = {item: i for i, item in enumerate(cset.item_ids)}
+    # Fit k scores user k's items in sorted order, which is their code order.
     present = np.zeros((len(users), len(cset.item_ids)), dtype=bool)
     theta = np.zeros(present.shape)
-    codes = [[index[item] for item in fit.theta] for fit in fits]
-    for k, fit in enumerate(fits):
-        present[k, codes[k]] = True
-        theta[k, codes[k]] = list(fit.theta.values())
+    fits = []
+    order, bounds = cset.by_user
+    for k in range(len(users)):
+        rows = order[bounds[k] : bounds[k + 1]]
+        fits.append(fit_gbt(cset.take(rows), gbt_config))
+        present[k, cset.left[rows]] = present[k, cset.right[rows]] = True
+        theta[k, present[k]] = fits[k].theta
 
     # Anchor: most scored items, ties broken lexicographically (users are sorted).
     anchor = int(np.argmax(present.sum(axis=1)))
@@ -309,13 +308,7 @@ def mehestan_scale(
         )
         for k, u in enumerate(users)
     ]
-    scores = [
-        IndividualScores(
-            u, dict(zip(fit.theta, scaled_theta[k, codes[k]].tolist())), gbt_config.lam,
-            fit.converged, fit.n_iter, fit.grad_norm,
-        )
-        for k, (u, fit) in enumerate(zip(users, fits))
-    ]
+    scores = [replace(fit, theta=scaled_theta[k, present[k]]) for k, fit in enumerate(fits)]
     return _replace_scores(cset, new_scores, "mehestan"), affines, scores
 
 

@@ -15,8 +15,9 @@ import math
 
 import numpy as np
 
-from equirank.dataset import Comparison, ComparisonSet, FeatureTable
+from equirank.dataset import ComparisonSet, FeatureTable
 from equirank.ltr import ModelParams, TrainConfig, TrainResult, _step_gradient
+from row_view import Comparison
 
 
 def score(params: ModelParams, user_id: str, x: np.ndarray) -> float:

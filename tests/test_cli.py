@@ -43,7 +43,7 @@ class TestSimulate:
             assert (out / name).exists()
         cset = parse_comparisons(out / "comparisons.csv")
         assert len(cset) == 160
-        assert len(cset.users) == 4
+        assert len(cset.user_ids) == 4
 
     def test_rerun_is_byte_identical(self, tmp_path):
         first = _simulate(tmp_path / "a")
@@ -122,10 +122,10 @@ class TestScale:
                      "--scaler", "minmax", "-o", str(out)]) == 0
         scaled = parse_scaled_comparisons(out / "scaled.csv")
         assert scaled.scaler_tag == "minmax"
-        for user in scaled.users:
-            scores = [c.score for c in scaled.restrict(user_id=user)]
-            assert min(scores) == -1.0
-            assert max(scores) == 1.0
+        for user in scaled.user_ids:
+            scores = scaled.restrict(user_id=user).score
+            assert scores.min() == -1.0
+            assert scores.max() == 1.0
 
     @pytest.mark.parametrize("umask", [0o022, 0o002], ids=oct)
     def test_manifest_mode_matches_data_files(self, tmp_path, umask):
@@ -240,6 +240,22 @@ class TestScale:
             f"equirank: {path}: line {bad_line}: not valid UTF-8\n"
         )
 
+    @pytest.mark.parametrize("rows, message", [
+        ([b"u1,g,a,b,0.1", b"u1,g,a,a,0.2", b"u1,g,a,c,0.3", b"u\xff,g,a,b,0.1"],
+         "line 3: self-comparison of item 'a'"),
+        # A quoted field that runs on into the bad line is not a row before it.
+        ([b"u1,g,a,b,0.1", b'u1,g,"a', b'\xff",b,0.2'], "line 4: not valid UTF-8"),
+    ], ids=["bad-row-first", "quoted-into-bad-line"])
+    def test_first_bad_row_wins_over_later_not_utf8(self, tmp_path, capsys, rows, message):
+        # The whole file fits in one chunk of the text decoder, which reads
+        # ahead of csv.reader.
+        path = tmp_path / "bad_order.csv"
+        path.write_bytes(b"\n".join([b"user_id,criterion,left_item,right_item,score", *rows])
+                         + b"\n")
+        assert _run(["scale", "--input", str(path), "--scaler", "minmax",
+                     "-o", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == f"equirank: {path}: {message}\n"
+
 
 class TestTrain:
     def test_writes_model_and_trace(self, tmp_path):
@@ -323,6 +339,16 @@ class TestTrain:
         assert _run(["train", "--input", str(sim / "comparisons.csv"),
                      "--features", str(features), "-o", str(tmp_path / "out")]) == 1
         assert capsys.readouterr().err == f"equirank: {features}: line 3: not valid UTF-8\n"
+
+    def test_features_duplicate_before_not_utf8(self, tmp_path, capsys):
+        sim = _simulate(tmp_path)
+        features = tmp_path / "f.csv"
+        features.write_bytes(b"item_id,f0\ni0,0.5\ni0,0.25\ni\xfe1,0.125\n")
+        assert _run(["train", "--input", str(sim / "comparisons.csv"),
+                     "--features", str(features), "-o", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == (
+            f"equirank: {features}: line 3: duplicate item_id 'i0'\n"
+        )
 
     def test_flags_build_the_train_config(self):
         args = build_parser().parse_args(
@@ -416,6 +442,15 @@ class TestAudit:
                      "--features", str(feat_csv), "-o", str(tmp_path / "x")]) == 1
         assert capsys.readouterr().err == f"equirank: {model}: {message}\n"
 
+    def test_not_utf8_model_names_the_line(self, tmp_path, capsys):
+        _, test_csv, feat_csv = self._perfect_fixture(tmp_path)
+        model = tmp_path / "bad_model.json"
+        model.write_bytes(b'{\n  "dim": 2,\n  "w": [1.0, 2.0],\n'
+                          b'  "user_offsets": {"u\xff": [0.0, 0.0]}\n}\n')
+        assert _run(["audit", "--model", str(model), "--test", str(test_csv),
+                     "--features", str(feat_csv), "-o", str(tmp_path / "x")]) == 1
+        assert capsys.readouterr().err == f"equirank: {model}: line 4: not valid UTF-8\n"
+
     def test_unknown_criterion_is_runtime_error(self, tmp_path, capsys):
         model, test_csv, feat_csv = self._perfect_fixture(tmp_path)
         out = tmp_path / "audit"
@@ -508,6 +543,14 @@ class TestPipeline:
         assert _run(["pipeline", "--config", str(config),
                      "-o", str(tmp_path / "x")]) == 2
         assert capsys.readouterr().err == f"equirank: {config}: line 2: {message}\n"
+
+    def test_not_utf8_config_is_usage_error(self, tmp_path, capsys):
+        config = tmp_path / "bad.cfg"
+        config.write_bytes(b"seed = 1\nusers = 4\xff\n")
+        assert _run(["pipeline", "--config", str(config),
+                     "-o", str(tmp_path / "x")]) == 2
+        assert capsys.readouterr().err == f"equirank: {config}: line 2: not valid UTF-8\n"
+        assert not (tmp_path / "x").exists()
 
     def test_unknown_experiment_token_is_usage_error(self, tmp_path, capsys):
         config = tmp_path / "bad.cfg"

@@ -28,6 +28,7 @@ from equirank.scaling import (
 )
 from equirank.simgen import SimConfig, generate
 from ltr_oracle import predict_diff
+from row_view import rows_of
 
 # --- oracles: the per-comparison implementations -----------------------------
 
@@ -169,11 +170,11 @@ def populations(draw, criteria=("g",), max_rows=40):
 
 def _splittable(cset):
     counts = {}
-    for c in cset:
+    for c in rows_of(cset):
         counts[c.user_id] = counts.get(c.user_id, 0) + 1
     return comparison_set(
         (c.user_id, c.criterion, c.left_item, c.right_item, c.score)
-        for c in cset
+        for c in rows_of(cset)
         if counts[c.user_id] >= 2
     )
 
@@ -184,18 +185,18 @@ def _splittable(cset):
 @given(cset=populations(criteria=CRITERIA))
 @settings(max_examples=150, deadline=None)
 def test_restrict_matches_oracle(cset):
-    for user in sorted(cset.users) + ["nobody"]:
+    for user in list(cset.user_ids) + ["nobody"]:
         for criterion in [None] + CRITERIA + ["none-such"]:
             got = cset.restrict(user_id=user, criterion=criterion)
-            want = oracle_restrict(cset.comparisons, user, criterion)
-            assert got.comparisons == want
-            assert got.users == {c.user_id for c in want}
-            assert got.items == {i for c in want for i in (c.left_item, c.right_item)}
+            want = oracle_restrict(rows_of(cset), user, criterion)
+            assert rows_of(got) == want
+            assert set(got.user_ids) == {c.user_id for c in want}
+            assert set(got.item_ids) == {i for c in want for i in (c.left_item, c.right_item)}
     for criterion in CRITERIA:
-        assert cset.restrict(criterion=criterion).comparisons == oracle_restrict(
-            cset.comparisons, criterion=criterion
+        assert rows_of(cset.restrict(criterion=criterion)) == oracle_restrict(
+            rows_of(cset), criterion=criterion
         )
-    assert cset.restrict().comparisons == cset.comparisons
+    assert rows_of(cset.restrict()) == rows_of(cset)
 
 
 @given(cset=populations(), fraction=st.sampled_from([0.1, 0.5, 0.8, 0.9]),
@@ -205,13 +206,13 @@ def test_split_matches_oracle(cset, fraction, seed):
     with pytest.raises(ValueError) as got:
         split(cset, fraction, seed)
     with pytest.raises(ValueError) as want:
-        oracle_split(cset.comparisons, fraction, seed)
+        oracle_split(rows_of(cset), fraction, seed)
     assert str(got.value) == str(want.value)
     cset = _splittable(cset)
     train, test = split(cset, fraction, seed)
-    want_train, want_test = oracle_split(cset.comparisons, fraction, seed)
-    assert train.comparisons == want_train
-    assert test.comparisons == want_test
+    want_train, want_test = oracle_split(rows_of(cset), fraction, seed)
+    assert rows_of(train) == want_train
+    assert rows_of(test) == want_test
 
 
 @given(cset=populations(criteria=CRITERIA))
@@ -223,14 +224,10 @@ def test_scalers_match_oracle_bitwise(cset):
 
     mm = minmax_scale(cset)
     nm = normalization_scale(cset)
-    assert bits(mm.score) == bits(oracle_minmax(cset.comparisons))
-    assert bits(nm.score) == bits(oracle_normalization(cset.comparisons))
+    assert bits(mm.score) == bits(oracle_minmax(rows_of(cset)))
+    assert bits(nm.score) == bits(oracle_normalization(rows_of(cset)))
     for scaled in (mm, nm):
-        assert [c[:4] for c in _tuples(scaled)] == [c[:4] for c in _tuples(cset)]
-
-
-def _tuples(cset):
-    return [(c.user_id, c.criterion, c.left_item, c.right_item, c.score) for c in cset]
+        assert [c[:4] for c in rows_of(scaled)] == [c[:4] for c in rows_of(cset)]
 
 
 @st.composite
@@ -252,8 +249,8 @@ def test_predict_all_and_report_match_oracle(cset, data, dim, seed):
     features = FeatureTable(dim, {i: rng.normal(size=dim) for i in ITEMS})
     params = data.draw(models(dim))
     predictions = predict_all(params, cset, features)
-    oracle = oracle_predict_all(params, cset.comparisons, features)
-    assert list(zip(predictions.cset, predictions.diff.tolist())) == oracle
+    oracle = oracle_predict_all(params, rows_of(cset), features)
+    assert list(zip(rows_of(predictions.cset), predictions.diff.tolist())) == oracle
 
     eps = data.draw(st.sampled_from([0.0, 0.05, 0.3]))
     accuracy, recall = per_user_metrics(predictions, eps)
@@ -279,7 +276,7 @@ def _oracle_write(cset, path, tag=None):
     header = COMPARISONS_HEADER + (["scaler"] if tag else [])
     with path.open("w", newline="\n", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\n")
-        for c in cset:
+        for c in rows_of(cset):
             tail = f",{tag}" if tag else ""
             fh.write(f"{c.user_id},{c.criterion},{c.left_item},{c.right_item},{c.score!r}{tail}\n")
 

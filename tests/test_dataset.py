@@ -22,6 +22,7 @@ from equirank.dataset import (
     write_features,
 )
 from equirank.scaling import minmax_scale, parse_scaled_comparisons, write_scaled_comparisons
+from row_view import rows_of
 
 
 def _write(tmp_path, name, text):
@@ -38,9 +39,9 @@ class TestParseComparisons:
         path = _write(tmp_path, "c.csv", HEADER + "u1,green,a,b,-0.5\n")
         cset = parse_comparisons(path)
         assert len(cset) == 1
-        assert cset.users == {"u1"}
-        assert cset.items == {"a", "b"}
-        assert cset.comparisons[0].score == -0.5
+        assert set(cset.user_ids) == {"u1"}
+        assert set(cset.item_ids) == {"a", "b"}
+        assert rows_of(cset)[0].score == -0.5
 
     def test_self_comparison_rejected(self, tmp_path):
         path = _write(tmp_path, "c.csv", HEADER + "u1,green,a,a,0.2\n")
@@ -73,7 +74,7 @@ class TestParseComparisons:
         rows = [f"u1,g,a,b{i},{(i - 5) / 10}" for i in range(10)]
         path = _write(tmp_path, "c.csv", HEADER + "\n".join(rows) + "\n")
         cset = parse_comparisons(path)
-        assert [c.right_item for c in cset] == [f"b{i}" for i in range(10)]
+        assert [c.right_item for c in rows_of(cset)] == [f"b{i}" for i in range(10)]
 
 
 def test_comparison_invariants():
@@ -129,8 +130,8 @@ def test_parse_write_round_trip_any_ids(rows, tmp_path_factory):
     path = tmp_path_factory.mktemp("rt") / "c.csv"
     write_comparisons(cset, path)
     back = parse_comparisons(path)
-    assert back.comparisons == cset.comparisons
-    assert [c.score for c in back] == [c.score for c in cset]
+    assert rows_of(back) == rows_of(cset)
+    assert back.score.tolist() == cset.score.tolist()
 
 
 @given(st.text(alphabet=st.one_of(st.sampled_from(',"\n '), st.characters(codec="utf-8"))))
@@ -150,7 +151,7 @@ def test_carriage_return_in_id_round_trips(tmp_path):
     cset = comparison_set([("a\rb", "g", "x", "y\r\n", 0.25)])
     path = tmp_path / "c.csv"
     write_comparisons(cset, path)
-    assert parse_comparisons(path).comparisons == cset.comparisons
+    assert rows_of(parse_comparisons(path)) == rows_of(cset)
 
 
 def test_features_round_trip_any_ids(tmp_path):
@@ -207,12 +208,12 @@ class TestSplit:
     def test_partition(self):
         cset = self._one_user(10)
         train, test = split(cset, 0.8, seed=7)
-        assert set(train.comparisons) | set(test.comparisons) == set(cset.comparisons)
-        assert not set(train.comparisons) & set(test.comparisons)
+        assert set(rows_of(train)) | set(rows_of(test)) == set(rows_of(cset))
+        assert not set(rows_of(train)) & set(rows_of(test))
 
     def test_deterministic(self):
         cset = self._one_user(10)
-        assert split(cset, 0.8, 7)[0].comparisons == split(cset, 0.8, 7)[0].comparisons
+        assert rows_of(split(cset, 0.8, 7)[0]) == rows_of(split(cset, 0.8, 7)[0])
 
     def test_user_with_single_comparison_rejected(self):
         cset = comparison_set(
@@ -230,8 +231,8 @@ class TestSplit:
         cset = comparison_set(rows)
         for seed in range(5):
             train, test = split(cset, 0.8, seed)
-            assert train.users == cset.users
-            assert test.users == cset.users
+            assert set(train.user_ids) == set(cset.user_ids)
+            assert set(test.user_ids) == set(cset.user_ids)
 
     def test_fraction_validated(self):
         with pytest.raises(ValueError):
@@ -240,9 +241,9 @@ class TestSplit:
     def test_input_order_preserved(self):
         cset = self._one_user(12)
         train, test = split(cset, 0.75, 1)
-        order = {c: i for i, c in enumerate(cset.comparisons)}
-        assert [order[c] for c in train] == sorted(order[c] for c in train)
-        assert [order[c] for c in test] == sorted(order[c] for c in test)
+        order = {c: i for i, c in enumerate(rows_of(cset))}
+        assert [order[c] for c in rows_of(train)] == sorted(order[c] for c in rows_of(train))
+        assert [order[c] for c in rows_of(test)] == sorted(order[c] for c in rows_of(test))
 
 
 def test_restrict_by_user_and_criterion():
@@ -256,13 +257,13 @@ def test_restrict_by_user_and_criterion():
     assert len(cset.restrict(user_id="u1")) == 2
     assert len(cset.restrict(criterion="green")) == 2
     assert len(cset.restrict(user_id="u1", criterion="calm")) == 1
-    assert cset.criteria == {"green", "calm"}
+    assert set(cset.criterion_ids) == {"green", "calm"}
 
 
 def test_derived_sets_match_contents():
     cset = comparison_set([("u1", "g", "a", "b", 0.1), ("u2", "g", "b", "c", -0.2)])
-    assert cset.users == {"u1", "u2"}
-    assert cset.items == {"a", "b", "c"}
+    assert set(cset.user_ids) == {"u1", "u2"}
+    assert set(cset.item_ids) == {"a", "b", "c"}
     assert isinstance(cset, ComparisonSet)
 
 
@@ -432,7 +433,7 @@ def test_written_files_take_the_byte_path(tmp_path, monkeypatch):
 
     monkeypatch.setattr(dataset, "_read_text", unused)
     for prefix in ("", "crlf-"):
-        assert parse_comparisons(tmp_path / f"{prefix}c.csv").comparisons == cset.comparisons
+        assert rows_of(parse_comparisons(tmp_path / f"{prefix}c.csv")) == rows_of(cset)
         back = parse_scaled_comparisons(tmp_path / f"{prefix}s.csv")
-        assert back.comparisons == scaled.comparisons
+        assert rows_of(back) == rows_of(scaled)
         assert back.scaler_tag == "minmax"

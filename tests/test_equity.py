@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from equirank.dataset import Comparison, comparison_set
+from equirank.dataset import comparison_set
 from equirank.equity import (
     Predictions,
     build_report,
@@ -14,6 +14,7 @@ from equirank.equity import (
     per_user_metrics,
     std_dev,
 )
+from row_view import Comparison
 
 
 class TestClassify:

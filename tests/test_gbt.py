@@ -8,13 +8,9 @@ import pytest
 from scipy.stats import spearmanr
 
 from equirank.dataset import comparison_set
-from equirank.gbt import (
-    GbtConfig,
-    expected_comparison,
-    fit_gbt,
-    gbt_gradient,
-    gbt_objective,
-)
+from equirank.gbt import _SERIES_CUTOFF, GbtConfig, _expected_vec, _Point, _Problem, fit_gbt
+from gbt_oracle import expected_comparison, gbt_gradient, gbt_objective
+from row_view import rows_of
 
 
 def _oracle_expected(delta: float) -> float:
@@ -24,53 +20,84 @@ def _oracle_expected(delta: float) -> float:
         return float(mpmath.coth(d) - 1 / d)
 
 
+def link(delta):
+    """E[r|delta] elementwise, as a fit computes it: the closed form alone
+    when no |delta| is below the series cutoff."""
+    delta = np.asarray(delta, dtype=np.float64)
+    a = np.abs(delta)
+    return _expected_vec(delta, a, bool(a.min() >= _SERIES_CUTOFF))
+
+
 class TestExpectedComparison:
     def test_zero(self):
-        assert expected_comparison(0.0) == 0.0
+        assert link([0.0]).tolist() == [0.0]
 
     def test_closed_form_against_high_precision(self):
-        assert expected_comparison(3.0) == pytest.approx(_oracle_expected(3.0), abs=1e-14)
-        assert expected_comparison(3.0) == pytest.approx(0.67164, abs=1e-5)
+        assert link([3.0])[0] == pytest.approx(_oracle_expected(3.0), abs=1e-14)
+        assert link([3.0])[0] == pytest.approx(0.67164, abs=1e-5)
 
     def test_odd(self):
-        for d in [0.5, 1.0, 3.0, 17.0, 0.003]:
-            assert expected_comparison(-d) == -expected_comparison(d)
+        ds = np.array([0.5, 1.0, 3.0, 17.0, 0.003])
+        assert np.array_equal(link(-ds), -link(ds))
 
     def test_series_matches_closed_form_at_cutoff(self):
         # Series region and closed-form region must agree where they meet.
         for d in [9e-3, 1e-2, 1.1e-2]:
-            assert expected_comparison(d) == pytest.approx(_oracle_expected(d), abs=1e-12)
+            assert link([d])[0] == pytest.approx(_oracle_expected(d), abs=1e-12)
 
     def test_strictly_increasing(self):
         rng = np.random.default_rng(42)
         xs = np.sort(rng.uniform(-30, 30, 2000))
-        ys = np.array([expected_comparison(x) for x in xs])
-        assert np.all(np.diff(ys) > 0)
+        assert np.all(np.diff(link(xs)) > 0)
 
     def test_bounded_below_one(self):
         rng = np.random.default_rng(0)
-        for x in rng.uniform(-500, 500, 1000):
-            assert abs(expected_comparison(float(x))) < 1.0
+        assert np.all(np.abs(link(rng.uniform(-500, 500, 1000))) < 1.0)
 
     def test_rejects_non_finite(self):
+        # The scalar oracle draws the acceptance suite's comparison scores;
+        # a non-finite delta there is a broken fixture, not a score.
         with pytest.raises(ValueError):
             expected_comparison(float("inf"))
+
+    def test_matches_scalar_oracle(self):
+        # Mixed arrays take the np.where branch, arrays with no small |delta|
+        # the closed form alone; both agree with the scalar link to within
+        # the last bits that np.expm1 and math.expm1 may round differently.
+        rng = np.random.default_rng(8)
+        xs = np.concatenate([
+            rng.uniform(-30, 30, 2000), rng.uniform(-0.02, 0.02, 2000),
+            rng.uniform(-800, 800, 200), [0.0, 9e-3, 1e-2, 1.1e-2, 350.0, 351.0],
+        ])
+        want = np.array([expected_comparison(float(x)) for x in xs])
+        np.testing.assert_allclose(link(xs), want, rtol=0, atol=1e-13)
+        big = np.abs(xs) >= _SERIES_CUTOFF
+        assert np.array_equal(link(xs[big]), link(xs)[big])
+
+
+def _objective(cset, lam, theta):
+    """The objective a fit minimizes, at theta over the set's sorted items."""
+    return _Point(_Problem(cset, lam), np.asarray(theta, dtype=np.float64)).obj
+
+
+def _gradient(cset, lam, theta):
+    return _Point(_Problem(cset, lam), np.asarray(theta, dtype=np.float64)).grad
 
 
 class TestObjective:
     def test_single_neutral_comparison_gives_log2(self):
         cset = comparison_set([("u1", "g", "a", "b", 0.0)])
-        theta = {"a": 0.0, "b": 0.0}
-        assert gbt_objective(theta, cset, lam=1.0) == pytest.approx(math.log(2.0))
+        assert _objective(cset, 1.0, [0.0, 0.0]) == pytest.approx(math.log(2.0))
 
     def test_zero_theta_gives_sum_of_log2(self):
         rng = np.random.default_rng(1)
         rows = [("u1", "g", "a", f"b{i}", float(rng.uniform(-1, 1))) for i in range(7)]
         cset = comparison_set(rows)
-        theta = {item: 0.0 for item in cset.items}
-        assert gbt_objective(theta, cset, lam=0.5) == pytest.approx(7 * math.log(2.0))
+        theta = np.zeros(len(cset.item_ids))
+        assert _objective(cset, 0.5, theta) == pytest.approx(7 * math.log(2.0))
 
     def test_missing_item_rejected(self):
+        # The dict-keyed oracle names the items a theta leaves out.
         cset = comparison_set([("u1", "g", "a", "b", 0.0)])
         with pytest.raises(ValueError, match="missing"):
             gbt_objective({"a": 0.0}, cset, lam=1.0)
@@ -83,11 +110,24 @@ class TestObjective:
             l, r = rng.choice(6, size=2, replace=False)
             rows.append(("u1", "g", items[l], items[r], float(rng.uniform(-1, 1))))
         cset = comparison_set(rows)
-        theta = {item: float(rng.normal()) for item in items}
-        grad = gbt_gradient(theta, cset, lam=0.1)
-        before = gbt_objective(theta, cset, lam=0.1)
-        stepped = {k: v - 1e-4 * grad[k] for k, v in theta.items()}
-        assert gbt_objective(stepped, cset, lam=0.1) < before
+        theta = rng.normal(size=len(cset.item_ids))
+        grad = _gradient(cset, 0.1, theta)
+        before = _objective(cset, 0.1, theta)
+        assert _objective(cset, 0.1, theta - 1e-4 * grad) < before
+
+    def test_kernel_matches_dict_oracle(self):
+        # The fit's point, at theta over the sorted items, is the oracle's
+        # objective and gradient of the same scores keyed by item; an entry
+        # for an item outside the set adds only its prior term.
+        rng = np.random.default_rng(9)
+        cset, _ = _random_instance(rng)
+        theta = rng.normal(size=len(cset.item_ids))
+        point = _Point(_Problem(cset, 0.3), theta)
+        by_item = dict(zip(cset.item_ids, theta.tolist()))
+        assert gbt_objective(by_item, cset, 0.3) == point.obj
+        assert gbt_gradient(by_item, cset, 0.3) == dict(zip(cset.item_ids, point.grad.tolist()))
+        extra = gbt_objective(dict(by_item, elsewhere=2.0), cset, 0.3)
+        assert extra == pytest.approx(point.obj + 0.5 * 0.3 * 4.0, rel=1e-15)
 
 
 def _random_instance(rng, n_items=8, n_comparisons=30):
@@ -97,7 +137,7 @@ def _random_instance(rng, n_items=8, n_comparisons=30):
         l, r = rng.choice(n_items, size=2, replace=False)
         rows.append(("u1", "g", items[l], items[r], float(rng.uniform(-0.95, 0.95))))
     cset = comparison_set(rows)
-    theta = {item: float(rng.normal(scale=0.8)) for item in cset.items}
+    theta = rng.normal(scale=0.8, size=len(cset.item_ids))
     return cset, theta
 
 
@@ -107,29 +147,35 @@ def test_gradient_matches_central_finite_differences():
     for _ in range(20):
         cset, theta = _random_instance(rng)
         lam = float(rng.uniform(0.01, 1.0))
-        grad = gbt_gradient(theta, cset, lam)
-        fd = {}
-        for item in theta:
-            hi = dict(theta, **{item: theta[item] + h})
-            lo = dict(theta, **{item: theta[item] - h})
-            fd[item] = (gbt_objective(hi, cset, lam) - gbt_objective(lo, cset, lam)) / (2 * h)
-        a = np.array([grad[i] for i in sorted(theta)])
-        b = np.array([fd[i] for i in sorted(theta)])
-        assert np.linalg.norm(a - b) <= 1e-4 * max(np.linalg.norm(a), np.linalg.norm(b), 1e-8)
+        grad = _gradient(cset, lam, theta)
+        fd = np.empty_like(theta)
+        for i in range(len(theta)):
+            hi, lo = theta.copy(), theta.copy()
+            hi[i] += h
+            lo[i] -= h
+            fd[i] = (_objective(cset, lam, hi) - _objective(cset, lam, lo)) / (2 * h)
+        assert np.linalg.norm(grad - fd) <= 1e-4 * max(
+            np.linalg.norm(grad), np.linalg.norm(fd), 1e-8
+        )
+
+
+def _by_item(fit):
+    return dict(zip(fit.item_ids, fit.theta.tolist()))
 
 
 class TestFit:
     def test_neutral_comparison_stays_at_zero(self):
         cset = comparison_set([("u1", "g", "a", "b", 0.0)])
         fit = fit_gbt(cset, GbtConfig(lam=0.1))
-        assert fit.theta == {"a": 0.0, "b": 0.0}
+        assert _by_item(fit) == {"a": 0.0, "b": 0.0}
         assert fit.converged
 
     def test_directional_comparison_is_antisymmetric(self):
         cset = comparison_set([("u1", "g", "a", "b", 0.8)])
         fit = fit_gbt(cset, GbtConfig(lam=0.1))
-        assert fit.theta["b"] > 0 > fit.theta["a"]
-        assert fit.theta["b"] == pytest.approx(-fit.theta["a"], abs=1e-10)
+        a, b = fit.theta
+        assert b > 0 > a
+        assert b == pytest.approx(-a, abs=1e-10)
 
     def test_gradient_norm_meets_tolerance(self):
         rng = np.random.default_rng(3)
@@ -149,32 +195,32 @@ class TestFit:
             noisy = expected_comparison(theta_true[r] - theta_true[l]) + rng.normal(0, 0.02)
             rows.append(("u1", "g", items[l], items[r], float(np.clip(noisy, -1, 1))))
         fit = fit_gbt(comparison_set(rows))
-        fitted = np.array([fit.theta[i] for i in items])
+        fitted = np.array([_by_item(fit)[i] for i in items])
         assert spearmanr(fitted, theta_true).statistic > 0.95
 
     def test_prior_centers_connected_fit(self):
         rng = np.random.default_rng(4)
         cset, _ = _random_instance(rng, n_items=9, n_comparisons=120)
         fit = fit_gbt(cset)
-        assert abs(np.mean(list(fit.theta.values()))) < 1e-9
+        assert abs(np.mean(fit.theta)) < 1e-9
 
     def test_negating_scores_and_swapping_sides_is_invariant(self):
         rng = np.random.default_rng(5)
         cset, _ = _random_instance(rng, n_items=7, n_comparisons=50)
         mirrored = comparison_set(
-            [(c.user_id, c.criterion, c.right_item, c.left_item, -c.score) for c in cset]
+            [(c.user_id, c.criterion, c.right_item, c.left_item, -c.score) for c in rows_of(cset)]
         )
         fit = fit_gbt(cset)
         fit_mirrored = fit_gbt(mirrored)
-        for item in fit.theta:
-            assert fit.theta[item] == pytest.approx(fit_mirrored.theta[item], abs=1e-12)
+        assert fit_mirrored.item_ids == fit.item_ids
+        np.testing.assert_allclose(fit_mirrored.theta, fit.theta, rtol=0, atol=1e-12)
 
     def test_all_tie_user_stays_exactly_at_zero(self):
         # Every score 0: the gradient at theta = 0 is exactly 0, so the fit
         # stops at its first gradient check.
         rows = [("u1", "g", a, b, 0.0) for a, b in [("a", "b"), ("b", "c"), ("a", "c"), ("c", "d")]]
         fit = fit_gbt(comparison_set(rows))
-        assert fit.theta == {"a": 0.0, "b": 0.0, "c": 0.0, "d": 0.0}
+        assert _by_item(fit) == {"a": 0.0, "b": 0.0, "c": 0.0, "d": 0.0}
         assert (fit.converged, fit.n_iter, fit.grad_norm) == (True, 1, 0.0)
 
     @pytest.mark.parametrize("score", [-1.0, -0.3, 0.05, 1.0])
@@ -183,15 +229,16 @@ class TestFit:
         lam = 0.1
         fit = fit_gbt(comparison_set([("u1", "g", "a", "b", score)]), GbtConfig(lam=lam))
         assert fit.converged and fit.grad_norm <= 1e-8
-        t = fit.theta["b"]
-        assert fit.theta["a"] == pytest.approx(-t, abs=1e-12)
+        a, t = fit.theta
+        assert a == pytest.approx(-t, abs=1e-12)
         assert math.copysign(1.0, t) == math.copysign(1.0, score)
         assert expected_comparison(2 * t) + lam * t == pytest.approx(score, abs=1e-8)
 
     def test_uncompared_items_get_no_entry(self):
         cset = comparison_set([("u1", "g", "a", "b", 0.4)])
         fit = fit_gbt(cset)
-        assert set(fit.theta) == {"a", "b"}
+        assert fit.item_ids == ("a", "b")
+        assert fit.theta.dtype == np.float64 and fit.theta.shape == (2,)
 
     def test_multiple_users_rejected(self):
         cset = comparison_set([("u1", "g", "a", "b", 0.1), ("u2", "g", "a", "b", 0.1)])

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from equirank.dataset import Comparison, FeatureTable, comparison_set
+from equirank.dataset import FeatureTable, comparison_set
 from equirank.ltr import (
     LossWeights,
     ModelParams,
@@ -31,6 +31,7 @@ from ltr_oracle import (
     score,
     step_gradient,
 )
+from row_view import Comparison, rows_of
 
 
 def _params(w, offsets=None):
@@ -393,7 +394,7 @@ class TestPredictAll:
         rng = np.random.default_rng(47)
         cset, table = _linear_fixture(rng, n=25)
         preds = predict_all(_params([1.0, 0.0, 0.0]), cset, table)
-        assert list(preds.cset) == list(cset.comparisons)
+        assert rows_of(preds.cset) == rows_of(cset)
 
 
 def test_user_identity_ignored_without_embeddings():

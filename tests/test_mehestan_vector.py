@@ -94,9 +94,8 @@ def oracle_fit_gbt(comparisons, config=GbtConfig()):
         theta = trial
         obj = trial_obj
         step *= 2.0
-    theta_map = dict(zip(problem.items, theta.tolist()))
     return IndividualScores(
-        problem.user_id, theta_map, config.lam, converged, n_iter, grad_norm
+        problem.user_id, problem.items, theta, config.lam, converged, n_iter, grad_norm
     )
 
 
@@ -114,7 +113,7 @@ def oracle_mehestan_scale(cset, gbt_config, weight, aggregator, epsilon_pair=1e-
     users = list(cset.user_ids)
     subsets = [cset.restrict(user_id=u) for u in users]
     fits = {u: oracle_fit_gbt(sub, gbt_config) for u, sub in zip(users, subsets)}
-    theta = {u: fits[u].theta for u in users}
+    theta = {u: _by_item(fits[u]) for u in users}
     anchor = min(users, key=lambda u: (-len(theta[u]), u))
 
     scales = {anchor: 1.0}
@@ -177,6 +176,10 @@ def _bits(x):
     return np.asarray(x, dtype=np.float64).tobytes()
 
 
+def _by_item(fit):
+    return dict(zip(fit.item_ids, fit.theta.tolist()))
+
+
 def assert_matches_oracle(cset, gbt_config=GbtConfig(), weight=1.0, aggregator="brmean"):
     scaled, affines, scores = mehestan_scale(cset, gbt_config, weight, aggregator=aggregator)
     want_scores, want_affines, want_fits, want_theta, anchor = oracle_mehestan_scale(
@@ -192,8 +195,8 @@ def assert_matches_oracle(cset, gbt_config=GbtConfig(), weight=1.0, aggregator="
         assert affine.anchor == (affine.user_id == anchor)
     for got in scores:
         want = want_fits[got.user_id]
-        assert list(got.theta) == list(want_theta[got.user_id])
-        assert _bits(list(got.theta.values())) == _bits(list(want_theta[got.user_id].values()))
+        assert got.item_ids == tuple(want_theta[got.user_id])
+        assert _bits(got.theta) == _bits(list(want_theta[got.user_id].values()))
         assert (got.converged, got.n_iter) == (want.converged, want.n_iter)
         assert _bits(got.grad_norm) == _bits(want.grad_norm)
         assert got.lam == want.lam
@@ -244,18 +247,19 @@ def test_vote_matrix_is_antisymmetric(cset):
     theta = np.zeros((len(fits), len(index)))
     present = np.zeros(theta.shape, dtype=bool)
     for k, fit in enumerate(fits):
-        codes = [index[item] for item in fit.theta]
-        theta[k, codes] = list(fit.theta.values())
+        codes = [index[item] for item in fit.item_ids]
+        theta[k, codes] = fit.theta
         present[k, codes] = True
     votes = scaling._vote_matrix(theta, present)
 
-    def gap(fit, a, b):
-        return abs(fit.theta[a] - fit.theta[b])
+    def gap(scores, a, b):
+        return abs(scores[a] - scores[b])
 
+    by_item = [_by_item(fit) for fit in fits]
     shared = np.array([[fu is not fv and any(
         min(gap(fu, a, b), gap(fv, a, b)) > scaling.EPSILON_PAIR
-        for a, b in itertools.combinations(sorted(set(fu.theta) & set(fv.theta)), 2)
-    ) for fv in fits] for fu in fits])
+        for a, b in itertools.combinations(sorted(set(fu) & set(fv)), 2)
+    ) for fv in by_item] for fu in by_item])
     assert np.array_equal(~np.isnan(votes), shared)
     assert _bits(votes.T[shared]) == _bits(-votes[shared])
 
@@ -321,7 +325,7 @@ def test_user_with_more_pairs_than_one_block():
     cset = comparison_set(rows)
     config = GbtConfig(max_iter=40)
     big = fit_gbt(cset.restrict(user_id="big0"), config)
-    gaps = [abs(big.theta[a] - big.theta[b]) for a, b in itertools.combinations(big.theta, 2)]
+    gaps = [abs(a - b) for a, b in itertools.combinations(big.theta.tolist(), 2)]
     assert sum(g > 1e-6 for g in gaps) > scaling._BLOCK_ENTRIES
     for aggregator in ("brmean", "mean"):
         affines = assert_matches_oracle(cset, config, aggregator=aggregator)
@@ -398,4 +402,4 @@ def test_each_point_gradient_is_evaluated_once(monkeypatch):
     assert (len(deltas), len(set(deltas))) == (88 - 6, 88 - 6)
     assert (got.converged, got.n_iter) == (want.converged, want.n_iter)
     assert _bits(got.grad_norm) == _bits(want.grad_norm)
-    assert _bits(list(got.theta.values())) == _bits(list(want.theta.values()))
+    assert _bits(got.theta) == _bits(want.theta)

@@ -1,10 +1,14 @@
 """Min-max / normalization postconditions and Mehestan scaling behavior."""
 
+import csv
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from equirank.dataset import comparison_set
-from equirank.gbt import GbtConfig, expected_comparison
+from equirank.gbt import GbtConfig, fit_gbt, write_individual_scores
 from equirank.scaling import (
     ScaledComparisonSet,
     mehestan_scale,
@@ -13,6 +17,8 @@ from equirank.scaling import (
     parse_scaled_comparisons,
     write_scaled_comparisons,
 )
+from gbt_oracle import expected_comparison
+from row_view import rows_of
 
 
 def _one_user(scores, user="u1"):
@@ -22,7 +28,7 @@ def _one_user(scores, user="u1"):
 
 
 def _scores(scaled, user=None):
-    return [c.score for c in scaled if user is None or c.user_id == user]
+    return [c.score for c in rows_of(scaled) if user is None or c.user_id == user]
 
 
 class TestMinMax:
@@ -113,7 +119,7 @@ def test_scaled_csv_round_trip(tmp_path):
     write_scaled_comparisons(scaled, path)
     back = parse_scaled_comparisons(path)
     assert back.scaler_tag == "minmax"
-    assert back.comparisons == scaled.comparisons
+    assert rows_of(back) == rows_of(scaled)
 
 
 def _pair_rows(user, theta, items, rng, n):
@@ -140,7 +146,7 @@ class TestMehestan:
         assert by_user["uA"].s == 1.0 and by_user["uA"].tau == 0.0
         assert by_user["uB"].s == pytest.approx(1.0, abs=1e-9)
         assert by_user["uB"].tau == pytest.approx(0.0, abs=1e-9)
-        theta_by_user = {s.user_id: s.theta for s in scores}
+        theta_by_user = {s.user_id: dict(zip(s.item_ids, s.theta.tolist())) for s in scores}
         for item in items:
             assert theta_by_user["uA"][item] == pytest.approx(
                 theta_by_user["uB"][item], abs=1e-8
@@ -156,7 +162,7 @@ class TestMehestan:
         scaled, affines, scores = mehestan_scale(comparison_set(rows))
         by_user = {a.user_id: a for a in affines}
         assert by_user["uA"].s / by_user["uB"].s == pytest.approx(2.0, rel=0.1)
-        theta_by_user = {s.user_id: s.theta for s in scores}
+        theta_by_user = {s.user_id: dict(zip(s.item_ids, s.theta.tolist())) for s in scores}
         for item in items:
             assert theta_by_user["uA"][item] == pytest.approx(
                 theta_by_user["uB"][item], abs=0.05
@@ -168,7 +174,7 @@ class TestMehestan:
         rows = _pair_rows("uA", rng.uniform(-3, 3, 6), items, rng, 80)
         rows += _pair_rows("uB", rng.uniform(-3, 3, 6), items, rng, 80)
         scaled, _, _ = mehestan_scale(comparison_set(rows))
-        assert all(-1.0 <= c.score <= 1.0 for c in scaled)
+        assert all(-1.0 <= c.score <= 1.0 for c in rows_of(scaled))
         assert scaled.scaler_tag == "mehestan"
 
     def test_scale_is_positive_and_order_preserved(self):
@@ -179,14 +185,12 @@ class TestMehestan:
         _, affines, scores = mehestan_scale(comparison_set(rows))
         assert all(a.s > 0 for a in affines)
         # s > 0 implies theta' has the same rank order as theta per user.
-        from equirank.gbt import fit_gbt
-
         cset = comparison_set(rows)
         for record in scores:
-            raw = fit_gbt(cset.restrict(user_id=record.user_id)).theta
-            order_raw = sorted(raw, key=raw.get)
-            order_scaled = sorted(record.theta, key=record.theta.get)
-            assert order_raw == order_scaled
+            raw = fit_gbt(cset.restrict(user_id=record.user_id))
+            assert raw.item_ids == record.item_ids
+            order_raw = np.argsort(raw.theta, kind="stable")
+            assert np.array_equal(order_raw, np.argsort(record.theta, kind="stable"))
 
     def test_collaboration_and_bounded_influence(self):
         # Changing one user's data changes another user's affine (the
@@ -266,3 +270,44 @@ def test_gbt_config_forwarded():
             ("uB", "g", "a", "b", 0.5), ("uB", "g", "b", "c", 0.5)]
     _, _, scores = mehestan_scale(comparison_set(rows), GbtConfig(lam=7.0))
     assert all(s.lam == 7.0 for s in scores)
+
+
+# Ids that csv_field quotes (a comma, a quote, CR, LF), non-ASCII ids and
+# plain ones.
+_quoted_ids = st.text(
+    alphabet=st.one_of(st.sampled_from(',"\r\né'), st.characters(codec="utf-8")), max_size=4
+)
+
+
+@given(users=st.lists(_quoted_ids, min_size=2, max_size=3, unique=True),
+       items=st.lists(_quoted_ids, min_size=2, max_size=5, unique=True), data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_theta_csv_round_trips(tmp_path_factory, users, items, data):
+    rows = []
+    for user in users:
+        for _ in range(data.draw(st.integers(1, 6))):
+            left, right = data.draw(st.permutations(items))[:2]
+            rows.append((user, "g", left, right, data.draw(st.floats(-1.0, 1.0))))
+    cset = comparison_set(rows)
+    config = GbtConfig(tol=1e-6, max_iter=300)
+    _, _, scores = mehestan_scale(cset, config)
+    # Each fit holds its set's sorted vocabulary and one float64 per item.
+    for user, fit in zip(cset.user_ids, scores):
+        own = cset.restrict(user_id=user)
+        raw = fit_gbt(own, config)
+        assert raw.item_ids == own.item_ids == fit.item_ids
+        assert raw.theta.dtype == fit.theta.dtype == np.float64
+        assert raw.theta.shape == fit.theta.shape == (len(own.item_ids),)
+
+    path = tmp_path_factory.mktemp("theta") / "theta.csv"
+    write_individual_scores(scores, path)
+    with path.open(newline="", encoding="utf-8") as fh:
+        header, *got = csv.reader(fh)
+    assert header == ["user_id", "item_id", "theta"]
+    want = [(s.user_id, item, value)
+            for s in scores for item, value in zip(s.item_ids, s.theta.tolist())]
+    # The rows are the scores' triples in user-then-item order, theta bit for bit.
+    keys = [(user, item) for user, item, _ in got]
+    assert keys == [(user, item) for user, item, _ in want] == sorted(keys)
+    read_back = np.array([float(value) for _, _, value in got])
+    assert read_back.tobytes() == np.array([value for _, _, value in want]).tobytes()

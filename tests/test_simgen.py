@@ -6,6 +6,7 @@ import pytest
 from equirank.dataset import comparison_set
 from equirank.equity import classify
 from equirank.simgen import GroundTruth, SimConfig, generate, true_classes
+from row_view import rows_of
 
 # Standard fixture used across the suite (thresholds below were frozen after
 # a verified run: conservative users put ~100% of their scores in |r| < 0.3
@@ -24,18 +25,18 @@ STANDARD = SimConfig(
 def test_same_seed_identical_output():
     a, _, _ = generate(STANDARD)
     b, _, _ = generate(STANDARD)
-    assert a.comparisons == b.comparisons
+    assert rows_of(a) == rows_of(b)
 
 
 def test_different_seed_differs():
     a, _, _ = generate(STANDARD)
     b, _, _ = generate(SimConfig(**{**STANDARD.__dict__, "seed": 43}))
-    assert a.comparisons != b.comparisons
+    assert rows_of(a) != rows_of(b)
 
 
 def test_scores_within_bounds():
     cset, _, _ = generate(STANDARD)
-    assert all(-1.0 <= c.score <= 1.0 for c in cset)
+    assert all(-1.0 <= c.score <= 1.0 for c in rows_of(cset))
 
 
 def test_noise_free_neutral_scores_are_clipped_theta_diffs():
@@ -43,7 +44,7 @@ def test_noise_free_neutral_scores_are_clipped_theta_diffs():
                        comparisons_per_user=200, noise_std=0.0, seed=7)
     cset, _, truth = generate(config)
     theta = truth.user_theta["u0"]
-    for c in cset:
+    for c in rows_of(cset):
         expected = np.clip(theta[c.right_item] - theta[c.left_item], -1.0, 1.0)
         assert c.score == pytest.approx(float(expected), abs=1e-15)
 
@@ -52,7 +53,7 @@ def test_conservative_histogram_concentrates_near_zero():
     cset, _, truth = generate(STANDARD)
     by_archetype = {}
     for user, archetype in truth.user_archetype.items():
-        scores = np.abs([c.score for c in cset.restrict(user_id=user)])
+        scores = np.abs(cset.restrict(user_id=user).score)
         by_archetype.setdefault(archetype, []).append(float(np.mean(scores < 0.3)))
     assert all(frac >= 0.8 for frac in by_archetype["conservative"])
     assert all(frac < 0.8 for frac in by_archetype["neutral"])
@@ -77,7 +78,7 @@ def test_sign_preserving_transforms():
                                       "extreme": 1, "malicious": 1},
                        seed=11)
     cset, _, truth = generate(config)
-    for c in cset:
+    for c in rows_of(cset):
         theta = truth.user_theta[c.user_id]
         diff = theta[c.right_item] - theta[c.left_item]
         if abs(diff) < 1e-9:
@@ -96,8 +97,8 @@ def test_random_malicious_mode_ignores_truth():
                        seed=3)
     cset, _, truth = generate(config)
     theta = truth.user_theta["u0"]
-    diffs = np.array([theta[c.right_item] - theta[c.left_item] for c in cset])
-    scores = np.array([c.score for c in cset])
+    diffs = np.array([theta[c.right_item] - theta[c.left_item] for c in rows_of(cset)])
+    scores = cset.score
     mask = np.abs(diffs) > 0.2
     agree = np.mean(np.sign(scores[mask]) == np.sign(diffs[mask]))
     assert 0.3 < agree < 0.7  # uncorrelated with the truth
@@ -141,7 +142,7 @@ def test_per_user_streams_stable_under_population_growth():
                       comparisons_per_user=40, seed=9)
     a, _, _ = generate(small)
     b, _, _ = generate(large)
-    assert a.restrict(user_id="u0").comparisons == b.restrict(user_id="u0").comparisons
+    assert rows_of(a.restrict(user_id="u0")) == rows_of(b.restrict(user_id="u0"))
 
 
 class TestTrueClasses:
@@ -155,7 +156,7 @@ class TestTrueClasses:
         labels = true_classes(truth, cset, 0.05)
         assert len(labels) == len(cset)
         theta = truth.user_theta
-        for c, label in zip(cset, labels):
+        for c, label in zip(rows_of(cset), labels):
             diff = theta[c.user_id][c.right_item] - theta[c.user_id][c.left_item]
             if diff > 0.05:
                 assert label == "right"
@@ -200,7 +201,7 @@ class TestTrueClasses:
 def oracle_true_classes(truth, cset, tie_epsilon):
     """The per-comparison loop that true_classes replaced."""
     out = []
-    for c in cset:
+    for c in rows_of(cset):
         if c.user_id not in truth.user_theta:
             raise ValueError(f"unknown user {c.user_id!r}")
         theta = truth.user_theta[c.user_id]

@@ -21,6 +21,7 @@ from equirank.dataset import (
 from equirank.cli import _write_manifest
 from equirank.equity import build_report, write_report
 from equirank.ltr import ModelParams, predict_all, save_model
+from row_view import rows_of
 from writer_oracle import oracle_write_columns
 
 # Ids with the bytes CSV quotes or the byte reader refuses, non-ASCII ids,
@@ -112,7 +113,7 @@ def test_completed_write_replaces_target(tmp_path):
     target = tmp_path / "c.csv"
     target.write_bytes(b"an earlier, longer file\n" * 100)
     write_comparisons(_CSET, target)
-    assert parse_comparisons(target).comparisons == _CSET.comparisons
+    assert rows_of(parse_comparisons(target)) == rows_of(_CSET)
     assert [p.name for p in tmp_path.iterdir()] == ["c.csv"]
 
 
