@@ -418,12 +418,12 @@ def _csv_rows(path: Path) -> Iterator[list[str]]:
                     yield row
             except UnicodeDecodeError:
                 # The decoder reads a chunk ahead of csv.reader, so the rows
-                # before the bad line are read again, up to a sentinel line:
-                # the row that reaches it is the sentinel, or a quoted field
-                # that runs on into the bad line.
+                # before the bad line are read again, up to a blank sentinel
+                # line: the row that reaches it is the sentinel's empty row,
+                # or a quoted field that runs on into the bad line.
                 text, bad_line = _utf8_prefix(path)
                 lines = io.StringIO(text, newline="").readlines()
-                rows = csv.reader([*lines, "\0"])
+                rows = csv.reader([*lines, "\n"])
                 for lineno, row in enumerate(islice(rows, lineno, None), start=lineno + 1):
                     if rows.line_num > len(lines):
                         break

@@ -3,8 +3,8 @@
 The earlier public helpers of `equirank.gbt`, kept here as the reference:
 the scalar link `expected_comparison` and the dict-keyed `gbt_objective` and
 `gbt_gradient` with their helper `_point_of`. The code is unchanged, except
-that `_point_of` reads an `IndividualScores` through its `item_ids` and
-`theta` arrays. A fit runs `gbt._expected_vec` and `gbt._Point` instead; the
+that `_point_of` reads an `IndividualScores` through `by_item`, which keys a
+fit's `theta` array by its `item_ids`. A fit runs `gbt._expected_vec` and `gbt._Point` instead; the
 tests hold those to these. The acceptance suite draws its noise-free
 comparison scores from `expected_comparison`.
 """
@@ -35,12 +35,17 @@ def expected_comparison(delta: float) -> float:
     return math.copysign(val, delta)
 
 
+def by_item(fit: IndividualScores) -> dict[str, float]:
+    """A fit's scores keyed by item."""
+    return dict(zip(fit.item_ids, fit.theta.tolist()))
+
+
 def _point_of(
     theta: IndividualScores | Mapping[str, float], comparisons: ComparisonSet, lam: float
 ) -> tuple[_Point, Mapping[str, float]]:
     """The point at the compared items' entries of `theta`, and all of `theta`."""
     if isinstance(theta, IndividualScores):
-        values = dict(zip(theta.item_ids, theta.theta.tolist()))
+        values = by_item(theta)
     else:
         values = theta
     problem = _Problem(comparisons, lam)

@@ -27,7 +27,7 @@ from equirank.ltr import LossWeights, ModelParams, TrainConfig, predict_all, tra
 from equirank.robust import ResilienceParams, qr_med
 from equirank.scaling import mehestan_scale, minmax_scale, normalization_scale
 from equirank.simgen import SimConfig, generate
-from gbt_oracle import expected_comparison
+from gbt_oracle import by_item, expected_comparison
 from ltr_oracle import loss, predict_diff, step_gradient
 from row_view import Comparison, rows_of
 
@@ -274,7 +274,7 @@ def test_criterion_mehestan_affine_recovery():
     by_user = {a.user_id: a for a in affines}
     relative_scale = by_user["uA"].s / by_user["uB"].s
     assert relative_scale == pytest.approx(2.0, rel=0.10)
-    theta_scaled = {s.user_id: dict(zip(s.item_ids, s.theta.tolist())) for s in scores}
+    theta_scaled = {s.user_id: by_item(s) for s in scores}
     all_values = [v for th in theta_scaled.values() for v in th.values()]
     score_range = max(all_values) - min(all_values)
     worst = max(

@@ -9,7 +9,7 @@ from scipy.stats import spearmanr
 
 from equirank.dataset import comparison_set
 from equirank.gbt import _SERIES_CUTOFF, GbtConfig, _expected_vec, _Point, _Problem, fit_gbt
-from gbt_oracle import expected_comparison, gbt_gradient, gbt_objective
+from gbt_oracle import by_item, expected_comparison, gbt_gradient, gbt_objective
 from row_view import rows_of
 
 
@@ -123,10 +123,10 @@ class TestObjective:
         cset, _ = _random_instance(rng)
         theta = rng.normal(size=len(cset.item_ids))
         point = _Point(_Problem(cset, 0.3), theta)
-        by_item = dict(zip(cset.item_ids, theta.tolist()))
-        assert gbt_objective(by_item, cset, 0.3) == point.obj
-        assert gbt_gradient(by_item, cset, 0.3) == dict(zip(cset.item_ids, point.grad.tolist()))
-        extra = gbt_objective(dict(by_item, elsewhere=2.0), cset, 0.3)
+        values = dict(zip(cset.item_ids, theta.tolist()))
+        assert gbt_objective(values, cset, 0.3) == point.obj
+        assert gbt_gradient(values, cset, 0.3) == dict(zip(cset.item_ids, point.grad.tolist()))
+        extra = gbt_objective(dict(values, elsewhere=2.0), cset, 0.3)
         assert extra == pytest.approx(point.obj + 0.5 * 0.3 * 4.0, rel=1e-15)
 
 
@@ -159,15 +159,11 @@ def test_gradient_matches_central_finite_differences():
         )
 
 
-def _by_item(fit):
-    return dict(zip(fit.item_ids, fit.theta.tolist()))
-
-
 class TestFit:
     def test_neutral_comparison_stays_at_zero(self):
         cset = comparison_set([("u1", "g", "a", "b", 0.0)])
         fit = fit_gbt(cset, GbtConfig(lam=0.1))
-        assert _by_item(fit) == {"a": 0.0, "b": 0.0}
+        assert by_item(fit) == {"a": 0.0, "b": 0.0}
         assert fit.converged
 
     def test_directional_comparison_is_antisymmetric(self):
@@ -195,7 +191,7 @@ class TestFit:
             noisy = expected_comparison(theta_true[r] - theta_true[l]) + rng.normal(0, 0.02)
             rows.append(("u1", "g", items[l], items[r], float(np.clip(noisy, -1, 1))))
         fit = fit_gbt(comparison_set(rows))
-        fitted = np.array([_by_item(fit)[i] for i in items])
+        fitted = np.array([by_item(fit)[i] for i in items])
         assert spearmanr(fitted, theta_true).statistic > 0.95
 
     def test_prior_centers_connected_fit(self):
@@ -220,7 +216,7 @@ class TestFit:
         # stops at its first gradient check.
         rows = [("u1", "g", a, b, 0.0) for a, b in [("a", "b"), ("b", "c"), ("a", "c"), ("c", "d")]]
         fit = fit_gbt(comparison_set(rows))
-        assert _by_item(fit) == {"a": 0.0, "b": 0.0, "c": 0.0, "d": 0.0}
+        assert by_item(fit) == {"a": 0.0, "b": 0.0, "c": 0.0, "d": 0.0}
         assert (fit.converged, fit.n_iter, fit.grad_norm) == (True, 1, 0.0)
 
     @pytest.mark.parametrize("score", [-1.0, -0.3, 0.05, 1.0])

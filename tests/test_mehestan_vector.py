@@ -22,6 +22,7 @@ from equirank.gbt import GbtConfig, IndividualScores, _Point, _Problem, fit_gbt
 from equirank.robust import ResilienceParams, br_mean
 from equirank.scaling import mehestan_scale
 from equirank.simgen import SimConfig, generate
+from gbt_oracle import by_item
 
 # --- oracles: the loop implementations ---------------------------------------
 
@@ -113,7 +114,7 @@ def oracle_mehestan_scale(cset, gbt_config, weight, aggregator, epsilon_pair=1e-
     users = list(cset.user_ids)
     subsets = [cset.restrict(user_id=u) for u in users]
     fits = {u: oracle_fit_gbt(sub, gbt_config) for u, sub in zip(users, subsets)}
-    theta = {u: _by_item(fits[u]) for u in users}
+    theta = {u: by_item(fits[u]) for u in users}
     anchor = min(users, key=lambda u: (-len(theta[u]), u))
 
     scales = {anchor: 1.0}
@@ -174,10 +175,6 @@ def oracle_mehestan_scale(cset, gbt_config, weight, aggregator, epsilon_pair=1e-
 
 def _bits(x):
     return np.asarray(x, dtype=np.float64).tobytes()
-
-
-def _by_item(fit):
-    return dict(zip(fit.item_ids, fit.theta.tolist()))
 
 
 def assert_matches_oracle(cset, gbt_config=GbtConfig(), weight=1.0, aggregator="brmean"):
@@ -255,11 +252,11 @@ def test_vote_matrix_is_antisymmetric(cset):
     def gap(scores, a, b):
         return abs(scores[a] - scores[b])
 
-    by_item = [_by_item(fit) for fit in fits]
+    keyed = [by_item(fit) for fit in fits]
     shared = np.array([[fu is not fv and any(
         min(gap(fu, a, b), gap(fv, a, b)) > scaling.EPSILON_PAIR
         for a, b in itertools.combinations(sorted(set(fu) & set(fv)), 2)
-    ) for fv in by_item] for fu in by_item])
+    ) for fv in keyed] for fu in keyed])
     assert np.array_equal(~np.isnan(votes), shared)
     assert _bits(votes.T[shared]) == _bits(-votes[shared])
 
