@@ -20,6 +20,7 @@ from . import __version__
 from .dataset import (
     ComparisonSet,
     FeatureTable,
+    _csv_rows,
     _not_utf8,
     parse_comparisons,
     parse_features,
@@ -159,11 +160,9 @@ def _sim_config(values: Mapping[str, object]) -> SimConfig:
 def _load_comparisons(path: str | Path, criterion: str | None) -> ComparisonSet:
     """Read a comparisons file in the raw or the scaled schema (extra scaler
     column), keep the rows with `criterion` (all when it is None), and reject
-    an empty result. The header only picks the parser, so a byte that is not
-    UTF-8 is left for the parser to report with its line."""
-    with Path(path).open(encoding="utf-8", errors="replace") as fh:
-        header = fh.readline().strip()
-    parse = parse_scaled_comparisons if header.endswith(",scaler") else parse_comparisons
+    an empty result. The header, read as the parsers read it, picks one."""
+    header = next(_csv_rows(Path(path)))
+    parse = parse_scaled_comparisons if header[-1:] == ["scaler"] else parse_comparisons
     cset = parse(path)
     if criterion is not None:
         cset = cset.restrict(criterion=criterion)
@@ -390,10 +389,11 @@ class UsageError(Exception):
 
 def parse_pipeline_config(path: str | Path) -> tuple[dict[str, object], list[str]]:
     """Flat key=value grammar; '#' starts a comment; `experiment` repeats."""
+    data = Path(path).read_bytes()
     try:
-        text = Path(path).read_text(encoding="utf-8")
-    except UnicodeDecodeError:
-        raise UsageError(*_not_utf8(Path(path)).args) from None
+        text = data.decode()
+    except UnicodeDecodeError as exc:
+        raise UsageError(*_not_utf8(Path(path), data, exc.start).args) from None
     values = dict(_PIPELINE_DEFAULTS)
     experiments: list[str] = []
     for lineno, raw in enumerate(text.splitlines(), 1):

@@ -12,11 +12,10 @@ columns.
 
 CSV files follow one quoting rule: a field is quoted when it contains a
 comma, a double quote, a carriage return or a line feed, and quotes inside
-it are doubled. That is what `csv.reader` reads back, so every id
-round-trips.
+it are doubled, so every id round-trips.
 
-Comparisons are read on bytes, LF or CRLF, and through csv.reader only when
-a file needs it. They are written on bytes, from a table of quoted tokens
+Every CSV is read on bytes by one reader, `_csv_rows`. Comparisons are
+written on bytes, from a table of quoted tokens
 per vocabulary and one repr of each block's scores; the bytes are those of
 joining each row from `csv_field` and repr(score). Every data file is
 written under a temporary name and moved onto its path when complete, so a
@@ -28,27 +27,26 @@ from __future__ import annotations
 
 import bisect
 import contextlib
-import csv
 import functools
-import io
+import itertools
 import json
-import math
 import os
 import tempfile
-from array import array
 from dataclasses import dataclass
-from itertools import islice
 from pathlib import Path
 from typing import IO, BinaryIO, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
 COMPARISONS_HEADER = ["user_id", "criterion", "left_item", "right_item", "score"]
-# The byte path reads a file in blocks of about _BLOCK_BYTES, each cut after a
-# line end, and reads no field wider than _FIELD_CAP bytes. Blocks of 1 MiB
+# A CSV is read in blocks of about _BLOCK_BYTES, each cut after a line end,
+# and a field wider than _FIELD_CAP bytes as text. Blocks of 1 MiB
 # parsed no faster than these and left a process's peak memory higher.
+# No field may hold more than _FIELD_LIMIT bytes between its delimiters,
+# quotes included; the csv module's default limit is as many characters.
 _BLOCK_BYTES = 1 << 18
 _FIELD_CAP = 64
+_FIELD_LIMIT = 131072
 # `write_columns` formats _WRITE_ROWS rows at a time, so every temporary is
 # sized to a block and not to the set. No float's repr is longer than
 # _REPR_CAP bytes: a sign, 17 digits, a point and an exponent such as e-308.
@@ -305,7 +303,7 @@ def _score_tokens(score: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     `S<width>` array, and its byte length.
 
     One repr of the list formats each float as repr(float) does, joined by
-    ", "; the tokens are cut out of it as `_block_fields` cuts fields.
+    ", "; the tokens are cut out of it as `_csv_rows` cuts fields.
     """
     text = repr(score.tolist()).encode()
     buf = np.frombuffer(text + bytes(_REPR_CAP), dtype=np.uint8)
@@ -370,230 +368,196 @@ def write_columns(
         fh.writelines(_row_blocks(cset, extra))
 
 
-def _row_error(row: list[str], ncols: int) -> str | None:
-    """The first problem with one data row, checked in the order a reader meets it."""
-    if len(row) != ncols:
-        return f"expected {ncols} columns, got {len(row)}"
-    _, _, left, right, score_text = row[:5]
-    try:
-        score = float(score_text)
-    except ValueError:
-        return f"unparsable score {score_text!r}"
-    if not math.isfinite(score) or not -1.0 <= score <= 1.0:
-        return f"score {score_text} outside [-1, 1]"
-    if left == right:
-        return f"self-comparison of item {left!r}"
-    return None
-
-
-def _utf8_prefix(path: Path) -> tuple[str, int]:
-    """The text of a file's lines before its first one that is not UTF-8, and
-    that line's number (a LF byte never occurs inside a UTF-8 sequence)."""
-    lines = []
-    with path.open("rb") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            try:
-                lines.append(line.decode())
-            except UnicodeDecodeError:
-                break
-    return "".join(lines), lineno
-
-
-def _not_utf8(path: Path) -> ValueError:
-    """The error for a file that is not UTF-8, naming its first bad line."""
-    return ValueError(f"{path}: line {_utf8_prefix(path)[1]}: not valid UTF-8")
-
-
-def _csv_rows(path: Path) -> Iterator[list[str]]:
-    """The rows of a UTF-8 CSV file through csv.reader, [] for a blank line.
-    Raises ValueError naming the file if it is empty, naming the file and
-    the row on a csv.Error, such as a field over csv's size limit, or naming
-    the file and the line of the first byte that is not UTF-8, after the
-    rows before that line."""
-    lineno = 0
-    try:
-        with path.open(newline="", encoding="utf-8") as fh:
-            try:
-                for lineno, row in enumerate(csv.reader(fh), start=1):
-                    yield row
-            except UnicodeDecodeError:
-                # The decoder reads a chunk ahead of csv.reader, so the rows
-                # before the bad line are read again, up to a blank sentinel
-                # line: the row that reaches it is the sentinel's empty row,
-                # or a quoted field that runs on into the bad line.
-                text, bad_line = _utf8_prefix(path)
-                lines = io.StringIO(text, newline="").readlines()
-                rows = csv.reader([*lines, "\n"])
-                for lineno, row in enumerate(islice(rows, lineno, None), start=lineno + 1):
-                    if rows.line_num > len(lines):
-                        break
-                    yield row
-                raise ValueError(f"{path}: line {bad_line}: not valid UTF-8") from None
-    except csv.Error as exc:
-        raise ValueError(f"{path}: line {lineno + 1}: {exc}") from None
-    if lineno == 0:
-        raise ValueError(f"{path}: empty file, expected a header row")
-
-
-def _read_text(path: Path, header: list[str]) -> tuple[Columns, list[tuple[str, ...]]]:
-    """`read_columns` through csv.reader, which reads any file, row by row."""
-    ncols = len(header)
-    rows = _csv_rows(path)
-    first = next(rows)
-    if first != header:
-        raise ValueError(f"{path}: bad header {first!r}, expected {header!r}")
-    users, criteria, items = {}, {}, {}
-    codes = [array("q") for _ in range(4)]
-    score = array("d")
-    extra: list[dict[str, None]] = [{} for _ in range(ncols - 5)]
-    for lineno, row in enumerate(rows, start=2):
-        if not row:
-            continue
-        problem = _row_error(row, ncols)
-        if problem:
-            raise ValueError(f"{path}: line {lineno}: {problem}")
-        codes[0].append(users.setdefault(row[0], len(users)))
-        codes[1].append(criteria.setdefault(row[1], len(criteria)))
-        codes[2].append(items.setdefault(row[2], len(items)))
-        codes[3].append(items.setdefault(row[3], len(items)))
-        score.append(float(row[4]))
-        for seen, value in zip(extra, row[5:]):
-            seen[value] = None
-    user, criterion, left, right = (np.array(c, dtype=np.intp) for c in codes)
-    columns = Columns(
-        tuple(users), user, tuple(criteria), criterion,
-        tuple(items), left, right, np.array(score, dtype=np.float64),
-    )
-    return columns, [tuple(seen) for seen in extra]
+def _not_utf8(path: Path, data: bytes, start: int, line: int = 1) -> ValueError:
+    """The error for a file that is not UTF-8: `data`, read from the start of
+    line `line`, holds a bad byte at `start`."""
+    line += data.count(b"\n", 0, start)
+    return ValueError(f"{path}: line {line}: not valid UTF-8")
 
 
 def _line_blocks(fh: BinaryIO) -> Iterator[bytes]:
-    """The rest of a binary file in blocks of whole lines of about
-    _BLOCK_BYTES; a last line without a line end is given one."""
-    rest = b""
+    """A binary file in blocks of about _BLOCK_BYTES, each cut after a line
+    end that follows an even number of double quotes, so that no quoted
+    field spans two blocks: after a LF, or after a CR that is not the last
+    byte read. The last block is given a LF."""
+    parts, odd = [], 0
     while data := fh.read(_BLOCK_BYTES):
-        cut = data.rfind(b"\n") + 1
+        cut = max(data.rfind(b"\n"), data.rfind(b"\r", 0, len(data) - 1)) + 1
+        if odd or b'"' in data:
+            # Step back from the last LF until the quotes before it are even.
+            odd = (odd + data.count(b'"', 0, cut)) % 2
+            while cut and odd:
+                before = data.rfind(b"\n", 0, cut - 1) + 1
+                odd ^= data.count(b'"', before, cut) % 2
+                cut = before
+            odd = (odd + data.count(b'"', cut)) % 2
         if cut:
-            yield rest + data[:cut]
-            rest = data[cut:]
-        else:
-            rest += data
-    if rest:
-        yield rest + b"\n"
+            yield b"".join([*parts, data[:cut]])
+            parts = []
+        parts.append(data[cut:])
+    if tail := b"".join(parts):
+        yield tail + b"\n"
 
 
-def _block_fields(block: bytes, ncols: int) -> list[np.ndarray] | None:
-    """Each column of a block of whole lines as a zero-padded uint8 matrix,
-    one row per non-blank line and at least 8 bytes wide; a line may end in
-    CRLF.
+def _outside(positions: np.ndarray, quotes: np.ndarray | None) -> np.ndarray:
+    """The positions that follow an even number of quotes."""
+    return positions if quotes is None else positions[np.searchsorted(quotes, positions) % 2 == 0]
 
-    None where csv.reader could read the block otherwise: it holds a double
-    quote, NUL or a CR outside a CRLF, a line has other than ncols - 1
-    commas, or a field is wider than _FIELD_CAP bytes.
-    """
-    if b"\r" in block:
-        block = block.replace(b"\r\n", b"\n")
-    if b'"' in block or b"\r" in block or b"\0" in block:
-        return None
-    buf = np.frombuffer(block + bytes(_FIELD_CAP), dtype=np.uint8)
-    ends = np.flatnonzero(buf == ord("\n"))
-    starts = np.concatenate(([0], ends[:-1] + 1))
-    filled = starts < ends
-    starts, ends = starts[filled], ends[filled]
-    n = starts.size
-    commas = np.flatnonzero(buf == ord(","))
-    # Blank lines hold no comma, so every line has ncols - 1 commas exactly
-    # when (i + 1) * (ncols - 1) commas come before the end of line i.
-    if commas.size != (ncols - 1) * n or not np.array_equal(
-        np.searchsorted(commas, ends), np.arange(1, n + 1) * (ncols - 1)
+
+def _field(
+    data: bytes, start: np.ndarray, stop: np.ndarray, quotes: np.ndarray | None, special: np.ndarray
+) -> np.ndarray | list[str]:
+    """One column of a block's rows, field k running from start[k] to
+    stop[k], as a zero-padded uint8 matrix at least 8 bytes wide; or as text
+    when a field holds a `special` position or is wider than _FIELD_CAP.
+    A field quoted at both ends loses its quotes."""
+    buf = np.frombuffer(data, dtype=np.uint8)
+    if quotes is not None:
+        quoted = buf[start] == ord('"')
+        start, stop = start + quoted, stop - quoted
+    length = stop - start
+    width = int(length.max(initial=0))
+    if width > _FIELD_CAP or (
+        special.size and (np.searchsorted(special, stop) > np.searchsorted(special, start)).any()
     ):
-        return None
-    # Field k of a line lies between its delimiters k and k + 1, counting
-    # the byte before the line as delimiter 0 and its LF as the last.
-    delims = [starts - 1, *commas.reshape(n, ncols - 1).T, ends]
-    fields = []
-    for before, after in zip(delims, delims[1:]):
-        start = before + 1
-        length = after - start
-        width = int(length.max(initial=0))
-        if width > _FIELD_CAP:
-            return None
-        cols = np.arange(max(width, 8))
-        field = np.lib.stride_tricks.sliding_window_view(buf, cols.size)[start]
-        field *= cols < length[:, None]
-        fields.append(field)
-    return fields
+        return [
+            data[s:e].decode().replace('""', '"') for s, e in zip(start.tolist(), stop.tolist())
+        ]
+    cols = np.arange(max(width, 8))
+    field = np.lib.stride_tricks.sliding_window_view(buf, cols.size)[start]
+    field *= cols < length[:, None]
+    return field
 
 
-def _keys(field: np.ndarray) -> np.ndarray:
-    """One key per row of a field matrix: its bytes as a big-endian uint64
-    when 8 wide, else as bytes. Both sort in the order of the ids."""
-    return field.view(">u8" if field.shape[1] == 8 else f"S{field.shape[1]}").ravel()
+def _unquote(name: str) -> str:
+    """A header name without the quotes at its two ends, if it has both."""
+    quoted = len(name) > 1 and name[0] == name[-1] == '"'
+    return name[1:-1].replace('""', '"') if quoted else name
 
 
-def _texts(keys: np.ndarray) -> list[str]:
-    """The ids of `_keys` keys; raises UnicodeDecodeError if one is not UTF-8."""
-    return [key.decode() for key in keys.view(f"S{keys.itemsize}").tolist()]
+def _csv_rows(path: Path) -> Iterator:
+    """A CSV file read on bytes, in blocks of whole records.
 
-
-def _key_codes(vocab: dict[str, int], field: np.ndarray) -> np.ndarray:
-    """`_codes` of a field matrix's ids; the new ids of a block enter in
-    sorted order. Raises UnicodeDecodeError on an id that is not UTF-8."""
-    distinct, inverse = np.unique(_keys(field), return_inverse=True)
-    return _codes(vocab, _texts(distinct))[inverse]
-
-
-def _read_bytes(path: Path, header: list[str]) -> tuple[Columns, list[tuple[str, ...]]] | None:
-    """`read_columns` on bytes, with numpy, for files that csv.reader splits
-    at every comma and at every LF or CRLF.
-
-    Returns None, and leaves the file to `_read_text`, when the first line
-    is not exactly the header ended by LF or CRLF, `_block_fields` finds a
-    block it does not read, an id is not UTF-8, numpy cannot parse a score,
-    or any row fails a check.
+    Yields the header, its first line split at every comma, and then per
+    block the line numbers of its non-blank rows and one `_field` per
+    column. A byte is inside quotes when an odd number of quotes come before
+    it. A record ends at a LF outside quotes, or a CR outside quotes that no
+    LF follows; line numbers count records, blank ones too. After the rows
+    before it, raises ValueError naming the file and line of the first
+    record with the wrong number of fields, a stray or unterminated quote, a
+    field over _FIELD_LIMIT bytes or a byte that is not UTF-8 (for which the
+    line is counted in LFs).
     """
-    ncols = len(header)
-    users, criteria, items = {}, {}, {}
-    vocabs = (users, criteria, items, items)
-    extra: list[dict[str, None]] = [{} for _ in range(ncols - 5)]
     with path.open("rb") as fh:
-        line = ",".join(header).encode()
-        if fh.readline() not in (line + b"\n", line + b"\r\n"):
-            return None
-        # Each row but a last one without a line end ends at a LF, which
-        # bounds the row count. Blocks fill columns allocated once: joining
-        # per-block parts would leave the heap fragmented and the process
-        # larger.
-        body = fh.tell()
-        bound = 1 + sum(data.count(b"\n") for data in iter(lambda: fh.read(_BLOCK_BYTES), b""))
-        fh.seek(body)
-        columns = [np.empty(bound, dtype=np.intp) for _ in range(4)] + [np.empty(bound)]
-        n = 0
-        for block in _line_blocks(fh):
-            fields = _block_fields(block, ncols)
-            if fields is None:
-                return None
-            score_text = fields[4]
-            try:  # UnicodeDecodeError is a ValueError
-                block_score = score_text.view(f"S{score_text.shape[1]}").ravel().astype(np.float64)
-                block_codes = [_key_codes(v, f) for v, f in zip(vocabs, fields)]
-                values = [_texts(np.unique(_keys(field))) for field in fields[5:]]
-            except ValueError:
-                return None
-            if not (np.isfinite(block_score) & (block_score >= -1.0) & (block_score <= 1.0)).all():
-                return None
-            if (block_codes[2] == block_codes[3]).any():
-                return None
-            for column, part in zip(columns, [*block_codes, block_score]):
-                column[n : n + part.size] = part
-            n += block_score.size
-            for seen, distinct in zip(extra, values):
-                seen.update(dict.fromkeys(distinct))
-    user, criterion, left, right, score = (column[:n] for column in columns)
-    result = Columns(
-        tuple(users), user, tuple(criteria), criterion, tuple(items), left, right, score,
-    )
-    return result, [tuple(seen) for seen in extra]
+        blocks = _line_blocks(fh)
+        first = next(blocks, b"")
+        if not first:
+            raise ValueError(f"{path}: empty file, expected a header row")
+        end = len(first.split(b"\r", 1)[0].split(b"\n", 1)[0])
+        try:
+            names = first[:end].decode()
+        except UnicodeDecodeError as exc:
+            raise _not_utf8(path, first, exc.start) from None
+        header = [_unquote(name) for name in names.split(",")] if names else []
+        yield header
+        body = end + 1 + (first[end : end + 2] == b"\r\n")
+        ncols, row, line = len(header), 2, 1 + first.count(b"\n", 0, body)
+        for block in itertools.chain([first[body:]], blocks):
+            # A sentinel LF ends the record before the block, so record k
+            # ends at ends[k]; its text runs from starts[k] to stops[k], one
+            # byte short of its end after a CR, as in a CRLF.
+            data = b"".join((b"\n", block, bytes(_FIELD_CAP)))
+            buf = np.frombuffer(data, dtype=np.uint8)
+            lfs = np.flatnonzero(buf == ord("\n"))
+            quotes = np.flatnonzero(buf == ord('"')) if b'"' in block else None
+            ends = _outside(lfs, quotes)
+            if b"\r" in block:
+                crs = _outside(np.flatnonzero(buf == ord("\r")), quotes)
+                ends = np.sort(np.concatenate((ends, crs[buf[crs + 1] != ord("\n")])))
+            starts, ends = ends[:-1] + 1, ends[1:]
+            stops = ends - (buf[ends - 1] == ord("\r"))
+            commas = _outside(np.flatnonzero(buf == ord(",")), quotes)
+
+            # (record, problem) of each kind; at one record, the first listed.
+            problems: list[tuple[int, ValueError | str]] = []
+            special = np.empty(0, dtype=np.intp)
+            if b"\0" in block:
+                special = np.flatnonzero(buf[: len(block) + 1] == 0)
+            if quotes is not None:
+                # An opening quote starts a field or follows a closing one, as
+                # in a doubled ""; a closing quote ends a field or precedes one.
+                neighbor = buf[quotes - 1 + 2 * (np.arange(quotes.size) % 2)]
+                stray = quotes[~np.isin(neighbor, np.frombuffer(b',\n\r"', dtype=np.uint8))]
+                if stray.size:
+                    problems.append((np.searchsorted(ends, stray[0]), "stray double quote"))
+                if quotes.size % 2:
+                    problems.append((ends.size, "unterminated quoted field"))
+                doubled = quotes[1::2][neighbor[1::2] == ord('"')]
+                special = np.sort(np.concatenate((special, doubled)))
+            try:
+                block.decode()
+            except UnicodeDecodeError as exc:
+                error = _not_utf8(path, block, exc.start, line)
+                problems.append((np.searchsorted(ends, exc.start + 1), error))
+            for k in np.flatnonzero(stops - starts > _FIELD_LIMIT).tolist():
+                inside = (commas > starts[k]) & (commas < stops[k])
+                if np.diff(np.r_[starts[k] - 1, commas[inside], stops[k]]).max() > _FIELD_LIMIT + 1:
+                    problems.append((k, f"field larger than field limit ({_FIELD_LIMIT})"))
+                    break
+            filled = np.flatnonzero(starts < stops)
+            counts = np.diff(np.searchsorted(commas, stops[filled]), prepend=0) + 1
+            for k in np.flatnonzero(counts != ncols)[:1].tolist():
+                problems.append((filled[k], f"expected {ncols} columns, got {counts[k]}"))
+
+            bad, problem = min(problems, key=lambda p: p[0], default=(ends.size, None))
+            filled = filled[: np.searchsorted(filled, bad)]
+            if n := filled.size:
+                # Field j of a row lies between its delimiters j and j + 1,
+                # counting the byte before the row as delimiter 0.
+                commas = commas[: n * (ncols - 1)].reshape(n, ncols - 1).T
+                delims = [starts[filled] - 1, *commas, stops[filled]]
+                yield row + filled, [
+                    _field(data, before + 1, after, quotes, special)
+                    for before, after in zip(delims, delims[1:])
+                ]
+            if isinstance(problem, ValueError):
+                raise problem
+            if problem:
+                raise ValueError(f"{path}: line {row + bad}: {problem}")
+            row += ends.size
+            line += lfs.size - 1
+
+
+def _texts(field: np.ndarray | list[str]) -> list[str]:
+    """The text of each field of a `_field` column."""
+    if isinstance(field, list):
+        return field
+    return [key.decode() for key in field.view(f"S{field.shape[1]}").ravel().tolist()]
+
+
+def _field_codes(vocab: dict[str, int], field: np.ndarray | list[str]) -> np.ndarray:
+    """`_codes` of a `_field` column; new ids of a matrix enter in sorted order."""
+    if isinstance(field, list):
+        return _codes(vocab, field)
+    # Each row as a key that sorts in the order of the ids: its bytes as a
+    # big-endian uint64 when 8 wide, else as bytes.
+    keys = field.view(">u8" if field.shape[1] == 8 else f"S{field.shape[1]}").ravel()
+    distinct, inverse = np.unique(keys, return_inverse=True)
+    return _codes(vocab, _texts(distinct.view(np.uint8).reshape(-1, field.shape[1])))[inverse]
+
+
+def _scores(field: np.ndarray | list[str]) -> np.ndarray:
+    """A score column's values as float64, NaN where one does not parse."""
+    if not isinstance(field, list):
+        try:
+            return field.view(f"S{field.shape[1]}").ravel().astype(np.float64)
+        except ValueError:
+            field = _texts(field)
+    values = np.full(len(field), np.nan)
+    for k, text in enumerate(field):
+        with contextlib.suppress(ValueError):
+            values[k] = float(text)
+    return values
 
 
 def read_columns(
@@ -604,13 +568,47 @@ def read_columns(
     Returns the columns and, for each column past the fifth, its distinct
     values; the order of vocabularies and distinct values is unspecified.
     Raises ValueError naming the 1-based line of the first bad row.
-
-    Files are read on bytes with numpy when they can be; whatever that path
-    does not read goes through csv.reader, and both give the same result.
     """
     path = Path(path)
-    result = _read_bytes(path, header)
-    return _read_text(path, header) if result is None else result
+    rows = _csv_rows(path)
+    first = next(rows)
+    if first != header:
+        raise ValueError(f"{path}: bad header {first!r}, expected {header!r}")
+    users, criteria, items = {}, {}, {}
+    vocabs = (users, criteria, items, items, *({} for _ in header[5:]))
+    # Blocks fill columns allocated once, one row per LF and one more:
+    # joining per-block parts would leave the heap fragmented and the
+    # process larger. Only rows ended by bare CRs can outgrow them.
+    with path.open("rb") as fh:
+        bound = 1 + sum(data.count(b"\n") for data in iter(lambda: fh.read(_BLOCK_BYTES), b""))
+    columns = [np.empty(bound, dtype=np.intp) for _ in range(4)] + [np.empty(bound)]
+    n = 0
+    for lines, fields in rows:
+        codes = [_field_codes(v, f) for v, f in zip(vocabs, fields[:4] + fields[5:])]
+        score = _scores(fields[4])
+        bad = ~((score >= -1.0) & (score <= 1.0)) | (codes[2] == codes[3])
+        if bad.any():
+            k = int(bad.argmax())
+            left, text = (_texts(f[k : k + 1])[0] for f in (fields[2], fields[4]))
+            try:
+                in_range = -1.0 <= float(text) <= 1.0
+            except ValueError:
+                problem = f"unparsable score {text!r}"
+            else:
+                problem = f"self-comparison of item {left!r}" if in_range else (
+                    f"score {text} outside [-1, 1]")
+            raise ValueError(f"{path}: line {lines[k]}: {problem}")
+        if n + score.size > bound:
+            bound = 2 * (n + score.size)
+            columns = [np.concatenate((c[:n], np.empty(bound - n, c.dtype))) for c in columns]
+        for column, part in zip(columns, [*codes[:4], score]):
+            column[n : n + part.size] = part
+        n += score.size
+    user, criterion, left, right, score = (column[:n] for column in columns)
+    result = Columns(
+        tuple(users), user, tuple(criteria), criterion, tuple(items), left, right, score,
+    )
+    return result, [tuple(seen) for seen in vocabs[4:]]
 
 
 def parse_comparisons(path: str | Path) -> ComparisonSet:
@@ -631,7 +629,6 @@ def write_comparisons(cset: ComparisonSet, path: str | Path) -> None:
 def parse_features(path: str | Path) -> FeatureTable:
     """Read a features CSV (header item_id,f0,...,f{d-1})."""
     path = Path(path)
-    features: dict[str, np.ndarray] = {}
     rows = _csv_rows(path)
     header = next(rows)
     if len(header) < 2 or header[0] != "item_id":
@@ -640,21 +637,18 @@ def parse_features(path: str | Path) -> FeatureTable:
     expected = ["item_id"] + [f"f{i}" for i in range(dim)]
     if header != expected:
         raise ValueError(f"{path}: bad header {header!r}, expected {expected!r}")
-    for lineno, row in enumerate(rows, start=2):
-        if not row:
-            continue
-        if len(row) != dim + 1:
-            raise ValueError(f"{path}: line {lineno}: expected {dim + 1} columns, got {len(row)}")
-        item_id = row[0]
-        if item_id in features:
-            raise ValueError(f"{path}: line {lineno}: duplicate item_id {item_id!r}")
-        try:
-            vec = np.array([float(v) for v in row[1:]], dtype=np.float64)
-        except ValueError:
-            raise ValueError(f"{path}: line {lineno}: unparsable feature value") from None
-        if not np.all(np.isfinite(vec)):
-            raise ValueError(f"{path}: line {lineno}: non-finite feature value")
-        features[item_id] = vec
+    features: dict[str, np.ndarray] = {}
+    for lines, fields in rows:
+        for lineno, item_id, *values in zip(lines.tolist(), *map(_texts, fields)):
+            if item_id in features:
+                raise ValueError(f"{path}: line {lineno}: duplicate item_id {item_id!r}")
+            try:
+                vec = np.array([float(v) for v in values], dtype=np.float64)
+            except ValueError:
+                raise ValueError(f"{path}: line {lineno}: unparsable feature value") from None
+            if not np.all(np.isfinite(vec)):
+                raise ValueError(f"{path}: line {lineno}: non-finite feature value")
+            features[item_id] = vec
     return FeatureTable(dim, features)
 
 

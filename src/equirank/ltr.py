@@ -305,12 +305,13 @@ def load_model(path: str | Path) -> ModelParams:
     integer, `w` an array of `dim` numbers and `user_offsets` an object of
     such arrays."""
     path = Path(path)
+    data = path.read_bytes()
     try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
+        doc = json.loads(data.decode())
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path}: {exc}") from None
-    except UnicodeDecodeError:
-        raise _not_utf8(path) from None
+    except UnicodeDecodeError as exc:
+        raise _not_utf8(path, data, exc.start) from None
     if not isinstance(doc, dict):
         raise ValueError(f"{path}: model is not a JSON object")
     for key, kind, name in [("dim", int, "an integer"), ("w", list, "an array"),

@@ -322,8 +322,10 @@ def parse_scaled_comparisons(path: str | Path) -> ScaledComparisonSet:
     columns, (tags,) = read_columns(path, COMPARISONS_HEADER + ["scaler"])
     if len(tags) > 1:
         raise ValueError(f"{path}: mixed scaler tags {sorted(tags)}")
-    tag = tags[0] if tags else "none"
-    return ScaledComparisonSet(columns=columns, scaler_tag=tag)
+    try:
+        return ScaledComparisonSet(columns=columns, scaler_tag=tags[0] if tags else "none")
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def write_user_affines(affines: list[UserAffine], path: str | Path) -> None:

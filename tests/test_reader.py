@@ -1,0 +1,202 @@
+"""The CSV reader on any bytes, on every Python, and without numpy.ma."""
+
+import contextlib
+import io
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import equirank
+from equirank import cli, dataset
+from equirank.dataset import (
+    COMPARISONS_HEADER,
+    FeatureTable,
+    comparison_set,
+    parse_comparisons,
+    parse_features,
+    write_comparisons,
+    write_features,
+)
+from equirank.scaling import (
+    SCALER_TAGS,
+    ScaledComparisonSet,
+    parse_scaled_comparisons,
+    write_scaled_comparisons,
+)
+from row_view import rows_of
+
+HEADER = ",".join(COMPARISONS_HEADER).encode() + b"\n"
+_BLOCK_SIZES = st.sampled_from([1, 7, 64, dataset._BLOCK_BYTES])
+
+# --- Any bytes ----------------------------------------------------------------
+
+_HEADERS = [
+    b"",
+    HEADER,
+    HEADER.replace(b"\n", b",scaler\r\n"),
+    b"item_id,f0,f1\n",
+    b"\xef\xbb\xbf" + HEADER,
+]
+_PIECES = [
+    b'"', b'""', b",", b"\r", b"\n", b"\r\n", b"\0", b"\xff", b"\xc3\xa9", b"\xef\xbb\xbf",
+    b"u", b"a", b"b", b"0.5", b"-1", b" ", b"nan", b"1e999", b"minmax", b"none", b"x" * 70,
+]
+_bodies = st.lists(
+    st.one_of(st.sampled_from(_PIECES), st.binary(max_size=6)), max_size=40
+).map(b"".join)
+# Every message a reader may raise, after the file's name.
+_ALLOWED = re.compile(
+    r"line \d+: |empty file, expected a header row$|bad header |mixed scaler tags "
+    r"|scaler_tag must be one of "
+)
+
+
+def _check_message(path, exc):
+    message = str(exc)
+    assert message.startswith(f"{path}: "), message
+    assert _ALLOWED.match(message, len(f"{path}: ")), message
+
+
+@given(head=st.sampled_from(_HEADERS), body=_bodies, block_bytes=_BLOCK_SIZES)
+@settings(max_examples=600, deadline=None)
+def test_any_bytes_read_or_name_the_line(head, body, block_bytes, tmp_path_factory):
+    path = tmp_path_factory.mktemp("fuzz") / "c.csv"
+    path.write_bytes(head + body)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dataset, "_BLOCK_BYTES", block_bytes)
+        for read in (parse_comparisons, parse_scaled_comparisons, parse_features):
+            try:
+                read(path)
+            except ValueError as exc:
+                _check_message(path, exc)
+
+
+@given(body=_bodies)
+@settings(max_examples=40, deadline=None)
+def test_cli_exits_1_naming_what_the_reader_names(body, tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("cli")
+    path = tmp / "c.csv"
+    path.write_bytes(HEADER + body)
+    try:
+        parse_comparisons(path)
+    except ValueError as exc:
+        message = str(exc)
+    else:
+        return
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = cli.main(["scale", "--input", str(path), "--scaler", "minmax",
+                         "-o", str(tmp / "out")])
+    assert code == 1
+    assert err.getvalue() == f"equirank: {message}\n"
+
+
+# Where csv.reader reads malformed quoting leniently, the reader names the
+# line; a record ended by a bare CR is checked before a bad byte after it.
+@pytest.mark.parametrize("body, message", [
+    (b'u,g,a,b,0.5\nu"x,g,a,b,0.5\n', "line 3: stray double quote"),
+    (b'"u"x,g,a,b,0.5\n', "line 2: stray double quote"),
+    (b'u,g,a,b,0.5\n\n"u,g,a,b,0.5\n', "line 4: unterminated quoted field"),
+    (b'u,"g\nh",a,b,0.5\r\nu,g,a,a,0.5\n', "line 3: self-comparison of item 'a'"),
+    (b'u,g,"a\r\n",b,0.5\nu,g,a,b,7\n', "line 3: score 7 outside [-1, 1]"),
+    (b"u,g,a,b,0.5\nu\r\xff,g,a,b,0.5\n", "line 3: expected 5 columns, got 1"),
+    (b"u,g,a,b,0.5\nu,g,a,b,0.5\r\xff,g,a,b,0.5\n", "line 3: not valid UTF-8"),
+], ids=["quote-in-bare-field", "text-after-quote", "unterminated", "quoted-lf", "quoted-crlf",
+        "bare-cr-before-bad-byte", "good-row-before-bad-byte"])
+def test_reader_names_the_line(tmp_path, body, message):
+    path = tmp_path / "c.csv"
+    path.write_bytes(HEADER + body)
+    with pytest.raises(ValueError) as exc:
+        parse_comparisons(path)
+    assert str(exc.value) == f"{path}: {message}"
+
+
+def test_bad_header_is_split_at_every_comma(tmp_path):
+    path = tmp_path / "c.csv"
+    path.write_bytes(b'"user_id,criterion",left_item,right_item,score\n')
+    with pytest.raises(ValueError, match=re.escape("""bad header ['"user_id', 'criterion"',""")):
+        parse_comparisons(path)
+
+
+def test_cli_reads_a_quoted_scaled_header_with_cr_line_ends(tmp_path):
+    cset = comparison_set([("u", "g", "a", "b", 0.5), ("u", "g", "b", "c", -0.25)])
+    write_scaled_comparisons(ScaledComparisonSet(cset.columns, "minmax"), tmp_path / "s.csv")
+    data = (tmp_path / "s.csv").read_bytes().replace(b",scaler\n", b',"scaler"\n')
+    (tmp_path / "cr.csv").write_bytes(data.replace(b"\n", b"\r"))
+    for name in ("s", "cr"):
+        assert cli.main(["scale", "--input", str(tmp_path / f"{name}.csv"), "--scaler", "none",
+                         "-o", str(tmp_path / f"out-{name}")]) == 0
+    assert (tmp_path / "out-cr" / "scaled.csv").read_bytes() == (
+        tmp_path / "out-s" / "scaled.csv").read_bytes()
+
+
+# --- Written files read back, with no csv.reader ------------------------------
+
+_odd_ids = st.one_of(
+    st.text(alphabet=st.sampled_from('\x00",\r\nab é'), max_size=8),
+    st.text(alphabet=st.characters(codec="utf-8"), min_size=65, max_size=80),
+)
+
+
+@given(
+    rows=st.lists(
+        st.tuples(_odd_ids, _odd_ids, _odd_ids, _odd_ids, st.floats(-1.0, 1.0))
+        .filter(lambda r: r[2] != r[3]),
+        max_size=10,
+    ),
+    tag=st.sampled_from(SCALER_TAGS),
+    block_bytes=_BLOCK_SIZES,
+)
+@settings(max_examples=200, deadline=None)
+def test_written_files_read_back(rows, tag, block_bytes, tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("rt")
+    cset = comparison_set(rows)
+    scaled = ScaledComparisonSet(cset.columns, tag)
+    table = FeatureTable(
+        2, {item: np.array([k / 3, -1e-300]) for k, item in enumerate(cset.item_ids)}
+    )
+    write_comparisons(cset, tmp / "c.csv")
+    write_scaled_comparisons(scaled, tmp / "s.csv")
+    write_features(table, tmp / "f.csv")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dataset, "_BLOCK_BYTES", block_bytes)
+        back = parse_comparisons(tmp / "c.csv")
+        scaled_back = parse_scaled_comparisons(tmp / "s.csv")
+        table_back = parse_features(tmp / "f.csv")
+    for got in (back, scaled_back):
+        assert rows_of(got) == rows_of(cset)
+        assert got.score.tobytes() == cset.score.tobytes()
+    assert scaled_back.scaler_tag == (tag if rows else "none")
+    assert table_back.features.keys() == table.features.keys()
+    for item, vec in table.features.items():
+        assert table_back.features[item].tobytes() == vec.tobytes()
+
+
+# --- Memory ---------------------------------------------------------------------
+
+
+def test_reading_imports_no_numpy_ma(tmp_path):
+    # numpy.ma adds about 1 MB to a process; np.unique without
+    # return_inverse imports it.
+    cset = comparison_set([("u", "g", "a", "b", 0.5), ("v", "g", "b", "c", -0.25)])
+    write_scaled_comparisons(ScaledComparisonSet(cset.columns, "minmax"), tmp_path / "s.csv")
+    write_features(FeatureTable(1, {"a": np.array([0.5])}), tmp_path / "f.csv")
+    code = (
+        "import sys\n"
+        "from equirank.dataset import parse_features\n"
+        "from equirank.scaling import parse_scaled_comparisons\n"
+        f"parse_scaled_comparisons({str(tmp_path / 's.csv')!r})\n"
+        f"parse_features({str(tmp_path / 'f.csv')!r})\n"
+        "sys.exit('numpy.ma' in sys.modules)\n"
+    )
+    src = str(Path(equirank.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
