@@ -382,7 +382,8 @@ def _line_blocks(fh: BinaryIO) -> Iterator[bytes]:
     byte read. The last block is given a LF."""
     parts, odd = [], 0
     while data := fh.read(_BLOCK_BYTES):
-        cut = max(data.rfind(b"\n"), data.rfind(b"\r", 0, len(data) - 1)) + 1
+        cut = data.rfind(b"\n") + 1
+        cut = max(cut, data.rfind(b"\r", cut, len(data) - 1) + 1)
         if odd or b'"' in data:
             # Step back from the last LF until the quotes before it are even.
             odd = (odd + data.count(b'"', 0, cut)) % 2
@@ -471,11 +472,11 @@ def _csv_rows(path: Path) -> Iterator:
             lfs = np.flatnonzero(buf == ord("\n"))
             quotes = np.flatnonzero(buf == ord('"')) if b'"' in block else None
             ends = _outside(lfs, quotes)
-            if b"\r" in block:
+            if has_cr := b"\r" in block:
                 crs = _outside(np.flatnonzero(buf == ord("\r")), quotes)
                 ends = np.sort(np.concatenate((ends, crs[buf[crs + 1] != ord("\n")])))
             starts, ends = ends[:-1] + 1, ends[1:]
-            stops = ends - (buf[ends - 1] == ord("\r"))
+            stops = ends - (buf[ends - 1] == ord("\r")) if has_cr else ends
             commas = _outside(np.flatnonzero(buf == ord(",")), quotes)
 
             # (record, problem) of each kind; at one record, the first listed.
