@@ -439,15 +439,14 @@ def _unquote(name: str) -> str:
 def _csv_rows(path: Path) -> Iterator:
     """A CSV file read on bytes, in blocks of whole records.
 
-    Yields the header, its first line split at every comma, and then per
-    block the line numbers of its non-blank rows and one `_field` per
-    column. A byte is inside quotes when an odd number of quotes come before
-    it. A record ends at a LF outside quotes, or a CR outside quotes that no
-    LF follows; line numbers count records, blank ones too. After the rows
-    before it, raises ValueError naming the file and line of the first
-    record with the wrong number of fields, a stray or unterminated quote, a
-    field over _FIELD_LIMIT bytes or a byte that is not UTF-8 (for which the
-    line is counted in LFs).
+    Yields the header, its first line split at every comma, then per block
+    the line numbers of its non-blank rows and one `_field` per column. A
+    byte is inside quotes when an odd number of quotes come before it; a
+    record ends at a LF, or a CR that no LF follows, outside quotes. Lines
+    count records, blank ones too. After the rows before it, raises
+    ValueError naming the file and line of the first record with the wrong
+    number of fields, a stray or unterminated quote, a field over
+    _FIELD_LIMIT bytes or a byte that is not UTF-8 (its line in LFs).
     """
     with path.open("rb") as fh:
         blocks = _line_blocks(fh)
@@ -464,9 +463,8 @@ def _csv_rows(path: Path) -> Iterator:
         body = end + 1 + (first[end : end + 2] == b"\r\n")
         ncols, row, line = len(header), 2, 1 + first.count(b"\n", 0, body)
         for block in itertools.chain([first[body:]], blocks):
-            # A sentinel LF ends the record before the block, so record k
-            # ends at ends[k]; its text runs from starts[k] to stops[k], one
-            # byte short of its end after a CR, as in a CRLF.
+            # A sentinel LF ends the record before the block. Record k ends at
+            # ends[k]; its text runs from starts[k] to stops[k], before any CR.
             data = b"".join((b"\n", block, bytes(_FIELD_CAP)))
             buf = np.frombuffer(data, dtype=np.uint8)
             lfs = np.flatnonzero(buf == ord("\n"))
@@ -481,9 +479,7 @@ def _csv_rows(path: Path) -> Iterator:
 
             # (record, problem) of each kind; at one record, the first listed.
             problems: list[tuple[int, ValueError | str]] = []
-            special = np.empty(0, dtype=np.intp)
-            if b"\0" in block:
-                special = np.flatnonzero(buf[: len(block) + 1] == 0)
+            special = np.flatnonzero(buf[: len(block) + 1] == 0) if b"\0" in block else lfs[:0]
             if quotes is not None:
                 # An opening quote starts a field or follows a closing one, as
                 # in a doubled ""; a closing quote ends a field or precedes one.
@@ -506,18 +502,24 @@ def _csv_rows(path: Path) -> Iterator:
                     problems.append((k, f"field larger than field limit ({_FIELD_LIMIT})"))
                     break
             filled = np.flatnonzero(starts < stops)
-            counts = np.diff(np.searchsorted(commas, stops[filled]), prepend=0) + 1
-            for k in np.flatnonzero(counts != ncols)[:1].tolist():
-                problems.append((filled[k], f"expected {ncols} columns, got {counts[k]}"))
+            first_bytes, row_stops = starts[filled], stops[filled]
+            # Each row holds ncols - 1 commas when that many per row come in
+            # all and row i's share lies between its first byte and its stop.
+            per = ncols - 1
+            if commas.size != per * filled.size or (commas[::per] < first_bytes).any() or (
+                commas[per - 1 :: per] >= row_stops
+            ).any():
+                counts = np.diff(np.searchsorted(commas, row_stops), prepend=0) + 1
+                for k in np.flatnonzero(counts != ncols)[:1].tolist():
+                    problems.append((filled[k], f"expected {ncols} columns, got {counts[k]}"))
 
             bad, problem = min(problems, key=lambda p: p[0], default=(ends.size, None))
-            filled = filled[: np.searchsorted(filled, bad)]
-            if n := filled.size:
+            if n := np.searchsorted(filled, bad):
                 # Field j of a row lies between its delimiters j and j + 1,
                 # counting the byte before the row as delimiter 0.
-                commas = commas[: n * (ncols - 1)].reshape(n, ncols - 1).T
-                delims = [starts[filled] - 1, *commas, stops[filled]]
-                yield row + filled, [
+                commas = commas[: n * per].reshape(n, per).T
+                delims = [first_bytes[:n] - 1, *commas, row_stops[:n]]
+                yield row + filled[:n], [
                     _field(data, before + 1, after, quotes, special)
                     for before, after in zip(delims, delims[1:])
                 ]
@@ -540,8 +542,7 @@ def _field_codes(vocab: dict[str, int], field: np.ndarray | list[str]) -> np.nda
     """`_codes` of a `_field` column; new ids of a matrix enter in sorted order."""
     if isinstance(field, list):
         return _codes(vocab, field)
-    # Each row as a key that sorts in the order of the ids: its bytes as a
-    # big-endian uint64 when 8 wide, else as bytes.
+    # Rows as keys that sort as the ids: big-endian uint64 when 8 wide, else bytes.
     keys = field.view(">u8" if field.shape[1] == 8 else f"S{field.shape[1]}").ravel()
     distinct, inverse = np.unique(keys, return_inverse=True)
     return _codes(vocab, _texts(distinct.view(np.uint8).reshape(-1, field.shape[1])))[inverse]
