@@ -84,6 +84,7 @@ def _write_manifest(
     seed: int,
     input_paths: list[str],
     output_paths: list[Path],
+    diagnostics: dict | None = None,
 ) -> Path:
     manifest = {
         "subcommand": subcommand,
@@ -96,6 +97,8 @@ def _write_manifest(
         "tool_version": __version__,
         "created_utc": datetime.now(timezone.utc).isoformat(),
     }
+    if diagnostics is not None:
+        manifest["diagnostics"] = diagnostics
     target = outdir / f"manifest_{subcommand}.json"
     write_json(target, manifest)
     return target
@@ -228,6 +231,25 @@ def _scale(
     return ScaledComparisonSet(columns=cset.columns, scaler_tag="none"), [], []
 
 
+def _mehestan_diagnostics(affines: list, scores: list) -> dict:
+    """GBT and Mehestan counts of one `mehestan_scale` run, for its manifest:
+    totals over the fits, the anchor, and per user the fit's stopping state
+    with the scale votes and translation candidates it took."""
+    return {
+        "gbt_fits": len(scores),
+        "gbt_iterations": sum(fit.n_iter for fit in scores),
+        "gbt_unconverged": sum(not fit.converged for fit in scores),
+        "anchor": next(a.user_id for a in affines if a.anchor),
+        "users": {
+            fit.user_id: {
+                "n_iter": fit.n_iter, "grad_norm": fit.grad_norm, "converged": fit.converged,
+                "votes": affine.votes, "candidates": affine.candidates,
+            }
+            for fit, affine in zip(scores, affines)
+        },
+    }
+
+
 def cmd_scale(args: argparse.Namespace) -> int:
     cset = _load_comparisons(args.input, args.criterion)
     outdir = Path(args.out)
@@ -239,12 +261,14 @@ def cmd_scale(args: argparse.Namespace) -> int:
         GbtConfig(lam=args.lam, tol=args.tol, max_iter=args.max_iter),
         args.resilience_weight,
     )
+    diagnostics = None
     if args.scaler == "mehestan":
         write_user_affines(affines, outdir / "affines.csv")
         write_individual_scores(scores, outdir / "theta.csv")
         outputs += [outdir / "affines.csv", outdir / "theta.csv"]
+        diagnostics = _mehestan_diagnostics(affines, scores)
     write_scaled_comparisons(scaled, outputs[0])
-    _write_manifest(outdir, "scale", vars(args), 0, [args.input], outputs)
+    _write_manifest(outdir, "scale", vars(args), 0, [args.input], outputs, diagnostics)
     print(f"scaled {len(scaled)} comparisons with {args.scaler} to {outputs[0]}")
     return 0
 

@@ -379,8 +379,12 @@ def _line_blocks(fh: BinaryIO) -> Iterator[bytes]:
     """A binary file in blocks of about _BLOCK_BYTES, each cut after a line
     end that follows an even number of double quotes, so that no quoted
     field spans two blocks: after a LF, or after a CR that is not the last
-    byte read. The last block is given a LF."""
-    parts, odd = [], 0
+    byte read. The last block is given a LF.
+
+    Once the quote that left the count odd lies more than _FIELD_LIMIT bytes
+    back, no field can close it legally: the bytes read since the last cut
+    are the last block, and its reader refuses it."""
+    parts, odd, read, opened = [], 0, 0, 0
     while data := fh.read(_BLOCK_BYTES):
         cut = data.rfind(b"\n") + 1
         cut = max(cut, data.rfind(b"\r", cut, len(data) - 1) + 1)
@@ -396,6 +400,14 @@ def _line_blocks(fh: BinaryIO) -> Iterator[bytes]:
             yield b"".join([*parts, data[:cut]])
             parts = []
         parts.append(data[cut:])
+        read += len(data)
+        if odd:
+            # With the count odd, the last quote read is the one that made it odd.
+            if (last := data.rfind(b'"')) >= 0:
+                opened = read - len(data) + last
+            if read - opened > _FIELD_LIMIT:
+                yield b"".join(parts)
+                return
     if tail := b"".join(parts):
         yield tail + b"\n"
 
@@ -488,7 +500,13 @@ def _csv_rows(path: Path) -> Iterator:
                 if stray.size:
                     problems.append((np.searchsorted(ends, stray[0]), "stray double quote"))
                 if quotes.size % 2:
-                    problems.append((ends.size, "unterminated quoted field"))
+                    # A field open for more than _FIELD_LIMIT bytes is too long,
+                    # whether or not a quote later in the file closes it.
+                    problems.append((ends.size, (
+                        f"field larger than field limit ({_FIELD_LIMIT})"
+                        if len(block) + 1 - quotes[-1] > _FIELD_LIMIT
+                        else "unterminated quoted field"
+                    )))
                 doubled = quotes[1::2][neighbor[1::2] == ord('"')]
                 special = np.sort(np.concatenate((special, doubled)))
             try:

@@ -11,10 +11,16 @@ posterior
 
 which is strictly convex for lam > 0, so the fit is unique and the L2 prior
 pins the translation gauge near zero.
+
+Every user of a set is fitted in one lockstep descent: the users' rows and
+items are laid end to end, and each round runs the elementwise kernels once
+for all of them. Each user keeps its own step and stopping rule, and takes
+exactly the iterates of fitting it alone.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -90,73 +96,208 @@ def _log_partition_vec(a: np.ndarray, closed: bool) -> np.ndarray:
     return np.where(small, series, c)
 
 
-class _Problem:
-    """Index-compiled single-user fitting problem over its compared items."""
+class _Stack:
+    """The fitting problems of several users laid end to end, users in code order.
 
-    def __init__(self, comparisons: ComparisonSet, lam: float):
-        users = comparisons.user_ids
-        if len(users) != 1:
-            raise ValueError(
-                f"expected comparisons restricted to one user, got {list(users)}"
-            )
-        if len(comparisons) == 0:
-            raise ValueError("user has no comparisons")
-        self.user_id = users[0]
-        # Item codes of the set index its sorted item vocabulary.
-        self.items = comparisons.item_ids
-        self.left = comparisons.left
-        self.right = comparisons.right
-        self.r = comparisons.score
-        self.lam = lam
-        # Both ends of every comparison, for one bincount in `_Point.grad`.
-        self._ends = np.concatenate([self.right, self.left])
-
-
-class _Point:
-    """The objective of a `_Problem` at one theta, with its gradient on demand.
-
-    The deltas, their absolute values and the objective are computed once,
-    when the point is built; the gradient and its L2 norm on first request,
-    and then kept.
+    User j owns the rows row_slices[j] of `r` and the items item_slices[j]
+    of a stacked theta, its items in code order. `ends` holds the stacked
+    item of every row's right end, then of every row's left end; `rows` and
+    `items` count each user's rows and items.
     """
 
-    __slots__ = ("problem", "theta", "delta", "abs_delta", "closed", "obj", "_grad", "_norm")
+    def __init__(self, ends: np.ndarray, r: np.ndarray, rows: np.ndarray, items: np.ndarray):
+        self.ends, self.r, self.rows, self.items = ends, r, rows, items
+        self.row_slices, self.item_slices = _slices(rows), _slices(items)
 
-    def __init__(self, problem: _Problem, theta: np.ndarray):
-        self.problem = problem
-        self.theta = theta
-        self.delta = delta = theta[problem.right] - theta[problem.left]
-        self.abs_delta = a = np.abs(delta)
-        # No |delta| below the cutoff: the closed forms alone apply.
-        self.closed = bool(a.min() >= _SERIES_CUTOFF)
-        nll = (_log_partition_vec(a, self.closed) - problem.r * delta).sum()
-        self.obj = float(nll + 0.5 * problem.lam * np.dot(theta, theta))
-        self._grad: np.ndarray | None = None
-        self._norm = math.nan
+    def keep(self, alive: np.ndarray) -> tuple[_Stack, np.ndarray]:
+        """The stack of the users where `alive` holds, and the mask of their items."""
+        rows = np.repeat(alive, self.rows)
+        items = np.repeat(alive, self.items)
+        recode = np.cumsum(items) - 1
+        ends = recode[self.ends[np.concatenate([rows, rows])]]
+        return _Stack(ends, self.r[rows], self.rows[alive], self.items[alive]), items
 
-    def _evaluate_gradient(self) -> None:
-        p = self.problem
-        resid = _expected_vec(self.delta, self.abs_delta, self.closed) - p.r
-        # Adds resid at right ends, then -resid at left ends, in row order,
-        # exactly as two np.add.at calls would.
-        grad = np.bincount(
-            p._ends, np.concatenate([resid, -resid]), minlength=self.theta.shape[0]
+
+def _slices(counts: np.ndarray) -> list[slice]:
+    bounds = [0, *itertools.accumulate(counts.tolist())]
+    return [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+
+
+def _stack(comparisons: ComparisonSet) -> tuple[_Stack, np.ndarray]:
+    """Every user's problem, stacked, and the key user * len(item_ids) + item
+    of each stacked item."""
+    order, bounds = comparisons.by_user
+    n_items = len(comparisons.item_ids)
+    owner = comparisons.user[order] * n_items
+    keys, ends = np.unique(
+        np.concatenate([owner + comparisons.right[order], owner + comparisons.left[order]]),
+        return_inverse=True,
+    )
+    items = np.bincount(keys // n_items, minlength=len(comparisons.user_ids))
+    return _Stack(ends, comparisons.score[order], np.diff(bounds), items), keys
+
+
+def _objectives(
+    stack: _Stack, theta: np.ndarray, lam: float
+) -> tuple[np.ndarray, np.ndarray, bool, list[float]]:
+    """Each user's objective at the stacked theta, with the deltas, their
+    absolute values, and whether no |delta| is below the series cutoff.
+
+    Each user's sum and prior are reductions over its own slices, so every
+    objective is the one its fit alone would compute, bit for bit.
+    """
+    m = stack.r.shape[0]
+    ends = theta.take(stack.ends)
+    delta = ends[:m] - ends[m:]
+    a = np.abs(delta)
+    closed = bool(np.minimum.reduce(a) >= _SERIES_CUTOFF)
+    terms = _log_partition_vec(a, closed) - stack.r * delta
+    half_lam = 0.5 * lam
+    objs = []
+    for rows, items in zip(stack.row_slices, stack.item_slices):
+        x = theta[items]
+        objs.append(float(np.add.reduce(terms[rows]) + half_lam * np.dot(x, x)))
+    return delta, a, closed, objs
+
+
+def _gradient(
+    stack: _Stack,
+    theta: np.ndarray,
+    delta: np.ndarray,
+    a: np.ndarray,
+    closed: bool,
+    lam: float,
+    need: np.ndarray | None = None,
+) -> np.ndarray:
+    """The stacked gradient at theta, of the users where `need` holds (of all
+    when it is None); the entries of other users' items are left meaningless."""
+    ends, r = stack.ends, stack.r
+    if need is not None:
+        rows = np.repeat(need, stack.rows)
+        delta, a, r, ends = delta[rows], a[rows], r[rows], ends[np.concatenate([rows, rows])]
+    resid = _expected_vec(delta, a, closed) - r
+    # Adds resid at right ends, then -resid at left ends, in row order,
+    # exactly as two np.add.at calls would.
+    grad = np.bincount(ends, np.concatenate([resid, -resid]), minlength=theta.shape[0])
+    grad += lam * theta
+    return grad
+
+
+def _descend(
+    stack: _Stack, config: GbtConfig, user_ids: tuple[str, ...]
+) -> list[tuple[np.ndarray, bool, int, float]]:
+    """(theta, converged, n_iter, grad_norm) of every stacked user, fitted in lockstep.
+
+    Each round evaluates one point per user: the zero start, then one trial
+    step of the line search. A user's step, objective, slack and gradient
+    norm are its own Python floats, so each user takes the iterates of
+    `fit_gbt` run on it alone. Users that stop are dropped from the stack.
+    """
+    lam, tol, max_iter = config.lam, config.tol, config.max_iter
+    results: list = [None] * len(user_ids)
+    users = list(range(len(user_ids)))
+    step = [1.0] * len(users)
+    obj = [0.0] * len(users)
+    slack = [0.0] * len(users)
+    norm = [math.inf] * len(users)
+    n_iter = [0] * len(users)
+    # The first user, in code order, whose fit met a non-finite value; the
+    # users after it are never reached when fitting one user at a time.
+    failed = len(users)
+    theta = grad = np.zeros(int(stack.items.sum()))
+    first = True
+    while users:
+        if first:
+            trial = theta
+        else:
+            # A lone user needs no per-item step array.
+            steps = step[0] if len(step) == 1 else np.array(step).repeat(stack.items)
+            trial = theta - steps * grad
+        delta, a, closed, trial_obj = _objectives(stack, trial, lam)
+        # A trial is taken when its objective falls, or when it stays within
+        # the slack and its gradient norm is smaller, which needs its
+        # gradient; so does every taken point but the last.
+        lower, need = [], []
+        for o, current, within, done in zip(trial_obj, obj, slack, n_iter):
+            taken = first or (o < current and math.isfinite(o))
+            lower.append(taken)
+            need.append(done < max_iter if taken else (o <= current + within and math.isfinite(o)))
+        if any(need):
+            g = _gradient(stack, trial, delta, a, closed, lam, None if all(need) else np.array(need))
+        moved, stopped = [], []
+        for j, items in enumerate(stack.item_slices):
+            if need[j]:
+                g_j = g[items]
+                g_norm = math.sqrt(g_j.dot(g_j))
+            if not (lower[j] or (need[j] and g_norm < norm[j])):
+                step[j] *= 0.5
+                if step[j] < 1e-300:
+                    # Flat to float64 precision in every direction tried.
+                    results[users[j]] = (theta[items].copy(), False, n_iter[j], norm[j])
+                    stopped.append(j)
+            elif n_iter[j] == max_iter:
+                results[users[j]] = (trial[items].copy(), False, n_iter[j], norm[j])
+                stopped.append(j)
+            else:
+                if not first:
+                    step[j] *= 2.0
+                n_iter[j] += 1
+                o = trial_obj[j]
+                # A NaN or inf in the gradient always makes its norm non-finite.
+                if not (math.isfinite(g_norm) and math.isfinite(o)) and (
+                    not math.isfinite(o) or not np.isfinite(g_j).all()
+                ):
+                    failed = min(failed, users[j])
+                    stopped.append(j)
+                elif g_norm <= tol:
+                    results[users[j]] = (trial[items].copy(), True, n_iter[j], g_norm)
+                    stopped.append(j)
+                else:
+                    obj[j], slack[j], norm[j] = o, 1e-12 * (1.0 + abs(o)), g_norm
+                    moved.append(j)
+        if len(moved) == len(users):
+            theta, grad = trial, g
+        elif moved:
+            taken = np.zeros(len(users), dtype=bool)
+            taken[moved] = True
+            taken = taken.repeat(stack.items)
+            theta, grad = np.where(taken, trial, theta), np.where(taken, g, grad)
+        if stopped or users[-1] > failed:
+            alive = [u < failed for u in users]
+            for j in stopped:
+                alive[j] = False
+            stack, items = stack.keep(np.array(alive))
+            theta, grad = theta[items], grad[items]
+            users, step, obj, slack, norm, n_iter = (
+                list(itertools.compress(values, alive))
+                for values in (users, step, obj, slack, norm, n_iter)
+            )
+        first = False
+    if failed < len(user_ids):
+        raise ValueError(
+            f"non-finite values in GBT fit for user {user_ids[failed]!r}; "
+            "check lam and input scores"
         )
-        grad += p.lam * self.theta
-        self._grad = grad
-        self._norm = math.sqrt(grad.dot(grad))
+    return results
 
-    @property
-    def grad(self) -> np.ndarray:
-        if self._grad is None:
-            self._evaluate_gradient()
-        return self._grad
 
-    @property
-    def grad_norm(self) -> float:
-        if self._grad is None:
-            self._evaluate_gradient()
-        return self._norm
+def fit_users(
+    comparisons: ComparisonSet, config: GbtConfig = GbtConfig()
+) -> list[IndividualScores]:
+    """Fit every user of the set, in user code order, each on all its rows.
+
+    The users descend in lockstep, each on its own step and stopping rule,
+    and each takes exactly the iterates of `fit_gbt` run on it alone.
+    """
+    stack, keys = _stack(comparisons)
+    vocab = comparisons.item_ids
+    items = [vocab[code] for code in (keys % len(vocab)).tolist()]
+    return [
+        IndividualScores(user, tuple(items[own]), theta, config.lam, converged, n_iter, norm)
+        for user, own, (theta, converged, n_iter, norm) in zip(
+            comparisons.user_ids, stack.item_slices, _descend(stack, config, comparisons.user_ids)
+        )
+    ]
 
 
 def fit_gbt(comparisons: ComparisonSet, config: GbtConfig = GbtConfig()) -> IndividualScores:
@@ -170,45 +311,16 @@ def fit_gbt(comparisons: ComparisonSet, config: GbtConfig = GbtConfig()) -> Indi
     keeps the objective and any gradient computed for it. Stops when the
     gradient norm drops below config.tol (`converged`), when no step down
     to 1e-300 is accepted, or after config.max_iter iterations.
+
+    Near the optimum the objective decrease falls below float64 resolution
+    while the gradient is still resolvable, so a step that keeps the
+    objective within rounding slack but strictly shrinks the gradient norm
+    also counts as progress.
     """
-    problem = _Problem(comparisons, config.lam)
-    point = _Point(problem, np.zeros(len(problem.items), dtype=np.float64))
-    step = 1.0
-    n_iter = 0
-    grad_norm = math.inf
-    converged = False
-    for n_iter in range(1, config.max_iter + 1):
-        grad = point.grad
-        if not np.isfinite(grad).all() or not math.isfinite(point.obj):
-            raise ValueError(
-                f"non-finite values in GBT fit for user {problem.user_id!r}; "
-                "check lam and input scores"
-            )
-        grad_norm = point.grad_norm
-        if grad_norm <= config.tol:
-            converged = True
-            break
-        # Near the optimum the objective decrease falls below float64
-        # resolution while the gradient is still resolvable, so a step that
-        # keeps the objective within rounding slack but strictly shrinks the
-        # gradient norm also counts as progress.
-        obj = point.obj
-        slack = 1e-12 * (1.0 + abs(obj))
-        while step >= 1e-300:
-            trial = _Point(problem, point.theta - step * grad)
-            if math.isfinite(trial.obj) and (
-                trial.obj < obj or (trial.obj <= obj + slack and trial.grad_norm < grad_norm)
-            ):
-                break
-            step *= 0.5
-        else:
-            # Flat to float64 precision in every direction tried.
-            break
-        point = trial
-        step *= 2.0
-    return IndividualScores(
-        problem.user_id, problem.items, point.theta, config.lam, converged, n_iter, grad_norm
-    )
+    users = comparisons.user_ids
+    if len(users) != 1:
+        raise ValueError(f"expected comparisons restricted to one user, got {list(users)}")
+    return fit_users(comparisons, config)[0]
 
 
 def write_individual_scores(scores: list[IndividualScores], path: str | Path) -> None:

@@ -25,7 +25,7 @@ from .dataset import (
     write_columns,
     write_csv,
 )
-from .gbt import GbtConfig, IndividualScores, fit_gbt
+from .gbt import GbtConfig, IndividualScores, fit_users
 from .robust import ResilienceParams, br_mean
 
 SCALER_TAGS = ("minmax", "normalization", "mehestan", "none")
@@ -215,7 +215,7 @@ def mehestan_scale(
     """Collaboratively rescale every user's latent scores onto a common scale.
 
     Procedure:
-      1. Fit GBT scores theta_u per user, from one grouping of the rows by user.
+      1. Fit GBT scores theta_u per user, every user in one lockstep descent.
       2. The anchor user (most scored items, ties by lexicographic user_id)
          is pinned at s=1, tau=0; affine freedom needs a gauge.
       3. For every other user u, every other user v votes on u's scale with
@@ -253,16 +253,13 @@ def mehestan_scale(
         )
 
     # theta[k, i] is user k's latent score of item code i where present[k, i].
-    # Fit k scores user k's items in sorted order, which is their code order.
+    # Fit k scores user k's items in sorted order, which is their code order,
+    # so the fits laid end to end fill `present` in row-major order.
     present = np.zeros((len(users), len(cset.item_ids)), dtype=bool)
+    present[cset.user, cset.left] = present[cset.user, cset.right] = True
     theta = np.zeros(present.shape)
-    fits = []
-    order, bounds = cset.by_user
-    for k in range(len(users)):
-        rows = order[bounds[k] : bounds[k + 1]]
-        fits.append(fit_gbt(cset.take(rows), gbt_config))
-        present[k, cset.left[rows]] = present[k, cset.right[rows]] = True
-        theta[k, present[k]] = fits[k].theta
+    fits = fit_users(cset, gbt_config)
+    theta[present] = np.concatenate([fit.theta for fit in fits])
 
     # Anchor: most scored items, ties broken lexicographically (users are sorted).
     anchor = int(np.argmax(present.sum(axis=1)))

@@ -4,9 +4,11 @@ The earlier public helpers of `equirank.gbt`, kept here as the reference:
 the scalar link `expected_comparison` and the dict-keyed `gbt_objective` and
 `gbt_gradient` with their helper `_point_of`. The code is unchanged, except
 that `_point_of` reads an `IndividualScores` through `by_item`, which keys a
-fit's `theta` array by its `item_ids`. A fit runs `gbt._expected_vec` and `gbt._Point` instead; the
-tests hold those to these. The acceptance suite draws its noise-free
-comparison scores from `expected_comparison`.
+fit's `theta` array by its `item_ids`, and that the objective and gradient
+come from the fit's stacked kernel through `kernel_point`. A fit runs
+`gbt._expected_vec`, `gbt._objectives` and `gbt._gradient`; the tests hold
+those to these. The acceptance suite draws its noise-free comparison scores
+from `expected_comparison`.
 """
 
 from __future__ import annotations
@@ -17,7 +19,9 @@ from typing import Mapping
 import numpy as np
 
 from equirank.dataset import ComparisonSet
-from equirank.gbt import _EXP_CUTOFF, _SERIES_CUTOFF, IndividualScores, _Point, _Problem
+from equirank.gbt import (
+    _EXP_CUTOFF, _SERIES_CUTOFF, IndividualScores, _gradient, _objectives, _stack,
+)
 
 
 def expected_comparison(delta: float) -> float:
@@ -40,20 +44,33 @@ def by_item(fit: IndividualScores) -> dict[str, float]:
     return dict(zip(fit.item_ids, fit.theta.tolist()))
 
 
+def kernel_point(comparisons: ComparisonSet, lam: float, theta) -> tuple[float, np.ndarray]:
+    """The objective and gradient a fit computes at `theta`, over the sorted
+    items of a one-user set."""
+    stack, _ = _stack(comparisons)
+    theta = np.asarray(theta, dtype=np.float64)
+    delta, a, closed, (obj,) = _objectives(stack, theta, lam)
+    return obj, _gradient(stack, theta, delta, a, closed, lam)
+
+
 def _point_of(
     theta: IndividualScores | Mapping[str, float], comparisons: ComparisonSet, lam: float
-) -> tuple[_Point, Mapping[str, float]]:
-    """The point at the compared items' entries of `theta`, and all of `theta`."""
+) -> tuple[float, np.ndarray, Mapping[str, float]]:
+    """The objective and gradient at the compared items' entries of `theta`,
+    and all of `theta`."""
     if isinstance(theta, IndividualScores):
         values = by_item(theta)
     else:
         values = theta
-    problem = _Problem(comparisons, lam)
-    missing = [item for item in problem.items if item not in values]
+    if len(comparisons.user_ids) != 1:
+        raise ValueError(
+            f"expected comparisons restricted to one user, got {list(comparisons.user_ids)}"
+        )
+    missing = [item for item in comparisons.item_ids if item not in values]
     if missing:
         raise ValueError(f"theta missing items: {missing}")
-    vec = np.array([values[item] for item in problem.items], dtype=np.float64)
-    return _Point(problem, vec), values
+    vec = np.array([values[item] for item in comparisons.item_ids], dtype=np.float64)
+    return *kernel_point(comparisons, lam, vec), values
 
 
 def gbt_objective(
@@ -62,11 +79,11 @@ def gbt_objective(
     lam: float,
 ) -> float:
     """Negative log posterior of `theta` for one user's comparisons."""
-    point, values = _point_of(theta, comparisons, lam)
+    obj, _, values = _point_of(theta, comparisons, lam)
     # The prior covers every theta entry, including items outside the set.
-    compared = set(point.problem.items)
+    compared = set(comparisons.item_ids)
     extra = sum(values[k] ** 2 for k in values if k not in compared)
-    return point.obj + 0.5 * lam * extra
+    return obj + 0.5 * lam * extra
 
 
 def gbt_gradient(
@@ -75,5 +92,5 @@ def gbt_gradient(
     lam: float,
 ) -> dict[str, float]:
     """Analytic gradient of gbt_objective over the compared items."""
-    point, _ = _point_of(theta, comparisons, lam)
-    return {item: float(g) for item, g in zip(point.problem.items, point.grad)}
+    _, grad, _ = _point_of(theta, comparisons, lam)
+    return {item: float(g) for item, g in zip(comparisons.item_ids, grad)}

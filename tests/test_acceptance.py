@@ -22,12 +22,12 @@ from scipy.stats import spearmanr
 from equirank.cli import main as cli_main
 from equirank.dataset import comparison_set, split
 from equirank.equity import build_report, gini, lorenz_curve, max_gap, std_dev
-from equirank.gbt import GbtConfig, _Point, _Problem, fit_gbt
+from equirank.gbt import GbtConfig, fit_gbt
 from equirank.ltr import LossWeights, ModelParams, TrainConfig, predict_all, train
 from equirank.robust import ResilienceParams, qr_med
 from equirank.scaling import mehestan_scale, minmax_scale, normalization_scale
 from equirank.simgen import SimConfig, generate
-from gbt_oracle import by_item, expected_comparison
+from gbt_oracle import by_item, expected_comparison, kernel_point
 from ltr_oracle import loss, predict_diff, step_gradient
 from row_view import Comparison, rows_of
 
@@ -149,15 +149,14 @@ def test_criterion_gbt_gradient_check():
         cset = comparison_set(rows)
         lam = float(rng.uniform(0.01, 1.0))
         # The objective and gradient a fit runs, over the sorted items.
-        problem = _Problem(cset, lam)
         theta = rng.normal(scale=0.8, size=len(cset.item_ids))
-        grad = _Point(problem, theta).grad
+        grad = kernel_point(cset, lam, theta)[1]
         fd = []
         for i in range(len(theta)):
             hi, lo = theta.copy(), theta.copy()
             hi[i] += h
             lo[i] -= h
-            fd.append((_Point(problem, hi).obj - _Point(problem, lo).obj) / (2 * h))
+            fd.append((kernel_point(cset, lam, hi)[0] - kernel_point(cset, lam, lo)[0]) / (2 * h))
         err = _relative_error(grad, np.array(fd))
         worst = max(worst, err)
         assert err < 1e-4

@@ -16,8 +16,9 @@ from equirank.cli import (
     parse_pipeline_config,
 )
 from equirank.dataset import FeatureTable, comparison_set, parse_comparisons, write_comparisons, write_features
+from equirank.gbt import GbtConfig
 from equirank.ltr import LossWeights, ModelParams, TrainConfig, save_model
-from equirank.scaling import parse_scaled_comparisons
+from equirank.scaling import mehestan_scale, parse_scaled_comparisons
 from equirank.simgen import SimConfig
 
 
@@ -171,6 +172,33 @@ class TestScale:
         assert len(lines) == 4
         for user, line in zip(["u0", "u1", "u2", "u3"], lines):
             assert f"user={user!r} converged=False n_iter=2 grad_norm=" in line
+
+    def test_mehestan_manifest_counts_the_fits(self, tmp_path):
+        # The manifest's GBT totals are those of the fits mehestan_scale
+        # returns, capped ones included; each user's entry is its fit's and
+        # its affine's.
+        sim = _simulate(tmp_path)
+        out = tmp_path / "capped"
+        assert _run(["scale", "--input", str(sim / "comparisons.csv"),
+                     "--scaler", "mehestan", "--max-iter", "40", "-o", str(out)]) == 0
+        diagnostics = json.loads((out / "manifest_scale.json").read_text())["diagnostics"]
+        cset = parse_comparisons(sim / "comparisons.csv")
+        _, affines, fits = mehestan_scale(cset, GbtConfig(max_iter=40))
+        assert diagnostics["gbt_fits"] == len(fits) == 4
+        assert diagnostics["gbt_iterations"] == sum(fit.n_iter for fit in fits)
+        assert diagnostics["gbt_unconverged"] == sum(not fit.converged for fit in fits) > 0
+        assert diagnostics["anchor"] == next(a.user_id for a in affines if a.anchor)
+        assert diagnostics["users"] == {
+            fit.user_id: {
+                "n_iter": fit.n_iter, "grad_norm": fit.grad_norm, "converged": fit.converged,
+                "votes": affine.votes, "candidates": affine.candidates,
+            }
+            for fit, affine in zip(fits, affines)
+        }
+        minmax = tmp_path / "minmax"
+        assert _run(["scale", "--input", str(sim / "comparisons.csv"),
+                     "--scaler", "minmax", "-o", str(minmax)]) == 0
+        assert "diagnostics" not in json.loads((minmax / "manifest_scale.json").read_text())
 
     def test_mehestan_fallbacks_are_reported(self, tmp_path, capsys):
         # uB shares no item with the anchor uA: no scale vote and no

@@ -8,8 +8,9 @@ import pytest
 from scipy.stats import spearmanr
 
 from equirank.dataset import comparison_set
-from equirank.gbt import _SERIES_CUTOFF, GbtConfig, _expected_vec, _Point, _Problem, fit_gbt
-from gbt_oracle import by_item, expected_comparison, gbt_gradient, gbt_objective
+from equirank import gbt
+from equirank.gbt import _SERIES_CUTOFF, GbtConfig, _expected_vec, fit_gbt, fit_users
+from gbt_oracle import by_item, expected_comparison, gbt_gradient, gbt_objective, kernel_point
 from row_view import rows_of
 
 
@@ -77,11 +78,11 @@ class TestExpectedComparison:
 
 def _objective(cset, lam, theta):
     """The objective a fit minimizes, at theta over the set's sorted items."""
-    return _Point(_Problem(cset, lam), np.asarray(theta, dtype=np.float64)).obj
+    return kernel_point(cset, lam, theta)[0]
 
 
 def _gradient(cset, lam, theta):
-    return _Point(_Problem(cset, lam), np.asarray(theta, dtype=np.float64)).grad
+    return kernel_point(cset, lam, theta)[1]
 
 
 class TestObjective:
@@ -116,18 +117,18 @@ class TestObjective:
         assert _objective(cset, 0.1, theta - 1e-4 * grad) < before
 
     def test_kernel_matches_dict_oracle(self):
-        # The fit's point, at theta over the sorted items, is the oracle's
+        # The fit's kernel, at theta over the sorted items, is the oracle's
         # objective and gradient of the same scores keyed by item; an entry
         # for an item outside the set adds only its prior term.
         rng = np.random.default_rng(9)
         cset, _ = _random_instance(rng)
         theta = rng.normal(size=len(cset.item_ids))
-        point = _Point(_Problem(cset, 0.3), theta)
+        obj, grad = kernel_point(cset, 0.3, theta)
         values = dict(zip(cset.item_ids, theta.tolist()))
-        assert gbt_objective(values, cset, 0.3) == point.obj
-        assert gbt_gradient(values, cset, 0.3) == dict(zip(cset.item_ids, point.grad.tolist()))
+        assert gbt_objective(values, cset, 0.3) == obj
+        assert gbt_gradient(values, cset, 0.3) == dict(zip(cset.item_ids, grad.tolist()))
         extra = gbt_objective(dict(values, elsewhere=2.0), cset, 0.3)
-        assert extra == pytest.approx(point.obj + 0.5 * 0.3 * 4.0, rel=1e-15)
+        assert extra == pytest.approx(obj + 0.5 * 0.3 * 4.0, rel=1e-15)
 
 
 def _random_instance(rng, n_items=8, n_comparisons=30):
@@ -251,6 +252,68 @@ class TestFit:
         fit = fit_gbt(cset, GbtConfig(lam=0.1, tol=1e-12, max_iter=3))
         assert not fit.converged
         assert fit.n_iter == 3
+
+
+def _crowd():
+    """Users of every kind of stop: easy and hard random fits, an all-tie
+    user and a single-comparison user, in shuffled row order."""
+    rng = np.random.default_rng(12)
+    rows = []
+    for k, (n_items, n_comparisons) in enumerate([(4, 6), (10, 80), (3, 2), (12, 150), (6, 20)]):
+        for _ in range(n_comparisons):
+            l, r = rng.choice(n_items, size=2, replace=False)
+            rows.append((f"u{k}", "g", f"i{l:02d}", f"i{r:02d}", float(rng.uniform(-1, 1))))
+    rows += [("tie", "g", a, b, 0.0) for a, b in [("i00", "i01"), ("i01", "i02"), ("i02", "i05")]]
+    rows.append(("single", "g", "i07", "i03", 0.7))
+    return comparison_set([rows[k] for k in rng.permutation(len(rows))])
+
+
+class TestLockstep:
+    @pytest.mark.parametrize("max_iter", [1, 37, 10000])
+    def test_each_user_takes_its_own_iterates(self, max_iter):
+        # Users leave the lockstep at different iterations, so the stack is
+        # compacted under the users still descending; each fit must be the
+        # one of the user alone, bit for bit.
+        cset = _crowd()
+        config = GbtConfig(max_iter=max_iter)
+        fits = fit_users(cset, config)
+        assert [fit.user_id for fit in fits] == list(cset.user_ids)
+        for fit in fits:
+            alone = fit_gbt(cset.restrict(user_id=fit.user_id), config)
+            assert fit.item_ids == alone.item_ids
+            assert fit.theta.tobytes() == alone.theta.tobytes()
+            assert (fit.n_iter, fit.converged) == (alone.n_iter, alone.converged)
+            assert fit.grad_norm.hex() == alone.grad_norm.hex()
+        stops = {(fit.n_iter, fit.converged) for fit in fits}
+        if max_iter == 1:
+            assert stops == {(1, True), (1, False)}
+        else:
+            assert len(stops) >= 4 and (1, True) in stops
+            assert ((max_iter, False) in stops) == (max_iter == 37)
+
+    def test_non_finite_gradient_names_the_first_user(self, monkeypatch):
+        # NaN in the expected values of u1 and u3 at the zero start: fitting
+        # the users one at a time would stop at u1, so the error names u1,
+        # and only the users before u1 go on descending.
+        cset = _crowd()
+        _, bounds = cset.by_user
+        expected_vec = gbt._expected_vec
+        calls = []
+
+        def poisoned(delta, a, closed):
+            out = expected_vec(delta, a, closed)
+            if not calls:
+                for k in (cset.user_ids.index("u1"), cset.user_ids.index("u3")):
+                    out[bounds[k] : bounds[k + 1]] = np.nan
+            calls.append(len(delta))
+            return out
+
+        monkeypatch.setattr(gbt, "_expected_vec", poisoned)
+        with pytest.raises(ValueError, match="non-finite values in GBT fit for user 'u1'"):
+            fit_users(cset)
+        before = [k for k, user in enumerate(cset.user_ids) if user < "u1"]
+        assert calls[0] == len(cset) and len(calls) > 1
+        assert max(calls[1:]) <= sum(bounds[k + 1] - bounds[k] for k in before)
 
 
 def test_config_validation():

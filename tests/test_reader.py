@@ -118,6 +118,33 @@ def test_reader_names_the_line(tmp_path, body, message):
     assert str(exc.value) == f"{path}: {message}"
 
 
+@pytest.mark.parametrize("row, message", [
+    (b'u"x,g,a,b,0.5\n', "line 3: stray double quote"),
+    (b'"' + b"x" * 700 + b'",g,a,b,0.5\n', "line 3: field larger than field limit (256)"),
+], ids=["stray", "long-quoted-field"])
+def test_open_quote_is_refused_from_a_bounded_block(tmp_path, monkeypatch, row, message):
+    # A quote still open _FIELD_LIMIT bytes on ends the reading there: the
+    # error comes from a block holding no more than the limit and two blocks,
+    # not from the rest of the file.
+    monkeypatch.setattr(dataset, "_BLOCK_BYTES", 64)
+    monkeypatch.setattr(dataset, "_FIELD_LIMIT", 256)
+    path = tmp_path / "c.csv"
+    path.write_bytes(HEADER + b"u,g,a,b,0.5\n" + row + b"u,g,a,b,0.5\n" * 2000)
+    sizes = []
+    line_blocks = dataset._line_blocks
+
+    def recorded(fh):
+        for block in line_blocks(fh):
+            sizes.append(len(block))
+            yield block
+
+    monkeypatch.setattr(dataset, "_line_blocks", recorded)
+    with pytest.raises(ValueError) as exc:
+        parse_comparisons(path)
+    assert str(exc.value) == f"{path}: {message}"
+    assert max(sizes) <= 256 + 2 * 64
+
+
 def test_bad_header_is_split_at_every_comma(tmp_path):
     path = tmp_path / "c.csv"
     path.write_bytes(b'"user_id,criterion",left_item,right_item,score\n')
