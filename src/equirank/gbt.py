@@ -167,18 +167,12 @@ def _gradient(
     a: np.ndarray,
     closed: bool,
     lam: float,
-    need: np.ndarray | None = None,
 ) -> np.ndarray:
-    """The stacked gradient at theta, of the users where `need` holds (of all
-    when it is None); the entries of other users' items are left meaningless."""
-    ends, r = stack.ends, stack.r
-    if need is not None:
-        rows = np.repeat(need, stack.rows)
-        delta, a, r, ends = delta[rows], a[rows], r[rows], ends[np.concatenate([rows, rows])]
-    resid = _expected_vec(delta, a, closed) - r
+    """The stacked gradient at theta; each user's slice is its own gradient."""
+    resid = _expected_vec(delta, a, closed) - stack.r
     # Adds resid at right ends, then -resid at left ends, in row order,
     # exactly as two np.add.at calls would.
-    grad = np.bincount(ends, np.concatenate([resid, -resid]), minlength=theta.shape[0])
+    grad = np.bincount(stack.ends, np.concatenate([resid, -resid]), minlength=theta.shape[0])
     grad += lam * theta
     return grad
 
@@ -210,20 +204,19 @@ def _descend(
         if first:
             trial = theta
         else:
-            # A lone user needs no per-item step array.
-            steps = step[0] if len(step) == 1 else np.array(step).repeat(stack.items)
-            trial = theta - steps * grad
+            trial = theta - np.array(step).repeat(stack.items) * grad
         delta, a, closed, trial_obj = _objectives(stack, trial, lam)
         # A trial is taken when its objective falls, or when it stays within
         # the slack and its gradient norm is smaller, which needs its
-        # gradient; so does every taken point but the last.
+        # gradient; so does every taken point but the last. It is computed for
+        # the whole stack, and read only for these users.
         lower, need = [], []
         for o, current, within, done in zip(trial_obj, obj, slack, n_iter):
             taken = first or (o < current and math.isfinite(o))
             lower.append(taken)
             need.append(done < max_iter if taken else (o <= current + within and math.isfinite(o)))
         if any(need):
-            g = _gradient(stack, trial, delta, a, closed, lam, None if all(need) else np.array(need))
+            g = _gradient(stack, trial, delta, a, closed, lam)
         moved, stopped = [], []
         for j, items in enumerate(stack.item_slices):
             if need[j]:

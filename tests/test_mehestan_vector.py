@@ -354,32 +354,30 @@ def test_mean_aggregator_takes_arrays():
 @pytest.mark.parametrize("spread", [1e-3, 0.5, 5.0, 800.0])
 def test_kernel_matches_oracle(spread):
     # Small spreads take the series branch, large ones the closed form alone
-    # (and, at 800, the exp cutoff); 0.5 mixes both. Four users are stacked,
-    # and each user's objective and gradient are the oracle's on its own set.
+    # (and, at 800, the exp cutoff); 0.5 mixes both. One user alone, then four
+    # users stacked with their rows interleaved, each with 50 comparisons on
+    # 12 items: each user's objective and gradient are the oracle's on its own
+    # set, at 20 random points and at zero.
     rng = np.random.default_rng(int(spread * 1000))
-    rows = []
-    for user, n_items in [("u0", 12), ("u1", 5), ("u2", 2), ("u3", 9)]:
-        for _ in range(int(rng.integers(1, 50))):
-            a, b = rng.choice(n_items, size=2, replace=False)
-            rows.append((user, "g", f"i{a:02d}", f"i{b:02d}", float(rng.uniform(-1, 1))))
-    cset = comparison_set([rows[k] for k in rng.permutation(len(rows))])
-    stack, _ = _stack(cset)
-    olds = [OracleProblem(cset.restrict(user_id=u), 0.1) for u in cset.user_ids]
-    n_items = int(stack.items.sum())
-    for theta in [rng.uniform(-spread, spread, n_items), np.zeros(n_items)]:
-        delta, a, closed, objs = _objectives(stack, theta, 0.1)
-        grad = _gradient(stack, theta, delta, a, closed, 0.1)
-        for old, obj, own in zip(olds, objs, stack.item_slices):
-            assert _bits(obj) == _bits(old.objective(theta[own]))
-            assert _bits(grad[own]) == _bits(old.gradient(theta[own]))
-            # The descent's norm: the dot of the user's slice of the gradient.
-            norm = math.sqrt(grad[own].dot(grad[own]))
-            assert _bits(norm) == _bits(np.linalg.norm(old.gradient(theta[own])))
-        # The gradient of some users alone is theirs, bit for bit.
-        need = np.array([True, False, False, True])
-        part = _gradient(stack, theta, delta, a, closed, 0.1, need)
-        for old, own in itertools.compress(zip(olds, stack.item_slices), need):
-            assert _bits(part[own]) == _bits(old.gradient(theta[own]))
+    for users in (["u"], ["u0", "u1", "u2", "u3"]):
+        rows = []
+        for _ in range(50):
+            for user in users:
+                a, b = rng.choice(12, size=2, replace=False)
+                rows.append((user, "g", f"i{a:02d}", f"i{b:02d}", float(rng.uniform(-1, 1))))
+        cset = comparison_set(rows)
+        stack, _ = _stack(cset)
+        olds = [OracleProblem(cset.restrict(user_id=u), 0.1) for u in cset.user_ids]
+        n_items = int(stack.items.sum())
+        for theta in [*(rng.uniform(-spread, spread, n_items) for _ in range(20)), np.zeros(n_items)]:
+            delta, a, closed, objs = _objectives(stack, theta, 0.1)
+            grad = _gradient(stack, theta, delta, a, closed, 0.1)
+            for old, obj, own in zip(olds, objs, stack.item_slices):
+                assert _bits(obj) == _bits(old.objective(theta[own]))
+                assert _bits(grad[own]) == _bits(old.gradient(theta[own]))
+                # The descent's norm: the dot of the user's slice of the gradient.
+                norm = math.sqrt(grad[own].dot(grad[own]))
+                assert _bits(norm) == _bits(np.linalg.norm(old.gradient(theta[own])))
 
 
 def test_each_point_gradient_is_evaluated_once(monkeypatch):
