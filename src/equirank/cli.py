@@ -203,7 +203,7 @@ def _scale(
     """Apply one scaler -> (scaled set, Mehestan affines, Mehestan scores).
 
     The affine and score lists are empty for the other scalers. Every GBT fit
-    that stopped at the iteration cap, and every user whose Mehestan scale or
+    that stopped unconverged, and every user whose Mehestan scale or
     translation fell back to its default, is reported on stderr.
     """
     if scaler == "minmax":
@@ -533,9 +533,12 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
     )
     weight = float(cfg["resilience_weight"])
     fit_sets: dict[str, ComparisonSet] = {}
+    diagnostics = None
     for scaler, _, _ in cells:
         if scaler not in fit_sets:
-            fit_sets[scaler] = _scale(scaler, train_set, gbt_config, weight)[0]
+            fit_sets[scaler], affines, scores = _scale(scaler, train_set, gbt_config, weight)
+            if scaler == "mehestan":
+                diagnostics = _mehestan_diagnostics(affines, scores)
 
     reports = [_run_cell(cell, cfg, fit_sets[cell[0]], test_set, features) for cell in cells]
 
@@ -563,7 +566,7 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
     outputs.append(summary_path)
     _write_manifest(
         outdir, "pipeline", {"config": cfg, "experiments": experiments},
-        int(cfg["seed"]), [args.config], outputs,
+        int(cfg["seed"]), [args.config], outputs, diagnostics,
     )
     print(f"ran {len(experiments)} experiment(s); summary at {summary_path}")
     return 0

@@ -10,12 +10,15 @@ posterior
     sum_c [log Z(delta_c) - r_c * delta_c] + (lam/2) * sum_i theta_i^2
 
 which is strictly convex for lam > 0, so the fit is unique and the L2 prior
-pins the translation gauge near zero.
+pins the translation gauge near zero. Its Hessian is lam * I plus the graph
+Laplacian of the comparisons, each edge weighted by
+Var[r|delta] = 1/delta^2 - 1/sinh^2(delta), the derivative of E[r|delta].
 
-Every user of a set is fitted in one lockstep descent: the users' rows and
-items are laid end to end, and each round runs the elementwise kernels once
-for all of them. Each user keeps its own step and stopping rule, and takes
-exactly the iterates of fitting it alone.
+Every user of a set is fitted by damped Newton in one lockstep descent: the
+users' rows and items are laid end to end, and each round runs the
+elementwise kernels once for all of them. Each user keeps its own step and
+stopping rule, solves its own Newton system, and takes exactly the iterates
+of fitting it alone.
 """
 
 from __future__ import annotations
@@ -34,6 +37,10 @@ from .dataset import ComparisonSet, write_csv
 _SERIES_CUTOFF = 1e-2
 # exp(2a) overflows float64 near a = 355; beyond it the expm1 term is < 1e-304.
 _EXP_CUTOFF = 350.0
+# The Newton systems of consecutive users are assembled together while their
+# Hessian blocks hold at most this many entries (2 MiB); a user whose block
+# is larger is assembled alone.
+_HESSIAN_ENTRIES = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -59,8 +66,9 @@ class IndividualScores:
 
     `theta[i]` is the score of `item_ids[i]`, the sorted items the user
     compared; items never compared have no entry (no information, as opposed
-    to a neutral 0). `converged` is False when the iteration cap was reached
-    before the gradient norm dropped below tolerance.
+    to a neutral 0). `converged` is False when the fit stopped before the
+    gradient norm dropped below tolerance; `n_iter` counts the points it took,
+    the zero start included, and `grad_norm` is the gradient norm at `theta`.
     """
 
     user_id: str
@@ -85,6 +93,26 @@ def _expected_vec(delta: np.ndarray, a: np.ndarray, closed: bool) -> np.ndarray:
     return np.where(small, series, c)
 
 
+def _hessian_vec(a: np.ndarray, closed: bool) -> np.ndarray:
+    """Var[r|delta] = 1/delta^2 - 1/sinh^2(delta) elementwise, from a = |delta|
+    and whether every a >= cutoff; 1/3 at 0.
+
+    1/sinh^2(a) is evaluated as 4 t / expm1(-2a)^2 with t = exp(-2a), which
+    cannot overflow and goes to 0 for large a.
+    """
+    if closed:
+        inv, x = 1.0 / a, -2.0 * a
+        m = np.expm1(x)
+        return inv * inv - 4.0 * np.exp(x) / (m * m)
+    small = a < _SERIES_CUTOFF
+    safe = np.where(small, 1.0, a)
+    a2 = np.square(np.minimum(a, _SERIES_CUTOFF))
+    series = 1.0 / 3.0 - a2 / 15.0 + a2 * a2 * (2.0 / 189.0)
+    inv, x = 1.0 / safe, -2.0 * safe
+    m = np.expm1(x)
+    return np.where(small, series, inv * inv - 4.0 * np.exp(x) / (m * m))
+
+
 def _log_partition_vec(a: np.ndarray, closed: bool) -> np.ndarray:
     """log Z(delta) = log(2*sinh(delta)/delta) from a = |delta|; log 2 at 0."""
     if closed:
@@ -101,13 +129,16 @@ class _Stack:
 
     User j owns the rows row_slices[j] of `r` and the items item_slices[j]
     of a stacked theta, its items in code order. `ends` holds the stacked
-    item of every row's right end, then of every row's left end; `rows` and
-    `items` count each user's rows and items.
+    item of every row's right end, then of every row's left end, and `local`
+    the same ends numbered within their user's items; `rows` and `items`
+    count each user's rows and items.
     """
 
     def __init__(self, ends: np.ndarray, r: np.ndarray, rows: np.ndarray, items: np.ndarray):
         self.ends, self.r, self.rows, self.items = ends, r, rows, items
         self.row_slices, self.item_slices = _slices(rows), _slices(items)
+        first = np.repeat(np.cumsum(items) - items, rows)
+        self.local = ends - np.concatenate([first, first])
 
     def keep(self, alive: np.ndarray) -> tuple[_Stack, np.ndarray]:
         """The stack of the users where `alive` holds, and the mask of their items."""
@@ -177,14 +208,59 @@ def _gradient(
     return grad
 
 
+def _newton_directions(
+    stack: _Stack, h: np.ndarray, grad: np.ndarray, users: list[int], lam: float
+) -> list[np.ndarray]:
+    """The Newton direction H_j^-1 grad_j of each listed stacked user j.
+
+    H_j is lam on the diagonal plus the Laplacian of user j's comparisons,
+    row c weighted by h[c]. The blocks of consecutive listed users are filled
+    by one np.bincount, adding each row's h at (right, right) and (left,
+    left), then -h at (right, left) and (left, right), in row order, exactly
+    as np.add.at would; at most _HESSIAN_ENTRIES entries are held at once
+    unless one user's block is larger. Each block is solved on its own.
+    """
+    m = stack.r.shape[0]
+    batches: list[list[int]] = []
+    held = _HESSIAN_ENTRIES
+    for j in users:
+        size = int(stack.items[j]) ** 2
+        if held + size > _HESSIAN_ENTRIES:
+            batches.append([])
+            held = 0
+        batches[-1].append(j)
+        held += size
+    out = []
+    for batch in batches:
+        slices = [stack.row_slices[j] for j in batch]
+        n = stack.items[batch]
+        starts = np.cumsum(n * n) - n * n
+        width = np.repeat(n, stack.rows[batch])
+        base = np.repeat(starts, stack.rows[batch])
+        right = np.concatenate([stack.local[s] for s in slices])
+        left = np.concatenate([stack.local[m + s.start : m + s.stop] for s in slices])
+        w = np.concatenate([h[s] for s in slices])
+        keys = np.concatenate([
+            base + right * (width + 1), base + left * (width + 1),
+            base + right * width + left, base + left * width + right,
+        ])
+        flat = np.bincount(keys, np.concatenate([w, w, -w, -w]), minlength=int((n * n).sum()))
+        for j, start, size in zip(batch, starts.tolist(), n.tolist()):
+            block = flat[start : start + size * size]
+            block[:: size + 1] += lam
+            out.append(np.linalg.solve(block.reshape(size, size), grad[stack.item_slices[j]]))
+    return out
+
+
 def _descend(
     stack: _Stack, config: GbtConfig, user_ids: tuple[str, ...]
 ) -> list[tuple[np.ndarray, bool, int, float]]:
     """(theta, converged, n_iter, grad_norm) of every stacked user, fitted in lockstep.
 
     Each round evaluates one point per user: the zero start, then one trial
-    step of the line search. A user's step, objective, slack and gradient
-    norm are its own Python floats, so each user takes the iterates of
+    of the line search along the user's Newton direction. A user's step,
+    objective and gradient norm are its own Python floats, and its Newton
+    system is solved on its own, so each user takes the iterates of
     `fit_gbt` run on it alone. Users that stop are dropped from the stack.
     """
     lam, tol, max_iter = config.lam, config.tol, config.max_iter
@@ -192,78 +268,73 @@ def _descend(
     users = list(range(len(user_ids)))
     step = [1.0] * len(users)
     obj = [0.0] * len(users)
-    slack = [0.0] * len(users)
     norm = [math.inf] * len(users)
     n_iter = [0] * len(users)
     # The first user, in code order, whose fit met a non-finite value; the
     # users after it are never reached when fitting one user at a time.
     failed = len(users)
-    theta = grad = np.zeros(int(stack.items.sum()))
+    theta = np.zeros(int(stack.items.sum()))
+    direction = np.zeros_like(theta)
     first = True
     while users:
         if first:
             trial = theta
         else:
-            trial = theta - np.array(step).repeat(stack.items) * grad
+            trial = theta - np.array(step).repeat(stack.items) * direction
         delta, a, closed, trial_obj = _objectives(stack, trial, lam)
-        # A trial is taken when its objective falls, or when it stays within
-        # the slack and its gradient norm is smaller, which needs its
-        # gradient; so does every taken point but the last. It is computed for
-        # the whole stack, and read only for these users.
-        lower, need = [], []
-        for o, current, within, done in zip(trial_obj, obj, slack, n_iter):
-            taken = first or (o < current and math.isfinite(o))
-            lower.append(taken)
-            need.append(done < max_iter if taken else (o <= current + within and math.isfinite(o)))
-        if any(need):
-            g = _gradient(stack, trial, delta, a, closed, lam)
+        # Every trial's gradient is needed: by the acceptance test, or as the
+        # right-hand side of the next Newton system.
+        g = _gradient(stack, trial, delta, a, closed, lam)
         moved, stopped = [], []
         for j, items in enumerate(stack.item_slices):
-            if need[j]:
-                g_j = g[items]
-                g_norm = math.sqrt(g_j.dot(g_j))
-            if not (lower[j] or (need[j] and g_norm < norm[j])):
+            g_j = g[items]
+            g_norm = math.sqrt(g_j.dot(g_j))
+            o = trial_obj[j]
+            # The trial is taken when its objective falls or its gradient
+            # norm shrinks: near the optimum float64 no longer resolves the
+            # objective's decrease, but still resolves the gradient's.
+            if not (first or o < obj[j] or g_norm < norm[j]):
                 step[j] *= 0.5
                 if step[j] < 1e-300:
-                    # Flat to float64 precision in every direction tried.
+                    # Flat to float64 precision along the Newton direction.
                     results[users[j]] = (theta[items].copy(), False, n_iter[j], norm[j])
                     stopped.append(j)
+                continue
+            n_iter[j] += 1
+            # A NaN or inf in the gradient always makes its norm non-finite.
+            if not (math.isfinite(g_norm) and math.isfinite(o)) and (
+                not math.isfinite(o) or not np.isfinite(g_j).all()
+            ):
+                failed = min(failed, users[j])
+                stopped.append(j)
+            elif g_norm <= tol:
+                results[users[j]] = (trial[items].copy(), True, n_iter[j], g_norm)
+                stopped.append(j)
             elif n_iter[j] == max_iter:
-                results[users[j]] = (trial[items].copy(), False, n_iter[j], norm[j])
+                results[users[j]] = (trial[items].copy(), False, n_iter[j], g_norm)
                 stopped.append(j)
             else:
-                if not first:
-                    step[j] *= 2.0
-                n_iter[j] += 1
-                o = trial_obj[j]
-                # A NaN or inf in the gradient always makes its norm non-finite.
-                if not (math.isfinite(g_norm) and math.isfinite(o)) and (
-                    not math.isfinite(o) or not np.isfinite(g_j).all()
-                ):
-                    failed = min(failed, users[j])
-                    stopped.append(j)
-                elif g_norm <= tol:
-                    results[users[j]] = (trial[items].copy(), True, n_iter[j], g_norm)
-                    stopped.append(j)
-                else:
-                    obj[j], slack[j], norm[j] = o, 1e-12 * (1.0 + abs(o)), g_norm
-                    moved.append(j)
-        if len(moved) == len(users):
-            theta, grad = trial, g
-        elif moved:
-            taken = np.zeros(len(users), dtype=bool)
-            taken[moved] = True
-            taken = taken.repeat(stack.items)
-            theta, grad = np.where(taken, trial, theta), np.where(taken, g, grad)
+                obj[j], norm[j], step[j] = o, g_norm, 1.0
+                moved.append(j)
+        if moved:
+            h = _hessian_vec(a, closed)
+            for j, d in zip(moved, _newton_directions(stack, h, g, moved, lam)):
+                direction[stack.item_slices[j]] = d
+            if len(moved) == len(users):
+                theta = trial
+            else:
+                taken = np.zeros(len(users), dtype=bool)
+                taken[moved] = True
+                theta = np.where(taken.repeat(stack.items), trial, theta)
         if stopped or users[-1] > failed:
             alive = [u < failed for u in users]
             for j in stopped:
                 alive[j] = False
             stack, items = stack.keep(np.array(alive))
-            theta, grad = theta[items], grad[items]
-            users, step, obj, slack, norm, n_iter = (
+            theta, direction = theta[items], direction[items]
+            users, step, obj, norm, n_iter = (
                 list(itertools.compress(values, alive))
-                for values in (users, step, obj, slack, norm, n_iter)
+                for values in (users, step, obj, norm, n_iter)
             )
         first = False
     if failed < len(user_ids):
@@ -279,8 +350,11 @@ def fit_users(
 ) -> list[IndividualScores]:
     """Fit every user of the set, in user code order, each on all its rows.
 
-    The users descend in lockstep, each on its own step and stopping rule,
-    and each takes exactly the iterates of `fit_gbt` run on it alone.
+    The users run damped Newton in lockstep, each on its own step, Newton
+    system and stopping rule, and each takes exactly the iterates of
+    `fit_gbt` run on it alone. Each round assembles the Hessian blocks of the
+    users that took a point in batches of at most _HESSIAN_ENTRIES entries,
+    so memory does not grow with the number of users.
     """
     stack, keys = _stack(comparisons)
     vocab = comparisons.item_ids
@@ -294,21 +368,19 @@ def fit_users(
 
 
 def fit_gbt(comparisons: ComparisonSet, config: GbtConfig = GbtConfig()) -> IndividualScores:
-    """Fit latent scores by full-batch gradient descent with backtracking.
+    """Fit latent scores by damped Newton with a backtracking line search.
 
-    Deterministic: start at zero; try the step theta - step * grad and
-    accept it when the objective falls, or when it stays within
-    1e-12 * (1 + |obj|) of the current objective and the gradient L2 norm
-    shrinks; otherwise halve the step and retry. The step doubles after
-    every accepted step. Each point is evaluated once: an accepted trial
-    keeps the objective and any gradient computed for it. Stops when the
-    gradient norm drops below config.tol (`converged`), when no step down
-    to 1e-300 is accepted, or after config.max_iter iterations.
-
-    Near the optimum the objective decrease falls below float64 resolution
-    while the gradient is still resolvable, so a step that keeps the
-    objective within rounding slack but strictly shrinks the gradient norm
-    also counts as progress.
+    Deterministic: the zero start is the first point taken (n_iter 1). At
+    each point taken, the fit stops when the gradient L2 norm is at most
+    config.tol (`converged`) or when config.max_iter points have been taken;
+    otherwise it solves H d = grad for the Newton direction d, with H the
+    Hessian at that point, and tries theta - step * d from step 1. A trial
+    is taken when its objective falls or its gradient norm shrinks (near the
+    optimum float64 no longer resolves the objective's decrease, but still
+    resolves the gradient's); otherwise the step is halved and, once below
+    1e-300, the fit stops unconverged at the last point taken. Each point's
+    objective, gradient and Hessian weights are computed once. A non-finite
+    objective or gradient at a point taken raises ValueError.
     """
     users = comparisons.user_ids
     if len(users) != 1:

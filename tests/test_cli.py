@@ -180,13 +180,13 @@ class TestScale:
         sim = _simulate(tmp_path)
         out = tmp_path / "capped"
         assert _run(["scale", "--input", str(sim / "comparisons.csv"),
-                     "--scaler", "mehestan", "--max-iter", "40", "-o", str(out)]) == 0
+                     "--scaler", "mehestan", "--max-iter", "1", "-o", str(out)]) == 0
         diagnostics = json.loads((out / "manifest_scale.json").read_text())["diagnostics"]
         cset = parse_comparisons(sim / "comparisons.csv")
-        _, affines, fits = mehestan_scale(cset, GbtConfig(max_iter=40))
+        _, affines, fits = mehestan_scale(cset, GbtConfig(max_iter=1))
         assert diagnostics["gbt_fits"] == len(fits) == 4
-        assert diagnostics["gbt_iterations"] == sum(fit.n_iter for fit in fits)
-        assert diagnostics["gbt_unconverged"] == sum(not fit.converged for fit in fits) > 0
+        assert diagnostics["gbt_iterations"] == sum(fit.n_iter for fit in fits) == 4
+        assert diagnostics["gbt_unconverged"] == sum(not fit.converged for fit in fits) == 4
         assert diagnostics["anchor"] == next(a.user_id for a in affines if a.anchor)
         assert diagnostics["users"] == {
             fit.user_id: {
@@ -215,7 +215,35 @@ class TestScale:
             "equirank: warning: Mehestan fallback: user='uB' votes=0 s=1.0 "
             "candidates=0 tau=0.0"
         ]
-        assert (tmp_path / "out" / "affines.csv").read_text().splitlines()[0] == "user_id,s,tau"
+        affines = (tmp_path / "out" / "affines.csv").read_text().splitlines()
+        assert affines[0] == "user_id,s,tau" and affines[2] == "uB,1.0,0.0"
+
+    def test_all_tie_user_casts_and_takes_no_vote(self, tmp_path, capsys):
+        # Every score of "flat" is 0, so its fit is exactly 0 and each of its
+        # gaps is <= EPSILON_PAIR: it votes on no one's scale and no one votes
+        # on its own (s=1). It still shares items, so its tau comes from
+        # translation candidates. uB takes the anchor uA's vote alone.
+        rows = [("uA", "g", "a1", "a2", 0.4), ("uA", "g", "a2", "a3", 0.2),
+                ("uA", "g", "a3", "a4", -0.3),
+                ("uB", "g", "a1", "a3", 0.5), ("uB", "g", "a2", "a3", -0.1),
+                ("flat", "g", "a1", "a2", 0.0), ("flat", "g", "a2", "a4", 0.0)]
+        src = tmp_path / "comparisons.csv"
+        write_comparisons(comparison_set(rows), src)
+        _, affines, fits = mehestan_scale(parse_comparisons(src))
+        flat = next(fit for fit in fits if fit.user_id == "flat")
+        assert (flat.converged, flat.n_iter, flat.grad_norm) == (True, 1, 0.0)
+        by_user = {a.user_id: a for a in affines}
+        assert by_user["uA"].anchor
+        assert (by_user["flat"].votes, by_user["flat"].s) == (0, 1.0)
+        assert by_user["flat"].candidates == 5
+        assert by_user["uB"].votes == 1
+        capsys.readouterr()
+        assert _run(["scale", "--input", str(src), "--scaler", "mehestan",
+                     "-o", str(tmp_path / "out")]) == 0
+        assert capsys.readouterr().err.splitlines() == [
+            "equirank: warning: Mehestan fallback: user='flat' votes=0 s=1.0 "
+            f"candidates=5 tau={by_user['flat'].tau!r}"
+        ]
 
     def test_unknown_scaler_is_usage_error(self, tmp_path):
         sim = _simulate(tmp_path)
@@ -611,6 +639,29 @@ class TestPipeline:
         with_contrastive = _train_config(_PIPELINE_DEFAULTS, True, False)
         assert with_contrastive.loss_weights == LossWeights(mse=1.0, contrastive=1.0)
         assert not with_contrastive.use_user_embeddings
+
+    def test_mehestan_diagnostics_in_manifest(self, tmp_path):
+        # A grid with a Mehestan cell writes the diagnostics that
+        # `scale --scaler mehestan` writes for the grid's training split; a
+        # grid without one writes none.
+        config = tmp_path / "grid.cfg"
+        config.write_text(PIPELINE_CONFIG + "experiment = mehestan+contrastive\n"
+                          "gbt_max_iter = 2\n")
+        out = tmp_path / "run"
+        assert _run(["pipeline", "--config", str(config), "-o", str(out)]) == 0
+        diagnostics = json.loads((out / "manifest_pipeline.json").read_text())["diagnostics"]
+        scale = tmp_path / "scale"
+        assert _run(["scale", "--input", str(out / "data" / "train.csv"), "--scaler", "mehestan",
+                     "--max-iter", "2", "-o", str(scale)]) == 0
+        assert diagnostics == json.loads((scale / "manifest_scale.json").read_text())["diagnostics"]
+        assert diagnostics["gbt_fits"] == 4 and diagnostics["gbt_unconverged"] > 0
+        assert set(diagnostics["users"]["u0"]) == {
+            "n_iter", "grad_norm", "converged", "votes", "candidates"
+        }
+        config.write_text(PIPELINE_CONFIG)
+        plain = tmp_path / "plain"
+        assert _run(["pipeline", "--config", str(config), "-o", str(plain)]) == 0
+        assert "diagnostics" not in json.loads((plain / "manifest_pipeline.json").read_text())
 
     def test_each_scaler_runs_once_per_grid(self, tmp_path, monkeypatch):
         import equirank.cli

@@ -1,11 +1,12 @@
-"""Mehestan on arrays and the GBT kernel against their loop oracles.
+"""Mehestan on arrays and the GBT kernel and solver against their loop oracles.
 
-The oracles below are the earlier implementations, kept here as the
-reference: the per-pair vote and translation loops of `mehestan_scale`, and
-a separate GBT objective and gradient with `np.where` on every call and
-`np.add.at` accumulation, fitted by the same gradient-descent loop with
-`np.linalg.norm`, which evaluates each point afresh. Affines, scaled scores
-and every per-user fit must come out bit for bit the same.
+The oracles below are the reference implementations: the per-pair vote and
+translation loops of `mehestan_scale`, and a separate GBT objective, gradient
+and Hessian with `np.where` on every call and `np.add.at` accumulation,
+fitted one user at a time by a plain damped Newton loop (`np.linalg.solve`,
+`np.linalg.norm`, the same acceptance rule) that evaluates each point
+afresh. Affines, scaled scores and every per-user fit must come out bit for
+bit the same.
 """
 
 import itertools
@@ -18,7 +19,9 @@ from hypothesis import strategies as st
 
 from equirank import gbt, scaling
 from equirank.dataset import comparison_set
-from equirank.gbt import GbtConfig, IndividualScores, _gradient, _objectives, _stack, fit_gbt
+from equirank.gbt import (
+    GbtConfig, IndividualScores, _gradient, _hessian_vec, _objectives, _stack, fit_gbt,
+)
 from equirank.robust import ResilienceParams, br_mean
 from equirank.scaling import mehestan_scale
 from equirank.simgen import SimConfig, generate
@@ -33,6 +36,18 @@ def oracle_expected_vec(delta):
     safe = np.where(small, 1.0, np.minimum(a, gbt._EXP_CUTOFF))
     series = delta / 3.0 - delta**3 / 45.0
     closed = np.copysign(1.0 + 2.0 / np.expm1(2.0 * safe) - 1.0 / np.maximum(a, 1e-300), delta)
+    return np.where(small, series, closed)
+
+
+def oracle_hessian_vec(delta):
+    a = np.abs(delta)
+    small = a < gbt._SERIES_CUTOFF
+    safe = np.where(small, 1.0, a)
+    a2 = np.square(np.minimum(a, gbt._SERIES_CUTOFF))
+    series = 1.0 / 3.0 - a2 / 15.0 + a2 * a2 * (2.0 / 189.0)
+    inv = 1.0 / safe
+    m = np.expm1(-2.0 * safe)
+    closed = inv * inv - 4.0 * np.exp(-2.0 * safe) / (m * m)
     return np.where(small, series, closed)
 
 
@@ -67,43 +82,46 @@ class OracleProblem:
         grad += self.lam * theta
         return grad
 
+    def hessian(self, theta):
+        delta = theta[self.right] - theta[self.left]
+        h = oracle_hessian_vec(delta)
+        n = len(theta)
+        hess = np.zeros((n, n))
+        np.add.at(hess, (self.right, self.right), h)
+        np.add.at(hess, (self.left, self.left), h)
+        np.add.at(hess, (self.right, self.left), -h)
+        np.add.at(hess, (self.left, self.right), -h)
+        hess[np.diag_indices(n)] += self.lam
+        return hess
+
 
 def oracle_fit_gbt(comparisons, config=GbtConfig()):
     problem = OracleProblem(comparisons, config.lam)
     theta = np.zeros(len(problem.items), dtype=np.float64)
-    obj = problem.objective(theta)
-    step = 1.0
-    n_iter = 0
-    grad_norm = math.inf
-    converged = False
-    for n_iter in range(1, config.max_iter + 1):
-        grad = problem.gradient(theta)
+    obj, grad = problem.objective(theta), problem.gradient(theta)
+    n_iter = 1
+    while True:
         assert np.all(np.isfinite(grad)) and math.isfinite(obj)
         grad_norm = float(np.linalg.norm(grad))
-        if grad_norm <= config.tol:
-            converged = True
+        if grad_norm <= config.tol or n_iter == config.max_iter:
             break
-        slack = 1e-12 * (1.0 + abs(obj))
-        accepted = False
-        while step >= 1e-300:
-            trial = theta - step * grad
-            trial_obj = problem.objective(trial)
-            if math.isfinite(trial_obj) and trial_obj < obj:
-                accepted = True
+        direction = np.linalg.solve(problem.hessian(theta), grad)
+        step = 1.0
+        while True:
+            trial = theta - step * direction
+            trial_obj, trial_grad = problem.objective(trial), problem.gradient(trial)
+            if trial_obj < obj or float(np.linalg.norm(trial_grad)) < grad_norm:
                 break
-            if math.isfinite(trial_obj) and trial_obj <= obj + slack:
-                trial_norm = float(np.linalg.norm(problem.gradient(trial)))
-                if trial_norm < grad_norm:
-                    accepted = True
-                    break
             step *= 0.5
-        if not accepted:
-            break
-        theta = trial
-        obj = trial_obj
-        step *= 2.0
+            if step < 1e-300:
+                return IndividualScores(
+                    problem.user_id, problem.items, theta, config.lam, False, n_iter, grad_norm
+                )
+        theta, obj, grad = trial, trial_obj, trial_grad
+        n_iter += 1
     return IndividualScores(
-        problem.user_id, problem.items, theta, config.lam, converged, n_iter, grad_norm
+        problem.user_id, problem.items, theta, config.lam, grad_norm <= config.tol, n_iter,
+        grad_norm,
     )
 
 
@@ -352,14 +370,20 @@ def test_mean_aggregator_takes_arrays():
 
 
 @pytest.mark.parametrize("spread", [1e-3, 0.5, 5.0, 800.0])
-def test_kernel_matches_oracle(spread):
+def test_kernel_matches_oracle(spread, monkeypatch):
     # Small spreads take the series branch, large ones the closed form alone
     # (and, at 800, the exp cutoff); 0.5 mixes both. One user alone, then four
     # users stacked with their rows interleaved, each with 50 comparisons on
-    # 12 items: each user's objective and gradient are the oracle's on its own
-    # set, at 20 random points and at zero.
+    # 12 items: each user's objective, gradient, Hessian weights and Newton
+    # direction are the oracle's on its own set, at 20 random points and at
+    # zero. The last pass caps the Hessian batches at 300 entries, so the
+    # users' 144-entry blocks are assembled two by two.
     rng = np.random.default_rng(int(spread * 1000))
-    for users in (["u"], ["u0", "u1", "u2", "u3"]):
+    for users, hessian_entries in (
+        (["u"], gbt._HESSIAN_ENTRIES), (["u0", "u1", "u2", "u3"], gbt._HESSIAN_ENTRIES),
+        (["u0", "u1", "u2", "u3"], 300),
+    ):
+        monkeypatch.setattr(gbt, "_HESSIAN_ENTRIES", hessian_entries)
         rows = []
         for _ in range(50):
             for user in users:
@@ -372,45 +396,79 @@ def test_kernel_matches_oracle(spread):
         for theta in [*(rng.uniform(-spread, spread, n_items) for _ in range(20)), np.zeros(n_items)]:
             delta, a, closed, objs = _objectives(stack, theta, 0.1)
             grad = _gradient(stack, theta, delta, a, closed, 0.1)
-            for old, obj, own in zip(olds, objs, stack.item_slices):
-                assert _bits(obj) == _bits(old.objective(theta[own]))
-                assert _bits(grad[own]) == _bits(old.gradient(theta[own]))
+            h = _hessian_vec(a, closed)
+            directions = gbt._newton_directions(stack, h, grad, list(range(len(users))), 0.1)
+            for old, obj, own, rows, direction in zip(
+                olds, objs, stack.item_slices, stack.row_slices, directions
+            ):
+                x = theta[own]
+                assert _bits(obj) == _bits(old.objective(x))
+                assert _bits(grad[own]) == _bits(old.gradient(x))
+                assert _bits(h[rows]) == _bits(oracle_hessian_vec(x[old.right] - x[old.left]))
+                assert _bits(direction) == _bits(np.linalg.solve(old.hessian(x), old.gradient(x)))
                 # The descent's norm: the dot of the user's slice of the gradient.
                 norm = math.sqrt(grad[own].dot(grad[own]))
-                assert _bits(norm) == _bits(np.linalg.norm(old.gradient(theta[own])))
+                assert _bits(norm) == _bits(np.linalg.norm(old.gradient(x)))
 
 
 def test_each_point_gradient_is_evaluated_once(monkeypatch):
-    # The oracle evaluates the gradient at the top of every iteration, so a
-    # trial it accepted through the slack branch (objective within rounding
-    # slack, gradient norm smaller) has its gradient evaluated twice; each
-    # such repeat is one slack acceptance. fit_gbt must evaluate each point's
-    # gradient once, and the same fit.
-    rng = np.random.default_rng(2)
+    # Every point the oracle tries has its objective and gradient evaluated
+    # once, and its Hessian once more if it is taken and the fit goes on.
+    # fit_gbt must compute each point's objective, gradient and Hessian
+    # weights once too, for the same fit. At tol 5e-15 the last iterations
+    # run at the gradient's rounding floor, where the line search halves the
+    # step: 5 of the 15 points tried are not taken.
+    rng = np.random.default_rng(3)
     rows = []
     for _ in range(30):
         a, b = rng.choice(8, size=2, replace=False)
         rows.append(("u", "g", f"i{a}", f"i{b}", float(rng.uniform(-1, 1))))
     cset = comparison_set(rows)
 
-    oracle_thetas, deltas = [], []
-    oracle_gradient, expected_vec = OracleProblem.gradient, gbt._expected_vec
+    oracle_points, oracle_hessians = [], []
+    kernel = {"objective": [], "gradient": [], "hessian": []}
+    oracle_objective, oracle_hessian = OracleProblem.objective, OracleProblem.hessian
+    log_partition_vec, expected_vec, hessian_vec = (
+        gbt._log_partition_vec, gbt._expected_vec, gbt._hessian_vec
+    )
 
-    def recorded_oracle_gradient(self, theta):
-        oracle_thetas.append(theta.tobytes())
-        return oracle_gradient(self, theta)
+    def recorded_oracle_objective(self, theta):
+        oracle_points.append(theta.tobytes())
+        return oracle_objective(self, theta)
 
-    def recorded_expected_vec(delta, *args):
-        deltas.append(delta.tobytes())
-        return expected_vec(delta, *args)
+    def recorded_oracle_hessian(self, theta):
+        oracle_hessians.append(theta.tobytes())
+        return oracle_hessian(self, theta)
 
-    monkeypatch.setattr(OracleProblem, "gradient", recorded_oracle_gradient)
+    def recorded_log_partition_vec(a, closed):
+        kernel["objective"].append(a.tobytes())
+        return log_partition_vec(a, closed)
+
+    def recorded_expected_vec(delta, a, closed):
+        kernel["gradient"].append(a.tobytes())
+        return expected_vec(delta, a, closed)
+
+    def recorded_hessian_vec(a, closed):
+        kernel["hessian"].append(a.tobytes())
+        return hessian_vec(a, closed)
+
+    monkeypatch.setattr(OracleProblem, "objective", recorded_oracle_objective)
+    monkeypatch.setattr(OracleProblem, "hessian", recorded_oracle_hessian)
+    monkeypatch.setattr(gbt, "_log_partition_vec", recorded_log_partition_vec)
     monkeypatch.setattr(gbt, "_expected_vec", recorded_expected_vec)
-    want, got = oracle_fit_gbt(cset), fit_gbt(cset)
+    monkeypatch.setattr(gbt, "_hessian_vec", recorded_hessian_vec)
+    config = GbtConfig(tol=5e-15)
+    want, got = oracle_fit_gbt(cset, config), fit_gbt(cset, config)
 
-    slack_accepted = len(oracle_thetas) - len(set(oracle_thetas))
-    assert (want.n_iter, len(oracle_thetas), slack_accepted) == (59, 88, 6)
-    assert (len(deltas), len(set(deltas))) == (88 - 6, 88 - 6)
+    assert (want.converged, want.n_iter, len(oracle_points)) == (True, 10, 15)
+    assert len(set(oracle_points)) == len(oracle_points)
+    assert set(oracle_hessians) <= set(oracle_points)
+    assert len(oracle_hessians) == want.n_iter - 1
+    points = kernel["objective"]
+    assert len(set(points)) == len(points) == len(oracle_points)
+    assert kernel["gradient"] == points
+    assert len(kernel["hessian"]) == len(oracle_hessians)
+    assert set(kernel["hessian"]) <= set(points)
     assert (got.converged, got.n_iter) == (want.converged, want.n_iter)
     assert _bits(got.grad_norm) == _bits(want.grad_norm)
     assert _bits(got.theta) == _bits(want.theta)
