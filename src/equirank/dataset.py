@@ -15,9 +15,11 @@ comma, a double quote, a carriage return or a line feed, and quotes inside
 it are doubled, so every id round-trips.
 
 Every CSV is read on bytes by one reader, `_csv_rows`. Comparisons are
-written on bytes, from a table of quoted tokens
-per vocabulary and one repr of each block's scores; the bytes are those of
-joining each row from `csv_field` and repr(score). Every data file is
+written on bytes, from a table of quoted tokens per vocabulary and a numpy
+kernel that writes each score's shortest round-trip decimal, the bytes of
+repr(score), for zeros and 1e-4 <= |score| < 1e15; other scores, and the
+few whose shortest decimal is a tie, take repr itself. The bytes are those
+of joining each row from `csv_field` and repr(score). Every data file is
 written under a temporary name and moved onto its path when complete, so a
 write cut short leaves the earlier file, or none, and never a truncated
 one.
@@ -48,8 +50,9 @@ _BLOCK_BYTES = 1 << 18
 _FIELD_CAP = 64
 _FIELD_LIMIT = 131072
 # `write_columns` formats _WRITE_ROWS rows at a time, so every temporary is
-# sized to a block and not to the set. No float's repr is longer than
-# _REPR_CAP bytes: a sign, 17 digits, a point and an exponent such as e-308.
+# sized to a block and not to the set. A score takes _REPR_CAP columns of a
+# block's lines: no float's repr is longer, a sign, 17 digits, a point and
+# an exponent such as e-308, and `_score_tokens` lays its tokens out in 24.
 _WRITE_ROWS = 1 << 14
 _REPR_CAP = 24
 
@@ -298,21 +301,180 @@ def _token_table(vocab: Sequence[str]) -> tuple[np.ndarray, np.ndarray | None]:
     return np.array(tokens, dtype=f"S{width}"), None if (lengths == width).all() else lengths
 
 
-def _score_tokens(score: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The repr of each score, zero-padded or followed by other bytes in an
-    `S<width>` array, and its byte length.
+# The exact powers of ten, 10**0 to 10**22, each split into two halves of at
+# most 26 significant bits (Veltkamp, with the factor 2**27 + 1), so that a
+# product with another split double is the exact sum of four products.
+_POW10 = np.array([float(f"1e{k}") for k in range(23)])
 
-    One repr of the list formats each float as repr(float) does, joined by
-    ", "; the tokens are cut out of it as `_csv_rows` cuts fields.
+
+def _halves(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    c = 134217729.0 * v
+    high = c - (c - v)
+    return high, v - high
+
+
+_POW10_HIGH, _POW10_LOW = _halves(_POW10)
+
+
+def _scaled(a: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(N, frac): the int64 integer part and the fraction of a * 10**k,
+    exact when the product lies in [2**53, 2**62] and a below 2**1000.
+
+    Dekker's two-product needs no fused multiply-add: p = fl(a * 10**k),
+    and err, the sum of the halves' products less p, is exact, so a * 10**k
+    is p + err. p is an integer above 2**53, and err - floor(err) is exact.
+    Below 2**53, N + frac may fall short of the product, never exceed it.
     """
-    text = repr(score.tolist()).encode()
-    buf = np.frombuffer(text + bytes(_REPR_CAP), dtype=np.uint8)
-    commas = np.flatnonzero(buf == ord(","))
-    starts = np.concatenate(([1], commas + 2))
-    lengths = np.concatenate((commas, [len(text) - 1])) - starts
-    width = int(lengths.max())
-    tokens = np.lib.stride_tricks.sliding_window_view(buf, width)[starts]
-    return tokens.view(f"S{width}").ravel(), lengths
+    p = a * _POW10[k]
+    high, low = _halves(a)
+    err = high * _POW10_HIGH[k] - p
+    err += high * _POW10_LOW[k]
+    err += low * _POW10_HIGH[k]
+    err += low * _POW10_LOW[k]
+    whole = np.floor(err)
+    return p.astype(np.int64) + whole.astype(np.int64), err - whole
+
+
+def _inside(
+    frac: np.ndarray, r: np.ndarray, s: np.ndarray, h: np.ndarray, low: np.ndarray,
+    even: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Whether y - r - frac and y + s - frac, for y = N + frac and integers
+    r >= 0 and s >= 1, lie in the rounding interval [y - low, y + h], whose
+    ends count when the significand is even.
+
+    frac is compared with low - r and s - h, which are exact wherever the
+    comparison can hold; r and s are capped at 16, above every half-width.
+    """
+    below = low - np.minimum(r, 16)
+    above = np.minimum(s, 16) - h
+    down = (frac < below) | ((frac == below) & even)
+    up = (frac > above) | ((frac == above) & even)
+    return down, up
+
+
+def _quad_table() -> np.ndarray:
+    """The four ASCII digits of 0 to 9999, each as a little-endian uint32."""
+    quad = np.arange(10000)
+    digits = np.stack([quad // 1000, quad // 100 % 10, quad // 10 % 10, quad % 10], 1)
+    return (digits + ord("0")).astype(np.uint8).view("<u4").ravel()
+
+
+_QUADS = _quad_table()
+
+
+def _keep_table() -> np.ndarray:
+    """Which of its _REPR_CAP columns a kernel token keeps, as one
+    `V<_REPR_CAP>` mask per code (negative * 20 + point + 3) * 18 + digits,
+    for the layout `_score_tokens` writes."""
+    negative, point, digits, col = np.ogrid[:2, -3:17, :18, :_REPR_CAP]
+    below_one = (col == 1) | (col == 2) | ((col >= 3) & (col < 3 - point))
+    below_one = below_one | ((col == 6) & (digits > 0)) | ((col >= 8) & (col < 7 + digits))
+    from_one = (col >= 6) & (col < 7 + point + np.maximum(digits - point, 1))
+    keep = ((col == 0) & (negative == 1)) | np.where(point <= 0, below_one, from_one)
+    return keep.reshape(-1, _REPR_CAP).view(f"V{_REPR_CAP}").ravel()
+
+
+_KEEP = _keep_table()
+# Columns 0 to 7 of a kernel token as a little-endian uint64; the first
+# digit is added to the "0" in column 6.
+_PREFIX = int.from_bytes(b"-0.0000.", "little")
+
+
+def _score_tokens(score: np.ndarray, out: np.ndarray, keep: np.ndarray) -> None:
+    """Write the repr of each score into its row of `out`, a (n, _REPR_CAP)
+    uint8 array, and mark the token's bytes in the same row of `keep`.
+
+    Zeros and scores of 1e-4 <= |x| < 1e15 are formatted with no per-value
+    Python, following Ryu's and Schubfach's shortest round trip. y = |x| *
+    10**k, with k = 16 - floor(log10|x|), lies in [1e16, 1e17) and is held
+    exactly as N + frac. Half an ulp of |x| times 10**k bounds the rounding
+    interval around y, a quarter below a power of two, its ends included
+    when the significand is even. The shortest repr is the multiple of the
+    largest power of ten 10**j in that interval, the one nearer y if two
+    are, and has 17 - j digits.
+
+    The columns hold `-0.000`, the first digit, `.` and the other 16, in
+    the fixed notation repr uses in this range; `keep` picks the sign, the
+    `0.` and zeros before a score below 1, the point of one of at least 1,
+    and the digits. With q >= 2 digits before the point, the point moves
+    after the q-th. Every other score takes repr itself, as do those whose
+    two nearest candidates are equally near y, or whose 17-digit rounding
+    is an exact tie.
+    """
+    a = np.abs(score)
+    zero = a == 0.0
+    fast = (a >= 1e-4) & (a < 1e15)
+    a[~fast] = 1.0
+    k = 16 - np.floor(np.log10(a)).astype(np.intp)
+    N, frac = _scaled(a, k)
+    # log10 may round across a power of ten: move k by one where it did.
+    # A product then under 1e16 may be inexact, but its N is under 1e16 too.
+    off = (N < 10**16).astype(np.intp) - (N >= 10**17)
+    if (moved := np.flatnonzero(off)).size:
+        k[moved] += off[moved]
+        N[moved], frac[moved] = _scaled(a[moved], k[moved])
+    bits = a.view(np.int64)
+    # Half an ulp of a is 2**(exponent - 53), exactly, times an exact 10**k.
+    h = _POW10[k] * ((bits >> 52) - 53 << 52).view(np.float64)
+    low = np.where(bits & ((1 << 52) - 1) == 0, 0.5 * h, h)
+    even = (bits & 1) == 0
+
+    # 17 digits: N or N + 1, whichever lies inside and nearer y. Both
+    # half-widths exceed 0.5, so one does.
+    down, up = _inside(frac, 0, 1, h, low, even)
+    best = N + (up & ~(down & (frac < 0.5)))
+    tie = down & up & (frac == 0.5)
+    # 16 digits: a multiple of 10 inside, N - r or N - r + 10; y - (N - r)
+    # is the nearer when 2 frac < 10 - 2r, compared where that is exact.
+    r = N - N // 10 * 10
+    down, up = _inside(frac, r, 10 - r, h, low, even)
+    ten = down | up
+    twice, gap = 2.0 * frac, np.clip(10 - 2 * r, -2, 4)
+    np.copyto(best, N - r + 10 * (up & ~(down & (twice < gap))), where=ten)
+    np.copyto(tie, down & up & (twice == gap), where=ten)
+    zeros = ten.astype(np.intp)
+    # Fewer: the interval is under 23 wide, so it holds at most one multiple
+    # of 100, and j is 2 plus the trailing zeros of that multiple over 100.
+    r = N - N // 100 * 100
+    down, up = _inside(frac, r, 100 - r, h, low, even)
+    if (rows := np.flatnonzero(down | up)).size:
+        best[rows] = m = N[rows] - r[rows] + 100 * up[rows]
+        tie[rows] = False
+        m //= 100
+        count = np.full(rows.size, 2)
+        for t in (8, 4, 2, 1):
+            shorter = m // 10**t
+            whole = m == shorter * 10**t
+            count += t * whole
+            m = np.where(whole, shorter, m)
+        zeros[rows] = count
+    top = best == 10**17
+    best[top] = 10**16
+    zeros[top] -= 1
+    # repr's decimal point: the shortest repr is 0.d1d2... * 10**point.
+    point = 17 - k + top
+    digits = 17 - zeros
+    point[zero], digits[zero] = -1, 0
+
+    high = best // 10**8
+    first = high // 10**8
+    out[:, :8].view("<u8")[:, 0] = _PREFIX + (first << 48)
+    eights = np.stack((high - first * 10**8, best - high * 10**8), 1)
+    fours = eights // 10**4
+    fours = np.stack((fours, eights - fours * 10**4), 2).reshape(-1, 4)
+    out[:, 8:].view("<u4")[:] = _QUADS.take(fours)
+    code = (np.signbit(score) * 20 + point + 3) * 18 + digits
+    keep.view(f"V{_REPR_CAP}")[:, 0] = _KEEP.take(code)
+    for q in range(2, point.max() + 1):
+        rows = np.flatnonzero(point == q)
+        out[rows, 7 : 6 + q] = out[rows, 8 : 7 + q]
+        out[rows, 6 + q] = ord(".")
+
+    if (rows := np.flatnonzero(~(fast | zero) | tie)).size:
+        texts = [repr(x).encode() for x in score[rows].tolist()]
+        out[rows] = np.array(texts, dtype=f"S{_REPR_CAP}").view(np.uint8).reshape(-1, _REPR_CAP)
+        keep[rows] = np.arange(_REPR_CAP) < np.array([len(t) for t in texts])[:, None]
 
 
 def _row_blocks(cset: ComparisonSet, extra: tuple[str, ...]) -> Iterator[bytes]:
@@ -320,16 +482,16 @@ def _row_blocks(cset: ComparisonSet, extra: tuple[str, ...]) -> Iterator[bytes]:
     of _WRITE_ROWS rows.
 
     A block's lines are the rows of a byte matrix: each field's tokens are
-    gathered by code into fixed columns, with the commas, the extra fields
-    and the LF in the columns between and after them. The padding of each
-    token is masked out by its length, never by its bytes, since an id may
-    hold a NUL.
+    gathered by code into fixed columns, each score is formatted into
+    _REPR_CAP columns, and the commas, the extra fields and the LF sit in
+    the columns between and after them. The padding of each token is masked
+    out by its length or the score's mask, never by its bytes, since an id
+    may hold a NUL.
     """
     items = _token_table(cset.item_ids)
     tables = (_token_table(cset.user_ids), _token_table(cset.criterion_ids), items, items)
     codes = (cset.user, cset.criterion, cset.left, cset.right)
-    tail = "".join("," + csv_field(v) for v in extra) + "\n"
-    separators = [np.frombuffer(s.encode(), dtype=np.uint8) for s in (",", ",", ",", ",", tail)]
+    tail = np.frombuffer(("".join("," + csv_field(v) for v in extra) + "\n").encode(), np.uint8)
     for start in range(0, len(cset), _WRITE_ROWS):
         rows = slice(start, start + _WRITE_ROWS)
         block_codes = [c[rows] for c in codes]
@@ -337,19 +499,21 @@ def _row_blocks(cset: ComparisonSet, extra: tuple[str, ...]) -> Iterator[bytes]:
             (table[c], None if lengths is None else lengths[c])
             for (table, lengths), c in zip(tables, block_codes)
         ]
-        fields.append(_score_tokens(cset.score[rows]))
         n = block_codes[0].size
-        width = sum(tokens.itemsize + sep.size for (tokens, _), sep in zip(fields, separators))
+        width = sum(tokens.itemsize + 1 for tokens, _ in fields) + _REPR_CAP + tail.size
         lines = np.empty((n, width), dtype=np.uint8)
         keep = np.ones((n, width), dtype=bool)
         at = 0
-        for (tokens, lengths), sep in zip(fields, separators):
+        for tokens, lengths in fields:
             end = at + tokens.itemsize
             lines[:, at:end].view(tokens.dtype)[:, 0] = tokens
             if lengths is not None:
                 np.less(np.arange(end - at), lengths[:, None], out=keep[:, at:end])
-            lines[:, end : end + sep.size] = sep
-            at = end + sep.size
+            lines[:, end] = ord(",")
+            at = end + 1
+        end = at + _REPR_CAP
+        _score_tokens(cset.score[rows], lines[:, at:end], keep[:, at:end])
+        lines[:, end:] = tail
         yield lines[keep].tobytes()
 
 
@@ -359,9 +523,9 @@ def write_columns(
     """Write a set in the comparisons schema, plus constant trailing fields.
 
     Each vocabulary entry is quoted and encoded once; the rows are written
-    in blocks, each formatted with numpy from the codes and one repr of its
-    scores. The bytes are those of writing each row with `csv_field` and
-    repr(score).
+    in blocks, each formatted with numpy from the codes and the scores
+    (`_score_tokens`). The bytes are those of writing each row with
+    `csv_field` and repr(score).
     """
     with atomic_write(path, "wb") as fh:
         fh.write((",".join(map(csv_field, header)) + "\n").encode())

@@ -295,8 +295,11 @@ def _descend(
             # objective's decrease, but still resolves the gradient's.
             if not (first or o < obj[j] or g_norm < norm[j]):
                 step[j] *= 0.5
-                if step[j] < 1e-300:
-                    # Flat to float64 precision along the Newton direction.
+                # Flat to float64 precision along the Newton direction. A
+                # trial equal to theta bit for bit stops at once: rounding is
+                # monotone, so every shorter step gives theta again and is
+                # refused down to the 1e-300 floor, with the same result.
+                if step[j] < 1e-300 or trial[items].tobytes() == theta[items].tobytes():
                     results[users[j]] = (theta[items].copy(), False, n_iter[j], norm[j])
                     stopped.append(j)
                 continue
@@ -378,7 +381,8 @@ def fit_gbt(comparisons: ComparisonSet, config: GbtConfig = GbtConfig()) -> Indi
     is taken when its objective falls or its gradient norm shrinks (near the
     optimum float64 no longer resolves the objective's decrease, but still
     resolves the gradient's); otherwise the step is halved and, once below
-    1e-300, the fit stops unconverged at the last point taken. Each point's
+    1e-300 or once a refused trial equals the last point taken bit for bit,
+    the fit stops unconverged at that point. Each point's
     objective, gradient and Hessian weights are computed once. A non-finite
     objective or gradient at a point taken raises ValueError.
     """

@@ -26,6 +26,7 @@ from equirank.robust import ResilienceParams, br_mean
 from equirank.scaling import mehestan_scale
 from equirank.simgen import SimConfig, generate
 from gbt_oracle import by_item
+from test_gbt import _crowd
 
 # --- oracles: the loop implementations ---------------------------------------
 
@@ -472,3 +473,32 @@ def test_each_point_gradient_is_evaluated_once(monkeypatch):
     assert (got.converged, got.n_iter) == (want.converged, want.n_iter)
     assert _bits(got.grad_norm) == _bits(want.grad_norm)
     assert _bits(got.theta) == _bits(want.theta)
+
+
+def test_flat_fits_stop_at_the_first_trial_equal_to_their_point(monkeypatch):
+    # At tol 1e-16, below the gradient's rounding floor, some users of the
+    # lockstep crowd stop flat. Each stops at the first refused trial equal
+    # to its point, not after the ~997 halvings that take the step below
+    # 1e-300, and its fit is the one the oracle's 1e-300 rule gives.
+    cset = _crowd()
+    config = GbtConfig(tol=1e-16)
+    rounds = []
+    objectives = gbt._objectives
+
+    def counted(*args):
+        rounds.append(1)
+        return objectives(*args)
+
+    monkeypatch.setattr(gbt, "_objectives", counted)
+    fits = gbt.fit_users(cset, config)
+    flat = [fit for fit in fits if not fit.converged]
+    assert flat and all(fit.n_iter < config.max_iter for fit in flat)
+    halvings = math.ceil(-math.log2(1e-300))
+    assert len(rounds) < max(fit.n_iter for fit in flat) + halvings
+    for fit in flat:
+        want = oracle_fit_gbt(cset.restrict(user_id=fit.user_id), config)
+        assert (fit.item_ids, fit.converged, fit.n_iter) == (
+            want.item_ids, want.converged, want.n_iter
+        )
+        assert _bits(fit.grad_norm) == _bits(want.grad_norm)
+        assert _bits(fit.theta) == _bits(want.theta)
