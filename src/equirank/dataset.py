@@ -466,7 +466,7 @@ def _score_tokens(score: np.ndarray, out: np.ndarray, keep: np.ndarray) -> None:
     out[:, 8:].view("<u4")[:] = _QUADS.take(fours)
     code = (np.signbit(score) * 20 + point + 3) * 18 + digits
     keep.view(f"V{_REPR_CAP}")[:, 0] = _KEEP.take(code)
-    for q in range(2, point.max() + 1):
+    for q in range(2, point.max(initial=0) + 1):
         rows = np.flatnonzero(point == q)
         out[rows, 7 : 6 + q] = out[rows, 8 : 7 + q]
         out[rows, 6 + q] = ord(".")

@@ -382,9 +382,9 @@ def fit_gbt(comparisons: ComparisonSet, config: GbtConfig = GbtConfig()) -> Indi
     optimum float64 no longer resolves the objective's decrease, but still
     resolves the gradient's); otherwise the step is halved and, once below
     1e-300 or once a refused trial equals the last point taken bit for bit,
-    the fit stops unconverged at that point. Each point's
-    objective, gradient and Hessian weights are computed once. A non-finite
-    objective or gradient at a point taken raises ValueError.
+    the fit stops unconverged at that point. Each point's objective,
+    gradient and Hessian weights are computed once. A non-finite objective
+    or gradient at a point taken raises ValueError.
     """
     users = comparisons.user_ids
     if len(users) != 1:
