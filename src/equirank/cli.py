@@ -16,6 +16,8 @@ from collections.abc import Mapping
 from datetime import datetime, timezone
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from .dataset import (
     ComparisonSet,
@@ -26,9 +28,9 @@ from .dataset import (
     parse_features,
     split,
     write_comparisons,
-    write_csv,
     write_features,
     write_json,
+    write_table,
 )
 from .equity import build_report, write_lorenz, write_report
 from .gbt import GbtConfig, write_individual_scores
@@ -303,6 +305,12 @@ def _train_config(
     )
 
 
+def write_loss_trace(trace: list[float], path: str | Path) -> None:
+    """CSV of epoch,loss: the training loss after each epoch."""
+    epochs = [str(epoch) for epoch in range(len(trace))]
+    write_table(path, ["epoch", "loss"], [(epochs, np.arange(len(trace))), np.array(trace)])
+
+
 def cmd_train(args: argparse.Namespace) -> int:
     cset = _load_comparisons(args.input, args.criterion)
     features = parse_features(args.features)
@@ -313,11 +321,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     model_path = outdir / "model.json"
     trace_path = outdir / "loss_trace.csv"
     save_model(result.params, model_path)
-    write_csv(
-        trace_path,
-        ["epoch", "loss"],
-        ([str(epoch), repr(value)] for epoch, value in enumerate(result.loss_trace)),
-    )
+    write_loss_trace(result.loss_trace, trace_path)
     _write_manifest(
         outdir,
         "train",
@@ -420,7 +424,9 @@ def parse_pipeline_config(path: str | Path) -> tuple[dict[str, object], list[str
         raise UsageError(*_not_utf8(Path(path), data, exc.start).args) from None
     values = dict(_PIPELINE_DEFAULTS)
     experiments: list[str] = []
-    for lineno, raw in enumerate(text.splitlines(), 1):
+    # Lines end at a LF, a CRLF or a bare CR, as in the CSV reader.
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    for lineno, raw in enumerate(lines, 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -501,6 +507,15 @@ def _percent(value: float) -> str:
     return f"{100.0 * value:.2f}%"
 
 
+def write_summary(experiments: list[str], reports: list, path: str | Path) -> None:
+    """One row per experiment: its name, then SUMMARY_COLUMNS' figures in percent."""
+    keys = ("overall_accuracy", "acc_max_gap", "acc_std",
+            "overall_recall", "recall_max_gap", "recall_std")
+    columns = [experiments] + [[_percent(getattr(r, key)) for r in reports] for key in keys]
+    rows = np.arange(len(experiments))
+    write_table(path, SUMMARY_COLUMNS, [(column, rows) for column in columns])
+
+
 def cmd_pipeline(args: argparse.Namespace) -> int:
     cfg, experiments = parse_pipeline_config(args.config)
     cells = [_parse_experiment(name) for name in experiments]
@@ -547,22 +562,7 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
         write_report(report, report_path)
         outputs.append(report_path)
     summary_path = outdir / "summary.csv"
-    write_csv(
-        summary_path,
-        SUMMARY_COLUMNS,
-        (
-            [
-                name,
-                _percent(report.overall_accuracy),
-                _percent(report.acc_max_gap),
-                _percent(report.acc_std),
-                _percent(report.overall_recall),
-                _percent(report.recall_max_gap),
-                _percent(report.recall_std),
-            ]
-            for name, report in zip(experiments, reports)
-        ),
-    )
+    write_summary(experiments, reports, summary_path)
     outputs.append(summary_path)
     _write_manifest(
         outdir, "pipeline", {"config": cfg, "experiments": experiments},

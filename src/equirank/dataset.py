@@ -14,15 +14,15 @@ CSV files follow one quoting rule: a field is quoted when it contains a
 comma, a double quote, a carriage return or a line feed, and quotes inside
 it are doubled, so every id round-trips.
 
-Every CSV is read on bytes by one reader, `_csv_rows`. Comparisons are
-written on bytes, from a table of quoted tokens per vocabulary and a numpy
-kernel that writes each score's shortest round-trip decimal, the bytes of
-repr(score), for zeros and 1e-4 <= |score| < 1e15; other scores, and the
-few whose shortest decimal is a tie, take repr itself. The bytes are those
-of joining each row from `csv_field` and repr(score). Every data file is
-written under a temporary name and moved onto its path when complete, so a
-write cut short leaves the earlier file, or none, and never a truncated
-one.
+Every CSV is read on bytes by one reader, `_csv_rows`, and written on bytes
+by one writer, `write_table`, from float columns and from tables of quoted
+tokens indexed by integer codes. A numpy kernel writes each float's shortest
+round-trip decimal, the bytes of repr(x), for zeros and 1e-4 <= |x| < 1e15;
+other floats, and the few whose shortest decimal is a tie, take repr itself.
+The bytes are those of joining each row from `csv_field` and repr. Every
+data file is written under a temporary name and moved onto its path when
+complete, so a write cut short leaves the earlier file, or none, and never a
+truncated one.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ import os
 import tempfile
 from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, BinaryIO, Iterable, Iterator, NamedTuple, Sequence
+from typing import BinaryIO, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -253,9 +253,9 @@ def csv_field(text: str) -> str:
 
 
 @contextlib.contextmanager
-def atomic_write(path: str | Path, mode: str = "w", **kwargs) -> Iterator[IO]:
-    """Open a new file, with `os.fdopen`'s `mode` and `kwargs`, that replaces
-    `path` when the block exits without an error.
+def atomic_write(path: str | Path) -> Iterator[BinaryIO]:
+    """Open a new binary file that replaces `path` when the block exits
+    without an error.
 
     The file is written under a temporary name in `path`'s directory, given
     the mode `open` gives a new file, then moved onto `path`. On an error it
@@ -265,7 +265,7 @@ def atomic_write(path: str | Path, mode: str = "w", **kwargs) -> Iterator[IO]:
     path = Path(path)
     fd, tmp_name = tempfile.mkstemp(dir=path.parent, prefix=".equirank-", suffix=".tmp")
     try:
-        with os.fdopen(fd, mode, **kwargs) as fh:
+        with os.fdopen(fd, "wb") as fh:
             yield fh
         # mkstemp creates the file 0600. Reading the umask means setting it.
         umask = os.umask(0o022)
@@ -278,17 +278,10 @@ def atomic_write(path: str | Path, mode: str = "w", **kwargs) -> Iterator[IO]:
         raise
 
 
-def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence[str]]) -> None:
-    """Write text rows as UTF-8 CSV with LF line ends, quoting each field."""
-    with atomic_write(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(",".join(map(csv_field, header)) + "\n")
-        fh.writelines(",".join(map(csv_field, row)) + "\n" for row in rows)
-
-
 def write_json(path: str | Path, doc: object) -> None:
     """Write `doc` as JSON indented by two spaces, with a final LF."""
-    with atomic_write(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(doc, indent=2) + "\n")
+    with atomic_write(path) as fh:
+        fh.write((json.dumps(doc, indent=2) + "\n").encode())
 
 
 def _token_table(vocab: Sequence[str]) -> tuple[np.ndarray, np.ndarray | None]:
@@ -477,59 +470,71 @@ def _score_tokens(score: np.ndarray, out: np.ndarray, keep: np.ndarray) -> None:
         keep[rows] = np.arange(_REPR_CAP) < np.array([len(t) for t in texts])[:, None]
 
 
-def _row_blocks(cset: ComparisonSet, extra: tuple[str, ...]) -> Iterator[bytes]:
-    """The set's rows as CSV lines ending in the `extra` fields, in blocks
-    of _WRITE_ROWS rows.
+def _row_blocks(fields: Sequence, n: int) -> Iterator[bytes]:
+    """`write_table`'s rows as CSV lines, in blocks of _WRITE_ROWS rows.
 
-    A block's lines are the rows of a byte matrix: each field's tokens are
-    gathered by code into fixed columns, each score is formatted into
-    _REPR_CAP columns, and the commas, the extra fields and the LF sit in
-    the columns between and after them. The padding of each token is masked
-    out by its length or the score's mask, never by its bytes, since an id
-    may hold a NUL.
+    A block's lines are the rows of a byte matrix: each vocabulary field's
+    tokens are gathered by code into fixed columns, each float is formatted
+    into _REPR_CAP columns, and the commas and the LF sit in the columns
+    after them. The padding of each token is masked out by its length or the
+    float's mask, never by its bytes, since an id may hold a NUL.
     """
-    items = _token_table(cset.item_ids)
-    tables = (_token_table(cset.user_ids), _token_table(cset.criterion_ids), items, items)
-    codes = (cset.user, cset.criterion, cset.left, cset.right)
-    tail = np.frombuffer(("".join("," + csv_field(v) for v in extra) + "\n").encode(), np.uint8)
-    for start in range(0, len(cset), _WRITE_ROWS):
+    vocabs = {id(f[0]): f[0] for f in fields if isinstance(f, tuple)}
+    tables = {key: _token_table(vocab) for key, vocab in vocabs.items()}
+    for start in range(0, n, _WRITE_ROWS):
         rows = slice(start, start + _WRITE_ROWS)
-        block_codes = [c[rows] for c in codes]
-        fields = [
-            (table[c], None if lengths is None else lengths[c])
-            for (table, lengths), c in zip(tables, block_codes)
+        parts = [
+            (tables[id(f[0])], f[1][rows]) if isinstance(f, tuple) else (None, f[rows])
+            for f in fields
         ]
-        n = block_codes[0].size
-        width = sum(tokens.itemsize + 1 for tokens, _ in fields) + _REPR_CAP + tail.size
-        lines = np.empty((n, width), dtype=np.uint8)
-        keep = np.ones((n, width), dtype=bool)
+        widths = [_REPR_CAP if table is None else table[0].itemsize for table, _ in parts]
+        lines = np.empty((min(n - start, _WRITE_ROWS), sum(widths) + len(widths)), np.uint8)
+        keep = np.ones(lines.shape, dtype=bool)
         at = 0
-        for tokens, lengths in fields:
-            end = at + tokens.itemsize
-            lines[:, at:end].view(tokens.dtype)[:, 0] = tokens
-            if lengths is not None:
-                np.less(np.arange(end - at), lengths[:, None], out=keep[:, at:end])
+        for (table, values), width in zip(parts, widths):
+            end = at + width
+            if table is None:
+                _score_tokens(values, lines[:, at:end], keep[:, at:end])
+            else:
+                tokens, lengths = table
+                lines[:, at:end].view(tokens.dtype)[:, 0] = tokens[values]
+                if lengths is not None:
+                    np.less(np.arange(width), lengths[values][:, None], out=keep[:, at:end])
             lines[:, end] = ord(",")
             at = end + 1
-        end = at + _REPR_CAP
-        _score_tokens(cset.score[rows], lines[:, at:end], keep[:, at:end])
-        lines[:, end:] = tail
+        lines[:, -1] = ord("\n")
         yield lines[keep].tobytes()
+
+
+def write_table(path: str | Path, header: Sequence[str], fields: Sequence) -> None:
+    """Write equal-length fields as a UTF-8 CSV with LF line ends.
+
+    A field is a float64 array, each value written as repr writes it, or a
+    (vocab, codes) pair, each code written as its vocabulary entry under
+    `csv_field`; vocabularies passed as the same object are quoted and
+    encoded once. The rows are formatted with numpy in blocks
+    (`_row_blocks`, `_score_tokens`), and the bytes are those of joining
+    each row from `csv_field` and repr.
+    """
+    fields = [f if isinstance(f, tuple) else np.asarray(f, dtype=np.float64) for f in fields]
+    lengths = {len(f[1]) if isinstance(f, tuple) else len(f) for f in fields}
+    if len(lengths) > 1:
+        raise ValueError(f"fields of a table must be of equal length, got {sorted(lengths)}")
+    with atomic_write(path) as fh:
+        fh.write((",".join(map(csv_field, header)) + "\n").encode())
+        fh.writelines(_row_blocks(fields, lengths.pop() if lengths else 0))
 
 
 def write_columns(
     path: str | Path, header: Sequence[str], cset: ComparisonSet, extra: tuple[str, ...] = ()
 ) -> None:
-    """Write a set in the comparisons schema, plus constant trailing fields.
-
-    Each vocabulary entry is quoted and encoded once; the rows are written
-    in blocks, each formatted with numpy from the codes and the scores
-    (`_score_tokens`). The bytes are those of writing each row with
-    `csv_field` and repr(score).
-    """
-    with atomic_write(path, "wb") as fh:
-        fh.write((",".join(map(csv_field, header)) + "\n").encode())
-        fh.writelines(_row_blocks(cset, extra))
+    """Write a set in the comparisons schema, plus constant trailing fields."""
+    constant = np.broadcast_to(np.intp(0), len(cset))
+    write_table(path, header, [
+        (cset.user_ids, cset.user), (cset.criterion_ids, cset.criterion),
+        (cset.item_ids, cset.left), (cset.item_ids, cset.right), cset.score,
+        *(((value,), constant) for value in extra),
+    ])
 
 
 def _not_utf8(path: Path, data: bytes, start: int, line: int = 1) -> ValueError:
@@ -837,11 +842,9 @@ def parse_features(path: str | Path) -> FeatureTable:
 
 
 def write_features(table: FeatureTable, path: str | Path) -> None:
-    write_csv(
-        path,
-        ["item_id"] + [f"f{i}" for i in range(table.dim)],
-        ([item] + [repr(v) for v in vec.tolist()] for item, vec in table.features.items()),
-    )
+    items = tuple(table.features)
+    header = ["item_id"] + [f"f{i}" for i in range(table.dim)]
+    write_table(path, header, [(items, np.arange(len(items))), *table.matrix(items).T])
 
 
 def split(

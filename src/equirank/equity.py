@@ -14,7 +14,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .dataset import ComparisonSet, write_csv, write_json
+from .dataset import ComparisonSet, write_json, write_table
 
 CLASSES = ("left", "tie", "right")
 
@@ -227,8 +227,5 @@ def write_report(report: EquityReport, path: str | Path) -> None:
 
 def write_lorenz(report: EquityReport, path: str | Path) -> None:
     """Plot-ready CSV: population_fraction,cumulative_share."""
-    write_csv(
-        path,
-        ["population_fraction", "cumulative_share"],
-        ([repr(frac), repr(share)] for frac, share in report.lorenz),
-    )
+    points = np.array(report.lorenz, dtype=np.float64).reshape(-1, 2)
+    write_table(path, ["population_fraction", "cumulative_share"], list(points.T))

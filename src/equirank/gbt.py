@@ -30,7 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import ComparisonSet, write_csv
+from .dataset import ComparisonSet, _codes, write_table
 
 # Below this |delta| the closed forms 2*sinh(d)/d and coth(d) - 1/d lose
 # precision to cancellation; series expansions take over.
@@ -395,7 +395,11 @@ def fit_gbt(comparisons: ComparisonSet, config: GbtConfig = GbtConfig()) -> Indi
 def write_individual_scores(scores: list[IndividualScores], path: str | Path) -> None:
     """Export fitted scores as CSV with header user_id,item_id,theta, one row
     per (user, item) in the order of `scores` and then of each `item_ids`."""
-    write_csv(path, ["user_id", "item_id", "theta"], (
-        [s.user_id, item, repr(value)]
-        for s in scores for item, value in zip(s.item_ids, s.theta.tolist())
-    ))
+    counts = [len(s.item_ids) for s in scores]
+    items: dict[str, int] = {}
+    codes = _codes(items, [item for s in scores for item in s.item_ids])
+    write_table(path, ["user_id", "item_id", "theta"], [
+        ([s.user_id for s in scores], np.repeat(np.arange(len(scores)), counts)),
+        (tuple(items), codes),
+        np.concatenate([np.zeros(0), *(s.theta for s in scores)]),
+    ])

@@ -17,6 +17,7 @@ initialization, and seeded shuffling keep training bitwise reproducible.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 from dataclasses import dataclass, field
@@ -296,22 +297,28 @@ def _vector(path: Path, name: str, value: object) -> np.ndarray:
         isinstance(v, (int, float)) and not isinstance(v, bool) for v in value
     ):
         raise ValueError(f"{path}: {name} is not an array of numbers")
-    return np.array(value, dtype=np.float64)
+    with contextlib.suppress(OverflowError):  # an integer beyond the float range
+        vec = np.array(value, dtype=np.float64)
+        if np.isfinite(vec).all():
+            return vec
+    raise ValueError(f"{path}: {name} holds a number that is not finite")
 
 
 def load_model(path: str | Path) -> ModelParams:
     """Read a `save_model` document; raises ValueError naming the file when
-    it is not UTF-8 (and the line), or not a JSON object whose `dim` is an
-    integer, `w` an array of `dim` numbers and `user_offsets` an object of
-    such arrays."""
+    it is not UTF-8 (and the line), not JSON Python can read, or not a JSON
+    object whose `dim` is a positive integer, `w` an array of `dim` finite
+    numbers and `user_offsets` an object of such arrays."""
     path = Path(path)
     data = path.read_bytes()
     try:
         doc = json.loads(data.decode())
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"{path}: {exc}") from None
     except UnicodeDecodeError as exc:
         raise _not_utf8(path, data, exc.start) from None
+    except RecursionError:
+        raise ValueError(f"{path}: JSON nested too deeply") from None
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     if not isinstance(doc, dict):
         raise ValueError(f"{path}: model is not a JSON object")
     for key, kind, name in [("dim", int, "an integer"), ("w", list, "an array"),
@@ -320,6 +327,8 @@ def load_model(path: str | Path) -> ModelParams:
             raise ValueError(f"{path}: model has no {key!r}")
         if not isinstance(doc[key], kind) or isinstance(doc[key], bool):
             raise ValueError(f"{path}: {key!r} is not {name}")
+    if doc["dim"] < 1:
+        raise ValueError(f"{path}: model dim {doc['dim']} is not positive")
     w = _vector(path, "w", doc["w"])
     if w.shape != (doc["dim"],):
         raise ValueError(f"{path}: model dim {doc['dim']} does not match weights {w.shape}")

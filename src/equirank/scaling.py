@@ -23,7 +23,7 @@ from .dataset import (
     group_rows,
     read_columns,
     write_columns,
-    write_csv,
+    write_table,
 )
 from .gbt import GbtConfig, IndividualScores, fit_users
 from .robust import ResilienceParams, br_mean
@@ -147,18 +147,6 @@ def normalization_scale(cset: ComparisonSet) -> ScaledComparisonSet:
     return _replace_scores(cset, _scale_groups(cset, _normalization_one), "normalization")
 
 
-def _aggregate(
-    values: list[float], weight: float, clip_radius: float, aggregator: str
-) -> float:
-    if aggregator == "brmean":
-        return br_mean(
-            values, ResilienceParams(weight=weight, default=0.0, clip_radius=clip_radius)
-        )
-    if aggregator == "mean":
-        return float(np.mean(values)) if len(values) else 0.0
-    raise ValueError(f"unknown aggregator {aggregator!r}")
-
-
 # Vote temporaries span blocks of other users of about this many entries.
 _BLOCK_ENTRIES = 32768
 
@@ -209,8 +197,6 @@ def mehestan_scale(
     cset: ComparisonSet,
     gbt_config: GbtConfig = GbtConfig(),
     resilience_weight: float = 1.0,
-    *,
-    aggregator: str = "brmean",
 ) -> tuple[ScaledComparisonSet, list[UserAffine], list[IndividualScores]]:
     """Collaboratively rescale every user's latent scores onto a common scale.
 
@@ -233,8 +219,7 @@ def mehestan_scale(
     Aggregating votes from all users (not only the anchor) keeps the
     influence of any single malicious voter bounded by the BrMean clipping,
     whose QrMed weight is `resilience_weight` (larger resists outliers
-    harder); `aggregator="mean"` swaps in an unclipped mean for robustness
-    comparisons. The clip radius is RATIO_CLIP in log-ratio space so that
+    harder). The clip radius is RATIO_CLIP in log-ratio space so that
     multiplying or dividing by the same factor is treated symmetrically.
 
     Returns the rescaled comparison set, the per-user affines, and each
@@ -266,6 +251,8 @@ def mehestan_scale(
     others = [np.delete(np.arange(len(users)), u) for u in range(len(users))]
 
     vote_matrix = _vote_matrix(theta, present)
+    ratio_params = ResilienceParams(resilience_weight, 0.0, RATIO_CLIP)
+    translation_params = ResilienceParams(resilience_weight, 0.0, TRANSLATION_CLIP)
     scales = np.ones(len(users))
     votes = np.zeros(len(users), dtype=np.intp)
     for u in range(len(users)):
@@ -275,9 +262,7 @@ def mehestan_scale(
         medians = row[~np.isnan(row)]
         votes[u] = len(medians)
         # Plain float lists, as before: perfbench's tracer re-reads BrMean's inputs.
-        scales[u] = math.exp(
-            _aggregate(medians.tolist(), resilience_weight, RATIO_CLIP, aggregator)
-        )
+        scales[u] = math.exp(br_mean(medians.tolist(), ratio_params))
 
     # Candidates s_v*theta_v(a) - s_u*theta_u(a), row-major over (v, common item a).
     scaled = scales[:, None] * theta
@@ -290,9 +275,7 @@ def mehestan_scale(
         rows = np.ix_(others[u], items)
         values = (scaled[rows] - scaled[u, items])[present[rows]]
         candidates[u] = len(values)
-        translations[u] = _aggregate(
-            values.tolist(), resilience_weight, TRANSLATION_CLIP, aggregator
-        )
+        translations[u] = br_mean(values.tolist(), translation_params)
 
     scaled_theta = scaled + translations[:, None]
     new_scores = np.clip(
@@ -326,4 +309,7 @@ def parse_scaled_comparisons(path: str | Path) -> ScaledComparisonSet:
 
 
 def write_user_affines(affines: list[UserAffine], path: str | Path) -> None:
-    write_csv(path, ["user_id", "s", "tau"], ([a.user_id, repr(a.s), repr(a.tau)] for a in affines))
+    write_table(path, ["user_id", "s", "tau"], [
+        ([a.user_id for a in affines], np.arange(len(affines))),
+        np.array([a.s for a in affines]), np.array([a.tau for a in affines]),
+    ])

@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import Columns, ComparisonSet, FeatureTable, write_csv
+from .dataset import Columns, ComparisonSet, FeatureTable, _codes, write_table
 from .equity import CLASSES, _classes
 
 ARCHETYPES = ("neutral", "conservative", "extreme", "malicious")
@@ -229,23 +229,23 @@ def true_classes(
 
 
 def write_truth_theta(truth: GroundTruth, path: str | Path) -> None:
-    write_csv(
-        path,
-        ["user_id", "item_id", "theta"],
-        (
-            [user, item, repr(truth.user_theta[user][item])]
-            for user in sorted(truth.user_theta)
-            for item in sorted(truth.user_theta[user])
-        ),
-    )
+    users = sorted(truth.user_theta)
+    thetas = [truth.user_theta[user] for user in users]
+    items: dict[str, int] = {}
+    codes = _codes(items, [item for theta in thetas for item in sorted(theta)])
+    write_table(path, ["user_id", "item_id", "theta"], [
+        (users, np.repeat(np.arange(len(users)), [len(theta) for theta in thetas])),
+        (tuple(items), codes),
+        np.array([theta[item] for theta in thetas for item in sorted(theta)]),
+    ])
 
 
 def write_truth_users(truth: GroundTruth, path: str | Path) -> None:
-    write_csv(
-        path,
-        ["user_id", "group", "archetype"],
-        (
-            [user, str(truth.user_group[user]), truth.user_archetype[user]]
-            for user in sorted(truth.user_group)
-        ),
-    )
+    users = sorted(truth.user_group)
+    columns = [
+        users,
+        [str(truth.user_group[user]) for user in users],
+        [truth.user_archetype[user] for user in users],
+    ]
+    rows = np.arange(len(users))
+    write_table(path, ["user_id", "group", "archetype"], [(c, rows) for c in columns])

@@ -19,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import spearmanr
 
+from equirank import scaling
 from equirank.cli import main as cli_main
 from equirank.dataset import comparison_set, split
 from equirank.equity import build_report, gini, lorenz_curve, max_gap, std_dev
@@ -316,22 +317,26 @@ def _poisoning_population(seed, include_malicious):
     return comparison_set(rows)
 
 
-def test_criterion_poisoning_resistance():
+def _plain_mean(values, params):
+    return float(np.mean(values)) if len(values) else params.default
+
+
+def test_criterion_poisoning_resistance(monkeypatch):
     """BrMean bounds the malicious voter's pull on honest affines; a plain
-    mean does strictly worse (fixture, seed 42)."""
+    mean in its place does strictly worse (fixture, seed 42)."""
     full = _poisoning_population(42, include_malicious=True)
     clean = _poisoning_population(42, include_malicious=False)
     honest = full.take(full.user != full.user_ids.index("zmal"))
     assert rows_of(honest) == rows_of(clean)
-    shifts = {}
-    for aggregator in ("brmean", "mean"):
-        _, with_mal, _ = mehestan_scale(full, aggregator=aggregator)
-        _, without, _ = mehestan_scale(clean, aggregator=aggregator)
-        a = {x.user_id: x for x in with_mal}
-        b = {x.user_id: x for x in without}
-        shifts[aggregator] = sum(
-            abs(a[u].s - b[u].s) + abs(a[u].tau - b[u].tau) for u in b
-        )
+
+    def shift():
+        a = {x.user_id: x for x in mehestan_scale(full)[1]}
+        b = {x.user_id: x for x in mehestan_scale(clean)[1]}
+        return sum(abs(a[u].s - b[u].s) + abs(a[u].tau - b[u].tau) for u in b)
+
+    shifts = {"brmean": shift()}
+    monkeypatch.setattr(scaling, "br_mean", _plain_mean)
+    shifts["mean"] = shift()
     assert shifts["brmean"] < shifts["mean"]
     _report(
         "poisoning-resistance",

@@ -22,6 +22,14 @@ from equirank.scaling import mehestan_scale, parse_scaled_comparisons
 from equirank.simgen import SimConfig
 
 
+def _int_limit():
+    """Python's message for a 5,000-digit integer, past its digit limit."""
+    try:
+        int("9" * 5000)
+    except ValueError as exc:
+        return str(exc)
+
+
 def _run(argv):
     return main(argv)
 
@@ -488,8 +496,17 @@ class TestAudit:
         ('{"dim": 2, "w": [1.0, 2.0], "user_offsets": {"u0": [1.0]}}',
          "offset for user 'u0' has shape (1,)"),
         ("{", "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"),
+        ("[" * 100_000 + "]" * 100_000, "JSON nested too deeply"),
+        ('{"dim": ' + "9" * 5000 + ', "w": [], "user_offsets": {}}', _int_limit()),
+        ('{"dim": 2, "w": [NaN, 1.0], "user_offsets": {}}', "w holds a number that is not finite"),
+        ('{"dim": 2, "w": [1.0, 2.0], "user_offsets": {"u0": [Infinity, 1e400]}}',
+         "offset for user 'u0' holds a number that is not finite"),
+        ('{"dim": 1, "w": [1' + "0" * 400 + '], "user_offsets": {}}',
+         "w holds a number that is not finite"),
+        ('{"dim": 0, "w": [], "user_offsets": {}}', "model dim 0 is not positive"),
     ], ids=["no-w", "not-object", "dim-string", "w-object", "w-string-entry",
-            "offsets-array", "offset-null", "offset-short", "not-json"])
+            "offsets-array", "offset-null", "offset-short", "not-json", "nested-deep",
+            "dim-digits", "w-nan", "offset-infinite", "w-int-overflow", "dim-zero"])
     def test_malformed_model_is_runtime_error(self, tmp_path, capsys, text, message):
         _, test_csv, feat_csv = self._perfect_fixture(tmp_path)
         model = tmp_path / "bad.json"
@@ -607,6 +624,24 @@ class TestPipeline:
                      "-o", str(tmp_path / "x")]) == 2
         assert capsys.readouterr().err == f"equirank: {config}: line 2: not valid UTF-8\n"
         assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("end", ["\n", "\r\n", "\r"])
+    def test_lines_end_only_at_lf_crlf_or_cr(self, tmp_path, capsys, end):
+        # Form feeds, \x1c-\x1e, NEL and the Unicode separators stay inside
+        # their line: the bad value is on line 2 whatever else it holds.
+        config = tmp_path / "bad.cfg"
+        text = end.join(["seed = 1", "users = 4\x0c\x1d\x85\u2028items = x", "dim = 2", ""])
+        config.write_text(text, encoding="utf-8", newline="")
+        assert _run(["pipeline", "--config", str(config), "-o", str(tmp_path / "x")]) == 2
+        assert capsys.readouterr().err == (
+            f"equirank: {config}: line 2: bad value '4\\x0c\\x1d\\x85\\u2028items = x' "
+            "for key 'users'\n"
+        )
+        config.write_text(end.join(["seed = 1", "users = 3", "# note", "dim = 2", ""]),
+                          encoding="utf-8", newline="")
+        assert parse_pipeline_config(config)[0] == {
+            **_PIPELINE_DEFAULTS, "seed": 1, "users": 3, "dim": 2,
+        }
 
     def test_unknown_experiment_token_is_usage_error(self, tmp_path, capsys):
         config = tmp_path / "bad.cfg"

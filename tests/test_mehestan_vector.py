@@ -126,15 +126,11 @@ def oracle_fit_gbt(comparisons, config=GbtConfig()):
     )
 
 
-def _oracle_aggregate(values, weight, clip_radius, aggregator):
-    if aggregator == "brmean":
-        return br_mean(
-            values, ResilienceParams(weight=weight, default=0.0, clip_radius=clip_radius)
-        )
-    return float(np.mean(values)) if values else 0.0
+def _oracle_aggregate(values, weight, clip_radius):
+    return br_mean(values, ResilienceParams(weight=weight, default=0.0, clip_radius=clip_radius))
 
 
-def oracle_mehestan_scale(cset, gbt_config, weight, aggregator, epsilon_pair=1e-6,
+def oracle_mehestan_scale(cset, gbt_config, weight, epsilon_pair=1e-6,
                           ratio_clip=0.5, translation_clip=1.0):
     """-> (new scores, {user: (s, tau, votes, candidates)}, {user: fit}, scaled theta)."""
     users = list(cset.user_ids)
@@ -162,7 +158,7 @@ def oracle_mehestan_scale(cset, gbt_config, weight, aggregator, epsilon_pair=1e-
             if ratios:
                 votes.append(float(np.median(ratios)))
         n_votes[u] = len(votes)
-        scales[u] = math.exp(_oracle_aggregate(votes, weight, ratio_clip, aggregator))
+        scales[u] = math.exp(_oracle_aggregate(votes, weight, ratio_clip))
 
     translations = {anchor: 0.0}
     n_candidates = {anchor: 0}
@@ -176,9 +172,7 @@ def oracle_mehestan_scale(cset, gbt_config, weight, aggregator, epsilon_pair=1e-
             for a in sorted(set(theta[u]) & set(theta[v])):
                 candidates.append(scales[v] * theta[v][a] - scales[u] * theta[u][a])
         n_candidates[u] = len(candidates)
-        translations[u] = _oracle_aggregate(
-            candidates, weight, translation_clip, aggregator
-        )
+        translations[u] = _oracle_aggregate(candidates, weight, translation_clip)
 
     scaled_theta = {
         u: {item: scales[u] * val + translations[u] for item, val in theta[u].items()}
@@ -203,10 +197,10 @@ def _bits(x):
     return np.asarray(x, dtype=np.float64).tobytes()
 
 
-def assert_matches_oracle(cset, gbt_config=GbtConfig(), weight=1.0, aggregator="brmean"):
-    scaled, affines, scores = mehestan_scale(cset, gbt_config, weight, aggregator=aggregator)
+def assert_matches_oracle(cset, gbt_config=GbtConfig(), weight=1.0):
+    scaled, affines, scores = mehestan_scale(cset, gbt_config, weight)
     want_scores, want_affines, want_fits, want_theta, anchor = oracle_mehestan_scale(
-        cset, gbt_config, weight, aggregator
+        cset, gbt_config, weight
     )
     assert _bits(scaled.score) == _bits(want_scores)
     assert [a.user_id for a in affines] == sorted(want_affines)
@@ -249,13 +243,10 @@ def populations(draw):
     return comparison_set(draw(st.permutations(rows)))
 
 
-@pytest.mark.parametrize("aggregator", ["brmean", "mean"])
 @given(cset=populations(), weight=st.sampled_from([0.5, 1.0, 10.0]))
 @settings(max_examples=60, deadline=None)
-def test_populations_match_oracle(aggregator, cset, weight):
-    assert_matches_oracle(
-        cset, GbtConfig(tol=1e-6, max_iter=300), weight, aggregator
-    )
+def test_populations_match_oracle(cset, weight):
+    assert_matches_oracle(cset, GbtConfig(tol=1e-6, max_iter=300), weight)
 
 
 @given(cset=populations())
@@ -300,15 +291,13 @@ def test_fallback_users_and_even_and_odd_vote_counts():
             rows.append((user, "g", f"i{a}", f"i{b}", float(np.clip(truth[b] - truth[a], -1, 1))))
     rows += [("loner", "g", "z0", "z1", 0.4), ("loner", "g", "z1", "z2", 0.2)]
     rows += [("flat", "g", "i0", "i1", 0.0), ("flat", "g", "i1", "i2", 0.0)]
-    for aggregator in ("brmean", "mean"):
-        affines = {a.user_id: a for a in assert_matches_oracle(
-            comparison_set(rows), aggregator=aggregator)}
-        assert affines["u0"].anchor
-        assert (affines["loner"].votes, affines["loner"].candidates) == (0, 0)
-        assert (affines["loner"].s, affines["loner"].tau) == (1.0, 0.0)
-        assert affines["flat"].votes == 0 and affines["flat"].s == 1.0
-        assert affines["flat"].candidates == 7
-        assert affines["u1"].votes == affines["u2"].votes == 2
+    affines = {a.user_id: a for a in assert_matches_oracle(comparison_set(rows))}
+    assert affines["u0"].anchor
+    assert (affines["loner"].votes, affines["loner"].candidates) == (0, 0)
+    assert (affines["loner"].s, affines["loner"].tau) == (1.0, 0.0)
+    assert affines["flat"].votes == 0 and affines["flat"].s == 1.0
+    assert affines["flat"].candidates == 7
+    assert affines["u1"].votes == affines["u2"].votes == 2
 
 
 def test_two_users():
@@ -320,8 +309,7 @@ def test_two_users():
             a, b = rng.choice(8, size=2, replace=False)
             rows.append((user, "g", f"i{a}", f"i{b}",
                          float(np.clip(scale * (truth[b] - truth[a]), -1, 1))))
-    for aggregator in ("brmean", "mean"):
-        assert_matches_oracle(comparison_set(rows), aggregator=aggregator)
+    assert_matches_oracle(comparison_set(rows))
 
 
 def test_user_with_more_pairs_than_one_block():
@@ -350,10 +338,9 @@ def test_user_with_more_pairs_than_one_block():
     big = fit_gbt(cset.restrict(user_id="big0"), config)
     gaps = [abs(a - b) for a, b in itertools.combinations(big.theta.tolist(), 2)]
     assert sum(g > 1e-6 for g in gaps) > scaling._BLOCK_ENTRIES
-    for aggregator in ("brmean", "mean"):
-        affines = assert_matches_oracle(cset, config, aggregator=aggregator)
-        assert [a.user_id for a in affines if a.anchor] == ["big0"]
-        assert affines[1].votes == 3
+    affines = assert_matches_oracle(cset, config)
+    assert [a.user_id for a in affines if a.anchor] == ["big0"]
+    assert affines[1].votes == 3
 
 
 def test_simulated_crowd_matches_oracle():
@@ -361,13 +348,7 @@ def test_simulated_crowd_matches_oracle():
         n_items=15, feature_dim=3, n_users=12, comparisons_per_user=25, seed=4,
         archetype_mix={"neutral": 6, "conservative": 2, "extreme": 2, "malicious": 2},
     ))
-    for aggregator in ("brmean", "mean"):
-        assert_matches_oracle(cset, GbtConfig(max_iter=2000), aggregator=aggregator)
-
-
-def test_mean_aggregator_takes_arrays():
-    assert scaling._aggregate(np.array([1.0, 2.0, 4.0]), 1.0, 1.0, "mean") == pytest.approx(7 / 3)
-    assert scaling._aggregate(np.zeros(0), 1.0, 1.0, "mean") == 0.0
+    assert_matches_oracle(cset, GbtConfig(max_iter=2000))
 
 
 @pytest.mark.parametrize("spread", [1e-3, 0.5, 5.0, 800.0])

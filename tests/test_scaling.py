@@ -232,16 +232,6 @@ class TestMehestan:
         assert by_user["uB"].s == pytest.approx(1.0)
         assert by_user["uB"].tau == pytest.approx(0.0)
 
-    def test_plain_mean_aggregator_hook(self):
-        rng = np.random.default_rng(35)
-        items = [f"i{k}" for k in range(6)]
-        rows = _pair_rows("uA", rng.uniform(-1, 1, 6), items, rng, 60)
-        rows += _pair_rows("uB", rng.uniform(-1, 1, 6), items, rng, 60)
-        _, affines, _ = mehestan_scale(comparison_set(rows), aggregator="mean")
-        assert len(affines) == 2
-        with pytest.raises(ValueError, match="aggregator"):
-            mehestan_scale(comparison_set(rows), aggregator="bogus")
-
 
 def test_mehestan_resilience_params_forwarded():
     # Larger weight pulls the single scale vote toward 1 (log-ratio 0).

@@ -1,7 +1,8 @@
-"""The block writer against the row writer, and atomic data files."""
+"""The block writers against the row writers, and atomic data files."""
 
 import json
 import os
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -11,17 +12,23 @@ from hypothesis import strategies as st
 from equirank import dataset
 from equirank.dataset import (
     COMPARISONS_HEADER,
+    FeatureTable,
     comparison_set,
     parse_comparisons,
     write_columns,
     write_comparisons,
-    write_csv,
+    write_features,
     write_json,
+    write_table,
 )
-from equirank.cli import _write_manifest
-from equirank.equity import build_report, write_report
+from equirank.cli import _write_manifest, write_loss_trace, write_summary
+from equirank.equity import build_report, write_lorenz, write_report
+from equirank.gbt import IndividualScores, write_individual_scores
 from equirank.ltr import ModelParams, predict_all, save_model
+from equirank.scaling import UserAffine, write_user_affines
+from equirank.simgen import GroundTruth, write_truth_theta, write_truth_users
 from row_view import rows_of
+import writer_oracle
 from writer_oracle import oracle_write_columns
 
 # Ids with the bytes CSV quotes or the byte reader refuses, non-ASCII ids,
@@ -201,6 +208,90 @@ def test_kernel_matches_repr_on_any_float(values):
     _assert_repr(values)
 
 
+# --- Every other CSV writer against the row-at-a-time writer -----------------
+
+# Floats the kernel leaves to repr, its domain's ends, signed zeros and any
+# finite float.
+_floats = st.one_of(
+    st.sampled_from([5e-324, 1e-300, 9.999e-5, 1e-4, 1e15, 1e300, -0.0, 0.0, 0.1 + 0.2]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+_thetas = st.lists(st.tuples(_ids, st.dictionaries(_ids, _floats, max_size=4)), max_size=4)
+
+
+def _truth(user_theta=None, users=()):
+    return GroundTruth(
+        item_features=None, group_weights={}, user_theta=user_theta or {},
+        user_group={u: g for u, g, _ in users}, user_archetype={u: a for u, _, a in users},
+    )
+
+
+def _report(*values):
+    keys = ("overall_accuracy", "acc_max_gap", "acc_std",
+            "overall_recall", "recall_max_gap", "recall_std")
+    return SimpleNamespace(**dict(zip(keys, values)))
+
+
+# Writer -> (its arguments before the path, the earlier writer).
+_WRITERS = {
+    write_features: (
+        st.integers(1, 3).flatmap(lambda dim: st.dictionaries(
+            _ids, st.lists(_floats, min_size=dim, max_size=dim).map(np.array), max_size=5,
+        ).map(lambda features: (FeatureTable(dim, features),))),
+        writer_oracle.oracle_write_features,
+    ),
+    write_individual_scores: (
+        _thetas.map(lambda users: ([
+            IndividualScores(u, tuple(theta), np.array(list(theta.values()), float), 0.1)
+            for u, theta in users
+        ],)),
+        writer_oracle.oracle_write_individual_scores,
+    ),
+    write_user_affines: (
+        st.lists(st.builds(UserAffine, _ids, _floats.filter(lambda s: s > 0), _floats),
+                 max_size=5).map(lambda affines: (affines,)),
+        writer_oracle.oracle_write_user_affines,
+    ),
+    write_truth_theta: (
+        _thetas.map(lambda users: (_truth(user_theta=dict(users)),)),
+        writer_oracle.oracle_write_truth_theta,
+    ),
+    write_truth_users: (
+        st.lists(st.tuples(_ids, st.integers(-1, 12), _ids), max_size=5).map(
+            lambda users: (_truth(users=users),)),
+        writer_oracle.oracle_write_truth_users,
+    ),
+    write_lorenz: (
+        st.lists(st.tuples(_floats, _floats), max_size=5).map(
+            lambda points: (SimpleNamespace(lorenz=points),)),
+        writer_oracle.oracle_write_lorenz,
+    ),
+    write_loss_trace: (
+        st.lists(_floats, max_size=5).map(lambda trace: (trace,)),
+        writer_oracle.oracle_write_loss_trace,
+    ),
+    write_summary: (
+        st.lists(st.tuples(_ids, st.tuples(*[_floats] * 6)), max_size=4).map(
+            lambda cells: ([name for name, _ in cells], [_report(*v) for _, v in cells])),
+        writer_oracle.oracle_write_summary,
+    ),
+}
+
+
+@pytest.mark.parametrize("writer", _WRITERS, ids=lambda w: w.__name__)
+@given(data=st.data(), block_rows=st.sampled_from([1, 3, dataset._WRITE_ROWS]))
+@settings(max_examples=60, deadline=None)
+def test_writer_matches_row_writer(writer, data, block_rows, tmp_path_factory):
+    arguments, oracle = _WRITERS[writer]
+    args = data.draw(arguments)
+    folder = tmp_path_factory.mktemp("w")
+    oracle(*args, folder / "rows.csv")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dataset, "_WRITE_ROWS", block_rows)
+        writer(*args, folder / "blocks.csv")
+    assert (folder / "blocks.csv").read_bytes() == (folder / "rows.csv").read_bytes()
+
+
 # --- Atomic data files -------------------------------------------------------
 
 _CSET = comparison_set([(f"u{k}", "g", "a", "b", 0.5) for k in range(20)])
@@ -226,17 +317,23 @@ def test_interrupted_write_columns_leaves_target_as_it_was(tmp_path, monkeypatch
 
 
 @pytest.mark.parametrize("before", [None, b"an earlier file\n"])
-def test_interrupted_write_csv_leaves_target_as_it_was(tmp_path, before):
+def test_interrupted_write_csv_leaves_target_as_it_was(tmp_path, monkeypatch, before):
+    # write_table cut short after its first block of one row.
     target = tmp_path / "t.csv"
     if before is not None:
         target.write_bytes(before)
+    score_tokens, calls = dataset._score_tokens, []
 
-    def rows():
-        yield ["a", "1"]
-        raise OSError("no space left on device")
+    def second_block_fails(*args):
+        calls.append(args)
+        if len(calls) > 1:
+            raise OSError("no space left on device")
+        score_tokens(*args)
 
+    monkeypatch.setattr(dataset, "_WRITE_ROWS", 1)
+    monkeypatch.setattr(dataset, "_score_tokens", second_block_fails)
     with pytest.raises(OSError, match="no space"):
-        write_csv(target, ["k", "v"], rows())
+        write_table(target, ["k", "v"], [(("a", "b"), np.arange(2)), np.array([1.0, 2.0])])
     assert (target.read_bytes() if target.exists() else None) == before
     assert [p.name for p in tmp_path.iterdir()] == ([] if before is None else ["t.csv"])
 

@@ -1,18 +1,25 @@
-"""The comparisons writer one row at a time.
+"""The CSV writers one row at a time.
 
 The earlier `equirank.dataset.write_columns`, kept here as the reference
 and renamed `oracle_write_columns`; the code is otherwise unchanged.
 `write_columns` formats blocks of rows with numpy and must write the same
 bytes.
+
+The earlier text writer `equirank.dataset.write_csv`, renamed
+`oracle_write_csv` and opening its file directly instead of through the
+atomic writer, and the eight writers that fed it `repr` strings row by row,
+each renamed with an `oracle_` prefix: every one now goes through
+`equirank.dataset.write_table` and must write the same bytes.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
+from equirank.cli import SUMMARY_COLUMNS
 from equirank.dataset import ComparisonSet, csv_field
 
 
@@ -38,3 +45,98 @@ def oracle_write_columns(
     with Path(path).open("w", newline="", encoding="utf-8") as fh:
         fh.write(",".join(map(csv_field, header)) + "\n")
         fh.writelines(f"{u},{c},{l},{r},{s!r}{tail}\n" for u, c, l, r, s in rows)
+
+
+def oracle_write_csv(
+    path: str | Path, header: Sequence[str], rows: Iterable[Sequence[str]]
+) -> None:
+    """Write text rows as UTF-8 CSV with LF line ends, quoting each field."""
+    with Path(path).open("w", newline="", encoding="utf-8") as fh:
+        fh.write(",".join(map(csv_field, header)) + "\n")
+        fh.writelines(",".join(map(csv_field, row)) + "\n" for row in rows)
+
+
+# --- The writers that fed oracle_write_csv ---------------------------------
+
+
+def oracle_write_features(table, path):
+    oracle_write_csv(
+        path,
+        ["item_id"] + [f"f{i}" for i in range(table.dim)],
+        ([item] + [repr(v) for v in vec.tolist()] for item, vec in table.features.items()),
+    )
+
+
+def oracle_write_individual_scores(scores, path):
+    oracle_write_csv(path, ["user_id", "item_id", "theta"], (
+        [s.user_id, item, repr(value)]
+        for s in scores for item, value in zip(s.item_ids, s.theta.tolist())
+    ))
+
+
+def oracle_write_user_affines(affines, path):
+    oracle_write_csv(
+        path, ["user_id", "s", "tau"], ([a.user_id, repr(a.s), repr(a.tau)] for a in affines)
+    )
+
+
+def oracle_write_truth_theta(truth, path):
+    oracle_write_csv(
+        path,
+        ["user_id", "item_id", "theta"],
+        (
+            [user, item, repr(truth.user_theta[user][item])]
+            for user in sorted(truth.user_theta)
+            for item in sorted(truth.user_theta[user])
+        ),
+    )
+
+
+def oracle_write_truth_users(truth, path):
+    oracle_write_csv(
+        path,
+        ["user_id", "group", "archetype"],
+        (
+            [user, str(truth.user_group[user]), truth.user_archetype[user]]
+            for user in sorted(truth.user_group)
+        ),
+    )
+
+
+def oracle_write_lorenz(report, path):
+    oracle_write_csv(
+        path,
+        ["population_fraction", "cumulative_share"],
+        ([repr(frac), repr(share)] for frac, share in report.lorenz),
+    )
+
+
+def oracle_write_loss_trace(trace, path):
+    oracle_write_csv(
+        path,
+        ["epoch", "loss"],
+        ([str(epoch), repr(value)] for epoch, value in enumerate(trace)),
+    )
+
+
+def _percent(value: float) -> str:
+    return f"{100.0 * value:.2f}%"
+
+
+def oracle_write_summary(experiments, reports, path):
+    oracle_write_csv(
+        path,
+        SUMMARY_COLUMNS,
+        (
+            [
+                name,
+                _percent(report.overall_accuracy),
+                _percent(report.acc_max_gap),
+                _percent(report.acc_std),
+                _percent(report.overall_recall),
+                _percent(report.recall_max_gap),
+                _percent(report.recall_std),
+            ]
+            for name, report in zip(experiments, reports)
+        ),
+    )
