@@ -21,7 +21,6 @@ import numpy as np
 from . import __version__
 from .dataset import (
     ComparisonSet,
-    FeatureTable,
     _csv_rows,
     _not_utf8,
     parse_comparisons,
@@ -338,6 +337,11 @@ def cmd_audit(args: argparse.Namespace) -> int:
     model = load_model(args.model)
     cset = _load_comparisons(args.test, args.criterion)
     features = parse_features(args.features)
+    if features.dim != model.dim:
+        raise ValueError(
+            f"{args.model}: model dim {model.dim} does not match {args.features}, "
+            f"whose feature vectors have length {features.dim}"
+        )
     predictions = predict_all(model, cset, features)
     report = build_report(predictions, args.tie_epsilon)
     outdir = Path(args.out)
@@ -489,20 +493,6 @@ def _parse_experiment(name: str) -> tuple[str, bool, bool]:
     return scaler, contrastive, embeddings
 
 
-def _run_cell(
-    cell: tuple[str, bool, bool],
-    cfg: dict[str, object],
-    fit_set: ComparisonSet,
-    test_set: ComparisonSet,
-    features: FeatureTable,
-):
-    _, contrastive, embeddings = cell
-    config = _train_config(cfg, contrastive, embeddings)
-    result = train(fit_set, features, config)
-    predictions = predict_all(result.params, test_set, features)
-    return build_report(predictions, float(cfg["tie_epsilon"]))
-
-
 def _percent(value: float) -> str:
     return f"{100.0 * value:.2f}%"
 
@@ -519,10 +509,23 @@ def write_summary(experiments: list[str], reports: list, path: str | Path) -> No
 def cmd_pipeline(args: argparse.Namespace) -> int:
     cfg, experiments = parse_pipeline_config(args.config)
     cells = [_parse_experiment(name) for name in experiments]
+    # Every value is checked before anything is written.
+    try:
+        sim_config = _sim_config(cfg)
+        train_configs = [_train_config(cfg, contrastive, embeddings)
+                         for _, contrastive, embeddings in cells]
+        gbt_config = GbtConfig(
+            lam=float(cfg["lam"]), tol=float(cfg["gbt_tol"]), max_iter=int(cfg["gbt_max_iter"])
+        )
+        weight = float(cfg["resilience_weight"])
+        if not weight > 0:
+            raise ValueError(f"resilience_weight must be positive, got {weight}")
+    except ValueError as exc:
+        raise ValueError(f"{args.config}: {exc}") from None
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
 
-    cset, features, truth = generate(_sim_config(cfg))
+    cset, features, truth = generate(sim_config)
     train_set, test_set = split(cset, float(cfg["train_fraction"]), int(cfg["seed"]))
 
     datadir = outdir / "data"
@@ -543,10 +546,6 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
     write_comparisons(test_set, outputs[5])
 
     # Each distinct scaler runs once; cells sharing it train on the same set.
-    gbt_config = GbtConfig(
-        lam=float(cfg["lam"]), tol=float(cfg["gbt_tol"]), max_iter=int(cfg["gbt_max_iter"])
-    )
-    weight = float(cfg["resilience_weight"])
     fit_sets: dict[str, ComparisonSet] = {}
     diagnostics = None
     for scaler, _, _ in cells:
@@ -555,7 +554,10 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
             if scaler == "mehestan":
                 diagnostics = _mehestan_diagnostics(affines, scores)
 
-    reports = [_run_cell(cell, cfg, fit_sets[cell[0]], test_set, features) for cell in cells]
+    reports = []
+    for (scaler, _, _), config in zip(cells, train_configs):
+        params = train(fit_sets[scaler], features, config).params
+        reports.append(build_report(predict_all(params, test_set, features), config.tie_epsilon))
 
     for name, report in zip(experiments, reports):
         report_path = outdir / f"report_{name.replace('+', '_')}.json"

@@ -32,6 +32,7 @@ import contextlib
 import functools
 import itertools
 import json
+import math
 import os
 import tempfile
 from dataclasses import dataclass
@@ -202,6 +203,12 @@ def _codes(vocab: dict[str, int], values: Sequence[str]) -> np.ndarray:
     return np.fromiter(map(vocab.__getitem__, values), dtype=np.intp, count=len(values))
 
 
+def _positions(ids: Sequence[str], keys: Sequence[str], missing: int) -> np.ndarray:
+    """The position of each key in the distinct `ids`, `missing` for a key not there."""
+    index = dict(zip(ids, range(len(ids))))
+    return np.fromiter((index.get(key, missing) for key in keys), np.intp, len(keys))
+
+
 def _encode(users, criteria, lefts, rights, score) -> Columns:
     user_vocab, criterion_vocab, item_vocab = {}, {}, {}
     user, criterion = _codes(user_vocab, users), _codes(criterion_vocab, criteria)
@@ -212,34 +219,45 @@ def _encode(users, criteria, lefts, rights, score) -> Columns:
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FeatureTable:
-    """Precomputed item features: item_id -> vector of `dim` reals."""
+    """Precomputed item features: row k of the (items, dim) `vectors` is the
+    vector of `item_ids[k]`, in file or generation order."""
 
-    dim: int
-    features: dict[str, np.ndarray]
+    item_ids: tuple[str, ...]
+    vectors: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.dim <= 0:
-            raise ValueError(f"dim must be positive, got {self.dim}")
-        for item, vec in self.features.items():
-            if vec.shape != (self.dim,):
-                raise ValueError(
-                    f"feature vector for {item!r} has length {vec.shape}, expected {self.dim}"
-                )
-            if not np.all(np.isfinite(vec)):
-                raise ValueError(f"non-finite feature value for item {item!r}")
+        object.__setattr__(self, "item_ids", tuple(self.item_ids))
+        object.__setattr__(self, "vectors", np.asarray(self.vectors, dtype=np.float64))
+        shape = self.vectors.shape
+        if len(shape) != 2 or shape[0] != len(self.item_ids) or shape[1] < 1:
+            raise ValueError(
+                f"feature vectors have shape {shape}, expected ({len(self.item_ids)}, dim >= 1)"
+            )
+        if len(set(self.item_ids)) < len(self.item_ids):
+            seen: set[str] = set()
+            for item in self.item_ids:
+                if item in seen:
+                    raise ValueError(f"duplicate item {item!r} in feature table")
+                seen.add(item)
+        bad = ~np.isfinite(self.vectors).all(axis=1)
+        if bad.any():
+            raise ValueError(f"non-finite feature value for item {self.item_ids[bad.argmax()]!r}")
 
-    def vector(self, item_id: str) -> np.ndarray:
-        try:
-            return self.features[item_id]
-        except KeyError:
-            raise ValueError(f"item {item_id!r} missing from feature table") from None
+    @property
+    def dim(self) -> int:
+        return self.vectors.shape[1]
+
+    def __len__(self) -> int:
+        return len(self.item_ids)
 
     def matrix(self, item_ids: Sequence[str]) -> np.ndarray:
         """The feature vectors of `item_ids` as the rows of a (len, dim) array."""
-        rows = [self.vector(item) for item in item_ids]
-        return np.array(rows, dtype=np.float64).reshape(len(rows), self.dim)
+        rows = _positions(self.item_ids, item_ids, -1)
+        if (rows < 0).any():
+            raise ValueError(f"item {item_ids[np.argmax(rows < 0)]!r} missing from feature table")
+        return self.vectors[rows]
 
 
 # --- CSV ------------------------------------------------------------------
@@ -826,25 +844,29 @@ def parse_features(path: str | Path) -> FeatureTable:
     expected = ["item_id"] + [f"f{i}" for i in range(dim)]
     if header != expected:
         raise ValueError(f"{path}: bad header {header!r}, expected {expected!r}")
-    features: dict[str, np.ndarray] = {}
+    item_ids: list[str] = []
+    seen: set[str] = set()
+    values: list[float] = []
     for lines, fields in rows:
-        for lineno, item_id, *values in zip(lines.tolist(), *map(_texts, fields)):
-            if item_id in features:
+        for lineno, item_id, *texts in zip(lines.tolist(), *map(_texts, fields)):
+            if item_id in seen:
                 raise ValueError(f"{path}: line {lineno}: duplicate item_id {item_id!r}")
+            seen.add(item_id)
             try:
-                vec = np.array([float(v) for v in values], dtype=np.float64)
+                vec = [float(v) for v in texts]
             except ValueError:
                 raise ValueError(f"{path}: line {lineno}: unparsable feature value") from None
-            if not np.all(np.isfinite(vec)):
+            if not all(map(math.isfinite, vec)):
                 raise ValueError(f"{path}: line {lineno}: non-finite feature value")
-            features[item_id] = vec
-    return FeatureTable(dim, features)
+            item_ids.append(item_id)
+            values += vec
+    vectors = np.array(values, dtype=np.float64).reshape(len(item_ids), dim)
+    return FeatureTable(tuple(item_ids), vectors)
 
 
 def write_features(table: FeatureTable, path: str | Path) -> None:
-    items = tuple(table.features)
     header = ["item_id"] + [f"f{i}" for i in range(table.dim)]
-    write_table(path, header, [(items, np.arange(len(items))), *table.matrix(items).T])
+    write_table(path, header, [(table.item_ids, np.arange(len(table))), *table.vectors.T])
 
 
 def split(

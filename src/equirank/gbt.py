@@ -80,12 +80,8 @@ class IndividualScores:
     grad_norm: float = 0.0
 
 
-def _expected_vec(delta: np.ndarray, a: np.ndarray, closed: bool) -> np.ndarray:
-    """E[r|delta] elementwise, given a = |delta| and whether every a >= cutoff."""
-    if closed:
-        # The closed form alone: what np.where below picks when no delta is small.
-        c = 1.0 + 2.0 / np.expm1(2.0 * np.minimum(a, _EXP_CUTOFF)) - 1.0 / a
-        return np.copysign(c, delta)
+def _expected_vec(delta: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """E[r|delta] elementwise, given a = |delta|."""
     small = a < _SERIES_CUTOFF
     safe = np.where(small, 1.0, np.minimum(a, _EXP_CUTOFF))
     series = delta / 3.0 - delta**3 / 45.0
@@ -93,17 +89,13 @@ def _expected_vec(delta: np.ndarray, a: np.ndarray, closed: bool) -> np.ndarray:
     return np.where(small, series, c)
 
 
-def _hessian_vec(a: np.ndarray, closed: bool) -> np.ndarray:
-    """Var[r|delta] = 1/delta^2 - 1/sinh^2(delta) elementwise, from a = |delta|
-    and whether every a >= cutoff; 1/3 at 0.
+def _hessian_vec(a: np.ndarray) -> np.ndarray:
+    """Var[r|delta] = 1/delta^2 - 1/sinh^2(delta) elementwise, from a = |delta|;
+    1/3 at 0.
 
     1/sinh^2(a) is evaluated as 4 t / expm1(-2a)^2 with t = exp(-2a), which
     cannot overflow and goes to 0 for large a.
     """
-    if closed:
-        inv, x = 1.0 / a, -2.0 * a
-        m = np.expm1(x)
-        return inv * inv - 4.0 * np.exp(x) / (m * m)
     small = a < _SERIES_CUTOFF
     safe = np.where(small, 1.0, a)
     a2 = np.square(np.minimum(a, _SERIES_CUTOFF))
@@ -113,10 +105,8 @@ def _hessian_vec(a: np.ndarray, closed: bool) -> np.ndarray:
     return np.where(small, series, inv * inv - 4.0 * np.exp(x) / (m * m))
 
 
-def _log_partition_vec(a: np.ndarray, closed: bool) -> np.ndarray:
+def _log_partition_vec(a: np.ndarray) -> np.ndarray:
     """log Z(delta) = log(2*sinh(delta)/delta) from a = |delta|; log 2 at 0."""
-    if closed:
-        return a + np.log1p(-np.exp(-2.0 * a)) - np.log(a)
     small = a < _SERIES_CUTOFF
     safe = np.where(small, 1.0, a)
     series = math.log(2.0) + np.log1p(a * a / 6.0 + a**4 / 120.0)
@@ -170,9 +160,9 @@ def _stack(comparisons: ComparisonSet) -> tuple[_Stack, np.ndarray]:
 
 def _objectives(
     stack: _Stack, theta: np.ndarray, lam: float
-) -> tuple[np.ndarray, np.ndarray, bool, list[float]]:
-    """Each user's objective at the stacked theta, with the deltas, their
-    absolute values, and whether no |delta| is below the series cutoff.
+) -> tuple[np.ndarray, np.ndarray, list[float]]:
+    """Each user's objective at the stacked theta, with the deltas and their
+    absolute values.
 
     Each user's sum and prior are reductions over its own slices, so every
     objective is the one its fit alone would compute, bit for bit.
@@ -181,14 +171,13 @@ def _objectives(
     ends = theta.take(stack.ends)
     delta = ends[:m] - ends[m:]
     a = np.abs(delta)
-    closed = bool(np.minimum.reduce(a) >= _SERIES_CUTOFF)
-    terms = _log_partition_vec(a, closed) - stack.r * delta
+    terms = _log_partition_vec(a) - stack.r * delta
     half_lam = 0.5 * lam
     objs = []
     for rows, items in zip(stack.row_slices, stack.item_slices):
         x = theta[items]
         objs.append(float(np.add.reduce(terms[rows]) + half_lam * np.dot(x, x)))
-    return delta, a, closed, objs
+    return delta, a, objs
 
 
 def _gradient(
@@ -196,11 +185,10 @@ def _gradient(
     theta: np.ndarray,
     delta: np.ndarray,
     a: np.ndarray,
-    closed: bool,
     lam: float,
 ) -> np.ndarray:
     """The stacked gradient at theta; each user's slice is its own gradient."""
-    resid = _expected_vec(delta, a, closed) - stack.r
+    resid = _expected_vec(delta, a) - stack.r
     # Adds resid at right ends, then -resid at left ends, in row order,
     # exactly as two np.add.at calls would.
     grad = np.bincount(stack.ends, np.concatenate([resid, -resid]), minlength=theta.shape[0])
@@ -281,10 +269,10 @@ def _descend(
             trial = theta
         else:
             trial = theta - np.array(step).repeat(stack.items) * direction
-        delta, a, closed, trial_obj = _objectives(stack, trial, lam)
+        delta, a, trial_obj = _objectives(stack, trial, lam)
         # Every trial's gradient is needed: by the acceptance test, or as the
         # right-hand side of the next Newton system.
-        g = _gradient(stack, trial, delta, a, closed, lam)
+        g = _gradient(stack, trial, delta, a, lam)
         moved, stopped = [], []
         for j, items in enumerate(stack.item_slices):
             g_j = g[items]
@@ -320,7 +308,7 @@ def _descend(
                 obj[j], norm[j], step[j] = o, g_norm, 1.0
                 moved.append(j)
         if moved:
-            h = _hessian_vec(a, closed)
+            h = _hessian_vec(a)
             for j, d in zip(moved, _newton_directions(stack, h, g, moved, lam)):
                 direction[stack.item_slices[j]] = d
             if len(moved) == len(users):

@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import ComparisonSet, FeatureTable, _not_utf8, write_json
+from .dataset import ComparisonSet, FeatureTable, _not_utf8, _positions, write_json
 from .equity import Predictions
 
 
@@ -82,20 +82,18 @@ class TrainConfig:
             raise ValueError("embedding_l2 must be >= 0")
 
 
-@dataclass
+@dataclass(eq=False)
 class ModelParams:
-    """Shared weight vector plus per-user embedding offsets (empty when disabled)."""
+    """Shared weight vector w plus per-user embedding offsets: row k of the
+    (users, dim) `offsets` belongs to `user_ids[k]`; no rows when disabled."""
 
     w: np.ndarray
-    user_offsets: dict[str, np.ndarray]
+    user_ids: tuple[str, ...]
+    offsets: np.ndarray
 
     @property
     def dim(self) -> int:
         return int(self.w.shape[0])
-
-    def effective_weights(self, user_id: str) -> np.ndarray:
-        offset = self.user_offsets.get(user_id)
-        return self.w if offset is None else self.w + offset
 
 
 @dataclass
@@ -251,12 +249,9 @@ def train(
                 "training loss became non-finite; try a smaller learning_rate"
             )
         trace.append(epoch_loss)
-    user_offsets = (
-        {u: offsets[i].copy() for i, u in enumerate(train_set.user_ids)}
-        if offsets is not None
-        else {}
-    )
-    return TrainResult(ModelParams(w, user_offsets), trace)
+    if offsets is None:
+        return TrainResult(ModelParams(w, (), np.zeros((0, dim))), trace)
+    return TrainResult(ModelParams(w, train_set.user_ids, offsets), trace)
 
 
 def predict_all(
@@ -274,9 +269,10 @@ def predict_all(
             f"feature vectors have length {features.dim}, expected {params.dim}"
         )
     x = features.matrix(cset.item_ids)
-    weights = np.array(
-        [params.effective_weights(u) for u in cset.user_ids], dtype=np.float64
-    ).reshape(len(cset.user_ids), params.dim)[cset.user]
+    # Row k is user k's w + offset; the last row, w alone, serves unknown users.
+    table = np.vstack([params.w + params.offsets, params.w])
+    rows = _positions(params.user_ids, cset.user_ids, len(params.user_ids))
+    weights = table[rows[cset.user]]
     diff = np.vecdot(x[cset.right], weights) - np.vecdot(x[cset.left], weights)
     return Predictions(cset, diff)
 
@@ -286,7 +282,7 @@ def save_model(params: ModelParams, path: str | Path) -> None:
     doc = {
         "dim": params.dim,
         "w": params.w.tolist(),
-        "user_offsets": {u: o.tolist() for u, o in sorted(params.user_offsets.items())},
+        "user_offsets": dict(sorted(zip(params.user_ids, params.offsets.tolist()))),
     }
     write_json(path, doc)
 
@@ -332,10 +328,9 @@ def load_model(path: str | Path) -> ModelParams:
     w = _vector(path, "w", doc["w"])
     if w.shape != (doc["dim"],):
         raise ValueError(f"{path}: model dim {doc['dim']} does not match weights {w.shape}")
-    offsets = {
-        u: _vector(path, f"offset for user {u!r}", o) for u, o in doc["user_offsets"].items()
-    }
-    for u, o in offsets.items():
+    users = tuple(doc["user_offsets"])
+    offsets = [_vector(path, f"offset for user {u!r}", o) for u, o in doc["user_offsets"].items()]
+    for u, o in zip(users, offsets):
         if o.shape != w.shape:
             raise ValueError(f"{path}: offset for user {u!r} has shape {o.shape}")
-    return ModelParams(w, offsets)
+    return ModelParams(w, users, np.array(offsets).reshape(len(users), w.shape[0]))

@@ -17,12 +17,12 @@ exist.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .dataset import Columns, ComparisonSet, FeatureTable, _codes, write_table
+from .dataset import Columns, ComparisonSet, FeatureTable, _positions, write_table
 from .equity import CLASSES, _classes
 
 ARCHETYPES = ("neutral", "conservative", "extreme", "malicious")
@@ -87,36 +87,20 @@ class SimConfig:
             raise ValueError(f"unknown malicious_mode {self.malicious_mode!r}")
 
 
-@dataclass
+@dataclass(eq=False)
 class GroundTruth:
+    """What `generate` drew. Row g of `group_weights` (groups, dim) is group
+    g's weight vector. Row k of `group`, `archetype` and `weights` (users,
+    dim) belongs to `user_ids[k]`, and `theta[k, i]` (users, items) is its
+    utility of item `item_features.item_ids[i]`."""
+
     item_features: FeatureTable
-    group_weights: dict[int, np.ndarray]
-    user_group: dict[str, int]
-    user_theta: dict[str, dict[str, float]]
-    user_archetype: dict[str, str]
-    user_weights: dict[str, np.ndarray] = field(default_factory=dict)
-
-
-def _archetype_of(config: SimConfig, user_index: int) -> str:
-    if config.archetype_mix is None:
-        return "neutral"
-    bound = 0
-    for name in ARCHETYPES:
-        bound += config.archetype_mix.get(name, 0)
-        if user_index < bound:
-            return name
-    raise AssertionError("archetype counts were validated to cover all users")
-
-
-def _group_of(config: SimConfig, user_index: int) -> int:
-    if config.group_sizes is None:
-        return user_index % config.n_groups
-    bound = 0
-    for g, size in enumerate(config.group_sizes):
-        bound += size
-        if user_index < bound:
-            return g
-    raise AssertionError("group sizes were validated to cover all users")
+    group_weights: np.ndarray
+    user_ids: tuple[str, ...]
+    group: np.ndarray
+    archetype: tuple[str, ...]
+    weights: np.ndarray
+    theta: np.ndarray
 
 
 def _unit(vec: np.ndarray) -> np.ndarray:
@@ -144,17 +128,15 @@ def generate(config: SimConfig) -> tuple[ComparisonSet, FeatureTable, GroundTrut
     """Draw features, users, and comparisons; deterministic given the seed."""
     item_width = max(1, len(str(config.n_items - 1)))
     user_width = max(1, len(str(config.n_users - 1)))
-    item_ids = [f"i{i:0{item_width}d}" for i in range(config.n_items)]
-    user_ids = [f"u{i:0{user_width}d}" for i in range(config.n_users)]
+    item_ids = tuple(f"i{i:0{item_width}d}" for i in range(config.n_items))
+    user_ids = tuple(f"u{i:0{user_width}d}" for i in range(config.n_users))
 
     feat_rng = np.random.default_rng([config.seed, 0])
     matrix = feat_rng.standard_normal((config.n_items, config.feature_dim))
-    features = FeatureTable(
-        config.feature_dim, {item: matrix[i] for i, item in enumerate(item_ids)}
-    )
+    features = FeatureTable(item_ids, matrix)
 
     group_rng = np.random.default_rng([config.seed, 1])
-    group_weights: dict[int, np.ndarray] = {}
+    group_weights = np.empty((config.n_groups, config.feature_dim))
     for g in range(config.n_groups):
         if config.opposed_groups and g == 1:
             group_weights[1] = -group_weights[0]
@@ -162,42 +144,44 @@ def generate(config: SimConfig) -> tuple[ComparisonSet, FeatureTable, GroundTrut
         raw = group_rng.standard_normal(config.feature_dim)
         group_weights[g] = config.weight_scale * _unit(raw)
 
-    truth = GroundTruth(features, group_weights, {}, {}, {})
+    if config.group_sizes is None:
+        group = np.arange(config.n_users) % config.n_groups
+    else:
+        group = np.repeat(np.arange(config.n_groups), config.group_sizes)
+    mix = config.archetype_mix or {"neutral": config.n_users}
+    archetype = tuple(np.repeat(ARCHETYPES, [mix.get(a, 0) for a in ARCHETYPES]).tolist())
+    weights = np.empty((config.n_users, config.feature_dim))
+    theta = np.empty((config.n_users, config.n_items))
     m = config.comparisons_per_user
     lefts, rights, scores = [], [], []
-    for u_idx, user in enumerate(user_ids):
-        group = _group_of(config, u_idx)
-        archetype = _archetype_of(config, u_idx)
+    for u_idx in range(config.n_users):
         jitter_rng = np.random.default_rng([config.seed, 2, u_idx])
-        direction = _unit(group_weights[group])
+        direction = _unit(group_weights[group[u_idx]])
         if config.user_jitter > 0:
             direction = _unit(
                 direction + config.user_jitter * jitter_rng.standard_normal(config.feature_dim)
             )
-        weights = config.weight_scale * direction
-        theta = matrix @ weights
-        truth.user_group[user] = group
-        truth.user_archetype[user] = archetype
-        truth.user_weights[user] = weights
-        truth.user_theta[user] = {item: float(theta[i]) for i, item in enumerate(item_ids)}
+        weights[u_idx] = config.weight_scale * direction
+        theta[u_idx] = utility = matrix @ weights[u_idx]
 
         comp_rng = np.random.default_rng([config.seed, 3, u_idx])
         left = comp_rng.integers(0, config.n_items, size=m)
         right = comp_rng.integers(0, config.n_items - 1, size=m)
         right = right + (right >= left)
-        t = theta[right] - theta[left] + comp_rng.normal(0.0, config.noise_std, size=m)
+        t = utility[right] - utility[left] + comp_rng.normal(0.0, config.noise_std, size=m)
         lefts.append(left)
         rights.append(right)
-        scores.append(_shape_scores(t, archetype, config, comp_rng))
+        scores.append(_shape_scores(t, archetype[u_idx], config, comp_rng))
     # Codes are indices into user_ids and item_ids; the set sorts and compacts them.
     cset = ComparisonSet(
         columns=Columns(
-            tuple(user_ids), np.repeat(np.arange(config.n_users), m),
+            user_ids, np.repeat(np.arange(config.n_users), m),
             (config.criterion,), np.zeros(config.n_users * m, dtype=np.intp),
-            tuple(item_ids), np.concatenate(lefts), np.concatenate(rights),
+            item_ids, np.concatenate(lefts), np.concatenate(rights),
             np.concatenate(scores),
         )
     )
+    truth = GroundTruth(features, group_weights, user_ids, group, archetype, weights, theta)
     return cset, features, truth
 
 
@@ -205,47 +189,38 @@ def true_classes(
     truth: GroundTruth, cset: ComparisonSet, tie_epsilon: float
 ) -> list[str]:
     """Noise-free oracle labels from the latent utilities, in row order."""
-    # theta[k, i] is user code k's utility of item code i where known[k, i].
-    index = {item: i for i, item in enumerate(cset.item_ids)}
-    theta = np.zeros((len(cset.user_ids), len(cset.item_ids)))
-    known = np.zeros(theta.shape, dtype=bool)
-    for k, user in enumerate(cset.user_ids):
-        for item, value in truth.user_theta.get(user, {}).items():
-            if item in index:
-                theta[k, index[item]] = value
-                known[k, index[item]] = True
-    user, left, right = cset.user, cset.left, cset.right
-    bad = np.flatnonzero(~(known[user, left] & known[user, right]))
+    user = _positions(truth.user_ids, cset.user_ids, -1)[cset.user]
+    items = _positions(truth.item_features.item_ids, cset.item_ids, -1)
+    left, right = items[cset.left], items[cset.right]
+    bad = np.flatnonzero((user < 0) | (left < 0) | (right < 0))
     if bad.size:
         row = bad[0]
-        if cset.user_ids[user[row]] not in truth.user_theta:
-            raise ValueError(f"unknown user {cset.user_ids[user[row]]!r}")
+        if user[row] < 0:
+            raise ValueError(f"unknown user {cset.user_ids[cset.user[row]]!r}")
         raise ValueError(
-            f"unknown item in comparison ({cset.item_ids[left[row]]!r}, "
-            f"{cset.item_ids[right[row]]!r})"
+            f"unknown item in comparison ({cset.item_ids[cset.left[row]]!r}, "
+            f"{cset.item_ids[cset.right[row]]!r})"
         )
-    diff = theta[user, right] - theta[user, left]
+    diff = truth.theta[user, right] - truth.theta[user, left]
     return [CLASSES[c] for c in _classes(diff, tie_epsilon).tolist()]
 
 
+def _sorted_rows(ids: tuple[str, ...]) -> np.ndarray:
+    """The rows of `ids` in the ids' (Python string) order."""
+    return np.array(sorted(range(len(ids)), key=ids.__getitem__), dtype=np.intp)
+
+
 def write_truth_theta(truth: GroundTruth, path: str | Path) -> None:
-    users = sorted(truth.user_theta)
-    thetas = [truth.user_theta[user] for user in users]
-    items: dict[str, int] = {}
-    codes = _codes(items, [item for theta in thetas for item in sorted(theta)])
+    item_ids = truth.item_features.item_ids
+    users, items = _sorted_rows(truth.user_ids), _sorted_rows(item_ids)
     write_table(path, ["user_id", "item_id", "theta"], [
-        (users, np.repeat(np.arange(len(users)), [len(theta) for theta in thetas])),
-        (tuple(items), codes),
-        np.array([theta[item] for theta in thetas for item in sorted(theta)]),
+        (truth.user_ids, users.repeat(items.size)),
+        (item_ids, np.tile(items, users.size)),
+        truth.theta[np.ix_(users, items)].ravel(),
     ])
 
 
 def write_truth_users(truth: GroundTruth, path: str | Path) -> None:
-    users = sorted(truth.user_group)
-    columns = [
-        users,
-        [str(truth.user_group[user]) for user in users],
-        [truth.user_archetype[user] for user in users],
-    ]
-    rows = np.arange(len(users))
+    columns = [truth.user_ids, [str(g) for g in truth.group.tolist()], truth.archetype]
+    rows = _sorted_rows(truth.user_ids)
     write_table(path, ["user_id", "group", "archetype"], [(c, rows) for c in columns])

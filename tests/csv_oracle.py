@@ -143,4 +143,5 @@ def parse_features(path: str | Path) -> FeatureTable:
         if not np.all(np.isfinite(vec)):
             raise ValueError(f"{path}: line {lineno}: non-finite feature value")
         features[item_id] = vec
-    return FeatureTable(dim, features)
+    vectors = np.array(list(features.values()), dtype=np.float64).reshape(len(features), dim)
+    return FeatureTable(tuple(features), vectors)

@@ -49,8 +49,8 @@ def kernel_point(comparisons: ComparisonSet, lam: float, theta) -> tuple[float, 
     items of a one-user set."""
     stack, _ = _stack(comparisons)
     theta = np.asarray(theta, dtype=np.float64)
-    delta, a, closed, (obj,) = _objectives(stack, theta, lam)
-    return obj, _gradient(stack, theta, delta, a, closed, lam)
+    delta, a, (obj,) = _objectives(stack, theta, lam)
+    return obj, _gradient(stack, theta, delta, a, lam)
 
 
 def _point_of(

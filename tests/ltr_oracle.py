@@ -20,12 +20,19 @@ from equirank.ltr import ModelParams, TrainConfig, TrainResult, _step_gradient
 from row_view import Comparison
 
 
+def effective_weights(params: ModelParams, user_id: str) -> np.ndarray:
+    """w + offset_u, or w alone for a user without an offset row."""
+    if user_id not in params.user_ids:
+        return params.w
+    return params.w + params.offsets[params.user_ids.index(user_id)]
+
+
 def score(params: ModelParams, user_id: str, x: np.ndarray) -> float:
     """Item score (w + offset_u) . x; unknown users fall back to offset 0."""
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (params.dim,):
         raise ValueError(f"feature vector has shape {x.shape}, expected ({params.dim},)")
-    return float(np.dot(params.effective_weights(user_id), x))
+    return float(np.dot(effective_weights(params, user_id), x))
 
 
 def predict_diff(
@@ -74,9 +81,9 @@ def _batch_terms(
 
 
 def _offset_penalty(params: ModelParams, config: TrainConfig) -> float:
-    if config.embedding_l2 == 0 or not params.user_offsets:
+    if config.embedding_l2 == 0 or not params.user_ids:
         return 0.0
-    total = sum(float(np.dot(o, o)) for o in params.user_offsets.values())
+    total = sum(float(np.dot(o, o)) for o in params.offsets)
     return config.embedding_l2 * total
 
 
@@ -113,14 +120,14 @@ def loss_gradient(
     _, grad_d = _batch_terms(d, r, config)
     grad_d = grad_d / len(batch)
     grad_w = np.zeros(params.dim, dtype=np.float64)
-    grad_offsets = {u: np.zeros(params.dim) for u in params.user_offsets}
+    grad_offsets = {u: np.zeros(params.dim) for u in params.user_ids}
     for g, (c, xl, xr) in zip(grad_d, batch):
         diff = np.asarray(xr, dtype=np.float64) - np.asarray(xl, dtype=np.float64)
         grad_w += g * diff
         if c.user_id in grad_offsets:
             grad_offsets[c.user_id] += g * diff
     if config.embedding_l2 > 0:
-        for u, offset in params.user_offsets.items():
+        for u, offset in zip(params.user_ids, params.offsets):
             grad_offsets[u] += 2.0 * config.embedding_l2 * offset
     return grad_w, grad_offsets
 
@@ -195,12 +202,9 @@ def oracle_train(
                 "training loss became non-finite; try a smaller learning_rate"
             )
         trace.append(epoch_loss)
-    user_offsets = (
-        {u: offsets[i].copy() for i, u in enumerate(data.users)}
-        if offsets is not None
-        else {}
-    )
-    return TrainResult(ModelParams(w, user_offsets), trace)
+    if offsets is None:
+        return TrainResult(ModelParams(w, (), np.zeros((0, dim))), trace)
+    return TrainResult(ModelParams(w, tuple(data.users), offsets), trace)
 
 
 
@@ -214,8 +218,8 @@ def step_gradient(
     Every user in the batch must have an offset in `params`; the offset rows
     are laid out in sorted user order.
     """
-    users = sorted(params.user_offsets)
-    offsets = np.array([params.user_offsets[u] for u in users]) if users else None
+    users = sorted(params.user_ids)
+    offsets = params.offsets[[params.user_ids.index(u) for u in users]] if users else None
     diff = np.array([np.asarray(xr, float) - np.asarray(xl, float) for _, xl, xr in batch])
     r = np.array([c.score for c, _, _ in batch], dtype=np.float64)
     rows = np.array([users.index(c.user_id) for c, _, _ in batch], dtype=np.intp)

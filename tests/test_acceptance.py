@@ -173,7 +173,8 @@ def _ltr_fd_check(rng, weights, n_checks):
         dim = int(rng.integers(2, 5))
         params = ModelParams(
             rng.normal(size=dim),
-            {f"u{k}": rng.normal(size=dim) * 0.3 for k in range(2)},
+            ("u0", "u1"),
+            np.array([rng.normal(size=dim) * 0.3 for _ in range(2)]),
         )
         batch = []
         for i in range(int(rng.integers(2, 7))):
@@ -196,8 +197,8 @@ def _ltr_fd_check(rng, weights, n_checks):
         grad_w, grad_off = step_gradient(params, batch, config)
         fd_w = np.zeros(dim)
         for j in range(dim):
-            hi = ModelParams(params.w.copy(), {u: o.copy() for u, o in params.user_offsets.items()})
-            lo = ModelParams(params.w.copy(), {u: o.copy() for u, o in params.user_offsets.items()})
+            hi = ModelParams(params.w.copy(), params.user_ids, params.offsets.copy())
+            lo = ModelParams(params.w.copy(), params.user_ids, params.offsets.copy())
             hi.w[j] += h
             lo.w[j] -= h
             fd_w[j] = (loss(hi, batch, config) - loss(lo, batch, config)) / (2 * h)
@@ -205,10 +206,10 @@ def _ltr_fd_check(rng, weights, n_checks):
         for u, analytic in grad_off.items():
             fd_o = np.zeros(dim)
             for j in range(dim):
-                hi = ModelParams(params.w.copy(), {v: o.copy() for v, o in params.user_offsets.items()})
-                lo = ModelParams(params.w.copy(), {v: o.copy() for v, o in params.user_offsets.items()})
-                hi.user_offsets[u][j] += h
-                lo.user_offsets[u][j] -= h
+                hi = ModelParams(params.w.copy(), params.user_ids, params.offsets.copy())
+                lo = ModelParams(params.w.copy(), params.user_ids, params.offsets.copy())
+                hi.offsets[params.user_ids.index(u), j] += h
+                lo.offsets[params.user_ids.index(u), j] -= h
                 fd_o[j] = (loss(hi, batch, config) - loss(lo, batch, config)) / (2 * h)
             err = max(err, _relative_error(analytic, fd_o))
         assert err < 1e-4

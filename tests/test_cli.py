@@ -437,7 +437,7 @@ class TestAudit:
         # clipped linear diffs themselves (kept inside [-1, 1]).
         rng = np.random.default_rng(8)
         items = {f"i{k}": rng.normal(size=2) * 0.2 for k in range(10)}
-        table = FeatureTable(2, items)
+        table = FeatureTable(tuple(items), np.array(list(items.values())))
         w = np.array([1.0, -0.5])
         rows = []
         names = sorted(items)
@@ -452,7 +452,7 @@ class TestAudit:
         model_json = tmp_path / "model.json"
         write_comparisons(cset, test_csv)
         write_features(table, feat_csv)
-        save_model(ModelParams(w, {}), model_json)
+        save_model(ModelParams(w, (), np.zeros((0, 2))), model_json)
         return model_json, test_csv, feat_csv
 
     def test_perfect_predictions_give_zero_gini(self, tmp_path):
@@ -523,6 +523,19 @@ class TestAudit:
         assert _run(["audit", "--model", str(model), "--test", str(test_csv),
                      "--features", str(feat_csv), "-o", str(tmp_path / "x")]) == 1
         assert capsys.readouterr().err == f"equirank: {model}: line 4: not valid UTF-8\n"
+
+    def test_width_mismatch_names_model_and_features(self, tmp_path, capsys):
+        _, test_csv, feat_csv = self._perfect_fixture(tmp_path)
+        model = tmp_path / "wide.json"
+        save_model(ModelParams(np.ones(3), (), np.zeros((0, 3))), model)
+        out = tmp_path / "x"
+        assert _run(["audit", "--model", str(model), "--test", str(test_csv),
+                     "--features", str(feat_csv), "-o", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"equirank: {model}: model dim 3 does not match {feat_csv}, "
+            "whose feature vectors have length 2\n"
+        )
+        assert not out.exists()
 
     def test_unknown_criterion_is_runtime_error(self, tmp_path, capsys):
         model, test_csv, feat_csv = self._perfect_fixture(tmp_path)
@@ -616,6 +629,20 @@ class TestPipeline:
         assert _run(["pipeline", "--config", str(config),
                      "-o", str(tmp_path / "x")]) == 2
         assert capsys.readouterr().err == f"equirank: {config}: line 2: {message}\n"
+
+    @pytest.mark.parametrize("line, message", [
+        ("archetypes = neutral=3", "archetype counts sum to 3, expected n_users = 4"),
+        ("lam = 0", "lam must be positive, got 0.0"),
+        ("learning_rate = 0", "learning_rate must be positive"),
+        ("resilience_weight = -1", "resilience_weight must be positive, got -1.0"),
+    ])
+    def test_bad_values_fail_before_anything_is_written(self, tmp_path, capsys, line, message):
+        config = tmp_path / "bad.cfg"
+        config.write_text(f"users = 4\n{line}\nexperiment = baseline\n")
+        out = tmp_path / "x"
+        assert _run(["pipeline", "--config", str(config), "-o", str(out)]) == 1
+        assert capsys.readouterr().err == f"equirank: {config}: {message}\n"
+        assert not out.exists()
 
     def test_not_utf8_config_is_usage_error(self, tmp_path, capsys):
         config = tmp_path / "bad.cfg"

@@ -98,9 +98,9 @@ def oracle_normalization(comparisons):
 
 
 def oracle_predict_all(params, comparisons, features):
+    x = dict(zip(features.item_ids, features.vectors))
     return [
-        (c, predict_diff(params, c.user_id, features.vector(c.left_item),
-                         features.vector(c.right_item)))
+        (c, predict_diff(params, c.user_id, x[c.left_item], x[c.right_item]))
         for c in comparisons
     ]
 
@@ -234,11 +234,12 @@ def test_scalers_match_oracle_bitwise(cset):
 def models(draw, dim):
     w = draw(st.lists(st.floats(-3, 3), min_size=dim, max_size=dim))
     with_offsets = draw(st.lists(st.sampled_from(USERS + ["tie"]), unique=True))
-    offsets = {
-        u: np.array(draw(st.lists(st.floats(-1, 1), min_size=dim, max_size=dim)))
-        for u in with_offsets
-    }
-    return ModelParams(np.array(w, dtype=np.float64), offsets)
+    offsets = [draw(st.lists(st.floats(-1, 1), min_size=dim, max_size=dim))
+               for _ in with_offsets]
+    return ModelParams(
+        np.array(w, dtype=np.float64), tuple(with_offsets),
+        np.array(offsets, dtype=np.float64).reshape(len(offsets), dim),
+    )
 
 
 @given(cset=populations(), data=st.data(), dim=st.integers(1, 5),
@@ -246,7 +247,7 @@ def models(draw, dim):
 @settings(max_examples=150, deadline=None)
 def test_predict_all_and_report_match_oracle(cset, data, dim, seed):
     rng = np.random.default_rng(seed)
-    features = FeatureTable(dim, {i: rng.normal(size=dim) for i in ITEMS})
+    features = FeatureTable(tuple(ITEMS), np.array([rng.normal(size=dim) for _ in ITEMS]))
     params = data.draw(models(dim))
     predictions = predict_all(params, cset, features)
     oracle = oracle_predict_all(params, rows_of(cset), features)

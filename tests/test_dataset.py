@@ -157,13 +157,12 @@ def test_carriage_return_in_id_round_trips(tmp_path):
 
 
 def test_features_round_trip_any_ids(tmp_path):
-    table = FeatureTable(2, {"a,b": np.array([1.0, 2.0]), 'q"\n': np.array([0.5, -1.0])})
+    table = FeatureTable(("a,b", 'q"\n'), np.array([[1.0, 2.0], [0.5, -1.0]]))
     path = tmp_path / "f.csv"
     write_features(table, path)
     back = parse_features(path)
-    assert list(back.features) == list(table.features)
-    for item, vec in table.features.items():
-        np.testing.assert_array_equal(back.features[item], vec)
+    assert back.item_ids == table.item_ids
+    np.testing.assert_array_equal(back.vectors, table.vectors)
 
 
 class TestParseFeatures:
@@ -171,8 +170,8 @@ class TestParseFeatures:
         path = _write(tmp_path, "f.csv", "item_id,f0,f1\na,1.0,2.0\nb,0.0,1.0\n")
         table = parse_features(path)
         assert table.dim == 2
-        assert set(table.features) == {"a", "b"}
-        np.testing.assert_array_equal(table.vector("a"), [1.0, 2.0])
+        assert table.item_ids == ("a", "b")
+        np.testing.assert_array_equal(table.vectors, [[1.0, 2.0], [0.0, 1.0]])
 
     def test_ragged_row(self, tmp_path):
         path = _write(tmp_path, "f.csv", "item_id,f0,f1\na,1.0,2.0\nb,0.0\n")
@@ -191,7 +190,7 @@ class TestParseFeatures:
 
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(11)
-        table = FeatureTable(3, {f"i{k}": rng.standard_normal(3) for k in range(5)})
+        table = FeatureTable(tuple(f"i{k}" for k in range(5)), rng.standard_normal((5, 3)))
         first = tmp_path / "a.csv"
         second = tmp_path / "b.csv"
         write_features(table, first)
@@ -421,3 +420,112 @@ def test_byte_path_matches_csv_path_on_edge_files(tmp_path, data, header):
 def test_rows_straddling_blocks_read_on_bytes(tmp_path, block_bytes):
     data = (HEADER + "u1,g,a,b,-0.5\n\nuser-2,crit,item-with-long-id,a,0.125").encode()
     _check_both_paths(tmp_path / "c.csv", data, COMPARISONS_HEADER, block_bytes)
+
+
+# --- parse_features against csv.reader ---------------------------------------
+
+_good_values = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.sampled_from([" 0.25", "+.5e-0", "-0.2_5", "1", "1_0", "١", "1e308"]),
+)
+_bad_values = st.sampled_from(["nan", "-inf", "1e999", "spam", "", "0x1p-2"])
+_BAD_FEATURE_ROWS = (("short",), ("long",), ("value",), ("duplicate",), ("duplicate", "value"))
+
+
+@st.composite
+def _feature_files(draw):
+    """Features CSV bytes: ids quoted as `csv_field` does, LF, CRLF or CR
+    line ends, blank lines, a final line end or not, and at most one bad row
+    in two files: a bad value, a duplicate id, the wrong field count, or a
+    duplicate id with a bad value."""
+    dim = draw(st.integers(1, 3))
+    eol = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    items = draw(st.lists(_special_ids, max_size=10))
+    lines = [",".join(["item_id"] + [f"f{i}" for i in range(dim)])]
+    bad_at = draw(st.integers(0, 2 * len(items)))
+    for k, item in enumerate(items):
+        values = draw(st.lists(_good_values, min_size=dim, max_size=dim))
+        kinds = draw(st.sampled_from(_BAD_FEATURE_ROWS)) if k == bad_at else ()
+        if "value" in kinds:
+            values[draw(st.integers(0, dim - 1))] = draw(_bad_values)
+        if "duplicate" in kinds and k > 0:
+            item = items[draw(st.integers(0, k - 1))]
+        if "long" in kinds:
+            values.append("0.5")
+        elif "short" in kinds:
+            values.pop()
+        lines.append(",".join([csv_field(item)] + values))
+        if draw(st.integers(0, 5)) == 0:
+            lines.append("")
+    return (eol.join(lines) + draw(st.sampled_from([eol, ""]))).encode("utf-8")
+
+
+def _features_outcome(path):
+    """The table parsing gives, as ids, shape and bytes, or the error."""
+    try:
+        table = parse_features(path)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return table.item_ids, table.vectors.shape, table.vectors.tobytes()
+
+
+def _check_features_both_paths(path, data, block_bytes):
+    """Assert that the block reader and the oracle read `data` alike."""
+    path.write_bytes(data)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dataset, "_BLOCK_BYTES", block_bytes)
+        usual = _features_outcome(path)
+    oracle = csv_oracle.parse_features
+    try:
+        want = oracle(path)
+    except ValueError as exc:
+        assert usual == (type(exc), str(exc))
+    else:
+        assert usual == (want.item_ids, want.vectors.shape, want.vectors.tobytes())
+
+
+@given(data=_feature_files(), block_bytes=st.sampled_from([1, 7, 64]))
+@settings(max_examples=300, deadline=None)
+def test_parse_features_matches_csv_path(data, block_bytes, tmp_path_factory):
+    _check_features_both_paths(tmp_path_factory.mktemp("f") / "f.csv", data, block_bytes)
+
+
+_FEATURES = b"item_id,f0,f1\n"
+
+
+@pytest.mark.parametrize("data", [
+    pytest.param(_FEATURES + b"a,1,2\na,spam,2\n", id="duplicate-before-unparsable"),
+    pytest.param(_FEATURES + b"a,1,2\nb,spam,2\nb,nan,1\n", id="unparsable-before-duplicate"),
+    pytest.param(_FEATURES + b"a,nan,spam\n", id="non-finite-before-unparsable"),
+    pytest.param(_FEATURES + b"a,1,1e999\n", id="overflow"),
+    pytest.param(_FEATURES + b"a,\xd9\xa1,1_0\n", id="arabic-digit-and-underscore"),
+    pytest.param(_FEATURES + b"a\x00b,1,2\na,3,4\n", id="nul-id"),
+    pytest.param(_FEATURES + b'"x,' + b"y" * 70 + b'",1,2\n"q""\r\n",3,4\n', id="long-quoted-id"),
+    pytest.param(_FEATURES, id="header-only"),
+])
+def test_parse_features_matches_csv_path_on_edge_files(tmp_path, data):
+    if b"\x00" in data and sys.version_info < (3, 11):
+        pytest.skip("csv.reader refuses NUL before Python 3.11")
+    for block_bytes in (1, 7, 64):
+        _check_features_both_paths(tmp_path / "f.csv", data, block_bytes)
+
+
+@pytest.mark.parametrize("item_ids, vectors, message", [
+    (("a", "b"), np.zeros((2,)), r"shape \(2,\), expected \(2, dim >= 1\)"),
+    (("a", "b"), np.zeros((3, 2)), r"shape \(3, 2\), expected \(2, dim >= 1\)"),
+    (("a",), np.zeros((1, 0)), r"shape \(1, 0\), expected \(1, dim >= 1\)"),
+    (("a", "b", "a", "b"), np.zeros((4, 1)), "duplicate item 'a' in feature table"),
+    (("a", "b", "c"), [[0.0], [np.inf], [np.nan]], "non-finite feature value for item 'b'"),
+], ids=["flat", "more-rows", "zero-width", "duplicate", "non-finite"])
+def test_feature_table_checks_its_rows(item_ids, vectors, message):
+    with pytest.raises(ValueError, match=message):
+        FeatureTable(item_ids, vectors)
+
+
+def test_feature_matrix_gathers_rows_and_names_a_missing_item():
+    table = FeatureTable(("b", "a", "c"), [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
+    assert (len(table), table.dim) == (3, 2)
+    assert table.matrix(["a", "a", "c"]).tolist() == [[3.0, 4.0], [3.0, 4.0], [5.0, 6.0]]
+    assert table.matrix([]).shape == (0, 2)
+    with pytest.raises(ValueError, match="item 'z' missing from feature table"):
+        table.matrix(["a", "z"])

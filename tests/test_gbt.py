@@ -26,11 +26,9 @@ def _oracle_expected(delta: float) -> float:
 
 
 def link(delta):
-    """E[r|delta] elementwise, as a fit computes it: the closed form alone
-    when no |delta| is below the series cutoff."""
+    """E[r|delta] elementwise, as a fit computes it."""
     delta = np.asarray(delta, dtype=np.float64)
-    a = np.abs(delta)
-    return _expected_vec(delta, a, bool(a.min() >= _SERIES_CUTOFF))
+    return _expected_vec(delta, np.abs(delta))
 
 
 class TestExpectedComparison:
@@ -66,9 +64,9 @@ class TestExpectedComparison:
             expected_comparison(float("inf"))
 
     def test_matches_scalar_oracle(self):
-        # Mixed arrays take the np.where branch, arrays with no small |delta|
-        # the closed form alone; both agree with the scalar link to within
-        # the last bits that np.expm1 and math.expm1 may round differently.
+        # The kernel agrees with the scalar link to within the last bits that
+        # np.expm1 and math.expm1 may round differently, and gives each value
+        # the same bits whether or not its array holds a small |delta|.
         rng = np.random.default_rng(8)
         xs = np.concatenate([
             rng.uniform(-30, 30, 2000), rng.uniform(-0.02, 0.02, 2000),
@@ -92,8 +90,7 @@ def _oracle_variance(delta: float) -> float:
 def variance(delta):
     """Var[r|delta] elementwise, as a fit computes it."""
     delta = np.asarray(delta, dtype=np.float64)
-    a = np.abs(delta)
-    return _hessian_vec(a, bool(a.min() >= _SERIES_CUTOFF))
+    return _hessian_vec(np.abs(delta))
 
 
 class TestHessianWeight:
@@ -118,7 +115,7 @@ class TestHessianWeight:
         assert rel[np.abs(xs) < 1.0].max() <= 3e-11
         assert rel[np.abs(xs) >= 1.0].max() <= 1e-14
         assert variance([0.0, -0.0]).tolist() == [1.0 / 3.0, 1.0 / 3.0]
-        # Arrays with no small |delta| take the closed form alone, bit for bit.
+        # Arrays with no small |delta| give the same values, bit for bit.
         big = np.abs(xs) >= _SERIES_CUTOFF
         assert np.array_equal(variance(xs[big]), got[big])
 
@@ -375,8 +372,8 @@ class TestLockstep:
         expected_vec = gbt._expected_vec
         calls = []
 
-        def poisoned(delta, a, closed):
-            out = expected_vec(delta, a, closed)
+        def poisoned(delta, a):
+            out = expected_vec(delta, a)
             if not calls:
                 for k in (cset.user_ids.index("u1"), cset.user_ids.index("u3")):
                     out[bounds[k] : bounds[k + 1]] = np.nan

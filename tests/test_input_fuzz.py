@@ -58,10 +58,10 @@ def _main(argv):
 def audit_inputs(tmp_path_factory):
     folder = tmp_path_factory.mktemp("audit")
     rng = np.random.default_rng(3)
-    items = {f"i{k}": rng.normal(size=2) for k in range(6)}
     rows = [(f"u{k % 2}", "g", f"i{k % 6}", f"i{(k + 1) % 6}", 0.5) for k in range(12)]
     write_comparisons(comparison_set(rows), folder / "test.csv")
-    write_features(FeatureTable(2, items), folder / "features.csv")
+    write_features(FeatureTable(tuple(f"i{k}" for k in range(6)), rng.normal(size=(6, 2))),
+                   folder / "features.csv")
     return folder
 
 

@@ -35,8 +35,9 @@ from row_view import Comparison, rows_of
 
 
 def _params(w, offsets=None):
-    return ModelParams(np.array(w, dtype=float),
-                       {u: np.array(o, dtype=float) for u, o in (offsets or {}).items()})
+    offsets = offsets or {}
+    rows = np.array(list(offsets.values()), dtype=float).reshape(len(offsets), len(w))
+    return ModelParams(np.array(w, dtype=float), tuple(offsets), rows)
 
 
 def _batch_of(d_pairs):
@@ -140,19 +141,19 @@ def _random_batch(rng, dim, n, with_users=False):
 def _fd_gradient(params, batch, config, h=1e-6):
     grad_w = np.zeros(params.dim)
     for j in range(params.dim):
-        hi = ModelParams(params.w.copy(), {u: o.copy() for u, o in params.user_offsets.items()})
-        lo = ModelParams(params.w.copy(), {u: o.copy() for u, o in params.user_offsets.items()})
+        hi = ModelParams(params.w.copy(), params.user_ids, params.offsets.copy())
+        lo = ModelParams(params.w.copy(), params.user_ids, params.offsets.copy())
         hi.w[j] += h
         lo.w[j] -= h
         grad_w[j] = (loss(hi, batch, config) - loss(lo, batch, config)) / (2 * h)
     grad_off = {}
-    for u in params.user_offsets:
+    for k, u in enumerate(params.user_ids):
         g = np.zeros(params.dim)
         for j in range(params.dim):
-            hi = ModelParams(params.w.copy(), {v: o.copy() for v, o in params.user_offsets.items()})
-            lo = ModelParams(params.w.copy(), {v: o.copy() for v, o in params.user_offsets.items()})
-            hi.user_offsets[u][j] += h
-            lo.user_offsets[u][j] -= h
+            hi = ModelParams(params.w.copy(), params.user_ids, params.offsets.copy())
+            lo = ModelParams(params.w.copy(), params.user_ids, params.offsets.copy())
+            hi.offsets[k, j] += h
+            lo.offsets[k, j] -= h
             g[j] = (loss(hi, batch, config) - loss(lo, batch, config)) / (2 * h)
         grad_off[u] = g
     return grad_w, grad_off
@@ -193,7 +194,8 @@ def test_loss_gradient_matches_finite_differences(weights):
     while checked < 12:
         dim = int(rng.integers(2, 5))
         params = ModelParams(
-            rng.normal(size=dim), {f"u{k}": rng.normal(size=dim) * 0.3 for k in range(3)}
+            rng.normal(size=dim), ("u0", "u1", "u2"),
+            np.array([rng.normal(size=dim) * 0.3 for _ in range(3)]),
         )
         batch = _random_batch(rng, dim, int(rng.integers(2, 8)), with_users=True)
         if not _away_from_kinks(params, batch, config):
@@ -210,13 +212,13 @@ def test_loss_gradient_matches_finite_differences(weights):
 
 def _linear_fixture(rng, n=300, dim=3, n_items=20):
     items = [f"i{k:02d}" for k in range(n_items)]
-    table = FeatureTable(dim, {i: rng.normal(size=dim) for i in items})
+    table = FeatureTable(tuple(items), np.array([rng.normal(size=dim) for _ in items]))
     w_true = rng.normal(size=dim)
     w_true *= 0.4 / np.linalg.norm(w_true)
     rows = []
     for _ in range(n):
         l, r = rng.choice(n_items, size=2, replace=False)
-        diff = float(w_true @ (table.features[items[r]] - table.features[items[l]]))
+        diff = float(w_true @ (table.vectors[r] - table.vectors[l]))
         rows.append(("u1", "g", items[l], items[r], float(np.clip(diff, -1, 1))))
     return comparison_set(rows), table
 
@@ -236,7 +238,8 @@ class TestTrain:
         config = TrainConfig(epochs=0)
         result = train(cset, table, config)
         assert np.all(result.params.w == 0.0)
-        assert result.params.user_offsets == {}
+        assert result.params.user_ids == ()
+        assert result.params.offsets.shape == (0, 3)
         assert len(result.loss_trace) == 1
 
     def test_same_seed_is_bitwise_identical(self):
@@ -248,12 +251,12 @@ class TestTrain:
         a = train(cset, table, config)
         b = train(cset, table, config)
         assert np.array_equal(a.params.w, b.params.w)
-        for u in a.params.user_offsets:
-            assert np.array_equal(a.params.user_offsets[u], b.params.user_offsets[u])
+        assert a.params.user_ids == b.params.user_ids
+        assert np.array_equal(a.params.offsets, b.params.offsets)
 
     def test_missing_feature_names_item(self):
         cset = comparison_set([("u1", "g", "a", "ghost", 0.1), ("u1", "g", "a", "b", 0.1)])
-        table = FeatureTable(2, {"a": np.zeros(2), "b": np.zeros(2)})
+        table = FeatureTable(("a", "b"), np.zeros((2, 2)))
         with pytest.raises(ValueError, match="ghost"):
             train(cset, table, TrainConfig())
 
@@ -270,11 +273,11 @@ class TestTrain:
         cset, table = _linear_fixture(rng, n=60)
         off = train(cset, table, TrainConfig(epochs=2)).params
         on = train(cset, table, TrainConfig(epochs=2, use_user_embeddings=True)).params
-        assert off.user_offsets == {}
-        assert set(on.user_offsets) == {"u1"}
+        assert off.user_ids == () and off.offsets.shape == (0, 3)
+        assert on.user_ids == ("u1",) and on.offsets.shape == (1, 3)
 
     def test_empty_set_rejected(self):
-        table = FeatureTable(2, {"a": np.zeros(2)})
+        table = FeatureTable(("a",), np.zeros((1, 2)))
         with pytest.raises(ValueError, match="empty comparison set"):
             train(comparison_set([]), table, TrainConfig(epochs=0))
 
@@ -286,7 +289,7 @@ def test_step_gradient_matches_oracle_at_zero(weights):
     boundary. The step takes the oracle's one-sided choices there."""
     rng = np.random.default_rng(50)
     config = TrainConfig(loss_weights=weights, tie_epsilon=0.05, embedding_l2=0.1)
-    params = ModelParams(np.zeros(3), {"u0": np.zeros(3), "u1": np.zeros(3)})
+    params = ModelParams(np.zeros(3), ("u0", "u1"), np.zeros((2, 3)))
     batch = [
         (Comparison(f"u{i % 2}", "g", f"l{i}", f"r{i}", r), rng.normal(size=3),
          rng.normal(size=3))
@@ -309,15 +312,17 @@ def _assert_train_matches_oracle(cset, table, config):
     expected = oracle_train(cset, table, config)
     result = train(cset, table, config)
     assert _bits(result.params.w) == _bits(expected.params.w)
-    assert result.params.user_offsets.keys() == expected.params.user_offsets.keys()
-    for u, offset in expected.params.user_offsets.items():
-        assert _bits(result.params.user_offsets[u]) == _bits(offset)
+    assert result.params.user_ids == expected.params.user_ids
+    assert _bits(result.params.offsets) == _bits(expected.params.offsets)
     assert _bits(result.loss_trace) == _bits(expected.loss_trace)
 
 
 def _oracle_case(rng, scores, n_users, dim=3, n_items=5):
     """Rows in the order given; users interleave (u0, u1, ..., u0, ...)."""
-    table = FeatureTable(dim, {f"i{k}": rng.uniform(-1, 1, size=dim) for k in range(n_items)})
+    table = FeatureTable(
+        tuple(f"i{k}" for k in range(n_items)),
+        np.array([rng.uniform(-1, 1, size=dim) for _ in range(n_items)]),
+    )
     rows = []
     for i, r in enumerate(scores):
         left, right = rng.choice(n_items, size=2, replace=False)
@@ -380,15 +385,15 @@ def test_train_matches_oracle(weights, tie_epsilon, score_draws, n_users, dim,
 
 class TestPredictAll:
     def test_empty_set(self):
-        table = FeatureTable(1, {})
+        table = FeatureTable((), np.zeros((0, 1)))
         assert predict_all(_params([1.0]), comparison_set([]), table).diff.tolist() == []
 
     def test_singleton_matches_predict_diff(self):
-        table = FeatureTable(1, {"a": np.array([0.2]), "b": np.array([0.9])})
+        table = FeatureTable(("a", "b"), np.array([[0.2], [0.9]]))
         cset = comparison_set([("u1", "g", "a", "b", 0.5)])
         p = _params([2.0])
         [d] = predict_all(p, cset, table).diff.tolist()
-        assert d == predict_diff(p, "u1", table.vector("a"), table.vector("b"))
+        assert d == predict_diff(p, "u1", table.vectors[0], table.vectors[1])
 
     def test_length_and_order_preserved(self):
         rng = np.random.default_rng(47)
@@ -399,8 +404,7 @@ class TestPredictAll:
 
 def test_user_identity_ignored_without_embeddings():
     rng = np.random.default_rng(48)
-    items = {f"i{k}": rng.normal(size=2) for k in range(6)}
-    table = FeatureTable(2, items)
+    table = FeatureTable(tuple(f"i{k}" for k in range(6)), rng.normal(size=(6, 2)))
     rows = [(f"u{k % 3}", "g", f"i{k % 6}", f"i{(k + 1) % 6}", 0.1) for k in range(12)]
     cset = comparison_set(rows)
     permuted = comparison_set(
@@ -414,15 +418,14 @@ def test_user_identity_ignored_without_embeddings():
 
 def test_model_save_load_round_trip(tmp_path):
     rng = np.random.default_rng(49)
-    params = ModelParams(rng.normal(size=4), {"u1": rng.normal(size=4),
-                                              "u2": rng.normal(size=4)})
+    params = ModelParams(rng.normal(size=4), ("u2", "u1"), rng.normal(size=(2, 4)))
     path = tmp_path / "model.json"
     save_model(params, path)
     loaded = load_model(path)
     assert np.array_equal(loaded.w, params.w)
-    assert set(loaded.user_offsets) == {"u1", "u2"}
-    for u in params.user_offsets:
-        assert np.array_equal(loaded.user_offsets[u], params.user_offsets[u])
+    # The model file lists users in sorted order.
+    assert loaded.user_ids == ("u1", "u2")
+    assert np.array_equal(loaded.offsets, params.offsets[::-1])
 
 
 def test_config_validation():

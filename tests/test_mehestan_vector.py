@@ -353,8 +353,8 @@ def test_simulated_crowd_matches_oracle():
 
 @pytest.mark.parametrize("spread", [1e-3, 0.5, 5.0, 800.0])
 def test_kernel_matches_oracle(spread, monkeypatch):
-    # Small spreads take the series branch, large ones the closed form alone
-    # (and, at 800, the exp cutoff); 0.5 mixes both. One user alone, then four
+    # Small spreads take the series branch, large ones the closed form (and,
+    # at 800, the exp cutoff); 0.5 mixes both. One user alone, then four
     # users stacked with their rows interleaved, each with 50 comparisons on
     # 12 items: each user's objective, gradient, Hessian weights and Newton
     # direction are the oracle's on its own set, at 20 random points and at
@@ -376,9 +376,9 @@ def test_kernel_matches_oracle(spread, monkeypatch):
         olds = [OracleProblem(cset.restrict(user_id=u), 0.1) for u in cset.user_ids]
         n_items = int(stack.items.sum())
         for theta in [*(rng.uniform(-spread, spread, n_items) for _ in range(20)), np.zeros(n_items)]:
-            delta, a, closed, objs = _objectives(stack, theta, 0.1)
-            grad = _gradient(stack, theta, delta, a, closed, 0.1)
-            h = _hessian_vec(a, closed)
+            delta, a, objs = _objectives(stack, theta, 0.1)
+            grad = _gradient(stack, theta, delta, a, 0.1)
+            h = _hessian_vec(a)
             directions = gbt._newton_directions(stack, h, grad, list(range(len(users))), 0.1)
             for old, obj, own, rows, direction in zip(
                 olds, objs, stack.item_slices, stack.row_slices, directions
@@ -422,17 +422,17 @@ def test_each_point_gradient_is_evaluated_once(monkeypatch):
         oracle_hessians.append(theta.tobytes())
         return oracle_hessian(self, theta)
 
-    def recorded_log_partition_vec(a, closed):
+    def recorded_log_partition_vec(a):
         kernel["objective"].append(a.tobytes())
-        return log_partition_vec(a, closed)
+        return log_partition_vec(a)
 
-    def recorded_expected_vec(delta, a, closed):
+    def recorded_expected_vec(delta, a):
         kernel["gradient"].append(a.tobytes())
-        return expected_vec(delta, a, closed)
+        return expected_vec(delta, a)
 
-    def recorded_hessian_vec(a, closed):
+    def recorded_hessian_vec(a):
         kernel["hessian"].append(a.tobytes())
-        return hessian_vec(a, closed)
+        return hessian_vec(a)
 
     monkeypatch.setattr(OracleProblem, "objective", recorded_oracle_objective)
     monkeypatch.setattr(OracleProblem, "hessian", recorded_oracle_hessian)

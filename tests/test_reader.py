@@ -186,9 +186,8 @@ def test_written_files_read_back(rows, tag, block_bytes, tmp_path_factory):
     tmp = tmp_path_factory.mktemp("rt")
     cset = comparison_set(rows)
     scaled = ScaledComparisonSet(cset.columns, tag)
-    table = FeatureTable(
-        2, {item: np.array([k / 3, -1e-300]) for k, item in enumerate(cset.item_ids)}
-    )
+    n = len(cset.item_ids)
+    table = FeatureTable(cset.item_ids, np.column_stack([np.arange(n) / 3, np.full(n, -1e-300)]))
     write_comparisons(cset, tmp / "c.csv")
     write_scaled_comparisons(scaled, tmp / "s.csv")
     write_features(table, tmp / "f.csv")
@@ -201,9 +200,8 @@ def test_written_files_read_back(rows, tag, block_bytes, tmp_path_factory):
         assert rows_of(got) == rows_of(cset)
         assert got.score.tobytes() == cset.score.tobytes()
     assert scaled_back.scaler_tag == (tag if rows else "none")
-    assert table_back.features.keys() == table.features.keys()
-    for item, vec in table.features.items():
-        assert table_back.features[item].tobytes() == vec.tobytes()
+    assert table_back.item_ids == table.item_ids
+    assert table_back.vectors.tobytes() == table.vectors.tobytes()
 
 
 # --- Memory ---------------------------------------------------------------------
@@ -214,7 +212,7 @@ def test_reading_imports_no_numpy_ma(tmp_path):
     # return_inverse imports it.
     cset = comparison_set([("u", "g", "a", "b", 0.5), ("v", "g", "b", "c", -0.25)])
     write_scaled_comparisons(ScaledComparisonSet(cset.columns, "minmax"), tmp_path / "s.csv")
-    write_features(FeatureTable(1, {"a": np.array([0.5])}), tmp_path / "f.csv")
+    write_features(FeatureTable(("a",), [[0.5]]), tmp_path / "f.csv")
     code = (
         "import sys\n"
         "from equirank.dataset import parse_features\n"

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from equirank.dataset import comparison_set
+from equirank.dataset import FeatureTable, comparison_set
 from equirank.equity import classify
 from equirank.simgen import GroundTruth, SimConfig, generate, true_classes
 from row_view import rows_of
@@ -20,6 +20,22 @@ STANDARD = SimConfig(
     archetype_mix={"neutral": 4, "conservative": 2, "extreme": 2},
     seed=42,
 )
+
+
+def user_theta(truth: GroundTruth) -> dict[str, dict[str, float]]:
+    """Each user's utilities keyed by item, from the truth's rows."""
+    items = truth.item_features.item_ids
+    return {u: dict(zip(items, row)) for u, row in zip(truth.user_ids, truth.theta.tolist())}
+
+
+def utilities(user_ids, item_ids, theta) -> GroundTruth:
+    """A truth of the given utilities, theta[k][i] of user k and item i; its
+    features, weights and groups are placeholders."""
+    n = len(user_ids)
+    return GroundTruth(
+        FeatureTable(item_ids, np.zeros((len(item_ids), 1))), np.zeros((1, 1)), user_ids,
+        np.zeros(n, dtype=np.intp), ("neutral",) * n, np.zeros((n, 1)), np.array(theta),
+    )
 
 
 def test_same_seed_identical_output():
@@ -43,7 +59,7 @@ def test_noise_free_neutral_scores_are_clipped_theta_diffs():
     config = SimConfig(n_items=10, feature_dim=3, n_users=1,
                        comparisons_per_user=200, noise_std=0.0, seed=7)
     cset, _, truth = generate(config)
-    theta = truth.user_theta["u0"]
+    theta = user_theta(truth)["u0"]
     for c in rows_of(cset):
         expected = np.clip(theta[c.right_item] - theta[c.left_item], -1.0, 1.0)
         assert c.score == pytest.approx(float(expected), abs=1e-15)
@@ -52,7 +68,7 @@ def test_noise_free_neutral_scores_are_clipped_theta_diffs():
 def test_conservative_histogram_concentrates_near_zero():
     cset, _, truth = generate(STANDARD)
     by_archetype = {}
-    for user, archetype in truth.user_archetype.items():
+    for user, archetype in zip(truth.user_ids, truth.archetype):
         scores = np.abs(cset.restrict(user_id=user).score)
         by_archetype.setdefault(archetype, []).append(float(np.mean(scores < 0.3)))
     assert all(frac >= 0.8 for frac in by_archetype["conservative"])
@@ -62,13 +78,14 @@ def test_conservative_histogram_concentrates_near_zero():
 def test_archetype_assignment_order_and_counts():
     _, _, truth = generate(STANDARD)
     counts = {}
-    for archetype in truth.user_archetype.values():
+    for archetype in truth.archetype:
         counts[archetype] = counts.get(archetype, 0) + 1
     assert counts == {"neutral": 4, "conservative": 2, "extreme": 2}
     # Fixed block order: neutral, conservative, extreme, malicious.
-    assert truth.user_archetype["u0"] == "neutral"
-    assert truth.user_archetype["u4"] == "conservative"
-    assert truth.user_archetype["u6"] == "extreme"
+    assert truth.user_ids == tuple(f"u{k}" for k in range(8))
+    assert truth.archetype[0] == "neutral"
+    assert truth.archetype[4] == "conservative"
+    assert truth.archetype[6] == "extreme"
 
 
 def test_sign_preserving_transforms():
@@ -78,12 +95,13 @@ def test_sign_preserving_transforms():
                                       "extreme": 1, "malicious": 1},
                        seed=11)
     cset, _, truth = generate(config)
+    thetas, archetypes = user_theta(truth), dict(zip(truth.user_ids, truth.archetype))
     for c in rows_of(cset):
-        theta = truth.user_theta[c.user_id]
+        theta = thetas[c.user_id]
         diff = theta[c.right_item] - theta[c.left_item]
         if abs(diff) < 1e-9:
             continue
-        archetype = truth.user_archetype[c.user_id]
+        archetype = archetypes[c.user_id]
         if archetype == "malicious":
             assert np.sign(c.score) == -np.sign(diff)
         else:
@@ -96,7 +114,7 @@ def test_random_malicious_mode_ignores_truth():
                        archetype_mix={"malicious": 1}, malicious_mode="random",
                        seed=3)
     cset, _, truth = generate(config)
-    theta = truth.user_theta["u0"]
+    theta = user_theta(truth)["u0"]
     diffs = np.array([theta[c.right_item] - theta[c.left_item] for c in rows_of(cset)])
     scores = cset.score
     mask = np.abs(diffs) > 0.2
@@ -106,10 +124,10 @@ def test_random_malicious_mode_ignores_truth():
 
 def test_theta_is_weights_dot_features():
     _, features, truth = generate(STANDARD)
-    for user, theta in truth.user_theta.items():
-        w = truth.user_weights[user]
-        for item, value in theta.items():
-            assert value == pytest.approx(float(w @ features.vector(item)), abs=1e-12)
+    assert truth.item_features is features
+    for w, theta in zip(truth.weights, truth.theta):
+        for x, value in zip(features.vectors, theta.tolist()):
+            assert value == pytest.approx(float(w @ x), abs=1e-12)
 
 
 def test_opposed_groups_and_block_sizes():
@@ -119,20 +137,20 @@ def test_opposed_groups_and_block_sizes():
     _, _, truth = generate(config)
     np.testing.assert_allclose(truth.group_weights[1], -truth.group_weights[0])
     sizes = [0, 0]
-    for user, group in truth.user_group.items():
+    for group in truth.group.tolist():
         sizes[group] += 1
     assert sizes == [7, 3]
     # jitter 0: users share their group's weight vector exactly
-    for user, group in truth.user_group.items():
-        np.testing.assert_allclose(truth.user_weights[user],
-                                   truth.group_weights[group], atol=1e-15)
+    for weights, group in zip(truth.weights, truth.group):
+        np.testing.assert_allclose(weights, truth.group_weights[group], atol=1e-15)
 
 
 def test_round_robin_group_assignment_default():
     config = SimConfig(n_items=8, feature_dim=2, n_users=5,
                        comparisons_per_user=20, n_groups=2, seed=1)
     _, _, truth = generate(config)
-    assert [truth.user_group[f"u{k}"] for k in range(5)] == [0, 1, 0, 1, 0]
+    assert truth.user_ids == tuple(f"u{k}" for k in range(5))
+    assert truth.group.tolist() == [0, 1, 0, 1, 0]
 
 
 def test_per_user_streams_stable_under_population_growth():
@@ -155,7 +173,7 @@ class TestTrueClasses:
         cset, _, truth = self._fixture()
         labels = true_classes(truth, cset, 0.05)
         assert len(labels) == len(cset)
-        theta = truth.user_theta
+        theta = user_theta(truth)
         for c, label in zip(rows_of(cset), labels):
             diff = theta[c.user_id][c.right_item] - theta[c.user_id][c.left_item]
             if diff > 0.05:
@@ -166,7 +184,7 @@ class TestTrueClasses:
                 assert label == "tie"
 
     def test_equal_theta_is_tie(self):
-        truth = GroundTruth(None, {}, {}, {"u": {"a": 0.4, "b": 0.4}}, {})
+        truth = utilities(("u",), ("a", "b"), [[0.4, 0.4]])
         labels = true_classes(truth, comparison_set([("u", "g", "a", "b", 0.9)]), 0.05)
         assert labels == ["tie"]
 
@@ -201,10 +219,11 @@ class TestTrueClasses:
 def oracle_true_classes(truth, cset, tie_epsilon):
     """The per-comparison loop that true_classes replaced."""
     out = []
+    thetas = user_theta(truth)
     for c in rows_of(cset):
-        if c.user_id not in truth.user_theta:
+        if c.user_id not in thetas:
             raise ValueError(f"unknown user {c.user_id!r}")
-        theta = truth.user_theta[c.user_id]
+        theta = thetas[c.user_id]
         if c.left_item not in theta or c.right_item not in theta:
             raise ValueError(
                 f"unknown item in comparison ({c.left_item!r}, {c.right_item!r})"
@@ -231,11 +250,13 @@ def test_true_classes_match_oracle_on_simulated_populations(config, tie_epsilon)
 
 
 def test_true_classes_match_oracle_on_band_edges_and_partial_truths():
-    # Differences exactly at +-tie_epsilon are ties; users know different items.
-    truth = GroundTruth(None, {}, {}, {
-        "u": {"a": 0.0, "b": 0.05, "c": -0.05, "d": 0.5},
-        "v": {"b": 0.25, "c": 0.25, "e": -1.0},
-    }, {})
+    # Differences exactly at +-tie_epsilon are ties; users compare different
+    # items, and the items a user never compares hold NaN.
+    nan = float("nan")
+    truth = utilities(("u", "v"), ("a", "b", "c", "d", "e"), [
+        [0.0, 0.05, -0.05, 0.5, nan],
+        [nan, 0.25, 0.25, nan, -1.0],
+    ])
     rows = [("u", "g", "a", "b", 0.0), ("v", "g", "e", "b", 0.0), ("u", "g", "a", "c", 0.0),
             ("v", "g", "b", "c", 0.0), ("u", "g", "d", "c", 0.0), ("u", "g", "b", "a", 0.0)]
     cset = comparison_set(rows)

@@ -219,11 +219,27 @@ _floats = st.one_of(
 _thetas = st.lists(st.tuples(_ids, st.dictionaries(_ids, _floats, max_size=4)), max_size=4)
 
 
-def _truth(user_theta=None, users=()):
+def _truth(user_ids, item_ids=(), theta=(), group=None, archetype=None):
+    """A truth holding what the truth writers read; the rest are placeholders."""
+    n, m = len(user_ids), len(item_ids)
     return GroundTruth(
-        item_features=None, group_weights={}, user_theta=user_theta or {},
-        user_group={u: g for u, g, _ in users}, user_archetype={u: a for u, _, a in users},
+        item_features=FeatureTable(item_ids, np.zeros((m, 1))),
+        group_weights=np.zeros((1, 1)),
+        user_ids=tuple(user_ids),
+        group=np.array(group if group is not None else [0] * n, dtype=np.intp),
+        archetype=tuple(archetype if archetype is not None else ["neutral"] * n),
+        weights=np.zeros((n, 1)),
+        theta=np.array(theta, dtype=np.float64).reshape(n, m),
     )
+
+
+# Distinct users and items, and a utility of every user for every item.
+_truth_thetas = st.tuples(
+    st.lists(_ids, unique=True, max_size=4), st.lists(_ids, unique=True, max_size=4)
+).flatmap(lambda ids: st.lists(
+    st.lists(_floats, min_size=len(ids[1]), max_size=len(ids[1])),
+    min_size=len(ids[0]), max_size=len(ids[0]),
+).map(lambda theta: (_truth(*ids, theta),)))
 
 
 def _report(*values):
@@ -236,8 +252,10 @@ def _report(*values):
 _WRITERS = {
     write_features: (
         st.integers(1, 3).flatmap(lambda dim: st.dictionaries(
-            _ids, st.lists(_floats, min_size=dim, max_size=dim).map(np.array), max_size=5,
-        ).map(lambda features: (FeatureTable(dim, features),))),
+            _ids, st.lists(_floats, min_size=dim, max_size=dim), max_size=5,
+        ).map(lambda features: (FeatureTable(
+            tuple(features), np.array(list(features.values())).reshape(len(features), dim)
+        ),))),
         writer_oracle.oracle_write_features,
     ),
     write_individual_scores: (
@@ -253,12 +271,14 @@ _WRITERS = {
         writer_oracle.oracle_write_user_affines,
     ),
     write_truth_theta: (
-        _thetas.map(lambda users: (_truth(user_theta=dict(users)),)),
+        _truth_thetas,
         writer_oracle.oracle_write_truth_theta,
     ),
     write_truth_users: (
-        st.lists(st.tuples(_ids, st.integers(-1, 12), _ids), max_size=5).map(
-            lambda users: (_truth(users=users),)),
+        st.lists(st.tuples(_ids, st.integers(-1, 12), _ids), max_size=5,
+                 unique_by=lambda user: user[0]).map(
+            lambda users: (_truth([u for u, _, _ in users], group=[g for _, g, _ in users],
+                                  archetype=[a for _, _, a in users]),)),
         writer_oracle.oracle_write_truth_users,
     ),
     write_lorenz: (
@@ -290,6 +310,17 @@ def test_writer_matches_row_writer(writer, data, block_rows, tmp_path_factory):
         mp.setattr(dataset, "_WRITE_ROWS", block_rows)
         writer(*args, folder / "blocks.csv")
     assert (folder / "blocks.csv").read_bytes() == (folder / "rows.csv").read_bytes()
+
+
+def test_truth_writers_sort_ids_as_python_does(tmp_path):
+    # numpy's unicode arrays drop trailing NULs, so they would tie "a" and "a\x00".
+    ids = ("b", "a\x00", "a", "a\x00\x00", "\x00")
+    truth = _truth(ids, ids, np.arange(25.0), group=range(5), archetype=ids)
+    for writer, oracle in [(write_truth_theta, writer_oracle.oracle_write_truth_theta),
+                           (write_truth_users, writer_oracle.oracle_write_truth_users)]:
+        oracle(truth, tmp_path / "rows.csv")
+        writer(truth, tmp_path / "blocks.csv")
+        assert (tmp_path / "blocks.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
 
 
 # --- Atomic data files -------------------------------------------------------
@@ -358,8 +389,8 @@ def test_interrupted_write_json_leaves_target_as_it_was(tmp_path, before):
 
 
 def test_json_files_are_replaced_whole(tmp_path, monkeypatch):
-    params = ModelParams(np.array([-0.5, 1.0]), {"u1": np.array([0.0, 0.25])})
-    table = dataset.FeatureTable(2, {"a": np.array([1.0, 0.0]), "b": np.array([0.0, 1.0])})
+    params = ModelParams(np.array([-0.5, 1.0]), ("u1",), np.array([[0.0, 0.25]]))
+    table = FeatureTable(("a", "b"), np.eye(2))
     report = build_report(predict_all(params, _CSET, table), 0.05)
     save_model(params, tmp_path / "model.json")
     write_report(report, tmp_path / "report.json")

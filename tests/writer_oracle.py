@@ -9,7 +9,9 @@ The earlier text writer `equirank.dataset.write_csv`, renamed
 `oracle_write_csv` and opening its file directly instead of through the
 atomic writer, and the eight writers that fed it `repr` strings row by row,
 each renamed with an `oracle_` prefix: every one now goes through
-`equirank.dataset.write_table` and must write the same bytes.
+`equirank.dataset.write_table` and must write the same bytes. The feature
+and truth writers read the tables' id-aligned rows, keyed by id as the
+earlier dict fields held them.
 """
 
 from __future__ import annotations
@@ -63,7 +65,10 @@ def oracle_write_features(table, path):
     oracle_write_csv(
         path,
         ["item_id"] + [f"f{i}" for i in range(table.dim)],
-        ([item] + [repr(v) for v in vec.tolist()] for item, vec in table.features.items()),
+        (
+            [item] + [repr(v) for v in vec]
+            for item, vec in zip(table.item_ids, table.vectors.tolist())
+        ),
     )
 
 
@@ -80,25 +85,35 @@ def oracle_write_user_affines(affines, path):
     )
 
 
+def _by_user(truth, rows):
+    """Each user's row of `rows` keyed by user, as the truth dicts held them."""
+    return dict(zip(truth.user_ids, rows))
+
+
 def oracle_write_truth_theta(truth, path):
+    user_theta = _by_user(truth, [
+        dict(zip(truth.item_features.item_ids, row)) for row in truth.theta.tolist()
+    ])
     oracle_write_csv(
         path,
         ["user_id", "item_id", "theta"],
         (
-            [user, item, repr(truth.user_theta[user][item])]
-            for user in sorted(truth.user_theta)
-            for item in sorted(truth.user_theta[user])
+            [user, item, repr(user_theta[user][item])]
+            for user in sorted(user_theta)
+            for item in sorted(user_theta[user])
         ),
     )
 
 
 def oracle_write_truth_users(truth, path):
+    user_group = _by_user(truth, truth.group.tolist())
+    user_archetype = _by_user(truth, truth.archetype)
     oracle_write_csv(
         path,
         ["user_id", "group", "archetype"],
         (
-            [user, str(truth.user_group[user]), truth.user_archetype[user]]
-            for user in sorted(truth.user_group)
+            [user, str(user_group[user]), user_archetype[user]]
+            for user in sorted(user_group)
         ),
     )
 
