@@ -749,7 +749,11 @@ def _field_codes(vocab: dict[str, int], field: np.ndarray | list[str]) -> np.nda
         return _codes(vocab, field)
     # Rows as keys that sort as the ids: big-endian uint64 when 8 wide, else bytes.
     keys = field.view(">u8" if field.shape[1] == 8 else f"S{field.shape[1]}").ravel()
-    distinct, inverse = np.unique(keys, return_inverse=True)
+    if keys.size and (keys == keys[0]).all():
+        # A constant column, such as a criterion or scaler tag, needs no sort.
+        distinct, inverse = keys[:1], np.zeros(keys.size, dtype=np.intp)
+    else:
+        distinct, inverse = np.unique(keys, return_inverse=True)
     return _codes(vocab, _texts(distinct.view(np.uint8).reshape(-1, field.shape[1])))[inverse]
 
 

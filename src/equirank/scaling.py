@@ -147,8 +147,13 @@ def normalization_scale(cset: ComparisonSet) -> ScaledComparisonSet:
     return _replace_scores(cset, _scale_groups(cset, _normalization_one), "normalization")
 
 
-# Vote temporaries span blocks of other users of about this many entries.
+# Vote temporaries span about this many entries.
 _BLOCK_ENTRIES = 32768
+
+
+def _gaps(rows: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """|rows[:, a] - rows[:, b]|: each row's gaps over the item pairs (a, b)."""
+    return np.abs(rows.take(a, axis=1) - rows.take(b, axis=1))
 
 
 def _vote_matrix(theta: np.ndarray, present: np.ndarray) -> np.ndarray:
@@ -160,36 +165,56 @@ def _vote_matrix(theta: np.ndarray, present: np.ndarray) -> np.ndarray:
     both users. Each unordered pair of users is scored once, from the lower
     user's row, and the upper user's vote is its exact negation:
     votes[v, u] == -votes[u, v] bit for bit.
+
+    Users are taken in tiles of C = max(1, _BLOCK_ENTRIES // P), P the number
+    of item pairs. A tile logs its users' gaps once, over the union of the
+    pairs valid for at least one of them, with -inf where a pair is not valid
+    for the user. Each block of the users after the tile's first is logged
+    once per tile over the same pairs, +inf where a gap is invalid, so every
+    difference over a pair not valid for both users is +inf and sorts after
+    the valid ones. Each user of the tile then subtracts its own row from the
+    block, sorts, and takes the median of the finite differences. Tiles and
+    blocks span about _BLOCK_ENTRIES entries, so no users x pairs table is
+    built: with more than _BLOCK_ENTRIES item pairs every tile is one user,
+    and a user with more valid pairs than that is scored one voter a block.
     """
-    n_users = len(theta)
+    n_users, n_items = theta.shape
     # Absent items are NaN, so their gaps fail the EPSILON_PAIR test.
     latent = np.where(present, theta, np.nan)
     votes = np.full((n_users, n_users), np.nan)
-    for u in range(n_users - 1):
-        items = np.flatnonzero(present[u])
-        first, second = np.triu_indices(len(items), 1)
-        a, b = items[first], items[second]
-        gap_u = np.abs(theta[u, a] - theta[u, b])
-        keep = gap_u > EPSILON_PAIR
-        if not keep.any():
+    tile = max(1, _BLOCK_ENTRIES // max(1, n_items * (n_items - 1) // 2))
+    for t0 in range(0, n_users - 1, tile):
+        t1 = min(t0 + tile, n_users - 1)
+        items = np.flatnonzero(present[t0:t1].any(axis=0))
+        a, b = (items[k] for k in np.triu_indices(len(items), 1))
+        gaps = _gaps(latent[t0:t1], a, b)
+        valid = gaps > EPSILON_PAIR
+        union = valid.any(axis=0)
+        if not union.any():
             continue
-        a, b, log_u = a[keep], b[keep], np.log(gap_u[keep])
+        a, b, gaps = a[union], b[union], gaps.compress(union, axis=1)
+        # log 0 = -inf marks a pair not valid for the user.
+        gaps[~valid.compress(union, axis=1)] = 0.0
+        with np.errstate(divide="ignore"):
+            own = np.log(gaps, out=gaps)
+        # A block holds at least C users, so only the first meets the tile.
         step = max(1, _BLOCK_ENTRIES // len(a))
-        for start in range(u + 1, n_users, step):
-            block = latent[start : start + step]
-            gaps = np.abs(block.take(a, axis=1) - block.take(b, axis=1))
-            invalid = ~(gaps > EPSILON_PAIR)
-            gaps[invalid] = 1.0
-            diffs = np.log(gaps)
-            diffs -= log_u
-            diffs[invalid] = np.inf
-            diffs.sort(axis=1)
-            counts = len(a) - invalid.sum(axis=1)
-            voters = np.flatnonzero(counts)
-            counts = counts[voters]
-            medians = (diffs[voters, (counts - 1) // 2] + diffs[voters, counts // 2]) / 2
-            votes[u, start + voters] = medians
-            votes[start + voters, u] = -medians
+        for v0 in range(t0 + 1, n_users, step):
+            logs = _gaps(latent[v0 : v0 + step], a, b)
+            logs[~(logs > EPSILON_PAIR)] = np.inf
+            np.log(logs, out=logs)
+            for u in range(t0, t1):
+                skip = max(0, u + 1 - v0)
+                diffs = logs[skip:] - own[u - t0]
+                diffs.sort(axis=1)
+                # A sorted row holds its finite differences first.
+                counts = np.array([row.searchsorted(np.inf) for row in diffs], dtype=np.intp)
+                voters = np.flatnonzero(counts)
+                counts = counts[voters]
+                medians = (diffs[voters, (counts - 1) // 2] + diffs[voters, counts // 2]) / 2
+                voters += v0 + skip
+                votes[u, voters] = medians
+                votes[voters, u] = -medians
     return votes
 
 

@@ -11,6 +11,7 @@ bit the same.
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -249,14 +250,9 @@ def test_populations_match_oracle(cset, weight):
     assert_matches_oracle(cset, GbtConfig(tol=1e-6, max_iter=300), weight)
 
 
-@given(cset=populations())
-@settings(max_examples=60, deadline=None)
-def test_vote_matrix_is_antisymmetric(cset):
-    # Each unordered pair of users is scored once and the other vote is its
-    # exact negation; NaN marks exactly the pairs of users that share no item
-    # pair whose gaps both exceed EPSILON_PAIR.
-    fits = [fit_gbt(cset.restrict(user_id=u), GbtConfig(tol=1e-6, max_iter=300))
-            for u in cset.user_ids]
+def _latent(cset, config=GbtConfig(tol=1e-6, max_iter=300)):
+    """(fits, theta, present) over the sorted item codes, as mehestan_scale builds them."""
+    fits = [fit_gbt(cset.restrict(user_id=u), config) for u in cset.user_ids]
     index = {item: i for i, item in enumerate(cset.item_ids)}
     theta = np.zeros((len(fits), len(index)))
     present = np.zeros(theta.shape, dtype=bool)
@@ -264,6 +260,32 @@ def test_vote_matrix_is_antisymmetric(cset):
         codes = [index[item] for item in fit.item_ids]
         theta[k, codes] = fit.theta
         present[k, codes] = True
+    return fits, theta, present
+
+
+def oracle_vote_matrix(theta, present):
+    """The per-pair loop: the lower user's row holds the median, the upper's its negation."""
+    votes = np.full((len(theta),) * 2, np.nan)
+    for u, v in itertools.combinations(range(len(theta)), 2):
+        ratios = []
+        for a, b in itertools.combinations(np.flatnonzero(present[u] & present[v]).tolist(), 2):
+            gap_u = abs(theta[u, a] - theta[u, b])
+            gap_v = abs(theta[v, a] - theta[v, b])
+            if gap_u > scaling.EPSILON_PAIR and gap_v > scaling.EPSILON_PAIR:
+                ratios.append(np.log(gap_v) - np.log(gap_u))
+        if ratios:
+            votes[u, v] = np.median(ratios)
+            votes[v, u] = -votes[u, v]
+    return votes
+
+
+@given(cset=populations())
+@settings(max_examples=60, deadline=None)
+def test_vote_matrix_is_antisymmetric(cset):
+    # Each unordered pair of users is scored once and the other vote is its
+    # exact negation; NaN marks exactly the pairs of users that share no item
+    # pair whose gaps both exceed EPSILON_PAIR.
+    fits, theta, present = _latent(cset)
     votes = scaling._vote_matrix(theta, present)
 
     def gap(scores, a, b):
@@ -276,6 +298,74 @@ def test_vote_matrix_is_antisymmetric(cset):
     ) for fv in keyed] for fu in keyed])
     assert np.array_equal(~np.isnan(votes), shared)
     assert _bits(votes.T[shared]) == _bits(-votes[shared])
+
+
+def assert_votes_match_oracle_in_every_tiling(cset, monkeypatch, config=GbtConfig(
+    tol=1e-6, max_iter=300
+)):
+    # Tiles of 1, 2 and 3 users. With _BLOCK_ENTRIES one entry short of the
+    # next multiple of P, blocks of later users are wider than a tile over
+    # the tile's smaller union of pairs, so they end inside a later tile.
+    _, theta, present = _latent(cset, config)
+    want = _bits(oracle_vote_matrix(theta, present))
+    assert _bits(scaling._vote_matrix(theta, present)) == want
+    pairs = len(cset.item_ids) * (len(cset.item_ids) - 1) // 2
+    for users_per_tile in (1, 2, 3):
+        for entries in (users_per_tile * pairs, (users_per_tile + 1) * pairs - 1):
+            monkeypatch.setattr(scaling, "_BLOCK_ENTRIES", entries)
+            assert _bits(scaling._vote_matrix(theta, present)) == want
+
+
+@given(cset=populations())
+@settings(max_examples=60, deadline=None)
+def test_votes_match_oracle_in_every_tiling(cset):
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        assert_votes_match_oracle_in_every_tiling(cset, monkeypatch)
+
+
+def test_users_without_a_valid_pair_inside_tiles(monkeypatch):
+    # "b_flat" scores only ties and "d_loner" shares no item: in tiles of 3
+    # "b_flat" sits mid-tile, in tiles of 2 both end a tile. With "flat" and
+    # "loner" first in user order, the first tile of 2 has no valid pair at
+    # all and the first tile of 3 holds "loner" mid-tile.
+    rng = np.random.default_rng(9)
+    truth = rng.uniform(-1, 1, 6)
+
+    def rows(users):
+        out = []
+        for user, items in users:
+            for a, b in itertools.combinations(items, 2):
+                score = float(np.clip(truth[b] - truth[a], -1, 1))
+                out.append((user, "g", f"i{a}", f"i{b}", score))
+        return out
+
+    flat = [("g", "i0", "i1", 0.0), ("g", "i1", "i2", 0.0)]
+    loner = [("g", "z0", "z1", 0.4), ("g", "z1", "z2", 0.2)]
+    for names in (("a", "b_flat", "c", "d_loner", "e"), ("u0", "flat", "u1", "loner", "u2")):
+        regular = [names[0], names[2], names[4]]
+        cset = comparison_set(
+            rows(zip(regular, [range(6), range(4), (1, 3, 5)]))
+            + [(names[1], *row) for row in flat] + [(names[3], *row) for row in loner]
+        )
+        assert_votes_match_oracle_in_every_tiling(cset, monkeypatch)
+
+
+def test_vote_memory_stays_below_one_users_by_pairs_table():
+    # 30 users x 150 items: 11,175 item pairs, so tiles of 2 users. The
+    # kernel's peak must stay below one users x pairs float64 table.
+    rng = np.random.default_rng(2)
+    theta = rng.normal(size=(30, 150))
+    present = rng.random(theta.shape) < 0.8
+    pairs = 150 * 149 // 2
+    assert scaling._BLOCK_ENTRIES // pairs == 2
+    tracemalloc.start()
+    try:
+        votes = scaling._vote_matrix(theta, present)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not np.isnan(votes[~np.eye(30, dtype=bool)]).any()
+    assert peak < 30 * pairs * 8
 
 
 def test_fallback_users_and_even_and_odd_vote_counts():
@@ -313,11 +403,12 @@ def test_two_users():
 
 
 def test_user_with_more_pairs_than_one_block():
-    # "big0" and "big1" score all 300 items. Row "big0" of the vote matrix
-    # scores the three users after it over big0's 44850 pairs, more than one
-    # block holds, so each of them is scored in a block of its own. "big0" is
-    # the anchor; "big1" takes three votes, one of them the negation of its
-    # entry in that row.
+    # 300 items make 44850 item pairs, more than one block holds, so every
+    # tile is one user. "big0" and "big1" score all 300 items, so row "big0"
+    # of the vote matrix scores the three users after it over more valid
+    # pairs than a block holds, each user logged and scored in a block of its
+    # own. "big0" is the anchor; "big1" takes three votes, one of them the
+    # negation of its entry in that row.
     rng = np.random.default_rng(3)
     n = 300
     truth = rng.uniform(-2, 2, n)
@@ -343,12 +434,22 @@ def test_user_with_more_pairs_than_one_block():
     assert affines[1].votes == 3
 
 
-def test_simulated_crowd_matches_oracle():
+def _simulated_crowd():
     cset, _, _ = generate(SimConfig(
         n_items=15, feature_dim=3, n_users=12, comparisons_per_user=25, seed=4,
         archetype_mix={"neutral": 6, "conservative": 2, "extreme": 2, "malicious": 2},
     ))
-    assert_matches_oracle(cset, GbtConfig(max_iter=2000))
+    return cset
+
+
+def test_simulated_crowd_matches_oracle():
+    assert_matches_oracle(_simulated_crowd(), GbtConfig(max_iter=2000))
+
+
+def test_simulated_crowd_votes_match_oracle_in_every_tiling(monkeypatch):
+    assert_votes_match_oracle_in_every_tiling(
+        _simulated_crowd(), monkeypatch, GbtConfig(max_iter=2000)
+    )
 
 
 @pytest.mark.parametrize("spread", [1e-3, 0.5, 5.0, 800.0])
