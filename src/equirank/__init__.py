@@ -32,8 +32,8 @@ from .equity import (
 )
 from .gbt import (
     GbtConfig,
-    IndividualScores,
-    fit_gbt,
+    GbtFits,
+    fit_users,
     write_individual_scores,
 )
 from .ltr import (
@@ -48,8 +48,7 @@ from .ltr import (
 )
 from .robust import ResilienceParams, br_mean, qr_med
 from .scaling import (
-    ScaledComparisonSet,
-    UserAffine,
+    Affines,
     mehestan_scale,
     minmax_scale,
     normalization_scale,
@@ -67,25 +66,24 @@ from .simgen import (
 )
 
 __all__ = [
+    "Affines",
     "ComparisonSet",
     "EquityReport",
     "FeatureTable",
     "GbtConfig",
+    "GbtFits",
     "GroundTruth",
-    "IndividualScores",
     "LossWeights",
     "ModelParams",
     "ResilienceParams",
-    "ScaledComparisonSet",
     "SimConfig",
     "TrainConfig",
     "TrainResult",
-    "UserAffine",
     "br_mean",
     "build_report",
     "classify",
     "comparison_set",
-    "fit_gbt",
+    "fit_users",
     "generate",
     "gini",
     "load_model",

@@ -32,7 +32,7 @@ from .dataset import (
     write_table,
 )
 from .equity import build_report, write_lorenz, write_report
-from .gbt import GbtConfig, write_individual_scores
+from .gbt import GbtConfig, GbtFits, write_individual_scores
 from .ltr import (
     LossWeights,
     TrainConfig,
@@ -43,7 +43,8 @@ from .ltr import (
 )
 from .scaling import (
     SCALER_TAGS,
-    ScaledComparisonSet,
+    Affines,
+    check_resilience_weight,
     mehestan_scale,
     minmax_scale,
     normalization_scale,
@@ -200,75 +201,74 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 def _scale(
     scaler: str, cset: ComparisonSet, gbt_config: GbtConfig, resilience_weight: float
-) -> tuple[ScaledComparisonSet, list, list]:
-    """Apply one scaler -> (scaled set, Mehestan affines, Mehestan scores).
+) -> tuple[ComparisonSet, Affines | None, GbtFits | None]:
+    """Apply one scaler -> (scaled set, Mehestan affines, Mehestan fits).
 
-    The affine and score lists are empty for the other scalers. Every GBT fit
-    that stopped unconverged, and every user whose Mehestan scale or
-    translation fell back to its default, is reported on stderr.
+    The affines and fits are None for the other scalers. Every GBT fit that
+    stopped unconverged, and every user whose Mehestan scale or translation
+    fell back to its default, is reported on stderr.
     """
     if scaler == "minmax":
-        return minmax_scale(cset), [], []
+        return minmax_scale(cset), None, None
     if scaler == "normalization":
-        return normalization_scale(cset), [], []
-    if scaler == "mehestan":
-        scaled, affines, scores = mehestan_scale(cset, gbt_config, resilience_weight)
-        for fit in scores:
-            if not fit.converged:
-                print(
-                    f"equirank: warning: GBT fit did not converge: user={fit.user_id!r} "
-                    f"converged=False n_iter={fit.n_iter} grad_norm={fit.grad_norm:.3e}",
-                    file=sys.stderr,
-                )
-        for affine in affines:
-            if not affine.anchor and (affine.votes == 0 or affine.candidates == 0):
-                print(
-                    f"equirank: warning: Mehestan fallback: user={affine.user_id!r} "
-                    f"votes={affine.votes} s={affine.s!r} "
-                    f"candidates={affine.candidates} tau={affine.tau!r}",
-                    file=sys.stderr,
-                )
-        return scaled, affines, scores
-    return ScaledComparisonSet(columns=cset.columns, scaler_tag="none"), [], []
+        return normalization_scale(cset), None, None
+    if scaler != "mehestan":
+        return cset, None, None
+    scaled, affines, fits = mehestan_scale(cset, gbt_config, resilience_weight)
+    for k in np.flatnonzero(~fits.converged):
+        print(
+            f"equirank: warning: GBT fit did not converge: user={fits.user_ids[k]!r} "
+            f"converged=False n_iter={fits.n_iter[k]} grad_norm={fits.grad_norm[k]:.3e}",
+            file=sys.stderr,
+        )
+    fallback = (affines.votes == 0) | (affines.candidates == 0)
+    fallback[affines.anchor] = False
+    for k in np.flatnonzero(fallback):
+        print(
+            f"equirank: warning: Mehestan fallback: user={affines.user_ids[k]!r} "
+            f"votes={affines.votes[k]} s={affines.s[k].item()!r} "
+            f"candidates={affines.candidates[k]} tau={affines.tau[k].item()!r}",
+            file=sys.stderr,
+        )
+    return scaled, affines, fits
 
 
-def _mehestan_diagnostics(affines: list, scores: list) -> dict:
+def _mehestan_diagnostics(affines: Affines, fits: GbtFits) -> dict:
     """GBT and Mehestan counts of one `mehestan_scale` run, for its manifest:
     totals over the fits, the anchor, and per user the fit's stopping state
     with the scale votes and translation candidates it took."""
+    columns = (fits.n_iter, fits.grad_norm, fits.converged, affines.votes, affines.candidates)
     return {
-        "gbt_fits": len(scores),
-        "gbt_iterations": sum(fit.n_iter for fit in scores),
-        "gbt_unconverged": sum(not fit.converged for fit in scores),
-        "anchor": next(a.user_id for a in affines if a.anchor),
+        "gbt_fits": len(fits.user_ids),
+        "gbt_iterations": int(fits.n_iter.sum()),
+        "gbt_unconverged": int(np.count_nonzero(~fits.converged)),
+        "anchor": affines.user_ids[affines.anchor],
         "users": {
-            fit.user_id: {
-                "n_iter": fit.n_iter, "grad_norm": fit.grad_norm, "converged": fit.converged,
-                "votes": affine.votes, "candidates": affine.candidates,
-            }
-            for fit, affine in zip(scores, affines)
+            user: {"n_iter": n_iter, "grad_norm": norm, "converged": converged,
+                   "votes": votes, "candidates": candidates}
+            for user, n_iter, norm, converged, votes, candidates in zip(
+                fits.user_ids, *(column.tolist() for column in columns)
+            )
         },
     }
 
 
 def cmd_scale(args: argparse.Namespace) -> int:
+    # Every value is checked before anything is written.
+    gbt_config = GbtConfig(lam=args.lam, tol=args.tol, max_iter=args.max_iter)
+    weight = check_resilience_weight(args.resilience_weight)
     cset = _load_comparisons(args.input, args.criterion)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     outputs = [outdir / "scaled.csv"]
-    scaled, affines, scores = _scale(
-        args.scaler,
-        cset,
-        GbtConfig(lam=args.lam, tol=args.tol, max_iter=args.max_iter),
-        args.resilience_weight,
-    )
+    scaled, affines, fits = _scale(args.scaler, cset, gbt_config, weight)
     diagnostics = None
     if args.scaler == "mehestan":
         write_user_affines(affines, outdir / "affines.csv")
-        write_individual_scores(scores, outdir / "theta.csv")
+        write_individual_scores(fits, outdir / "theta.csv")
         outputs += [outdir / "affines.csv", outdir / "theta.csv"]
-        diagnostics = _mehestan_diagnostics(affines, scores)
-    write_scaled_comparisons(scaled, outputs[0])
+        diagnostics = _mehestan_diagnostics(affines, fits)
+    write_scaled_comparisons(scaled, outputs[0], args.scaler)
     _write_manifest(outdir, "scale", vars(args), 0, [args.input], outputs, diagnostics)
     print(f"scaled {len(scaled)} comparisons with {args.scaler} to {outputs[0]}")
     return 0
@@ -420,14 +420,16 @@ class UsageError(Exception):
 
 
 def parse_pipeline_config(path: str | Path) -> tuple[dict[str, object], list[str]]:
-    """Flat key=value grammar; '#' starts a comment; `experiment` repeats."""
+    """Flat key=value grammar; '#' starts a comment; `experiment` repeats,
+    each line naming a different experiment."""
     data = Path(path).read_bytes()
     try:
         text = data.decode()
     except UnicodeDecodeError as exc:
         raise UsageError(*_not_utf8(Path(path), data, exc.start).args) from None
     values = dict(_PIPELINE_DEFAULTS)
-    experiments: list[str] = []
+    # Each experiment and the line that names it.
+    experiments: dict[str, int] = {}
     # Lines end at a LF, a CRLF or a bare CR, as in the CSV reader.
     lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
     for lineno, raw in enumerate(lines, 1):
@@ -442,7 +444,12 @@ def parse_pipeline_config(path: str | Path) -> tuple[dict[str, object], list[str
                 _parse_experiment(value)
             except UsageError as exc:
                 raise UsageError(f"{path}: line {lineno}: {exc}") from None
-            experiments.append(value)
+            if value in experiments:
+                raise UsageError(
+                    f"{path}: line {lineno}: experiment {value!r} repeats line "
+                    f"{experiments[value]}"
+                )
+            experiments[value] = lineno
             continue
         if key not in _PIPELINE_DEFAULTS:
             raise UsageError(f"{path}: line {lineno}: unknown config key {key!r}")
@@ -468,7 +475,7 @@ def parse_pipeline_config(path: str | Path) -> tuple[dict[str, object], list[str
             raise UsageError(
                 f"{path}: line {lineno}: bad value {value!r} for key {key!r}"
             ) from None
-    return values, experiments
+    return values, list(experiments)
 
 
 def _parse_experiment(name: str) -> tuple[str, bool, bool]:
@@ -517,9 +524,7 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
         gbt_config = GbtConfig(
             lam=float(cfg["lam"]), tol=float(cfg["gbt_tol"]), max_iter=int(cfg["gbt_max_iter"])
         )
-        weight = float(cfg["resilience_weight"])
-        if not weight > 0:
-            raise ValueError(f"resilience_weight must be positive, got {weight}")
+        weight = check_resilience_weight(float(cfg["resilience_weight"]))
     except ValueError as exc:
         raise ValueError(f"{args.config}: {exc}") from None
     outdir = Path(args.out)
@@ -550,9 +555,9 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
     diagnostics = None
     for scaler, _, _ in cells:
         if scaler not in fit_sets:
-            fit_sets[scaler], affines, scores = _scale(scaler, train_set, gbt_config, weight)
+            fit_sets[scaler], affines, fits = _scale(scaler, train_set, gbt_config, weight)
             if scaler == "mehestan":
-                diagnostics = _mehestan_diagnostics(affines, scores)
+                diagnostics = _mehestan_diagnostics(affines, fits)
 
     reports = []
     for (scaler, _, _), config in zip(cells, train_configs):

@@ -30,7 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import ComparisonSet, _codes, write_table
+from .dataset import ComparisonSet, write_table
 
 # Below this |delta| the closed forms 2*sinh(d)/d and coth(d) - 1/d lose
 # precision to cancellation; series expansions take over.
@@ -61,23 +61,27 @@ class GbtConfig:
 
 
 @dataclass(eq=False)
-class IndividualScores:
-    """Latent per-item utilities fitted for one user.
+class GbtFits:
+    """Latent per-item utilities fitted for every user of a set.
 
-    `theta[i]` is the score of `item_ids[i]`, the sorted items the user
-    compared; items never compared have no entry (no information, as opposed
-    to a neutral 0). `converged` is False when the fit stopped before the
-    gradient norm dropped below tolerance; `n_iter` counts the points it took,
-    the zero start included, and `grad_norm` is the gradient norm at `theta`.
+    Entry k is user `user_ids[user[k]]`'s score `theta[k]` of item
+    `item_ids[item[k]]`, entries in user-then-item code order; a user has an
+    entry for each item it compared and none for the others (no information,
+    as opposed to a neutral 0). Position j of `converged`, `n_iter` and
+    `grad_norm` belongs to user `user_ids[j]`: `converged` is False when the
+    fit stopped before the gradient norm dropped below tolerance, `n_iter`
+    counts the points it took, the zero start included, and `grad_norm` is
+    the gradient norm at its theta.
     """
 
-    user_id: str
+    user_ids: tuple[str, ...]
     item_ids: tuple[str, ...]
+    user: np.ndarray
+    item: np.ndarray
     theta: np.ndarray
-    lam: float
-    converged: bool = True
-    n_iter: int = 0
-    grad_norm: float = 0.0
+    converged: np.ndarray
+    n_iter: np.ndarray
+    grad_norm: np.ndarray
 
 
 def _expected_vec(delta: np.ndarray, a: np.ndarray) -> np.ndarray:
@@ -242,17 +246,30 @@ def _newton_directions(
 
 def _descend(
     stack: _Stack, config: GbtConfig, user_ids: tuple[str, ...]
-) -> list[tuple[np.ndarray, bool, int, float]]:
-    """(theta, converged, n_iter, grad_norm) of every stacked user, fitted in lockstep.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(theta, converged, n_iter, grad_norm) of the stacked users, fitted in
+    lockstep: theta stacked as the users' items are, the rest one per user.
 
     Each round evaluates one point per user: the zero start, then one trial
     of the line search along the user's Newton direction. A user's step,
     objective and gradient norm are its own Python floats, and its Newton
     system is solved on its own, so each user takes the iterates of
-    `fit_gbt` run on it alone. Users that stop are dropped from the stack.
+    fitting it alone. Users that stop are dropped from the stack.
     """
     lam, tol, max_iter = config.lam, config.tol, config.max_iter
-    results: list = [None] * len(user_ids)
+    slots = stack.item_slices
+    fitted = np.zeros(int(stack.items.sum()))
+    converged = np.zeros(len(user_ids), dtype=bool)
+    iters = np.zeros(len(user_ids), dtype=np.intp)
+    norms = np.zeros(len(user_ids))
+
+    def finish(j: int, point: np.ndarray, ok: bool, g_norm: float) -> None:
+        """Record stacked user j's fit, stopped at `point`, and drop it."""
+        k = users[j]
+        fitted[slots[k]] = point[stack.item_slices[j]]
+        converged[k], iters[k], norms[k] = ok, n_iter[j], g_norm
+        stopped.append(j)
+
     users = list(range(len(user_ids)))
     step = [1.0] * len(users)
     obj = [0.0] * len(users)
@@ -288,8 +305,7 @@ def _descend(
                 # monotone, so every shorter step gives theta again and is
                 # refused down to the 1e-300 floor, with the same result.
                 if step[j] < 1e-300 or trial[items].tobytes() == theta[items].tobytes():
-                    results[users[j]] = (theta[items].copy(), False, n_iter[j], norm[j])
-                    stopped.append(j)
+                    finish(j, theta, False, norm[j])
                 continue
             n_iter[j] += 1
             # A NaN or inf in the gradient always makes its norm non-finite.
@@ -299,11 +315,9 @@ def _descend(
                 failed = min(failed, users[j])
                 stopped.append(j)
             elif g_norm <= tol:
-                results[users[j]] = (trial[items].copy(), True, n_iter[j], g_norm)
-                stopped.append(j)
+                finish(j, trial, True, g_norm)
             elif n_iter[j] == max_iter:
-                results[users[j]] = (trial[items].copy(), False, n_iter[j], g_norm)
-                stopped.append(j)
+                finish(j, trial, False, g_norm)
             else:
                 obj[j], norm[j], step[j] = o, g_norm, 1.0
                 moved.append(j)
@@ -333,33 +347,12 @@ def _descend(
             f"non-finite values in GBT fit for user {user_ids[failed]!r}; "
             "check lam and input scores"
         )
-    return results
+    return fitted, converged, iters, norms
 
 
-def fit_users(
-    comparisons: ComparisonSet, config: GbtConfig = GbtConfig()
-) -> list[IndividualScores]:
-    """Fit every user of the set, in user code order, each on all its rows.
-
-    The users run damped Newton in lockstep, each on its own step, Newton
-    system and stopping rule, and each takes exactly the iterates of
-    `fit_gbt` run on it alone. Each round assembles the Hessian blocks of the
-    users that took a point in batches of at most _HESSIAN_ENTRIES entries,
-    so memory does not grow with the number of users.
-    """
-    stack, keys = _stack(comparisons)
-    vocab = comparisons.item_ids
-    items = [vocab[code] for code in (keys % len(vocab)).tolist()]
-    return [
-        IndividualScores(user, tuple(items[own]), theta, config.lam, converged, n_iter, norm)
-        for user, own, (theta, converged, n_iter, norm) in zip(
-            comparisons.user_ids, stack.item_slices, _descend(stack, config, comparisons.user_ids)
-        )
-    ]
-
-
-def fit_gbt(comparisons: ComparisonSet, config: GbtConfig = GbtConfig()) -> IndividualScores:
-    """Fit latent scores by damped Newton with a backtracking line search.
+def fit_users(comparisons: ComparisonSet, config: GbtConfig = GbtConfig()) -> GbtFits:
+    """Fit latent scores of every user of the set, each on all its rows, by
+    damped Newton with a backtracking line search.
 
     Deterministic: the zero start is the first point taken (n_iter 1). At
     each point taken, the fit stops when the gradient L2 norm is at most
@@ -372,22 +365,26 @@ def fit_gbt(comparisons: ComparisonSet, config: GbtConfig = GbtConfig()) -> Indi
     1e-300 or once a refused trial equals the last point taken bit for bit,
     the fit stops unconverged at that point. Each point's objective,
     gradient and Hessian weights are computed once. A non-finite objective
-    or gradient at a point taken raises ValueError.
+    or gradient at a point taken raises ValueError, naming the first such
+    user in code order.
+
+    The users run in lockstep, each on its own step, Newton system and
+    stopping rule, and each takes exactly the iterates of fitting it alone.
+    Each round assembles the Hessian blocks of the users that took a point
+    in batches of at most _HESSIAN_ENTRIES entries, so memory does not grow
+    with the number of users.
     """
-    users = comparisons.user_ids
-    if len(users) != 1:
-        raise ValueError(f"expected comparisons restricted to one user, got {list(users)}")
-    return fit_users(comparisons, config)[0]
+    stack, keys = _stack(comparisons)
+    n_items = len(comparisons.item_ids)
+    return GbtFits(
+        comparisons.user_ids, comparisons.item_ids, keys // n_items, keys % n_items,
+        *_descend(stack, config, comparisons.user_ids),
+    )
 
 
-def write_individual_scores(scores: list[IndividualScores], path: str | Path) -> None:
+def write_individual_scores(fits: GbtFits, path: str | Path) -> None:
     """Export fitted scores as CSV with header user_id,item_id,theta, one row
-    per (user, item) in the order of `scores` and then of each `item_ids`."""
-    counts = [len(s.item_ids) for s in scores]
-    items: dict[str, int] = {}
-    codes = _codes(items, [item for s in scores for item in s.item_ids])
+    per entry of `fits`, in user-then-item code order."""
     write_table(path, ["user_id", "item_id", "theta"], [
-        ([s.user_id for s in scores], np.repeat(np.arange(len(scores)), counts)),
-        (tuple(items), codes),
-        np.concatenate([np.zeros(0), *(s.theta for s in scores)]),
+        (fits.user_ids, fits.user), (fits.item_ids, fits.item), fits.theta,
     ])

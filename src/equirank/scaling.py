@@ -11,21 +11,20 @@ deliberately not performed; all scores stay per-user.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .dataset import (
     COMPARISONS_HEADER,
-    Columns,
     ComparisonSet,
     group_rows,
     read_columns,
     write_columns,
     write_table,
 )
-from .gbt import GbtConfig, IndividualScores, fit_users
+from .gbt import GbtConfig, GbtFits, fit_users
 from .robust import ResilienceParams, br_mean
 
 SCALER_TAGS = ("minmax", "normalization", "mehestan", "none")
@@ -38,45 +37,40 @@ RATIO_CLIP = 0.5
 TRANSLATION_CLIP = 1.0
 
 
-class ScaledComparisonSet(ComparisonSet):
-    """A ComparisonSet whose scores were rewritten by a named scaler."""
+@dataclass(eq=False)
+class Affines:
+    """Multiplicative scales and translations applied to users' latent scores.
 
-    def __init__(self, columns: Columns, scaler_tag: str = "none"):
-        super().__init__(columns)
-        if scaler_tag not in SCALER_TAGS:
-            raise ValueError(
-                f"scaler_tag must be one of {SCALER_TAGS}, got {scaler_tag!r}"
-            )
-        self.scaler_tag = scaler_tag
-
-
-@dataclass(frozen=True)
-class UserAffine:
-    """Multiplicative scale and translation applied to one user's latent scores.
-
-    `votes` counts the other users whose median log-ratio voted on `s`, and
-    `candidates` the translation candidates aggregated into `tau`. A user
-    other than the anchor with no votes falls back to s = 1, and one with no
-    candidates to tau = 0. The anchor is pinned at s = 1, tau = 0 and takes
-    neither.
+    Position k of `s`, `tau`, `votes` and `candidates` belongs to user
+    `user_ids[k]`. `votes` counts the other users whose median log-ratio
+    voted on `s`, and `candidates` the translation candidates aggregated
+    into `tau`. A user other than the anchor with no votes falls back to
+    s = 1, and one with no candidates to tau = 0. The anchor, user code
+    `anchor`, is pinned at s = 1, tau = 0 and takes neither.
     """
 
-    user_id: str
-    s: float
-    tau: float
-    votes: int = 0
-    candidates: int = 0
-    anchor: bool = False
+    user_ids: tuple[str, ...]
+    s: np.ndarray
+    tau: np.ndarray
+    votes: np.ndarray
+    candidates: np.ndarray
+    anchor: int
 
     def __post_init__(self) -> None:
-        if not self.s > 0:
-            raise ValueError(f"scale must be positive, got {self.s}")
+        bad = ~(self.s > 0)
+        if bad.any():
+            raise ValueError(f"scale must be positive, got {self.s[bad][0]}")
 
 
-def _replace_scores(
-    cset: ComparisonSet, new_scores: np.ndarray, tag: str
-) -> ScaledComparisonSet:
-    return ScaledComparisonSet(columns=cset.columns._replace(score=new_scores), scaler_tag=tag)
+def check_resilience_weight(weight: float) -> float:
+    """The QrMed weight of Mehestan's BrMean calls, refused unless positive."""
+    if not weight > 0:
+        raise ValueError(f"resilience_weight must be positive, got {weight}")
+    return weight
+
+
+def _replace_scores(cset: ComparisonSet, new_scores: np.ndarray) -> ComparisonSet:
+    return ComparisonSet(columns=cset.columns._replace(score=new_scores))
 
 
 def _user_criterion_groups(cset: ComparisonSet) -> tuple[np.ndarray, np.ndarray]:
@@ -112,12 +106,12 @@ def _minmax_one(vals: np.ndarray) -> np.ndarray | float:
     return 0.0
 
 
-def minmax_scale(cset: ComparisonSet) -> ScaledComparisonSet:
+def minmax_scale(cset: ComparisonSet) -> ComparisonSet:
     """Affinely map each user's scores onto [-1, 1] (per criterion).
 
     Degenerate users whose scores are all equal map to 0.
     """
-    return _replace_scores(cset, _scale_groups(cset, _minmax_one), "minmax")
+    return _replace_scores(cset, _scale_groups(cset, _minmax_one))
 
 
 def _normalization_one(vals: np.ndarray) -> np.ndarray | float:
@@ -133,7 +127,7 @@ def _normalization_one(vals: np.ndarray) -> np.ndarray | float:
     return 0.0
 
 
-def normalization_scale(cset: ComparisonSet) -> ScaledComparisonSet:
+def normalization_scale(cset: ComparisonSet) -> ComparisonSet:
     """Standardize each user's scores (population std), then shrink into [-1, 1].
 
     Z-scoring and then dividing by max|z| is algebraically centered / max
@@ -144,7 +138,7 @@ def normalization_scale(cset: ComparisonSet) -> ScaledComparisonSet:
     score gaps whose mean is not even representable, then double-center so
     the output mean sits at machine epsilon.
     """
-    return _replace_scores(cset, _scale_groups(cset, _normalization_one), "normalization")
+    return _replace_scores(cset, _scale_groups(cset, _normalization_one))
 
 
 # Vote temporaries span about this many entries.
@@ -222,7 +216,7 @@ def mehestan_scale(
     cset: ComparisonSet,
     gbt_config: GbtConfig = GbtConfig(),
     resilience_weight: float = 1.0,
-) -> tuple[ScaledComparisonSet, list[UserAffine], list[IndividualScores]]:
+) -> tuple[ComparisonSet, Affines, GbtFits]:
     """Collaboratively rescale every user's latent scores onto a common scale.
 
     Procedure:
@@ -247,13 +241,12 @@ def mehestan_scale(
     harder). The clip radius is RATIO_CLIP in log-ratio space so that
     multiplying or dividing by the same factor is treated symmetrically.
 
-    Returns the rescaled comparison set, the per-user affines, and each
-    user's fit with its `theta` array replaced by the scaled scores theta'_u.
+    Returns the rescaled comparison set, the per-user affines, and the
+    users' fits with their `theta` array holding the scaled scores theta'_u.
     Requires >= 2 users and one criterion (filter first via restrict).
     """
-    if not resilience_weight > 0:
-        raise ValueError(f"resilience_weight must be positive, got {resilience_weight}")
-    users = list(cset.user_ids)
+    check_resilience_weight(resilience_weight)
+    users = cset.user_ids
     if len(users) < 2:
         raise ValueError(f"mehestan_scale needs >= 2 users, got {len(users)}")
     if len(cset.criterion_ids) > 1:
@@ -263,13 +256,13 @@ def mehestan_scale(
         )
 
     # theta[k, i] is user k's latent score of item code i where present[k, i].
-    # Fit k scores user k's items in sorted order, which is their code order,
-    # so the fits laid end to end fill `present` in row-major order.
+    # The fits' entries are in user-then-item code order, so they fill
+    # `present` in row-major order.
     present = np.zeros((len(users), len(cset.item_ids)), dtype=bool)
     present[cset.user, cset.left] = present[cset.user, cset.right] = True
     theta = np.zeros(present.shape)
     fits = fit_users(cset, gbt_config)
-    theta[present] = np.concatenate([fit.theta for fit in fits])
+    theta[present] = fits.theta
 
     # Anchor: most scored items, ties broken lexicographically (users are sorted).
     anchor = int(np.argmax(present.sum(axis=1)))
@@ -306,35 +299,31 @@ def mehestan_scale(
     new_scores = np.clip(
         scaled_theta[cset.user, cset.right] - scaled_theta[cset.user, cset.left], -1.0, 1.0
     )
-    affines = [
-        UserAffine(
-            u, float(scales[k]), float(translations[k]),
-            int(votes[k]), int(candidates[k]), k == anchor,
-        )
-        for k, u in enumerate(users)
-    ]
-    scores = [replace(fit, theta=scaled_theta[k, present[k]]) for k, fit in enumerate(fits)]
-    return _replace_scores(cset, new_scores, "mehestan"), affines, scores
+    fits.theta = scaled_theta[present]
+    affines = Affines(users, scales, translations, votes, candidates, anchor)
+    return _replace_scores(cset, new_scores), affines, fits
 
 
-def write_scaled_comparisons(scaled: ScaledComparisonSet, path: str | Path) -> None:
-    """Scaled comparisons CSV: input schema plus a trailing `scaler` column."""
-    write_columns(path, COMPARISONS_HEADER + ["scaler"], scaled, (scaled.scaler_tag,))
+def write_scaled_comparisons(scaled: ComparisonSet, path: str | Path, tag: str) -> None:
+    """Scaled comparisons CSV: input schema plus a trailing `scaler` column
+    holding `tag`, one of SCALER_TAGS."""
+    if tag not in SCALER_TAGS:
+        raise ValueError(f"scaler tag must be one of {SCALER_TAGS}, got {tag!r}")
+    write_columns(path, COMPARISONS_HEADER + ["scaler"], scaled, (tag,))
 
 
-def parse_scaled_comparisons(path: str | Path) -> ScaledComparisonSet:
-    """Read the scaled comparisons CSV (raw schema plus a `scaler` column)."""
+def parse_scaled_comparisons(path: str | Path) -> ComparisonSet:
+    """Read the scaled comparisons CSV (raw schema plus a `scaler` column),
+    whose rows must all hold one tag of SCALER_TAGS."""
     columns, (tags,) = read_columns(path, COMPARISONS_HEADER + ["scaler"])
     if len(tags) > 1:
         raise ValueError(f"{path}: mixed scaler tags {sorted(tags)}")
-    try:
-        return ScaledComparisonSet(columns=columns, scaler_tag=tags[0] if tags else "none")
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
+    if not set(tags) <= set(SCALER_TAGS):
+        raise ValueError(f"{path}: scaler tag must be one of {SCALER_TAGS}, got {tags[0]!r}")
+    return ComparisonSet(columns=columns)
 
 
-def write_user_affines(affines: list[UserAffine], path: str | Path) -> None:
+def write_user_affines(affines: Affines, path: str | Path) -> None:
     write_table(path, ["user_id", "s", "tau"], [
-        ([a.user_id for a in affines], np.arange(len(affines))),
-        np.array([a.s for a in affines]), np.array([a.tau for a in affines]),
+        (affines.user_ids, np.arange(len(affines.user_ids))), affines.s, affines.tau,
     ])

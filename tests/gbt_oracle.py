@@ -3,8 +3,8 @@
 The earlier public helpers of `equirank.gbt`, kept here as the reference:
 the scalar link `expected_comparison` and the dict-keyed `gbt_objective` and
 `gbt_gradient` with their helper `_point_of`. The code is unchanged, except
-that `_point_of` reads an `IndividualScores` through `by_item`, which keys a
-fit's `theta` array by its `item_ids`, and that the objective and gradient
+that `_point_of` reads the fits of a one-user set through `by_item`, which
+keys a user's fitted `theta` entries by item id, and that the objective and gradient
 come from the fit's stacked kernel through `kernel_point`. A fit runs
 `gbt._expected_vec`, `gbt._objectives` and `gbt._gradient`; the tests hold
 those to these. The acceptance suite draws its noise-free comparison scores
@@ -20,7 +20,7 @@ import numpy as np
 
 from equirank.dataset import ComparisonSet
 from equirank.gbt import (
-    _EXP_CUTOFF, _SERIES_CUTOFF, IndividualScores, _gradient, _objectives, _stack,
+    _EXP_CUTOFF, _SERIES_CUTOFF, GbtFits, _gradient, _objectives, _stack,
 )
 
 
@@ -39,9 +39,12 @@ def expected_comparison(delta: float) -> float:
     return math.copysign(val, delta)
 
 
-def by_item(fit: IndividualScores) -> dict[str, float]:
-    """A fit's scores keyed by item."""
-    return dict(zip(fit.item_ids, fit.theta.tolist()))
+def by_item(fits: GbtFits, user_id: str | None = None) -> dict[str, float]:
+    """The fitted scores of `user_id` (the only user when None) keyed by item."""
+    k = 0 if user_id is None else fits.user_ids.index(user_id)
+    own = fits.user == k
+    items = [fits.item_ids[i] for i in fits.item[own].tolist()]
+    return dict(zip(items, fits.theta[own].tolist()))
 
 
 def kernel_point(comparisons: ComparisonSet, lam: float, theta) -> tuple[float, np.ndarray]:
@@ -54,11 +57,11 @@ def kernel_point(comparisons: ComparisonSet, lam: float, theta) -> tuple[float, 
 
 
 def _point_of(
-    theta: IndividualScores | Mapping[str, float], comparisons: ComparisonSet, lam: float
+    theta: GbtFits | Mapping[str, float], comparisons: ComparisonSet, lam: float
 ) -> tuple[float, np.ndarray, Mapping[str, float]]:
     """The objective and gradient at the compared items' entries of `theta`,
     and all of `theta`."""
-    if isinstance(theta, IndividualScores):
+    if isinstance(theta, GbtFits):
         values = by_item(theta)
     else:
         values = theta
@@ -74,7 +77,7 @@ def _point_of(
 
 
 def gbt_objective(
-    theta: IndividualScores | Mapping[str, float],
+    theta: GbtFits | Mapping[str, float],
     comparisons: ComparisonSet,
     lam: float,
 ) -> float:
@@ -87,7 +90,7 @@ def gbt_objective(
 
 
 def gbt_gradient(
-    theta: IndividualScores | Mapping[str, float],
+    theta: GbtFits | Mapping[str, float],
     comparisons: ComparisonSet,
     lam: float,
 ) -> dict[str, float]:

@@ -23,7 +23,7 @@ from equirank import scaling
 from equirank.cli import main as cli_main
 from equirank.dataset import comparison_set, split
 from equirank.equity import build_report, gini, lorenz_curve, max_gap, std_dev
-from equirank.gbt import GbtConfig, fit_gbt
+from equirank.gbt import GbtConfig, fit_users
 from equirank.ltr import LossWeights, ModelParams, TrainConfig, predict_all, train
 from equirank.robust import ResilienceParams, qr_med
 from equirank.scaling import mehestan_scale, minmax_scale, normalization_scale
@@ -122,9 +122,9 @@ def test_criterion_gbt_recovery():
         for l, r in zip(lefts, rights)
     ]
     start = time.perf_counter()
-    fit = fit_gbt(comparison_set(rows), GbtConfig(lam=0.1))
+    fit = fit_users(comparison_set(rows), GbtConfig(lam=0.1))
     elapsed = time.perf_counter() - start
-    fitted = fit.theta[[fit.item_ids.index(i) for i in items]]
+    fitted = np.array([by_item(fit)[i] for i in items])
     rho = spearmanr(fitted, theta_true).statistic
     assert rho > 0.95
     assert elapsed < 10.0
@@ -271,11 +271,11 @@ def test_criterion_mehestan_affine_recovery():
         for l, r in zip(lefts, rights):
             rows.append((user, "g", items[l], items[r],
                          expected_comparison(theta[r] - theta[l])))
-    _, affines, scores = mehestan_scale(comparison_set(rows))
-    by_user = {a.user_id: a for a in affines}
-    relative_scale = by_user["uA"].s / by_user["uB"].s
+    _, affines, fits = mehestan_scale(comparison_set(rows))
+    scale = dict(zip(affines.user_ids, affines.s.tolist()))
+    relative_scale = scale["uA"] / scale["uB"]
     assert relative_scale == pytest.approx(2.0, rel=0.10)
-    theta_scaled = {s.user_id: by_item(s) for s in scores}
+    theta_scaled = {user: by_item(fits, user) for user in fits.user_ids}
     all_values = [v for th in theta_scaled.values() for v in th.values()]
     score_range = max(all_values) - min(all_values)
     worst = max(
@@ -331,9 +331,10 @@ def test_criterion_poisoning_resistance(monkeypatch):
     assert rows_of(honest) == rows_of(clean)
 
     def shift():
-        a = {x.user_id: x for x in mehestan_scale(full)[1]}
-        b = {x.user_id: x for x in mehestan_scale(clean)[1]}
-        return sum(abs(a[u].s - b[u].s) + abs(a[u].tau - b[u].tau) for u in b)
+        a, b = mehestan_scale(full)[1], mehestan_scale(clean)[1]
+        rows = [a.user_ids.index(u) for u in b.user_ids]
+        return sum(abs(a.s[k] - s) + abs(a.tau[k] - tau)
+                   for k, s, tau in zip(rows, b.s.tolist(), b.tau.tolist()))
 
     shifts = {"brmean": shift()}
     monkeypatch.setattr(scaling, "br_mean", _plain_mean)

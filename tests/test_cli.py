@@ -130,7 +130,8 @@ class TestScale:
         assert _run(["scale", "--input", str(sim / "comparisons.csv"),
                      "--scaler", "minmax", "-o", str(out)]) == 0
         scaled = parse_scaled_comparisons(out / "scaled.csv")
-        assert scaled.scaler_tag == "minmax"
+        lines = (out / "scaled.csv").read_text().splitlines()
+        assert all(line.endswith(",minmax") for line in lines[1:])
         for user in scaled.user_ids:
             scores = scaled.restrict(user_id=user).score
             assert scores.min() == -1.0
@@ -192,16 +193,17 @@ class TestScale:
         diagnostics = json.loads((out / "manifest_scale.json").read_text())["diagnostics"]
         cset = parse_comparisons(sim / "comparisons.csv")
         _, affines, fits = mehestan_scale(cset, GbtConfig(max_iter=1))
-        assert diagnostics["gbt_fits"] == len(fits) == 4
-        assert diagnostics["gbt_iterations"] == sum(fit.n_iter for fit in fits) == 4
-        assert diagnostics["gbt_unconverged"] == sum(not fit.converged for fit in fits) == 4
-        assert diagnostics["anchor"] == next(a.user_id for a in affines if a.anchor)
+        assert diagnostics["gbt_fits"] == len(fits.user_ids) == 4
+        assert diagnostics["gbt_iterations"] == fits.n_iter.sum() == 4
+        assert diagnostics["gbt_unconverged"] == (~fits.converged).sum() == 4
+        assert diagnostics["anchor"] == affines.user_ids[affines.anchor]
         assert diagnostics["users"] == {
-            fit.user_id: {
-                "n_iter": fit.n_iter, "grad_norm": fit.grad_norm, "converged": fit.converged,
-                "votes": affine.votes, "candidates": affine.candidates,
+            user: {
+                "n_iter": fits.n_iter[k], "grad_norm": fits.grad_norm[k],
+                "converged": fits.converged[k],
+                "votes": affines.votes[k], "candidates": affines.candidates[k],
             }
-            for fit, affine in zip(fits, affines)
+            for k, user in enumerate(fits.user_ids)
         }
         minmax = tmp_path / "minmax"
         assert _run(["scale", "--input", str(sim / "comparisons.csv"),
@@ -238,19 +240,19 @@ class TestScale:
         src = tmp_path / "comparisons.csv"
         write_comparisons(comparison_set(rows), src)
         _, affines, fits = mehestan_scale(parse_comparisons(src))
-        flat = next(fit for fit in fits if fit.user_id == "flat")
-        assert (flat.converged, flat.n_iter, flat.grad_norm) == (True, 1, 0.0)
-        by_user = {a.user_id: a for a in affines}
-        assert by_user["uA"].anchor
-        assert (by_user["flat"].votes, by_user["flat"].s) == (0, 1.0)
-        assert by_user["flat"].candidates == 5
-        assert by_user["uB"].votes == 1
+        k = {user: k for k, user in enumerate(affines.user_ids)}
+        flat = k["flat"]
+        assert (fits.converged[flat], fits.n_iter[flat], fits.grad_norm[flat]) == (True, 1, 0.0)
+        assert affines.anchor == k["uA"]
+        assert (affines.votes[flat], affines.s[flat]) == (0, 1.0)
+        assert affines.candidates[flat] == 5
+        assert affines.votes[k["uB"]] == 1
         capsys.readouterr()
         assert _run(["scale", "--input", str(src), "--scaler", "mehestan",
                      "-o", str(tmp_path / "out")]) == 0
         assert capsys.readouterr().err.splitlines() == [
             "equirank: warning: Mehestan fallback: user='flat' votes=0 s=1.0 "
-            f"candidates=5 tau={by_user['flat'].tau!r}"
+            f"candidates=5 tau={float(affines.tau[flat])!r}"
         ]
 
     def test_unknown_scaler_is_usage_error(self, tmp_path):
@@ -259,6 +261,24 @@ class TestScale:
             _run(["scale", "--input", str(sim / "comparisons.csv"),
                   "--scaler", "bogus", "-o", str(tmp_path / "x")])
         assert excinfo.value.code == 2
+
+    @pytest.mark.parametrize("scaler", ["minmax", "normalization", "mehestan", "none"])
+    @pytest.mark.parametrize("flags, message", [
+        (["--resilience-weight", "0"], "resilience_weight must be positive, got 0.0"),
+        (["--resilience-weight", "-1"], "resilience_weight must be positive, got -1.0"),
+        (["--lam", "0"], "lam must be positive, got 0.0"),
+    ], ids=["weight-0", "weight-1", "lam-0"])
+    def test_bad_values_fail_before_anything_is_written(
+        self, tmp_path, capsys, scaler, flags, message
+    ):
+        # Every scaler checks every value, as pipeline does, Mehestan cell or not.
+        sim = _simulate(tmp_path)
+        capsys.readouterr()
+        out = tmp_path / "out"
+        assert _run(["scale", "--input", str(sim / "comparisons.csv"), "--scaler", scaler,
+                     *flags, "-o", str(out)]) == 1
+        assert capsys.readouterr().err == f"equirank: {message}\n"
+        assert not out.exists()
 
     def test_missing_input_is_runtime_error(self, tmp_path):
         assert _run(["scale", "--input", str(tmp_path / "nope.csv"),
@@ -669,6 +689,17 @@ class TestPipeline:
         assert parse_pipeline_config(config)[0] == {
             **_PIPELINE_DEFAULTS, "seed": 1, "users": 3, "dim": 2,
         }
+
+    def test_repeated_experiment_is_usage_error(self, tmp_path, capsys):
+        # A repeated cell would train twice and list its report twice.
+        config = tmp_path / "bad.cfg"
+        config.write_text("users = 4\nexperiment = minmax\n# again\nexperiment = minmax\n")
+        out = tmp_path / "x"
+        assert _run(["pipeline", "--config", str(config), "-o", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"equirank: {config}: line 4: experiment 'minmax' repeats line 2\n"
+        )
+        assert not out.exists()
 
     def test_unknown_experiment_token_is_usage_error(self, tmp_path, capsys):
         config = tmp_path / "bad.cfg"

@@ -297,5 +297,5 @@ def test_simulated_population_rewrites_byte_for_byte(tmp_path):
     original = tmp_path / "scaled.csv"
     _oracle_write(scaled, original, tag="normalization")
     rewritten = tmp_path / "scaled-again.csv"
-    write_scaled_comparisons(parse_scaled_comparisons(original), rewritten)
+    write_scaled_comparisons(parse_scaled_comparisons(original), rewritten, "normalization")
     assert rewritten.read_bytes() == original.read_bytes()

@@ -11,7 +11,7 @@ from scipy.stats import spearmanr
 from equirank.dataset import comparison_set, split
 from equirank import gbt
 from equirank.gbt import (
-    _EXP_CUTOFF, _SERIES_CUTOFF, GbtConfig, _expected_vec, _hessian_vec, fit_gbt, fit_users,
+    _EXP_CUTOFF, _SERIES_CUTOFF, GbtConfig, _expected_vec, _hessian_vec, fit_users,
 )
 from equirank.simgen import SimConfig, generate
 from gbt_oracle import by_item, expected_comparison, gbt_gradient, gbt_objective, kernel_point
@@ -228,13 +228,13 @@ def test_gradient_matches_central_finite_differences():
 class TestFit:
     def test_neutral_comparison_stays_at_zero(self):
         cset = comparison_set([("u1", "g", "a", "b", 0.0)])
-        fit = fit_gbt(cset, GbtConfig(lam=0.1))
+        fit = fit_users(cset, GbtConfig(lam=0.1))
         assert by_item(fit) == {"a": 0.0, "b": 0.0}
-        assert fit.converged
+        assert fit.converged.tolist() == [True]
 
     def test_directional_comparison_is_antisymmetric(self):
         cset = comparison_set([("u1", "g", "a", "b", 0.8)])
-        fit = fit_gbt(cset, GbtConfig(lam=0.1))
+        fit = fit_users(cset, GbtConfig(lam=0.1))
         a, b = fit.theta
         assert b > 0 > a
         assert b == pytest.approx(-a, abs=1e-10)
@@ -243,9 +243,9 @@ class TestFit:
         rng = np.random.default_rng(3)
         cset, _ = _random_instance(rng, n_items=10, n_comparisons=80)
         config = GbtConfig(lam=0.1, tol=1e-8)
-        fit = fit_gbt(cset, config)
-        assert fit.converged
-        assert fit.grad_norm <= config.tol
+        fit = fit_users(cset, config)
+        assert fit.converged.tolist() == [True]
+        assert fit.grad_norm[0] <= config.tol
 
     def test_recovery_of_planted_scores(self):
         rng = np.random.default_rng(10)
@@ -256,14 +256,14 @@ class TestFit:
             l, r = rng.choice(12, size=2, replace=False)
             noisy = expected_comparison(theta_true[r] - theta_true[l]) + rng.normal(0, 0.02)
             rows.append(("u1", "g", items[l], items[r], float(np.clip(noisy, -1, 1))))
-        fit = fit_gbt(comparison_set(rows))
+        fit = fit_users(comparison_set(rows))
         fitted = np.array([by_item(fit)[i] for i in items])
         assert spearmanr(fitted, theta_true).statistic > 0.95
 
     def test_prior_centers_connected_fit(self):
         rng = np.random.default_rng(4)
         cset, _ = _random_instance(rng, n_items=9, n_comparisons=120)
-        fit = fit_gbt(cset)
+        fit = fit_users(cset)
         assert abs(np.mean(fit.theta)) < 1e-9
 
     def test_negating_scores_and_swapping_sides_is_invariant(self):
@@ -272,25 +272,26 @@ class TestFit:
         mirrored = comparison_set(
             [(c.user_id, c.criterion, c.right_item, c.left_item, -c.score) for c in rows_of(cset)]
         )
-        fit = fit_gbt(cset)
-        fit_mirrored = fit_gbt(mirrored)
-        assert fit_mirrored.item_ids == fit.item_ids
+        fit = fit_users(cset)
+        fit_mirrored = fit_users(mirrored)
+        assert list(by_item(fit_mirrored)) == list(by_item(fit))
         np.testing.assert_allclose(fit_mirrored.theta, fit.theta, rtol=0, atol=1e-12)
 
     def test_all_tie_user_stays_exactly_at_zero(self):
         # Every score 0: the gradient at theta = 0 is exactly 0, so the fit
         # stops at its first gradient check.
         rows = [("u1", "g", a, b, 0.0) for a, b in [("a", "b"), ("b", "c"), ("a", "c"), ("c", "d")]]
-        fit = fit_gbt(comparison_set(rows))
+        fit = fit_users(comparison_set(rows))
         assert by_item(fit) == {"a": 0.0, "b": 0.0, "c": 0.0, "d": 0.0}
-        assert (fit.converged, fit.n_iter, fit.grad_norm) == (True, 1, 0.0)
+        stop = (fit.converged.tolist(), fit.n_iter.tolist(), fit.grad_norm.tolist())
+        assert stop == ([True], [1], [0.0])
 
     @pytest.mark.parametrize("score", [-1.0, -0.3, 0.05, 1.0])
     def test_single_comparison_user(self, score):
         # Two items at -t and t, where t solves E[r|2t] - r + lam*t = 0.
         lam = 0.1
-        fit = fit_gbt(comparison_set([("u1", "g", "a", "b", score)]), GbtConfig(lam=lam))
-        assert fit.converged and fit.grad_norm <= 1e-8
+        fit = fit_users(comparison_set([("u1", "g", "a", "b", score)]), GbtConfig(lam=lam))
+        assert fit.converged.tolist() == [True] and fit.grad_norm[0] <= 1e-8
         a, t = fit.theta
         assert a == pytest.approx(-t, abs=1e-12)
         assert math.copysign(1.0, t) == math.copysign(1.0, score)
@@ -298,25 +299,21 @@ class TestFit:
 
     def test_uncompared_items_get_no_entry(self):
         cset = comparison_set([("u1", "g", "a", "b", 0.4)])
-        fit = fit_gbt(cset)
-        assert fit.item_ids == ("a", "b")
+        fit = fit_users(cset)
+        assert list(by_item(fit)) == ["a", "b"]
         assert fit.theta.dtype == np.float64 and fit.theta.shape == (2,)
 
-    def test_multiple_users_rejected(self):
-        cset = comparison_set([("u1", "g", "a", "b", 0.1), ("u2", "g", "a", "b", 0.1)])
-        with pytest.raises(ValueError, match="one user"):
-            fit_gbt(cset)
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            fit_gbt(comparison_set([]))
+    def test_empty_set_gives_empty_fits(self):
+        fit = fit_users(comparison_set([]))
+        assert (fit.user_ids, fit.item_ids) == ((), ())
+        assert fit.theta.shape == fit.n_iter.shape == (0,)
 
     def test_max_iter_flagging(self):
         rng = np.random.default_rng(6)
         cset, _ = _random_instance(rng, n_items=10, n_comparisons=80)
-        fit = fit_gbt(cset, GbtConfig(lam=0.1, tol=1e-12, max_iter=3))
-        assert not fit.converged
-        assert fit.n_iter == 3
+        fit = fit_users(cset, GbtConfig(lam=0.1, tol=1e-12, max_iter=3))
+        assert fit.converged.tolist() == [False]
+        assert fit.n_iter.tolist() == [3]
 
 
 def _crowd():
@@ -344,24 +341,27 @@ class TestLockstep:
         cset = _crowd()
         config = GbtConfig(tol=1e-16, max_iter=max_iter)
         fits = fit_users(cset, config)
-        assert [fit.user_id for fit in fits] == list(cset.user_ids)
-        for fit in fits:
-            alone = fit_gbt(cset.restrict(user_id=fit.user_id), config)
-            assert fit.item_ids == alone.item_ids
-            assert fit.theta.tobytes() == alone.theta.tobytes()
-            assert (fit.n_iter, fit.converged) == (alone.n_iter, alone.converged)
-            assert fit.grad_norm.hex() == alone.grad_norm.hex()
+        assert fits.user_ids == cset.user_ids
+        # Entries in user-then-item code order.
+        assert (np.diff(fits.user * len(fits.item_ids) + fits.item) > 0).all()
+        for k, user in enumerate(cset.user_ids):
+            alone = fit_users(cset.restrict(user_id=user), config)
+            own = fits.user == k
+            assert [fits.item_ids[i] for i in fits.item[own]] == list(alone.item_ids)
+            assert fits.theta[own].tobytes() == alone.theta.tobytes()
+            assert (fits.n_iter[k], fits.converged[k]) == (alone.n_iter[0], alone.converged[0])
+            assert float(fits.grad_norm[k]).hex() == float(alone.grad_norm[0]).hex()
         stops = {
-            "converged" if fit.converged else "capped" if fit.n_iter == max_iter else "flat"
-            for fit in fits
+            "converged" if converged else "capped" if n_iter == max_iter else "flat"
+            for converged, n_iter in zip(fits.converged.tolist(), fits.n_iter.tolist())
         }
         assert stops == {
             1: {"converged", "capped"},
             37: {"converged", "flat", "capped"},
             10000: {"converged", "flat"},
         }[max_iter]
-        tie = fits[cset.user_ids.index("tie")]
-        assert (tie.n_iter, tie.converged, tie.grad_norm) == (1, True, 0.0)
+        tie = cset.user_ids.index("tie")
+        assert (fits.n_iter[tie], fits.converged[tie], fits.grad_norm[tie]) == (1, True, 0.0)
 
     def test_non_finite_gradient_names_the_first_user(self, monkeypatch):
         # NaN in the expected values of u1 and u3 at the zero start: fitting
@@ -400,9 +400,9 @@ def test_converged_fits_carry_a_certificate():
     train, _ = split(cset, 0.8, 42)
     config = GbtConfig()
     fits = fit_users(train, config)
-    assert all(fit.converged for fit in fits)
-    for fit in fits:
-        grad = gbt_gradient(fit, train.restrict(user_id=fit.user_id), config.lam)
+    assert fits.converged.all()
+    for user in fits.user_ids:
+        grad = gbt_gradient(by_item(fits, user), train.restrict(user_id=user), config.lam)
         assert math.sqrt(sum(g * g for g in grad.values())) <= config.tol
 
 

@@ -12,6 +12,7 @@ bit the same.
 import itertools
 import math
 import tracemalloc
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -20,9 +21,7 @@ from hypothesis import strategies as st
 
 from equirank import gbt, scaling
 from equirank.dataset import comparison_set
-from equirank.gbt import (
-    GbtConfig, IndividualScores, _gradient, _hessian_vec, _objectives, _stack, fit_gbt,
-)
+from equirank.gbt import GbtConfig, _gradient, _hessian_vec, _objectives, _stack, fit_users
 from equirank.robust import ResilienceParams, br_mean
 from equirank.scaling import mehestan_scale
 from equirank.simgen import SimConfig, generate
@@ -97,6 +96,14 @@ class OracleProblem:
         return hess
 
 
+class OracleFit(NamedTuple):
+    item_ids: tuple[str, ...]
+    theta: np.ndarray
+    converged: bool
+    n_iter: int
+    grad_norm: float
+
+
 def oracle_fit_gbt(comparisons, config=GbtConfig()):
     problem = OracleProblem(comparisons, config.lam)
     theta = np.zeros(len(problem.items), dtype=np.float64)
@@ -116,15 +123,10 @@ def oracle_fit_gbt(comparisons, config=GbtConfig()):
                 break
             step *= 0.5
             if step < 1e-300:
-                return IndividualScores(
-                    problem.user_id, problem.items, theta, config.lam, False, n_iter, grad_norm
-                )
+                return OracleFit(problem.items, theta, False, n_iter, grad_norm)
         theta, obj, grad = trial, trial_obj, trial_grad
         n_iter += 1
-    return IndividualScores(
-        problem.user_id, problem.items, theta, config.lam, grad_norm <= config.tol, n_iter,
-        grad_norm,
-    )
+    return OracleFit(problem.items, theta, grad_norm <= config.tol, n_iter, grad_norm)
 
 
 def _oracle_aggregate(values, weight, clip_radius):
@@ -137,7 +139,7 @@ def oracle_mehestan_scale(cset, gbt_config, weight, epsilon_pair=1e-6,
     users = list(cset.user_ids)
     subsets = [cset.restrict(user_id=u) for u in users]
     fits = {u: oracle_fit_gbt(sub, gbt_config) for u, sub in zip(users, subsets)}
-    theta = {u: by_item(fits[u]) for u in users}
+    theta = {u: dict(zip(fits[u].item_ids, fits[u].theta.tolist())) for u in users}
     anchor = min(users, key=lambda u: (-len(theta[u]), u))
 
     scales = {anchor: 1.0}
@@ -199,25 +201,24 @@ def _bits(x):
 
 
 def assert_matches_oracle(cset, gbt_config=GbtConfig(), weight=1.0):
-    scaled, affines, scores = mehestan_scale(cset, gbt_config, weight)
+    scaled, affines, fits = mehestan_scale(cset, gbt_config, weight)
     want_scores, want_affines, want_fits, want_theta, anchor = oracle_mehestan_scale(
         cset, gbt_config, weight
     )
     assert _bits(scaled.score) == _bits(want_scores)
-    assert [a.user_id for a in affines] == sorted(want_affines)
-    for affine in affines:
-        s, tau, votes, candidates = want_affines[affine.user_id]
-        assert _bits(affine.s) == _bits(s)
-        assert _bits(affine.tau) == _bits(tau)
-        assert (affine.votes, affine.candidates) == (votes, candidates)
-        assert affine.anchor == (affine.user_id == anchor)
-    for got in scores:
-        want = want_fits[got.user_id]
-        assert got.item_ids == tuple(want_theta[got.user_id])
-        assert _bits(got.theta) == _bits(list(want_theta[got.user_id].values()))
-        assert (got.converged, got.n_iter) == (want.converged, want.n_iter)
-        assert _bits(got.grad_norm) == _bits(want.grad_norm)
-        assert got.lam == want.lam
+    assert list(affines.user_ids) == sorted(want_affines)
+    s, tau, votes, candidates = zip(*(want_affines[u] for u in affines.user_ids))
+    assert _bits(affines.s) == _bits(s)
+    assert _bits(affines.tau) == _bits(tau)
+    assert (affines.votes.tolist(), affines.candidates.tolist()) == (list(votes), list(candidates))
+    assert affines.user_ids[affines.anchor] == anchor
+    assert fits.user_ids == affines.user_ids
+    for k, user in enumerate(fits.user_ids):
+        want, got = want_fits[user], by_item(fits, user)
+        assert list(got) == list(want_theta[user])
+        assert _bits(list(got.values())) == _bits(list(want_theta[user].values()))
+        assert (fits.converged[k], fits.n_iter[k]) == (want.converged, want.n_iter)
+        assert _bits(fits.grad_norm[k]) == _bits(want.grad_norm)
     return affines
 
 
@@ -252,12 +253,12 @@ def test_populations_match_oracle(cset, weight):
 
 def _latent(cset, config=GbtConfig(tol=1e-6, max_iter=300)):
     """(fits, theta, present) over the sorted item codes, as mehestan_scale builds them."""
-    fits = [fit_gbt(cset.restrict(user_id=u), config) for u in cset.user_ids]
+    fits = [fit_users(cset.restrict(user_id=u), config) for u in cset.user_ids]
     index = {item: i for i, item in enumerate(cset.item_ids)}
     theta = np.zeros((len(fits), len(index)))
     present = np.zeros(theta.shape, dtype=bool)
     for k, fit in enumerate(fits):
-        codes = [index[item] for item in fit.item_ids]
+        codes = [index[item] for item in by_item(fit)]
         theta[k, codes] = fit.theta
         present[k, codes] = True
     return fits, theta, present
@@ -381,13 +382,14 @@ def test_fallback_users_and_even_and_odd_vote_counts():
             rows.append((user, "g", f"i{a}", f"i{b}", float(np.clip(truth[b] - truth[a], -1, 1))))
     rows += [("loner", "g", "z0", "z1", 0.4), ("loner", "g", "z1", "z2", 0.2)]
     rows += [("flat", "g", "i0", "i1", 0.0), ("flat", "g", "i1", "i2", 0.0)]
-    affines = {a.user_id: a for a in assert_matches_oracle(comparison_set(rows))}
-    assert affines["u0"].anchor
-    assert (affines["loner"].votes, affines["loner"].candidates) == (0, 0)
-    assert (affines["loner"].s, affines["loner"].tau) == (1.0, 0.0)
-    assert affines["flat"].votes == 0 and affines["flat"].s == 1.0
-    assert affines["flat"].candidates == 7
-    assert affines["u1"].votes == affines["u2"].votes == 2
+    affines = assert_matches_oracle(comparison_set(rows))
+    k = {user: k for k, user in enumerate(affines.user_ids)}
+    assert affines.anchor == k["u0"]
+    assert (affines.votes[k["loner"]], affines.candidates[k["loner"]]) == (0, 0)
+    assert (affines.s[k["loner"]], affines.tau[k["loner"]]) == (1.0, 0.0)
+    assert affines.votes[k["flat"]] == 0 and affines.s[k["flat"]] == 1.0
+    assert affines.candidates[k["flat"]] == 7
+    assert affines.votes[k["u1"]] == affines.votes[k["u2"]] == 2
 
 
 def test_two_users():
@@ -426,12 +428,12 @@ def test_user_with_more_pairs_than_one_block():
         rows += [row(user, *rng.choice(items, size=2, replace=False), 0.5) for _ in range(60)]
     cset = comparison_set(rows)
     config = GbtConfig(max_iter=40)
-    big = fit_gbt(cset.restrict(user_id="big0"), config)
+    big = fit_users(cset.restrict(user_id="big0"), config)
     gaps = [abs(a - b) for a, b in itertools.combinations(big.theta.tolist(), 2)]
     assert sum(g > 1e-6 for g in gaps) > scaling._BLOCK_ENTRIES
     affines = assert_matches_oracle(cset, config)
-    assert [a.user_id for a in affines if a.anchor] == ["big0"]
-    assert affines[1].votes == 3
+    assert affines.user_ids[affines.anchor] == "big0"
+    assert affines.votes[1] == 3
 
 
 def _simulated_crowd():
@@ -497,7 +499,7 @@ def test_kernel_matches_oracle(spread, monkeypatch):
 def test_each_point_gradient_is_evaluated_once(monkeypatch):
     # Every point the oracle tries has its objective and gradient evaluated
     # once, and its Hessian once more if it is taken and the fit goes on.
-    # fit_gbt must compute each point's objective, gradient and Hessian
+    # fit_users must compute each point's objective, gradient and Hessian
     # weights once too, for the same fit. At tol 5e-15 the last iterations
     # run at the gradient's rounding floor, where the line search halves the
     # step: 5 of the 15 points tried are not taken.
@@ -541,7 +543,7 @@ def test_each_point_gradient_is_evaluated_once(monkeypatch):
     monkeypatch.setattr(gbt, "_expected_vec", recorded_expected_vec)
     monkeypatch.setattr(gbt, "_hessian_vec", recorded_hessian_vec)
     config = GbtConfig(tol=5e-15)
-    want, got = oracle_fit_gbt(cset, config), fit_gbt(cset, config)
+    want, got = oracle_fit_gbt(cset, config), fit_users(cset, config)
 
     assert (want.converged, want.n_iter, len(oracle_points)) == (True, 10, 15)
     assert len(set(oracle_points)) == len(oracle_points)
@@ -552,7 +554,7 @@ def test_each_point_gradient_is_evaluated_once(monkeypatch):
     assert kernel["gradient"] == points
     assert len(kernel["hessian"]) == len(oracle_hessians)
     assert set(kernel["hessian"]) <= set(points)
-    assert (got.converged, got.n_iter) == (want.converged, want.n_iter)
+    assert (got.converged[0], got.n_iter[0]) == (want.converged, want.n_iter)
     assert _bits(got.grad_norm) == _bits(want.grad_norm)
     assert _bits(got.theta) == _bits(want.theta)
 
@@ -573,14 +575,15 @@ def test_flat_fits_stop_at_the_first_trial_equal_to_their_point(monkeypatch):
 
     monkeypatch.setattr(gbt, "_objectives", counted)
     fits = gbt.fit_users(cset, config)
-    flat = [fit for fit in fits if not fit.converged]
-    assert flat and all(fit.n_iter < config.max_iter for fit in flat)
+    flat = np.flatnonzero(~fits.converged)
+    assert flat.size and (fits.n_iter[flat] < config.max_iter).all()
     halvings = math.ceil(-math.log2(1e-300))
-    assert len(rounds) < max(fit.n_iter for fit in flat) + halvings
-    for fit in flat:
-        want = oracle_fit_gbt(cset.restrict(user_id=fit.user_id), config)
-        assert (fit.item_ids, fit.converged, fit.n_iter) == (
+    assert len(rounds) < fits.n_iter[flat].max() + halvings
+    for k in flat:
+        user = fits.user_ids[k]
+        want, got = oracle_fit_gbt(cset.restrict(user_id=user), config), by_item(fits, user)
+        assert (tuple(got), fits.converged[k], fits.n_iter[k]) == (
             want.item_ids, want.converged, want.n_iter
         )
-        assert _bits(fit.grad_norm) == _bits(want.grad_norm)
-        assert _bits(fit.theta) == _bits(want.theta)
+        assert _bits(fits.grad_norm[k]) == _bits(want.grad_norm)
+        assert _bits(list(got.values())) == _bits(want.theta)

@@ -26,7 +26,6 @@ from equirank.dataset import (
 )
 from equirank.scaling import (
     SCALER_TAGS,
-    ScaledComparisonSet,
     parse_scaled_comparisons,
     write_scaled_comparisons,
 )
@@ -54,7 +53,7 @@ _bodies = st.lists(
 # Every message a reader may raise, after the file's name.
 _ALLOWED = re.compile(
     r"line \d+: |empty file, expected a header row$|bad header |mixed scaler tags "
-    r"|scaler_tag must be one of "
+    r"|scaler tag must be one of "
 )
 
 
@@ -154,7 +153,7 @@ def test_bad_header_is_split_at_every_comma(tmp_path):
 
 def test_cli_reads_a_quoted_scaled_header_with_cr_line_ends(tmp_path):
     cset = comparison_set([("u", "g", "a", "b", 0.5), ("u", "g", "b", "c", -0.25)])
-    write_scaled_comparisons(ScaledComparisonSet(cset.columns, "minmax"), tmp_path / "s.csv")
+    write_scaled_comparisons(cset, tmp_path / "s.csv", "minmax")
     data = (tmp_path / "s.csv").read_bytes().replace(b",scaler\n", b',"scaler"\n')
     (tmp_path / "cr.csv").write_bytes(data.replace(b"\n", b"\r"))
     for name in ("s", "cr"):
@@ -185,11 +184,10 @@ _odd_ids = st.one_of(
 def test_written_files_read_back(rows, tag, block_bytes, tmp_path_factory):
     tmp = tmp_path_factory.mktemp("rt")
     cset = comparison_set(rows)
-    scaled = ScaledComparisonSet(cset.columns, tag)
     n = len(cset.item_ids)
     table = FeatureTable(cset.item_ids, np.column_stack([np.arange(n) / 3, np.full(n, -1e-300)]))
     write_comparisons(cset, tmp / "c.csv")
-    write_scaled_comparisons(scaled, tmp / "s.csv")
+    write_scaled_comparisons(cset, tmp / "s.csv", tag)
     write_features(table, tmp / "f.csv")
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(dataset, "_BLOCK_BYTES", block_bytes)
@@ -199,7 +197,9 @@ def test_written_files_read_back(rows, tag, block_bytes, tmp_path_factory):
     for got in (back, scaled_back):
         assert rows_of(got) == rows_of(cset)
         assert got.score.tobytes() == cset.score.tobytes()
-    assert scaled_back.scaler_tag == (tag if rows else "none")
+    # The tag is the file's: the set rewritten under it gives the same bytes.
+    write_scaled_comparisons(scaled_back, tmp / "s2.csv", tag)
+    assert (tmp / "s2.csv").read_bytes() == (tmp / "s.csv").read_bytes()
     assert table_back.item_ids == table.item_ids
     assert table_back.vectors.tobytes() == table.vectors.tobytes()
 
@@ -211,7 +211,7 @@ def test_reading_imports_no_numpy_ma(tmp_path):
     # numpy.ma adds about 1 MB to a process; np.unique without
     # return_inverse imports it.
     cset = comparison_set([("u", "g", "a", "b", 0.5), ("v", "g", "b", "c", -0.25)])
-    write_scaled_comparisons(ScaledComparisonSet(cset.columns, "minmax"), tmp_path / "s.csv")
+    write_scaled_comparisons(cset, tmp_path / "s.csv", "minmax")
     write_features(FeatureTable(("a",), [[0.5]]), tmp_path / "f.csv")
     code = (
         "import sys\n"

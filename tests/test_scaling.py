@@ -7,10 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from equirank.dataset import comparison_set
-from equirank.gbt import GbtConfig, fit_gbt, write_individual_scores
+from equirank.dataset import ComparisonSet, comparison_set
+from equirank.gbt import GbtConfig, fit_users, write_individual_scores
 from equirank.scaling import (
-    ScaledComparisonSet,
+    Affines,
     mehestan_scale,
     minmax_scale,
     normalization_scale,
@@ -107,18 +107,21 @@ class TestNormalization:
         assert np.array_equal(np.argsort(vals, kind="stable"), np.argsort(out, kind="stable"))
 
 
-def test_scaled_tag_validated():
-    with pytest.raises(ValueError, match="scaler_tag"):
-        ScaledComparisonSet(comparison_set([("u", "g", "a", "b", 0.1)]).columns,
-                            scaler_tag="bogus")
+def test_scaled_tag_validated(tmp_path):
+    with pytest.raises(ValueError, match="scaler tag must be one of"):
+        write_scaled_comparisons(comparison_set([("u", "g", "a", "b", 0.1)]),
+                                 tmp_path / "scaled.csv", "bogus")
+    assert not (tmp_path / "scaled.csv").exists()
 
 
 def test_scaled_csv_round_trip(tmp_path):
     scaled = minmax_scale(_one_user([0.1, -0.6, 0.9]))
     path = tmp_path / "scaled.csv"
-    write_scaled_comparisons(scaled, path)
+    write_scaled_comparisons(scaled, path, "minmax")
     back = parse_scaled_comparisons(path)
-    assert back.scaler_tag == "minmax"
+    with path.open(newline="", encoding="utf-8") as fh:
+        header, *rows = csv.reader(fh)
+    assert header[-1] == "scaler" and {row[-1] for row in rows} == {"minmax"}
     assert rows_of(back) == rows_of(scaled)
 
 
@@ -134,6 +137,12 @@ def _pair_rows(user, theta, items, rng, n):
     return rows
 
 
+def _affine(affines, user):
+    """(s, tau) of `user`."""
+    k = affines.user_ids.index(user)
+    return affines.s[k], affines.tau[k]
+
+
 class TestMehestan:
     def test_identical_users_get_identity_affine(self):
         rng = np.random.default_rng(30)
@@ -141,12 +150,12 @@ class TestMehestan:
         theta = rng.uniform(-1, 1, 8)
         rows_a = _pair_rows("uA", theta, items, np.random.default_rng(1), 150)
         rows_b = [("uB",) + r[1:] for r in rows_a]
-        scaled, affines, scores = mehestan_scale(comparison_set(rows_a + rows_b))
-        by_user = {a.user_id: a for a in affines}
-        assert by_user["uA"].s == 1.0 and by_user["uA"].tau == 0.0
-        assert by_user["uB"].s == pytest.approx(1.0, abs=1e-9)
-        assert by_user["uB"].tau == pytest.approx(0.0, abs=1e-9)
-        theta_by_user = {s.user_id: by_item(s) for s in scores}
+        scaled, affines, fits = mehestan_scale(comparison_set(rows_a + rows_b))
+        assert _affine(affines, "uA") == (1.0, 0.0)
+        s_b, tau_b = _affine(affines, "uB")
+        assert s_b == pytest.approx(1.0, abs=1e-9)
+        assert tau_b == pytest.approx(0.0, abs=1e-9)
+        theta_by_user = {user: by_item(fits, user) for user in fits.user_ids}
         for item in items:
             assert theta_by_user["uA"][item] == pytest.approx(
                 theta_by_user["uB"][item], abs=1e-8
@@ -159,10 +168,9 @@ class TestMehestan:
         theta_b = 2.0 * theta_a + 3.0
         rows = _pair_rows("uA", theta_a, items, np.random.default_rng(2), 600)
         rows += _pair_rows("uB", theta_b, items, np.random.default_rng(3), 600)
-        scaled, affines, scores = mehestan_scale(comparison_set(rows))
-        by_user = {a.user_id: a for a in affines}
-        assert by_user["uA"].s / by_user["uB"].s == pytest.approx(2.0, rel=0.1)
-        theta_by_user = {s.user_id: by_item(s) for s in scores}
+        scaled, affines, fits = mehestan_scale(comparison_set(rows))
+        assert _affine(affines, "uA")[0] / _affine(affines, "uB")[0] == pytest.approx(2.0, rel=0.1)
+        theta_by_user = {user: by_item(fits, user) for user in fits.user_ids}
         for item in items:
             assert theta_by_user["uA"][item] == pytest.approx(
                 theta_by_user["uB"][item], abs=0.05
@@ -175,22 +183,22 @@ class TestMehestan:
         rows += _pair_rows("uB", rng.uniform(-3, 3, 6), items, rng, 80)
         scaled, _, _ = mehestan_scale(comparison_set(rows))
         assert all(-1.0 <= c.score <= 1.0 for c in rows_of(scaled))
-        assert scaled.scaler_tag == "mehestan"
+        assert type(scaled) is ComparisonSet
 
     def test_scale_is_positive_and_order_preserved(self):
         rng = np.random.default_rng(33)
         items = [f"i{k}" for k in range(7)]
         rows = _pair_rows("uA", rng.uniform(-1, 1, 7), items, rng, 100)
         rows += _pair_rows("uB", rng.uniform(-2, 2, 7), items, rng, 100)
-        _, affines, scores = mehestan_scale(comparison_set(rows))
-        assert all(a.s > 0 for a in affines)
+        _, affines, fits = mehestan_scale(comparison_set(rows))
+        assert (affines.s > 0).all()
         # s > 0 implies theta' has the same rank order as theta per user.
         cset = comparison_set(rows)
-        for record in scores:
-            raw = fit_gbt(cset.restrict(user_id=record.user_id))
-            assert raw.item_ids == record.item_ids
-            order_raw = np.argsort(raw.theta, kind="stable")
-            assert np.array_equal(order_raw, np.argsort(record.theta, kind="stable"))
+        for user in fits.user_ids:
+            raw, scaled = by_item(fit_users(cset.restrict(user_id=user))), by_item(fits, user)
+            assert list(raw) == list(scaled)
+            order_raw = np.argsort(list(raw.values()), kind="stable")
+            assert np.array_equal(order_raw, np.argsort(list(scaled.values()), kind="stable"))
 
     def test_collaboration_and_bounded_influence(self):
         # Changing one user's data changes another user's affine (the
@@ -207,13 +215,14 @@ class TestMehestan:
 
         _, base_affines, _ = mehestan_scale(comparison_set(rows_a + rows_b + rows_c))
         _, wild_affines, _ = mehestan_scale(comparison_set(rows_a + rows_b + rows_c_wild))
-        base_b = next(a for a in base_affines if a.user_id == "uB")
-        wild_b = next(a for a in wild_affines if a.user_id == "uB")
-        assert (base_b.s, base_b.tau) != (wild_b.s, wild_b.tau)
+        (base_s, base_tau), (wild_s, wild_tau) = (
+            _affine(affines, "uB") for affines in (base_affines, wild_affines)
+        )
+        assert (base_s, base_tau) != (wild_s, wild_tau)
         # One voter out of two moved; log-scale influence is clipped at
         # ratio_clip around the QrMed center, which itself moves <= 1/W.
-        assert abs(np.log(wild_b.s) - np.log(base_b.s)) <= 1.0 + 0.5 + 1e-9
-        assert abs(wild_b.tau - base_b.tau) <= 2.0
+        assert abs(np.log(wild_s) - np.log(base_s)) <= 1.0 + 0.5 + 1e-9
+        assert abs(wild_tau - base_tau) <= 2.0
 
     def test_fewer_than_two_users_rejected(self):
         with pytest.raises(ValueError, match=">= 2 users"):
@@ -228,9 +237,9 @@ class TestMehestan:
         rows = [("uA", "g", "a1", "a2", 0.4), ("uA", "g", "a2", "a3", 0.2),
                 ("uB", "g", "b1", "b2", -0.3), ("uB", "g", "b2", "b3", 0.6)]
         _, affines, _ = mehestan_scale(comparison_set(rows))
-        by_user = {a.user_id: a for a in affines}
-        assert by_user["uB"].s == pytest.approx(1.0)
-        assert by_user["uB"].tau == pytest.approx(0.0)
+        s_b, tau_b = _affine(affines, "uB")
+        assert s_b == pytest.approx(1.0)
+        assert tau_b == pytest.approx(0.0)
 
 
 def test_mehestan_resilience_params_forwarded():
@@ -243,10 +252,15 @@ def test_mehestan_resilience_params_forwarded():
     cset = comparison_set(rows)
     _, soft, _ = mehestan_scale(cset, resilience_weight=1.0)
     _, hard, _ = mehestan_scale(cset, resilience_weight=100.0)
-    s_soft = next(a for a in soft if a.user_id == "uB").s
-    s_hard = next(a for a in hard if a.user_id == "uB").s
+    s_soft, s_hard = _affine(soft, "uB")[0], _affine(hard, "uB")[0]
     assert abs(np.log(s_hard)) < abs(np.log(s_soft))
     assert s_soft == pytest.approx(0.5, rel=0.1)
+
+
+def test_nonpositive_scale_rejected():
+    with pytest.raises(ValueError, match="scale must be positive, got 0.0"):
+        Affines(("uA", "uB", "uC"), np.array([1.0, 0.0, -2.0]), np.zeros(3),
+                np.zeros(3, dtype=np.intp), np.zeros(3, dtype=np.intp), 0)
 
 
 def test_nonpositive_resilience_weight_rejected():
@@ -258,8 +272,14 @@ def test_nonpositive_resilience_weight_rejected():
 def test_gbt_config_forwarded():
     rows = [("uA", "g", "a", "b", 0.5), ("uA", "g", "b", "c", 0.5),
             ("uB", "g", "a", "b", 0.5), ("uB", "g", "b", "c", 0.5)]
-    _, _, scores = mehestan_scale(comparison_set(rows), GbtConfig(lam=7.0))
-    assert all(s.lam == 7.0 for s in scores)
+    cset = comparison_set(rows)
+    _, affines, fits = mehestan_scale(cset, GbtConfig(lam=7.0))
+    # The fits are lam = 7's, rescaled by their users' affines.
+    raw = fit_users(cset, GbtConfig(lam=7.0))
+    assert raw.theta.tobytes() != fit_users(cset).theta.tobytes()
+    scaled = affines.s[raw.user] * raw.theta + affines.tau[raw.user]
+    assert fits.theta.tobytes() == scaled.tobytes()
+    assert fits.grad_norm.tobytes() == raw.grad_norm.tobytes()
 
 
 # Ids that csv_field quotes (a comma, a quote, CR, LF), non-ASCII ids and
@@ -283,22 +303,22 @@ def test_theta_csv_round_trips(tmp_path_factory, users, items, data):
             rows.append((user, "g", left, right, data.draw(st.floats(-1.0, 1.0))))
     cset = comparison_set(rows)
     config = GbtConfig(tol=1e-6, max_iter=300)
-    _, _, scores = mehestan_scale(cset, config)
-    # Each fit holds its set's sorted vocabulary and one float64 per item.
-    for user, fit in zip(cset.user_ids, scores):
+    _, _, fits = mehestan_scale(cset, config)
+    # Each user's fit holds its set's sorted vocabulary and one float64 per item.
+    assert fits.theta.dtype == np.float64
+    for user in cset.user_ids:
         own = cset.restrict(user_id=user)
-        raw = fit_gbt(own, config)
-        assert raw.item_ids == own.item_ids == fit.item_ids
-        assert raw.theta.dtype == fit.theta.dtype == np.float64
-        assert raw.theta.shape == fit.theta.shape == (len(own.item_ids),)
+        raw = fit_users(own, config)
+        assert list(by_item(raw)) == list(own.item_ids) == list(by_item(fits, user))
+        assert raw.theta.dtype == np.float64 and raw.theta.shape == (len(own.item_ids),)
 
     path = tmp_path_factory.mktemp("theta") / "theta.csv"
-    write_individual_scores(scores, path)
+    write_individual_scores(fits, path)
     with path.open(newline="", encoding="utf-8") as fh:
         header, *got = csv.reader(fh)
     assert header == ["user_id", "item_id", "theta"]
-    want = [(s.user_id, item, value)
-            for s in scores for item, value in zip(s.item_ids, s.theta.tolist())]
+    want = [(fits.user_ids[u], fits.item_ids[i], value)
+            for u, i, value in zip(fits.user.tolist(), fits.item.tolist(), fits.theta.tolist())]
     # The rows are the scores' triples in user-then-item order, theta bit for bit.
     keys = [(user, item) for user, item, _ in got]
     assert keys == [(user, item) for user, item, _ in want] == sorted(keys)

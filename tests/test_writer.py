@@ -23,9 +23,9 @@ from equirank.dataset import (
 )
 from equirank.cli import _write_manifest, write_loss_trace, write_summary
 from equirank.equity import build_report, write_lorenz, write_report
-from equirank.gbt import IndividualScores, write_individual_scores
+from equirank.gbt import GbtFits, write_individual_scores
 from equirank.ltr import ModelParams, predict_all, save_model
-from equirank.scaling import UserAffine, write_user_affines
+from equirank.scaling import Affines, write_user_affines
 from equirank.simgen import GroundTruth, write_truth_theta, write_truth_users
 from row_view import rows_of
 import writer_oracle
@@ -216,7 +216,40 @@ _floats = st.one_of(
     st.sampled_from([5e-324, 1e-300, 9.999e-5, 1e-4, 1e15, 1e300, -0.0, 0.0, 0.1 + 0.2]),
     st.floats(allow_nan=False, allow_infinity=False),
 )
-_thetas = st.lists(st.tuples(_ids, st.dictionaries(_ids, _floats, max_size=4)), max_size=4)
+
+
+def _fits(user_ids, item_ids, scores):
+    """Fits holding what the theta writer reads: user k's score of item code i
+    is scores[k][i]; the stopping state is a placeholder."""
+    entries = [(k, i, own[i]) for k, own in enumerate(scores) for i in sorted(own)]
+    n = len(user_ids)
+    return GbtFits(
+        tuple(user_ids), tuple(item_ids),
+        np.array([k for k, _, _ in entries], dtype=np.intp),
+        np.array([i for _, i, _ in entries], dtype=np.intp),
+        np.array([x for _, _, x in entries], dtype=np.float64),
+        np.ones(n, dtype=bool), np.ones(n, dtype=np.intp), np.zeros(n),
+    )
+
+
+# Distinct users and items, and each user's scores of some of the items.
+_thetas = st.tuples(
+    st.lists(_ids, unique=True, max_size=4), st.lists(_ids, unique=True, max_size=4)
+).flatmap(lambda ids: st.lists(
+    st.dictionaries(st.sampled_from(range(len(ids[1]))), _floats, max_size=4)
+    if ids[1] else st.just({}),
+    min_size=len(ids[0]), max_size=len(ids[0]),
+).map(lambda scores: (_fits(*ids, scores),)))
+
+
+def _affines(rows):
+    """Affines of (user_id, s, tau) rows; the counts and the anchor are placeholders."""
+    n = len(rows)
+    return Affines(
+        tuple(u for u, _, _ in rows), np.array([s for _, s, _ in rows], dtype=np.float64),
+        np.array([t for _, _, t in rows], dtype=np.float64),
+        np.zeros(n, dtype=np.intp), np.zeros(n, dtype=np.intp), 0,
+    )
 
 
 def _truth(user_ids, item_ids=(), theta=(), group=None, archetype=None):
@@ -258,16 +291,10 @@ _WRITERS = {
         ),))),
         writer_oracle.oracle_write_features,
     ),
-    write_individual_scores: (
-        _thetas.map(lambda users: ([
-            IndividualScores(u, tuple(theta), np.array(list(theta.values()), float), 0.1)
-            for u, theta in users
-        ],)),
-        writer_oracle.oracle_write_individual_scores,
-    ),
+    write_individual_scores: (_thetas, writer_oracle.oracle_write_individual_scores),
     write_user_affines: (
-        st.lists(st.builds(UserAffine, _ids, _floats.filter(lambda s: s > 0), _floats),
-                 max_size=5).map(lambda affines: (affines,)),
+        st.lists(st.tuples(_ids, _floats.filter(lambda s: s > 0), _floats),
+                 max_size=5).map(lambda rows: (_affines(rows),)),
         writer_oracle.oracle_write_user_affines,
     ),
     write_truth_theta: (

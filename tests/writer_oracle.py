@@ -11,12 +11,14 @@ atomic writer, and the eight writers that fed it `repr` strings row by row,
 each renamed with an `oracle_` prefix: every one now goes through
 `equirank.dataset.write_table` and must write the same bytes. The feature
 and truth writers read the tables' id-aligned rows, keyed by id as the
-earlier dict fields held them.
+earlier dict fields held them, and the theta and affine writers rebuild the
+per-user objects the earlier lists held from the fits' and affines' arrays.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
+from types import SimpleNamespace
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -72,7 +74,8 @@ def oracle_write_features(table, path):
     )
 
 
-def oracle_write_individual_scores(scores, path):
+def oracle_write_individual_scores(fits, path):
+    scores = _per_user_fits(fits)
     oracle_write_csv(path, ["user_id", "item_id", "theta"], (
         [s.user_id, item, repr(value)]
         for s in scores for item, value in zip(s.item_ids, s.theta.tolist())
@@ -80,9 +83,26 @@ def oracle_write_individual_scores(scores, path):
 
 
 def oracle_write_user_affines(affines, path):
+    affines = [
+        SimpleNamespace(user_id=user, s=s, tau=tau)
+        for user, s, tau in zip(affines.user_ids, affines.s.tolist(), affines.tau.tolist())
+    ]
     oracle_write_csv(
         path, ["user_id", "s", "tau"], ([a.user_id, repr(a.s), repr(a.tau)] for a in affines)
     )
+
+
+def _per_user_fits(fits):
+    """Each user's fit as the earlier per-user fit objects held it: its id,
+    the ids of its items and its scores, in the record's order."""
+    return [
+        SimpleNamespace(
+            user_id=user,
+            item_ids=[fits.item_ids[i] for i in fits.item[fits.user == k].tolist()],
+            theta=fits.theta[fits.user == k],
+        )
+        for k, user in enumerate(fits.user_ids)
+    ]
 
 
 def _by_user(truth, rows):
