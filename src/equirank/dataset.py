@@ -23,6 +23,13 @@ The bytes are those of joining each row from `csv_field` and repr. Every
 data file is written under a temporary name and moved onto its path when
 complete, so a write cut short leaves the earlier file, or none, and never a
 truncated one.
+
+The reader gathers ids of at most 8 bytes as one masked word each. A second
+numpy kernel, `_decimals`, reads each score and feature value written as
+-?D.D+, one digit before the point and at most 22 after it, with at most 18
+significant digits: the repr of every float in [-1, 1] but those below 1e-4
+in magnitude. Every other form, such as an exponent, a plus sign, spaces or
+more digits, is read by Python's float, and both give the same bits.
 """
 
 from __future__ import annotations
@@ -32,7 +39,6 @@ import contextlib
 import functools
 import itertools
 import json
-import math
 import os
 import tempfile
 from dataclasses import dataclass
@@ -50,6 +56,9 @@ COMPARISONS_HEADER = ["user_id", "criterion", "left_item", "right_item", "score"
 _BLOCK_BYTES = 1 << 18
 _FIELD_CAP = 64
 _FIELD_LIMIT = 131072
+# A block is read with _WINDOW bytes before it, so that `_decimals` can
+# read the _WINDOW bytes before any field's end as three words.
+_WINDOW = 24
 # `write_columns` formats _WRITE_ROWS rows at a time, so every temporary is
 # sized to a block and not to the set. A score takes _REPR_CAP columns of a
 # block's lines: no float's repr is longer, a sign, 17 digits, a point and
@@ -604,29 +613,57 @@ def _outside(positions: np.ndarray, quotes: np.ndarray | None) -> np.ndarray:
     return positions if quotes is None else positions[np.searchsorted(quotes, positions) % 2 == 0]
 
 
+class _Spans(NamedTuple):
+    """One column of a block's rows, read in place: field k is the bytes
+    buf[start[k]:stop[k]], unquoted, at most _FIELD_CAP wide and holding no
+    special position. words[p] is the little-endian uint64 of buf[p:p + 8]."""
+
+    buf: np.ndarray
+    words: np.ndarray
+    start: np.ndarray
+    stop: np.ndarray
+
+
 def _field(
-    data: bytes, start: np.ndarray, stop: np.ndarray, quotes: np.ndarray | None, special: np.ndarray
-) -> np.ndarray | list[str]:
+    buf: np.ndarray, words: np.ndarray, start: np.ndarray, stop: np.ndarray,
+    quotes: np.ndarray | None, special: np.ndarray,
+) -> _Spans | list[str]:
     """One column of a block's rows, field k running from start[k] to
-    stop[k], as a zero-padded uint8 matrix at least 8 bytes wide; or as text
-    when a field holds a `special` position or is wider than _FIELD_CAP.
-    A field quoted at both ends loses its quotes."""
-    buf = np.frombuffer(data, dtype=np.uint8)
+    stop[k], as `_Spans`; or as text when a field holds a `special` position
+    or is wider than _FIELD_CAP. A field quoted at both ends loses its quotes."""
     if quotes is not None:
         quoted = buf[start] == ord('"')
         start, stop = start + quoted, stop - quoted
-    length = stop - start
-    width = int(length.max(initial=0))
-    if width > _FIELD_CAP or (
+    if (stop - start).max(initial=0) > _FIELD_CAP or (
         special.size and (np.searchsorted(special, stop) > np.searchsorted(special, start)).any()
     ):
         return [
-            data[s:e].decode().replace('""', '"') for s, e in zip(start.tolist(), stop.tolist())
+            buf[s:e].tobytes().decode().replace('""', '"')
+            for s, e in zip(start.tolist(), stop.tolist())
         ]
-    cols = np.arange(max(width, 8))
-    field = np.lib.stride_tricks.sliding_window_view(buf, cols.size)[start]
-    field *= cols < length[:, None]
-    return field
+    return _Spans(buf, words, start, stop)
+
+
+def _matrix(field: _Spans) -> np.ndarray:
+    """The fields as the rows of a zero-padded uint8 matrix, as wide as the
+    widest and at least 1."""
+    length = field.stop - field.start
+    cols = np.arange(max(int(length.max(initial=0)), 1))
+    matrix = np.lib.stride_tricks.sliding_window_view(field.buf, cols.size)[field.start]
+    matrix *= cols < length[:, None]
+    return matrix
+
+
+def _decode(matrix: np.ndarray) -> list[str]:
+    """The text of each row of a zero-padded uint8 matrix."""
+    return [key.decode() for key in matrix.view(f"S{matrix.shape[1]}").ravel().tolist()]
+
+
+def _text(field: _Spans | list[str], k: int) -> str:
+    """The text of field k of a `_field` column."""
+    if isinstance(field, list):
+        return field[k]
+    return field.buf[field.start[k] : field.stop[k]].tobytes().decode()
 
 
 def _unquote(name: str) -> str:
@@ -662,10 +699,13 @@ def _csv_rows(path: Path) -> Iterator:
         body = end + 1 + (first[end : end + 2] == b"\r\n")
         ncols, row, line = len(header), 2, 1 + first.count(b"\n", 0, body)
         for block in itertools.chain([first[body:]], blocks):
-            # A sentinel LF ends the record before the block. Record k ends at
-            # ends[k]; its text runs from starts[k] to stops[k], before any CR.
-            data = b"".join((b"\n", block, bytes(_FIELD_CAP)))
+            # A sentinel LF ends the record before the block, which starts at
+            # buf[_WINDOW], so that every field's stop has a _WINDOW-byte
+            # window before it. Record k ends at ends[k]; its text runs from
+            # starts[k] to stops[k], before any CR.
+            data = b"".join((bytes(_WINDOW - 1), b"\n", block, bytes(_FIELD_CAP)))
             buf = np.frombuffer(data, dtype=np.uint8)
+            words = np.ndarray((buf.size - 7,), "<u8", data, 0, (1,))
             lfs = np.flatnonzero(buf == ord("\n"))
             quotes = np.flatnonzero(buf == ord('"')) if b'"' in block else None
             ends = _outside(lfs, quotes)
@@ -678,7 +718,9 @@ def _csv_rows(path: Path) -> Iterator:
 
             # (record, problem) of each kind; at one record, the first listed.
             problems: list[tuple[int, ValueError | str]] = []
-            special = np.flatnonzero(buf[: len(block) + 1] == 0) if b"\0" in block else lfs[:0]
+            special = lfs[:0]
+            if b"\0" in block:
+                special = _WINDOW + np.flatnonzero(buf[_WINDOW : _WINDOW + len(block)] == 0)
             if quotes is not None:
                 # An opening quote starts a field or follows a closing one, as
                 # in a doubled ""; a closing quote ends a field or precedes one.
@@ -691,7 +733,7 @@ def _csv_rows(path: Path) -> Iterator:
                     # whether or not a quote later in the file closes it.
                     problems.append((ends.size, (
                         f"field larger than field limit ({_FIELD_LIMIT})"
-                        if len(block) + 1 - quotes[-1] > _FIELD_LIMIT
+                        if _WINDOW + len(block) - quotes[-1] > _FIELD_LIMIT
                         else "unterminated quoted field"
                     )))
                 doubled = quotes[1::2][neighbor[1::2] == ord('"')]
@@ -700,7 +742,7 @@ def _csv_rows(path: Path) -> Iterator:
                 block.decode()
             except UnicodeDecodeError as exc:
                 error = _not_utf8(path, block, exc.start, line)
-                problems.append((np.searchsorted(ends, exc.start + 1), error))
+                problems.append((np.searchsorted(ends, _WINDOW + exc.start), error))
             for k in np.flatnonzero(stops - starts > _FIELD_LIMIT).tolist():
                 inside = (commas > starts[k]) & (commas < stops[k])
                 if np.diff(np.r_[starts[k] - 1, commas[inside], stops[k]]).max() > _FIELD_LIMIT + 1:
@@ -711,9 +753,9 @@ def _csv_rows(path: Path) -> Iterator:
             # Each row holds ncols - 1 commas when that many per row come in
             # all and row i's share lies between its first byte and its stop.
             per = ncols - 1
-            if commas.size != per * filled.size or (commas[::per] < first_bytes).any() or (
-                commas[per - 1 :: per] >= row_stops
-            ).any():
+            if commas.size != per * filled.size or per and (
+                (commas[::per] < first_bytes).any() or (commas[per - 1 :: per] >= row_stops).any()
+            ):
                 counts = np.diff(np.searchsorted(commas, row_stops), prepend=0) + 1
                 for k in np.flatnonzero(counts != ncols)[:1].tolist():
                     problems.append((filled[k], f"expected {ncols} columns, got {counts[k]}"))
@@ -725,7 +767,7 @@ def _csv_rows(path: Path) -> Iterator:
                 commas = commas[: n * per].reshape(n, per).T
                 delims = [first_bytes[:n] - 1, *commas, row_stops[:n]]
                 yield row + filled[:n], [
-                    _field(data, before + 1, after, quotes, special)
+                    _field(buf, words, before + 1, after, quotes, special)
                     for before, after in zip(delims, delims[1:])
                 ]
             if isinstance(problem, ValueError):
@@ -736,36 +778,148 @@ def _csv_rows(path: Path) -> Iterator:
             line += lfs.size - 1
 
 
-def _texts(field: np.ndarray | list[str]) -> list[str]:
-    """The text of each field of a `_field` column."""
-    if isinstance(field, list):
-        return field
-    return [key.decode() for key in field.view(f"S{field.shape[1]}").ravel().tolist()]
+# The low L bytes of a word, for L = 0 to 8.
+_LOW_BYTES = np.array([(1 << 8 * n) - 1 for n in range(9)], dtype=np.uint64)
 
 
-def _field_codes(vocab: dict[str, int], field: np.ndarray | list[str]) -> np.ndarray:
-    """`_codes` of a `_field` column; new ids of a matrix enter in sorted order."""
+def _field_codes(vocab: dict[str, int], field: _Spans | list[str]) -> np.ndarray:
+    """`_codes` of a `_field` column; new ids of spans enter in sorted order."""
     if isinstance(field, list):
         return _codes(vocab, field)
-    # Rows as keys that sort as the ids: big-endian uint64 when 8 wide, else bytes.
-    keys = field.view(">u8" if field.shape[1] == 8 else f"S{field.shape[1]}").ravel()
+    # Rows as keys that sort as the ids: of fields at most 8 bytes wide, one
+    # word each with the bytes past the field masked out, read big-endian;
+    # else zero-padded bytes.
+    length = field.stop - field.start
+    if length.max(initial=0) <= 8:
+        keys = (field.words[field.start] & _LOW_BYTES[length]).view(">u8")
+    else:
+        matrix = _matrix(field)
+        keys = matrix.view(f"S{matrix.shape[1]}").ravel()
     if keys.size and (keys == keys[0]).all():
         # A constant column, such as a criterion or scaler tag, needs no sort.
         distinct, inverse = keys[:1], np.zeros(keys.size, dtype=np.intp)
     else:
         distinct, inverse = np.unique(keys, return_inverse=True)
-    return _codes(vocab, _texts(distinct.view(np.uint8).reshape(-1, field.shape[1])))[inverse]
+    return _codes(vocab, _decode(distinct.view(np.uint8).reshape(distinct.size, -1)))[inverse]
 
 
-def _scores(field: np.ndarray | list[str]) -> np.ndarray:
-    """A score column's values as float64, NaN where one does not parse."""
-    if not isinstance(field, list):
+def _window_masks() -> tuple[np.ndarray, np.ndarray]:
+    """(keep, fill), each (3, _WINDOW + 1) uint64: for a body of m bytes, a
+    digit, a point and m - 2 fraction digits, ending a _WINDOW-byte window,
+    keep[j, m] holds the fraction digits' bytes of the window's little-endian
+    word j and fill[j, m] a "0" in every byte before them."""
+    before = np.arange(_WINDOW) < _WINDOW + 2 - np.arange(_WINDOW + 1)[:, None]
+    keep, fill = (
+        np.where(before, a, b).astype(np.uint8).view("<u8").T.copy()
+        for a, b in ((0, 0xFF), (ord("0"), 0))
+    )
+    return keep, fill
+
+
+_WINDOW_KEEP, _WINDOW_FILL = _window_masks()
+_TENS = 10 ** np.arange(18, dtype=np.int64)
+
+
+def _u64(byte: int) -> np.uint64:
+    """A word holding `byte` in each of its eight bytes."""
+    return np.uint64(byte * 0x0101010101010101)
+
+
+def _decimals(field: _Spans) -> tuple[np.ndarray, np.ndarray]:
+    """(values, refused): each field of the form -?D.D+ parsed as float64,
+    the bits float() gives; refused marks every other field, whose value is
+    meaningless.
+
+    A field's last _WINDOW bytes are read as three little-endian words, the
+    bytes before its fraction digits set to "0", checked to be digits and
+    each word's eight digits combined with SWAR multiplies (Lemire,
+    "Number parsing at a gigabyte per second"). The field is then the
+    integer N = D * 10**k + F over 10**k, k its fraction digits. A field
+    with more than 22 fraction digits or 18 significant ones, N >= 10**18,
+    is refused.
+
+    N / 10**k is correctly rounded where N <= 2**53, both exact (Clinger's
+    fast path). Above, the quotient q of float(N) is within 1.5 ulp of
+    N / 10**k, so the result is q or a neighbor: `_scaled` gives q * 10**k
+    exactly as M + frac, and N - q * 10**k = I - frac for the integer
+    I = N - M is compared with the half-gaps h above q and low below it,
+    times 10**k. With N above 2**53, q * 10**k has no bit below 2**-51 and
+    h and low none below 2**-53, so I - h and I + low are exact wherever
+    frac, in [0, 1), can meet them. No field is a tie: halfway between two
+    doubles below 16 lies a number with more than 22 fraction digits.
+    """
+    buf, words, start, stop = field
+    negative = buf[start] == ord("-")
+    lead = start + negative
+    m = stop - lead
+    digit = buf[lead] - np.uint8(ord("0"))
+    refused = (m < 3) | (m > _WINDOW) | (buf[lead + 1] != ord(".")) | (digit > 9)
+    np.minimum(m, _WINDOW, out=m)
+    # Word j of the window: bytes 8j to 8j + 7, eight digits once checked.
+    pairs = np.uint64(0x000000FF000000FF)
+    hundreds, ones = np.uint64(100 + (10**6 << 32)), np.uint64(1 + (10**4 << 32))
+    for j, (keep, fill) in enumerate(zip(_WINDOW_KEEP, _WINDOW_FILL)):
+        w = words[stop - _WINDOW + 8 * j]
+        w &= keep.take(m)
+        w |= fill.take(m)
+        # A byte is a digit when its high nibble is 3 and stays 3 after adding 6.
+        nibbles = w + _u64(6)
+        nibbles &= _u64(0xF0)
+        nibbles >>= np.uint64(4)
+        nibbles |= w & _u64(0xF0)
+        refused |= nibbles != _u64(0x33)
+        # Pairs, then fours, then eight digits, the first digit in the low byte.
+        w -= _u64(ord("0"))
+        w = w * np.uint64(10) + (w >> np.uint64(8))
+        w = ((w & pairs) * hundreds + (w >> np.uint64(16) & pairs) * ones) >> np.uint64(32)
+        if j:
+            N *= 10**8
+            N += w.view(np.int64)
+        else:
+            N = w.view(np.int64)
+            # F, the window's 24 digits, is below 10**18.
+            refused |= N >= 100
+    # D * 10**k is below 10**18, so N is; other rows' N may overflow but
+    # are refused.
+    k = m - 2
+    refused |= (digit > 0) & (k >= 18)
+    N += digit * _TENS[np.clip(k, 0, 17)]
+    np.clip(k, 0, 22, out=k)
+    q = N / _POW10[k]
+    if (rows := np.flatnonzero((N > 2**53) & ~refused)).size:
+        a, k = q[rows], k[rows]
+        M, frac = _scaled(a, k)
+        I = (N[rows] - M).astype(np.float64)
+        bits = a.view(np.int64)
+        h = _POW10[k] * ((bits >> 52) - 53 << 52).view(np.float64)
+        low = np.where(bits & ((1 << 52) - 1) == 0, 0.5 * h, h)
+        q[rows] = (bits + (frac < I - h) - (frac > I + low)).view(np.float64)
+    # q is positive or zero: a negative field sets its sign bit.
+    q.view(np.int64)[:] |= negative.astype(np.int64) << 63
+    return q, refused
+
+
+def _floats(field: _Spans | list[str]) -> np.ndarray:
+    """A `_field` column's values as float64, NaN where one does not parse.
+
+    `_decimals` reads the fields of the form -?D.D+. The fields it refuses,
+    and text columns, are read by numpy's cast from bytes or, if that
+    refuses one, by float(): both give the bits of float().
+    """
+    if isinstance(field, list):
+        values, rows, texts = np.full(len(field), np.nan), range(len(field)), field
+    else:
+        values, refused = _decimals(field)
+        if not (rows := np.flatnonzero(refused)).size:
+            return values
+        matrix = _matrix(field._replace(start=field.start[rows], stop=field.stop[rows]))
         try:
-            return field.view(f"S{field.shape[1]}").ravel().astype(np.float64)
+            values[rows] = matrix.view(f"S{matrix.shape[1]}").ravel().astype(np.float64)
+            return values
         except ValueError:
-            field = _texts(field)
-    values = np.full(len(field), np.nan)
-    for k, text in enumerate(field):
+            values[rows] = np.nan
+            rows, texts = rows.tolist(), _decode(matrix)
+    for k, text in zip(rows, texts):
         with contextlib.suppress(ValueError):
             values[k] = float(text)
     return values
@@ -796,11 +950,11 @@ def read_columns(
     n = 0
     for lines, fields in rows:
         codes = [_field_codes(v, f) for v, f in zip(vocabs, fields[:4] + fields[5:])]
-        score = _scores(fields[4])
+        score = _floats(fields[4])
         bad = ~((score >= -1.0) & (score <= 1.0)) | (codes[2] == codes[3])
         if bad.any():
             k = int(bad.argmax())
-            left, text = (_texts(f[k : k + 1])[0] for f in (fields[2], fields[4]))
+            left, text = _text(fields[2], k), _text(fields[4], k)
             try:
                 in_range = -1.0 <= float(text) <= 1.0
             except ValueError:
@@ -848,24 +1002,35 @@ def parse_features(path: str | Path) -> FeatureTable:
     expected = ["item_id"] + [f"f{i}" for i in range(dim)]
     if header != expected:
         raise ValueError(f"{path}: bad header {header!r}, expected {expected!r}")
-    item_ids: list[str] = []
-    seen: set[str] = set()
-    values: list[float] = []
-    for lines, fields in rows:
-        for lineno, item_id, *texts in zip(lines.tolist(), *map(_texts, fields)):
-            if item_id in seen:
-                raise ValueError(f"{path}: line {lineno}: duplicate item_id {item_id!r}")
-            seen.add(item_id)
-            try:
-                vec = [float(v) for v in texts]
-            except ValueError:
-                raise ValueError(f"{path}: line {lineno}: unparsable feature value") from None
-            if not all(map(math.isfinite, vec)):
-                raise ValueError(f"{path}: line {lineno}: non-finite feature value")
-            item_ids.append(item_id)
-            values += vec
-    vectors = np.array(values, dtype=np.float64).reshape(len(item_ids), dim)
-    return FeatureTable(tuple(item_ids), vectors)
+    vocab: dict[str, int] = {}
+    codes, vectors = [np.zeros(0, dtype=np.intp)], [np.zeros((0, dim))]
+    for lines, (ids, *texts) in rows:
+        seen = len(vocab)
+        code = _field_codes(vocab, ids)
+        vector = np.column_stack([_floats(field) for field in texts])
+        # A row repeats an id of an earlier block, coded below `seen`, or
+        # one earlier in the block.
+        order = np.argsort(code, kind="stable")
+        repeat = code < seen
+        repeat[order[1:]] |= code[order[1:]] == code[order[:-1]]
+        bad = repeat | ~np.isfinite(vector).all(axis=1)
+        if bad.any():
+            k = int(bad.argmax())
+            problem = "non-finite feature value"
+            if repeat[k]:
+                problem = f"duplicate item_id {_text(ids, k)!r}"
+            else:
+                try:
+                    for field in texts:
+                        float(_text(field, k))
+                except ValueError:
+                    problem = "unparsable feature value"
+            raise ValueError(f"{path}: line {lines[k]}: {problem}")
+        codes.append(code)
+        vectors.append(vector)
+    names = tuple(vocab)
+    item_ids = tuple(names[k] for k in np.concatenate(codes).tolist())
+    return FeatureTable(item_ids, np.concatenate(vectors))
 
 
 def write_features(table: FeatureTable, path: str | Path) -> None:

@@ -150,6 +150,17 @@ def _gaps(rows: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.abs(rows.take(a, axis=1) - rows.take(b, axis=1))
 
 
+def _pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The pairs i < j of range(n) in row-major order, np.triu_indices(n, 1)
+    without its n x n table."""
+    counts = np.arange(n - 1, -1, -1)
+    first = np.repeat(np.arange(n), counts)
+    second = np.ones(first.size, dtype=np.intp)
+    # Row i >= 1 starts at i + 1, after row i - 1 ended at n - 1.
+    second[np.cumsum(counts[:-2])] = np.arange(3 - n, 1)
+    return first, np.cumsum(second, out=second)
+
+
 def _vote_matrix(theta: np.ndarray, present: np.ndarray) -> np.ndarray:
     """votes[u, v]: user v's vote on user u's scale, NaN where v casts none.
 
@@ -180,7 +191,7 @@ def _vote_matrix(theta: np.ndarray, present: np.ndarray) -> np.ndarray:
     for t0 in range(0, n_users - 1, tile):
         t1 = min(t0 + tile, n_users - 1)
         items = np.flatnonzero(present[t0:t1].any(axis=0))
-        a, b = (items[k] for k in np.triu_indices(len(items), 1))
+        a, b = (items[k] for k in _pairs(len(items)))
         gaps = _gaps(latent[t0:t1], a, b)
         valid = gaps > EPSILON_PAIR
         union = valid.any(axis=0)

@@ -291,8 +291,11 @@ _special_ids = st.one_of(
     st.text(alphabet=_ORACLE_CHARS, min_size=65, max_size=70),
     _plain_ids,
 )
+# Long-digit and exponent forms that the decimal kernel refuses, next to its own.
 _good_scores = st.one_of(
-    st.floats(-1.0, 1.0).map(repr), st.sampled_from([" 0.25", "+.5e-0", "-0.2_5", "1"])
+    st.floats(-1.0, 1.0).map(repr),
+    st.sampled_from([" 0.25", "+.5e-0", "-0.2_5", "1", "0.1234567890123456789012345",
+                     "-0.5" + "0" * 24, "0.9999999999999999999", "2.5e-1", "-9.5E-1"]),
 )
 _bad_scores = st.sampled_from(["1_0", "nan", "١", "1.5", "-inf", "", "0x1p-2", "1e999", "spam"])
 _BAD_ROWS = ("short", "long", "self", "score")
@@ -426,7 +429,8 @@ def test_rows_straddling_blocks_read_on_bytes(tmp_path, block_bytes):
 
 _good_values = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False).map(repr),
-    st.sampled_from([" 0.25", "+.5e-0", "-0.2_5", "1", "1_0", "١", "1e308"]),
+    st.sampled_from([" 0.25", "+.5e-0", "-0.2_5", "1", "1_0", "١", "1e308", "1.25e-3",
+                     "9.999999999999999999999", "-3." + "0" * 30 + "1"]),
 )
 _bad_values = st.sampled_from(["nan", "-inf", "1e999", "spam", "", "0x1p-2"])
 _BAD_FEATURE_ROWS = (("short",), ("long",), ("value",), ("duplicate",), ("duplicate", "value"))

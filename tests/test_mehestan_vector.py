@@ -301,6 +301,14 @@ def test_vote_matrix_is_antisymmetric(cset):
     assert _bits(votes.T[shared]) == _bits(-votes[shared])
 
 
+@pytest.mark.parametrize("n", [*range(65), 491])
+def test_item_pairs_are_the_upper_triangle_row_by_row(n):
+    # Each tile lays its gap tables out over the pairs in this order.
+    first, second = scaling._pairs(n)
+    want = np.triu_indices(n, 1)
+    assert first.tolist() == want[0].tolist() and second.tolist() == want[1].tolist()
+
+
 def assert_votes_match_oracle_in_every_tiling(cset, monkeypatch, config=GbtConfig(
     tol=1e-6, max_iter=300
 )):

@@ -2,10 +2,12 @@
 
 import contextlib
 import io
+import math
 import os
 import re
 import subprocess
 import sys
+from decimal import Decimal, localcontext
 from pathlib import Path
 
 import numpy as np
@@ -46,6 +48,7 @@ _HEADERS = [
 _PIECES = [
     b'"', b'""', b",", b"\r", b"\n", b"\r\n", b"\0", b"\xff", b"\xc3\xa9", b"\xef\xbb\xbf",
     b"u", b"a", b"b", b"0.5", b"-1", b" ", b"nan", b"1e999", b"minmax", b"none", b"x" * 70,
+    b"0.1234567890123456789012345", b"-9.999999999999999999", b"1.25e-3", b"-2.5E+0", b"-.5",
 ]
 _bodies = st.lists(
     st.one_of(st.sampled_from(_PIECES), st.binary(max_size=6)), max_size=40
@@ -161,6 +164,100 @@ def test_cli_reads_a_quoted_scaled_header_with_cr_line_ends(tmp_path):
                          "-o", str(tmp_path / f"out-{name}")]) == 0
     assert (tmp_path / "out-cr" / "scaled.csv").read_bytes() == (
         tmp_path / "out-s" / "scaled.csv").read_bytes()
+
+
+# --- The decimal kernel ---------------------------------------------------------
+
+# The form `dataset._decimals` reads: a sign, one digit, a point, fraction digits.
+_DECIMALS = re.compile(r"-?[0-9]\.[0-9]{1,22}")
+
+
+def _column(tmp_path_factory, texts, block_bytes):
+    """The texts as the one column of a CSV, read back in blocks: per text,
+    the kernel's value and refusal and the reader's value."""
+    path = tmp_path_factory.mktemp("column") / "c.csv"
+    path.write_bytes(b"".join(t.encode() + b"\n" for t in ["x", *texts]))
+    values, refused, read = [], [], []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dataset, "_BLOCK_BYTES", block_bytes)
+        rows = dataset._csv_rows(path)
+        next(rows)
+        for _, (field,) in rows:
+            value, refusal = dataset._decimals(field)
+            values += value.tolist()
+            refused += refusal.tolist()
+            read += dataset._floats(field).tolist()
+    return np.array(values), np.array(refused, dtype=bool), np.array(read)
+
+
+def _check_column(tmp_path_factory, texts, block_bytes):
+    """Every text reads as the bits of float(text), and the kernel reads
+    exactly the texts of its form with at most 18 significant digits."""
+    values, refused, read = _column(tmp_path_factory, texts, block_bytes)
+    want = np.full(len(texts), np.nan)
+    for k, text in enumerate(texts):
+        with contextlib.suppress(ValueError):
+            want[k] = float(text)
+    kernel = [
+        bool(_DECIMALS.fullmatch(t)) and int(t.lstrip("-").replace(".", "")) < 10**18
+        for t in texts
+    ]
+    assert refused.tolist() == [not k for k in kernel]
+    assert values[~refused].tobytes() == want[~refused].tobytes()
+    assert read.tobytes() == want.tobytes()
+
+
+@given(
+    texts=st.lists(st.one_of(
+        st.floats(-1.0, 1.0).map(repr),
+        st.from_regex(r"-?[0-9]\.[0-9]{1,24}", fullmatch=True),
+    ), min_size=1, max_size=40),
+    block_bytes=_BLOCK_SIZES,
+)
+@settings(max_examples=300, deadline=None)
+def test_decimal_fields_read_as_float_reads_them(texts, block_bytes, tmp_path_factory):
+    # Block sizes of 1 and 7 put every field at its block's first byte.
+    _check_column(tmp_path_factory, texts, block_bytes)
+
+
+# Powers of two and the doubles below them, where the gap below is half
+# the gap above.
+_TWOS = [2.0**j for j in range(-13, 4)]
+
+
+@given(
+    x=st.one_of(
+        st.floats(1e-4, 9.99), st.sampled_from(_TWOS + [math.nextafter(t, 0) for t in _TWOS])
+    ),
+    digits=st.integers(16, 19),
+    shift=st.sampled_from([-1, 0, 1]),
+    sign=st.sampled_from(["", "-"]),
+)
+@settings(max_examples=300, deadline=None)
+def test_decimals_near_a_midpoint_read_as_float_reads_them(
+    x, digits, shift, sign, tmp_path_factory
+):
+    # The exact midpoint between x and the next double, rounded to `digits`
+    # significant digits and moved by -1, 0 or 1 in the last one.
+    with localcontext() as context:
+        context.prec = 200
+        middle = (Decimal(x) + Decimal(math.nextafter(x, math.inf))) / 2
+        rounded = Decimal(f"{middle:.{digits - 1}e}")
+        last = Decimal(1).scaleb(rounded.adjusted() - digits + 1)
+        text = sign + format(rounded + shift * last, "f")
+    _check_column(tmp_path_factory, [text], 1)
+
+
+@pytest.mark.parametrize("text", [
+    "0.5", "-0.0", "1.0", "9.999999999999999999999", "0.000000000000000000001",
+    "0.12345678901234567", "-0.9999999999999999445", "9.00719925474099275", "0." + "0" * 21 + "5",
+    "9.99999999999999999", "9.999999999999999999", "0.000999999999999999999",
+    "0.0009999999999999999999", "-0.0004611686018427387904",
+    "0.5" + "0" * 21, "1.25e-3", "-.5", "+0.5", "0.5 ", "12.5", "1.", "-", "-.", "nan",
+], ids=repr)
+@pytest.mark.parametrize("block_bytes", [1, 7, 64])
+def test_decimal_edges_read_as_float_reads_them(text, block_bytes, tmp_path_factory):
+    _check_column(tmp_path_factory, [text, "0.5", text], block_bytes)
 
 
 # --- Written files read back, with no csv.reader ------------------------------
