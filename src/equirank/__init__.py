@@ -13,7 +13,6 @@ __version__ = "0.1.0"
 from .dataset import (
     ComparisonSet,
     FeatureTable,
-    comparison_set,
     parse_comparisons,
     parse_features,
     split,
@@ -23,11 +22,9 @@ from .dataset import (
 from .equity import (
     EquityReport,
     build_report,
-    classify,
     gini,
     lorenz_curve,
     max_gap,
-    per_user_metrics,
     std_dev,
 )
 from .gbt import (
@@ -60,7 +57,6 @@ from .simgen import (
     GroundTruth,
     SimConfig,
     generate,
-    true_classes,
     write_truth_theta,
     write_truth_users,
 )
@@ -81,8 +77,6 @@ __all__ = [
     "TrainResult",
     "br_mean",
     "build_report",
-    "classify",
-    "comparison_set",
     "fit_users",
     "generate",
     "gini",
@@ -95,14 +89,12 @@ __all__ = [
     "parse_comparisons",
     "parse_features",
     "parse_scaled_comparisons",
-    "per_user_metrics",
     "predict_all",
     "qr_med",
     "save_model",
     "split",
     "std_dev",
     "train",
-    "true_classes",
     "write_comparisons",
     "write_features",
     "write_individual_scores",

@@ -117,6 +117,8 @@ def _archetype_mix(text: str) -> dict[str, int] | None:
             name, sep, count = part.partition("=")
             if not sep or not name:
                 raise argparse.ArgumentTypeError(f"entry {part!r} is not name=count")
+            if name in mix:
+                raise argparse.ArgumentTypeError(f"entry {part!r} repeats archetype {name!r}")
             try:
                 mix[name] = int(count)
             except ValueError:
@@ -421,15 +423,16 @@ class UsageError(Exception):
 
 def parse_pipeline_config(path: str | Path) -> tuple[dict[str, object], list[str]]:
     """Flat key=value grammar; '#' starts a comment; `experiment` repeats,
-    each line naming a different experiment."""
+    each line naming a different grid cell (scaler, contrastive, embeddings)."""
     data = Path(path).read_bytes()
     try:
         text = data.decode()
     except UnicodeDecodeError as exc:
         raise UsageError(*_not_utf8(Path(path), data, exc.start).args) from None
     values = dict(_PIPELINE_DEFAULTS)
-    # Each experiment and the line that names it.
-    experiments: dict[str, int] = {}
+    # Each experiment, and the line that names its cell.
+    experiments: list[str] = []
+    cells: dict[tuple[str, bool, bool], int] = {}
     # Lines end at a LF, a CRLF or a bare CR, as in the CSV reader.
     lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
     for lineno, raw in enumerate(lines, 1):
@@ -441,15 +444,15 @@ def parse_pipeline_config(path: str | Path) -> tuple[dict[str, object], list[str
             raise UsageError(f"{path}: line {lineno}: expected key = value")
         if key == "experiment":
             try:
-                _parse_experiment(value)
+                cell = _parse_experiment(value)
             except UsageError as exc:
                 raise UsageError(f"{path}: line {lineno}: {exc}") from None
-            if value in experiments:
+            if cell in cells:
                 raise UsageError(
-                    f"{path}: line {lineno}: experiment {value!r} repeats line "
-                    f"{experiments[value]}"
+                    f"{path}: line {lineno}: experiment {value!r} repeats line {cells[cell]}"
                 )
-            experiments[value] = lineno
+            cells[cell] = lineno
+            experiments.append(value)
             continue
         if key not in _PIPELINE_DEFAULTS:
             raise UsageError(f"{path}: line {lineno}: unknown config key {key!r}")
@@ -475,7 +478,7 @@ def parse_pipeline_config(path: str | Path) -> tuple[dict[str, object], list[str
             raise UsageError(
                 f"{path}: line {lineno}: bad value {value!r} for key {key!r}"
             ) from None
-    return values, list(experiments)
+    return values, experiments
 
 
 def _parse_experiment(name: str) -> tuple[str, bool, bool]:

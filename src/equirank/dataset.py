@@ -43,7 +43,7 @@ import os
 import tempfile
 from dataclasses import dataclass
 from pathlib import Path
-from typing import BinaryIO, Iterable, Iterator, NamedTuple, Sequence
+from typing import BinaryIO, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -113,7 +113,7 @@ def group_rows(key: np.ndarray, n_groups: int) -> tuple[np.ndarray, np.ndarray]:
 class ComparisonSet:
     """An ordered collection of comparisons, stored as columns.
 
-    Build one from `Columns` (or from plain rows with `comparison_set`).
+    Build one from `Columns`.
     Vocabularies are kept sorted and hold exactly the ids that occur, so
     `user_ids` and `item_ids` are those appearing in the comparisons and user
     code k is the k-th user in sorted order. The column arrays are read-only
@@ -216,16 +216,6 @@ def _positions(ids: Sequence[str], keys: Sequence[str], missing: int) -> np.ndar
     """The position of each key in the distinct `ids`, `missing` for a key not there."""
     index = dict(zip(ids, range(len(ids))))
     return np.fromiter((index.get(key, missing) for key in keys), np.intp, len(keys))
-
-
-def _encode(users, criteria, lefts, rights, score) -> Columns:
-    user_vocab, criterion_vocab, item_vocab = {}, {}, {}
-    user, criterion = _codes(user_vocab, users), _codes(criterion_vocab, criteria)
-    left, right = _codes(item_vocab, lefts), _codes(item_vocab, rights)
-    return Columns(
-        tuple(user_vocab), user, tuple(criterion_vocab), criterion,
-        tuple(item_vocab), left, right, score,
-    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -1066,11 +1056,3 @@ def split(
         chosen = rng.permutation(n)[:n_train]
         in_train[order[start + chosen]] = True
     return cset.take(in_train), cset.take(~in_train)
-
-
-def comparison_set(rows: Iterable[tuple[str, str, str, str, float]]) -> ComparisonSet:
-    """Build a ComparisonSet from (user_id, criterion, left_item, right_item,
-    score) rows; convenience for tests and fixtures."""
-    users, criteria, lefts, rights, scores = tuple(zip(*rows, strict=True)) or ((),) * 5
-    score = np.array(scores, dtype=np.float64)
-    return ComparisonSet(_encode(users, criteria, lefts, rights, score))

@@ -1,35 +1,23 @@
 """Per-user evaluation and equity metrics over a 3-class preference problem.
 
 Predicted and true score differences are classified into left / tie / right
-with a tie band of +-tie_epsilon (boundary inclusive). Equity is summarized
-by the max gap, the population standard deviation, and the Gini coefficient
-of the per-user accuracies, plus the Lorenz curve of their cumulative shares.
+with a tie band of +-tie_epsilon (boundary inclusive). The report lists the
+users in order of first appearance, with each one's accuracy and macro recall
+in id-aligned arrays. Equity is summarized by the max gap, the population
+standard deviation, and the Gini coefficient of the per-user accuracies, plus
+the Lorenz curve of their cumulative shares.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, Sequence
 
 import numpy as np
 
 from .dataset import ComparisonSet, write_json, write_table
 
 CLASSES = ("left", "tie", "right")
-
-
-def classify(value: float, tie_epsilon: float) -> str:
-    """left if value < -tie_epsilon, right if value > tie_epsilon, else tie."""
-    if not np.isfinite(value):
-        raise ValueError(f"value must be finite, got {value}")
-    if tie_epsilon < 0:
-        raise ValueError(f"tie_epsilon must be >= 0, got {tie_epsilon}")
-    if value < -tie_epsilon:
-        return "left"
-    if value > tie_epsilon:
-        return "right"
-    return "tie"
 
 
 @dataclass(frozen=True, eq=False)
@@ -50,7 +38,7 @@ class Predictions:
 
 
 def _classes(values: np.ndarray, tie_epsilon: float) -> np.ndarray:
-    """classify() over an array, as codes 0 (left), 1 (tie), 2 (right)."""
+    """Codes 0 (left) below -tie_epsilon, 2 (right) above tie_epsilon, else 1 (tie)."""
     if tie_epsilon < 0:
         raise ValueError(f"tie_epsilon must be >= 0, got {tie_epsilon}")
     finite = np.isfinite(values)
@@ -59,21 +47,12 @@ def _classes(values: np.ndarray, tie_epsilon: float) -> np.ndarray:
     return np.where(values < -tie_epsilon, 0, np.where(values > tie_epsilon, 2, 1))
 
 
-@dataclass
-class _Tally:
-    """Per-user and per-class counts of classified predictions.
-
-    Users are listed in order of first appearance, as the report's maps are.
-    `totals[u, c]` counts user u's comparisons of true class c and `hits[u, c]`
-    those predicted correctly.
-    """
-
-    users: list[str]
-    totals: np.ndarray
-    hits: np.ndarray
-
-
-def _tally(predictions: Predictions, tie_epsilon: float) -> _Tally:
+def _tally(
+    predictions: Predictions, tie_epsilon: float
+) -> tuple[tuple[str, ...], np.ndarray, np.ndarray]:
+    """Users in order of first appearance, and their counts of classified
+    predictions: `totals[u, c]` counts user u's comparisons of true class c
+    and `hits[u, c]` those predicted correctly."""
     if not len(predictions):
         raise ValueError("predictions must be non-empty")
     cset = predictions.cset
@@ -82,91 +61,82 @@ def _tally(predictions: Predictions, tie_epsilon: float) -> _Tally:
     by_first = np.argsort(order[bounds[:-1]])
     rank = np.empty_like(by_first)
     rank[by_first] = np.arange(by_first.size)
-    users = [cset.user_ids[k] for k in by_first.tolist()]
-    codes = rank[cset.user]
-    truth_cls = _classes(cset.score, tie_epsilon)
-    hit = truth_cls == _classes(predictions.diff, tie_epsilon)
-    cell = codes * len(CLASSES) + truth_cls
-    shape = (len(users), len(CLASSES))
+    truth = _classes(cset.score, tie_epsilon)
+    hit = truth == _classes(predictions.diff, tie_epsilon)
+    cell = rank[cset.user] * len(CLASSES) + truth
+    shape = (by_first.size, len(CLASSES))
     size = shape[0] * shape[1]
-    return _Tally(
-        users,
+    return (
+        tuple(map(cset.user_ids.__getitem__, by_first.tolist())),
         np.bincount(cell, minlength=size).reshape(shape),
         np.bincount(cell[hit], minlength=size).reshape(shape),
     )
 
 
-def _macro_recall(totals: Sequence[int], hits: Sequence[int]) -> float:
-    """Unweighted mean of per-class recall over the classes that occur."""
-    return float(np.mean([h / t for t, h in zip(totals, hits) if t]))
+def _rates(totals: np.ndarray, hits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Accuracy and macro recall of class counts (last axis): macro recall is
+    the unweighted mean of per-class recall over the classes that occur."""
+    occurs = totals > 0
+    recall = np.divide(hits, totals, out=np.zeros(totals.shape), where=occurs)
+    return hits.sum(-1) / totals.sum(-1), recall.sum(-1) / occurs.sum(-1)
 
 
-def per_user_metrics(
-    predictions: Predictions, tie_epsilon: float
-) -> tuple[dict[str, float], dict[str, float]]:
-    """Per-user accuracy and macro recall of classified predictions."""
-    return _per_user(_tally(predictions, tie_epsilon))
-
-
-def _per_user(tally: _Tally) -> tuple[dict[str, float], dict[str, float]]:
-    accuracy = {}
-    recall = {}
-    for user, totals, hits in zip(tally.users, tally.totals.tolist(), tally.hits.tolist()):
-        accuracy[user] = sum(hits) / sum(totals)
-        recall[user] = _macro_recall(totals, hits)
-    return accuracy, recall
-
-
-def max_gap(values: Mapping[str, float]) -> float:
+def max_gap(values: np.ndarray) -> float:
     """Largest pairwise difference: max_i v_i - min_j v_j."""
-    if not values:
-        raise ValueError("max_gap of an empty map")
-    vals = list(values.values())
-    return max(vals) - min(vals)
+    if not values.size:
+        raise ValueError("max_gap of an empty array")
+    return float(values.max() - values.min())
 
 
-def std_dev(values: Mapping[str, float]) -> float:
+def std_dev(values: np.ndarray) -> float:
     """Population standard deviation (N denominator)."""
-    if not values:
-        raise ValueError("std_dev of an empty map")
-    return float(np.std(np.array(list(values.values()), dtype=np.float64)))
+    if not values.size:
+        raise ValueError("std_dev of an empty array")
+    return float(np.std(values))
 
 
-def gini(values: Mapping[str, float]) -> float:
+def gini(values: np.ndarray) -> float:
     """Relative mean absolute difference: sum_{i,j} |v_i - v_j| / (2 N^2 mean).
 
     Both orders of each pair are counted and the diagonal is zero. Undefined
     (error) when the mean is zero.
     """
-    if not values:
-        raise ValueError("gini of an empty map")
-    v = np.array(list(values.values()), dtype=np.float64)
-    mean = v.mean()
+    if not values.size:
+        raise ValueError("gini of an empty array")
+    mean = values.mean()
     if mean == 0:
         raise ValueError("gini undefined for zero mean")
-    diffs = np.abs(v[:, None] - v[None, :]).sum()
-    return float(diffs / (2.0 * v.size**2 * mean))
+    diffs = np.abs(values[:, None] - values[None, :]).sum()
+    return float(diffs / (2.0 * values.size**2 * mean))
 
 
-def lorenz_curve(values: Mapping[str, float]) -> list[tuple[float, float]]:
-    """Cumulative sorted shares: point k is (k/N, sum of k smallest / total)."""
-    if not values:
-        raise ValueError("lorenz_curve of an empty map")
-    v = np.sort(np.array(list(values.values()), dtype=np.float64))
+def lorenz_curve(values: np.ndarray) -> np.ndarray:
+    """Cumulative sorted shares, (N + 1, 2): row k is (k/N, sum of the k
+    smallest / total)."""
+    if not values.size:
+        raise ValueError("lorenz_curve of an empty array")
+    v = np.sort(values)
     total = v.sum()
     if total == 0:
         raise ValueError("lorenz_curve undefined for zero mean")
-    cum = np.cumsum(v) / total
-    n = v.size
-    points = [(0.0, 0.0)]
-    points.extend(((k + 1) / n, float(cum[k])) for k in range(n))
+    points = np.zeros((v.size + 1, 2))
+    points[1:, 0] = np.arange(1, v.size + 1) / v.size
+    points[1:, 1] = np.cumsum(v) / total
     return points
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class EquityReport:
-    per_user_accuracy: dict[str, float]
-    per_user_recall: dict[str, float]
+    """Per-user accuracy and macro recall, pooled figures and equity aggregates.
+
+    Position k of `accuracy` and `recall` belongs to user `user_ids[k]`, users
+    in order of first appearance in the predictions. `lorenz` holds the
+    Lorenz curve of the accuracies as `lorenz_curve` returns it.
+    """
+
+    user_ids: tuple[str, ...]
+    accuracy: np.ndarray
+    recall: np.ndarray
     overall_accuracy: float
     overall_recall: float
     acc_max_gap: float
@@ -175,13 +145,17 @@ class EquityReport:
     recall_std: float
     gini_accuracy: float
     mean_accuracy: float
-    n_users: int
-    lorenz: list[tuple[float, float]]
+    lorenz: np.ndarray
+
+    @property
+    def n_users(self) -> int:
+        return len(self.user_ids)
 
     def to_dict(self) -> dict:
+        """The report as `report.json` holds it, per-user maps sorted by user id."""
         return {
-            "per_user_accuracy": dict(sorted(self.per_user_accuracy.items())),
-            "per_user_recall": dict(sorted(self.per_user_recall.items())),
+            "per_user_accuracy": dict(sorted(zip(self.user_ids, self.accuracy.tolist()))),
+            "per_user_recall": dict(sorted(zip(self.user_ids, self.recall.tolist()))),
             "overall_accuracy": self.overall_accuracy,
             "overall_recall": self.overall_recall,
             "acc_max_gap": self.acc_max_gap,
@@ -191,7 +165,7 @@ class EquityReport:
             "gini_accuracy": self.gini_accuracy,
             "mean_accuracy": self.mean_accuracy,
             "n_users": self.n_users,
-            "lorenz": [[p, s] for p, s in self.lorenz],
+            "lorenz": self.lorenz.tolist(),
         }
 
 
@@ -199,25 +173,29 @@ def build_report(predictions: Predictions, tie_epsilon: float) -> EquityReport:
     """Assemble the full equity report.
 
     Overall accuracy pools all comparisons (it is not the mean of per-user
-    accuracies, which is reported separately as mean_accuracy).
+    accuracies, which is reported separately as mean_accuracy). When every
+    user's accuracy is 0, all are served equally: the report gives a Gini
+    coefficient of 0 and the line of equality as the Lorenz curve, where
+    `gini` and `lorenz_curve` refuse the zero mean.
     """
-    tally = _tally(predictions, tie_epsilon)
-    accuracy, recall = _per_user(tally)
-    totals = tally.totals.sum(axis=0).tolist()
-    hits = tally.hits.sum(axis=0).tolist()
+    user_ids, totals, hits = _tally(predictions, tie_epsilon)
+    accuracy, recall = _rates(totals, hits)
+    overall_accuracy, overall_recall = _rates(totals.sum(0), hits.sum(0))
+    equal = not accuracy.any()
     return EquityReport(
-        per_user_accuracy=accuracy,
-        per_user_recall=recall,
-        overall_accuracy=sum(hits) / sum(totals),
-        overall_recall=_macro_recall(totals, hits),
+        user_ids=user_ids,
+        accuracy=accuracy,
+        recall=recall,
+        overall_accuracy=float(overall_accuracy),
+        overall_recall=float(overall_recall),
         acc_max_gap=max_gap(accuracy),
         acc_std=std_dev(accuracy),
         recall_max_gap=max_gap(recall),
         recall_std=std_dev(recall),
-        gini_accuracy=gini(accuracy),
-        mean_accuracy=float(np.mean(list(accuracy.values()))),
-        n_users=len(accuracy),
-        lorenz=lorenz_curve(accuracy),
+        gini_accuracy=0.0 if equal else gini(accuracy),
+        mean_accuracy=float(accuracy.mean()),
+        # The Lorenz curve of any constant is the line of equality.
+        lorenz=lorenz_curve(np.ones_like(accuracy) if equal else accuracy),
     )
 
 

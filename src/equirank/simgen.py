@@ -22,8 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import Columns, ComparisonSet, FeatureTable, _positions, write_table
-from .equity import CLASSES, _classes
+from .dataset import Columns, ComparisonSet, FeatureTable, write_table
 
 ARCHETYPES = ("neutral", "conservative", "extreme", "malicious")
 CONSERVATIVE_GAIN = 0.2
@@ -81,6 +80,8 @@ class SimConfig:
         if self.group_sizes is not None:
             if len(self.group_sizes) != self.n_groups:
                 raise ValueError("group_sizes must have n_groups entries")
+            if min(self.group_sizes) < 0:
+                raise ValueError(f"group_sizes must be >= 0, got {self.group_sizes}")
             if sum(self.group_sizes) != self.n_users:
                 raise ValueError("group_sizes must sum to n_users")
         if self.malicious_mode not in ("signflip", "random"):
@@ -183,26 +184,6 @@ def generate(config: SimConfig) -> tuple[ComparisonSet, FeatureTable, GroundTrut
     )
     truth = GroundTruth(features, group_weights, user_ids, group, archetype, weights, theta)
     return cset, features, truth
-
-
-def true_classes(
-    truth: GroundTruth, cset: ComparisonSet, tie_epsilon: float
-) -> list[str]:
-    """Noise-free oracle labels from the latent utilities, in row order."""
-    user = _positions(truth.user_ids, cset.user_ids, -1)[cset.user]
-    items = _positions(truth.item_features.item_ids, cset.item_ids, -1)
-    left, right = items[cset.left], items[cset.right]
-    bad = np.flatnonzero((user < 0) | (left < 0) | (right < 0))
-    if bad.size:
-        row = bad[0]
-        if user[row] < 0:
-            raise ValueError(f"unknown user {cset.user_ids[cset.user[row]]!r}")
-        raise ValueError(
-            f"unknown item in comparison ({cset.item_ids[cset.left[row]]!r}, "
-            f"{cset.item_ids[cset.right[row]]!r})"
-        )
-    diff = truth.theta[user, right] - truth.theta[user, left]
-    return [CLASSES[c] for c in _classes(diff, tie_epsilon).tolist()]
 
 
 def _sorted_rows(ids: tuple[str, ...]) -> np.ndarray:

@@ -1,15 +1,17 @@
 """A row view of a ComparisonSet, for tests that read or build sets by row.
 
 A ComparisonSet is stored as columns; `rows_of` gives its rows as
-`Comparison` named tuples in input order, and `equirank.dataset.comparison_set`
-builds a set from such rows.
+`Comparison` named tuples in input order, and `comparison_set` builds a set
+from such rows.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
-from equirank.dataset import ComparisonSet
+import numpy as np
+
+from equirank.dataset import Columns, ComparisonSet, _codes
 
 
 class Comparison(NamedTuple):
@@ -35,3 +37,16 @@ def rows_of(cset: ComparisonSet) -> tuple[Comparison, ...]:
             cset.score.tolist(),
         )
     )
+
+
+def comparison_set(rows: Iterable[tuple[str, str, str, str, float]]) -> ComparisonSet:
+    """Build a ComparisonSet from (user_id, criterion, left_item, right_item,
+    score) rows."""
+    users, criteria, lefts, rights, scores = tuple(zip(*rows, strict=True)) or ((),) * 5
+    user_vocab, criterion_vocab, item_vocab = {}, {}, {}
+    user, criterion = _codes(user_vocab, users), _codes(criterion_vocab, criteria)
+    left, right = _codes(item_vocab, lefts), _codes(item_vocab, rights)
+    return ComparisonSet(Columns(
+        tuple(user_vocab), user, tuple(criterion_vocab), criterion,
+        tuple(item_vocab), left, right, np.array(scores, dtype=np.float64),
+    ))

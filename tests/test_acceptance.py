@@ -21,7 +21,7 @@ from scipy.stats import spearmanr
 
 from equirank import scaling
 from equirank.cli import main as cli_main
-from equirank.dataset import comparison_set, split
+from equirank.dataset import split
 from equirank.equity import build_report, gini, lorenz_curve, max_gap, std_dev
 from equirank.gbt import GbtConfig, fit_users
 from equirank.ltr import LossWeights, ModelParams, TrainConfig, predict_all, train
@@ -30,7 +30,7 @@ from equirank.scaling import mehestan_scale, minmax_scale, normalization_scale
 from equirank.simgen import SimConfig, generate
 from gbt_oracle import by_item, expected_comparison, kernel_point
 from ltr_oracle import loss, predict_diff, step_gradient
-from row_view import Comparison, rows_of
+from row_view import Comparison, comparison_set, rows_of
 
 
 def _report(name: str, detail: str) -> None:
@@ -74,9 +74,8 @@ def test_criterion_metric_oracles():
     worst = 0.0
     for _ in range(1000):
         n = int(rng.integers(2, 51))
-        vals = rng.uniform(0.01, 1.0, n)
-        values = {f"u{k}": float(x) for k, x in enumerate(vals)}
-        v = vals.tolist()
+        values = rng.uniform(0.01, 1.0, n)
+        v = values.tolist()
         worst = max(
             worst,
             abs(max_gap(values) - _brute_max_gap(v)),
@@ -97,8 +96,8 @@ def test_criterion_gini_lorenz_consistency():
     worst = 0.0
     for _ in range(100):
         n = int(rng.integers(2, 50))
-        values = {f"u{k}": float(x) for k, x in enumerate(rng.uniform(0.02, 1.0, n))}
-        points = np.array(lorenz_curve(values))
+        values = rng.uniform(0.02, 1.0, n)
+        points = lorenz_curve(values)
         area = np.trapezoid(points[:, 1], points[:, 0])
         deviation = abs(gini(values) - (1.0 - 2.0 * area))
         worst = max(worst, deviation)

@@ -15,11 +15,12 @@ from equirank.cli import (
     main,
     parse_pipeline_config,
 )
-from equirank.dataset import FeatureTable, comparison_set, parse_comparisons, write_comparisons, write_features
+from equirank.dataset import FeatureTable, parse_comparisons, write_comparisons, write_features
 from equirank.gbt import GbtConfig
 from equirank.ltr import LossWeights, ModelParams, TrainConfig, save_model
 from equirank.scaling import mehestan_scale, parse_scaled_comparisons
 from equirank.simgen import SimConfig
+from row_view import comparison_set
 
 
 def _int_limit():
@@ -81,6 +82,7 @@ class TestSimulate:
         ("--group-sizes", "a,b", "entry 'a' is not an integer"),
         ("--archetypes", "neutral:x", "entry 'neutral:x' is not name=count"),
         ("--archetypes", "neutral=x", "entry 'neutral=x': count 'x' is not an integer"),
+        ("--archetypes", "neutral=2,neutral=4", "entry 'neutral=4' repeats archetype 'neutral'"),
     ])
     def test_malformed_mix_is_usage_error(self, tmp_path, capsys, flag, value, message):
         with pytest.raises(SystemExit) as excinfo:
@@ -625,6 +627,8 @@ class TestPipeline:
         ("group_sizes = a,b", "bad value 'a,b' for key 'group_sizes': entry 'a' is not an integer"),
         ("archetypes = neutral:x",
          "bad value 'neutral:x' for key 'archetypes': entry 'neutral:x' is not name=count"),
+        ("archetypes = neutral=2,neutral=2", "bad value 'neutral=2,neutral=2' for key "
+         "'archetypes': entry 'neutral=2' repeats archetype 'neutral'"),
     ])
     def test_malformed_mix_names_the_line(self, tmp_path, capsys, line, message):
         config = tmp_path / "bad.cfg"
@@ -698,6 +702,17 @@ class TestPipeline:
         assert _run(["pipeline", "--config", str(config), "-o", str(out)]) == 2
         assert capsys.readouterr().err == (
             f"equirank: {config}: line 4: experiment 'minmax' repeats line 2\n"
+        )
+        assert not out.exists()
+
+    def test_reordered_experiment_names_the_same_cell(self, tmp_path, capsys):
+        # Token order and spacing do not change the cell, which would train twice.
+        config = tmp_path / "bad.cfg"
+        config.write_text("experiment = minmax+contrastive\nexperiment = contrastive + minmax\n")
+        out = tmp_path / "x"
+        assert _run(["pipeline", "--config", str(config), "-o", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"equirank: {config}: line 2: experiment 'contrastive + minmax' repeats line 1\n"
         )
         assert not out.exists()
 

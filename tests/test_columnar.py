@@ -1,9 +1,12 @@
 """The columnar data path against per-comparison oracles.
 
 Each oracle below is the earlier object-per-row implementation, kept here as
-the reference: restrict, split, the two per-user scalers, predict_all and
-the equity report must give exactly the same rows and the same floats.
+the reference, and `equity_oracle` holds the dict-based equity report:
+restrict, split, the two per-user scalers, predict_all and the equity report
+must give exactly the same rows and the same floats.
 """
+
+import json
 
 import numpy as np
 import pytest
@@ -13,12 +16,11 @@ from hypothesis import strategies as st
 from equirank.dataset import (
     COMPARISONS_HEADER,
     FeatureTable,
-    comparison_set,
     parse_comparisons,
     split,
     write_comparisons,
 )
-from equirank.equity import build_report, classify, per_user_metrics
+from equirank.equity import Predictions, build_report
 from equirank.ltr import ModelParams, predict_all
 from equirank.scaling import (
     minmax_scale,
@@ -27,8 +29,9 @@ from equirank.scaling import (
     write_scaled_comparisons,
 )
 from equirank.simgen import SimConfig, generate
+import equity_oracle
 from ltr_oracle import predict_diff
-from row_view import rows_of
+from row_view import comparison_set, rows_of
 
 # --- oracles: the per-comparison implementations -----------------------------
 
@@ -103,38 +106,6 @@ def oracle_predict_all(params, comparisons, features):
         (c, predict_diff(params, c.user_id, x[c.left_item], x[c.right_item]))
         for c in comparisons
     ]
-
-
-def _oracle_macro_recall(truth, predicted):
-    recalls = []
-    for cls in ("left", "tie", "right"):
-        total = sum(1 for t in truth if t == cls)
-        if total == 0:
-            continue
-        hit = sum(1 for t, p in zip(truth, predicted) if t == cls and p == cls)
-        recalls.append(hit / total)
-    return float(np.mean(recalls))
-
-
-def oracle_per_user_metrics(predictions, tie_epsilon):
-    by_user = {}
-    for comparison, predicted in predictions:
-        truths, preds = by_user.setdefault(comparison.user_id, ([], []))
-        truths.append(classify(comparison.score, tie_epsilon))
-        preds.append(classify(predicted, tie_epsilon))
-    accuracy = {}
-    recall = {}
-    for user, (truths, preds) in by_user.items():
-        accuracy[user] = sum(t == p for t, p in zip(truths, preds)) / len(truths)
-        recall[user] = _oracle_macro_recall(truths, preds)
-    return accuracy, recall
-
-
-def oracle_overall(predictions, tie_epsilon):
-    truth_cls = [classify(c.score, tie_epsilon) for c, _ in predictions]
-    pred_cls = [classify(d, tie_epsilon) for _, d in predictions]
-    accuracy = sum(t == p for t, p in zip(truth_cls, pred_cls)) / len(truth_cls)
-    return accuracy, _oracle_macro_recall(truth_cls, pred_cls)
 
 
 # --- populations -------------------------------------------------------------
@@ -254,19 +225,45 @@ def test_predict_all_and_report_match_oracle(cset, data, dim, seed):
     assert list(zip(rows_of(predictions.cset), predictions.diff.tolist())) == oracle
 
     eps = data.draw(st.sampled_from([0.0, 0.05, 0.3]))
-    accuracy, recall = per_user_metrics(predictions, eps)
-    want_accuracy, want_recall = oracle_per_user_metrics(oracle, eps)
-    # Same users in the same (first-appearance) order, same floats.
-    assert list(accuracy.items()) == list(want_accuracy.items())
-    assert list(recall.items()) == list(want_recall.items())
-
-    if not any(accuracy.values()):
-        with pytest.raises(ValueError, match="zero mean"):
-            build_report(predictions, eps)
-        return
     report = build_report(predictions, eps)
-    assert list(report.per_user_accuracy.items()) == list(want_accuracy.items())
-    assert (report.overall_accuracy, report.overall_recall) == oracle_overall(oracle, eps)
+    want = equity_oracle.build_report(oracle, eps)
+    assert_report_matches(report, want)
+    if not any(want.per_user_accuracy.values()):
+        # Every user predicted wrong: the equality fallback.
+        n = report.n_users
+        assert report.gini_accuracy == 0.0
+        assert report.lorenz.tolist() == [[k / n, k / n] for k in range(n + 1)]
+
+
+def assert_report_matches(report, want):
+    """The same users in the same (first-appearance) order, the same floats,
+    and the same report.json."""
+    assert list(zip(report.user_ids, report.accuracy.tolist())) == list(
+        want.per_user_accuracy.items()
+    )
+    assert list(zip(report.user_ids, report.recall.tolist())) == list(
+        want.per_user_recall.items()
+    )
+    assert json.dumps(report.to_dict()) == json.dumps(want.to_dict())
+
+
+def test_report_keeps_first_appearance_order():
+    # "zz" appears first, "solo" has a single row, "m" has no tie class.
+    rows = [
+        ("zz", "g", "a", "b", 0.5), ("m", "g", "a", "b", -0.5), ("solo", "g", "b", "c", 0.0),
+        ("zz", "g", "b", "c", 0.0), ("m", "g", "c", "a", 0.9), ("zz", "g", "c", "a", -0.2),
+        ("m", "g", "a", "c", -0.7),
+    ]
+    diff = np.array([0.4, 0.3, 0.01, 0.2, 0.8, -0.6, -0.1])
+    predictions = Predictions(comparison_set(rows), diff)
+    report = build_report(predictions, 0.05)
+    assert report.user_ids == ("zz", "m", "solo")
+    assert report.accuracy.tolist() == [2 / 3, 2 / 3, 1.0]
+    # m: left 1/2 right 1/1; zz: left 1/1, tie 0/1, right 1/1.
+    assert report.recall.tolist() == [2 / 3, 0.75, 1.0]
+    assert_report_matches(report, equity_oracle.build_report(
+        equity_oracle.pairs_of(predictions), 0.05
+    ))
 
 
 # --- CSV byte identity -------------------------------------------------------

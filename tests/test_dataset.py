@@ -14,7 +14,6 @@ from equirank.dataset import (
     COMPARISONS_HEADER,
     ComparisonSet,
     FeatureTable,
-    comparison_set,
     csv_field,
     parse_comparisons,
     parse_features,
@@ -24,7 +23,7 @@ from equirank.dataset import (
 )
 from equirank.scaling import parse_scaled_comparisons
 import csv_oracle
-from row_view import rows_of
+from row_view import comparison_set, rows_of
 
 
 def _write(tmp_path, name, text):

@@ -3,18 +3,9 @@
 import numpy as np
 import pytest
 
-from equirank.dataset import comparison_set
-from equirank.equity import (
-    Predictions,
-    build_report,
-    classify,
-    gini,
-    lorenz_curve,
-    max_gap,
-    per_user_metrics,
-    std_dev,
-)
-from row_view import Comparison
+from equirank.equity import Predictions, build_report, gini, lorenz_curve, max_gap, std_dev
+from equity_oracle import classify
+from row_view import Comparison, comparison_set
 
 
 class TestClassify:
@@ -51,26 +42,27 @@ class TestPerUserMetrics:
     def test_perfect_predictions(self):
         preds = [_pred("u1", 0.5, 0.4, 0), _pred("u1", -0.5, -0.2, 1),
                  _pred("u1", 0.0, 0.01, 2)]
-        acc, rec = per_user_metrics(_predictions(preds), 0.05)
-        assert acc["u1"] == 1.0
-        assert rec["u1"] == 1.0
+        report = build_report(_predictions(preds), 0.05)
+        assert report.user_ids == ("u1",)
+        assert report.accuracy.tolist() == [1.0]
+        assert report.recall.tolist() == [1.0]
 
     def test_half_right_single_class(self):
         # Truth classes (left, left), predicted (left, right): accuracy 1/2
         # and macro recall = recall(left) = 1/2 since only one class occurs.
         preds = [_pred("u1", -0.5, -0.4, 0), _pred("u1", -0.5, 0.4, 1)]
-        acc, rec = per_user_metrics(_predictions(preds), 0.05)
-        assert acc["u1"] == 0.5
-        assert rec["u1"] == 0.5
+        report = build_report(_predictions(preds), 0.05)
+        assert report.accuracy.tolist() == [0.5]
+        assert report.recall.tolist() == [0.5]
 
     def test_all_zero_predictions_on_strong_truths(self):
         preds = [_pred("u1", 0.8, 0.0, 0), _pred("u1", -0.9, 0.0, 1)]
-        acc, _ = per_user_metrics(_predictions(preds), 0.05)
-        assert acc["u1"] == 0.0
+        report = build_report(_predictions(preds), 0.05)
+        assert report.accuracy.tolist() == [0.0]
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            per_user_metrics(_predictions([]), 0.05)
+            build_report(_predictions([]), 0.05)
 
     def test_recall_bounds(self):
         rng = np.random.default_rng(50)
@@ -79,105 +71,103 @@ class TestPerUserMetrics:
                   float(rng.uniform(-1, 1)), i)
             for i in range(200)
         ]
-        _, rec = per_user_metrics(_predictions(preds), 0.05)
-        assert all(0.0 <= v <= 1.0 for v in rec.values())
+        recall = build_report(_predictions(preds), 0.05).recall
+        assert ((0.0 <= recall) & (recall <= 1.0)).all()
 
 
 class TestMaxGap:
     def test_hand_example(self):
-        assert max_gap({"u1": 0.5, "u2": 0.57, "u3": 0.52}) == pytest.approx(0.07)
+        assert max_gap(np.array([0.5, 0.57, 0.52])) == pytest.approx(0.07)
 
     def test_all_equal(self):
-        assert max_gap({"a": 0.4, "b": 0.4}) == 0.0
+        assert max_gap(np.array([0.4, 0.4])) == 0.0
 
     def test_single_user(self):
-        assert max_gap({"a": 0.9}) == 0.0
+        assert max_gap(np.array([0.9])) == 0.0
 
     def test_translation_invariant(self):
-        values = {"a": 0.1, "b": 0.6, "c": 0.3}
-        shifted = {k: v + 0.2 for k, v in values.items()}
+        values = np.array([0.1, 0.6, 0.3])
+        shifted = values + 0.2
         assert max_gap(shifted) == pytest.approx(max_gap(values))
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            max_gap({})
+            max_gap(np.array([]))
 
 
 class TestStdDev:
     def test_hand_example(self):
-        assert std_dev({"a": 0.4, "b": 0.6}) == pytest.approx(0.1)
+        assert std_dev(np.array([0.4, 0.6])) == pytest.approx(0.1)
 
     def test_all_equal(self):
-        assert std_dev({"a": 0.5, "b": 0.5, "c": 0.5}) == 0.0
+        assert std_dev(np.array([0.5, 0.5, 0.5])) == 0.0
 
     def test_translation_invariant(self):
         rng = np.random.default_rng(51)
-        values = {f"u{k}": float(rng.uniform(0, 1)) for k in range(9)}
-        shifted = {k: v + 3.0 for k, v in values.items()}
+        values = np.array([float(rng.uniform(0, 1)) for _ in range(9)])
+        shifted = values + 3.0
         assert std_dev(shifted) == pytest.approx(std_dev(values), abs=1e-12)
 
 
 class TestGini:
     def test_hand_example(self):
-        assert gini({"a": 0.4, "b": 0.6}) == pytest.approx(0.1)
+        assert gini(np.array([0.4, 0.6])) == pytest.approx(0.1)
 
     def test_all_equal_is_zero(self):
-        assert gini({"a": 0.3, "b": 0.3, "c": 0.3}) == 0.0
+        assert gini(np.array([0.3, 0.3, 0.3])) == 0.0
 
     def test_scale_invariant(self):
         rng = np.random.default_rng(52)
-        values = {f"u{k}": float(rng.uniform(0.1, 1)) for k in range(8)}
-        scaled = {k: 7.3 * v for k, v in values.items()}
+        values = np.array([float(rng.uniform(0.1, 1)) for _ in range(8)])
+        scaled = 7.3 * values
         assert gini(scaled) == pytest.approx(gini(values), abs=1e-12)
 
     def test_zero_mean_rejected(self):
         with pytest.raises(ValueError):
-            gini({"a": 0.0, "b": 0.0})
+            gini(np.array([0.0, 0.0]))
 
     def test_double_sum_equals_sorted_formulation(self):
         rng = np.random.default_rng(53)
         for _ in range(100):
             n = int(rng.integers(2, 40))
             v = rng.uniform(0.01, 1.0, n)
-            values = {f"u{k}": float(x) for k, x in enumerate(v)}
             srt = np.sort(v)
             i = np.arange(1, n + 1)
             sorted_form = float(np.sum((2 * i - n - 1) * srt) / (n**2 * v.mean()))
-            assert gini(values) == pytest.approx(sorted_form, abs=1e-12)
+            assert gini(v) == pytest.approx(sorted_form, abs=1e-12)
 
 
 class TestLorenz:
     def test_equal_values_on_diagonal(self):
-        assert lorenz_curve({"a": 0.5, "b": 0.5}) == [(0.0, 0.0), (0.5, 0.5), (1.0, 1.0)]
+        assert lorenz_curve(np.array([0.5, 0.5])).tolist() == [[0.0, 0.0], [0.5, 0.5], [1.0, 1.0]]
 
     def test_hand_example(self):
-        points = lorenz_curve({"a": 0.2, "b": 0.8})
-        assert points[0] == (0.0, 0.0)
-        assert points[1] == (0.5, pytest.approx(0.2))
-        assert points[2] == (1.0, pytest.approx(1.0))
+        points = lorenz_curve(np.array([0.2, 0.8])).tolist()
+        assert points[0] == [0.0, 0.0]
+        assert points[1] == [0.5, pytest.approx(0.2)]
+        assert points[2] == [1.0, pytest.approx(1.0)]
 
     def test_below_diagonal_and_monotone(self):
         rng = np.random.default_rng(54)
         for _ in range(50):
             n = int(rng.integers(1, 30))
-            values = {f"u{k}": float(rng.uniform(0.0, 1.0) + 0.01) for k in range(n)}
+            values = np.array([float(rng.uniform(0.0, 1.0) + 0.01) for _ in range(n)])
             points = lorenz_curve(values)
-            assert points[0] == (0.0, 0.0)
+            assert points[0].tolist() == [0.0, 0.0]
             assert points[-1][0] == 1.0
             assert points[-1][1] == pytest.approx(1.0)
-            fracs = [p for p, _ in points]
-            shares = [s for _, s in points]
+            fracs, shares = points.T
             assert all(np.diff(fracs) > 0)
             assert all(np.diff(shares) >= 0)
-            assert all(s <= p + 1e-12 for p, s in points)
+            assert all(shares <= fracs + 1e-12)
 
     def test_gini_lorenz_consistency(self):
         # For this discrete convention, Gini == 1 - 2 * trapezoid area.
         rng = np.random.default_rng(55)
         for _ in range(50):
             n = int(rng.integers(2, 30))
-            values = {f"u{k}": float(rng.uniform(0.05, 1.0)) for k in range(n)}
-            points = np.array(lorenz_curve(values))
+            values = np.array([float(rng.uniform(0.05, 1.0)) for _ in range(n)])
+            points = lorenz_curve(values)
             area = np.trapezoid(points[:, 1], points[:, 0])
             assert gini(values) == pytest.approx(1.0 - 2.0 * area, abs=1e-9)
 
@@ -215,7 +205,7 @@ def test_report_matches_brute_force_script():
         predictions.append((Comparison(user, "g", f"l{i}", f"r{i}", truth), pred))
     report = build_report(_predictions(predictions), 0.05)
     acc, gap, std, g = _brute_force_report(predictions, 0.05)
-    assert report.per_user_accuracy == pytest.approx(acc)
+    assert dict(zip(report.user_ids, report.accuracy.tolist())) == pytest.approx(acc)
     assert report.acc_max_gap == pytest.approx(gap, abs=1e-12)
     assert report.acc_std == pytest.approx(std, abs=1e-12)
     assert report.gini_accuracy == pytest.approx(g, abs=1e-12)
@@ -263,3 +253,17 @@ def test_report_overall_pools_comparisons():
     report = build_report(_predictions(predictions), 0.05)
     assert report.overall_accuracy == 0.75
     assert report.mean_accuracy == 0.5
+
+
+def test_report_all_zero_accuracy_falls_back_to_equality():
+    # Every user is predicted wrong: all are served equally, where gini and
+    # lorenz_curve refuse the zero mean.
+    predictions = [_pred("u1", 0.5, -0.5, 0), _pred("u2", -0.5, 0.5, 1)]
+    report = build_report(_predictions(predictions), 0.05)
+    assert report.accuracy.tolist() == [0.0, 0.0]
+    assert (report.acc_max_gap, report.acc_std, report.gini_accuracy) == (0.0, 0.0, 0.0)
+    assert report.lorenz.tolist() == [[0.0, 0.0], [0.5, 0.5], [1.0, 1.0]]
+    with pytest.raises(ValueError, match="zero mean"):
+        gini(report.accuracy)
+    with pytest.raises(ValueError, match="zero mean"):
+        lorenz_curve(report.accuracy)

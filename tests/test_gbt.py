@@ -8,14 +8,14 @@ import numpy as np
 import pytest
 from scipy.stats import spearmanr
 
-from equirank.dataset import comparison_set, split
+from equirank.dataset import split
 from equirank import gbt
 from equirank.gbt import (
     _EXP_CUTOFF, _SERIES_CUTOFF, GbtConfig, _expected_vec, _hessian_vec, fit_users,
 )
 from equirank.simgen import SimConfig, generate
 from gbt_oracle import by_item, expected_comparison, gbt_gradient, gbt_objective, kernel_point
-from row_view import rows_of
+from row_view import comparison_set, rows_of
 
 
 def _oracle_expected(delta: float) -> float:

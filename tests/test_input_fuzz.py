@@ -14,7 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from equirank import cli
-from equirank.dataset import FeatureTable, comparison_set, write_comparisons, write_features
+from equirank.dataset import FeatureTable, write_comparisons, write_features
+from row_view import comparison_set
 
 _MODEL = json.dumps(
     {"dim": 2, "w": [1.0, -0.5], "user_offsets": {"u0": [0.0, 0.25]}}, indent=2

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from equirank.dataset import FeatureTable, comparison_set
+from equirank.dataset import FeatureTable
 from equirank.ltr import (
     LossWeights,
     ModelParams,
@@ -31,7 +31,7 @@ from ltr_oracle import (
     score,
     step_gradient,
 )
-from row_view import Comparison, rows_of
+from row_view import Comparison, comparison_set, rows_of
 
 
 def _params(w, offsets=None):

@@ -20,12 +20,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from equirank import gbt, scaling
-from equirank.dataset import comparison_set
 from equirank.gbt import GbtConfig, _gradient, _hessian_vec, _objectives, _stack, fit_users
 from equirank.robust import ResilienceParams, br_mean
 from equirank.scaling import mehestan_scale
 from equirank.simgen import SimConfig, generate
 from gbt_oracle import by_item
+from row_view import comparison_set
 from test_gbt import _crowd
 
 # --- oracles: the loop implementations ---------------------------------------

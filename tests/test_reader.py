@@ -20,7 +20,6 @@ from equirank import cli, dataset
 from equirank.dataset import (
     COMPARISONS_HEADER,
     FeatureTable,
-    comparison_set,
     parse_comparisons,
     parse_features,
     write_comparisons,
@@ -31,7 +30,7 @@ from equirank.scaling import (
     parse_scaled_comparisons,
     write_scaled_comparisons,
 )
-from row_view import rows_of
+from row_view import comparison_set, rows_of
 
 HEADER = ",".join(COMPARISONS_HEADER).encode() + b"\n"
 _BLOCK_SIZES = st.sampled_from([1, 7, 64, dataset._BLOCK_BYTES])

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from equirank.dataset import ComparisonSet, comparison_set
+from equirank.dataset import ComparisonSet
 from equirank.gbt import GbtConfig, fit_users, write_individual_scores
 from equirank.scaling import (
     Affines,
@@ -18,7 +18,7 @@ from equirank.scaling import (
     write_scaled_comparisons,
 )
 from gbt_oracle import by_item, expected_comparison
-from row_view import rows_of
+from row_view import comparison_set, rows_of
 
 
 def _one_user(scores, user="u1"):

@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 
-from equirank.dataset import FeatureTable, comparison_set
-from equirank.equity import classify
-from equirank.simgen import GroundTruth, SimConfig, generate, true_classes
-from row_view import rows_of
+from equirank.dataset import FeatureTable, _positions
+from equirank.equity import CLASSES, _classes
+from equirank.simgen import GroundTruth, SimConfig, generate
+from equity_oracle import classify
+from row_view import comparison_set, rows_of
 
 # Standard fixture used across the suite (thresholds below were frozen after
 # a verified run: conservative users put ~100% of their scores in |r| < 0.3
@@ -163,6 +164,24 @@ def test_per_user_streams_stable_under_population_growth():
     assert rows_of(a.restrict(user_id="u0")) == rows_of(b.restrict(user_id="u0"))
 
 
+def true_classes(truth, cset, tie_epsilon):
+    """Noise-free labels from the latent utilities, in row order."""
+    user = _positions(truth.user_ids, cset.user_ids, -1)[cset.user]
+    items = _positions(truth.item_features.item_ids, cset.item_ids, -1)
+    left, right = items[cset.left], items[cset.right]
+    bad = np.flatnonzero((user < 0) | (left < 0) | (right < 0))
+    if bad.size:
+        row = bad[0]
+        if user[row] < 0:
+            raise ValueError(f"unknown user {cset.user_ids[cset.user[row]]!r}")
+        raise ValueError(
+            f"unknown item in comparison ({cset.item_ids[cset.left[row]]!r}, "
+            f"{cset.item_ids[cset.right[row]]!r})"
+        )
+    diff = truth.theta[user, right] - truth.theta[user, left]
+    return [CLASSES[c] for c in _classes(diff, tie_epsilon).tolist()]
+
+
 class TestTrueClasses:
     def _fixture(self):
         config = SimConfig(n_items=6, feature_dim=2, n_users=2,
@@ -289,3 +308,9 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="group_sizes"):
             SimConfig(n_items=5, feature_dim=2, n_users=4, comparisons_per_user=5,
                       n_groups=2, group_sizes=(1, 1))
+
+    def test_negative_group_size_rejected(self):
+        # (-1, 5) sums to n_users; generate would fail in numpy's repeat.
+        with pytest.raises(ValueError, match=r"group_sizes must be >= 0, got \(-1, 5\)"):
+            SimConfig(n_items=5, feature_dim=2, n_users=4, comparisons_per_user=5,
+                      n_groups=2, group_sizes=(-1, 5))

@@ -13,7 +13,6 @@ from equirank import dataset
 from equirank.dataset import (
     COMPARISONS_HEADER,
     FeatureTable,
-    comparison_set,
     parse_comparisons,
     write_columns,
     write_comparisons,
@@ -27,7 +26,7 @@ from equirank.gbt import GbtFits, write_individual_scores
 from equirank.ltr import ModelParams, predict_all, save_model
 from equirank.scaling import Affines, write_user_affines
 from equirank.simgen import GroundTruth, write_truth_theta, write_truth_users
-from row_view import rows_of
+from row_view import comparison_set, rows_of
 import writer_oracle
 from writer_oracle import oracle_write_columns
 
