@@ -12,7 +12,7 @@ import argparse
 import hashlib
 import json
 import sys
-from collections.abc import Mapping
+from collections.abc import Callable, Mapping
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -369,52 +369,49 @@ def cmd_audit(args: argparse.Namespace) -> int:
 
 # --- pipeline -----------------------------------------------------------
 
-_PIPELINE_DEFAULTS: dict[str, object] = {
-    "seed": 42,
-    "users": 8,
-    "items": 25,
-    "dim": 4,
-    "per_user": 300,
-    "noise": 0.1,
-    "criterion": "overall",
-    "groups": 1,
-    "opposed_groups": False,
-    "group_sizes": None,
-    "archetypes": None,
-    "weight_scale": 0.5,
-    "user_jitter": 0.1,
-    "malicious_mode": "signflip",
-    "train_fraction": 0.8,
-    "epochs": 15,
-    "batch_size": 32,
-    "learning_rate": 0.05,
-    "mse_weight": 1.0,
-    "ranking_weight": 0.0,
-    "bce_weight": 0.0,
-    "contrastive_weight": 1.0,
-    "ranking_margin": 0.1,
-    "contrastive_margin": 0.3,
-    "tie_epsilon": 0.05,
-    "embedding_l2": 0.0001,
-    "lam": 0.1,
-    "gbt_tol": 1e-8,
-    "gbt_max_iter": 10000,
-    "resilience_weight": 1.0,
-}
+def _truth(text: str) -> bool:
+    if text.lower() not in ("true", "false"):
+        raise ValueError(text)
+    return text.lower() == "true"
 
-# Keys parsed and checked as the flags of the same name are.
-_PIPELINE_PARSERS = {
-    "archetypes": _archetype_mix,
-    "group_sizes": _group_sizes,
-    "train_fraction": _fraction,
-    **dict.fromkeys(
-        ["users", "items", "dim", "per_user", "groups", "batch_size", "gbt_max_iter"],
-        _positive_int,
-    ),
-}
 
-_EXPERIMENT_SCALERS = {"baseline": "none", "none": "none", "minmax": "minmax",
-                       "normalization": "normalization", "mehestan": "mehestan"}
+# Each pipeline config key: (parser, default). The keys that share a flag's
+# name share its parser, so they are checked as the flag is.
+_PIPELINE_KEYS: dict[str, tuple[Callable[[str], object], object]] = {
+    "seed": (int, 42),
+    "users": (_positive_int, 8),
+    "items": (_positive_int, 25),
+    "dim": (_positive_int, 4),
+    "per_user": (_positive_int, 300),
+    "noise": (float, 0.1),
+    "criterion": (str, "overall"),
+    "groups": (_positive_int, 1),
+    "opposed_groups": (_truth, False),
+    "group_sizes": (_group_sizes, None),
+    "archetypes": (_archetype_mix, None),
+    "weight_scale": (float, 0.5),
+    "user_jitter": (float, 0.1),
+    "malicious_mode": (str, "signflip"),
+    "train_fraction": (_fraction, 0.8),
+    "epochs": (int, 15),
+    "batch_size": (_positive_int, 32),
+    "learning_rate": (float, 0.05),
+    "mse_weight": (float, 1.0),
+    "ranking_weight": (float, 0.0),
+    "bce_weight": (float, 0.0),
+    "contrastive_weight": (float, 1.0),
+    "ranking_margin": (float, 0.1),
+    "contrastive_margin": (float, 0.3),
+    "tie_epsilon": (float, 0.05),
+    "embedding_l2": (float, 0.0001),
+    "lam": (float, 0.1),
+    "gbt_tol": (float, 1e-8),
+    "gbt_max_iter": (_positive_int, 10000),
+    "resilience_weight": (float, 1.0),
+}
+_PIPELINE_DEFAULTS = {key: default for key, (_, default) in _PIPELINE_KEYS.items()}
+
+_EXPERIMENT_SCALERS = dict(zip(SCALER_TAGS, SCALER_TAGS), baseline="none")
 
 
 class UsageError(Exception):
@@ -423,7 +420,8 @@ class UsageError(Exception):
 
 def parse_pipeline_config(path: str | Path) -> tuple[dict[str, object], list[str]]:
     """Flat key=value grammar; '#' starts a comment; `experiment` repeats,
-    each line naming a different grid cell (scaler, contrastive, embeddings)."""
+    each line naming a different grid cell (scaler, contrastive, embeddings).
+    An experiment is kept with the spaces around its `+` tokens stripped."""
     data = Path(path).read_bytes()
     try:
         text = data.decode()
@@ -452,24 +450,12 @@ def parse_pipeline_config(path: str | Path) -> tuple[dict[str, object], list[str
                     f"{path}: line {lineno}: experiment {value!r} repeats line {cells[cell]}"
                 )
             cells[cell] = lineno
-            experiments.append(value)
+            experiments.append("+".join(token.strip() for token in value.split("+")))
             continue
-        if key not in _PIPELINE_DEFAULTS:
+        if key not in _PIPELINE_KEYS:
             raise UsageError(f"{path}: line {lineno}: unknown config key {key!r}")
-        default = _PIPELINE_DEFAULTS[key]
         try:
-            if key in _PIPELINE_PARSERS:
-                values[key] = _PIPELINE_PARSERS[key](value)
-            elif isinstance(default, bool):
-                if value.lower() not in ("true", "false"):
-                    raise ValueError(value)
-                values[key] = value.lower() == "true"
-            elif isinstance(default, int):
-                values[key] = int(value)
-            elif isinstance(default, float):
-                values[key] = float(value)
-            else:
-                values[key] = value
+            values[key] = _PIPELINE_KEYS[key][0](value)
         except argparse.ArgumentTypeError as exc:
             raise UsageError(
                 f"{path}: line {lineno}: bad value {value!r} for key {key!r}: {exc}"
@@ -524,17 +510,15 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
         sim_config = _sim_config(cfg)
         train_configs = [_train_config(cfg, contrastive, embeddings)
                          for _, contrastive, embeddings in cells]
-        gbt_config = GbtConfig(
-            lam=float(cfg["lam"]), tol=float(cfg["gbt_tol"]), max_iter=int(cfg["gbt_max_iter"])
-        )
-        weight = check_resilience_weight(float(cfg["resilience_weight"]))
+        gbt_config = GbtConfig(lam=cfg["lam"], tol=cfg["gbt_tol"], max_iter=cfg["gbt_max_iter"])
+        weight = check_resilience_weight(cfg["resilience_weight"])
     except ValueError as exc:
         raise ValueError(f"{args.config}: {exc}") from None
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
 
     cset, features, truth = generate(sim_config)
-    train_set, test_set = split(cset, float(cfg["train_fraction"]), int(cfg["seed"]))
+    train_set, test_set = split(cset, cfg["train_fraction"], cfg["seed"])
 
     datadir = outdir / "data"
     datadir.mkdir(exist_ok=True)
@@ -576,7 +560,7 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
     outputs.append(summary_path)
     _write_manifest(
         outdir, "pipeline", {"config": cfg, "experiments": experiments},
-        int(cfg["seed"]), [args.config], outputs, diagnostics,
+        cfg["seed"], [args.config], outputs, diagnostics,
     )
     print(f"ran {len(experiments)} experiment(s); summary at {summary_path}")
     return 0

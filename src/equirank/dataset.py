@@ -7,8 +7,8 @@ formatting so that serialize(parse(f)) is stable.
 
 A ComparisonSet is stored as columns: one integer code per row for the
 user, the criterion and the left and right items, each indexing a sorted
-vocabulary of ids, plus a float64 score column. Every layer works on these
-columns.
+vocabulary of ids, plus a float64 score column. It is built from these
+arrays, and every layer works on them.
 
 CSV files follow one quoting rule: a field is quoted when it contains a
 comma, a double quote, a carriage return or a line feed, and quotes inside
@@ -67,24 +67,6 @@ _WRITE_ROWS = 1 << 14
 _REPR_CAP = 24
 
 
-class Columns(NamedTuple):
-    """Column storage of a ComparisonSet.
-
-    `user`, `criterion`, `left` and `right` are intp codes into the
-    vocabularies `user_ids`, `criterion_ids` and `item_ids` (left and right
-    share `item_ids`); `score` is float64.
-    """
-
-    user_ids: tuple[str, ...]
-    user: np.ndarray
-    criterion_ids: tuple[str, ...]
-    criterion: np.ndarray
-    item_ids: tuple[str, ...]
-    left: np.ndarray
-    right: np.ndarray
-    score: np.ndarray
-
-
 def _canonical(
     vocab: Sequence[str], *codes: np.ndarray
 ) -> tuple[tuple[str, ...], list[np.ndarray]]:
@@ -113,18 +95,27 @@ def group_rows(key: np.ndarray, n_groups: int) -> tuple[np.ndarray, np.ndarray]:
 class ComparisonSet:
     """An ordered collection of comparisons, stored as columns.
 
-    Build one from `Columns`.
-    Vocabularies are kept sorted and hold exactly the ids that occur, so
-    `user_ids` and `item_ids` are those appearing in the comparisons and user
-    code k is the k-th user in sorted order. The column arrays are read-only
-    and may be shared between sets.
+    `user`, `criterion`, `left` and `right` are intp codes into the
+    vocabularies `user_ids`, `criterion_ids` and `item_ids` (left and right
+    share `item_ids`); `score` is float64. The constructor takes the
+    vocabularies in any order, and codes may leave entries unused: it keeps
+    them sorted and holding exactly the ids that occur, so `user_ids` and
+    `item_ids` are those appearing in the comparisons and user code k is the
+    k-th user in sorted order. The column arrays are read-only and may be
+    shared between sets.
     """
 
-    def __init__(self, columns: Columns):
-        user_ids, (user,) = _canonical(columns.user_ids, columns.user)
-        criterion_ids, (criterion,) = _canonical(columns.criterion_ids, columns.criterion)
-        item_ids, (left, right) = _canonical(columns.item_ids, columns.left, columns.right)
-        score = np.asarray(columns.score, dtype=np.float64)
+    def __init__(
+        self,
+        user_ids: Sequence[str], user: np.ndarray,
+        criterion_ids: Sequence[str], criterion: np.ndarray,
+        item_ids: Sequence[str], left: np.ndarray, right: np.ndarray,
+        score: np.ndarray,
+    ):
+        user_ids, (user,) = _canonical(user_ids, user)
+        criterion_ids, (criterion,) = _canonical(criterion_ids, criterion)
+        item_ids, (left, right) = _canonical(item_ids, left, right)
+        score = np.asarray(score, dtype=np.float64)
         n = score.shape[0]
         for array in (user, criterion, left, right, score):
             if array.shape != (n,):
@@ -141,13 +132,6 @@ class ComparisonSet:
         self.criterion_ids, self.criterion = criterion_ids, criterion
         self.item_ids, self.left, self.right = item_ids, left, right
         self.score = score
-
-    @property
-    def columns(self) -> Columns:
-        return Columns(
-            self.user_ids, self.user, self.criterion_ids, self.criterion,
-            self.item_ids, self.left, self.right, self.score,
-        )
 
     def __len__(self) -> int:
         return self.score.shape[0]
@@ -166,18 +150,23 @@ class ComparisonSet:
 
     def take(self, rows: np.ndarray) -> "ComparisonSet":
         """The rows selected by an index array or boolean mask, in that order."""
-        c = self.columns
         return ComparisonSet(
-            columns=Columns(
-                c.user_ids, c.user[rows], c.criterion_ids, c.criterion[rows],
-                c.item_ids, c.left[rows], c.right[rows], c.score[rows],
-            )
+            self.user_ids, self.user[rows], self.criterion_ids, self.criterion[rows],
+            self.item_ids, self.left[rows], self.right[rows], self.score[rows],
+        )
+
+    def with_scores(self, score: np.ndarray) -> "ComparisonSet":
+        """The same comparisons with `score` as their scores."""
+        return ComparisonSet(
+            self.user_ids, self.user, self.criterion_ids, self.criterion,
+            self.item_ids, self.left, self.right, score,
         )
 
     def restrict(
         self, user_id: str | None = None, criterion: str | None = None
     ) -> "ComparisonSet":
-        """Subset by user and/or criterion, preserving order."""
+        """Subset by user and/or criterion, preserving order; the set itself
+        when given neither."""
         rows = None
         if user_id is not None:
             k = _code(self.user_ids, user_id)
@@ -194,9 +183,7 @@ class ComparisonSet:
                 rows = np.flatnonzero(self.criterion == k)
             else:
                 rows = rows[self.criterion[rows] == k]
-        if rows is None:
-            return ComparisonSet(columns=self.columns)
-        return self.take(rows)
+        return self if rows is None else self.take(rows)
 
 
 def _code(vocab: tuple[str, ...], value: str) -> int | None:
@@ -386,7 +373,7 @@ def _keep_table() -> np.ndarray:
 
 
 _KEEP = _keep_table()
-# Columns 0 to 7 of a kernel token as a little-endian uint64; the first
+# A kernel token's columns 0 to 7 as a little-endian uint64; the first
 # digit is added to the "0" in column 6.
 _PREFIX = int.from_bytes(b"-0.0000.", "little")
 
@@ -917,11 +904,11 @@ def _floats(field: _Spans | list[str]) -> np.ndarray:
 
 def read_columns(
     path: str | Path, header: list[str]
-) -> tuple[Columns, list[tuple[str, ...]]]:
+) -> tuple[ComparisonSet, list[tuple[str, ...]]]:
     """Read a CSV whose first five columns are the comparisons schema.
 
-    Returns the columns and, for each column past the fifth, its distinct
-    values; the order of vocabularies and distinct values is unspecified.
+    Returns the set of its first five columns and, for each column past the
+    fifth, its distinct values, in an unspecified order.
     Raises ValueError naming the 1-based line of the first bad row.
     """
     path = Path(path)
@@ -960,10 +947,10 @@ def read_columns(
             column[n : n + part.size] = part
         n += score.size
     user, criterion, left, right, score = (column[:n] for column in columns)
-    result = Columns(
+    cset = ComparisonSet(
         tuple(users), user, tuple(criteria), criterion, tuple(items), left, right, score,
     )
-    return result, [tuple(seen) for seen in vocabs[4:]]
+    return cset, [tuple(seen) for seen in vocabs[4:]]
 
 
 def parse_comparisons(path: str | Path) -> ComparisonSet:
@@ -972,8 +959,7 @@ def parse_comparisons(path: str | Path) -> ComparisonSet:
     Raises ValueError naming the offending 1-based line number on malformed
     rows, out-of-range scores, or self-comparisons.
     """
-    columns, _ = read_columns(path, COMPARISONS_HEADER)
-    return ComparisonSet(columns=columns)
+    return read_columns(path, COMPARISONS_HEADER)[0]
 
 
 def write_comparisons(cset: ComparisonSet, path: str | Path) -> None:

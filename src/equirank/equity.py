@@ -205,5 +205,4 @@ def write_report(report: EquityReport, path: str | Path) -> None:
 
 def write_lorenz(report: EquityReport, path: str | Path) -> None:
     """Plot-ready CSV: population_fraction,cumulative_share."""
-    points = np.array(report.lorenz, dtype=np.float64).reshape(-1, 2)
-    write_table(path, ["population_fraction", "cumulative_share"], list(points.T))
+    write_table(path, ["population_fraction", "cumulative_share"], list(report.lorenz.T))

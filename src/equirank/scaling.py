@@ -69,10 +69,6 @@ def check_resilience_weight(weight: float) -> float:
     return weight
 
 
-def _replace_scores(cset: ComparisonSet, new_scores: np.ndarray) -> ComparisonSet:
-    return ComparisonSet(columns=cset.columns._replace(score=new_scores))
-
-
 def _user_criterion_groups(cset: ComparisonSet) -> tuple[np.ndarray, np.ndarray]:
     """(order, bounds) grouping rows by (user, criterion), input order inside."""
     n_criteria = len(cset.criterion_ids)
@@ -111,7 +107,7 @@ def minmax_scale(cset: ComparisonSet) -> ComparisonSet:
 
     Degenerate users whose scores are all equal map to 0.
     """
-    return _replace_scores(cset, _scale_groups(cset, _minmax_one))
+    return cset.with_scores(_scale_groups(cset, _minmax_one))
 
 
 def _normalization_one(vals: np.ndarray) -> np.ndarray | float:
@@ -138,7 +134,7 @@ def normalization_scale(cset: ComparisonSet) -> ComparisonSet:
     score gaps whose mean is not even representable, then double-center so
     the output mean sits at machine epsilon.
     """
-    return _replace_scores(cset, _scale_groups(cset, _normalization_one))
+    return cset.with_scores(_scale_groups(cset, _normalization_one))
 
 
 # Vote temporaries span about this many entries.
@@ -312,7 +308,7 @@ def mehestan_scale(
     )
     fits.theta = scaled_theta[present]
     affines = Affines(users, scales, translations, votes, candidates, anchor)
-    return _replace_scores(cset, new_scores), affines, fits
+    return cset.with_scores(new_scores), affines, fits
 
 
 def write_scaled_comparisons(scaled: ComparisonSet, path: str | Path, tag: str) -> None:
@@ -326,12 +322,12 @@ def write_scaled_comparisons(scaled: ComparisonSet, path: str | Path, tag: str) 
 def parse_scaled_comparisons(path: str | Path) -> ComparisonSet:
     """Read the scaled comparisons CSV (raw schema plus a `scaler` column),
     whose rows must all hold one tag of SCALER_TAGS."""
-    columns, (tags,) = read_columns(path, COMPARISONS_HEADER + ["scaler"])
+    cset, (tags,) = read_columns(path, COMPARISONS_HEADER + ["scaler"])
     if len(tags) > 1:
         raise ValueError(f"{path}: mixed scaler tags {sorted(tags)}")
     if not set(tags) <= set(SCALER_TAGS):
         raise ValueError(f"{path}: scaler tag must be one of {SCALER_TAGS}, got {tags[0]!r}")
-    return ComparisonSet(columns=columns)
+    return cset
 
 
 def write_user_affines(affines: Affines, path: str | Path) -> None:

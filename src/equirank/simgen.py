@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import Columns, ComparisonSet, FeatureTable, write_table
+from .dataset import ComparisonSet, FeatureTable, write_table
 
 ARCHETYPES = ("neutral", "conservative", "extreme", "malicious")
 CONSERVATIVE_GAIN = 0.2
@@ -175,12 +175,9 @@ def generate(config: SimConfig) -> tuple[ComparisonSet, FeatureTable, GroundTrut
         scores.append(_shape_scores(t, archetype[u_idx], config, comp_rng))
     # Codes are indices into user_ids and item_ids; the set sorts and compacts them.
     cset = ComparisonSet(
-        columns=Columns(
-            user_ids, np.repeat(np.arange(config.n_users), m),
-            (config.criterion,), np.zeros(config.n_users * m, dtype=np.intp),
-            item_ids, np.concatenate(lefts), np.concatenate(rights),
-            np.concatenate(scores),
-        )
+        user_ids, np.repeat(np.arange(config.n_users), m),
+        (config.criterion,), np.zeros(config.n_users * m, dtype=np.intp),
+        item_ids, np.concatenate(lefts), np.concatenate(rights), np.concatenate(scores),
     )
     truth = GroundTruth(features, group_weights, user_ids, group, archetype, weights, theta)
     return cset, features, truth

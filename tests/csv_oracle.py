@@ -20,7 +20,7 @@ from typing import Iterator
 
 import numpy as np
 
-from equirank.dataset import Columns, FeatureTable
+from equirank.dataset import ComparisonSet, FeatureTable
 
 
 def _row_error(row: list[str], ncols: int) -> str | None:
@@ -83,7 +83,9 @@ def _csv_rows(path: Path) -> Iterator[list[str]]:
         raise ValueError(f"{path}: empty file, expected a header row")
 
 
-def read_columns(path: str | Path, header: list[str]) -> tuple[Columns, list[tuple[str, ...]]]:
+def read_columns(
+    path: str | Path, header: list[str]
+) -> tuple[ComparisonSet, list[tuple[str, ...]]]:
     """`equirank.dataset.read_columns` through csv.reader, row by row."""
     path = Path(path)
     ncols = len(header)
@@ -109,11 +111,11 @@ def read_columns(path: str | Path, header: list[str]) -> tuple[Columns, list[tup
         for seen, value in zip(extra, row[5:]):
             seen[value] = None
     user, criterion, left, right = (np.array(c, dtype=np.intp) for c in codes)
-    columns = Columns(
+    cset = ComparisonSet(
         tuple(users), user, tuple(criteria), criterion,
         tuple(items), left, right, np.array(score, dtype=np.float64),
     )
-    return columns, [tuple(seen) for seen in extra]
+    return cset, [tuple(seen) for seen in extra]
 
 
 def parse_features(path: str | Path) -> FeatureTable:

@@ -11,7 +11,7 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from equirank.dataset import Columns, ComparisonSet, _codes
+from equirank.dataset import ComparisonSet, _codes
 
 
 class Comparison(NamedTuple):
@@ -46,7 +46,7 @@ def comparison_set(rows: Iterable[tuple[str, str, str, str, float]]) -> Comparis
     user_vocab, criterion_vocab, item_vocab = {}, {}, {}
     user, criterion = _codes(user_vocab, users), _codes(criterion_vocab, criteria)
     left, right = _codes(item_vocab, lefts), _codes(item_vocab, rights)
-    return ComparisonSet(Columns(
+    return ComparisonSet(
         tuple(user_vocab), user, tuple(criterion_vocab), criterion,
         tuple(item_vocab), left, right, np.array(scores, dtype=np.float64),
-    ))
+    )

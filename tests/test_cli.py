@@ -716,6 +716,45 @@ class TestPipeline:
         )
         assert not out.exists()
 
+    def test_spaced_experiments_are_named_as_written_without_spaces(self, tmp_path):
+        # Spaces around `+` change neither a report's file name nor its summary row.
+        config = tmp_path / "grid.cfg"
+        config.write_text("seed = 1\nusers = 2\nitems = 6\ndim = 2\nper_user = 10\n"
+                          "epochs = 1\nexperiment = contrastive +  minmax\n"
+                          "experiment =  baseline \n")
+        assert parse_pipeline_config(config)[1] == ["contrastive+minmax", "baseline"]
+        out = tmp_path / "run"
+        assert _run(["pipeline", "--config", str(config), "-o", str(out)]) == 0
+        assert sorted(p.name for p in out.glob("report_*")) == [
+            "report_baseline.json", "report_contrastive_minmax.json",
+        ]
+        rows = (out / "summary.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[0] for row in rows] == ["contrastive+minmax", "baseline"]
+
+    @pytest.mark.parametrize("key, value, argv", [
+        ("users", "0", ["simulate", "--items", "5", "--dim", "2", "--per-user", "5",
+                        "--users"]),
+        ("batch_size", "0", ["train", "--input", "c.csv", "--features", "f.csv",
+                             "--batch-size"]),
+        ("gbt_max_iter", "0", ["scale", "--input", "c.csv", "--scaler", "minmax",
+                               "--max-iter"]),
+        ("group_sizes", "a,b", ["simulate", "--users", "4", "--items", "5", "--dim", "2",
+                                "--per-user", "5", "--group-sizes"]),
+        ("archetypes", "neutral:x", ["simulate", "--users", "4", "--items", "5", "--dim",
+                                     "2", "--per-user", "5", "--archetypes"]),
+    ])
+    def test_config_key_and_flag_give_one_message(self, tmp_path, capsys, key, value, argv):
+        # `argv` ends with the flag that shares the key's parser.
+        config = tmp_path / "bad.cfg"
+        config.write_text(f"{key} = {value}\n")
+        assert _run(["pipeline", "--config", str(config), "-o", str(tmp_path / "x")]) == 2
+        key_message = capsys.readouterr().err.partition(f"for key {key!r}: ")[2]
+        with pytest.raises(SystemExit) as excinfo:
+            _run([*argv, value, "-o", str(tmp_path / "y")])
+        assert excinfo.value.code == 2
+        flag_message = capsys.readouterr().err.partition(f"argument {argv[-1]}: ")[2]
+        assert key_message == flag_message != ""
+
     def test_unknown_experiment_token_is_usage_error(self, tmp_path, capsys):
         config = tmp_path / "bad.cfg"
         config.write_text("experiment = warp+contrastive\n")

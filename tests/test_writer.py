@@ -309,7 +309,7 @@ _WRITERS = {
     ),
     write_lorenz: (
         st.lists(st.tuples(_floats, _floats), max_size=5).map(
-            lambda points: (SimpleNamespace(lorenz=points),)),
+            lambda points: (SimpleNamespace(lorenz=np.array(points).reshape(-1, 2)),)),
         writer_oracle.oracle_write_lorenz,
     ),
     write_loss_trace: (

@@ -142,7 +142,7 @@ def oracle_write_lorenz(report, path):
     oracle_write_csv(
         path,
         ["population_fraction", "cumulative_share"],
-        ([repr(frac), repr(share)] for frac, share in report.lorenz),
+        ([repr(frac), repr(share)] for frac, share in np.asarray(report.lorenz).tolist()),
     )
 
 
