@@ -646,8 +646,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # Out of the flags the manifests hash: its repr holds a memory address.
+    func = vars(args).pop("func")
     try:
-        return args.func(args)
+        return func(args)
     except UsageError as exc:
         print(f"equirank: {exc}", file=sys.stderr)
         return 2

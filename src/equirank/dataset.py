@@ -879,9 +879,8 @@ def _decimals(field: _Spans) -> tuple[np.ndarray, np.ndarray]:
 def _floats(field: _Spans | list[str]) -> np.ndarray:
     """A `_field` column's values as float64, NaN where one does not parse.
 
-    `_decimals` reads the fields of the form -?D.D+. The fields it refuses,
-    and text columns, are read by numpy's cast from bytes or, if that
-    refuses one, by float(): both give the bits of float().
+    `_decimals` reads the fields of the form -?D.D+, with the bits of
+    float(). The fields it refuses, and text columns, are read by float().
     """
     if isinstance(field, list):
         values, rows, texts = np.full(len(field), np.nan), range(len(field)), field
@@ -889,13 +888,9 @@ def _floats(field: _Spans | list[str]) -> np.ndarray:
         values, refused = _decimals(field)
         if not (rows := np.flatnonzero(refused)).size:
             return values
+        values[rows] = np.nan
         matrix = _matrix(field._replace(start=field.start[rows], stop=field.stop[rows]))
-        try:
-            values[rows] = matrix.view(f"S{matrix.shape[1]}").ravel().astype(np.float64)
-            return values
-        except ValueError:
-            values[rows] = np.nan
-            rows, texts = rows.tolist(), _decode(matrix)
+        rows, texts = rows.tolist(), _decode(matrix)
     for k, text in zip(rows, texts):
         with contextlib.suppress(ValueError):
             values[k] = float(text)

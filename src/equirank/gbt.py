@@ -15,10 +15,11 @@ Laplacian of the comparisons, each edge weighted by
 Var[r|delta] = 1/delta^2 - 1/sinh^2(delta), the derivative of E[r|delta].
 
 Every user of a set is fitted by damped Newton in one lockstep descent: the
-users' rows and items are laid end to end, and each round runs the
+users' rows and items are laid end to end once, and each round runs the
 elementwise kernels once for all of them. Each user keeps its own step and
 stopping rule, solves its own Newton system, and takes exactly the iterates
-of fitting it alone.
+of fitting it alone. A user that stops keeps its point and a zero
+direction, so later rounds give its point back unchanged.
 """
 
 from __future__ import annotations
@@ -134,14 +135,6 @@ class _Stack:
         first = np.repeat(np.cumsum(items) - items, rows)
         self.local = ends - np.concatenate([first, first])
 
-    def keep(self, alive: np.ndarray) -> tuple[_Stack, np.ndarray]:
-        """The stack of the users where `alive` holds, and the mask of their items."""
-        rows = np.repeat(alive, self.rows)
-        items = np.repeat(alive, self.items)
-        recode = np.cumsum(items) - 1
-        ends = recode[self.ends[np.concatenate([rows, rows])]]
-        return _Stack(ends, self.r[rows], self.rows[alive], self.items[alive]), items
-
 
 def _slices(counts: np.ndarray) -> list[slice]:
     bounds = [0, *itertools.accumulate(counts.tolist())]
@@ -163,10 +156,10 @@ def _stack(comparisons: ComparisonSet) -> tuple[_Stack, np.ndarray]:
 
 
 def _objectives(
-    stack: _Stack, theta: np.ndarray, lam: float
+    stack: _Stack, theta: np.ndarray, lam: float, users: list[int]
 ) -> tuple[np.ndarray, np.ndarray, list[float]]:
-    """Each user's objective at the stacked theta, with the deltas and their
-    absolute values.
+    """Each listed user's objective at the stacked theta, with the deltas and
+    their absolute values over every row.
 
     Each user's sum and prior are reductions over its own slices, so every
     objective is the one its fit alone would compute, bit for bit.
@@ -178,9 +171,9 @@ def _objectives(
     terms = _log_partition_vec(a) - stack.r * delta
     half_lam = 0.5 * lam
     objs = []
-    for rows, items in zip(stack.row_slices, stack.item_slices):
-        x = theta[items]
-        objs.append(float(np.add.reduce(terms[rows]) + half_lam * np.dot(x, x)))
+    for j in users:
+        x = theta[stack.item_slices[j]]
+        objs.append(float(np.add.reduce(terms[stack.row_slices[j]]) + half_lam * np.dot(x, x)))
     return delta, a, objs
 
 
@@ -254,47 +247,33 @@ def _descend(
     of the line search along the user's Newton direction. A user's step,
     objective and gradient norm are its own Python floats, and its Newton
     system is solved on its own, so each user takes the iterates of
-    fitting it alone. Users that stop are dropped from the stack.
+    fitting it alone. The stack is never rebuilt: a user that stops keeps
+    its point in theta and a zero direction, so every later trial gives its
+    point back, and only the users still running are reduced and solved.
     """
     lam, tol, max_iter = config.lam, config.tol, config.max_iter
     slots = stack.item_slices
-    fitted = np.zeros(int(stack.items.sum()))
-    converged = np.zeros(len(user_ids), dtype=bool)
-    iters = np.zeros(len(user_ids), dtype=np.intp)
-    norms = np.zeros(len(user_ids))
-
-    def finish(j: int, point: np.ndarray, ok: bool, g_norm: float) -> None:
-        """Record stacked user j's fit, stopped at `point`, and drop it."""
-        k = users[j]
-        fitted[slots[k]] = point[stack.item_slices[j]]
-        converged[k], iters[k], norms[k] = ok, n_iter[j], g_norm
-        stopped.append(j)
-
-    users = list(range(len(user_ids)))
-    step = [1.0] * len(users)
-    obj = [0.0] * len(users)
-    norm = [math.inf] * len(users)
-    n_iter = [0] * len(users)
+    n = len(user_ids)
+    converged = np.zeros(n, dtype=bool)
+    step, obj, norm, n_iter = [1.0] * n, [0.0] * n, [math.inf] * n, [0] * n
     # The first user, in code order, whose fit met a non-finite value; the
     # users after it are never reached when fitting one user at a time.
-    failed = len(users)
+    failed = n
     theta = np.zeros(int(stack.items.sum()))
     direction = np.zeros_like(theta)
+    running = list(range(n))
     first = True
-    while users:
-        if first:
-            trial = theta
-        else:
-            trial = theta - np.array(step).repeat(stack.items) * direction
-        delta, a, trial_obj = _objectives(stack, trial, lam)
+    while running:
+        trial = theta - np.array(step).repeat(stack.items) * direction
+        delta, a, trial_obj = _objectives(stack, trial, lam, running)
         # Every trial's gradient is needed: by the acceptance test, or as the
         # right-hand side of the next Newton system.
         g = _gradient(stack, trial, delta, a, lam)
-        moved, stopped = [], []
-        for j, items in enumerate(stack.item_slices):
+        going, moved = [], []
+        for j, o in zip(running, trial_obj):
+            items = slots[j]
             g_j = g[items]
             g_norm = math.sqrt(g_j.dot(g_j))
-            o = trial_obj[j]
             # The trial is taken when its objective falls or its gradient
             # norm shrinks: near the optimum float64 no longer resolves the
             # objective's decrease, but still resolves the gradient's.
@@ -305,49 +284,40 @@ def _descend(
                 # monotone, so every shorter step gives theta again and is
                 # refused down to the 1e-300 floor, with the same result.
                 if step[j] < 1e-300 or trial[items].tobytes() == theta[items].tobytes():
-                    finish(j, theta, False, norm[j])
+                    direction[items] = 0.0
+                else:
+                    going.append(j)
                 continue
             n_iter[j] += 1
             # A NaN or inf in the gradient always makes its norm non-finite.
             if not (math.isfinite(g_norm) and math.isfinite(o)) and (
                 not math.isfinite(o) or not np.isfinite(g_j).all()
             ):
-                failed = min(failed, users[j])
-                stopped.append(j)
-            elif g_norm <= tol:
-                finish(j, trial, True, g_norm)
-            elif n_iter[j] == max_iter:
-                finish(j, trial, False, g_norm)
+                # This user and every later one stop where they are.
+                failed = j
+                direction[items.start :] = 0.0
+                break
+            theta[items] = trial[items]
+            norm[j] = g_norm
+            if g_norm <= tol or n_iter[j] == max_iter:
+                converged[j] = g_norm <= tol
+                direction[items] = 0.0
             else:
-                obj[j], norm[j], step[j] = o, g_norm, 1.0
+                obj[j], step[j] = o, 1.0
+                going.append(j)
                 moved.append(j)
         if moved:
             h = _hessian_vec(a)
             for j, d in zip(moved, _newton_directions(stack, h, g, moved, lam)):
-                direction[stack.item_slices[j]] = d
-            if len(moved) == len(users):
-                theta = trial
-            else:
-                taken = np.zeros(len(users), dtype=bool)
-                taken[moved] = True
-                theta = np.where(taken.repeat(stack.items), trial, theta)
-        if stopped or users[-1] > failed:
-            alive = [u < failed for u in users]
-            for j in stopped:
-                alive[j] = False
-            stack, items = stack.keep(np.array(alive))
-            theta, direction = theta[items], direction[items]
-            users, step, obj, norm, n_iter = (
-                list(itertools.compress(values, alive))
-                for values in (users, step, obj, norm, n_iter)
-            )
+                direction[slots[j]] = d
+        running = going
         first = False
-    if failed < len(user_ids):
+    if failed < n:
         raise ValueError(
             f"non-finite values in GBT fit for user {user_ids[failed]!r}; "
             "check lam and input scores"
         )
-    return fitted, converged, iters, norms
+    return theta, converged, np.array(n_iter, dtype=np.intp), np.array(norm)
 
 
 def fit_users(comparisons: ComparisonSet, config: GbtConfig = GbtConfig()) -> GbtFits:
@@ -368,8 +338,10 @@ def fit_users(comparisons: ComparisonSet, config: GbtConfig = GbtConfig()) -> Gb
     or gradient at a point taken raises ValueError, naming the first such
     user in code order.
 
-    The users run in lockstep, each on its own step, Newton system and
-    stopping rule, and each takes exactly the iterates of fitting it alone.
+    The users run in lockstep on one stack built once, each on its own step,
+    Newton system and stopping rule, and each takes exactly the iterates of
+    fitting it alone. A user that stops keeps its point and a zero
+    direction, and only the users still running are reduced and solved.
     Each round assembles the Hessian blocks of the users that took a point
     in batches of at most _HESSIAN_ENTRIES entries, so memory does not grow
     with the number of users.

@@ -273,7 +273,6 @@ def mehestan_scale(
 
     # Anchor: most scored items, ties broken lexicographically (users are sorted).
     anchor = int(np.argmax(present.sum(axis=1)))
-    others = [np.delete(np.arange(len(users)), u) for u in range(len(users))]
 
     vote_matrix = _vote_matrix(theta, present)
     ratio_params = ResilienceParams(resilience_weight, 0.0, RATIO_CLIP)
@@ -297,8 +296,9 @@ def mehestan_scale(
         if u == anchor:
             continue
         items = np.flatnonzero(present[u])
-        rows = np.ix_(others[u], items)
-        values = (scaled[rows] - scaled[u, items])[present[rows]]
+        voters = present[:, items]
+        voters[u] = False
+        values = (scaled[:, items] - scaled[u, items])[voters]
         candidates[u] = len(values)
         translations[u] = br_mean(values.tolist(), translation_params)
 

@@ -52,7 +52,7 @@ def kernel_point(comparisons: ComparisonSet, lam: float, theta) -> tuple[float, 
     items of a one-user set."""
     stack, _ = _stack(comparisons)
     theta = np.asarray(theta, dtype=np.float64)
-    delta, a, (obj,) = _objectives(stack, theta, lam)
+    delta, a, (obj,) = _objectives(stack, theta, lam, [0])
     return obj, _gradient(stack, theta, delta, a, lam)
 
 

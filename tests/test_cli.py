@@ -3,10 +3,14 @@
 import json
 import os
 import stat
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import equirank
 from equirank.cli import (
     _PIPELINE_DEFAULTS,
     _sim_config,
@@ -152,6 +156,23 @@ class TestScale:
         mode = stat.S_IMODE((out / "scaled.csv").stat().st_mode)
         assert mode == 0o666 & ~umask
         assert stat.S_IMODE((out / "manifest_scale.json").stat().st_mode) == mode
+
+    def test_config_hash_is_equal_across_processes(self, tmp_path):
+        # Two processes running the same scale hash the same flags; a hashed
+        # function object would differ by its memory address.
+        sim = _simulate(tmp_path)
+        src = str(Path(equirank.__file__).parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = dict(os.environ, PYTHONPATH=path)
+        out, hashes = tmp_path / "scaled", []
+        for _ in range(2):
+            subprocess.run(
+                [sys.executable, "-m", "equirank.cli", "scale", "--input",
+                 str(sim / "comparisons.csv"), "--scaler", "minmax", "-o", str(out)],
+                env=env, check=True, capture_output=True,
+            )
+            hashes.append(json.loads((out / "manifest_scale.json").read_text())["config_hash"])
+        assert hashes[0] == hashes[1]
 
     def test_mehestan_writes_affines_for_each_user(self, tmp_path):
         rows = []

@@ -487,10 +487,11 @@ def test_kernel_matches_oracle(spread, monkeypatch):
         olds = [OracleProblem(cset.restrict(user_id=u), 0.1) for u in cset.user_ids]
         n_items = int(stack.items.sum())
         for theta in [*(rng.uniform(-spread, spread, n_items) for _ in range(20)), np.zeros(n_items)]:
-            delta, a, objs = _objectives(stack, theta, 0.1)
+            everyone = list(range(len(users)))
+            delta, a, objs = _objectives(stack, theta, 0.1, everyone)
             grad = _gradient(stack, theta, delta, a, 0.1)
             h = _hessian_vec(a)
-            directions = gbt._newton_directions(stack, h, grad, list(range(len(users))), 0.1)
+            directions = gbt._newton_directions(stack, h, grad, everyone, 0.1)
             for old, obj, own, rows, direction in zip(
                 olds, objs, stack.item_slices, stack.row_slices, directions
             ):
