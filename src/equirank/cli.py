@@ -79,6 +79,12 @@ def _fraction(text: str) -> float:
     return value
 
 
+# Flags naming files, which `input_paths` and `output_paths` record; the
+# config hash leaves them out, so one configuration has one hash wherever it
+# reads and writes.
+_PATH_FLAGS = ("out", "input", "features", "model", "test")
+
+
 def _write_manifest(
     outdir: Path,
     subcommand: str,
@@ -88,10 +94,11 @@ def _write_manifest(
     output_paths: list[Path],
     diagnostics: dict | None = None,
 ) -> Path:
+    config = {key: value for key, value in flags.items() if key not in _PATH_FLAGS}
     manifest = {
         "subcommand": subcommand,
         "config_hash": hashlib.sha256(
-            json.dumps(flags, sort_keys=True, default=str).encode()
+            json.dumps(config, sort_keys=True, default=str).encode()
         ).hexdigest(),
         "seed": seed,
         "input_paths": sorted(str(p) for p in input_paths),

@@ -38,10 +38,6 @@ from .dataset import ComparisonSet, write_table
 _SERIES_CUTOFF = 1e-2
 # exp(2a) overflows float64 near a = 355; beyond it the expm1 term is < 1e-304.
 _EXP_CUTOFF = 350.0
-# The Newton systems of consecutive users are assembled together while their
-# Hessian blocks hold at most this many entries (2 MiB); a user whose block
-# is larger is assembled alone.
-_HESSIAN_ENTRIES = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -123,17 +119,24 @@ class _Stack:
     """The fitting problems of several users laid end to end, users in code order.
 
     User j owns the rows row_slices[j] of `r` and the items item_slices[j]
-    of a stacked theta, its items in code order. `ends` holds the stacked
-    item of every row's right end, then of every row's left end, and `local`
-    the same ends numbered within their user's items; `rows` and `items`
-    count each user's rows and items.
+    of a stacked theta, its items in code order; `items` counts each user's
+    items. `ends` holds the stacked item of every row's right end, then of
+    every row's left end. With a user's n items numbered within the user,
+    `cells[cell_slices[j]]` are the flat positions in user j's n x n Newton
+    system of its rows' (right, right), then (left, left), (right, left) and
+    (left, right) entries, each in row order.
     """
 
     def __init__(self, ends: np.ndarray, r: np.ndarray, rows: np.ndarray, items: np.ndarray):
-        self.ends, self.r, self.rows, self.items = ends, r, rows, items
+        self.ends, self.r, self.items = ends, r, items
         self.row_slices, self.item_slices = _slices(rows), _slices(items)
+        self.cell_slices = _slices(4 * rows)
         first = np.repeat(np.cumsum(items) - items, rows)
-        self.local = ends - np.concatenate([first, first])
+        n = np.repeat(items, rows)
+        right, left = ends.reshape(2, -1) - first
+        cells = [right * (n + 1), left * (n + 1), right * n + left, left * n + right]
+        owner = np.repeat(np.arange(len(rows)), rows)
+        self.cells = np.concatenate(cells)[np.argsort(np.tile(owner, 4), kind="stable")]
 
 
 def _slices(counts: np.ndarray) -> list[slice]:
@@ -199,41 +202,20 @@ def _newton_directions(
     """The Newton direction H_j^-1 grad_j of each listed stacked user j.
 
     H_j is lam on the diagonal plus the Laplacian of user j's comparisons,
-    row c weighted by h[c]. The blocks of consecutive listed users are filled
-    by one np.bincount, adding each row's h at (right, right) and (left,
-    left), then -h at (right, left) and (left, right), in row order, exactly
-    as np.add.at would; at most _HESSIAN_ENTRIES entries are held at once
-    unless one user's block is larger. Each block is solved on its own.
+    row c weighted by h[c]. Each user's block is filled on its own by one
+    np.bincount over its cells, adding each row's h at (right, right) and
+    (left, left), then -h at (right, left) and (left, right), in row order,
+    exactly as np.add.at would, and solved before the next is filled.
     """
-    m = stack.r.shape[0]
-    batches: list[list[int]] = []
-    held = _HESSIAN_ENTRIES
-    for j in users:
-        size = int(stack.items[j]) ** 2
-        if held + size > _HESSIAN_ENTRIES:
-            batches.append([])
-            held = 0
-        batches[-1].append(j)
-        held += size
     out = []
-    for batch in batches:
-        slices = [stack.row_slices[j] for j in batch]
-        n = stack.items[batch]
-        starts = np.cumsum(n * n) - n * n
-        width = np.repeat(n, stack.rows[batch])
-        base = np.repeat(starts, stack.rows[batch])
-        right = np.concatenate([stack.local[s] for s in slices])
-        left = np.concatenate([stack.local[m + s.start : m + s.stop] for s in slices])
-        w = np.concatenate([h[s] for s in slices])
-        keys = np.concatenate([
-            base + right * (width + 1), base + left * (width + 1),
-            base + right * width + left, base + left * width + right,
-        ])
-        flat = np.bincount(keys, np.concatenate([w, w, -w, -w]), minlength=int((n * n).sum()))
-        for j, start, size in zip(batch, starts.tolist(), n.tolist()):
-            block = flat[start : start + size * size]
-            block[:: size + 1] += lam
-            out.append(np.linalg.solve(block.reshape(size, size), grad[stack.item_slices[j]]))
+    for j in users:
+        n = int(stack.items[j])
+        w = h[stack.row_slices[j]]
+        block = np.bincount(
+            stack.cells[stack.cell_slices[j]], np.concatenate([w, w, -w, -w]), minlength=n * n
+        )
+        block[:: n + 1] += lam
+        out.append(np.linalg.solve(block.reshape(n, n), grad[stack.item_slices[j]]))
     return out
 
 
@@ -342,9 +324,8 @@ def fit_users(comparisons: ComparisonSet, config: GbtConfig = GbtConfig()) -> Gb
     Newton system and stopping rule, and each takes exactly the iterates of
     fitting it alone. A user that stops keeps its point and a zero
     direction, and only the users still running are reduced and solved.
-    Each round assembles the Hessian blocks of the users that took a point
-    in batches of at most _HESSIAN_ENTRIES entries, so memory does not grow
-    with the number of users.
+    Each Newton system is assembled and solved on its own, so one user's
+    Hessian block is held at a time.
     """
     stack, keys = _stack(comparisons)
     n_items = len(comparisons.item_ids)

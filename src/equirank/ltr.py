@@ -38,7 +38,7 @@ class LossWeights:
 
     def __post_init__(self) -> None:
         for name, w in self.as_dict().items():
-            if w < 0:
+            if not w >= 0:
                 raise ValueError(f"loss weight {name} must be >= 0, got {w}")
         if not any(w > 0 for w in self.as_dict().values()):
             raise ValueError("at least one loss weight must be positive")
@@ -70,16 +70,16 @@ class TrainConfig:
             raise ValueError("ranking_margin must be positive")
         if not self.contrastive_margin > 0:
             raise ValueError("contrastive_margin must be positive")
-        if self.tie_epsilon < 0:
-            raise ValueError("tie_epsilon must be >= 0")
+        if not self.tie_epsilon >= 0:
+            raise ValueError(f"tie_epsilon must be >= 0, got {self.tie_epsilon}")
         if not self.learning_rate > 0:
             raise ValueError("learning_rate must be positive")
         if self.epochs < 0:
             raise ValueError("epochs must be >= 0")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
-        if self.embedding_l2 < 0:
-            raise ValueError("embedding_l2 must be >= 0")
+        if not self.embedding_l2 >= 0:
+            raise ValueError(f"embedding_l2 must be >= 0, got {self.embedding_l2}")
 
 
 @dataclass(eq=False)

@@ -58,9 +58,9 @@ class SimConfig:
         ]:
             if v < 1:
                 raise ValueError(f"{name} must be >= 1, got {v}")
-        if self.noise_std < 0:
+        if not self.noise_std >= 0:
             raise ValueError(f"noise_std must be >= 0, got {self.noise_std}")
-        if self.user_jitter < 0:
+        if not self.user_jitter >= 0:
             raise ValueError(f"user_jitter must be >= 0, got {self.user_jitter}")
         if not self.weight_scale > 0:
             raise ValueError(f"weight_scale must be positive, got {self.weight_scale}")

@@ -174,6 +174,21 @@ class TestScale:
             hashes.append(json.loads((out / "manifest_scale.json").read_text())["config_hash"])
         assert hashes[0] == hashes[1]
 
+    def test_config_hash_leaves_out_paths(self, tmp_path):
+        # One configuration read from two copies of its input and written to
+        # two directories has one hash; another lam has another.
+        sim = _simulate(tmp_path)
+        copy = tmp_path / "copy.csv"
+        copy.write_bytes((sim / "comparisons.csv").read_bytes())
+        hashes = []
+        for name, src, extra in [("a", sim / "comparisons.csv", []), ("b", copy, []),
+                                 ("c", copy, ["--lam", "0.2"])]:
+            out = tmp_path / name
+            assert _run(["scale", "--input", str(src), "--scaler", "minmax", *extra,
+                         "-o", str(out)]) == 0
+            hashes.append(json.loads((out / "manifest_scale.json").read_text())["config_hash"])
+        assert hashes[0] == hashes[1] != hashes[2]
+
     def test_mehestan_writes_affines_for_each_user(self, tmp_path):
         rows = []
         rng = np.random.default_rng(1)
@@ -605,6 +620,34 @@ experiment = embeddings
 """
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["train", "--bce-weight", "nan"], "loss weight bce must be >= 0, got nan"),
+    (["train", "--user-embeddings", "--embedding-l2", "nan"], "embedding_l2 must be >= 0, got nan"),
+    (["train", "--tie-epsilon", "nan"], "tie_epsilon must be >= 0, got nan"),
+    (["simulate", "--user-jitter", "nan"], "user_jitter must be >= 0, got nan"),
+    (["simulate", "--noise", "nan"], "noise_std must be >= 0, got nan"),
+    (["audit", "--tie-epsilon", "nan"], "tie_epsilon must be >= 0, got nan"),
+], ids=["bce-weight", "embedding-l2", "train-tie-epsilon", "user-jitter", "noise",
+        "audit-tie-epsilon"])
+def test_nan_value_fails_before_anything_is_written(tmp_path, capsys, argv, message):
+    # NaN passes every `x < 0` check and fails every `x > 0` gate, so a NaN
+    # let through would switch its term off without an error.
+    sim = _simulate(tmp_path)
+    model = tmp_path / "model.json"
+    save_model(ModelParams(np.zeros(3), (), np.zeros((0, 3))), model)
+    comparisons, features = str(sim / "comparisons.csv"), str(sim / "features.csv")
+    inputs = {
+        "simulate": ["--users", "4", "--items", "12", "--dim", "3", "--per-user", "40"],
+        "train": ["--input", comparisons, "--features", features],
+        "audit": ["--model", str(model), "--test", comparisons, "--features", features],
+    }[argv[0]]
+    capsys.readouterr()
+    out = tmp_path / "out"
+    assert _run([argv[0], *inputs, *argv[1:], "-o", str(out)]) == 1
+    assert capsys.readouterr().err == f"equirank: {message}\n"
+    assert not out.exists()
+
+
 class TestPipeline:
     def test_grid_outputs(self, tmp_path):
         config = tmp_path / "grid.cfg"
@@ -680,6 +723,7 @@ class TestPipeline:
         ("lam = 0", "lam must be positive, got 0.0"),
         ("learning_rate = 0", "learning_rate must be positive"),
         ("resilience_weight = -1", "resilience_weight must be positive, got -1.0"),
+        ("tie_epsilon = nan", "tie_epsilon must be >= 0, got nan"),
     ])
     def test_bad_values_fail_before_anything_is_written(self, tmp_path, capsys, line, message):
         config = tmp_path / "bad.cfg"

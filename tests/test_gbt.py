@@ -1,6 +1,7 @@
 """Generalized Bradley-Terry link function, objective, Hessian weights, and solver."""
 
 import math
+import tracemalloc
 import warnings
 
 import mpmath
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 from scipy.stats import spearmanr
 
-from equirank.dataset import split
+from equirank.dataset import ComparisonSet, split
 from equirank import gbt
 from equirank.gbt import (
     _EXP_CUTOFF, _SERIES_CUTOFF, GbtConfig, _expected_vec, _hessian_vec, fit_users,
@@ -392,6 +393,39 @@ class TestLockstep:
         assert calls[0] == len(cset) and len(calls) > 1
         later = [users for round_, users in solved if round_ > 1]
         assert later and all(j < u1 for users in later for j in users)
+
+
+def test_fit_holds_a_few_newton_blocks():
+    # 200 users, each over all of 120 items (a random chain, then 11 random
+    # pairs): their Newton blocks hold 23 MB together, about 4x the fit's
+    # peak. Each block is assembled and solved on its own, so the peak stays
+    # below 2 MiB (room to batch blocks up to that size), plus four blocks,
+    # plus 320 bytes (40 float64) for each row of the stack's arrays.
+    # Holding all of a round's blocks at once peaks near 29 MB.
+    n_users, n_items, extra = 200, 120, 11
+    rng = np.random.default_rng(5)
+    chain = np.argsort(rng.random((n_users, n_items)), axis=1)
+    left = np.concatenate([chain[:, :-1], rng.integers(n_items, size=(n_users, extra))], axis=1)
+    step = rng.integers(1, n_items, size=(n_users, extra))
+    right = np.concatenate([chain[:, 1:], (left[:, n_items - 1 :] + step) % n_items], axis=1)
+    user = np.repeat(np.arange(n_users), n_items - 1 + extra)
+    cset = ComparisonSet(
+        [f"u{k:03d}" for k in range(n_users)], user, ["g"], np.zeros_like(user),
+        [f"i{k:03d}" for k in range(n_items)], left.ravel(), right.ravel(),
+        rng.uniform(-1, 1, user.shape[0]),
+    )
+    # A first fit keeps one-time imports and caches out of the peak.
+    fit_users(cset)
+    tracemalloc.start()
+    try:
+        fits = fit_users(cset)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert fits.converged.all() and fits.n_iter.max() > 2
+    block = n_items * n_items * 8
+    assert n_users * block > 20e6
+    assert peak < 2 * 2**20 + 4 * block + 320 * len(cset)
 
 
 def test_converged_fits_carry_a_certificate():

@@ -462,21 +462,24 @@ def test_simulated_crowd_votes_match_oracle_in_every_tiling(monkeypatch):
     )
 
 
+def _random_points(rng, spread, n_items):
+    """20 random points of the stacked theta, then zero."""
+    return [*(rng.uniform(-spread, spread, n_items) for _ in range(20)), np.zeros(n_items)]
+
+
 @pytest.mark.parametrize("spread", [1e-3, 0.5, 5.0, 800.0])
-def test_kernel_matches_oracle(spread, monkeypatch):
+def test_kernel_matches_oracle(spread):
     # Small spreads take the series branch, large ones the closed form (and,
     # at 800, the exp cutoff); 0.5 mixes both. One user alone, then four
     # users stacked with their rows interleaved, each with 50 comparisons on
     # 12 items: each user's objective, gradient, Hessian weights and Newton
     # direction are the oracle's on its own set, at 20 random points and at
-    # zero. The last pass caps the Hessian batches at 300 entries, so the
-    # users' 144-entry blocks are assembled two by two.
+    # zero. The last pass shuffles together users of mixed block sizes, one
+    # comparison over 2 items, then users over 5, 12 and 30 items, and asks
+    # for the directions of users 0 and 2 alone: each comes from its own
+    # block and is the oracle's bit for bit.
     rng = np.random.default_rng(int(spread * 1000))
-    for users, hessian_entries in (
-        (["u"], gbt._HESSIAN_ENTRIES), (["u0", "u1", "u2", "u3"], gbt._HESSIAN_ENTRIES),
-        (["u0", "u1", "u2", "u3"], 300),
-    ):
-        monkeypatch.setattr(gbt, "_HESSIAN_ENTRIES", hessian_entries)
+    for users in (["u"], ["u0", "u1", "u2", "u3"]):
         rows = []
         for _ in range(50):
             for user in users:
@@ -485,8 +488,7 @@ def test_kernel_matches_oracle(spread, monkeypatch):
         cset = comparison_set(rows)
         stack, _ = _stack(cset)
         olds = [OracleProblem(cset.restrict(user_id=u), 0.1) for u in cset.user_ids]
-        n_items = int(stack.items.sum())
-        for theta in [*(rng.uniform(-spread, spread, n_items) for _ in range(20)), np.zeros(n_items)]:
+        for theta in _random_points(rng, spread, int(stack.items.sum())):
             everyone = list(range(len(users)))
             delta, a, objs = _objectives(stack, theta, 0.1, everyone)
             grad = _gradient(stack, theta, delta, a, 0.1)
@@ -503,6 +505,25 @@ def test_kernel_matches_oracle(spread, monkeypatch):
                 # The descent's norm: the dot of the user's slice of the gradient.
                 norm = math.sqrt(grad[own].dot(grad[own]))
                 assert _bits(norm) == _bits(np.linalg.norm(old.gradient(x)))
+    rows = [("m0", "g", "i00", "i01", float(rng.uniform(-1, 1)))]
+    for user, n in (("m1", 5), ("m2", 12), ("m3", 30)):
+        pairs = [(k, k + 1) for k in range(n - 1)]
+        pairs += [tuple(rng.choice(n, size=2, replace=False)) for _ in range(2 * n)]
+        rows += [(user, "g", f"i{a:02d}", f"i{b:02d}", float(rng.uniform(-1, 1)))
+                 for a, b in pairs]
+    cset = comparison_set([rows[k] for k in rng.permutation(len(rows))])
+    stack, _ = _stack(cset)
+    assert stack.items.tolist() == [2, 5, 12, 30]
+    olds = [OracleProblem(cset.restrict(user_id=u), 0.1) for u in cset.user_ids]
+    for theta in _random_points(rng, spread, int(stack.items.sum())):
+        delta, a, _ = _objectives(stack, theta, 0.1, [0, 2])
+        grad = _gradient(stack, theta, delta, a, 0.1)
+        directions = gbt._newton_directions(stack, _hessian_vec(a), grad, [0, 2], 0.1)
+        assert len(directions) == 2
+        for j, direction in zip([0, 2], directions):
+            x = theta[stack.item_slices[j]]
+            expected = np.linalg.solve(olds[j].hessian(x), olds[j].gradient(x))
+            assert _bits(direction) == _bits(expected)
 
 
 def test_each_point_gradient_is_evaluated_once(monkeypatch):
