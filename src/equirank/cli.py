@@ -21,6 +21,7 @@ import numpy as np
 from . import __version__
 from .dataset import (
     ComparisonSet,
+    FeatureTable,
     _csv_rows,
     _not_utf8,
     parse_comparisons,
@@ -52,7 +53,7 @@ from .scaling import (
     write_scaled_comparisons,
     write_user_affines,
 )
-from .simgen import SimConfig, generate, write_truth_theta, write_truth_users
+from .simgen import GroundTruth, SimConfig, generate, write_truth_theta, write_truth_users
 
 SUMMARY_COLUMNS = [
     "Name of Experiment",
@@ -187,23 +188,25 @@ def _load_comparisons(path: str | Path, criterion: str | None) -> ComparisonSet:
     return cset
 
 
+def _write_simulation(
+    outdir: Path, cset: ComparisonSet, features: FeatureTable, truth: GroundTruth
+) -> list[Path]:
+    """Write what `generate` returned into `outdir`; the paths written."""
+    outputs = [outdir / name for name in
+               ("comparisons.csv", "features.csv", "truth_theta.csv", "truth_users.csv")]
+    write_comparisons(cset, outputs[0])
+    write_features(features, outputs[1])
+    write_truth_theta(truth, outputs[2])
+    write_truth_users(truth, outputs[3])
+    return outputs
+
+
 def cmd_simulate(args: argparse.Namespace) -> int:
     cset, features, truth = generate(_sim_config(vars(args)))
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
-    outputs = {
-        "comparisons": outdir / "comparisons.csv",
-        "features": outdir / "features.csv",
-        "truth_theta": outdir / "truth_theta.csv",
-        "truth_users": outdir / "truth_users.csv",
-    }
-    write_comparisons(cset, outputs["comparisons"])
-    write_features(features, outputs["features"])
-    write_truth_theta(truth, outputs["truth_theta"])
-    write_truth_users(truth, outputs["truth_users"])
-    _write_manifest(
-        outdir, "simulate", vars(args), args.seed, [], list(outputs.values())
-    )
+    outputs = _write_simulation(outdir, cset, features, truth)
+    _write_manifest(outdir, "simulate", vars(args), args.seed, [], outputs)
     print(f"wrote {len(cset)} comparisons for {args.users} users to {outdir}")
     return 0
 
@@ -529,18 +532,8 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
 
     datadir = outdir / "data"
     datadir.mkdir(exist_ok=True)
-    outputs = [
-        datadir / "comparisons.csv",
-        datadir / "features.csv",
-        datadir / "truth_theta.csv",
-        datadir / "truth_users.csv",
-        datadir / "train.csv",
-        datadir / "test.csv",
-    ]
-    write_comparisons(cset, outputs[0])
-    write_features(features, outputs[1])
-    write_truth_theta(truth, outputs[2])
-    write_truth_users(truth, outputs[3])
+    outputs = _write_simulation(datadir, cset, features, truth)
+    outputs += [datadir / "train.csv", datadir / "test.csv"]
     write_comparisons(train_set, outputs[4])
     write_comparisons(test_set, outputs[5])
 

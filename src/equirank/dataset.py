@@ -34,7 +34,6 @@ more digits, is read by Python's float, and both give the same bits.
 
 from __future__ import annotations
 
-import bisect
 import contextlib
 import functools
 import itertools
@@ -162,33 +161,10 @@ class ComparisonSet:
             self.item_ids, self.left, self.right, score,
         )
 
-    def restrict(
-        self, user_id: str | None = None, criterion: str | None = None
-    ) -> "ComparisonSet":
-        """Subset by user and/or criterion, preserving order; the set itself
-        when given neither."""
-        rows = None
-        if user_id is not None:
-            k = _code(self.user_ids, user_id)
-            if k is None:
-                rows = np.zeros(0, dtype=np.intp)
-            else:
-                order, bounds = self.by_user
-                rows = order[bounds[k] : bounds[k + 1]]
-        if criterion is not None:
-            k = _code(self.criterion_ids, criterion)
-            if k is None:
-                rows = np.zeros(0, dtype=np.intp)
-            elif rows is None:
-                rows = np.flatnonzero(self.criterion == k)
-            else:
-                rows = rows[self.criterion[rows] == k]
-        return self if rows is None else self.take(rows)
-
-
-def _code(vocab: tuple[str, ...], value: str) -> int | None:
-    k = bisect.bisect_left(vocab, value)
-    return k if k < len(vocab) and vocab[k] == value else None
+    def restrict(self, criterion: str) -> "ComparisonSet":
+        """The rows with `criterion`, in input order; none when it is absent."""
+        k = _positions(self.criterion_ids, [criterion], -1)[0]
+        return self.take(np.flatnonzero(self.criterion == k))
 
 
 def _codes(vocab: dict[str, int], values: Sequence[str]) -> np.ndarray:

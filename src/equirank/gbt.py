@@ -49,9 +49,9 @@ class GbtConfig:
     max_iter: int = 10000
 
     def __post_init__(self) -> None:
-        if not self.lam > 0:
+        if not 0 < self.lam < np.inf:
             raise ValueError(f"lam must be positive, got {self.lam}")
-        if not self.tol > 0:
+        if not 0 < self.tol < np.inf:
             raise ValueError(f"tol must be positive, got {self.tol}")
         if self.max_iter < 1:
             raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
@@ -116,46 +116,43 @@ def _log_partition_vec(a: np.ndarray) -> np.ndarray:
 
 
 class _Stack:
-    """The fitting problems of several users laid end to end, users in code order.
+    """The fitting problems of every user of a set laid end to end, users in
+    code order.
 
     User j owns the rows row_slices[j] of `r` and the items item_slices[j]
     of a stacked theta, its items in code order; `items` counts each user's
-    items. `ends` holds the stacked item of every row's right end, then of
-    every row's left end. With a user's n items numbered within the user,
-    `cells[cell_slices[j]]` are the flat positions in user j's n x n Newton
-    system of its rows' (right, right), then (left, left), (right, left) and
-    (left, right) entries, each in row order.
+    items, and `keys` holds the key user * len(item_ids) + item of each
+    stacked item. `ends` holds the stacked item of every row's right end,
+    then of every row's left end. With a user's n items numbered within the
+    user, `cells[cell_slices[j]]` are the flat positions in user j's n x n
+    Newton system of its rows' (right, right), then (left, left), (right,
+    left) and (left, right) entries, each in row order.
     """
 
-    def __init__(self, ends: np.ndarray, r: np.ndarray, rows: np.ndarray, items: np.ndarray):
-        self.ends, self.r, self.items = ends, r, items
+    def __init__(self, comparisons: ComparisonSet):
+        order, bounds = comparisons.by_user
+        n_items = len(comparisons.item_ids)
+        owner = comparisons.user[order]
+        base = owner * n_items
+        self.keys, ends = np.unique(
+            np.concatenate([base + comparisons.right[order], base + comparisons.left[order]]),
+            return_inverse=True,
+        )
+        rows = np.diff(bounds)
+        items = np.bincount(self.keys // n_items, minlength=len(comparisons.user_ids))
+        self.ends, self.r, self.items = ends, comparisons.score[order], items
         self.row_slices, self.item_slices = _slices(rows), _slices(items)
         self.cell_slices = _slices(4 * rows)
         first = np.repeat(np.cumsum(items) - items, rows)
         n = np.repeat(items, rows)
         right, left = ends.reshape(2, -1) - first
         cells = [right * (n + 1), left * (n + 1), right * n + left, left * n + right]
-        owner = np.repeat(np.arange(len(rows)), rows)
         self.cells = np.concatenate(cells)[np.argsort(np.tile(owner, 4), kind="stable")]
 
 
 def _slices(counts: np.ndarray) -> list[slice]:
     bounds = [0, *itertools.accumulate(counts.tolist())]
     return [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
-
-
-def _stack(comparisons: ComparisonSet) -> tuple[_Stack, np.ndarray]:
-    """Every user's problem, stacked, and the key user * len(item_ids) + item
-    of each stacked item."""
-    order, bounds = comparisons.by_user
-    n_items = len(comparisons.item_ids)
-    owner = comparisons.user[order] * n_items
-    keys, ends = np.unique(
-        np.concatenate([owner + comparisons.right[order], owner + comparisons.left[order]]),
-        return_inverse=True,
-    )
-    items = np.bincount(keys // n_items, minlength=len(comparisons.user_ids))
-    return _Stack(ends, comparisons.score[order], np.diff(bounds), items), keys
 
 
 def _objectives(
@@ -226,7 +223,9 @@ def _descend(
     lockstep: theta stacked as the users' items are, the rest one per user.
 
     Each round evaluates one point per user: the zero start, then one trial
-    of the line search along the user's Newton direction. A user's step,
+    of the line search along the user's Newton direction. Every user's
+    objective starts at +inf, so the zero start, whose objective is finite
+    (log 2 per row, zero prior), is always taken. A user's step,
     objective and gradient norm are its own Python floats, and its Newton
     system is solved on its own, so each user takes the iterates of
     fitting it alone. The stack is never rebuilt: a user that stops keeps
@@ -237,14 +236,13 @@ def _descend(
     slots = stack.item_slices
     n = len(user_ids)
     converged = np.zeros(n, dtype=bool)
-    step, obj, norm, n_iter = [1.0] * n, [0.0] * n, [math.inf] * n, [0] * n
+    step, obj, norm, n_iter = [1.0] * n, [math.inf] * n, [math.inf] * n, [0] * n
     # The first user, in code order, whose fit met a non-finite value; the
     # users after it are never reached when fitting one user at a time.
     failed = n
     theta = np.zeros(int(stack.items.sum()))
     direction = np.zeros_like(theta)
     running = list(range(n))
-    first = True
     while running:
         trial = theta - np.array(step).repeat(stack.items) * direction
         delta, a, trial_obj = _objectives(stack, trial, lam, running)
@@ -259,7 +257,7 @@ def _descend(
             # The trial is taken when its objective falls or its gradient
             # norm shrinks: near the optimum float64 no longer resolves the
             # objective's decrease, but still resolves the gradient's.
-            if not (first or o < obj[j] or g_norm < norm[j]):
+            if not (o < obj[j] or g_norm < norm[j]):
                 step[j] *= 0.5
                 # Flat to float64 precision along the Newton direction. A
                 # trial equal to theta bit for bit stops at once: rounding is
@@ -293,7 +291,6 @@ def _descend(
             for j, d in zip(moved, _newton_directions(stack, h, g, moved, lam)):
                 direction[slots[j]] = d
         running = going
-        first = False
     if failed < n:
         raise ValueError(
             f"non-finite values in GBT fit for user {user_ids[failed]!r}; "
@@ -306,7 +303,8 @@ def fit_users(comparisons: ComparisonSet, config: GbtConfig = GbtConfig()) -> Gb
     """Fit latent scores of every user of the set, each on all its rows, by
     damped Newton with a backtracking line search.
 
-    Deterministic: the zero start is the first point taken (n_iter 1). At
+    Deterministic: the zero start is the first point taken (n_iter 1), as
+    every user's objective starts at +inf and the zero start's is finite. At
     each point taken, the fit stops when the gradient L2 norm is at most
     config.tol (`converged`) or when config.max_iter points have been taken;
     otherwise it solves H d = grad for the Newton direction d, with H the
@@ -327,10 +325,10 @@ def fit_users(comparisons: ComparisonSet, config: GbtConfig = GbtConfig()) -> Gb
     Each Newton system is assembled and solved on its own, so one user's
     Hessian block is held at a time.
     """
-    stack, keys = _stack(comparisons)
+    stack = _Stack(comparisons)
     n_items = len(comparisons.item_ids)
     return GbtFits(
-        comparisons.user_ids, comparisons.item_ids, keys // n_items, keys % n_items,
+        comparisons.user_ids, comparisons.item_ids, stack.keys // n_items, stack.keys % n_items,
         *_descend(stack, config, comparisons.user_ids),
     )
 

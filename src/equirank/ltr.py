@@ -37,19 +37,11 @@ class LossWeights:
     contrastive: float = 0.0
 
     def __post_init__(self) -> None:
-        for name, w in self.as_dict().items():
-            if not w >= 0:
+        for name, w in vars(self).items():
+            if not 0 <= w < np.inf:
                 raise ValueError(f"loss weight {name} must be >= 0, got {w}")
-        if not any(w > 0 for w in self.as_dict().values()):
+        if not any(w > 0 for w in vars(self).values()):
             raise ValueError("at least one loss weight must be positive")
-
-    def as_dict(self) -> dict[str, float]:
-        return {
-            "mse": self.mse,
-            "ranking": self.ranking,
-            "bce": self.bce,
-            "contrastive": self.contrastive,
-        }
 
 
 @dataclass(frozen=True)
@@ -66,19 +58,19 @@ class TrainConfig:
     embedding_l2: float = 0.0
 
     def __post_init__(self) -> None:
-        if not self.ranking_margin > 0:
-            raise ValueError("ranking_margin must be positive")
-        if not self.contrastive_margin > 0:
-            raise ValueError("contrastive_margin must be positive")
-        if not self.tie_epsilon >= 0:
+        if not 0 < self.ranking_margin < np.inf:
+            raise ValueError(f"ranking_margin must be positive, got {self.ranking_margin}")
+        if not 0 < self.contrastive_margin < np.inf:
+            raise ValueError(f"contrastive_margin must be positive, got {self.contrastive_margin}")
+        if not 0 <= self.tie_epsilon < np.inf:
             raise ValueError(f"tie_epsilon must be >= 0, got {self.tie_epsilon}")
-        if not self.learning_rate > 0:
-            raise ValueError("learning_rate must be positive")
+        if not 0 < self.learning_rate < np.inf:
+            raise ValueError(f"learning_rate must be positive, got {self.learning_rate}")
         if self.epochs < 0:
             raise ValueError("epochs must be >= 0")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
-        if not self.embedding_l2 >= 0:
+        if not 0 <= self.embedding_l2 < np.inf:
             raise ValueError(f"embedding_l2 must be >= 0, got {self.embedding_l2}")
 
 

@@ -29,9 +29,9 @@ class ResilienceParams:
     clip_radius: float = 1.0
 
     def __post_init__(self) -> None:
-        if not self.weight > 0:
+        if not 0 < self.weight < np.inf:
             raise ValueError(f"weight must be positive, got {self.weight}")
-        if not self.clip_radius > 0:
+        if not 0 < self.clip_radius < np.inf:
             raise ValueError(f"clip_radius must be positive, got {self.clip_radius}")
         if not np.isfinite(self.default):
             raise ValueError(f"default must be finite, got {self.default}")

@@ -63,19 +63,11 @@ class Affines:
 
 
 def check_resilience_weight(weight: float) -> float:
-    """The QrMed weight of Mehestan's BrMean calls, refused unless positive."""
-    if not weight > 0:
+    """The QrMed weight of Mehestan's BrMean calls, refused unless positive
+    and finite."""
+    if not 0 < weight < np.inf:
         raise ValueError(f"resilience_weight must be positive, got {weight}")
     return weight
-
-
-def _user_criterion_groups(cset: ComparisonSet) -> tuple[np.ndarray, np.ndarray]:
-    """(order, bounds) grouping rows by (user, criterion), input order inside."""
-    n_criteria = len(cset.criterion_ids)
-    if n_criteria <= 1:
-        return cset.by_user
-    key = cset.user * n_criteria + cset.criterion
-    return group_rows(key, len(cset.user_ids) * n_criteria)
 
 
 def _scale_groups(cset: ComparisonSet, scale_one) -> np.ndarray:
@@ -84,7 +76,9 @@ def _scale_groups(cset: ComparisonSet, scale_one) -> np.ndarray:
     Each group's scores are contiguous and in input order, as indexing the
     group's rows would give, so the arithmetic matches a per-group loop exactly.
     """
-    order, bounds = _user_criterion_groups(cset)
+    n_criteria = len(cset.criterion_ids)
+    key = cset.user * n_criteria + cset.criterion
+    order, bounds = group_rows(key, len(cset.user_ids) * n_criteria)
     grouped = cset.score[order]
     out = np.zeros_like(grouped)
     for start, end in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
@@ -263,13 +257,11 @@ def mehestan_scale(
         )
 
     # theta[k, i] is user k's latent score of item code i where present[k, i].
-    # The fits' entries are in user-then-item code order, so they fill
-    # `present` in row-major order.
-    present = np.zeros((len(users), len(cset.item_ids)), dtype=bool)
-    present[cset.user, cset.left] = present[cset.user, cset.right] = True
-    theta = np.zeros(present.shape)
     fits = fit_users(cset, gbt_config)
-    theta[present] = fits.theta
+    present = np.zeros((len(users), len(cset.item_ids)), dtype=bool)
+    present[fits.user, fits.item] = True
+    theta = np.zeros(present.shape)
+    theta[fits.user, fits.item] = fits.theta
 
     # Anchor: most scored items, ties broken lexicographically (users are sorted).
     anchor = int(np.argmax(present.sum(axis=1)))
@@ -306,7 +298,7 @@ def mehestan_scale(
     new_scores = np.clip(
         scaled_theta[cset.user, cset.right] - scaled_theta[cset.user, cset.left], -1.0, 1.0
     )
-    fits.theta = scaled_theta[present]
+    fits.theta = scaled_theta[fits.user, fits.item]
     affines = Affines(users, scales, translations, votes, candidates, anchor)
     return cset.with_scores(new_scores), affines, fits
 

@@ -58,11 +58,11 @@ class SimConfig:
         ]:
             if v < 1:
                 raise ValueError(f"{name} must be >= 1, got {v}")
-        if not self.noise_std >= 0:
+        if not 0 <= self.noise_std < np.inf:
             raise ValueError(f"noise_std must be >= 0, got {self.noise_std}")
-        if not self.user_jitter >= 0:
+        if not 0 <= self.user_jitter < np.inf:
             raise ValueError(f"user_jitter must be >= 0, got {self.user_jitter}")
-        if not self.weight_scale > 0:
+        if not 0 < self.weight_scale < np.inf:
             raise ValueError(f"weight_scale must be positive, got {self.weight_scale}")
         if self.archetype_mix is not None:
             unknown = set(self.archetype_mix) - set(ARCHETYPES)

@@ -20,7 +20,7 @@ import numpy as np
 
 from equirank.dataset import ComparisonSet
 from equirank.gbt import (
-    _EXP_CUTOFF, _SERIES_CUTOFF, GbtFits, _gradient, _objectives, _stack,
+    _EXP_CUTOFF, _SERIES_CUTOFF, GbtFits, _gradient, _objectives, _Stack,
 )
 
 
@@ -50,7 +50,7 @@ def by_item(fits: GbtFits, user_id: str | None = None) -> dict[str, float]:
 def kernel_point(comparisons: ComparisonSet, lam: float, theta) -> tuple[float, np.ndarray]:
     """The objective and gradient a fit computes at `theta`, over the sorted
     items of a one-user set."""
-    stack, _ = _stack(comparisons)
+    stack = _Stack(comparisons)
     theta = np.asarray(theta, dtype=np.float64)
     delta, a, (obj,) = _objectives(stack, theta, lam, [0])
     return obj, _gradient(stack, theta, delta, a, lam)

@@ -2,7 +2,7 @@
 
 A ComparisonSet is stored as columns; `rows_of` gives its rows as
 `Comparison` named tuples in input order, and `comparison_set` builds a set
-from such rows.
+from such rows. `take` gives one user's rows, for tests that fit a user alone.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from equirank.dataset import ComparisonSet, _codes
+from equirank.dataset import ComparisonSet, _codes, _positions
 
 
 class Comparison(NamedTuple):
@@ -50,3 +50,8 @@ def comparison_set(rows: Iterable[tuple[str, str, str, str, float]]) -> Comparis
         tuple(user_vocab), user, tuple(criterion_vocab), criterion,
         tuple(item_vocab), left, right, np.array(scores, dtype=np.float64),
     )
+
+
+def take(cset: ComparisonSet, user_id: str) -> ComparisonSet:
+    """The rows of `user_id`, in input order; none when it is absent."""
+    return cset.take(cset.user == _positions(cset.user_ids, [user_id], -1)[0])

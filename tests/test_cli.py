@@ -24,7 +24,7 @@ from equirank.gbt import GbtConfig
 from equirank.ltr import LossWeights, ModelParams, TrainConfig, save_model
 from equirank.scaling import mehestan_scale, parse_scaled_comparisons
 from equirank.simgen import SimConfig
-from row_view import comparison_set
+from row_view import comparison_set, take
 
 
 def _int_limit():
@@ -139,7 +139,7 @@ class TestScale:
         lines = (out / "scaled.csv").read_text().splitlines()
         assert all(line.endswith(",minmax") for line in lines[1:])
         for user in scaled.user_ids:
-            scores = scaled.restrict(user_id=user).score
+            scores = take(scaled, user).score
             assert scores.min() == -1.0
             assert scores.max() == 1.0
 
@@ -305,7 +305,10 @@ class TestScale:
         (["--resilience-weight", "0"], "resilience_weight must be positive, got 0.0"),
         (["--resilience-weight", "-1"], "resilience_weight must be positive, got -1.0"),
         (["--lam", "0"], "lam must be positive, got 0.0"),
-    ], ids=["weight-0", "weight-1", "lam-0"])
+        (["--resilience-weight", "inf"], "resilience_weight must be positive, got inf"),
+        (["--lam", "inf"], "lam must be positive, got inf"),
+        (["--tol", "inf"], "tol must be positive, got inf"),
+    ], ids=["weight-0", "weight-1", "lam-0", "weight-inf", "lam-inf", "tol-inf"])
     def test_bad_values_fail_before_anything_is_written(
         self, tmp_path, capsys, scaler, flags, message
     ):
@@ -627,11 +630,25 @@ experiment = embeddings
     (["simulate", "--user-jitter", "nan"], "user_jitter must be >= 0, got nan"),
     (["simulate", "--noise", "nan"], "noise_std must be >= 0, got nan"),
     (["audit", "--tie-epsilon", "nan"], "tie_epsilon must be >= 0, got nan"),
+    (["train", "--bce-weight", "inf"], "loss weight bce must be >= 0, got inf"),
+    (["train", "--user-embeddings", "--embedding-l2", "inf"], "embedding_l2 must be >= 0, got inf"),
+    (["train", "--tie-epsilon", "inf"], "tie_epsilon must be >= 0, got inf"),
+    (["train", "--learning-rate", "inf"], "learning_rate must be positive, got inf"),
+    (["train", "--ranking-margin", "inf"], "ranking_margin must be positive, got inf"),
+    (["simulate", "--user-jitter", "inf"], "user_jitter must be >= 0, got inf"),
+    (["simulate", "--noise", "inf"], "noise_std must be >= 0, got inf"),
+    (["simulate", "--noise=-inf"], "noise_std must be >= 0, got -inf"),
+    (["simulate", "--weight-scale", "inf"], "weight_scale must be positive, got inf"),
+    (["audit", "--tie-epsilon", "inf"], "tie_epsilon must be >= 0, got inf"),
 ], ids=["bce-weight", "embedding-l2", "train-tie-epsilon", "user-jitter", "noise",
-        "audit-tie-epsilon"])
+        "audit-tie-epsilon", "bce-weight-inf", "embedding-l2-inf", "train-tie-epsilon-inf",
+        "learning-rate-inf", "ranking-margin-inf", "user-jitter-inf", "noise-inf",
+        "noise-minus-inf", "weight-scale-inf", "audit-tie-epsilon-inf"])
 def test_nan_value_fails_before_anything_is_written(tmp_path, capsys, argv, message):
     # NaN passes every `x < 0` check and fails every `x > 0` gate, so a NaN
-    # let through would switch its term off without an error.
+    # let through would switch its term off without an error. An infinity
+    # passes both, and would make every target a tie or every score NaN, so
+    # each range check also refuses it.
     sim = _simulate(tmp_path)
     model = tmp_path / "model.json"
     save_model(ModelParams(np.zeros(3), (), np.zeros((0, 3))), model)
@@ -721,9 +738,10 @@ class TestPipeline:
     @pytest.mark.parametrize("line, message", [
         ("archetypes = neutral=3", "archetype counts sum to 3, expected n_users = 4"),
         ("lam = 0", "lam must be positive, got 0.0"),
-        ("learning_rate = 0", "learning_rate must be positive"),
+        ("learning_rate = 0", "learning_rate must be positive, got 0.0"),
         ("resilience_weight = -1", "resilience_weight must be positive, got -1.0"),
         ("tie_epsilon = nan", "tie_epsilon must be >= 0, got nan"),
+        ("tie_epsilon = inf", "tie_epsilon must be >= 0, got inf"),
     ])
     def test_bad_values_fail_before_anything_is_written(self, tmp_path, capsys, line, message):
         config = tmp_path / "bad.cfg"

@@ -23,7 +23,7 @@ from equirank.dataset import (
 )
 from equirank.scaling import parse_scaled_comparisons
 import csv_oracle
-from row_view import comparison_set, rows_of
+from row_view import comparison_set, rows_of, take
 
 
 def _write(tmp_path, name, text):
@@ -254,9 +254,9 @@ def test_restrict_by_user_and_criterion():
             ("u1", "calm", "a", "d", 0.3),
         ]
     )
-    assert len(cset.restrict(user_id="u1")) == 2
+    assert len(take(cset, "u1")) == 2
     assert len(cset.restrict(criterion="green")) == 2
-    assert len(cset.restrict(user_id="u1", criterion="calm")) == 1
+    assert len(take(cset, "u1").restrict(criterion="calm")) == 1
     assert set(cset.criterion_ids) == {"green", "calm"}
 
 

@@ -16,7 +16,7 @@ from equirank.gbt import (
 )
 from equirank.simgen import SimConfig, generate
 from gbt_oracle import by_item, expected_comparison, gbt_gradient, gbt_objective, kernel_point
-from row_view import comparison_set, rows_of
+from row_view import comparison_set, rows_of, take
 
 
 def _oracle_expected(delta: float) -> float:
@@ -346,7 +346,7 @@ class TestLockstep:
         # Entries in user-then-item code order.
         assert (np.diff(fits.user * len(fits.item_ids) + fits.item) > 0).all()
         for k, user in enumerate(cset.user_ids):
-            alone = fit_users(cset.restrict(user_id=user), config)
+            alone = fit_users(take(cset, user), config)
             own = fits.user == k
             assert [fits.item_ids[i] for i in fits.item[own]] == list(alone.item_ids)
             assert fits.theta[own].tobytes() == alone.theta.tobytes()
@@ -442,7 +442,7 @@ def test_converged_fits_carry_a_certificate():
     fits = fit_users(train, config)
     assert fits.converged.all()
     for user in fits.user_ids:
-        grad = gbt_gradient(by_item(fits, user), train.restrict(user_id=user), config.lam)
+        grad = gbt_gradient(by_item(fits, user), take(train, user), config.lam)
         assert math.sqrt(sum(g * g for g in grad.values())) <= config.tol
 
 

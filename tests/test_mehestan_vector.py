@@ -20,12 +20,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from equirank import gbt, scaling
-from equirank.gbt import GbtConfig, _gradient, _hessian_vec, _objectives, _stack, fit_users
+from equirank.gbt import GbtConfig, _gradient, _hessian_vec, _objectives, _Stack, fit_users
 from equirank.robust import ResilienceParams, br_mean
 from equirank.scaling import mehestan_scale
 from equirank.simgen import SimConfig, generate
 from gbt_oracle import by_item
-from row_view import comparison_set
+from row_view import comparison_set, take
 from test_gbt import _crowd
 
 # --- oracles: the loop implementations ---------------------------------------
@@ -137,7 +137,7 @@ def oracle_mehestan_scale(cset, gbt_config, weight, epsilon_pair=1e-6,
                           ratio_clip=0.5, translation_clip=1.0):
     """-> (new scores, {user: (s, tau, votes, candidates)}, {user: fit}, scaled theta)."""
     users = list(cset.user_ids)
-    subsets = [cset.restrict(user_id=u) for u in users]
+    subsets = [take(cset, u) for u in users]
     fits = {u: oracle_fit_gbt(sub, gbt_config) for u, sub in zip(users, subsets)}
     theta = {u: dict(zip(fits[u].item_ids, fits[u].theta.tolist())) for u in users}
     anchor = min(users, key=lambda u: (-len(theta[u]), u))
@@ -253,7 +253,7 @@ def test_populations_match_oracle(cset, weight):
 
 def _latent(cset, config=GbtConfig(tol=1e-6, max_iter=300)):
     """(fits, theta, present) over the sorted item codes, as mehestan_scale builds them."""
-    fits = [fit_users(cset.restrict(user_id=u), config) for u in cset.user_ids]
+    fits = [fit_users(take(cset, u), config) for u in cset.user_ids]
     index = {item: i for i, item in enumerate(cset.item_ids)}
     theta = np.zeros((len(fits), len(index)))
     present = np.zeros(theta.shape, dtype=bool)
@@ -436,7 +436,7 @@ def test_user_with_more_pairs_than_one_block():
         rows += [row(user, *rng.choice(items, size=2, replace=False), 0.5) for _ in range(60)]
     cset = comparison_set(rows)
     config = GbtConfig(max_iter=40)
-    big = fit_users(cset.restrict(user_id="big0"), config)
+    big = fit_users(take(cset, "big0"), config)
     gaps = [abs(a - b) for a, b in itertools.combinations(big.theta.tolist(), 2)]
     assert sum(g > 1e-6 for g in gaps) > scaling._BLOCK_ENTRIES
     affines = assert_matches_oracle(cset, config)
@@ -486,8 +486,8 @@ def test_kernel_matches_oracle(spread):
                 a, b = rng.choice(12, size=2, replace=False)
                 rows.append((user, "g", f"i{a:02d}", f"i{b:02d}", float(rng.uniform(-1, 1))))
         cset = comparison_set(rows)
-        stack, _ = _stack(cset)
-        olds = [OracleProblem(cset.restrict(user_id=u), 0.1) for u in cset.user_ids]
+        stack = _Stack(cset)
+        olds = [OracleProblem(take(cset, u), 0.1) for u in cset.user_ids]
         for theta in _random_points(rng, spread, int(stack.items.sum())):
             everyone = list(range(len(users)))
             delta, a, objs = _objectives(stack, theta, 0.1, everyone)
@@ -512,9 +512,9 @@ def test_kernel_matches_oracle(spread):
         rows += [(user, "g", f"i{a:02d}", f"i{b:02d}", float(rng.uniform(-1, 1)))
                  for a, b in pairs]
     cset = comparison_set([rows[k] for k in rng.permutation(len(rows))])
-    stack, _ = _stack(cset)
+    stack = _Stack(cset)
     assert stack.items.tolist() == [2, 5, 12, 30]
-    olds = [OracleProblem(cset.restrict(user_id=u), 0.1) for u in cset.user_ids]
+    olds = [OracleProblem(take(cset, u), 0.1) for u in cset.user_ids]
     for theta in _random_points(rng, spread, int(stack.items.sum())):
         delta, a, _ = _objectives(stack, theta, 0.1, [0, 2])
         grad = _gradient(stack, theta, delta, a, 0.1)
@@ -611,7 +611,7 @@ def test_flat_fits_stop_at_the_first_trial_equal_to_their_point(monkeypatch):
     assert len(rounds) < fits.n_iter[flat].max() + halvings
     for k in flat:
         user = fits.user_ids[k]
-        want, got = oracle_fit_gbt(cset.restrict(user_id=user), config), by_item(fits, user)
+        want, got = oracle_fit_gbt(take(cset, user), config), by_item(fits, user)
         assert (tuple(got), fits.converged[k], fits.n_iter[k]) == (
             want.item_ids, want.converged, want.n_iter
         )

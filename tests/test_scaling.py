@@ -18,7 +18,7 @@ from equirank.scaling import (
     write_scaled_comparisons,
 )
 from gbt_oracle import by_item, expected_comparison
-from row_view import comparison_set, rows_of
+from row_view import comparison_set, rows_of, take
 
 
 def _one_user(scores, user="u1"):
@@ -195,7 +195,7 @@ class TestMehestan:
         # s > 0 implies theta' has the same rank order as theta per user.
         cset = comparison_set(rows)
         for user in fits.user_ids:
-            raw, scaled = by_item(fit_users(cset.restrict(user_id=user))), by_item(fits, user)
+            raw, scaled = by_item(fit_users(take(cset, user))), by_item(fits, user)
             assert list(raw) == list(scaled)
             order_raw = np.argsort(list(raw.values()), kind="stable")
             assert np.array_equal(order_raw, np.argsort(list(scaled.values()), kind="stable"))
@@ -307,7 +307,7 @@ def test_theta_csv_round_trips(tmp_path_factory, users, items, data):
     # Each user's fit holds its set's sorted vocabulary and one float64 per item.
     assert fits.theta.dtype == np.float64
     for user in cset.user_ids:
-        own = cset.restrict(user_id=user)
+        own = take(cset, user)
         raw = fit_users(own, config)
         assert list(by_item(raw)) == list(own.item_ids) == list(by_item(fits, user))
         assert raw.theta.dtype == np.float64 and raw.theta.shape == (len(own.item_ids),)

@@ -7,7 +7,7 @@ from equirank.dataset import FeatureTable, _positions
 from equirank.equity import CLASSES, _classes
 from equirank.simgen import GroundTruth, SimConfig, generate
 from equity_oracle import classify
-from row_view import comparison_set, rows_of
+from row_view import comparison_set, rows_of, take
 
 # Standard fixture used across the suite (thresholds below were frozen after
 # a verified run: conservative users put ~100% of their scores in |r| < 0.3
@@ -70,7 +70,7 @@ def test_conservative_histogram_concentrates_near_zero():
     cset, _, truth = generate(STANDARD)
     by_archetype = {}
     for user, archetype in zip(truth.user_ids, truth.archetype):
-        scores = np.abs(cset.restrict(user_id=user).score)
+        scores = np.abs(take(cset, user).score)
         by_archetype.setdefault(archetype, []).append(float(np.mean(scores < 0.3)))
     assert all(frac >= 0.8 for frac in by_archetype["conservative"])
     assert all(frac < 0.8 for frac in by_archetype["neutral"])
@@ -161,7 +161,7 @@ def test_per_user_streams_stable_under_population_growth():
                       comparisons_per_user=40, seed=9)
     a, _, _ = generate(small)
     b, _, _ = generate(large)
-    assert rows_of(a.restrict(user_id="u0")) == rows_of(b.restrict(user_id="u0"))
+    assert rows_of(take(a, "u0")) == rows_of(take(b, "u0"))
 
 
 def true_classes(truth, cset, tie_epsilon):
