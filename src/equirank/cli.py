@@ -270,10 +270,10 @@ def cmd_scale(args: argparse.Namespace) -> int:
     gbt_config = GbtConfig(lam=args.lam, tol=args.tol, max_iter=args.max_iter)
     weight = check_resilience_weight(args.resilience_weight)
     cset = _load_comparisons(args.input, args.criterion)
+    scaled, affines, fits = _scale(args.scaler, cset, gbt_config, weight)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     outputs = [outdir / "scaled.csv"]
-    scaled, affines, fits = _scale(args.scaler, cset, gbt_config, weight)
     diagnostics = None
     if args.scaler == "mehestan":
         write_user_affines(affines, outdir / "affines.csv")

@@ -39,8 +39,8 @@ class Predictions:
 
 def _classes(values: np.ndarray, tie_epsilon: float) -> np.ndarray:
     """Codes 0 (left) below -tie_epsilon, 2 (right) above tie_epsilon, else 1 (tie)."""
-    if not 0 <= tie_epsilon < np.inf:
-        raise ValueError(f"tie_epsilon must be >= 0, got {tie_epsilon}")
+    if not 0 <= tie_epsilon < 1:
+        raise ValueError(f"tie_epsilon must be in [0, 1), got {tie_epsilon}")
     finite = np.isfinite(values)
     if not finite.all():
         raise ValueError(f"value must be finite, got {values[~finite][0]}")

@@ -119,19 +119,21 @@ class _Stack:
     """The fitting problems of every user of a set laid end to end, users in
     code order.
 
-    User j owns the rows row_slices[j] of `r` and the items item_slices[j]
-    of a stacked theta, its items in code order; `items` counts each user's
-    items, and `keys` holds the key user * len(item_ids) + item of each
-    stacked item. `ends` holds the stacked item of every row's right end,
-    then of every row's left end. With a user's n items numbered within the
-    user, `cells[cell_slices[j]]` are the flat positions in user j's n x n
-    Newton system of its rows' (right, right), then (left, left), (right,
-    left) and (left, right) entries, each in row order.
+    User j, user_ids[j] of the set, owns the rows row_slices[j] of `r` and
+    the items item_slices[j] of a stacked theta, its items in code order;
+    `items` counts each user's items, and `keys` holds the key
+    user * len(item_ids) + item of each stacked item. `ends` holds the
+    stacked item of every row's right end, then of every row's left end.
+    With a user's n items numbered within the user, `cells[cell_slices[j]]`
+    are the flat positions in user j's n x n Newton system of its rows'
+    (right, right), then (left, left), (right, left) and (left, right)
+    entries, each in row order.
     """
 
     def __init__(self, comparisons: ComparisonSet):
         order, bounds = comparisons.by_user
         n_items = len(comparisons.item_ids)
+        self.user_ids = comparisons.user_ids
         owner = comparisons.user[order]
         base = owner * n_items
         self.keys, ends = np.unique(
@@ -202,7 +204,8 @@ def _newton_directions(
     row c weighted by h[c]. Each user's block is filled on its own by one
     np.bincount over its cells, adding each row's h at (right, right) and
     (left, left), then -h at (right, left) and (left, right), in row order,
-    exactly as np.add.at would, and solved before the next is filled.
+    exactly as np.add.at would, and solved before the next is filled. A
+    system float64 cannot solve raises ValueError naming the user and lam.
     """
     out = []
     for j in users:
@@ -212,12 +215,17 @@ def _newton_directions(
             stack.cells[stack.cell_slices[j]], np.concatenate([w, w, -w, -w]), minlength=n * n
         )
         block[:: n + 1] += lam
-        out.append(np.linalg.solve(block.reshape(n, n), grad[stack.item_slices[j]]))
+        try:
+            out.append(np.linalg.solve(block.reshape(n, n), grad[stack.item_slices[j]]))
+        except np.linalg.LinAlgError as exc:
+            raise ValueError(
+                f"singular Newton system in GBT fit for user {stack.user_ids[j]!r} at lam={lam!r}"
+            ) from exc
     return out
 
 
 def _descend(
-    stack: _Stack, config: GbtConfig, user_ids: tuple[str, ...]
+    stack: _Stack, config: GbtConfig
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """(theta, converged, n_iter, grad_norm) of the stacked users, fitted in
     lockstep: theta stacked as the users' items are, the rest one per user.
@@ -234,7 +242,7 @@ def _descend(
     """
     lam, tol, max_iter = config.lam, config.tol, config.max_iter
     slots = stack.item_slices
-    n = len(user_ids)
+    n = len(stack.user_ids)
     converged = np.zeros(n, dtype=bool)
     step, obj, norm, n_iter = [1.0] * n, [math.inf] * n, [math.inf] * n, [0] * n
     # The first user, in code order, whose fit met a non-finite value; the
@@ -293,7 +301,7 @@ def _descend(
         running = going
     if failed < n:
         raise ValueError(
-            f"non-finite values in GBT fit for user {user_ids[failed]!r}; "
+            f"non-finite values in GBT fit for user {stack.user_ids[failed]!r}; "
             "check lam and input scores"
         )
     return theta, converged, np.array(n_iter, dtype=np.intp), np.array(norm)
@@ -329,7 +337,7 @@ def fit_users(comparisons: ComparisonSet, config: GbtConfig = GbtConfig()) -> Gb
     n_items = len(comparisons.item_ids)
     return GbtFits(
         comparisons.user_ids, comparisons.item_ids, stack.keys // n_items, stack.keys % n_items,
-        *_descend(stack, config, comparisons.user_ids),
+        *_descend(stack, config),
     )
 
 

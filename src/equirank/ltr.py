@@ -62,8 +62,8 @@ class TrainConfig:
             raise ValueError(f"ranking_margin must be positive, got {self.ranking_margin}")
         if not 0 < self.contrastive_margin < np.inf:
             raise ValueError(f"contrastive_margin must be positive, got {self.contrastive_margin}")
-        if not 0 <= self.tie_epsilon < np.inf:
-            raise ValueError(f"tie_epsilon must be >= 0, got {self.tie_epsilon}")
+        if not 0 <= self.tie_epsilon < 1:
+            raise ValueError(f"tie_epsilon must be in [0, 1), got {self.tie_epsilon}")
         if not 0 < self.learning_rate < np.inf:
             raise ValueError(f"learning_rate must be positive, got {self.learning_rate}")
         if self.epochs < 0:

@@ -140,17 +140,6 @@ def _gaps(rows: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.abs(rows.take(a, axis=1) - rows.take(b, axis=1))
 
 
-def _pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The pairs i < j of range(n) in row-major order, np.triu_indices(n, 1)
-    without its n x n table."""
-    counts = np.arange(n - 1, -1, -1)
-    first = np.repeat(np.arange(n), counts)
-    second = np.ones(first.size, dtype=np.intp)
-    # Row i >= 1 starts at i + 1, after row i - 1 ended at n - 1.
-    second[np.cumsum(counts[:-2])] = np.arange(3 - n, 1)
-    return first, np.cumsum(second, out=second)
-
-
 def _vote_matrix(theta: np.ndarray, present: np.ndarray) -> np.ndarray:
     """votes[u, v]: user v's vote on user u's scale, NaN where v casts none.
 
@@ -162,16 +151,18 @@ def _vote_matrix(theta: np.ndarray, present: np.ndarray) -> np.ndarray:
     votes[v, u] == -votes[u, v] bit for bit.
 
     Users are taken in tiles of C = max(1, _BLOCK_ENTRIES // P), P the number
-    of item pairs. A tile logs its users' gaps once, over the union of the
-    pairs valid for at least one of them, with -inf where a pair is not valid
-    for the user. Each block of the users after the tile's first is logged
-    once per tile over the same pairs, +inf where a gap is invalid, so every
-    difference over a pair not valid for both users is +inf and sorts after
-    the valid ones. Each user of the tile then subtracts its own row from the
-    block, sorts, and takes the median of the finite differences. Tiles and
-    blocks span about _BLOCK_ENTRIES entries, so no users x pairs table is
-    built: with more than _BLOCK_ENTRIES item pairs every tile is one user,
-    and a user with more valid pairs than that is scored one voter a block.
+    of item pairs. A tile lists the pairs of its items with np.triu_indices
+    and logs its users' gaps once, over the union of the pairs valid for at
+    least one of them, with -inf where a pair is not valid for the user. Each
+    block of the users after the tile's first is logged once per tile over
+    the same pairs, +inf where a gap is invalid, so every difference over a
+    pair not valid for both users is +inf and sorts after the valid ones.
+    Each user of the tile then subtracts its own row from the block, sorts,
+    counts every row's finite differences with one np.count_nonzero, and
+    takes the median of them. Tiles and blocks span about _BLOCK_ENTRIES
+    entries, so no users x pairs table is built: with more than
+    _BLOCK_ENTRIES item pairs every tile is one user, and a user with more
+    valid pairs than that is scored one voter a block.
     """
     n_users, n_items = theta.shape
     # Absent items are NaN, so their gaps fail the EPSILON_PAIR test.
@@ -181,7 +172,7 @@ def _vote_matrix(theta: np.ndarray, present: np.ndarray) -> np.ndarray:
     for t0 in range(0, n_users - 1, tile):
         t1 = min(t0 + tile, n_users - 1)
         items = np.flatnonzero(present[t0:t1].any(axis=0))
-        a, b = (items[k] for k in _pairs(len(items)))
+        a, b = (items[k] for k in np.triu_indices(len(items), 1))
         gaps = _gaps(latent[t0:t1], a, b)
         valid = gaps > EPSILON_PAIR
         union = valid.any(axis=0)
@@ -203,7 +194,7 @@ def _vote_matrix(theta: np.ndarray, present: np.ndarray) -> np.ndarray:
                 diffs = logs[skip:] - own[u - t0]
                 diffs.sort(axis=1)
                 # A sorted row holds its finite differences first.
-                counts = np.array([row.searchsorted(np.inf) for row in diffs], dtype=np.intp)
+                counts = np.count_nonzero(diffs < np.inf, axis=1)
                 voters = np.flatnonzero(counts)
                 counts = counts[voters]
                 medians = (diffs[voters, (counts - 1) // 2] + diffs[voters, counts // 2]) / 2

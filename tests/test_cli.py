@@ -321,6 +321,19 @@ class TestScale:
         assert capsys.readouterr().err == f"equirank: {message}\n"
         assert not out.exists()
 
+    def test_singular_newton_system_names_the_user_and_lam(self, tmp_path, capsys):
+        # At lam 1e-300 a user's Newton system at the zero start is the
+        # singular Laplacian of its comparisons to float64 precision.
+        sim = _simulate(tmp_path)
+        capsys.readouterr()
+        out = tmp_path / "out"
+        assert _run(["scale", "--input", str(sim / "comparisons.csv"), "--scaler", "mehestan",
+                     "--lam", "1e-300", "-o", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "equirank: singular Newton system in GBT fit for user 'u1' at lam=1e-300\n"
+        )
+        assert not out.exists()
+
     def test_missing_input_is_runtime_error(self, tmp_path):
         assert _run(["scale", "--input", str(tmp_path / "nope.csv"),
                      "--scaler", "minmax", "-o", str(tmp_path / "x")]) == 1
@@ -626,24 +639,29 @@ experiment = embeddings
 @pytest.mark.parametrize("argv, message", [
     (["train", "--bce-weight", "nan"], "loss weight bce must be >= 0, got nan"),
     (["train", "--user-embeddings", "--embedding-l2", "nan"], "embedding_l2 must be >= 0, got nan"),
-    (["train", "--tie-epsilon", "nan"], "tie_epsilon must be >= 0, got nan"),
+    (["train", "--tie-epsilon", "nan"], "tie_epsilon must be in [0, 1), got nan"),
     (["simulate", "--user-jitter", "nan"], "user_jitter must be >= 0, got nan"),
     (["simulate", "--noise", "nan"], "noise_std must be >= 0, got nan"),
-    (["audit", "--tie-epsilon", "nan"], "tie_epsilon must be >= 0, got nan"),
+    (["audit", "--tie-epsilon", "nan"], "tie_epsilon must be in [0, 1), got nan"),
     (["train", "--bce-weight", "inf"], "loss weight bce must be >= 0, got inf"),
     (["train", "--user-embeddings", "--embedding-l2", "inf"], "embedding_l2 must be >= 0, got inf"),
-    (["train", "--tie-epsilon", "inf"], "tie_epsilon must be >= 0, got inf"),
+    (["train", "--tie-epsilon", "inf"], "tie_epsilon must be in [0, 1), got inf"),
     (["train", "--learning-rate", "inf"], "learning_rate must be positive, got inf"),
     (["train", "--ranking-margin", "inf"], "ranking_margin must be positive, got inf"),
     (["simulate", "--user-jitter", "inf"], "user_jitter must be >= 0, got inf"),
     (["simulate", "--noise", "inf"], "noise_std must be >= 0, got inf"),
     (["simulate", "--noise=-inf"], "noise_std must be >= 0, got -inf"),
     (["simulate", "--weight-scale", "inf"], "weight_scale must be positive, got inf"),
-    (["audit", "--tie-epsilon", "inf"], "tie_epsilon must be >= 0, got inf"),
+    (["audit", "--tie-epsilon", "inf"], "tie_epsilon must be in [0, 1), got inf"),
+    (["train", "--tie-epsilon", "1"], "tie_epsilon must be in [0, 1), got 1.0"),
+    (["train", "--tie-epsilon", "5"], "tie_epsilon must be in [0, 1), got 5.0"),
+    (["audit", "--tie-epsilon", "1"], "tie_epsilon must be in [0, 1), got 1.0"),
+    (["audit", "--tie-epsilon", "5"], "tie_epsilon must be in [0, 1), got 5.0"),
 ], ids=["bce-weight", "embedding-l2", "train-tie-epsilon", "user-jitter", "noise",
         "audit-tie-epsilon", "bce-weight-inf", "embedding-l2-inf", "train-tie-epsilon-inf",
         "learning-rate-inf", "ranking-margin-inf", "user-jitter-inf", "noise-inf",
-        "noise-minus-inf", "weight-scale-inf", "audit-tie-epsilon-inf"])
+        "noise-minus-inf", "weight-scale-inf", "audit-tie-epsilon-inf", "train-tie-epsilon-1",
+        "train-tie-epsilon-5", "audit-tie-epsilon-1", "audit-tie-epsilon-5"])
 def test_nan_value_fails_before_anything_is_written(tmp_path, capsys, argv, message):
     # NaN passes every `x < 0` check and fails every `x > 0` gate, so a NaN
     # let through would switch its term off without an error. An infinity
@@ -740,8 +758,10 @@ class TestPipeline:
         ("lam = 0", "lam must be positive, got 0.0"),
         ("learning_rate = 0", "learning_rate must be positive, got 0.0"),
         ("resilience_weight = -1", "resilience_weight must be positive, got -1.0"),
-        ("tie_epsilon = nan", "tie_epsilon must be >= 0, got nan"),
-        ("tie_epsilon = inf", "tie_epsilon must be >= 0, got inf"),
+        ("tie_epsilon = nan", "tie_epsilon must be in [0, 1), got nan"),
+        ("tie_epsilon = inf", "tie_epsilon must be in [0, 1), got inf"),
+        ("tie_epsilon = 1", "tie_epsilon must be in [0, 1), got 1.0"),
+        ("tie_epsilon = 5", "tie_epsilon must be in [0, 1), got 5.0"),
     ])
     def test_bad_values_fail_before_anything_is_written(self, tmp_path, capsys, line, message):
         config = tmp_path / "bad.cfg"

@@ -302,11 +302,28 @@ def test_vote_matrix_is_antisymmetric(cset):
 
 
 @pytest.mark.parametrize("n", [*range(65), 491])
-def test_item_pairs_are_the_upper_triangle_row_by_row(n):
-    # Each tile lays its gap tables out over the pairs in this order.
-    first, second = scaling._pairs(n)
-    want = np.triu_indices(n, 1)
-    assert first.tolist() == want[0].tolist() and second.tolist() == want[1].tolist()
+def test_item_pairs_are_the_upper_triangle_row_by_row(n, monkeypatch):
+    # Each tile lays its gap tables out over the pairs i < j of its items in
+    # row-major order, and logs every block of voters over the same pairs.
+    # User 0 lacks item 0, so its tile's n items are columns 1..n; user 1
+    # scores every item. Distinct scores make every gap valid.
+    rng = np.random.default_rng(n)
+    theta = np.stack([rng.permutation(n + 1), rng.permutation(n + 1)]).astype(float)
+    present = np.ones(theta.shape, dtype=bool)
+    present[0, 0] = False
+    calls = []
+    gaps = scaling._gaps
+
+    def spy(rows, a, b):
+        calls.append((a.tolist(), b.tolist()))
+        return gaps(rows, a, b)
+
+    monkeypatch.setattr(scaling, "_gaps", spy)
+    votes = scaling._vote_matrix(theta, present)
+    first, second = np.triu_indices(n, 1)
+    want = ((first + 1).tolist(), (second + 1).tolist())
+    assert calls == [want] * (1 if n < 2 else 2)
+    assert _bits(votes) == _bits(oracle_vote_matrix(theta, present))
 
 
 def assert_votes_match_oracle_in_every_tiling(cset, monkeypatch, config=GbtConfig(
@@ -357,6 +374,34 @@ def test_users_without_a_valid_pair_inside_tiles(monkeypatch):
             + [(names[1], *row) for row in flat] + [(names[3], *row) for row in loner]
         )
         assert_votes_match_oracle_in_every_tiling(cset, monkeypatch)
+
+
+def test_vote_rows_with_one_and_with_no_finite_difference(monkeypatch):
+    # "a" scores i0..i3; "b" compares only i0 with i1 and "d" only i2 with
+    # i3, so each shares exactly one item pair with "a": one finite
+    # difference in its row, both middle indices 0, and the vote is that
+    # difference. "b" and "d" share no item, "c" shares none with anyone and
+    # "e" shares one item with each of them, so their rows hold none.
+    rng = np.random.default_rng(6)
+    truth = rng.uniform(-1, 1, 5)
+
+    def row(user, a, b):
+        return (user, "g", f"i{a}", f"i{b}", float(np.clip(truth[b] - truth[a], -1, 1)))
+
+    rows = [row("a", a, b) for a, b in itertools.combinations(range(4), 2)]
+    rows += [row("b", 0, 1), row("d", 2, 3), row("d", 3, 4), row("e", 1, 4)]
+    rows += [("c", "g", "z0", "z1", 0.4), ("c", "g", "z1", "z2", 0.2)]
+    cset = comparison_set(rows)
+    assert_votes_match_oracle_in_every_tiling(cset, monkeypatch)
+    _, theta, present = _latent(cset)
+    votes = scaling._vote_matrix(theta, present)
+    k = {user: k for k, user in enumerate(cset.user_ids)}
+    for user, pair in [("b", ("i0", "i1")), ("d", ("i2", "i3"))]:
+        i, j = map(cset.item_ids.index, pair)
+        gap = [abs(theta[k[u], i] - theta[k[u], j]) for u in ("a", user)]
+        assert _bits(votes[k["a"], k[user]]) == _bits(np.log(gap[1]) - np.log(gap[0]))
+    for u, v in [("a", "c"), ("a", "e"), ("b", "d"), ("b", "e"), ("c", "e"), ("d", "e")]:
+        assert np.isnan(votes[k[u], k[v]]) and np.isnan(votes[k[v], k[u]])
 
 
 def test_vote_memory_stays_below_one_users_by_pairs_table():
