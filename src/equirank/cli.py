@@ -333,6 +333,11 @@ def cmd_train(args: argparse.Namespace) -> int:
     trace_path = outdir / "loss_trace.csv"
     save_model(result.params, model_path)
     write_loss_trace(result.loss_trace, trace_path)
+    # One SGD step per batch of each epoch; the final loss is the trace's last value.
+    diagnostics = {
+        "sgd_steps": config.epochs * -(-len(cset) // config.batch_size),
+        "final_loss": result.loss_trace[-1],
+    }
     _write_manifest(
         outdir,
         "train",
@@ -340,6 +345,7 @@ def cmd_train(args: argparse.Namespace) -> int:
         args.seed,
         [args.input, args.features],
         [model_path, trace_path],
+        diagnostics,
     )
     print(f"trained on {len(cset)} comparisons; model at {model_path}")
     return 0
@@ -524,18 +530,8 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
         weight = check_resilience_weight(cfg["resilience_weight"])
     except ValueError as exc:
         raise ValueError(f"{args.config}: {exc}") from None
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
-
     cset, features, truth = generate(sim_config)
     train_set, test_set = split(cset, cfg["train_fraction"], cfg["seed"])
-
-    datadir = outdir / "data"
-    datadir.mkdir(exist_ok=True)
-    outputs = _write_simulation(datadir, cset, features, truth)
-    outputs += [datadir / "train.csv", datadir / "test.csv"]
-    write_comparisons(train_set, outputs[4])
-    write_comparisons(test_set, outputs[5])
 
     # Each distinct scaler runs once; cells sharing it train on the same set.
     fit_sets: dict[str, ComparisonSet] = {}
@@ -551,6 +547,14 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
         params = train(fit_sets[scaler], features, config).params
         reports.append(build_report(predict_all(params, test_set, features), config.tie_epsilon))
 
+    # Written only once every cell has trained, so a run-time failure writes nothing.
+    outdir = Path(args.out)
+    datadir = outdir / "data"
+    datadir.mkdir(parents=True, exist_ok=True)
+    outputs = _write_simulation(datadir, cset, features, truth)
+    outputs += [datadir / "train.csv", datadir / "test.csv"]
+    write_comparisons(train_set, outputs[4])
+    write_comparisons(test_set, outputs[5])
     for name, report in zip(experiments, reports):
         report_path = outdir / f"report_{name.replace('+', '_')}.json"
         write_report(report, report_path)

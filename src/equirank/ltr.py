@@ -22,6 +22,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -125,32 +126,91 @@ def _loss_terms(d: np.ndarray, r: np.ndarray, config: TrainConfig) -> np.ndarray
     return loss
 
 
-def _loss_derivative(d: np.ndarray, r: np.ndarray, config: TrainConfig) -> np.ndarray:
-    """Derivative of `_loss_terms` with respect to each d."""
+class _Rows(NamedTuple):
+    """The per-row values of the loss derivative that depend only on the
+    target r, each None when no loss with a positive weight reads it:
+
+        r        r                       mse
+        sign     sign(r)                 ranking
+        p        (r + 1) / 2             bce
+        non_tie  |r| > tie_epsilon       ranking and contrastive
+    """
+
+    r: np.ndarray | None
+    sign: np.ndarray | None
+    p: np.ndarray | None
+    non_tie: np.ndarray | None
+
+    @classmethod
+    def of(cls, r: np.ndarray, config: TrainConfig) -> _Rows:
+        """The values for `config`'s losses, built with no float temporary
+        the size of r: p in place, and non_tie as r > eps or r < -eps,
+        which is |r| > eps."""
+        lw = config.loss_weights
+        p = non_tie = None
+        if lw.bce > 0:
+            p = r + 1.0
+            p /= 2.0
+        if lw.ranking > 0 or lw.contrastive > 0:
+            non_tie = r > config.tie_epsilon
+            non_tie |= r < -config.tie_epsilon
+        return cls(r if lw.mse > 0 else None, np.sign(r) if lw.ranking > 0 else None, p,
+                   non_tie)
+
+    def take(self, batch: slice) -> _Rows:
+        r, sign, p, non_tie = self
+        return _Rows(
+            None if r is None else r[batch], None if sign is None else sign[batch],
+            None if p is None else p[batch], None if non_tie is None else non_tie[batch],
+        )
+
+
+def _loss_derivative(d: np.ndarray, rows: _Rows, config: TrainConfig) -> np.ndarray:
+    """Derivative of `_loss_terms` with respect to each d.
+
+    The terms are summed in the order of `_loss_terms`, the first one in
+    place of the zeros it was once added to. A hinge's `margin - x > 0` is
+    `x < margin`, and `where(active, s, 0) * -weight` is
+    `weight * where(active, -s, 0)`. Only the sign of a zero can differ from
+    that sum, and no step can see it: `w` and the offsets start at +0 and
+    only ever have a gradient subtracted, so they never hold -0, and
+    subtracting either zero leaves them as they are.
+    """
     lw = config.loss_weights
-    grad = np.zeros_like(d)
-    non_tie = np.abs(r) > config.tie_epsilon
+    grad = None
     if lw.mse > 0:
-        grad += lw.mse * 2.0 * (d - r)
+        grad = d - rows.r
+        grad *= lw.mse * 2.0
     if lw.ranking > 0:
-        active = non_tie & (config.ranking_margin - np.sign(r) * d > 0)
-        grad += lw.ranking * np.where(active, -np.sign(r), 0.0)
+        active = rows.sign * d < config.ranking_margin
+        active &= rows.non_tie
+        term = np.where(active, rows.sign, 0.0)
+        term *= -lw.ranking
+        grad = term if grad is None else np.add(grad, term, out=grad)
     if lw.bce > 0:
-        sigmoid = 1.0 / (1.0 + np.exp(-d))
-        grad += lw.bce * (sigmoid - (r + 1.0) / 2.0)
+        term = np.negative(d)
+        np.exp(term, out=term)
+        term += 1.0
+        np.divide(1.0, term, out=term)
+        term -= rows.p
+        term *= lw.bce
+        grad = term if grad is None else np.add(grad, term, out=grad)
     if lw.contrastive > 0:
-        active = non_tie & (config.contrastive_margin - np.abs(d) > 0)
-        grad += lw.contrastive * np.where(active, -np.sign(d), 0.0)
+        active = np.abs(d) < config.contrastive_margin
+        active &= rows.non_tie
+        term = np.where(active, np.sign(d), 0.0)
+        term *= -lw.contrastive
+        grad = term if grad is None else np.add(grad, term, out=grad)
     return grad
 
 
-def _predict(
-    w: np.ndarray, offsets: np.ndarray | None, diff: np.ndarray, users: np.ndarray
-) -> np.ndarray:
-    """Predicted differences (w + offsets[users_i]) . diff_i of every row."""
+def _predict(w: np.ndarray, diff: np.ndarray, offset_rows: np.ndarray | None) -> np.ndarray:
+    """Predicted differences (w + offset_rows_i) . diff_i of every row, where
+    row i of `offset_rows` is the offset of comparison i's user (None
+    without embeddings)."""
     d = diff @ w
-    if offsets is not None:
-        d = d + np.einsum("ij,ij->i", diff, offsets[users])
+    if offset_rows is not None:
+        d += np.einsum("ij,ij->i", diff, offset_rows)
     return d
 
 
@@ -158,30 +218,32 @@ def _step_gradient(
     w: np.ndarray,
     offsets: np.ndarray | None,
     diff: np.ndarray,
-    r: np.ndarray,
-    users: np.ndarray,
+    rows: _Rows,
+    cells: np.ndarray | None,
     config: TrainConfig,
+    out: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """Gradient of one batch's mean loss plus the embedding L2 penalty.
 
-    Row i of `diff` is x(right_i) - x(left_i), `r` the targets and `users`
-    the rows of `offsets` (users x dim, or None without embeddings) that the
-    comparisons belong to. Returns the gradient with respect to w and to
-    every row of `offsets`; the offsets part is None when `offsets` is.
-    Overflow warns unless the caller silences it.
+    Row i of `diff` is x(right_i) - x(left_i) and `rows` the batch's
+    `_Rows.of` its targets. With embeddings, `offsets` is (users x dim) and
+    `cells` (batch x dim) holds the flat indices into `offsets` of each
+    comparison's user row, `user_i * dim + j`; without, both are None.
+    Returns the gradient with respect to w, written into `out` when given,
+    and to every row of `offsets`; the offsets part is None when `offsets`
+    is. Overflow warns unless the caller silences it.
     """
-    grad_d = _loss_derivative(_predict(w, offsets, diff, users), r, config)
-    grad_d /= r.size
-    grad_w = diff.T @ grad_d
+    offset_rows = None if offsets is None else offsets.take(cells)
+    grad_d = _loss_derivative(_predict(w, diff, offset_rows), rows, config)
+    grad_d /= len(diff)
+    grad_w = np.matmul(diff.T, grad_d, out=out)
     if offsets is None:
         return grad_w, None
-    n_users, dim = offsets.shape
-    # One bincount over flat (user, column) cells adds rows in batch order,
-    # as `np.add.at(grad_off, users, diff * grad_d[:, None])` does.
-    cells = (users[:, None] * dim + np.arange(dim)).ravel()
+    # One bincount over the flat cells adds rows in batch order, as
+    # `np.add.at(grad_off, users, diff * grad_d[:, None])` does.
     grad_off = np.bincount(
-        cells, weights=(diff * grad_d[:, None]).ravel(), minlength=n_users * dim
-    ).reshape(n_users, dim)
+        cells.ravel(), weights=(diff * grad_d[:, None]).ravel(), minlength=offsets.size
+    ).reshape(offsets.shape)
     if config.embedding_l2 > 0:
         grad_off += 2.0 * config.embedding_l2 * offsets
     return grad_w, grad_off
@@ -194,8 +256,19 @@ def train(
     epoch-end full-set loss trace (index 0 is the pre-training loss).
 
     Every step moves against `_step_gradient` of its batch. Each epoch
-    gathers the rows once, in its shuffled order, and its batches are
-    consecutive slices of them.
+    gathers the difference rows, the targets and, with embeddings, the user
+    codes once, in its shuffled order. It then computes from the gathered
+    targets the per-row values of the loss derivative (`_Rows`), which costs
+    no more than gathering them and holds one copy, not two, and scales the
+    user codes by dim in place, so that a step finds its offset cells with
+    one addition. Batches are consecutive slices of these arrays, and a step
+    updates `w` and the offsets in place, `w` through one gradient buffer
+    shared by every step.
+
+    Memory: nothing of size rows x dim is kept but the difference rows and
+    their gathered copy. The permutation is freed before the derived rows
+    are computed, and every gathered array, with every batch view of it,
+    before the epoch-end loss, whose temporaries are as large.
     """
     n = len(train_set)
     if n == 0:
@@ -212,7 +285,8 @@ def train(
     )
 
     def full_loss() -> float:
-        per_element = _loss_terms(_predict(w, offsets, diff, users), r, config)
+        d = _predict(w, diff, None if offsets is None else offsets[users])
+        per_element = _loss_terms(d, r, config)
         penalty = 0.0
         if offsets is not None and config.embedding_l2 > 0:
             penalty = config.embedding_l2 * float(np.sum(offsets * offsets))
@@ -220,21 +294,33 @@ def train(
 
     trace = [full_loss()]
     rng = np.random.default_rng(config.seed)
-    size = config.batch_size
+    size, lr = config.batch_size, config.learning_rate
+    grad_w = np.empty(dim, dtype=np.float64)
+    columns, cells = np.arange(dim), None
     for _ in range(config.epochs):
         order = rng.permutation(n)
-        diff_e, r_e, users_e = diff[order], r[order], users[order]
+        diff_e, r_e = diff[order], r[order]
+        # Row i's user row starts at flat cell users_i * dim of the offsets.
+        first_cells = None if offsets is None else users[order]
+        del order
+        rows_e = _Rows.of(r_e, config)
+        if first_cells is not None:
+            first_cells *= dim
         with np.errstate(over="ignore"):
             for start in range(0, n, size):
-                stop = start + size
-                grad_w, grad_off = _step_gradient(
-                    w, offsets, diff_e[start:stop], r_e[start:stop], users_e[start:stop], config
+                batch = slice(start, start + size)
+                if first_cells is not None:
+                    cells = first_cells[batch, None] + columns
+                _, grad_off = _step_gradient(
+                    w, offsets, diff_e[batch], rows_e.take(batch), cells, config, grad_w
                 )
-                w -= config.learning_rate * grad_w
-                if offsets is not None:
-                    offsets -= config.learning_rate * grad_off
+                grad_w *= lr
+                w -= grad_w
+                if grad_off is not None:
+                    grad_off *= lr
+                    offsets -= grad_off
         # Freed before the epoch-end loss, whose temporaries are as large.
-        del diff_e, r_e, users_e
+        del diff_e, r_e, rows_e, first_cells
         epoch_loss = full_loss()
         if not math.isfinite(epoch_loss):
             raise ValueError(

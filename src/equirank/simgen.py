@@ -104,8 +104,13 @@ class GroundTruth:
     theta: np.ndarray
 
 
-def _unit(vec: np.ndarray) -> np.ndarray:
-    norm = np.linalg.norm(vec)
+def _unit(vec: np.ndarray, setting: str) -> np.ndarray:
+    """vec / |vec|. A norm that overflows is refused, naming the `setting`
+    that scaled vec, since the unit vector would silently be zero."""
+    with np.errstate(over="ignore"):
+        norm = np.linalg.norm(vec)
+    if not np.isfinite(norm):
+        raise ValueError(f"{setting} is too large: a weight vector's norm overflows")
     if norm == 0:
         raise ValueError("cannot normalize a zero weight vector")
     return vec / norm
@@ -143,7 +148,7 @@ def generate(config: SimConfig) -> tuple[ComparisonSet, FeatureTable, GroundTrut
             group_weights[1] = -group_weights[0]
             continue
         raw = group_rng.standard_normal(config.feature_dim)
-        group_weights[g] = config.weight_scale * _unit(raw)
+        group_weights[g] = config.weight_scale * _unit(raw, "weight_scale")
 
     if config.group_sizes is None:
         group = np.arange(config.n_users) % config.n_groups
@@ -157,11 +162,11 @@ def generate(config: SimConfig) -> tuple[ComparisonSet, FeatureTable, GroundTrut
     lefts, rights, scores = [], [], []
     for u_idx in range(config.n_users):
         jitter_rng = np.random.default_rng([config.seed, 2, u_idx])
-        direction = _unit(group_weights[group[u_idx]])
+        direction = _unit(group_weights[group[u_idx]], "weight_scale")
         if config.user_jitter > 0:
-            direction = _unit(
-                direction + config.user_jitter * jitter_rng.standard_normal(config.feature_dim)
-            )
+            with np.errstate(over="ignore"):
+                jitter = config.user_jitter * jitter_rng.standard_normal(config.feature_dim)
+            direction = _unit(direction + jitter, "user_jitter")
         weights[u_idx] = config.weight_scale * direction
         theta[u_idx] = utility = matrix @ weights[u_idx]
 

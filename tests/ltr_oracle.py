@@ -16,7 +16,7 @@ import math
 import numpy as np
 
 from equirank.dataset import ComparisonSet, FeatureTable
-from equirank.ltr import ModelParams, TrainConfig, TrainResult, _step_gradient
+from equirank.ltr import ModelParams, TrainConfig, TrainResult, _Rows, _step_gradient
 from row_view import Comparison
 
 
@@ -223,5 +223,7 @@ def step_gradient(
     diff = np.array([np.asarray(xr, float) - np.asarray(xl, float) for _, xl, xr in batch])
     r = np.array([c.score for c, _, _ in batch], dtype=np.float64)
     rows = np.array([users.index(c.user_id) for c, _, _ in batch], dtype=np.intp)
-    grad_w, grad_off = _step_gradient(params.w, offsets, diff, r, rows, config)
+    cells = rows[:, None] * params.dim + np.arange(params.dim)
+    grad_w, grad_off = _step_gradient(params.w, offsets, diff, _Rows.of(r, config), cells,
+                                      config)
     return grad_w, {u: grad_off[k] for k, u in enumerate(users)}

@@ -82,6 +82,23 @@ class TestSimulate:
                      "-o", str(tmp_path / "x")]) == 1
         assert capsys.readouterr().err == f"equirank: {message}\n"
 
+    @pytest.mark.parametrize("flag, setting", [
+        ("--weight-scale", "weight_scale"), ("--user-jitter", "user_jitter"),
+    ])
+    def test_overflowing_weight_vector_is_refused(self, tmp_path, capsys, recwarn, flag,
+                                                  setting):
+        # A finite 1e300 passes the range checks, but the norm of the weight
+        # vector it scales overflows: numpy warned, the unit vector came out
+        # zero, and every score was +-1 or pure noise.
+        out = tmp_path / "x"
+        assert _run(["simulate", "--users", "4", "--items", "12", "--dim", "3",
+                     "--per-user", "40", flag, "1e300", "-o", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"equirank: {setting} is too large: a weight vector's norm overflows\n"
+        )
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+        assert not out.exists()
+
     @pytest.mark.parametrize("flag, value, message", [
         ("--group-sizes", "a,b", "entry 'a' is not an integer"),
         ("--archetypes", "neutral:x", "entry 'neutral:x' is not name=count"),
@@ -408,6 +425,19 @@ class TestTrain:
         trace = (out / "loss_trace.csv").read_text().splitlines()
         assert trace[0] == "epoch,loss"
         assert len(trace) == 7  # header + initial loss + 5 epochs
+
+    def test_manifest_holds_steps_and_final_loss(self, tmp_path):
+        sim = _simulate(tmp_path)
+        out = tmp_path / "model"
+        assert _run(["train", "--input", str(sim / "comparisons.csv"),
+                     "--features", str(sim / "features.csv"), "--epochs", "3",
+                     "--batch-size", "50", "--user-embeddings", "-o", str(out)]) == 0
+        text = (out / "manifest_train.json").read_text()
+        diagnostics = json.loads(text)["diagnostics"]
+        assert diagnostics["sgd_steps"] == 3 * 4  # 160 rows in batches of 50
+        last = (out / "loss_trace.csv").read_text().splitlines()[-1].split(",")[1]
+        assert f'"final_loss": {last}' in text
+        assert repr(diagnostics["final_loss"]) == last
 
     def test_zero_epochs_writes_zero_model(self, tmp_path):
         sim = _simulate(tmp_path)
@@ -769,6 +799,19 @@ class TestPipeline:
         out = tmp_path / "x"
         assert _run(["pipeline", "--config", str(config), "-o", str(out)]) == 1
         assert capsys.readouterr().err == f"equirank: {config}: {message}\n"
+        assert not out.exists()
+
+    def test_run_time_failure_writes_nothing(self, tmp_path, capsys):
+        # lam = 1e-300 passes every check, then makes a user's Newton system
+        # singular after the population is simulated and split.
+        config = tmp_path / "grid.cfg"
+        config.write_text("users = 4\nitems = 12\ndim = 3\nper_user = 40\nlam = 1e-300\n"
+                          "experiment = mehestan\n")
+        out = tmp_path / "run"
+        assert _run(["pipeline", "--config", str(config), "-o", str(out)]) == 1
+        assert capsys.readouterr().err.startswith(
+            "equirank: singular Newton system in GBT fit for user 'u"
+        )
         assert not out.exists()
 
     def test_not_utf8_config_is_usage_error(self, tmp_path, capsys):

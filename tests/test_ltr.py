@@ -7,6 +7,7 @@ checked against them.
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from equirank.dataset import FeatureTable
+from equirank.simgen import SimConfig, generate
 from equirank.ltr import (
     LossWeights,
     ModelParams,
@@ -381,6 +383,53 @@ def test_train_matches_oracle(weights, tie_epsilon, score_draws, n_users, dim,
         use_user_embeddings=embeddings, embedding_l2=embedding_l2,
     )
     _assert_train_matches_oracle(cset, table, config)
+
+
+@pytest.mark.parametrize("weights, embeddings", [
+    (LossWeights(mse=1.0, contrastive=1.0), True),
+    (_WEIGHTS["mixed"], False),
+    (_WEIGHTS["mixed"], True),
+], ids=["mse-contrastive-embeddings", "all-four", "all-four-embeddings"])
+def test_train_matches_oracle_at_benchmark_shape(weights, embeddings):
+    """2,000 rows of 20 users in batches of 32 for 3 epochs: 63 steps an
+    epoch, the last one of 16 rows, far past the hypothesis cases' 20 rows.
+    Every tenth score is a tie at 0 or exactly +-tie_epsilon."""
+    rng = np.random.default_rng(53)
+    scores = rng.uniform(-1.0, 1.0, size=2000)
+    scores[::30], scores[10::30], scores[20::30] = 0.0, 0.05, -0.05
+    cset, table = _oracle_case(rng, scores.tolist(), 20, dim=4, n_items=60)
+    config = TrainConfig(
+        loss_weights=weights, tie_epsilon=0.05, epochs=3, batch_size=32, seed=5,
+        use_user_embeddings=embeddings, embedding_l2=1e-4 if embeddings else 0.0,
+    )
+    _assert_train_matches_oracle(cset, table, config)
+
+
+@pytest.mark.parametrize("weights, embeddings, parent_peak", [
+    (LossWeights(mse=1.0), False, 5_302_426),
+    (LossWeights(mse=1.0, contrastive=1.0), True, 5_309_900),
+], ids=["mse", "mse-contrastive-embeddings"])
+def test_train_peak_memory_within_the_earlier_trainer(weights, embeddings, parent_peak):
+    """tracemalloc's peak of `train` on 60,000 rows (60 users x 1,000, dim
+    4, 2 epochs) stays within that of the trainer before the per-row values
+    were computed once per epoch, measured on the same set: 5,302,426 bytes
+    for MSE and 5,309,900 bytes for MSE + contrastive + embeddings, about 88
+    bytes a row. That is the difference rows and their gathered copy (32
+    bytes each) plus the gathered targets, user codes and permutation (8
+    each). A per-row value of size rows x dim kept past its batch, or a
+    gathered array kept alive into the epoch-end loss, would exceed it."""
+    cset, features, _ = generate(SimConfig(
+        n_items=500, feature_dim=4, n_users=60, comparisons_per_user=1000, seed=1,
+    ))
+    config = TrainConfig(loss_weights=weights, epochs=2, seed=1,
+                         use_user_embeddings=embeddings, embedding_l2=1e-4)
+    tracemalloc.start()
+    try:
+        train(cset, features, config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= parent_peak
 
 
 class TestPredictAll:
