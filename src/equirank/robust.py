@@ -49,6 +49,9 @@ def _as_finite_array(values: Sequence[float] | np.ndarray) -> np.ndarray:
 def qr_med(values: Sequence[float] | np.ndarray, params: ResilienceParams) -> float:
     """Exact quadratically regularized median; `default` on empty input.
 
+    `values` is any float sequence or buffer: a list, an array, or a
+    float64 memoryview, which numpy reads without a copy.
+
     The subgradient W*(m - default) + sum_i sign(m - x_i) is strictly
     increasing in m. With k sorted inputs below m and n-k above, the smooth
     part is stationary at m_k = default + (n - 2k)/W. The zero crossing lies
@@ -70,6 +73,8 @@ def qr_med(values: Sequence[float] | np.ndarray, params: ResilienceParams) -> fl
 
 def br_mean(values: Sequence[float] | np.ndarray, params: ResilienceParams) -> float:
     """Clipped mean centered at qr_med; `default` on empty input.
+
+    `values` is taken as by qr_med: a list, an array or a memoryview.
 
     Result lies within [c - clip_radius, c + clip_radius] for c = qr_med;
     when no input is clipped this reduces exactly to the plain mean.

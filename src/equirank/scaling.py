@@ -157,9 +157,12 @@ def _vote_matrix(theta: np.ndarray, present: np.ndarray) -> np.ndarray:
     block of the users after the tile's first is logged once per tile over
     the same pairs, +inf where a gap is invalid, so every difference over a
     pair not valid for both users is +inf and sorts after the valid ones.
-    Each user of the tile then subtracts its own row from the block, sorts,
-    counts every row's finite differences with one np.count_nonzero, and
-    takes the median of them. Tiles and blocks span about _BLOCK_ENTRIES
+    A row's finite differences are its pairs valid for both users, so one
+    float64 product of the tile's and the block's validity masks counts them
+    for every (user, voter) of the two; sums of 0s and 1s are exact in any
+    order, whatever the BLAS. Each user of the tile then subtracts its own
+    row from the block, sorts, and takes the median of each row's finite
+    differences. Tiles and blocks span about _BLOCK_ENTRIES
     entries, so no users x pairs table is built: with more than
     _BLOCK_ENTRIES item pairs every tile is one user, and a user with more
     valid pairs than that is scored one voter a block.
@@ -179,22 +182,26 @@ def _vote_matrix(theta: np.ndarray, present: np.ndarray) -> np.ndarray:
         if not union.any():
             continue
         a, b, gaps = a[union], b[union], gaps.compress(union, axis=1)
+        valid = valid.compress(union, axis=1)
         # log 0 = -inf marks a pair not valid for the user.
-        gaps[~valid.compress(union, axis=1)] = 0.0
+        gaps[~valid] = 0.0
         with np.errstate(divide="ignore"):
             own = np.log(gaps, out=gaps)
+        valid = valid.astype(np.float64)
         # A block holds at least C users, so only the first meets the tile.
         step = max(1, _BLOCK_ENTRIES // len(a))
         for v0 in range(t0 + 1, n_users, step):
             logs = _gaps(latent[v0 : v0 + step], a, b)
-            logs[~(logs > EPSILON_PAIR)] = np.inf
+            voting = logs > EPSILON_PAIR
+            logs[~voting] = np.inf
             np.log(logs, out=logs)
+            pair_counts = (valid @ voting.T.astype(np.float64)).astype(np.intp)
             for u in range(t0, t1):
                 skip = max(0, u + 1 - v0)
                 diffs = logs[skip:] - own[u - t0]
                 diffs.sort(axis=1)
                 # A sorted row holds its finite differences first.
-                counts = np.count_nonzero(diffs < np.inf, axis=1)
+                counts = pair_counts[u - t0, skip:]
                 voters = np.flatnonzero(counts)
                 counts = counts[voters]
                 medians = (diffs[voters, (counts - 1) // 2] + diffs[voters, counts // 2]) / 2
@@ -268,8 +275,9 @@ def mehestan_scale(
         row = vote_matrix[u]
         medians = row[~np.isnan(row)]
         votes[u] = len(medians)
-        # Plain float lists, as before: perfbench's tracer re-reads BrMean's inputs.
-        scales[u] = math.exp(br_mean(medians.tolist(), ratio_params))
+        # The array's memoryview: numpy reads it without a copy, and iterating
+        # it, as perfbench's tracer does to count clipped inputs, gives floats.
+        scales[u] = math.exp(br_mean(medians.data, ratio_params))
 
     # Candidates s_v*theta_v(a) - s_u*theta_u(a), row-major over (v, common item a).
     scaled = scales[:, None] * theta
@@ -283,7 +291,7 @@ def mehestan_scale(
         voters[u] = False
         values = (scaled[:, items] - scaled[u, items])[voters]
         candidates[u] = len(values)
-        translations[u] = br_mean(values.tolist(), translation_params)
+        translations[u] = br_mean(values.data, translation_params)
 
     scaled_theta = scaled + translations[:, None]
     new_scores = np.clip(

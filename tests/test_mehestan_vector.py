@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 
 from equirank import gbt, scaling
 from equirank.gbt import GbtConfig, _gradient, _hessian_vec, _objectives, _Stack, fit_users
-from equirank.robust import ResilienceParams, br_mean
+from equirank.robust import ResilienceParams, br_mean, qr_med
 from equirank.scaling import mehestan_scale
 from equirank.simgen import SimConfig, generate
 from gbt_oracle import by_item
@@ -505,6 +505,28 @@ def test_simulated_crowd_votes_match_oracle_in_every_tiling(monkeypatch):
     assert_votes_match_oracle_in_every_tiling(
         _simulated_crowd(), monkeypatch, GbtConfig(max_iter=2000)
     )
+
+
+def test_br_mean_inputs_are_handed_over_without_a_copy(monkeypatch):
+    # Each BrMean input is a view of Mehestan's own array, so numpy does not
+    # copy it, and iterating it gives Python floats: perfbench's tracer
+    # counts clipped inputs by iterating them, and its count must stay an
+    # int for json.
+    inputs = []
+
+    def spy(values, params):
+        inputs.append((values, params))
+        return br_mean(values, params)
+
+    monkeypatch.setattr(scaling, "br_mean", spy)
+    cset = _simulated_crowd()
+    mehestan_scale(cset, GbtConfig(max_iter=2000))
+    assert len(inputs) == 2 * (len(cset.user_ids) - 1)
+    for values, params in inputs:
+        assert not np.asarray(values).flags.owndata
+        assert all(type(v) is float for v in values)
+        center = qr_med(values, params)
+        assert type(sum(abs(v - center) > params.clip_radius for v in values)) is int
 
 
 def _random_points(rng, spread, n_items):

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from equirank.robust import ResilienceParams, br_mean, qr_med
@@ -57,13 +57,33 @@ _weights = st.one_of(
 )
 
 
+def _bits(x):
+    return np.float64(x).tobytes()
+
+
+# The input kinds the aggregators take: a list of floats, a float64 array,
+# and the memoryview of one (the form Mehestan hands over).
+_INPUT_KINDS = {
+    "list": list,
+    "ndarray": lambda values: np.array(values, dtype=np.float64),
+    "memoryview": lambda values: np.array(values, dtype=np.float64).data,
+}
+
+
 @given(values=_tied_values, weight=_weights,
-       default=st.one_of(st.sampled_from([0.0, -0.0, 0.5]), st.floats(-1e3, 1e3)))
+       default=st.one_of(st.sampled_from([0.0, -0.0, 0.5]), st.floats(-1e3, 1e3)),
+       kind=st.sampled_from(sorted(_INPUT_KINDS)))
+@example(values=[], weight=1.0, default=0.5, kind="list")
+@example(values=[], weight=1.0, default=0.5, kind="ndarray")
+@example(values=[], weight=1.0, default=0.5, kind="memoryview")
 @settings(max_examples=500, deadline=None)
-def test_qr_med_matches_gap_scan_bit_for_bit(values, weight, default):
+def test_qr_med_matches_gap_scan_bit_for_bit(values, weight, default, kind):
+    # Every input kind gives the scan's bits, and BrMean the bits it gives
+    # the list of the same values.
     params = ResilienceParams(weight=weight, default=default)
-    expected = _qr_med_scan(values, params)
-    assert np.float64(qr_med(values, params)).tobytes() == np.float64(expected).tobytes()
+    given_values = _INPUT_KINDS[kind](values)
+    assert _bits(qr_med(given_values, params)) == _bits(_qr_med_scan(values, params))
+    assert _bits(br_mean(given_values, params)) == _bits(br_mean(list(values), params))
 
 
 class TestQrMed:
@@ -102,6 +122,8 @@ class TestQrMed:
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError):
             qr_med([1.0, float("nan")], ResilienceParams())
+        with pytest.raises(ValueError, match="non-finite input value"):
+            qr_med(np.array([1.0, np.nan]).data, ResilienceParams())
 
     def test_single_voter_resilience(self):
         rng = np.random.default_rng(9)
@@ -213,6 +235,8 @@ class TestBrMean:
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError):
             br_mean([float("inf")], ResilienceParams())
+        with pytest.raises(ValueError, match="non-finite input value"):
+            br_mean(np.array([0.5, np.nan]).data, ResilienceParams())
 
 
 def test_params_validation():
