@@ -99,36 +99,9 @@ def _softplus(x: np.ndarray) -> np.ndarray:
     return np.logaddexp(0.0, x)
 
 
-def _loss_terms(d: np.ndarray, r: np.ndarray, config: TrainConfig) -> np.ndarray:
-    """Per-element weighted loss of predicted differences d against targets r.
-
-    Overflow is silenced here and, for `_loss_derivative`, in `train`: a
-    diverging run produces non-finite values that the trainer detects and
-    reports as a learning-rate problem.
-    """
-    lw = config.loss_weights
-    loss = np.zeros_like(d)
-    non_tie = np.abs(r) > config.tie_epsilon
-    with np.errstate(over="ignore"):
-        if lw.mse > 0:
-            loss += lw.mse * (d - r) ** 2
-        if lw.ranking > 0:
-            margin_gap = config.ranking_margin - np.sign(r) * d
-            active = non_tie & (margin_gap > 0)
-            loss += lw.ranking * np.where(active, margin_gap, 0.0)
-        if lw.bce > 0:
-            p = (r + 1.0) / 2.0
-            loss += lw.bce * (p * _softplus(-d) + (1.0 - p) * _softplus(d))
-        if lw.contrastive > 0:
-            margin_gap = config.contrastive_margin - np.abs(d)
-            active = non_tie & (margin_gap > 0)
-            loss += lw.contrastive * np.where(active, margin_gap, 0.0)
-    return loss
-
-
 class _Rows(NamedTuple):
-    """The per-row values of the loss derivative that depend only on the
-    target r, each None when no loss with a positive weight reads it:
+    """The per-row values of the loss and its derivative that depend only
+    on the target r, each None when no loss with a positive weight reads it:
 
         r        r                       mse
         sign     sign(r)                 ranking
@@ -163,6 +136,30 @@ class _Rows(NamedTuple):
             None if r is None else r[batch], None if sign is None else sign[batch],
             None if p is None else p[batch], None if non_tie is None else non_tie[batch],
         )
+
+
+def _loss_terms(d: np.ndarray, rows: _Rows, config: TrainConfig) -> np.ndarray:
+    """Per-element weighted loss of predicted differences d against the
+    targets whose `_Rows` are `rows`.
+
+    Overflow warns unless the caller silences it; `train` does, and reports
+    the non-finite loss of a diverging run as a learning-rate problem.
+    """
+    lw = config.loss_weights
+    loss = np.zeros_like(d)
+    if lw.mse > 0:
+        loss += lw.mse * (d - rows.r) ** 2
+    if lw.ranking > 0:
+        margin_gap = config.ranking_margin - rows.sign * d
+        active = rows.non_tie & (margin_gap > 0)
+        loss += lw.ranking * np.where(active, margin_gap, 0.0)
+    if lw.bce > 0:
+        loss += lw.bce * (rows.p * _softplus(-d) + (1.0 - rows.p) * _softplus(d))
+    if lw.contrastive > 0:
+        margin_gap = config.contrastive_margin - np.abs(d)
+        active = rows.non_tie & (margin_gap > 0)
+        loss += lw.contrastive * np.where(active, margin_gap, 0.0)
+    return loss
 
 
 def _loss_derivative(d: np.ndarray, rows: _Rows, config: TrainConfig) -> np.ndarray:
@@ -263,7 +260,9 @@ def train(
     user codes by dim in place, so that a step finds its offset cells with
     one addition. Batches are consecutive slices of these arrays, and a step
     updates `w` and the offsets in place, `w` through one gradient buffer
-    shared by every step.
+    shared by every step. Each loss of the trace reads `_Rows` of the stored
+    targets. One `np.errstate` silences overflow and invalid values around
+    every loss and step; a diverging run's non-finite loss raises ValueError.
 
     Memory: nothing of size rows x dim is kept but the difference rows and
     their gathered copy. The permutation is freed before the derived rows
@@ -286,27 +285,27 @@ def train(
 
     def full_loss() -> float:
         d = _predict(w, diff, None if offsets is None else offsets[users])
-        per_element = _loss_terms(d, r, config)
+        per_element = _loss_terms(d, _Rows.of(r, config), config)
         penalty = 0.0
         if offsets is not None and config.embedding_l2 > 0:
             penalty = config.embedding_l2 * float(np.sum(offsets * offsets))
         return float(per_element.mean() + penalty)
 
-    trace = [full_loss()]
     rng = np.random.default_rng(config.seed)
     size, lr = config.batch_size, config.learning_rate
     grad_w = np.empty(dim, dtype=np.float64)
     columns, cells = np.arange(dim), None
-    for _ in range(config.epochs):
-        order = rng.permutation(n)
-        diff_e, r_e = diff[order], r[order]
-        # Row i's user row starts at flat cell users_i * dim of the offsets.
-        first_cells = None if offsets is None else users[order]
-        del order
-        rows_e = _Rows.of(r_e, config)
-        if first_cells is not None:
-            first_cells *= dim
-        with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
+        trace = [full_loss()]
+        for _ in range(config.epochs):
+            order = rng.permutation(n)
+            diff_e, r_e = diff[order], r[order]
+            # Row i's user row starts at flat cell users_i * dim of the offsets.
+            first_cells = None if offsets is None else users[order]
+            del order
+            rows_e = _Rows.of(r_e, config)
+            if first_cells is not None:
+                first_cells *= dim
             for start in range(0, n, size):
                 batch = slice(start, start + size)
                 if first_cells is not None:
@@ -319,14 +318,12 @@ def train(
                 if grad_off is not None:
                     grad_off *= lr
                     offsets -= grad_off
-        # Freed before the epoch-end loss, whose temporaries are as large.
-        del diff_e, r_e, rows_e, first_cells
-        epoch_loss = full_loss()
-        if not math.isfinite(epoch_loss):
-            raise ValueError(
-                "training loss became non-finite; try a smaller learning_rate"
-            )
-        trace.append(epoch_loss)
+            # Freed before the epoch-end loss, whose temporaries are as large.
+            del diff_e, r_e, rows_e, first_cells
+            epoch_loss = full_loss()
+            if not math.isfinite(epoch_loss):
+                raise ValueError("training loss became non-finite; try a smaller learning_rate")
+            trace.append(epoch_loss)
     if offsets is None:
         return TrainResult(ModelParams(w, (), np.zeros((0, dim))), trace)
     return TrainResult(ModelParams(w, train_set.user_ids, offsets), trace)
@@ -340,18 +337,22 @@ def predict_all(
 
     Each item score is the dot product `np.dot((w + offset_u), x)`
     (`np.vecdot` runs the kernel of `np.dot` row by row), so every difference
-    is bitwise the one computed one comparison at a time.
+    is bitwise the one computed one comparison at a time. A difference that
+    is not finite overflowed float64 and raises ValueError.
     """
     if features.dim != params.dim:
         raise ValueError(
             f"feature vectors have length {features.dim}, expected {params.dim}"
         )
     x = features.matrix(cset.item_ids)
-    # Row k is user k's w + offset; the last row, w alone, serves unknown users.
-    table = np.vstack([params.w + params.offsets, params.w])
     rows = _positions(params.user_ids, cset.user_ids, len(params.user_ids))
-    weights = table[rows[cset.user]]
-    diff = np.vecdot(x[cset.right], weights) - np.vecdot(x[cset.left], weights)
+    with np.errstate(over="ignore", invalid="ignore"):
+        # Row k is user k's w + offset; the last row, w alone, serves unknown users.
+        table = np.vstack([params.w + params.offsets, params.w])
+        weights = table[rows[cset.user]]
+        diff = np.vecdot(x[cset.right], weights) - np.vecdot(x[cset.left], weights)
+    if not np.isfinite(diff).all():
+        raise ValueError("predicted differences overflow float64; the model weights are too large")
     return Predictions(cset, diff)
 
 

@@ -641,6 +641,22 @@ class TestAudit:
         )
         assert not out.exists()
 
+    def test_overflowing_predictions_are_refused(self, tmp_path, capsys, recwarn):
+        # Every weight is finite, so the model loads, but each predicted
+        # score overflows float64.
+        sim = _simulate(tmp_path)
+        model = tmp_path / "huge.json"
+        model.write_text('{"dim": 3, "w": [1e308, 1e308, -1e308], "user_offsets": {}}')
+        capsys.readouterr()
+        out = tmp_path / "x"
+        assert _run(["audit", "--model", str(model), "--test", str(sim / "comparisons.csv"),
+                     "--features", str(sim / "features.csv"), "-o", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "equirank: predicted differences overflow float64; the model weights are too large\n"
+        )
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+        assert not out.exists()
+
     def test_unknown_criterion_is_runtime_error(self, tmp_path, capsys):
         model, test_csv, feat_csv = self._perfect_fixture(tmp_path)
         out = tmp_path / "audit"

@@ -262,11 +262,15 @@ class TestTrain:
         with pytest.raises(ValueError, match="ghost"):
             train(cset, table, TrainConfig())
 
-    def test_divergence_suggests_smaller_learning_rate(self):
+    @pytest.mark.parametrize("embeddings", [False, True])
+    @pytest.mark.parametrize("learning_rate", [1e6, 1e300])
+    def test_divergence_suggests_smaller_learning_rate(self, learning_rate, embeddings):
+        """At 1e300 the weights overflow to inf and their products turn NaN,
+        an invalid value; the trainer's own error must come out, not numpy's."""
         rng = np.random.default_rng(45)
         cset, table = _linear_fixture(rng, n=100)
-        config = TrainConfig(loss_weights=LossWeights(mse=1.0), learning_rate=1e6,
-                             epochs=30)
+        config = TrainConfig(loss_weights=LossWeights(mse=1.0), learning_rate=learning_rate,
+                             epochs=30, use_user_embeddings=embeddings)
         with pytest.raises(ValueError, match="learning_rate"):
             train(cset, table, config)
 
