@@ -36,6 +36,7 @@ from .equity import build_report, write_lorenz, write_report
 from .gbt import GbtConfig, GbtFits, write_individual_scores
 from .ltr import (
     LossWeights,
+    PredictionOverflow,
     TrainConfig,
     load_model,
     predict_all,
@@ -201,8 +202,22 @@ def _write_simulation(
     return outputs
 
 
+def _simulate(config: SimConfig) -> tuple[ComparisonSet, FeatureTable, GroundTruth]:
+    """`generate`, warning on stderr when every simulated score is -1 or 1:
+    noise or weights so large that the clip to [-1, 1] leaves no magnitude
+    for a scaler or a loss to read."""
+    cset, features, truth = generate(config)
+    if (np.abs(cset.score) == 1.0).all():
+        print(
+            f"equirank: warning: every simulated score is -1 or 1; "
+            f"noise_std={config.noise_std!r} weight_scale={config.weight_scale!r}",
+            file=sys.stderr,
+        )
+    return cset, features, truth
+
+
 def cmd_simulate(args: argparse.Namespace) -> int:
-    cset, features, truth = generate(_sim_config(vars(args)))
+    cset, features, truth = _simulate(_sim_config(vars(args)))
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     outputs = _write_simulation(outdir, cset, features, truth)
@@ -360,7 +375,10 @@ def cmd_audit(args: argparse.Namespace) -> int:
             f"{args.model}: model dim {model.dim} does not match {args.features}, "
             f"whose feature vectors have length {features.dim}"
         )
-    predictions = predict_all(model, cset, features)
+    try:
+        predictions = predict_all(model, cset, features)
+    except PredictionOverflow as exc:
+        raise ValueError(f"{args.model}: {exc}") from None
     report = build_report(predictions, args.tie_epsilon)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -530,7 +548,7 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
         weight = check_resilience_weight(cfg["resilience_weight"])
     except ValueError as exc:
         raise ValueError(f"{args.config}: {exc}") from None
-    cset, features, truth = generate(sim_config)
+    cset, features, truth = _simulate(sim_config)
     train_set, test_set = split(cset, cfg["train_fraction"], cfg["seed"])
 
     # Each distinct scaler runs once; cells sharing it train on the same set.

@@ -24,8 +24,10 @@ data file is written under a temporary name and moved onto its path when
 complete, so a write cut short leaves the earlier file, or none, and never a
 truncated one.
 
-The reader gathers ids of at most 8 bytes as one masked word each. A second
-numpy kernel, `_decimals`, reads each score and feature value written as
+The reader gathers ids of at most 8 bytes as one masked word each, and
+codes those a column has met before through a direct-mapped table of their
+words (`_IdTable`); a constant column is recognised from its words at any
+width. A second numpy kernel, `_decimals`, reads each score and feature value written as
 -?D.D+, one digit before the point and at most 22 after it, with at most 18
 significant digits: the repr of every float in [-1, 1] but those below 1e-4
 in magnitude. Every other form, such as an exponent, a plus sign, spaces or
@@ -39,6 +41,7 @@ import functools
 import itertools
 import json
 import os
+import random
 import tempfile
 from dataclasses import dataclass
 from pathlib import Path
@@ -162,7 +165,10 @@ class ComparisonSet:
         )
 
     def restrict(self, criterion: str) -> "ComparisonSet":
-        """The rows with `criterion`, in input order; none when it is absent."""
+        """The rows with `criterion`, in input order; none when it is absent.
+        A set that holds no other criterion is returned itself."""
+        if self.criterion_ids == (criterion,):
+            return self
         k = _positions(self.criterion_ids, [criterion], -1)[0]
         return self.take(np.flatnonzero(self.criterion == k))
 
@@ -731,29 +737,137 @@ def _csv_rows(path: Path) -> Iterator:
             line += lfs.size - 1
 
 
-# The low L bytes of a word, for L = 0 to 8.
-_LOW_BYTES = np.array([(1 << 8 * n) - 1 for n in range(9)], dtype=np.uint64)
+# The low min(L, 8) bytes of a word, for every span length L.
+_LOW_BYTES = np.array([(1 << 8 * min(n, 8)) - 1 for n in range(_FIELD_CAP + 1)], dtype=np.uint64)
+# No id's word: the byte 0xFF never occurs in UTF-8.
+_NO_WORD = np.uint64(2**64 - 1)
+# Odd multipliers for `_IdTable`'s hash, tried in turn at each rebuild.
+_MULTIPLIERS = np.frombuffer(random.Random(0).randbytes(8 * 64), dtype="<u8") | np.uint64(1)
+# An `_IdTable` has at most 2**_TABLE_BITS slots.
+_TABLE_BITS = 18
 
 
-def _field_codes(vocab: dict[str, int], field: _Spans | list[str]) -> np.ndarray:
-    """`_codes` of a `_field` column; new ids of spans enter in sorted order."""
+class _IdTable:
+    """The codes of the ids of at most 8 bytes that a vocabulary has met as
+    spans, looked up by their words, the bytes past the id masked out (a
+    span holds no NUL, so the word is the id).
+
+    Direct-mapped: word x has the one slot (a * x mod 2**64) >> (64 - bits)
+    (multiply-shift, Dietzfelbinger et al., J. Algorithms 1997). Each
+    rebuild takes n**2 / 2 to n**2 slots for n known words and the first of
+    `_MULTIPLIERS` under which no two share a slot, so a lookup is one
+    gather and one comparison, with no probe loop. `slots` holds the code in
+    each slot, or -1; `words[c]` the word of code c, or `_NO_WORD`, which
+    is also the last entry, so that an empty slot matches no word. A table
+    that would outgrow 2**_TABLE_BITS slots, or find no multiplier, takes
+    no more words.
+    """
+
+    def __init__(self) -> None:
+        self.words = np.full(1, _NO_WORD)
+        self.slots = np.full(1, -1, dtype=np.intp)
+        self.multiplier, self.shift = _MULTIPLIERS[0], np.uint64(64)
+        self.empty, self.full = True, False
+
+    def _slot(self, word: np.ndarray) -> np.ndarray:
+        return (word * self.multiplier) >> self.shift
+
+    def find(self, word: np.ndarray) -> np.ndarray | None:
+        """The code of each word, or None when one is not in the table."""
+        code = self.slots.take(self._slot(word))
+        return code if (self.words.take(code) == word).all() else None
+
+    def add(self, word: np.ndarray, code: np.ndarray, size: int) -> None:
+        """Enter distinct words, with their codes, all below `size`."""
+        if self.full:
+            return
+        self.empty = False
+        if size >= self.words.size:
+            words = np.full(2 * size + 1, _NO_WORD)
+            words[: self.words.size - 1] = self.words[:-1]
+            self.words = words
+        self.words[code] = word
+        slot = self._slot(word)
+        held = self.slots.take(slot)
+        if ((held < 0) | (held == code)).all():
+            self.slots[slot] = code
+            # Two new words in one slot: the later overwrote the earlier.
+            if (self.slots.take(slot) == code).all():
+                return
+        self._rebuild(code)
+
+    def _rebuild(self, added: np.ndarray) -> None:
+        """New slots for every known word; if none fit, drop the codes `added`."""
+        code = np.flatnonzero(self.words[:-1] != _NO_WORD)
+        word = self.words[code]
+        bits = max((code.size**2).bit_length() - 1, 1)
+        for multiplier in _MULTIPLIERS if bits <= _TABLE_BITS else ():
+            shift = np.uint64(64 - bits)
+            slot = np.sort((word * multiplier) >> shift)
+            if not (slot[1:] == slot[:-1]).any():
+                self.multiplier, self.shift = multiplier, shift
+                self.slots = np.full(1 << bits, -1, dtype=np.intp)
+                self.slots[self._slot(word)] = code
+                return
+        self.words[added] = _NO_WORD
+        self.full = True
+
+
+def _constant(field: _Spans, length: np.ndarray, first: np.ndarray) -> bool:
+    """Whether every span of a column holds the same bytes, given the length
+    and the first word of each."""
+    if (first != first[0]).any():
+        return False
+    width = int(length[0])
+    if (length != width).any():
+        return False
+    for at in range(8, width, 8):
+        word = field.words[field.start + at] & _LOW_BYTES[width - at]
+        if (word != word[0]).any():
+            return False
+    return True
+
+
+def _field_codes(
+    vocab: dict[str, int], field: _Spans | list[str], table: _IdTable | None = None
+) -> np.ndarray:
+    """`_codes` of a `_field` column; new ids of spans enter in sorted order.
+    Known ids of at most 8 bytes are found in `table`, when given, which then
+    learns the column's new ones."""
     if isinstance(field, list):
         return _codes(vocab, field)
-    # Rows as keys that sort as the ids: of fields at most 8 bytes wide, one
-    # word each with the bytes past the field masked out, read big-endian;
-    # else zero-padded bytes.
+    # Each span's first word, the bytes past the span masked out.
     length = field.stop - field.start
-    if length.max(initial=0) <= 8:
-        keys = (field.words[field.start] & _LOW_BYTES[length]).view(">u8")
+    first = field.words[field.start] & _LOW_BYTES[length]
+    if _constant(field, length, first):
+        # A constant column, such as a criterion or scaler tag, needs no sort.
+        return np.full(first.size, _codes(vocab, [_text(field, 0)])[0], dtype=np.intp)
+    narrow = length.max() <= 8
+    learn = False
+    if narrow and table is not None:
+        # The last row first: in a file grouped by user, a block's last user
+        # is most often new, and a failed lookup of the whole column would
+        # cost more than it saves. For the same reason the table learns a
+        # block's ids only when it knew the last one, or knew none yet.
+        learn = table.find(first[-1:]) is not None
+        if learn and (code := table.find(first)) is not None:
+            return code
+        learn |= table.empty
+    # Keys that sort as the ids: of spans at most 8 bytes wide, the first
+    # word read big-endian; else zero-padded bytes. Only the first key of
+    # each run of equal keys is sorted, since a file grouped by user holds a
+    # few runs of users a block.
+    if narrow:
+        keys = first.view(">u8")
     else:
         matrix = _matrix(field)
         keys = matrix.view(f"S{matrix.shape[1]}").ravel()
-    if keys.size and (keys == keys[0]).all():
-        # A constant column, such as a criterion or scaler tag, needs no sort.
-        distinct, inverse = keys[:1], np.zeros(keys.size, dtype=np.intp)
-    else:
-        distinct, inverse = np.unique(keys, return_inverse=True)
-    return _codes(vocab, _decode(distinct.view(np.uint8).reshape(distinct.size, -1)))[inverse]
+    head = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+    distinct, inverse = np.unique(keys[head], return_inverse=True)
+    code = _codes(vocab, _decode(distinct.view(np.uint8).reshape(distinct.size, -1)))
+    if learn:
+        table.add(distinct.view("<u8"), code, len(vocab))
+    return np.repeat(code.take(inverse), np.diff(head, append=keys.size))
 
 
 def _window_masks() -> tuple[np.ndarray, np.ndarray]:
@@ -889,15 +1003,21 @@ def read_columns(
         raise ValueError(f"{path}: bad header {first!r}, expected {header!r}")
     users, criteria, items = {}, {}, {}
     vocabs = (users, criteria, items, items, *({} for _ in header[5:]))
+    tables = {id(vocab): _IdTable() for vocab in vocabs}
     # Blocks fill columns allocated once, one row per LF and one more:
     # joining per-block parts would leave the heap fragmented and the
     # process larger. Only rows ended by bare CRs can outgrow them.
     with path.open("rb") as fh:
-        bound = 1 + sum(data.count(b"\n") for data in iter(lambda: fh.read(_BLOCK_BYTES), b""))
+        bound = 1 + sum(
+            np.count_nonzero(np.frombuffer(data, dtype=np.uint8) == ord("\n"))
+            for data in iter(lambda: fh.read(_BLOCK_BYTES), b"")
+        )
     columns = [np.empty(bound, dtype=np.intp) for _ in range(4)] + [np.empty(bound)]
     n = 0
     for lines, fields in rows:
-        codes = [_field_codes(v, f) for v, f in zip(vocabs, fields[:4] + fields[5:])]
+        codes = [
+            _field_codes(v, f, tables[id(v)]) for v, f in zip(vocabs, fields[:4] + fields[5:])
+        ]
         score = _floats(fields[4])
         bad = ~((score >= -1.0) & (score <= 1.0)) | (codes[2] == codes[3])
         if bad.any():

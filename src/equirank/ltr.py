@@ -329,6 +329,11 @@ def train(
     return TrainResult(ModelParams(w, train_set.user_ids, offsets), trace)
 
 
+class PredictionOverflow(ValueError):
+    """Predicted differences that overflow float64: the model's weights are
+    too large."""
+
+
 def predict_all(
     params: ModelParams, cset: ComparisonSet, features: FeatureTable
 ) -> Predictions:
@@ -338,7 +343,7 @@ def predict_all(
     Each item score is the dot product `np.dot((w + offset_u), x)`
     (`np.vecdot` runs the kernel of `np.dot` row by row), so every difference
     is bitwise the one computed one comparison at a time. A difference that
-    is not finite overflowed float64 and raises ValueError.
+    is not finite overflowed float64 and raises PredictionOverflow.
     """
     if features.dim != params.dim:
         raise ValueError(
@@ -352,7 +357,9 @@ def predict_all(
         weights = table[rows[cset.user]]
         diff = np.vecdot(x[cset.right], weights) - np.vecdot(x[cset.left], weights)
     if not np.isfinite(diff).all():
-        raise ValueError("predicted differences overflow float64; the model weights are too large")
+        raise PredictionOverflow(
+            "predicted differences overflow float64; the model weights are too large"
+        )
     return Predictions(cset, diff)
 
 

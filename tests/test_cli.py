@@ -136,6 +136,31 @@ class TestSimulate:
         assert _sim_config(vars(args)) == want
         assert _sim_config(parse_pipeline_config(config)[0]) == want
 
+    @pytest.mark.parametrize("command", ["simulate", "pipeline"])
+    @pytest.mark.parametrize("noise", [None, "1e300"])
+    def test_scores_all_at_one_are_warned_of(self, tmp_path, capsys, command, noise):
+        # At noise_std 1e300 every simulated score is clipped to -1 or 1 and
+        # the run exits 0; one stderr line says so and names the setting.
+        settings = {"users": "4", "items": "12", "dim": "3", "per_user": "40"}
+        if noise is not None:
+            settings["noise"] = noise
+        if command == "simulate":
+            argv = ["simulate"]
+            for key, value in settings.items():
+                argv += [f"--{key.replace('_', '-')}", value]
+        else:
+            config = tmp_path / "grid.cfg"
+            config.write_text("".join(f"{k} = {v}\n" for k, v in settings.items())
+                              + "experiment = baseline\n")
+            argv = ["pipeline", "--config", str(config)]
+        assert _run([*argv, "-o", str(tmp_path / "out")]) == 0
+        err = capsys.readouterr().err
+        if noise is None:
+            assert err == ""
+        else:
+            assert err == ("equirank: warning: every simulated score is -1 or 1; "
+                           "noise_std=1e+300 weight_scale=0.5\n")
+
     def test_manifest_fields(self, tmp_path):
         out = _simulate(tmp_path)
         manifest = json.loads((out / "manifest_simulate.json").read_text())
@@ -652,7 +677,8 @@ class TestAudit:
         assert _run(["audit", "--model", str(model), "--test", str(sim / "comparisons.csv"),
                      "--features", str(sim / "features.csv"), "-o", str(out)]) == 1
         assert capsys.readouterr().err == (
-            "equirank: predicted differences overflow float64; the model weights are too large\n"
+            f"equirank: {model}: predicted differences overflow float64; "
+            "the model weights are too large\n"
         )
         assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
         assert not out.exists()

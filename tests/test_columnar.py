@@ -162,6 +162,9 @@ def test_restrict_matches_oracle(cset):
             got = own if criterion is None else own.restrict(criterion=criterion)
             want = oracle_restrict(rows_of(cset), user, criterion)
             assert rows_of(got) == want
+            if criterion is not None:
+                # A set that holds no other criterion is returned itself.
+                assert (got is own) == (len(own) > 0 and want == rows_of(own))
             assert set(got.user_ids) == {c.user_id for c in want}
             assert set(got.item_ids) == {i for c in want for i in (c.left_item, c.right_item)}
     for criterion in CRITERIA + ["none-such"]:

@@ -30,10 +30,12 @@ from equirank.scaling import (
     parse_scaled_comparisons,
     write_scaled_comparisons,
 )
+import csv_oracle
 from row_view import comparison_set, rows_of
 
 HEADER = ",".join(COMPARISONS_HEADER).encode() + b"\n"
-_BLOCK_SIZES = st.sampled_from([1, 7, 64, dataset._BLOCK_BYTES])
+_BLOCK_SIZE_VALUES = [1, 7, 64, dataset._BLOCK_BYTES]
+_BLOCK_SIZES = st.sampled_from(_BLOCK_SIZE_VALUES)
 
 # --- Any bytes ----------------------------------------------------------------
 
@@ -257,6 +259,99 @@ def test_decimals_near_a_midpoint_read_as_float_reads_them(
 @pytest.mark.parametrize("block_bytes", [1, 7, 64])
 def test_decimal_edges_read_as_float_reads_them(text, block_bytes, tmp_path_factory):
     _check_column(tmp_path_factory, [text, "0.5", text], block_bytes)
+
+
+# --- Ids found in the id tables -------------------------------------------------
+
+
+class _Recorded(dataset._IdTable):
+    """An `_IdTable` that keeps every word and code it is given."""
+
+    made: list["_Recorded"] = []
+
+    def __init__(self):
+        super().__init__()
+        self.given = []
+        _Recorded.made.append(self)
+
+    def add(self, word, code, size):
+        self.given.append((word.copy(), code.copy()))
+        super().add(word, code, size)
+
+
+def _read_like_csv_reader(path, rows, block_bytes):
+    """Read `rows` as a comparisons file in blocks of `block_bytes` and check
+    the set against csv.reader's, and every id table against the words it
+    learned."""
+    path.write_bytes(HEADER + "".join(f"{row}\n" for row in rows).encode())
+    _Recorded.made = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dataset, "_BLOCK_BYTES", block_bytes)
+        mp.setattr(dataset, "_IdTable", _Recorded)
+        got = parse_comparisons(path)
+    want = csv_oracle.read_columns(path, COMPARISONS_HEADER)[0]
+    assert rows_of(got) == rows_of(want)
+    for table in _Recorded.made:
+        for word, code in table.given:
+            assert table.find(word).tolist() == code.tolist()
+
+
+def _word(text):
+    return int.from_bytes(text.encode(), "little")
+
+
+def _slot(table, text):
+    return int(table._slot(np.array([_word(text)], dtype=np.uint64))[0])
+
+
+@pytest.mark.parametrize("block_bytes", _BLOCK_SIZE_VALUES)
+def test_ids_sharing_a_slot_rebuild_the_table(tmp_path, block_bytes):
+    # Two ids in one slot of a two-word table under the first multiplier,
+    # so the table takes another; then, in blocks without the first, a third
+    # id in the slot the first holds.
+    users = [f"u{k}" for k in range(40)]
+    table = dataset._IdTable()
+    table.multiplier, table.shift = dataset._MULTIPLIERS[0], np.uint64(62)
+    slots = {}
+    for user in users:
+        slots.setdefault(_slot(table, user), []).append(user)
+    a, b = next(pair for pair in slots.values() if len(pair) > 1)[:2]
+    table = dataset._IdTable()
+    table.add(np.array([_word(a), _word(b)], dtype=np.uint64), np.arange(2), 2)
+    assert table.multiplier != dataset._MULTIPLIERS[0]
+    c = next(u for u in users if u not in (a, b) and _slot(table, u) == _slot(table, a))
+    rows = [f"{user},g,x,y,0.5" for user in (a, b) * 12 + (b,) * 8 + (c, b) * 12]
+    _read_like_csv_reader(tmp_path / "c.csv", rows, block_bytes)
+
+
+@pytest.mark.parametrize("block_bytes", _BLOCK_SIZE_VALUES)
+def test_id_read_as_text_then_as_a_span(tmp_path, block_bytes):
+    # The doubled quote sends the user column of the blocks that hold it to
+    # the text path, `u` with it; `u` is read as a span only in later blocks.
+    rows = ['"x""y",g,a,b,0.5', "u,g,a,b,0.5"] * 3 + ["u,g,a,b,0.5", "v,g,a,b,0.5"] * 12
+    _read_like_csv_reader(tmp_path / "c.csv", rows, block_bytes)
+
+
+@pytest.mark.parametrize("broken", [
+    "crXterion-0123456789", "criterion-0X23456789", "criterion-012345678X",
+    "criterion-01234567890",
+], ids=["first-word", "middle-word", "last-word", "one-byte-longer"])
+@pytest.mark.parametrize("block_bytes", _BLOCK_SIZE_VALUES)
+def test_wide_constant_column_broken_in_a_later_row(tmp_path, block_bytes, broken):
+    # Three words of 20 bytes: 0-7, 8-15 and 16-19.
+    rows = ["u,criterion-0123456789,a,b,0.5"] * 9 + [f"u,{broken},a,b,0.5"]
+    _read_like_csv_reader(tmp_path / "c.csv", rows * 2, block_bytes)
+
+
+@pytest.mark.parametrize("block_bytes", _BLOCK_SIZE_VALUES)
+def test_empty_id_meets_an_empty_slot(tmp_path, block_bytes):
+    # The empty id's word is 0, which hashes to slot 0; a table holding
+    # `a` and `b` leaves that slot empty.
+    table = dataset._IdTable()
+    table.add(np.array([_word("a"), _word("b")], dtype=np.uint64), np.arange(2), 2)
+    assert table.slots[0] == -1
+    rows = ["a,g,x,y,0.5", "b,g,x,y,0.5"] * 6 + [",g,x,y,0.5", "a,g,x,y,0.5"] * 6
+    _read_like_csv_reader(tmp_path / "c.csv", rows, block_bytes)
 
 
 # --- Written files read back, with no csv.reader ------------------------------
