@@ -232,29 +232,39 @@ def _scale(
     """Apply one scaler -> (scaled set, Mehestan affines, Mehestan fits).
 
     The affines and fits are None for the other scalers. Every GBT fit that
-    stopped unconverged, and every user whose Mehestan scale or translation
-    fell back to its default, is reported on stderr.
+    stopped unconverged, every user whose Mehestan scale or translation fell
+    back to its default, and a scaled set whose scores are all equal, which
+    leaves a ranker nothing to learn, are reported on stderr.
     """
-    if scaler == "minmax":
-        return minmax_scale(cset), None, None
-    if scaler == "normalization":
-        return normalization_scale(cset), None, None
-    if scaler != "mehestan":
+    if scaler == "none":
         return cset, None, None
-    scaled, affines, fits = mehestan_scale(cset, gbt_config, resilience_weight)
-    for k in np.flatnonzero(~fits.converged):
+    affines = fits = None
+    if scaler == "minmax":
+        scaled = minmax_scale(cset)
+    elif scaler == "normalization":
+        scaled = normalization_scale(cset)
+    else:
+        scaled, affines, fits = mehestan_scale(cset, gbt_config, resilience_weight)
+        for k in np.flatnonzero(~fits.converged):
+            print(
+                f"equirank: warning: GBT fit did not converge: user={fits.user_ids[k]!r} "
+                f"converged=False n_iter={fits.n_iter[k]} grad_norm={fits.grad_norm[k]:.3e}",
+                file=sys.stderr,
+            )
+        fallback = (affines.votes == 0) | (affines.candidates == 0)
+        fallback[affines.anchor] = False
+        for k in np.flatnonzero(fallback):
+            print(
+                f"equirank: warning: Mehestan fallback: user={affines.user_ids[k]!r} "
+                f"votes={affines.votes[k]} s={affines.s[k].item()!r} "
+                f"candidates={affines.candidates[k]} tau={affines.tau[k].item()!r}",
+                file=sys.stderr,
+            )
+    if (low := scaled.score.min()) == scaled.score.max():
+        settings = f" lam={gbt_config.lam!r} tol={gbt_config.tol!r}" if scaler == "mehestan" else ""
         print(
-            f"equirank: warning: GBT fit did not converge: user={fits.user_ids[k]!r} "
-            f"converged=False n_iter={fits.n_iter[k]} grad_norm={fits.grad_norm[k]:.3e}",
-            file=sys.stderr,
-        )
-    fallback = (affines.votes == 0) | (affines.candidates == 0)
-    fallback[affines.anchor] = False
-    for k in np.flatnonzero(fallback):
-        print(
-            f"equirank: warning: Mehestan fallback: user={affines.user_ids[k]!r} "
-            f"votes={affines.votes[k]} s={affines.s[k].item()!r} "
-            f"candidates={affines.candidates[k]} tau={affines.tau[k].item()!r}",
+            f"equirank: warning: every scaled score is {low.item()!r}; "
+            f"scaler={scaler!r}{settings}",
             file=sys.stderr,
         )
     return scaled, affines, fits

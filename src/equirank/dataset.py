@@ -25,13 +25,14 @@ complete, so a write cut short leaves the earlier file, or none, and never a
 truncated one.
 
 The reader gathers ids of at most 8 bytes as one masked word each, and
-codes those a column has met before through a direct-mapped table of their
-words (`_IdTable`); a constant column is recognised from its words at any
-width. A second numpy kernel, `_decimals`, reads each score and feature value written as
--?D.D+, one digit before the point and at most 22 after it, with at most 18
-significant digits: the repr of every float in [-1, 1] but those below 1e-4
-in magnitude. Every other form, such as an exponent, a plus sign, spaces or
-more digits, is read by Python's float, and both give the same bits.
+codes those a column has met before through a fixed-size direct-mapped
+cache of their words (`_IdCache`); a constant column is recognised from its
+words at any width. A second numpy kernel, `_decimals`, reads each score
+and feature value written as -?D.D+, one digit before the point and at most
+22 after it, with at most 18 significant digits: the repr of every float in
+[-1, 1] but those below 1e-4 in magnitude. Every other form, such as an
+exponent, a plus sign, spaces or more digits, is read by Python's float,
+and both give the same bits.
 """
 
 from __future__ import annotations
@@ -41,7 +42,6 @@ import functools
 import itertools
 import json
 import os
-import random
 import tempfile
 from dataclasses import dataclass
 from pathlib import Path
@@ -741,76 +741,54 @@ def _csv_rows(path: Path) -> Iterator:
 _LOW_BYTES = np.array([(1 << 8 * min(n, 8)) - 1 for n in range(_FIELD_CAP + 1)], dtype=np.uint64)
 # No id's word: the byte 0xFF never occurs in UTF-8.
 _NO_WORD = np.uint64(2**64 - 1)
-# Odd multipliers for `_IdTable`'s hash, tried in turn at each rebuild.
-_MULTIPLIERS = np.frombuffer(random.Random(0).randbytes(8 * 64), dtype="<u8") | np.uint64(1)
-# An `_IdTable` has at most 2**_TABLE_BITS slots.
-_TABLE_BITS = 18
+# `_IdCache` has 2**_CACHE_BITS slots and hashes a word x to slot
+# (_MULTIPLIER * x mod 2**64) >> (64 - _CACHE_BITS), multiply-shift with an
+# odd multiplier (Dietzfelbinger et al., J. Algorithms 1997). From 2**12 to
+# 2**15 slots, files of 500 and of 2,000 items read within noise of each
+# other; 2**16 and more slowed the item columns at 500 items, and 2**10 at
+# 2,000 items, where more ids share a slot; 2**13 keeps each array at 64 KiB.
+_CACHE_BITS = 13
+_MULTIPLIER = np.uint64(0x9E3779B97F4A7C15)
 
 
-class _IdTable:
-    """The codes of the ids of at most 8 bytes that a vocabulary has met as
-    spans, looked up by their words, the bytes past the id masked out (a
-    span holds no NUL, so the word is the id).
+def _slot(word: np.ndarray) -> np.ndarray:
+    """The `_IdCache` slot of each word, as an index."""
+    return (word * _MULTIPLIER >> np.uint64(64 - _CACHE_BITS)).view(np.int64)
 
-    Direct-mapped: word x has the one slot (a * x mod 2**64) >> (64 - bits)
-    (multiply-shift, Dietzfelbinger et al., J. Algorithms 1997). Each
-    rebuild takes n**2 / 2 to n**2 slots for n known words and the first of
-    `_MULTIPLIERS` under which no two share a slot, so a lookup is one
-    gather and one comparison, with no probe loop. `slots` holds the code in
-    each slot, or -1; `words[c]` the word of code c, or `_NO_WORD`, which
-    is also the last entry, so that an empty slot matches no word. A table
-    that would outgrow 2**_TABLE_BITS slots, or find no multiplier, takes
-    no more words.
+
+class _IdCache:
+    """The codes of ids of at most 8 bytes that a vocabulary has met as
+    spans, keyed by their words, the bytes past the id masked out (a span
+    holds no NUL, so the word is the id).
+
+    Direct-mapped: slot s holds one word, `words[s]`, or `_NO_WORD`, and
+    that word's code, `codes[s]`. A lookup is one hash, two gathers and one
+    comparison, so a hit can never give a wrong code; a word missed is
+    written to its slot, replacing the word there. The arrays are allocated
+    at the first lookup, as a column with no narrow ids needs none.
     """
 
-    def __init__(self) -> None:
-        self.words = np.full(1, _NO_WORD)
-        self.slots = np.full(1, -1, dtype=np.intp)
-        self.multiplier, self.shift = _MULTIPLIERS[0], np.uint64(64)
-        self.empty, self.full = True, False
+    words: np.ndarray | None = None
+    codes: np.ndarray | None = None
 
-    def _slot(self, word: np.ndarray) -> np.ndarray:
-        return (word * self.multiplier) >> self.shift
-
-    def find(self, word: np.ndarray) -> np.ndarray | None:
-        """The code of each word, or None when one is not in the table."""
-        code = self.slots.take(self._slot(word))
-        return code if (self.words.take(code) == word).all() else None
-
-    def add(self, word: np.ndarray, code: np.ndarray, size: int) -> None:
-        """Enter distinct words, with their codes, all below `size`."""
-        if self.full:
-            return
-        self.empty = False
-        if size >= self.words.size:
-            words = np.full(2 * size + 1, _NO_WORD)
-            words[: self.words.size - 1] = self.words[:-1]
-            self.words = words
-        self.words[code] = word
-        slot = self._slot(word)
-        held = self.slots.take(slot)
-        if ((held < 0) | (held == code)).all():
-            self.slots[slot] = code
-            # Two new words in one slot: the later overwrote the earlier.
-            if (self.slots.take(slot) == code).all():
-                return
-        self._rebuild(code)
-
-    def _rebuild(self, added: np.ndarray) -> None:
-        """New slots for every known word; if none fit, drop the codes `added`."""
-        code = np.flatnonzero(self.words[:-1] != _NO_WORD)
-        word = self.words[code]
-        bits = max((code.size**2).bit_length() - 1, 1)
-        for multiplier in _MULTIPLIERS if bits <= _TABLE_BITS else ():
-            shift = np.uint64(64 - bits)
-            slot = np.sort((word * multiplier) >> shift)
-            if not (slot[1:] == slot[:-1]).any():
-                self.multiplier, self.shift = multiplier, shift
-                self.slots = np.full(1 << bits, -1, dtype=np.intp)
-                self.slots[self._slot(word)] = code
-                return
-        self.words[added] = _NO_WORD
-        self.full = True
+    def codes_of(self, vocab: dict[str, int], word: np.ndarray) -> np.ndarray:
+        """The code of each word in `vocab`, new ids entering in sorted order."""
+        if self.words is None:
+            self.words = np.full(1 << _CACHE_BITS, _NO_WORD)
+            self.codes = np.empty(1 << _CACHE_BITS, dtype=np.intp)
+        slot = _slot(word)
+        code = self.codes.take(slot)
+        miss = self.words.take(slot) != word
+        if miss.any():
+            code[miss], distinct, known = _sorted_codes(vocab, word[miss].view(">u8"))
+            # Each missed id is written once. Of two in one slot, numpy does
+            # not say which lands, so a code goes only where its word did.
+            word = distinct.view("<u8")
+            slot = _slot(word)
+            self.words[slot] = word
+            landed = self.words.take(slot) == word
+            self.codes[slot[landed]] = known[landed]
+        return code
 
 
 def _constant(field: _Spans, length: np.ndarray, first: np.ndarray) -> bool:
@@ -828,12 +806,23 @@ def _constant(field: _Spans, length: np.ndarray, first: np.ndarray) -> bool:
     return True
 
 
-def _field_codes(
-    vocab: dict[str, int], field: _Spans | list[str], table: _IdTable | None = None
-) -> np.ndarray:
+def _sorted_codes(
+    vocab: dict[str, int], keys: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(codes, distinct, known): `_codes` of ids given as keys that sort as
+    the ids, the first word read big-endian or zero-padded bytes, new ids
+    entering in sorted order; the distinct keys, sorted, and their codes.
+    Only the first key of each run of equal keys is sorted, since a file
+    grouped by user holds a few runs of users a block."""
+    head = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+    distinct, inverse = np.unique(keys[head], return_inverse=True)
+    known = _codes(vocab, _decode(distinct.view(np.uint8).reshape(distinct.size, -1)))
+    return np.repeat(known.take(inverse), np.diff(head, append=keys.size)), distinct, known
+
+
+def _field_codes(vocab: dict[str, int], field: _Spans | list[str], cache: _IdCache) -> np.ndarray:
     """`_codes` of a `_field` column; new ids of spans enter in sorted order.
-    Known ids of at most 8 bytes are found in `table`, when given, which then
-    learns the column's new ones."""
+    Ids of at most 8 bytes are looked up in `cache`, the vocabulary's."""
     if isinstance(field, list):
         return _codes(vocab, field)
     # Each span's first word, the bytes past the span masked out.
@@ -842,32 +831,10 @@ def _field_codes(
     if _constant(field, length, first):
         # A constant column, such as a criterion or scaler tag, needs no sort.
         return np.full(first.size, _codes(vocab, [_text(field, 0)])[0], dtype=np.intp)
-    narrow = length.max() <= 8
-    learn = False
-    if narrow and table is not None:
-        # The last row first: in a file grouped by user, a block's last user
-        # is most often new, and a failed lookup of the whole column would
-        # cost more than it saves. For the same reason the table learns a
-        # block's ids only when it knew the last one, or knew none yet.
-        learn = table.find(first[-1:]) is not None
-        if learn and (code := table.find(first)) is not None:
-            return code
-        learn |= table.empty
-    # Keys that sort as the ids: of spans at most 8 bytes wide, the first
-    # word read big-endian; else zero-padded bytes. Only the first key of
-    # each run of equal keys is sorted, since a file grouped by user holds a
-    # few runs of users a block.
-    if narrow:
-        keys = first.view(">u8")
-    else:
-        matrix = _matrix(field)
-        keys = matrix.view(f"S{matrix.shape[1]}").ravel()
-    head = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
-    distinct, inverse = np.unique(keys[head], return_inverse=True)
-    code = _codes(vocab, _decode(distinct.view(np.uint8).reshape(distinct.size, -1)))
-    if learn:
-        table.add(distinct.view("<u8"), code, len(vocab))
-    return np.repeat(code.take(inverse), np.diff(head, append=keys.size))
+    if length.max() <= 8:
+        return cache.codes_of(vocab, first)
+    matrix = _matrix(field)
+    return _sorted_codes(vocab, matrix.view(f"S{matrix.shape[1]}").ravel())[0]
 
 
 def _window_masks() -> tuple[np.ndarray, np.ndarray]:
@@ -1003,7 +970,7 @@ def read_columns(
         raise ValueError(f"{path}: bad header {first!r}, expected {header!r}")
     users, criteria, items = {}, {}, {}
     vocabs = (users, criteria, items, items, *({} for _ in header[5:]))
-    tables = {id(vocab): _IdTable() for vocab in vocabs}
+    caches = {id(vocab): _IdCache() for vocab in vocabs}
     # Blocks fill columns allocated once, one row per LF and one more:
     # joining per-block parts would leave the heap fragmented and the
     # process larger. Only rows ended by bare CRs can outgrow them.
@@ -1016,7 +983,7 @@ def read_columns(
     n = 0
     for lines, fields in rows:
         codes = [
-            _field_codes(v, f, tables[id(v)]) for v, f in zip(vocabs, fields[:4] + fields[5:])
+            _field_codes(v, f, caches[id(v)]) for v, f in zip(vocabs, fields[:4] + fields[5:])
         ]
         score = _floats(fields[4])
         bad = ~((score >= -1.0) & (score <= 1.0)) | (codes[2] == codes[3])
@@ -1070,10 +1037,11 @@ def parse_features(path: str | Path) -> FeatureTable:
     if header != expected:
         raise ValueError(f"{path}: bad header {header!r}, expected {expected!r}")
     vocab: dict[str, int] = {}
+    cache = _IdCache()
     codes, vectors = [np.zeros(0, dtype=np.intp)], [np.zeros((0, dim))]
     for lines, (ids, *texts) in rows:
         seen = len(vocab)
-        code = _field_codes(vocab, ids)
+        code = _field_codes(vocab, ids, cache)
         vector = np.column_stack([_floats(field) for field in texts])
         # A row repeats an id of an earlier block, coded below `seen`, or
         # one earlier in the block.

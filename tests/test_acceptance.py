@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 from scipy.stats import spearmanr
 
 from equirank import scaling
+from equirank.cli import _PIPELINE_DEFAULTS, _parse_experiment
 from equirank.cli import main as cli_main
 from equirank.dataset import split
 from equirank.equity import build_report, gini, lorenz_curve, max_gap, std_dev
@@ -484,3 +485,48 @@ def test_criterion_pipeline_determinism(tmp_path):
         "pipeline-determinism",
         f"two runs of 10 cells byte-identical, {elapsed:.1f}s total",
     )
+
+
+# The pipeline's train keys, passed as `train` flags: `train`'s own defaults
+# differ (epochs 50, contrastive_weight 0).
+_TRAIN_FLAGS = (
+    "mse_weight", "ranking_weight", "bce_weight", "ranking_margin", "contrastive_margin",
+    "tie_epsilon", "learning_rate", "epochs", "batch_size", "seed", "embedding_l2",
+)
+
+
+def test_criterion_pipeline_equals_staged_chain(tmp_path):
+    """`scale`, `train` and `audit`, run one at a time on the data files a
+    grid wrote, with the pipeline's settings, give each cell's report."""
+    config = tmp_path / "grid.cfg"
+    config.write_text(_TABLE_GRID)
+    grid = tmp_path / "grid"
+    assert cli_main(["pipeline", "--config", str(config), "-o", str(grid)]) == 0
+    data, d = grid / "data", _PIPELINE_DEFAULTS
+    cells = [line.split("=")[1].strip() for line in _TABLE_GRID.splitlines()
+             if line.startswith("experiment")]
+    assert len(cells) == 10
+    for cell in cells:
+        scaler, contrastive, embeddings = _parse_experiment(cell)
+        staged = tmp_path / cell.replace("+", "_")
+        scaled = data / "train.csv"
+        if scaler != "none":
+            assert cli_main([
+                "scale", "--input", str(scaled), "--scaler", scaler, "--lam", str(d["lam"]),
+                "--tol", str(d["gbt_tol"]), "--max-iter", str(d["gbt_max_iter"]),
+                "--resilience-weight", str(d["resilience_weight"]), "-o", str(staged / "scale"),
+            ]) == 0
+            scaled = staged / "scale" / "scaled.csv"
+        flags = [f"--{key.replace('_', '-')}={d[key]}" for key in _TRAIN_FLAGS]
+        flags.append(f"--contrastive-weight={d['contrastive_weight'] if contrastive else 0.0}")
+        flags += ["--user-embeddings"] if embeddings else []
+        assert cli_main(["train", "--input", str(scaled), "--features", str(data / "features.csv"),
+                         *flags, "-o", str(staged / "model")]) == 0
+        assert cli_main([
+            "audit", "--model", str(staged / "model" / "model.json"),
+            "--test", str(data / "test.csv"), "--features", str(data / "features.csv"),
+            "--tie-epsilon", str(d["tie_epsilon"]), "-o", str(staged / "audit"),
+        ]) == 0
+        report = f"report_{cell.replace('+', '_')}.json"
+        assert (staged / "audit" / "report.json").read_bytes() == (grid / report).read_bytes(), cell
+    _report("pipeline-equals-staged-chain", f"{len(cells)} cells, every report byte-identical")

@@ -335,6 +335,36 @@ class TestScale:
             f"candidates=5 tau={float(affines.tau[flat])!r}"
         ]
 
+    @pytest.mark.parametrize("command", ["scale", "pipeline"])
+    @pytest.mark.parametrize("scaler, tol", [
+        ("minmax", None), ("normalization", None), ("mehestan", None), ("mehestan", "1e300"),
+    ])
+    def test_all_equal_scaled_scores_are_warned_of(self, tmp_path, capsys, command, scaler, tol):
+        # At tol 1e300 every GBT fit stops at its zero start, so every scaled
+        # score is 0.0 and the run exits 0; one stderr line says so and names
+        # the scaler and its settings. A default run warns of nothing.
+        if command == "scale":
+            sim = _simulate(tmp_path)
+            argv = ["scale", "--input", str(sim / "comparisons.csv"), "--scaler", scaler]
+            argv += [] if tol is None else ["--tol", tol]
+        else:
+            config = tmp_path / "grid.cfg"
+            config.write_text(
+                "users = 4\nitems = 12\ndim = 3\nper_user = 40\nepochs = 1\n"
+                + ("" if tol is None else f"gbt_tol = {tol}\n") + f"experiment = {scaler}\n"
+            )
+            argv = ["pipeline", "--config", str(config)]
+        capsys.readouterr()
+        assert _run([*argv, "-o", str(tmp_path / "out")]) == 0
+        err = capsys.readouterr().err
+        if tol is None:
+            assert err == ""
+        else:
+            # Users whose fits are all zero also take no scale vote.
+            assert [line for line in err.splitlines() if "Mehestan fallback" not in line] == [
+                "equirank: warning: every scaled score is 0.0; scaler='mehestan' lam=0.1 tol=1e+300"
+            ]
+
     def test_unknown_scaler_is_usage_error(self, tmp_path):
         sim = _simulate(tmp_path)
         with pytest.raises(SystemExit) as excinfo:

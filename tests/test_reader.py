@@ -261,67 +261,85 @@ def test_decimal_edges_read_as_float_reads_them(text, block_bytes, tmp_path_fact
     _check_column(tmp_path_factory, [text, "0.5", text], block_bytes)
 
 
-# --- Ids found in the id tables -------------------------------------------------
+# --- Ids found in the id caches ------------------------------------------------
 
 
-class _Recorded(dataset._IdTable):
-    """An `_IdTable` that keeps every word and code it is given."""
+class _FirstLands(np.ndarray):
+    """An array whose fancy assignment keeps, of two entries for one slot,
+    the first: numpy does not say which one lands."""
+
+    def __setitem__(self, index, value):
+        index = np.asarray(index)
+        value = np.broadcast_to(value, index.shape)
+        super().__setitem__(index[::-1], value[::-1])
+
+
+class _Recorded(dataset._IdCache):
+    """An `_IdCache` that keeps the vocabulary it codes for; with
+    `first_lands`, its words keep the first of two entries for one slot."""
 
     made: list["_Recorded"] = []
+    first_lands = False
 
     def __init__(self):
-        super().__init__()
-        self.given = []
         _Recorded.made.append(self)
+        if _Recorded.first_lands:
+            size = 1 << dataset._CACHE_BITS
+            self.words = np.full(size, dataset._NO_WORD).view(_FirstLands)
+            self.codes = np.empty(size, dtype=np.intp)
 
-    def add(self, word, code, size):
-        self.given.append((word.copy(), code.copy()))
-        super().add(word, code, size)
+    def codes_of(self, vocab, word):
+        self.vocab = vocab
+        return super().codes_of(vocab, word)
 
 
-def _read_like_csv_reader(path, rows, block_bytes):
+def _read_like_csv_reader(path, rows, block_bytes, first_lands=False):
     """Read `rows` as a comparisons file in blocks of `block_bytes` and check
-    the set against csv.reader's, and every id table against the words it
-    learned."""
+    the set against csv.reader's, and every id cache against its vocabulary:
+    each held word sits in its own slot, next to its id's code."""
     path.write_bytes(HEADER + "".join(f"{row}\n" for row in rows).encode())
     _Recorded.made = []
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(dataset, "_BLOCK_BYTES", block_bytes)
-        mp.setattr(dataset, "_IdTable", _Recorded)
+        mp.setattr(dataset, "_IdCache", _Recorded)
+        mp.setattr(_Recorded, "first_lands", first_lands)
         got = parse_comparisons(path)
     want = csv_oracle.read_columns(path, COMPARISONS_HEADER)[0]
     assert rows_of(got) == rows_of(want)
-    for table in _Recorded.made:
-        for word, code in table.given:
-            assert table.find(word).tolist() == code.tolist()
+    for cache in _Recorded.made:
+        if cache.words is None:
+            continue
+        held = np.flatnonzero(cache.words != dataset._NO_WORD)
+        words = np.asarray(cache.words[held])
+        assert dataset._slot(words).tolist() == held.tolist()
+        ids = [w.to_bytes(8, "little").rstrip(b"\0").decode() for w in words.tolist()]
+        assert cache.codes[held].tolist() == [cache.vocab[i] for i in ids]
 
 
 def _word(text):
     return int.from_bytes(text.encode(), "little")
 
 
-def _slot(table, text):
-    return int(table._slot(np.array([_word(text)], dtype=np.uint64))[0])
+def _slots(*texts):
+    return dataset._slot(np.array([_word(t) for t in texts], dtype=np.uint64)).tolist()
 
 
+@pytest.mark.parametrize("first_lands", [False, True], ids=["last-lands", "first-lands"])
 @pytest.mark.parametrize("block_bytes", _BLOCK_SIZE_VALUES)
-def test_ids_sharing_a_slot_rebuild_the_table(tmp_path, block_bytes):
-    # Two ids in one slot of a two-word table under the first multiplier,
-    # so the table takes another; then, in blocks without the first, a third
-    # id in the slot the first holds.
-    users = [f"u{k}" for k in range(40)]
-    table = dataset._IdTable()
-    table.multiplier, table.shift = dataset._MULTIPLIERS[0], np.uint64(62)
+def test_ids_sharing_a_slot_take_turns(tmp_path, block_bytes, first_lands):
+    # Two ids in one slot: new together in the first block of 64 bytes or
+    # more, then, in blocks of 64 bytes, taking the slot from each other;
+    # `c` keeps those blocks' user column from being constant. Whichever of
+    # the two new ids lands in the slot, the slot's code must be that id's.
+    users = [f"u{k}" for k in range(1000)]
     slots = {}
-    for user in users:
-        slots.setdefault(_slot(table, user), []).append(user)
+    for user, slot in zip(users, _slots(*users)):
+        slots.setdefault(slot, []).append(user)
     a, b = next(pair for pair in slots.values() if len(pair) > 1)[:2]
-    table = dataset._IdTable()
-    table.add(np.array([_word(a), _word(b)], dtype=np.uint64), np.arange(2), 2)
-    assert table.multiplier != dataset._MULTIPLIERS[0]
-    c = next(u for u in users if u not in (a, b) and _slot(table, u) == _slot(table, a))
-    rows = [f"{user},g,x,y,0.5" for user in (a, b) * 12 + (b,) * 8 + (c, b) * 12]
-    _read_like_csv_reader(tmp_path / "c.csv", rows, block_bytes)
+    c = next(u for u in users if u not in (a, b))
+    order = (a, b) * 3 + ((a, c) * 6 + (b, c) * 6) * 3
+    rows = [f"{user},g,x,y,0.5" for user in order]
+    _read_like_csv_reader(tmp_path / "c.csv", rows, block_bytes, first_lands)
 
 
 @pytest.mark.parametrize("block_bytes", _BLOCK_SIZE_VALUES)
@@ -345,13 +363,34 @@ def test_wide_constant_column_broken_in_a_later_row(tmp_path, block_bytes, broke
 
 @pytest.mark.parametrize("block_bytes", _BLOCK_SIZE_VALUES)
 def test_empty_id_meets_an_empty_slot(tmp_path, block_bytes):
-    # The empty id's word is 0, which hashes to slot 0; a table holding
-    # `a` and `b` leaves that slot empty.
-    table = dataset._IdTable()
-    table.add(np.array([_word("a"), _word("b")], dtype=np.uint64), np.arange(2), 2)
-    assert table.slots[0] == -1
+    # The empty id's word is 0, which hashes to slot 0; `a` and `b` leave
+    # that slot holding `_NO_WORD`, which matches no id's word.
+    empty, a, b = _slots("", "a", "b")
+    assert empty == 0 and 0 not in (a, b)
     rows = ["a,g,x,y,0.5", "b,g,x,y,0.5"] * 6 + [",g,x,y,0.5", "a,g,x,y,0.5"] * 6
     _read_like_csv_reader(tmp_path / "c.csv", rows, block_bytes)
+
+
+def test_vocabularies_past_a_thousand_ids(tmp_path):
+    # 3,000 users and 2,000 items of at most 8 bytes, the rows shuffled so
+    # that every id recurs across blocks of 4 KiB.
+    rng = np.random.default_rng(5)
+    n = 12000
+    user = np.repeat(np.arange(3000), n // 3000)
+    left = rng.integers(2000, size=n)
+    right = (left + rng.integers(1, 2000, size=n)) % 2000
+    score = rng.uniform(-1.0, 1.0, size=n)
+    rows = [
+        f"u{u:04d},g,i{l:04d},i{r:04d},{s!r}"
+        for u, l, r, s in zip(user.tolist(), left.tolist(), right.tolist(), score.tolist())
+    ]
+    rows = [rows[k] for k in rng.permutation(n).tolist()]
+    _read_like_csv_reader(tmp_path / "c.csv", rows, 4096)
+    held = sorted(
+        np.count_nonzero(cache.words != dataset._NO_WORD)
+        for cache in _Recorded.made if cache.words is not None
+    )
+    assert len(held) == 2 and held[0] > 724
 
 
 # --- Written files read back, with no csv.reader ------------------------------
