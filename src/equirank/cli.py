@@ -38,6 +38,7 @@ from .ltr import (
     LossWeights,
     PredictionOverflow,
     TrainConfig,
+    TrainResult,
     load_model,
     predict_all,
     save_model,
@@ -347,22 +348,38 @@ def write_loss_trace(trace: list[float], path: str | Path) -> None:
     write_table(path, ["epoch", "loss"], [(epochs, np.arange(len(trace))), np.array(trace)])
 
 
+def _train(
+    cset: ComparisonSet, features: FeatureTable, config: TrainConfig
+) -> tuple[TrainResult, dict]:
+    """`train`, with its manifest diagnostics: `sgd_steps` (one step per
+    batch of each epoch) and `final_loss`, the trace's last value. A set
+    whose every target is a tie, |score| <= tie_epsilon, which leaves the
+    hinge losses no comparison to order, is reported on stderr."""
+    result = train(cset, features, config)
+    if (np.abs(cset.score) <= config.tie_epsilon).all():
+        print(
+            f"equirank: warning: every training target is a tie: "
+            f"|score| <= tie_epsilon={config.tie_epsilon!r}",
+            file=sys.stderr,
+        )
+    diagnostics = {
+        "sgd_steps": config.epochs * -(-len(cset) // config.batch_size),
+        "final_loss": result.loss_trace[-1],
+    }
+    return result, diagnostics
+
+
 def cmd_train(args: argparse.Namespace) -> int:
     cset = _load_comparisons(args.input, args.criterion)
     features = parse_features(args.features)
     config = _train_config(vars(args), contrastive=True, embeddings=args.user_embeddings)
-    result = train(cset, features, config)
+    result, diagnostics = _train(cset, features, config)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     model_path = outdir / "model.json"
     trace_path = outdir / "loss_trace.csv"
     save_model(result.params, model_path)
     write_loss_trace(result.loss_trace, trace_path)
-    # One SGD step per batch of each epoch; the final loss is the trace's last value.
-    diagnostics = {
-        "sgd_steps": config.epochs * -(-len(cset) // config.batch_size),
-        "final_loss": result.loss_trace[-1],
-    }
     _write_manifest(
         outdir,
         "train",
@@ -563,17 +580,21 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
 
     # Each distinct scaler runs once; cells sharing it train on the same set.
     fit_sets: dict[str, ComparisonSet] = {}
-    diagnostics = None
+    diagnostics = {}
     for scaler, _, _ in cells:
         if scaler not in fit_sets:
             fit_sets[scaler], affines, fits = _scale(scaler, train_set, gbt_config, weight)
             if scaler == "mehestan":
                 diagnostics = _mehestan_diagnostics(affines, fits)
 
-    reports = []
-    for (scaler, _, _), config in zip(cells, train_configs):
-        params = train(fit_sets[scaler], features, config).params
-        reports.append(build_report(predict_all(params, test_set, features), config.tie_epsilon))
+    reports, trained = [], {}
+    for name, (scaler, _, _), config in zip(experiments, cells, train_configs):
+        result, trained[name] = _train(fit_sets[scaler], features, config)
+        reports.append(
+            build_report(predict_all(result.params, test_set, features), config.tie_epsilon)
+        )
+    # Each cell's training diagnostics, as `train` writes them, by experiment.
+    diagnostics["experiments"] = trained
 
     # Written only once every cell has trained, so a run-time failure writes nothing.
     outdir = Path(args.out)

@@ -22,7 +22,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -130,13 +130,6 @@ class _Rows(NamedTuple):
         return cls(r if lw.mse > 0 else None, np.sign(r) if lw.ranking > 0 else None, p,
                    non_tie)
 
-    def take(self, batch: slice) -> _Rows:
-        r, sign, p, non_tie = self
-        return _Rows(
-            None if r is None else r[batch], None if sign is None else sign[batch],
-            None if p is None else p[batch], None if non_tie is None else non_tie[batch],
-        )
-
 
 def _loss_terms(d: np.ndarray, rows: _Rows, config: TrainConfig) -> np.ndarray:
     """Per-element weighted loss of predicted differences d against the
@@ -162,88 +155,84 @@ def _loss_terms(d: np.ndarray, rows: _Rows, config: TrainConfig) -> np.ndarray:
     return loss
 
 
-def _loss_derivative(d: np.ndarray, rows: _Rows, config: TrainConfig) -> np.ndarray:
-    """Derivative of `_loss_terms` with respect to each d.
+def _sgd_step(config: TrainConfig, dim: int) -> Callable[..., np.ndarray | None]:
+    """The SGD step of one run, its derivative terms chosen once from
+    `config`'s positive loss weights.
 
-    The terms are summed in the order of `_loss_terms`, the first one in
-    place of the zeros it was once added to. A hinge's `margin - x > 0` is
-    `x < margin`, and `where(active, s, 0) * -weight` is
-    `weight * where(active, -s, 0)`. Only the sign of a zero can differ from
-    that sum, and no step can see it: `w` and the offsets start at +0 and
-    only ever have a gradient subtracted, so they never hold -0, and
-    subtracting either zero leaves them as they are.
+    `step(w, offsets, diff, rows, user_starts, start, stop, out)` reads rows
+    start:stop of the difference rows `diff`, x(right) - x(left), of `rows`,
+    `_Rows.of` their targets, and, with embeddings, of `user_starts`, each
+    row's user code times dim: its first flat cell in the (users x dim)
+    `offsets`. Without embeddings `offsets` and `user_starts` are None. The
+    step writes the gradient of the batch's mean loss with respect to `w`
+    into `out` and returns the gradient with respect to every row of
+    `offsets` plus the embedding L2 penalty, or None. Overflow warns unless
+    the caller silences it.
+
+    Both BLAS products, the predicted differences `(w + offset) . diff_i`
+    and the `w` gradient `grad . diff`, are `ndarray.dot` calls: they run
+    the `cblas_dgemv` that `@` runs, so they give its bits, without the
+    gufunc dispatch. The derivative of `_loss_terms` sums the terms in their
+    order there, the first one in place of the zeros it was once added to.
+    A hinge's `margin - x > 0` is `x < margin`, and `where(active, s, 0) *
+    -weight` is `weight * where(active, -s, 0)`. Only the sign of a zero can
+    differ from that sum, and no step can see it: `w` and the offsets start
+    at +0 and only ever have a gradient subtracted, so they never hold -0,
+    and subtracting either zero leaves them as they are.
     """
     lw = config.loss_weights
-    grad = None
-    if lw.mse > 0:
-        grad = d - rows.r
-        grad *= lw.mse * 2.0
-    if lw.ranking > 0:
-        active = rows.sign * d < config.ranking_margin
-        active &= rows.non_tie
-        term = np.where(active, rows.sign, 0.0)
-        term *= -lw.ranking
-        grad = term if grad is None else np.add(grad, term, out=grad)
-    if lw.bce > 0:
-        term = np.negative(d)
-        np.exp(term, out=term)
-        term += 1.0
-        np.divide(1.0, term, out=term)
-        term -= rows.p
-        term *= lw.bce
-        grad = term if grad is None else np.add(grad, term, out=grad)
-    if lw.contrastive > 0:
-        active = np.abs(d) < config.contrastive_margin
-        active &= rows.non_tie
-        term = np.where(active, np.sign(d), 0.0)
-        term *= -lw.contrastive
-        grad = term if grad is None else np.add(grad, term, out=grad)
-    return grad
+    # 0-d arrays, which a ufunc takes without converting a Python float.
+    mse, ranking, bce, contrastive, ranking_margin, contrastive_margin, l2 = map(np.array, (
+        lw.mse * 2.0, -lw.ranking, lw.bce, -lw.contrastive, config.ranking_margin,
+        config.contrastive_margin, 2.0 * config.embedding_l2,
+    ))
+    columns = np.arange(dim)
 
+    def step(w, offsets, diff, rows, user_starts, start, stop, out):
+        db = diff[start:stop]
+        d = db.dot(w)
+        if offsets is not None:
+            cells = user_starts[start:stop, None] + columns
+            d += np.einsum("ij,ij->i", db, offsets.take(cells))
+        grad = None
+        if mse:
+            grad = d - rows.r[start:stop]
+            grad *= mse
+        if ranking:
+            sign = rows.sign[start:stop]
+            active = sign * d < ranking_margin
+            active &= rows.non_tie[start:stop]
+            term = np.where(active, sign, 0.0)
+            term *= ranking
+            grad = term if grad is None else np.add(grad, term, out=grad)
+        if bce:
+            term = np.negative(d)
+            np.exp(term, out=term)
+            term += 1.0
+            np.divide(1.0, term, out=term)
+            term -= rows.p[start:stop]
+            term *= bce
+            grad = term if grad is None else np.add(grad, term, out=grad)
+        if contrastive:
+            active = np.abs(d) < contrastive_margin
+            active &= rows.non_tie[start:stop]
+            term = np.where(active, np.sign(d), 0.0)
+            term *= contrastive
+            grad = term if grad is None else np.add(grad, term, out=grad)
+        grad /= len(db)
+        grad.dot(db, out=out)
+        if offsets is None:
+            return None
+        # One bincount over the flat cells adds rows in batch order, as
+        # `np.add.at(grad_off, users, diff * grad[:, None])` does.
+        grad_off = np.bincount(
+            cells.ravel(), weights=(db * grad[:, None]).ravel(), minlength=offsets.size
+        ).reshape(offsets.shape)
+        if l2:
+            grad_off += l2 * offsets
+        return grad_off
 
-def _predict(w: np.ndarray, diff: np.ndarray, offset_rows: np.ndarray | None) -> np.ndarray:
-    """Predicted differences (w + offset_rows_i) . diff_i of every row, where
-    row i of `offset_rows` is the offset of comparison i's user (None
-    without embeddings)."""
-    d = diff @ w
-    if offset_rows is not None:
-        d += np.einsum("ij,ij->i", diff, offset_rows)
-    return d
-
-
-def _step_gradient(
-    w: np.ndarray,
-    offsets: np.ndarray | None,
-    diff: np.ndarray,
-    rows: _Rows,
-    cells: np.ndarray | None,
-    config: TrainConfig,
-    out: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """Gradient of one batch's mean loss plus the embedding L2 penalty.
-
-    Row i of `diff` is x(right_i) - x(left_i) and `rows` the batch's
-    `_Rows.of` its targets. With embeddings, `offsets` is (users x dim) and
-    `cells` (batch x dim) holds the flat indices into `offsets` of each
-    comparison's user row, `user_i * dim + j`; without, both are None.
-    Returns the gradient with respect to w, written into `out` when given,
-    and to every row of `offsets`; the offsets part is None when `offsets`
-    is. Overflow warns unless the caller silences it.
-    """
-    offset_rows = None if offsets is None else offsets.take(cells)
-    grad_d = _loss_derivative(_predict(w, diff, offset_rows), rows, config)
-    grad_d /= len(diff)
-    grad_w = np.matmul(diff.T, grad_d, out=out)
-    if offsets is None:
-        return grad_w, None
-    # One bincount over the flat cells adds rows in batch order, as
-    # `np.add.at(grad_off, users, diff * grad_d[:, None])` does.
-    grad_off = np.bincount(
-        cells.ravel(), weights=(diff * grad_d[:, None]).ravel(), minlength=offsets.size
-    ).reshape(offsets.shape)
-    if config.embedding_l2 > 0:
-        grad_off += 2.0 * config.embedding_l2 * offsets
-    return grad_w, grad_off
+    return step
 
 
 def train(
@@ -252,22 +241,23 @@ def train(
     """Mini-batch SGD from zero initialization; returns params and the
     epoch-end full-set loss trace (index 0 is the pre-training loss).
 
-    Every step moves against `_step_gradient` of its batch. Each epoch
-    gathers the difference rows, the targets and, with embeddings, the user
-    codes once, in its shuffled order. It then computes from the gathered
-    targets the per-row values of the loss derivative (`_Rows`), which costs
-    no more than gathering them and holds one copy, not two, and scales the
-    user codes by dim in place, so that a step finds its offset cells with
-    one addition. Batches are consecutive slices of these arrays, and a step
-    updates `w` and the offsets in place, `w` through one gradient buffer
-    shared by every step. Each loss of the trace reads `_Rows` of the stored
-    targets. One `np.errstate` silences overflow and invalid values around
-    every loss and step; a diverging run's non-finite loss raises ValueError.
+    Every batch takes one call of the step `_sgd_step` builds for the run.
+    Each epoch gathers the difference rows, the targets and, with
+    embeddings, the user codes once, in its shuffled order. It then computes
+    from the gathered targets the per-row values of the loss derivative
+    (`_Rows`), which costs no more than gathering them and holds one copy,
+    not two, and scales the user codes by dim in place, so that a step finds
+    its offset cells with one addition. A batch is a slice start:stop of
+    these arrays, and `w` and the offsets are updated in place, `w` through
+    one gradient buffer shared by every step. Each loss of the trace reads
+    `_Rows` of the stored targets. One `np.errstate` silences overflow and
+    invalid values around every loss and step; a diverging run's non-finite
+    loss raises ValueError.
 
     Memory: nothing of size rows x dim is kept but the difference rows and
     their gathered copy. The permutation is freed before the derived rows
-    are computed, and every gathered array, with every batch view of it,
-    before the epoch-end loss, whose temporaries are as large.
+    are computed, and every gathered array before the epoch-end loss, whose
+    temporaries are as large; a batch's views die with its step.
     """
     n = len(train_set)
     if n == 0:
@@ -284,7 +274,9 @@ def train(
     )
 
     def full_loss() -> float:
-        d = _predict(w, diff, None if offsets is None else offsets[users])
+        d = diff @ w
+        if offsets is not None:
+            d += np.einsum("ij,ij->i", diff, offsets[users])
         per_element = _loss_terms(d, _Rows.of(r, config), config)
         penalty = 0.0
         if offsets is not None and config.embedding_l2 > 0:
@@ -292,34 +284,30 @@ def train(
         return float(per_element.mean() + penalty)
 
     rng = np.random.default_rng(config.seed)
-    size, lr = config.batch_size, config.learning_rate
+    # lr is a 0-d array, as `_sgd_step`'s scalars are.
+    size, lr = config.batch_size, np.array(config.learning_rate)
+    step = _sgd_step(config, dim)
     grad_w = np.empty(dim, dtype=np.float64)
-    columns, cells = np.arange(dim), None
     with np.errstate(over="ignore", invalid="ignore"):
         trace = [full_loss()]
         for _ in range(config.epochs):
             order = rng.permutation(n)
             diff_e, r_e = diff[order], r[order]
-            # Row i's user row starts at flat cell users_i * dim of the offsets.
-            first_cells = None if offsets is None else users[order]
+            user_starts = None if offsets is None else users[order]
             del order
             rows_e = _Rows.of(r_e, config)
-            if first_cells is not None:
-                first_cells *= dim
+            if user_starts is not None:
+                user_starts *= dim
             for start in range(0, n, size):
-                batch = slice(start, start + size)
-                if first_cells is not None:
-                    cells = first_cells[batch, None] + columns
-                _, grad_off = _step_gradient(
-                    w, offsets, diff_e[batch], rows_e.take(batch), cells, config, grad_w
-                )
+                grad_off = step(w, offsets, diff_e, rows_e, user_starts, start, start + size,
+                                grad_w)
                 grad_w *= lr
                 w -= grad_w
                 if grad_off is not None:
                     grad_off *= lr
                     offsets -= grad_off
             # Freed before the epoch-end loss, whose temporaries are as large.
-            del diff_e, r_e, rows_e, first_cells
+            del diff_e, r_e, rows_e, user_starts
             epoch_loss = full_loss()
             if not math.isfinite(epoch_loss):
                 raise ValueError("training loss became non-finite; try a smaller learning_rate")

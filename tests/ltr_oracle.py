@@ -4,9 +4,10 @@ The earlier implementations in `equirank.ltr`, kept here as the reference:
 the per-comparison `score`, `predict_diff`, `loss` and `loss_gradient` with
 their helpers, and the `train` loop over `_Assembled`, renamed
 `oracle_train`; the code is otherwise unchanged. `equirank.ltr` computes
-the same model on arrays, steps on `ltr._step_gradient`, and must reproduce
-`oracle_train` bit for bit. `step_gradient` at the end adapts a
-per-comparison batch to `ltr._step_gradient`.
+the same model on arrays, takes every step with one call of the step
+`ltr._sgd_step` makes for its run, and must reproduce `oracle_train` bit
+for bit. `step_gradient` at the end runs that same step on a
+per-comparison batch.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import math
 import numpy as np
 
 from equirank.dataset import ComparisonSet, FeatureTable
-from equirank.ltr import ModelParams, TrainConfig, TrainResult, _Rows, _step_gradient
+from equirank.ltr import ModelParams, TrainConfig, TrainResult, _Rows, _sgd_step
 from row_view import Comparison
 
 
@@ -213,7 +214,8 @@ def step_gradient(
     batch: list[tuple[Comparison, np.ndarray, np.ndarray]],
     config: TrainConfig,
 ) -> tuple[np.ndarray, dict[str, np.ndarray]]:
-    """`ltr._step_gradient` on a per-comparison batch, shaped like `loss_gradient`.
+    """One call of `ltr._sgd_step` on a per-comparison batch, shaped like
+    `loss_gradient`.
 
     Every user in the batch must have an offset in `params`; the offset rows
     are laid out in sorted user order.
@@ -222,8 +224,10 @@ def step_gradient(
     offsets = params.offsets[[params.user_ids.index(u) for u in users]] if users else None
     diff = np.array([np.asarray(xr, float) - np.asarray(xl, float) for _, xl, xr in batch])
     r = np.array([c.score for c, _, _ in batch], dtype=np.float64)
-    rows = np.array([users.index(c.user_id) for c, _, _ in batch], dtype=np.intp)
-    cells = rows[:, None] * params.dim + np.arange(params.dim)
-    grad_w, grad_off = _step_gradient(params.w, offsets, diff, _Rows.of(r, config), cells,
-                                      config)
+    user_starts = np.array([users.index(c.user_id) for c, _, _ in batch], dtype=np.intp)
+    user_starts *= params.dim
+    grad_w = np.empty(params.dim)
+    step = _sgd_step(config, params.dim)
+    grad_off = step(params.w, offsets, diff, _Rows.of(r, config), user_starts, 0, len(diff),
+                    grad_w)
     return grad_w, {u: grad_off[k] for k, u in enumerate(users)}

@@ -342,7 +342,8 @@ class TestScale:
     def test_all_equal_scaled_scores_are_warned_of(self, tmp_path, capsys, command, scaler, tol):
         # At tol 1e300 every GBT fit stops at its zero start, so every scaled
         # score is 0.0 and the run exits 0; one stderr line says so and names
-        # the scaler and its settings. A default run warns of nothing.
+        # the scaler and its settings, and a pipeline, which then trains on
+        # nothing but ties, says that too. A default run warns of nothing.
         if command == "scale":
             sim = _simulate(tmp_path)
             argv = ["scale", "--input", str(sim / "comparisons.csv"), "--scaler", scaler]
@@ -361,8 +362,11 @@ class TestScale:
             assert err == ""
         else:
             # Users whose fits are all zero also take no scale vote.
+            ties = ["equirank: warning: every training target is a tie: |score| <= "
+                    "tie_epsilon=0.05"] if command == "pipeline" else []
             assert [line for line in err.splitlines() if "Mehestan fallback" not in line] == [
-                "equirank: warning: every scaled score is 0.0; scaler='mehestan' lam=0.1 tol=1e+300"
+                "equirank: warning: every scaled score is 0.0; scaler='mehestan' lam=0.1 tol=1e+300",
+                *ties,
             ]
 
     def test_unknown_scaler_is_usage_error(self, tmp_path):
@@ -493,6 +497,25 @@ class TestTrain:
         last = (out / "loss_trace.csv").read_text().splitlines()[-1].split(",")[1]
         assert f'"final_loss": {last}' in text
         assert repr(diagnostics["final_loss"]) == last
+
+    def test_all_tie_targets_are_warned_of(self, tmp_path, capsys):
+        # Mehestan at lam 1e300 scales every score to about 1e-300, so every
+        # target lies in the tie band: training exits 0 with weights of that
+        # order, and one stderr line names tie_epsilon. The simulated scores
+        # train with no warning.
+        sim = _simulate(tmp_path)
+        assert _run(["scale", "--input", str(sim / "comparisons.csv"), "--scaler", "mehestan",
+                     "--lam", "1e300", "-o", str(tmp_path / "scaled")]) == 0
+        flags = ["--features", str(sim / "features.csv"), "--contrastive-weight", "1"]
+        for source, expected in [
+            (tmp_path / "scaled" / "scaled.csv",
+             ["equirank: warning: every training target is a tie: |score| <= tie_epsilon=0.05"]),
+            (sim / "comparisons.csv", []),
+        ]:
+            capsys.readouterr()
+            assert _run(["train", "--input", str(source), *flags,
+                         "-o", str(tmp_path / "model")]) == 0
+            assert capsys.readouterr().err.splitlines() == expected
 
     def test_zero_epochs_writes_zero_model(self, tmp_path):
         sim = _simulate(tmp_path)
@@ -1015,6 +1038,9 @@ class TestPipeline:
         out = tmp_path / "run"
         assert _run(["pipeline", "--config", str(config), "-o", str(out)]) == 0
         diagnostics = json.loads((out / "manifest_pipeline.json").read_text())["diagnostics"]
+        assert list(diagnostics.pop("experiments")) == [
+            "baseline", "minmax+contrastive", "embeddings", "mehestan+contrastive"
+        ]
         scale = tmp_path / "scale"
         assert _run(["scale", "--input", str(out / "data" / "train.csv"), "--scaler", "mehestan",
                      "--max-iter", "2", "-o", str(scale)]) == 0
@@ -1026,7 +1052,40 @@ class TestPipeline:
         config.write_text(PIPELINE_CONFIG)
         plain = tmp_path / "plain"
         assert _run(["pipeline", "--config", str(config), "-o", str(plain)]) == 0
-        assert "diagnostics" not in json.loads((plain / "manifest_pipeline.json").read_text())
+        diagnostics = json.loads((plain / "manifest_pipeline.json").read_text())["diagnostics"]
+        assert list(diagnostics) == ["experiments"]
+
+    def test_cell_training_diagnostics_equal_the_staged_train(self, tmp_path):
+        # Each cell's sgd_steps and final_loss, with the same reprs, are what
+        # `train` writes into manifest_train.json when run on the cell's
+        # scaled split with the grid's settings.
+        config = tmp_path / "grid.cfg"
+        config.write_text(PIPELINE_CONFIG + "batch_size = 50\n")
+        grid = tmp_path / "grid"
+        assert _run(["pipeline", "--config", str(config), "-o", str(grid)]) == 0
+        text = (grid / "manifest_pipeline.json").read_text()
+        cells = json.loads(text)["diagnostics"]["experiments"]
+        data = grid / "data"
+        settings = {**_PIPELINE_DEFAULTS, "seed": 7, "epochs": 3, "batch_size": 50}
+        keys = ("mse_weight", "ranking_weight", "bce_weight", "ranking_margin",
+                "contrastive_margin", "tie_epsilon", "learning_rate", "epochs", "batch_size",
+                "seed", "embedding_l2")
+        for name in ["baseline", "minmax+contrastive", "embeddings"]:
+            scaled, out = data / "train.csv", tmp_path / name
+            if name.startswith("minmax"):
+                assert _run(["scale", "--input", str(scaled), "--scaler", "minmax",
+                             "-o", str(out / "scale")]) == 0
+                scaled = out / "scale" / "scaled.csv"
+            flags = [f"--{key.replace('_', '-')}={settings[key]}" for key in keys]
+            flags.append(f"--contrastive-weight={1.0 if 'contrastive' in name else 0.0}")
+            flags += ["--user-embeddings"] if name == "embeddings" else []
+            assert _run(["train", "--input", str(scaled), "--features", str(data / "features.csv"),
+                         *flags, "-o", str(out / "model")]) == 0
+            staged = (out / "model" / "manifest_train.json").read_text()
+            assert cells[name] == json.loads(staged)["diagnostics"]
+            assert cells[name]["sgd_steps"] == 3 * 4  # 180 rows in batches of 50
+            assert f'"final_loss": {cells[name]["final_loss"]!r}' in staged
+            assert f'"final_loss": {cells[name]["final_loss"]!r}' in text
 
     def test_each_scaler_runs_once_per_grid(self, tmp_path, monkeypatch):
         import equirank.cli

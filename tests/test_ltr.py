@@ -409,6 +409,35 @@ def test_train_matches_oracle_at_benchmark_shape(weights, embeddings):
     _assert_train_matches_oracle(cset, table, config)
 
 
+def _outcome(run, cset, table, config):
+    """The bytes of a run's model and loss trace, or the message it raised."""
+    try:
+        result = run(cset, table, config)
+    except ValueError as exc:
+        return str(exc)
+    return (_bits(result.params.w), result.params.user_ids, _bits(result.params.offsets),
+            _bits(result.loss_trace))
+
+
+@pytest.mark.parametrize("embeddings", [False, True], ids=["plain", "embeddings"])
+@pytest.mark.parametrize("learning_rate", [10.0, 1e150, 1e300])
+@pytest.mark.parametrize("name", ["mse", "ranking", "bce", "contrastive"])
+def test_train_matches_oracle_at_extreme_learning_rates(name, learning_rate, embeddings):
+    """Each loss alone at learning rates where the weights overflow to inf
+    and their products turn NaN: after each of epochs 0-3, `train` holds
+    the oracle's bytes, or raises its error after the same epoch. The
+    oracle runs with numpy's floating-point warnings silenced."""
+    cset, table = _oracle_case(np.random.default_rng(54),
+                               np.random.default_rng(55).uniform(-1, 1, 30).tolist(), 3)
+    for epochs in range(4):
+        config = TrainConfig(loss_weights=_WEIGHTS[name], learning_rate=learning_rate,
+                             epochs=epochs, batch_size=4, seed=3,
+                             use_user_embeddings=embeddings, embedding_l2=0.01)
+        with np.errstate(all="ignore"):
+            expected = _outcome(oracle_train, cset, table, config)
+        assert _outcome(train, cset, table, config) == expected
+
+
 @pytest.mark.parametrize("weights, embeddings, parent_peak", [
     (LossWeights(mse=1.0), False, 5_302_426),
     (LossWeights(mse=1.0, contrastive=1.0), True, 5_309_900),
