@@ -155,84 +155,114 @@ def _loss_terms(d: np.ndarray, rows: _Rows, config: TrainConfig) -> np.ndarray:
     return loss
 
 
-def _sgd_step(config: TrainConfig, dim: int) -> Callable[..., np.ndarray | None]:
-    """The SGD step of one run, its derivative terms chosen once from
-    `config`'s positive loss weights.
+# Rows gathered per chunk of an epoch's batches, so that an epoch's per-row
+# arrays other than its permutation are bounded by the chunk, not the set.
+_CHUNK_ROWS = 2048
 
-    `step(w, offsets, diff, rows, user_starts, start, stop, out)` reads rows
-    start:stop of the difference rows `diff`, x(right) - x(left), of `rows`,
-    `_Rows.of` their targets, and, with embeddings, of `user_starts`, each
-    row's user code times dim: its first flat cell in the (users x dim)
-    `offsets`. Without embeddings `offsets` and `user_starts` are None. The
+
+def _sgd_step(config: TrainConfig, dim: int) -> tuple[Callable[..., tuple], Callable[..., None]]:
+    """The SGD step of one run and the per-row values it reads, its
+    derivative terms chosen once from `config`'s positive loss weights.
+
+    `rows_of(r)` takes gathered targets and returns what the step reads of
+    them: `_Rows.of`'s r, sign and p, and each hinge's pull, the term a row
+    adds to the derivative while its hinge is active, zero for a tie:
+    `where(non_tie, -ranking * sign(r), 0)` and `where(non_tie,
+    -contrastive, 0)`, which the step multiplies by sign(d).
+
+    `step(w, offsets, diff, rows, cells, start, stop, grad_w, grad_off)`
+    reads rows start:stop of the difference rows `diff`, x(right) - x(left),
+    of `rows`, `rows_of` their targets, and, with embeddings, of `cells`,
+    each row's dim flat cells in the flat (users x dim) `offsets`. Without
+    embeddings `cells` is None, and `offsets` and `grad_off` are unused. The
     step writes the gradient of the batch's mean loss with respect to `w`
-    into `out` and returns the gradient with respect to every row of
-    `offsets` plus the embedding L2 penalty, or None. Overflow warns unless
-    the caller silences it.
+    into `grad_w` and, with embeddings, that with respect to every offset
+    plus the embedding L2 penalty into `grad_off`. Overflow warns unless the
+    caller silences it.
 
     Both BLAS products, the predicted differences `(w + offset) . diff_i`
     and the `w` gradient `grad . diff`, are `ndarray.dot` calls: they run
     the `cblas_dgemv` that `@` runs, so they give its bits, without the
     gufunc dispatch. The derivative of `_loss_terms` sums the terms in their
     order there, the first one in place of the zeros it was once added to.
-    A hinge's `margin - x > 0` is `x < margin`, and `where(active, s, 0) *
-    -weight` is `weight * where(active, -s, 0)`. Only the sign of a zero can
-    differ from that sum, and no step can see it: `w` and the offsets start
-    at +0 and only ever have a gradient subtracted, so they never hold -0,
-    and subtracting either zero leaves them as they are.
+    A hinge's `margin - x > 0` is `x < margin`, and a row's term is
+    `weight * where(active, -s, 0)`: its pull times sign(d) for the
+    contrastive hinge, its pull for the ranking one, added only where
+    `x < margin` (`np.add(..., where=)`); a first term is `where(x < margin,
+    term, 0)`. Only the sign of a zero can differ from that sum, where it
+    added a hinge's -0 (`0 * -weight`): a skipped row adds nothing, a tie
+    row's zero pull adds +0 or -0, and a first term holds +0. No step can
+    see it: `w` and the offsets start at +0 and only ever have a gradient
+    subtracted, so they never hold -0, and subtracting either zero leaves
+    them as they are.
     """
     lw = config.loss_weights
-    # 0-d arrays, which a ufunc takes without converting a Python float.
-    mse, ranking, bce, contrastive, ranking_margin, contrastive_margin, l2 = map(np.array, (
-        lw.mse * 2.0, -lw.ranking, lw.bce, -lw.contrastive, config.ranking_margin,
-        config.contrastive_margin, 2.0 * config.embedding_l2,
-    ))
-    columns = np.arange(dim)
+    # 0-d arrays, which a ufunc takes without converting a Python number;
+    # a full batch's row count too, which divides as the int does.
+    mse, ranking, bce, contrastive, ranking_margin, contrastive_margin, l2, full = map(
+        np.array, (lw.mse * 2.0, -lw.ranking, lw.bce, -lw.contrastive, config.ranking_margin,
+                   config.contrastive_margin, 2.0 * config.embedding_l2,
+                   float(config.batch_size)))
+    batch_size = config.batch_size
 
-    def step(w, offsets, diff, rows, user_starts, start, stop, out):
+    def rows_of(r):
+        rows = _Rows.of(r, config)
+        ranking_pull = contrastive_pull = None
+        if ranking:
+            ranking_pull = np.where(rows.non_tie, ranking * rows.sign, 0.0)
+        if contrastive:
+            contrastive_pull = np.where(rows.non_tie, contrastive, 0.0)
+        return rows.r, rows.sign, rows.p, ranking_pull, contrastive_pull
+
+    def step(w, offsets, diff, rows, cells, start, stop, grad_w, grad_off):
+        r, sign, p, ranking_pull, contrastive_pull = rows
         db = diff[start:stop]
         d = db.dot(w)
-        if offsets is not None:
-            cells = user_starts[start:stop, None] + columns
-            d += np.einsum("ij,ij->i", db, offsets.take(cells))
+        if cells is not None:
+            cb = cells[start:stop]
+            d += np.einsum("ij,ij->i", db, offsets.take(cb))
         grad = None
         if mse:
-            grad = d - rows.r[start:stop]
+            grad = d - r[start:stop]
             grad *= mse
         if ranking:
-            sign = rows.sign[start:stop]
-            active = sign * d < ranking_margin
-            active &= rows.non_tie[start:stop]
-            term = np.where(active, sign, 0.0)
-            term *= ranking
-            grad = term if grad is None else np.add(grad, term, out=grad)
+            active = sign[start:stop] * d < ranking_margin
+            if grad is None:
+                grad = np.where(active, ranking_pull[start:stop], 0.0)
+            else:
+                np.add(grad, ranking_pull[start:stop], out=grad, where=active)
         if bce:
             term = np.negative(d)
             np.exp(term, out=term)
             term += 1.0
             np.divide(1.0, term, out=term)
-            term -= rows.p[start:stop]
+            term -= p[start:stop]
             term *= bce
             grad = term if grad is None else np.add(grad, term, out=grad)
         if contrastive:
             active = np.abs(d) < contrastive_margin
-            active &= rows.non_tie[start:stop]
-            term = np.where(active, np.sign(d), 0.0)
-            term *= contrastive
-            grad = term if grad is None else np.add(grad, term, out=grad)
-        grad /= len(db)
-        grad.dot(db, out=out)
-        if offsets is None:
-            return None
-        # One bincount over the flat cells adds rows in batch order, as
-        # `np.add.at(grad_off, users, diff * grad[:, None])` does.
-        grad_off = np.bincount(
-            cells.ravel(), weights=(db * grad[:, None]).ravel(), minlength=offsets.size
-        ).reshape(offsets.shape)
-        if l2:
-            grad_off += l2 * offsets
-        return grad_off
+            term = np.sign(d)
+            term *= contrastive_pull[start:stop]
+            if grad is None:
+                grad = np.where(active, term, 0.0)
+            else:
+                np.add(grad, term, out=grad, where=active)
+        grad /= full if len(db) == batch_size else len(db)
+        grad.dot(db, out=grad_w)
+        if cells is not None:
+            # One bincount over the flat cells adds rows in batch order, as
+            # `np.add.at(grad_off, users, diff * grad[:, None])` does, each
+            # cell's product diff_ij * grad_i taken from the flat rows; the
+            # L2 term is added to that sum, as the earlier trainer did.
+            sums = np.bincount(cb.ravel(), weights=db.ravel() * grad.repeat(dim),
+                               minlength=grad_off.size)
+            if l2:
+                np.multiply(offsets, l2, out=grad_off)
+                np.add(sums, grad_off, out=grad_off)
+            else:
+                grad_off[...] = sums
 
-    return step
+    return rows_of, step
 
 
 def train(
@@ -241,23 +271,24 @@ def train(
     """Mini-batch SGD from zero initialization; returns params and the
     epoch-end full-set loss trace (index 0 is the pre-training loss).
 
-    Every batch takes one call of the step `_sgd_step` builds for the run.
-    Each epoch gathers the difference rows, the targets and, with
-    embeddings, the user codes once, in its shuffled order. It then computes
-    from the gathered targets the per-row values of the loss derivative
-    (`_Rows`), which costs no more than gathering them and holds one copy,
-    not two, and scales the user codes by dim in place, so that a step finds
-    its offset cells with one addition. A batch is a slice start:stop of
-    these arrays, and `w` and the offsets are updated in place, `w` through
-    one gradient buffer shared by every step. Each loss of the trace reads
-    `_Rows` of the stored targets. One `np.errstate` silences overflow and
-    invalid values around every loss and step; a diverging run's non-finite
-    loss raises ValueError.
+    `w` and, with embeddings, the (users x dim) offsets are one flat
+    vector, and the step writes both gradients into one buffer of the same
+    shape, so each batch is one call of the step `_sgd_step` builds for the
+    run, one `*= lr` and one `-=`. Each epoch walks its shuffled order in
+    chunks of whole batches, `_CHUNK_ROWS` rows or one batch, whichever is
+    more. A chunk gathers its difference rows once, the step's per-row
+    values (`rows_of`) from its gathered targets and, with embeddings, its
+    rows' flat offset cells, user code times dim plus the columns; a batch
+    is a slice start:stop of these. The epoch-end loss reads one `_Rows` of
+    the stored targets, built once per run, and takes its mean as
+    `np.add.reduce(x) / n`, the sum and division `.mean()` makes. One
+    `np.errstate` silences overflow and invalid values around every loss
+    and step; a diverging run's non-finite loss raises ValueError.
 
-    Memory: nothing of size rows x dim is kept but the difference rows and
-    their gathered copy. The permutation is freed before the derived rows
-    are computed, and every gathered array before the epoch-end loss, whose
-    temporaries are as large; a batch's views die with its step.
+    Memory: nothing of size rows x dim is kept but the difference rows; the
+    per-row arrays of an epoch are its permutation and its chunk's, freed
+    before the epoch-end loss, whose temporaries are larger. A batch's
+    views die with its step.
     """
     n = len(train_set)
     if n == 0:
@@ -266,55 +297,55 @@ def train(
     diff = x[train_set.right] - x[train_set.left]
     r, users = train_set.score, train_set.user
     dim = features.dim
-    w = np.zeros(dim, dtype=np.float64)
-    offsets = (
-        np.zeros((len(train_set.user_ids), dim), dtype=np.float64)
-        if config.use_user_embeddings
-        else None
-    )
+    n_users = len(train_set.user_ids) if config.use_user_embeddings else 0
+    params = np.zeros(dim * (1 + n_users), dtype=np.float64)
+    grad = np.empty_like(params)
+    w, offsets = params[:dim], params[dim:]
+    table = offsets.reshape(n_users, dim)
+    grad_w, grad_off = grad[:dim], grad[dim:]
+    rows = _Rows.of(r, config)
 
     def full_loss() -> float:
         d = diff @ w
-        if offsets is not None:
-            d += np.einsum("ij,ij->i", diff, offsets[users])
-        per_element = _loss_terms(d, _Rows.of(r, config), config)
+        if n_users:
+            d += np.einsum("ij,ij->i", diff, table[users])
+        per_element = _loss_terms(d, rows, config)
         penalty = 0.0
-        if offsets is not None and config.embedding_l2 > 0:
-            penalty = config.embedding_l2 * float(np.sum(offsets * offsets))
-        return float(per_element.mean() + penalty)
+        if n_users and config.embedding_l2 > 0:
+            penalty = config.embedding_l2 * float(np.sum(table * table))
+        return float(np.add.reduce(per_element) / n + penalty)
 
     rng = np.random.default_rng(config.seed)
     # lr is a 0-d array, as `_sgd_step`'s scalars are.
     size, lr = config.batch_size, np.array(config.learning_rate)
-    step = _sgd_step(config, dim)
-    grad_w = np.empty(dim, dtype=np.float64)
+    chunk = size * max(1, _CHUNK_ROWS // size)
+    rows_of, step = _sgd_step(config, dim)
+    columns = np.arange(dim)
     with np.errstate(over="ignore", invalid="ignore"):
         trace = [full_loss()]
         for _ in range(config.epochs):
             order = rng.permutation(n)
-            diff_e, r_e = diff[order], r[order]
-            user_starts = None if offsets is None else users[order]
-            del order
-            rows_e = _Rows.of(r_e, config)
-            if user_starts is not None:
-                user_starts *= dim
-            for start in range(0, n, size):
-                grad_off = step(w, offsets, diff_e, rows_e, user_starts, start, start + size,
-                                grad_w)
-                grad_w *= lr
-                w -= grad_w
-                if grad_off is not None:
-                    grad_off *= lr
-                    offsets -= grad_off
-            # Freed before the epoch-end loss, whose temporaries are as large.
-            del diff_e, r_e, rows_e, user_starts
+            for lo in range(0, n, chunk):
+                part = order[lo:lo + chunk]
+                diff_c, rows_c, cells = diff[part], rows_of(r[part]), None
+                if n_users:
+                    cells = users[part]
+                    cells *= dim
+                    cells = cells[:, None] + columns
+                for start in range(0, len(part), size):
+                    step(w, offsets, diff_c, rows_c, cells, start, start + size, grad_w,
+                         grad_off)
+                    grad *= lr
+                    params -= grad
+            # Freed before the epoch-end loss, whose temporaries are larger.
+            del order, part, diff_c, rows_c, cells
             epoch_loss = full_loss()
             if not math.isfinite(epoch_loss):
                 raise ValueError("training loss became non-finite; try a smaller learning_rate")
             trace.append(epoch_loss)
-    if offsets is None:
+    if not n_users:
         return TrainResult(ModelParams(w, (), np.zeros((0, dim))), trace)
-    return TrainResult(ModelParams(w, train_set.user_ids, offsets), trace)
+    return TrainResult(ModelParams(w, train_set.user_ids, table), trace)
 
 
 class PredictionOverflow(ValueError):

@@ -17,7 +17,7 @@ import math
 import numpy as np
 
 from equirank.dataset import ComparisonSet, FeatureTable
-from equirank.ltr import ModelParams, TrainConfig, TrainResult, _Rows, _sgd_step
+from equirank.ltr import ModelParams, TrainConfig, TrainResult, _sgd_step
 from row_view import Comparison
 
 
@@ -221,13 +221,15 @@ def step_gradient(
     are laid out in sorted user order.
     """
     users = sorted(params.user_ids)
-    offsets = params.offsets[[params.user_ids.index(u) for u in users]] if users else None
+    offsets = params.offsets[[params.user_ids.index(u) for u in users]].ravel()
     diff = np.array([np.asarray(xr, float) - np.asarray(xl, float) for _, xl, xr in batch])
     r = np.array([c.score for c, _, _ in batch], dtype=np.float64)
-    user_starts = np.array([users.index(c.user_id) for c, _, _ in batch], dtype=np.intp)
-    user_starts *= params.dim
-    grad_w = np.empty(params.dim)
-    step = _sgd_step(config, params.dim)
-    grad_off = step(params.w, offsets, diff, _Rows.of(r, config), user_starts, 0, len(diff),
-                    grad_w)
+    cells = None
+    if users:
+        codes = np.array([users.index(c.user_id) for c, _, _ in batch], dtype=np.intp)
+        cells = (codes * params.dim)[:, None] + np.arange(params.dim)
+    grad_w, grad_off = np.empty(params.dim), np.empty(offsets.size)
+    rows_of, step = _sgd_step(config, params.dim)
+    step(params.w, offsets, diff, rows_of(r), cells, 0, len(diff), grad_w, grad_off)
+    grad_off = grad_off.reshape(len(users), params.dim)
     return grad_w, {u: grad_off[k] for k, u in enumerate(users)}

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from equirank.dataset import FeatureTable
 from equirank.simgen import SimConfig, generate
 from equirank.ltr import (
+    _CHUNK_ROWS,
     LossWeights,
     ModelParams,
     TrainConfig,
@@ -308,6 +309,41 @@ def test_step_gradient_matches_oracle_at_zero(weights):
         np.testing.assert_allclose(grad_off[u], oracle_off[u], rtol=1e-12, atol=1e-15)
 
 
+@pytest.mark.parametrize("weights", [
+    _WEIGHTS["ranking"], _WEIGHTS["contrastive"], _WEIGHTS["mixed"],
+], ids=["ranking", "contrastive", "mixed"])
+@pytest.mark.parametrize("embeddings", [False, True], ids=["plain", "embeddings"])
+def test_step_gradient_matches_oracle_at_hinge_edges(weights, embeddings):
+    """One-row batches whose predicted difference d sits on a hinge's edge:
+    |d| exactly contrastive_margin, sign(r) * d exactly ranking_margin, the
+    largest float below each, and d exactly 0 against tie targets (0 and
+    +-tie_epsilon) and non-tie ones; then d inside both margins against
+    those ties and the smallest non-tie target above tie_epsilon, where
+    only the pulls tell ties apart. The step's gradient must equal the
+    oracle's exactly, which pins the strict `<` of both hinges and that a
+    row a hinge skips, or a tie's zero pull, adds a zero. A zero may differ
+    only in sign, which `_sgd_step` shows no step can see."""
+    config = TrainConfig(loss_weights=weights, ranking_margin=0.1, contrastive_margin=0.3,
+                         tie_epsilon=0.05, embedding_l2=0.1)
+    below = np.nextafter
+    edges = [
+        (0.3, 0.8), (-0.3, 0.8), (0.3, -0.8), (-0.3, -0.8),
+        (below(0.3, 0.0), 0.8), (below(-0.3, 0.0), -0.8),
+        (0.1, 0.8), (-0.1, -0.8), (below(0.1, 0.0), 0.8), (below(-0.1, 0.0), -0.8),
+        (0.0, 0.0), (0.0, 0.05), (0.0, -0.05), (0.0, 0.8), (0.0, -0.8),
+        (0.05, 0.0), (0.05, 0.05), (-0.05, -0.05), (0.05, np.nextafter(0.05, 1.0)),
+    ]
+    params = _params([1.0], {"u1": [0.0]} if embeddings else None)
+    for d, r in edges:
+        batch = _batch_of([(d, r)])
+        assert predict_diff(params, "u1", *batch[0][1:]) == d
+        grad_w, grad_off = step_gradient(params, batch, config)
+        oracle_w, oracle_off = loss_gradient(params, batch, config)
+        assert grad_off.keys() == oracle_off.keys()
+        for got, want in [(grad_w, oracle_w)] + [(grad_off[u], oracle_off[u]) for u in oracle_off]:
+            np.testing.assert_array_equal(got, want)
+
+
 # --- train against the earlier loop, bit for bit ------------------------------
 
 def _bits(values) -> bytes:
@@ -409,6 +445,29 @@ def test_train_matches_oracle_at_benchmark_shape(weights, embeddings):
     _assert_train_matches_oracle(cset, table, config)
 
 
+@pytest.mark.parametrize("embeddings, l2", [(False, 0.0), (True, 0.0), (True, 1e-4)],
+                         ids=["plain", "embeddings", "embeddings-l2"])
+@pytest.mark.parametrize("name", list(_WEIGHTS))
+def test_train_matches_oracle_across_chunk_ends(name, embeddings, l2):
+    """More rows than two of `train`'s chunks, in batches of 7, which
+    divides neither the rows nor `_CHUNK_ROWS`: a chunk holds whole
+    batches, so a chunk loop that split, dropped or repeated the batch at a
+    chunk's end would move the model. Two epochs, each loss alone and all
+    four; embeddings off, on without L2 and on with it. Contrastive alone
+    never leaves its zero start (its pull is scaled by sign(0) = 0), so its
+    cases hold the loop only to not failing; the other twelve see it."""
+    n_rows, batch_size = 2 * _CHUNK_ROWS + 404, 7
+    assert n_rows % batch_size and _CHUNK_ROWS % batch_size
+    rng = np.random.default_rng(56)
+    scores = rng.uniform(-1.0, 1.0, size=n_rows)
+    scores[::30], scores[10::30] = 0.0, 0.05
+    cset, table = _oracle_case(rng, scores.tolist(), 5, dim=3, n_items=40)
+    config = TrainConfig(loss_weights=_WEIGHTS[name], tie_epsilon=0.05, epochs=2,
+                         batch_size=batch_size, seed=8, use_user_embeddings=embeddings,
+                         embedding_l2=l2)
+    _assert_train_matches_oracle(cset, table, config)
+
+
 def _outcome(run, cset, table, config):
     """The bytes of a run's model and loss trace, or the message it raised."""
     try:
@@ -441,16 +500,24 @@ def test_train_matches_oracle_at_extreme_learning_rates(name, learning_rate, emb
 @pytest.mark.parametrize("weights, embeddings, parent_peak", [
     (LossWeights(mse=1.0), False, 5_302_426),
     (LossWeights(mse=1.0, contrastive=1.0), True, 5_309_900),
-], ids=["mse", "mse-contrastive-embeddings"])
+    (LossWeights(ranking=1.0), True, 5_371_132),
+    (LossWeights(bce=1.0), True, 5_312_300),
+], ids=["mse", "mse-contrastive-embeddings", "ranking-embeddings", "bce-embeddings"])
 def test_train_peak_memory_within_the_earlier_trainer(weights, embeddings, parent_peak):
     """tracemalloc's peak of `train` on 60,000 rows (60 users x 1,000, dim
-    4, 2 epochs) stays within that of the trainer before the per-row values
-    were computed once per epoch, measured on the same set: 5,302,426 bytes
-    for MSE and 5,309,900 bytes for MSE + contrastive + embeddings, about 88
-    bytes a row. That is the difference rows and their gathered copy (32
-    bytes each) plus the gathered targets, user codes and permutation (8
-    each). A per-row value of size rows x dim kept past its batch, or a
-    gathered array kept alive into the epoch-end loss, would exceed it."""
+    4, 2 epochs) stays within that of an earlier trainer, measured on the
+    same set. The first two bounds, 5,302,426 bytes for MSE and 5,309,900
+    bytes for MSE + contrastive + embeddings, about 88 bytes a row, are
+    those of the trainer before the per-row values were computed once per
+    epoch: the difference rows and their gathered copy (32 bytes each) plus
+    the gathered targets, user codes and permutation (8 each). The last
+    two, 5,371,132 bytes for ranking + embeddings and 5,312,300 bytes for
+    BCE + embeddings, are those of the trainer that gathered every row once
+    per epoch, just before rows were gathered per chunk; they are set by
+    its epoch-end loss, where the per-row sign(r) or (r + 1) / 2 sits next
+    to the gathered offset rows. A per-row value of size rows x dim kept
+    past its chunk, or a chunk's arrays kept alive into the epoch-end loss,
+    would exceed them."""
     cset, features, _ = generate(SimConfig(
         n_items=500, feature_dim=4, n_users=60, comparisons_per_user=1000, seed=1,
     ))
