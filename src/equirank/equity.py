@@ -69,7 +69,7 @@ def _tally(
     return (
         tuple(map(cset.user_ids.__getitem__, by_first.tolist())),
         np.bincount(cell, minlength=size).reshape(shape),
-        np.bincount(cell[hit], minlength=size).reshape(shape),
+        np.bincount(cell.compress(hit), minlength=size).reshape(shape),
     )
 
 

@@ -46,6 +46,19 @@ def _as_finite_array(values: Sequence[float] | np.ndarray) -> np.ndarray:
     return arr
 
 
+def _qr_med_sorted(xs: np.ndarray, params: ResilienceParams) -> float:
+    """QrMed of finite inputs sorted in ascending order."""
+    n = xs.size
+    if n == 0:
+        return params.default
+    with np.errstate(over="ignore"):  # a tiny W sends m_k to +-inf, as a float division does
+        m = params.default + (n - 2 * np.arange(n + 1)) / params.weight
+    k = int(np.argmax(m <= np.append(xs, np.inf)))
+    lo = xs[k - 1] if k else -np.inf
+    # On a tie Python's max returns m_k, so m_k = -0.0 at lo_k = 0.0 stays -0.0.
+    return float(max(m[k], lo))
+
+
 def qr_med(values: Sequence[float] | np.ndarray, params: ResilienceParams) -> float:
     """Exact quadratically regularized median; `default` on empty input.
 
@@ -59,16 +72,7 @@ def qr_med(values: Sequence[float] | np.ndarray, params: ResilienceParams) -> fl
     at least the previous input lo_k, else in the subdifferential at the
     breakpoint lo_k. So the minimizer is max(m_k, lo_k).
     """
-    xs = np.sort(_as_finite_array(values))
-    n = xs.size
-    if n == 0:
-        return params.default
-    with np.errstate(over="ignore"):  # a tiny W sends m_k to +-inf, as a float division does
-        m = params.default + (n - 2 * np.arange(n + 1)) / params.weight
-    k = int(np.argmax(m <= np.append(xs, np.inf)))
-    lo = xs[k - 1] if k else -np.inf
-    # On a tie Python's max returns m_k, so m_k = -0.0 at lo_k = 0.0 stays -0.0.
-    return float(max(m[k], lo))
+    return _qr_med_sorted(np.sort(_as_finite_array(values)), params)
 
 
 def br_mean(values: Sequence[float] | np.ndarray, params: ResilienceParams) -> float:
@@ -78,10 +82,16 @@ def br_mean(values: Sequence[float] | np.ndarray, params: ResilienceParams) -> f
 
     Result lies within [c - clip_radius, c + clip_radius] for c = qr_med;
     when no input is clipped this reduces exactly to the plain mean.
+
+    The inputs are checked for finiteness and sorted once, for the center;
+    the clipped differences are summed in input order. `np.minimum` of
+    `np.maximum` is `np.clip` on finite values, and `np.add.reduce(x) / n`
+    the sum and division `.mean()` makes, so the bits are those of
+    `qr_med`, `np.clip` and `.mean()` composed.
     """
     xs = _as_finite_array(values)
     if xs.size == 0:
         return params.default
-    center = qr_med(xs, params)
-    clipped = np.clip(xs - center, -params.clip_radius, params.clip_radius)
-    return float(center + clipped.mean())
+    center = _qr_med_sorted(np.sort(xs), params)
+    clipped = np.minimum(np.maximum(xs - center, -params.clip_radius), params.clip_radius)
+    return float(center + np.add.reduce(clipped) / xs.size)

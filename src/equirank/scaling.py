@@ -79,7 +79,7 @@ def _scale_groups(cset: ComparisonSet, scale_one) -> np.ndarray:
     n_criteria = len(cset.criterion_ids)
     key = cset.user * n_criteria + cset.criterion
     order, bounds = group_rows(key, len(cset.user_ids) * n_criteria)
-    grouped = cset.score[order]
+    grouped = cset.score.take(order)
     out = np.zeros_like(grouped)
     for start, end in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
         if end > start:
@@ -256,10 +256,13 @@ def mehestan_scale(
 
     # theta[k, i] is user k's latent score of item code i where present[k, i].
     fits = fit_users(cset, gbt_config)
-    present = np.zeros((len(users), len(cset.item_ids)), dtype=bool)
-    present[fits.user, fits.item] = True
+    # Flat cells of (user, item) in the row-major users x items tables.
+    n_items = len(cset.item_ids)
+    cells = fits.user * n_items + fits.item
+    present = np.zeros((len(users), n_items), dtype=bool)
+    present.put(cells, True)
     theta = np.zeros(present.shape)
-    theta[fits.user, fits.item] = fits.theta
+    theta.put(cells, fits.theta)
 
     # Anchor: most scored items, ties broken lexicographically (users are sorted).
     anchor = int(np.argmax(present.sum(axis=1)))
@@ -273,7 +276,7 @@ def mehestan_scale(
         if u == anchor:
             continue
         row = vote_matrix[u]
-        medians = row[~np.isnan(row)]
+        medians = row.compress(~np.isnan(row))
         votes[u] = len(medians)
         # The array's memoryview: numpy reads it without a copy, and iterating
         # it, as perfbench's tracer does to count clipped inputs, gives floats.
@@ -287,17 +290,21 @@ def mehestan_scale(
         if u == anchor:
             continue
         items = np.flatnonzero(present[u])
-        voters = present[:, items]
+        voters = present.take(items, axis=1)
         voters[u] = False
-        values = (scaled[:, items] - scaled[u, items])[voters]
+        diffs = scaled.take(items, axis=1)
+        diffs -= scaled[u].take(items)
+        values = diffs.compress(voters.ravel())
         candidates[u] = len(values)
         translations[u] = br_mean(values.data, translation_params)
 
-    scaled_theta = scaled + translations[:, None]
+    scaled_theta = (scaled + translations[:, None]).ravel()
+    row_starts = cset.user * n_items
     new_scores = np.clip(
-        scaled_theta[cset.user, cset.right] - scaled_theta[cset.user, cset.left], -1.0, 1.0
+        scaled_theta.take(row_starts + cset.right) - scaled_theta.take(row_starts + cset.left),
+        -1.0, 1.0,
     )
-    fits.theta = scaled_theta[fits.user, fits.item]
+    fits.theta = scaled_theta.take(cells)
     affines = Affines(users, scales, translations, votes, candidates, anchor)
     return cset.with_scores(new_scores), affines, fits
 

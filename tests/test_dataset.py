@@ -2,6 +2,7 @@
 
 import csv
 import io
+import re
 import sys
 
 import numpy as np
@@ -258,6 +259,41 @@ def test_restrict_by_user_and_criterion():
     assert len(cset.restrict(criterion="green")) == 2
     assert len(take(cset, "u1").restrict(criterion="calm")) == 1
     assert set(cset.criterion_ids) == {"green", "calm"}
+
+
+_TAKE_ROWS = [("u1", "g", "a", "b", 0.1), ("u2", "g", "a", "c", -0.2),
+              ("u1", "h", "c", "d", 0.3), ("u3", "g", "b", "d", 0.0)]
+
+
+@given(mask=st.lists(st.booleans(), min_size=4, max_size=4))
+def test_take_by_mask_equals_take_by_its_indices(mask):
+    cset = comparison_set(_TAKE_ROWS)
+    expected = [row for row, keep in zip(_TAKE_ROWS, mask) if keep]
+    for rows in (mask, np.array(mask), np.flatnonzero(mask), np.flatnonzero(mask).tolist()):
+        assert rows_of(cset.take(rows)) == tuple(expected)
+
+
+def test_take_never_reads_a_mask_as_positions():
+    # [True, False, True, False] keeps rows 0 and 2, not rows 1, 0, 1, 0;
+    # a list of 0s and 1s is positions.
+    cset = comparison_set(_TAKE_ROWS)
+    assert rows_of(cset.take([True, False, True, False])) == (_TAKE_ROWS[0], _TAKE_ROWS[2])
+    assert rows_of(cset.take([1, 0])) == (_TAKE_ROWS[1], _TAKE_ROWS[0])
+    assert len(cset.take([])) == 0
+    assert len(cset.take(np.zeros(4, dtype=bool))) == 0
+    with pytest.raises(IndexError, match="rows must be integers or a boolean mask"):
+        cset.take([0.0, 1.5])
+
+
+@pytest.mark.parametrize("mask", [
+    [True, False], [True] * 5, np.ones((2, 2), dtype=bool), np.ones((4, 1), dtype=bool),
+    np.bool_(True),
+], ids=["short", "long", "square", "column", "scalar"])
+def test_take_refuses_a_mask_of_another_shape(mask):
+    cset = comparison_set(_TAKE_ROWS)
+    shape = np.shape(mask)
+    with pytest.raises(ValueError, match=rf"shape \(4,\), got {re.escape(str(shape))}"):
+        cset.take(mask)
 
 
 def test_derived_sets_match_contents():

@@ -517,7 +517,10 @@ def test_train_peak_memory_within_the_earlier_trainer(weights, embeddings, paren
     its epoch-end loss, where the per-row sign(r) or (r + 1) / 2 sits next
     to the gathered offset rows. A per-row value of size rows x dim kept
     past its chunk, or a chunk's arrays kept alive into the epoch-end loss,
-    would exceed them."""
+    would exceed them. Since the difference rows and the epoch-end offset
+    term are built per `_CHUNK_ROWS` block, the four read 2,906,970,
+    3,992,036, 3,990,708 and 4,350,548 bytes: the difference rows (32 bytes
+    a row) and the epoch-end loss's per-row arrays set them."""
     cset, features, _ = generate(SimConfig(
         n_items=500, feature_dim=4, n_users=60, comparisons_per_user=1000, seed=1,
     ))
@@ -530,6 +533,35 @@ def test_train_peak_memory_within_the_earlier_trainer(weights, embeddings, paren
     finally:
         tracemalloc.stop()
     assert peak <= parent_peak
+
+
+def test_train_and_predict_do_not_depend_on_the_feature_layout():
+    """A FeatureTable built from C-ordered, Fortran-ordered and strided
+    vectors gives C-contiguous rows from `matrix`, and the same model, loss
+    trace and predictions, byte for byte."""
+    rng = np.random.default_rng(71)
+    cset, table = _oracle_case(rng, rng.uniform(-1, 1, 3000).tolist(), 7, dim=4, n_items=40)
+    wide = np.zeros((40, 12))
+    wide[:, ::3] = table.vectors
+    layouts = {
+        "C": np.ascontiguousarray(table.vectors),
+        "F": np.asfortranarray(table.vectors),
+        "strided": wide[:, ::3],
+    }
+    config = TrainConfig(loss_weights=LossWeights(mse=1.0, contrastive=0.5), epochs=2,
+                         batch_size=16, use_user_embeddings=True, embedding_l2=1e-3)
+    outputs = {}
+    for name, vectors in layouts.items():
+        features = FeatureTable(table.item_ids, vectors)
+        assert features.matrix(table.item_ids[::-1]).flags.c_contiguous, name
+        result = train(cset, features, config)
+        outputs[name] = (_bits(result.params.w), _bits(result.params.offsets),
+                         _bits(result.loss_trace),
+                         _bits(predict_all(result.params, cset, features).diff))
+    assert not layouts["strided"].flags.c_contiguous
+    assert not layouts["strided"].flags.f_contiguous
+    assert outputs["F"] == outputs["C"]
+    assert outputs["strided"] == outputs["C"]
 
 
 class TestPredictAll:

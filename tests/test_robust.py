@@ -86,6 +86,34 @@ def test_qr_med_matches_gap_scan_bit_for_bit(values, weight, default, kind):
     assert _bits(br_mean(given_values, params)) == _bits(br_mean(list(values), params))
 
 
+@given(values=st.lists(
+           st.one_of(st.sampled_from([-1.0, -0.0, 0.0, 0.5, 5e-324, -5e-324, 2.2e-308,
+                                      -1.5e-310, 1e300, -1e300]),
+                     st.floats(allow_nan=False, allow_infinity=False, allow_subnormal=True)),
+           max_size=40),
+       weight=_weights,
+       default=st.one_of(st.sampled_from([0.0, -0.0, 5e-324]), st.floats(-1e3, 1e3)),
+       clip_radius=st.one_of(st.sampled_from([5e-324, 0.5, 1.0, 1e300]),
+                             st.floats(1e-300, 1e300)),
+       kind=st.sampled_from(sorted(_INPUT_KINDS)))
+@example(values=[0.0, -0.0, -0.0, 0.0], weight=1e-300, default=-0.0, clip_radius=1.0,
+         kind="memoryview")
+@example(values=[1e308, -1e308, 1e308], weight=1e300, default=0.0, clip_radius=1e300,
+         kind="ndarray")
+@settings(max_examples=500, deadline=None)
+def test_br_mean_equals_clipped_mean_of_the_gap_scan_bit_for_bit(
+        values, weight, default, clip_radius, kind):
+    # BrMean is the QrMed center plus the `np.clip`ped differences'
+    # `.mean()`, with ties, signed zeros, subnormals and weights from
+    # 1e-300 to 1e300.
+    params = ResilienceParams(weight=weight, default=default, clip_radius=clip_radius)
+    center = _qr_med_scan(values, params)
+    with np.errstate(over="ignore"):
+        expected = (center + np.clip(np.array(values) - center, -clip_radius, clip_radius).mean()
+                    if values else params.default)
+        assert _bits(br_mean(_INPUT_KINDS[kind](values), params)) == _bits(expected)
+
+
 class TestQrMed:
     def test_empty_returns_default(self):
         assert qr_med([], ResilienceParams(default=0.0)) == 0.0
