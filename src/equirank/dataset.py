@@ -86,7 +86,8 @@ _REPR_CAP = 24
 def _canonical(
     vocab: Sequence[str], *codes: np.ndarray
 ) -> tuple[tuple[str, ...], list[np.ndarray]]:
-    """Sort the vocabulary, drop entries no code refers to, and recode."""
+    """Sort the vocabulary, drop entries no code refers to, and recode.
+    Raises ValueError naming an id that two codes in use name."""
     codes = [np.asarray(c, dtype=np.intp) for c in codes]
     present = np.zeros(len(vocab), dtype=bool)
     for c in codes:
@@ -95,6 +96,9 @@ def _canonical(
     if ordered and present.all():
         return tuple(vocab), codes
     keep = sorted((v, k) for k, v in enumerate(vocab) if present[k])
+    for (a, _), (b, _) in zip(keep, keep[1:]):
+        if a == b:
+            raise ValueError(f"id {a!r} appears twice in a vocabulary")
     remap = np.zeros(len(vocab), dtype=np.intp)
     remap[[k for _, k in keep]] = np.arange(len(keep))
     return tuple(v for v, _ in keep), [remap.take(c) for c in codes]

@@ -95,40 +95,50 @@ class TrainResult:
     loss_trace: list[float]
 
 
-def _softplus(x: np.ndarray) -> np.ndarray:
-    return np.logaddexp(0.0, x)
-
-
 class _Rows(NamedTuple):
     """The per-row values of the loss and its derivative that depend only
     on the target r, each None when no loss with a positive weight reads it:
 
-        r        r                       mse
-        sign     sign(r)                 ranking
-        p        (r + 1) / 2             bce
-        non_tie  |r| > tie_epsilon       ranking and contrastive
+        r                 r                                        mse
+        sign              sign(r)                                  ranking
+        p                 (r + 1) / 2                              bce
+        ranking_pull      where(non_tie, -ranking * sign(r), 0)    ranking
+        contrastive_pull  where(non_tie, -contrastive, 0)          contrastive
+
+    with non_tie |r| > tie_epsilon, taken as r > eps or r < -eps. A hinge's
+    pull is the term a row adds to the derivative while its hinge is
+    active; the step multiplies the contrastive one by sign(d). A pull is
+    zero exactly at a tie: a non-tie r is non-zero, and so is a positive
+    weight times its sign. So `pull != 0` is the hinge's non-tie mask.
     """
 
     r: np.ndarray | None
     sign: np.ndarray | None
     p: np.ndarray | None
-    non_tie: np.ndarray | None
+    ranking_pull: np.ndarray | None
+    contrastive_pull: np.ndarray | None
 
     @classmethod
     def of(cls, r: np.ndarray, config: TrainConfig) -> _Rows:
-        """The values for `config`'s losses, built with no float temporary
-        the size of r: p in place, and non_tie as r > eps or r < -eps,
-        which is |r| > eps."""
+        """The values for `config`'s losses, r itself rather than a copy."""
         lw = config.loss_weights
-        p = non_tie = None
-        if lw.bce > 0:
-            p = r + 1.0
-            p /= 2.0
+        sign = p = ranking_pull = contrastive_pull = None
         if lw.ranking > 0 or lw.contrastive > 0:
             non_tie = r > config.tie_epsilon
             non_tie |= r < -config.tie_epsilon
-        return cls(r if lw.mse > 0 else None, np.sign(r) if lw.ranking > 0 else None, p,
-                   non_tie)
+        if lw.ranking > 0:
+            sign = np.sign(r)
+            ranking_pull = np.where(non_tie, -lw.ranking * sign, 0.0)
+        if lw.bce > 0:
+            p = r + 1.0
+            p /= 2.0
+        if lw.contrastive > 0:
+            contrastive_pull = np.where(non_tie, -lw.contrastive, 0.0)
+        return cls(r if lw.mse > 0 else None, sign, p, ranking_pull, contrastive_pull)
+
+    def take(self, part: np.ndarray) -> _Rows:
+        """The values of rows `part`, in its order."""
+        return _Rows(*(None if v is None else v.take(part) for v in self))
 
 
 def _loss_terms(d: np.ndarray, rows: _Rows, config: TrainConfig) -> np.ndarray:
@@ -146,15 +156,15 @@ def _loss_terms(d: np.ndarray, rows: _Rows, config: TrainConfig) -> np.ndarray:
         loss = lw.mse * (d - rows.r) ** 2
     if lw.ranking > 0:
         margin_gap = config.ranking_margin - rows.sign * d
-        active = rows.non_tie & (margin_gap > 0)
+        active = (rows.ranking_pull != 0) & (margin_gap > 0)
         term = lw.ranking * np.where(active, margin_gap, 0.0)
         loss = term if loss is None else np.add(loss, term, out=loss)
     if lw.bce > 0:
-        term = lw.bce * (rows.p * _softplus(-d) + (1.0 - rows.p) * _softplus(d))
+        term = lw.bce * (rows.p * np.logaddexp(0.0, -d) + (1.0 - rows.p) * np.logaddexp(0.0, d))
         loss = term if loss is None else np.add(loss, term, out=loss)
     if lw.contrastive > 0:
         margin_gap = config.contrastive_margin - np.abs(d)
-        active = rows.non_tie & (margin_gap > 0)
+        active = (rows.contrastive_pull != 0) & (margin_gap > 0)
         term = lw.contrastive * np.where(active, margin_gap, 0.0)
         loss = term if loss is None else np.add(loss, term, out=loss)
     return loss
@@ -165,19 +175,13 @@ def _loss_terms(d: np.ndarray, rows: _Rows, config: TrainConfig) -> np.ndarray:
 _CHUNK_ROWS = 2048
 
 
-def _sgd_step(config: TrainConfig, dim: int) -> tuple[Callable[..., tuple], Callable[..., None]]:
-    """The SGD step of one run and the per-row values it reads, its
-    derivative terms chosen once from `config`'s positive loss weights.
-
-    `rows_of(r)` takes gathered targets and returns what the step reads of
-    them: `_Rows.of`'s r, sign and p, and each hinge's pull, the term a row
-    adds to the derivative while its hinge is active, zero for a tie:
-    `where(non_tie, -ranking * sign(r), 0)` and `where(non_tie,
-    -contrastive, 0)`, which the step multiplies by sign(d).
+def _sgd_step(config: TrainConfig, dim: int) -> Callable[..., None]:
+    """The SGD step of one run, its derivative terms chosen once from
+    `config`'s positive loss weights.
 
     `step(w, offsets, diff, rows, cells, start, stop, grad_w, grad_off)`
     reads rows start:stop of the difference rows `diff`, x(right) - x(left),
-    of `rows`, `rows_of` their targets, and, with embeddings, of `cells`,
+    of `rows`, their targets' `_Rows`, and, with embeddings, of `cells`,
     each row's dim flat cells in the flat (users x dim) `offsets`. Without
     embeddings `cells` is None, and `offsets` and `grad_off` are unused. The
     step writes the gradient of the batch's mean loss with respect to `w`
@@ -204,20 +208,10 @@ def _sgd_step(config: TrainConfig, dim: int) -> tuple[Callable[..., tuple], Call
     lw = config.loss_weights
     # 0-d arrays, which a ufunc takes without converting a Python number;
     # a full batch's row count too, which divides as the int does.
-    mse, ranking, bce, contrastive, ranking_margin, contrastive_margin, l2, full = map(
-        np.array, (lw.mse * 2.0, -lw.ranking, lw.bce, -lw.contrastive, config.ranking_margin,
-                   config.contrastive_margin, 2.0 * config.embedding_l2,
-                   float(config.batch_size)))
+    mse, bce, ranking_margin, contrastive_margin, l2, full = map(
+        np.array, (lw.mse * 2.0, lw.bce, config.ranking_margin, config.contrastive_margin,
+                   2.0 * config.embedding_l2, float(config.batch_size)))
     batch_size = config.batch_size
-
-    def rows_of(r):
-        rows = _Rows.of(r, config)
-        ranking_pull = contrastive_pull = None
-        if ranking:
-            ranking_pull = np.where(rows.non_tie, ranking * rows.sign, 0.0)
-        if contrastive:
-            contrastive_pull = np.where(rows.non_tie, contrastive, 0.0)
-        return rows.r, rows.sign, rows.p, ranking_pull, contrastive_pull
 
     def step(w, offsets, diff, rows, cells, start, stop, grad_w, grad_off):
         r, sign, p, ranking_pull, contrastive_pull = rows
@@ -230,21 +224,16 @@ def _sgd_step(config: TrainConfig, dim: int) -> tuple[Callable[..., tuple], Call
         if mse:
             grad = d - r[start:stop]
             grad *= mse
-        if ranking:
+        if ranking_pull is not None:
             active = sign[start:stop] * d < ranking_margin
             if grad is None:
                 grad = np.where(active, ranking_pull[start:stop], 0.0)
             else:
                 np.add(grad, ranking_pull[start:stop], out=grad, where=active)
         if bce:
-            term = np.negative(d)
-            np.exp(term, out=term)
-            term += 1.0
-            np.divide(1.0, term, out=term)
-            term -= p[start:stop]
-            term *= bce
+            term = (1.0 / (1.0 + np.exp(-d)) - p[start:stop]) * bce
             grad = term if grad is None else np.add(grad, term, out=grad)
-        if contrastive:
+        if contrastive_pull is not None:
             active = np.abs(d) < contrastive_margin
             term = np.sign(d)
             term *= contrastive_pull[start:stop]
@@ -267,7 +256,7 @@ def _sgd_step(config: TrainConfig, dim: int) -> tuple[Callable[..., tuple], Call
             else:
                 grad_off[...] = sums
 
-    return rows_of, step
+    return step
 
 
 def train(
@@ -281,11 +270,11 @@ def train(
     shape, so each batch is one call of the step `_sgd_step` builds for the
     run, one `*= lr` and one `-=`. Each epoch walks its shuffled order in
     chunks of whole batches, `_CHUNK_ROWS` rows or one batch, whichever is
-    more. A chunk gathers its difference rows once, the step's per-row
-    values (`rows_of`) from its gathered targets and, with embeddings, its
-    rows' flat offset cells, user code times dim plus the columns; a batch
-    is a slice start:stop of these. The epoch-end loss reads one `_Rows` of
-    the stored targets, built once per run, and takes its mean as
+    more. The step and the epoch-end loss read one `_Rows` of the stored
+    targets, built once per run. A chunk gathers its difference rows, its
+    rows of that table (`_Rows.take`) and, with embeddings, its rows' flat
+    offset cells, user code times dim plus the columns; a batch is a slice
+    start:stop of these. The epoch-end loss takes its mean as
     `np.add.reduce(x) / n`, the sum and division `.mean()` makes. One
     `np.errstate` silences overflow and invalid values around every loss
     and step; a diverging run's non-finite loss raises ValueError.
@@ -307,7 +296,7 @@ def train(
     if n == 0:
         raise ValueError("cannot train on an empty comparison set")
     x = features.matrix(train_set.item_ids)
-    r, users = train_set.score, train_set.user
+    users = train_set.user
     dim = features.dim
     blocks = [slice(lo, lo + _CHUNK_ROWS) for lo in range(0, n, _CHUNK_ROWS)]
     diff = np.empty((n, dim))
@@ -320,7 +309,7 @@ def train(
     w, offsets = params[:dim], params[dim:]
     table = offsets.reshape(n_users, dim)
     grad_w, grad_off = grad[:dim], grad[dim:]
-    rows = _Rows.of(r, config)
+    rows = _Rows.of(train_set.score, config)
 
     def full_loss() -> float:
         d = diff.dot(w)
@@ -337,7 +326,7 @@ def train(
     # lr is a 0-d array, as `_sgd_step`'s scalars are.
     size, lr = config.batch_size, np.array(config.learning_rate)
     chunk = size * max(1, _CHUNK_ROWS // size)
-    rows_of, step = _sgd_step(config, dim)
+    step = _sgd_step(config, dim)
     columns = np.arange(dim)
     with np.errstate(over="ignore", invalid="ignore"):
         trace = [full_loss()]
@@ -345,7 +334,7 @@ def train(
             order = rng.permutation(n)
             for lo in range(0, n, chunk):
                 part = order[lo:lo + chunk]
-                diff_c, rows_c, cells = diff.take(part, axis=0), rows_of(r.take(part)), None
+                diff_c, rows_c, cells = diff.take(part, axis=0), rows.take(part), None
                 if n_users:
                     cells = users.take(part)
                     cells *= dim
@@ -379,8 +368,10 @@ def predict_all(
 
     Each item score is the dot product `np.dot((w + offset_u), x)`
     (`np.vecdot` runs the kernel of `np.dot` row by row), so every difference
-    is bitwise the one computed one comparison at a time. A difference that
-    is not finite overflowed float64 and raises PredictionOverflow.
+    is bitwise the one computed one comparison at a time. The rows are
+    gathered per `_CHUNK_ROWS` block, as `train` builds its difference rows.
+    A difference that is not finite overflowed float64 and raises
+    PredictionOverflow.
     """
     if features.dim != params.dim:
         raise ValueError(
@@ -388,14 +379,17 @@ def predict_all(
         )
     x = features.matrix(cset.item_ids)
     rows = _positions(params.user_ids, cset.user_ids, len(params.user_ids))
+    diff = np.empty(len(cset))
     with np.errstate(over="ignore", invalid="ignore"):
         # Row k of the stack is the model's user k's w + offset, and the last
         # row, w alone, serves unknown users; gathered by `rows`, row k holds
         # the weights of the set's user code k.
         table = np.vstack([params.w + params.offsets, params.w]).take(rows, axis=0)
-        weights = table.take(cset.user, axis=0)
-        diff = (np.vecdot(x.take(cset.right, axis=0), weights)
-                - np.vecdot(x.take(cset.left, axis=0), weights))
+        for lo in range(0, len(cset), _CHUNK_ROWS):
+            block = slice(lo, lo + _CHUNK_ROWS)
+            weights = table.take(cset.user[block], axis=0)
+            np.subtract(np.vecdot(x.take(cset.right[block], axis=0), weights),
+                        np.vecdot(x.take(cset.left[block], axis=0), weights), out=diff[block])
     if not np.isfinite(diff).all():
         raise PredictionOverflow(
             "predicted differences overflow float64; the model weights are too large"

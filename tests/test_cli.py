@@ -686,9 +686,12 @@ class TestAudit:
         ('{"dim": 1, "w": [1' + "0" * 400 + '], "user_offsets": {}}',
          "w holds a number that is not finite"),
         ('{"dim": 0, "w": [], "user_offsets": {}}', "model dim 0 is not positive"),
+        ('{"dim": 3, "w": [1.0, 2.0], "user_offsets": {}}',
+         "model dim 3 does not match weights (2,)"),
     ], ids=["no-w", "not-object", "dim-string", "w-object", "w-string-entry",
             "offsets-array", "offset-null", "offset-short", "not-json", "nested-deep",
-            "dim-digits", "w-nan", "offset-infinite", "w-int-overflow", "dim-zero"])
+            "dim-digits", "w-nan", "offset-infinite", "w-int-overflow", "dim-zero",
+            "dim-not-w"])
     def test_malformed_model_is_runtime_error(self, tmp_path, capsys, text, message):
         _, test_csv, feat_csv = self._perfect_fixture(tmp_path)
         model = tmp_path / "bad.json"

@@ -62,6 +62,17 @@ class TestParseComparisons:
         with pytest.raises(ValueError, match="line 3"):
             parse_comparisons(path)
 
+    def test_score_wider_than_a_span_reads_as_float_does(self, tmp_path):
+        # A field over dataset._FIELD_CAP bytes turns its column into text.
+        wide = "0.5" + "0" * 70
+        path = _write(tmp_path, "c.csv", HEADER + f"u1,g,a,b,{wide}\nu1,g,a,c,-0.25\n")
+        assert parse_comparisons(path).score.tolist() == [float(wide), -0.25]
+
+    def test_score_holding_a_nul_byte_is_unparsable(self, tmp_path):
+        path = _write(tmp_path, "c.csv", HEADER + "u1,g,a,b,0.5\nu1,g,a,c,0.5\0\n")
+        with pytest.raises(ValueError, match=r"line 3: unparsable score '0\.5\\x00'$"):
+            parse_comparisons(path)
+
     def test_wrong_column_count(self, tmp_path):
         path = _write(tmp_path, "c.csv", HEADER + "u1,green,a,b\n")
         with pytest.raises(ValueError, match="line 2.*5 columns"):
@@ -86,6 +97,27 @@ def test_comparison_invariants():
         comparison_set([("u", "g", "a", "b", 1.5)])
     with pytest.raises(ValueError):
         comparison_set([("u", "g", "a", "b", float("nan"))])
+    with pytest.raises(ValueError, match="comparison columns must be 1-D and of equal length"):
+        ComparisonSet(["u"], [0, 0], ["c"], [0, 0], ["a", "b"], [0, 0], [1, 1], [0.5])
+
+
+def test_vocabulary_naming_an_id_twice_is_refused():
+    """Two codes in use naming one id would write a self-comparison the
+    reader refuses, or two groups of one user; a repeat no code uses is
+    dropped."""
+    with pytest.raises(ValueError, match="id 'i' appears twice in a vocabulary"):
+        ComparisonSet(["u"], [0], ["c"], [0], ["i", "i"], [0], [1], [0.5])
+    with pytest.raises(ValueError, match="id 'u' appears twice in a vocabulary"):
+        ComparisonSet(["u", "u"], [0, 1], ["c"], [0, 0], ["a", "b"], [0, 0], [1, 1], [0.5, 0.5])
+    cset = ComparisonSet(["u", "u"], [1], ["c"], [0], ["b", "a", "b"], [1], [2], [0.5])
+    assert rows_of(cset) == (("u", "c", "a", "b", 0.5),)
+
+
+def test_scaled_comparisons_with_two_tags_are_refused(tmp_path):
+    path = _write(tmp_path, "s.csv", HEADER[:-1] + ",scaler\n"
+                  "u1,g,a,b,0.5,minmax\nu1,g,a,c,0.5,none\n")
+    with pytest.raises(ValueError, match=r"mixed scaler tags \['minmax', 'none'\]$"):
+        parse_scaled_comparisons(path)
 
 
 def test_round_trip_is_byte_identical(tmp_path):
@@ -186,6 +218,11 @@ class TestParseFeatures:
     def test_bad_header(self, tmp_path):
         path = _write(tmp_path, "f.csv", "item,f0\na,1.0\n")
         with pytest.raises(ValueError, match="header"):
+            parse_features(path)
+        # The right width, the wrong names.
+        path = _write(tmp_path, "f.csv", "item_id,f0,g1\na,1.0,2.0\n")
+        with pytest.raises(ValueError, match=r"bad header \['item_id', 'f0', 'g1'\], "
+                                             r"expected \['item_id', 'f0', 'f1'\]$"):
             parse_features(path)
 
     def test_round_trip(self, tmp_path):

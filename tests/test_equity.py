@@ -226,6 +226,13 @@ def test_report_perfect_predictions():
     assert report.mean_accuracy == 1.0
 
 
+@pytest.mark.parametrize("value", [np.nan, -np.inf])
+def test_report_refuses_a_non_finite_prediction(value):
+    predictions = _predictions([_pred("u1", 0.5, 0.5, 0), _pred("u1", 0.5, value, 1)])
+    with pytest.raises(ValueError, match=f"^value must be finite, got {value}$"):
+        build_report(predictions, 0.05)
+
+
 def test_report_permutation_invariant():
     rng = np.random.default_rng(57)
     predictions = [

@@ -518,9 +518,11 @@ def test_train_peak_memory_within_the_earlier_trainer(weights, embeddings, paren
     to the gathered offset rows. A per-row value of size rows x dim kept
     past its chunk, or a chunk's arrays kept alive into the epoch-end loss,
     would exceed them. Since the difference rows and the epoch-end offset
-    term are built per `_CHUNK_ROWS` block, the four read 2,906,970,
-    3,992,036, 3,990,708 and 4,350,548 bytes: the difference rows (32 bytes
-    a row) and the epoch-end loss's per-row arrays set them."""
+    term are built per `_CHUNK_ROWS` block and the step and the loss read
+    one `_Rows` table per run, whose hinge pulls take 8 bytes a row where a
+    tie mask took 1, the four read 2,911,298, 4,416,380, 4,415,052 and
+    4,354,876 bytes: the difference rows (32 bytes a row), the table and the
+    epoch-end loss's per-row arrays set them."""
     cset, features, _ = generate(SimConfig(
         n_items=500, feature_dim=4, n_users=60, comparisons_per_user=1000, seed=1,
     ))
@@ -533,6 +535,34 @@ def test_train_peak_memory_within_the_earlier_trainer(weights, embeddings, paren
     finally:
         tracemalloc.stop()
     assert peak <= parent_peak
+
+
+def test_predict_all_peak_memory_is_its_output_and_one_block():
+    """tracemalloc's peak of `predict_all` on 60,000 rows (60 users x 1,000,
+    dim 4, an offset per user) is its 8-byte-a-row output plus the arrays of
+    one `_CHUNK_ROWS` block: three gathered rows x dim and three index
+    slices, which `take` copies as they are read-only, and two dot products,
+    136 bytes a block row. It read 664,256 bytes, against 4,820,152 when the
+    columns were gathered whole. The first and last row of every block
+    equal `predict_diff`."""
+    cset, features, _ = generate(SimConfig(
+        n_items=500, feature_dim=4, n_users=60, comparisons_per_user=1000, seed=1,
+    ))
+    rng = np.random.default_rng(5)
+    params = ModelParams(rng.normal(size=4), cset.user_ids,
+                         rng.normal(size=(len(cset.user_ids), 4)))
+    tracemalloc.start()
+    try:
+        diff = predict_all(params, cset, features).diff
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * len(cset) + 136 * _CHUNK_ROWS
+    x = dict(zip(features.item_ids, features.vectors))
+    for lo in range(0, len(cset), _CHUNK_ROWS):
+        for k in (lo, min(lo + _CHUNK_ROWS, len(cset)) - 1):
+            [c] = rows_of(cset.take([k]))
+            assert diff[k] == predict_diff(params, c.user_id, x[c.left_item], x[c.right_item])
 
 
 def test_train_and_predict_do_not_depend_on_the_feature_layout():
@@ -581,6 +611,12 @@ class TestPredictAll:
         cset, table = _linear_fixture(rng, n=25)
         preds = predict_all(_params([1.0, 0.0, 0.0]), cset, table)
         assert rows_of(preds.cset) == rows_of(cset)
+
+    def test_features_of_another_dim_are_refused(self):
+        table = FeatureTable(("a", "b"), np.zeros((2, 2)))
+        cset = comparison_set([("u1", "g", "a", "b", 0.5)])
+        with pytest.raises(ValueError, match=r"^feature vectors have length 2, expected 3$"):
+            predict_all(_params([1.0, 0.0, 0.0]), cset, table)
 
 
 def test_user_identity_ignored_without_embeddings():

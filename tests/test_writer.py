@@ -395,6 +395,13 @@ def test_interrupted_write_csv_leaves_target_as_it_was(tmp_path, monkeypatch, be
     assert [p.name for p in tmp_path.iterdir()] == ([] if before is None else ["t.csv"])
 
 
+def test_write_table_refuses_fields_of_unequal_length(tmp_path):
+    target = tmp_path / "t.csv"
+    with pytest.raises(ValueError, match=r"must be of equal length, got \[2, 3\]$"):
+        write_table(target, ["k", "v"], [(("a", "b"), np.arange(2)), np.zeros(3)])
+    assert not target.exists()
+
+
 def test_completed_write_replaces_target(tmp_path):
     target = tmp_path / "c.csv"
     target.write_bytes(b"an earlier, longer file\n" * 100)
