@@ -84,13 +84,17 @@ _REPR_CAP = 24
 
 
 def _canonical(
-    vocab: Sequence[str], *codes: np.ndarray
+    vocab: Sequence[str], **columns: np.ndarray
 ) -> tuple[tuple[str, ...], list[np.ndarray]]:
-    """Sort the vocabulary, drop entries no code refers to, and recode.
-    Raises ValueError naming an id that two codes in use name."""
-    codes = [np.asarray(c, dtype=np.intp) for c in codes]
+    """Sort the vocabulary, drop entries no code refers to, and recode the
+    code columns, in the order given. Raises ValueError naming a column and
+    its first code outside the vocabulary, or an id that two codes in use name."""
+    codes = [np.asarray(c, dtype=np.intp) for c in columns.values()]
     present = np.zeros(len(vocab), dtype=bool)
-    for c in codes:
+    for name, c in zip(columns, codes):
+        if c.size and not (c.min() >= 0 and c.max() < len(vocab)):
+            bad = c[(c < 0) | (c >= len(vocab))][0]
+            raise ValueError(f"{name} code {bad} outside a vocabulary of {len(vocab)} ids")
         present[c] = True
     ordered = all(a < b for a, b in zip(vocab, vocab[1:]))
     if ordered and present.all():
@@ -118,11 +122,11 @@ class ComparisonSet:
     `user`, `criterion`, `left` and `right` are intp codes into the
     vocabularies `user_ids`, `criterion_ids` and `item_ids` (left and right
     share `item_ids`); `score` is float64. The constructor takes the
-    vocabularies in any order, and codes may leave entries unused: it keeps
-    them sorted and holding exactly the ids that occur, so `user_ids` and
-    `item_ids` are those appearing in the comparisons and user code k is the
-    k-th user in sorted order. The column arrays are read-only and may be
-    shared between sets.
+    vocabularies in any order, and codes may leave entries unused (a code
+    outside its vocabulary is refused): it keeps them sorted and holding
+    exactly the ids that occur, so `user_ids` and `item_ids` are those
+    appearing in the comparisons and user code k is the k-th user in sorted
+    order. The column arrays are read-only and may be shared between sets.
     """
 
     def __init__(
@@ -132,9 +136,9 @@ class ComparisonSet:
         item_ids: Sequence[str], left: np.ndarray, right: np.ndarray,
         score: np.ndarray,
     ):
-        user_ids, (user,) = _canonical(user_ids, user)
-        criterion_ids, (criterion,) = _canonical(criterion_ids, criterion)
-        item_ids, (left, right) = _canonical(item_ids, left, right)
+        user_ids, (user,) = _canonical(user_ids, user=user)
+        criterion_ids, (criterion,) = _canonical(criterion_ids, criterion=criterion)
+        item_ids, (left, right) = _canonical(item_ids, left=left, right=right)
         score = np.asarray(score, dtype=np.float64)
         n = score.shape[0]
         for array in (user, criterion, left, right, score):

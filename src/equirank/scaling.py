@@ -140,41 +140,40 @@ def _gaps(rows: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.abs(rows.take(a, axis=1) - rows.take(b, axis=1))
 
 
-def _vote_matrix(theta: np.ndarray, present: np.ndarray) -> np.ndarray:
+def _vote_matrix(latent: np.ndarray) -> np.ndarray:
     """votes[u, v]: user v's vote on user u's scale, NaN where v casts none.
 
-    The vote is the median of `log gap_v - log gap_u` (each gap logged with
-    `np.log`, the middle one or two differences averaged as `np.median`
-    averages them) over u's item pairs whose gaps exceed EPSILON_PAIR for
-    both users. Each unordered pair of users is scored once, from the lower
-    user's row, and the upper user's vote is its exact negation:
-    votes[v, u] == -votes[u, v] bit for bit.
+    `latent` holds the users' fitted scores, NaN where a user scored no item,
+    so a gap over an absent item fails the EPSILON_PAIR test. The vote is the
+    median of `log gap_v - log gap_u` (each gap logged with `np.log`, the
+    middle one or two differences averaged as `np.median` averages them) over
+    u's item pairs whose gaps exceed EPSILON_PAIR for both users. Each
+    unordered pair of users is scored once, from the lower user's row, and
+    the upper user's vote is its exact negation: votes[v, u] == -votes[u, v].
 
     Users are taken in tiles of C = max(1, _BLOCK_ENTRIES // P), P the number
-    of item pairs. A tile lists the pairs of its items with np.triu_indices
-    and logs its users' gaps once, over the union of the pairs valid for at
-    least one of them, with -inf where a pair is not valid for the user. Each
-    block of the users after the tile's first is logged once per tile over
-    the same pairs, +inf where a gap is invalid, so every difference over a
-    pair not valid for both users is +inf and sorts after the valid ones.
-    A row's finite differences are its pairs valid for both users, so one
-    float64 product of the tile's and the block's validity masks counts them
-    for every (user, voter) of the two; sums of 0s and 1s are exact in any
-    order, whatever the BLAS. Each user of the tile then subtracts its own
-    row from the block, sorts, and takes the median of each row's finite
-    differences. Tiles and blocks span about _BLOCK_ENTRIES
-    entries, so no users x pairs table is built: with more than
-    _BLOCK_ENTRIES item pairs every tile is one user, and a user with more
-    valid pairs than that is scored one voter a block.
+    of item pairs. A tile lists the pairs of its items (the columns it does
+    not hold all NaN) with np.triu_indices and logs its users' gaps once,
+    over the union of the pairs valid for at least one of them, with -inf
+    where a pair is not valid for the user. Each block of the users after the
+    tile's first is logged once per tile over the same pairs, +inf where a
+    gap is invalid, so every difference over a pair not valid for both users
+    is +inf and sorts after the valid ones. A row's finite differences are
+    its pairs valid for both users, so one float64 product of the tile's and
+    the block's validity masks counts them for every (user, voter) of the
+    two; sums of 0s and 1s are exact in any order, whatever the BLAS. Each
+    user of the tile then subtracts its own row from the block, sorts, and
+    takes the median of each row's finite differences. Tiles and blocks span
+    about _BLOCK_ENTRIES entries, so no users x pairs table is built: with
+    more than _BLOCK_ENTRIES item pairs every tile is one user, and a user
+    with more valid pairs than that is scored one voter a block.
     """
-    n_users, n_items = theta.shape
-    # Absent items are NaN, so their gaps fail the EPSILON_PAIR test.
-    latent = np.where(present, theta, np.nan)
+    n_users, n_items = latent.shape
     votes = np.full((n_users, n_users), np.nan)
     tile = max(1, _BLOCK_ENTRIES // max(1, n_items * (n_items - 1) // 2))
     for t0 in range(0, n_users - 1, tile):
         t1 = min(t0 + tile, n_users - 1)
-        items = np.flatnonzero(present[t0:t1].any(axis=0))
+        items = np.flatnonzero(~np.isnan(latent[t0:t1]).all(axis=0))
         a, b = (items[k] for k in np.triu_indices(len(items), 1))
         gaps = _gaps(latent[t0:t1], a, b)
         valid = gaps > EPSILON_PAIR
@@ -242,6 +241,9 @@ def mehestan_scale(
 
     Returns the rescaled comparison set, the per-user affines, and the
     users' fits with their `theta` array holding the scaled scores theta'_u.
+    All three come from one users x items table of the fits, NaN where a
+    user scored no item, which the votes read and which is then scaled and
+    translated in place.
     Requires >= 2 users and one criterion (filter first via restrict).
     """
     check_resilience_weight(resilience_weight)
@@ -254,20 +256,18 @@ def mehestan_scale(
             f"{list(cset.criterion_ids)}; restrict the set first"
         )
 
-    # theta[k, i] is user k's latent score of item code i where present[k, i].
+    # latent[k, i] is user k's score of item code i, NaN where k scored none.
     fits = fit_users(cset, gbt_config)
-    # Flat cells of (user, item) in the row-major users x items tables.
     n_items = len(cset.item_ids)
     cells = fits.user * n_items + fits.item
-    present = np.zeros((len(users), n_items), dtype=bool)
-    present.put(cells, True)
-    theta = np.zeros(present.shape)
-    theta.put(cells, fits.theta)
+    latent = np.full((len(users), n_items), np.nan)
+    latent.put(cells, fits.theta)
+    sizes = np.bincount(fits.user)
 
     # Anchor: most scored items, ties broken lexicographically (users are sorted).
-    anchor = int(np.argmax(present.sum(axis=1)))
+    anchor = int(np.argmax(sizes))
 
-    vote_matrix = _vote_matrix(theta, present)
+    vote_matrix = _vote_matrix(latent)
     ratio_params = ResilienceParams(resilience_weight, 0.0, RATIO_CLIP)
     translation_params = ResilienceParams(resilience_weight, 0.0, TRANSLATION_CLIP)
     scales = np.ones(len(users))
@@ -282,29 +282,28 @@ def mehestan_scale(
         # it, as perfbench's tracer does to count clipped inputs, gives floats.
         scales[u] = math.exp(br_mean(medians.data, ratio_params))
 
-    # Candidates s_v*theta_v(a) - s_u*theta_u(a), row-major over (v, common item a).
-    scaled = scales[:, None] * theta
+    # Candidates s_v*theta_v(a) - s_u*theta_u(a), row-major over (v != u,
+    # common item a): the entries of u's columns less u's own, where not NaN.
+    latent *= scales[:, None]
     translations = np.zeros(len(users))
     candidates = np.zeros(len(users), dtype=np.intp)
-    for u in range(len(users)):
+    for u, items in enumerate(np.split(fits.item, np.cumsum(sizes[:-1]))):
         if u == anchor:
             continue
-        items = np.flatnonzero(present[u])
-        voters = present.take(items, axis=1)
-        voters[u] = False
-        diffs = scaled.take(items, axis=1)
-        diffs -= scaled[u].take(items)
-        values = diffs.compress(voters.ravel())
+        diffs = latent.take(items, axis=1)
+        diffs -= latent[u].take(items)
+        diffs[u] = np.nan
+        values = diffs.compress(~np.isnan(diffs).ravel())
         candidates[u] = len(values)
         translations[u] = br_mean(values.data, translation_params)
 
-    scaled_theta = (scaled + translations[:, None]).ravel()
+    latent += translations[:, None]
+    latent = latent.ravel()
     row_starts = cset.user * n_items
     new_scores = np.clip(
-        scaled_theta.take(row_starts + cset.right) - scaled_theta.take(row_starts + cset.left),
-        -1.0, 1.0,
+        latent.take(row_starts + cset.right) - latent.take(row_starts + cset.left), -1.0, 1.0
     )
-    fits.theta = scaled_theta.take(cells)
+    fits.theta = latent.take(cells)
     affines = Affines(users, scales, translations, votes, candidates, anchor)
     return cset.with_scores(new_scores), affines, fits
 

@@ -113,6 +113,23 @@ def test_vocabulary_naming_an_id_twice_is_refused():
     assert rows_of(cset) == (("u", "c", "a", "b", 0.5),)
 
 
+@pytest.mark.parametrize("column", ["user", "criterion", "left", "right"])
+@pytest.mark.parametrize("bad", [-2, 3])
+@pytest.mark.parametrize("vocabulary", ["sorted", "unsorted"])
+def test_code_outside_its_vocabulary_is_refused(column, bad, vocabulary):
+    """A negative code would wrap to an id from the end, so that left -2 of
+    items ('a', 'b') turns row 0 into a self-comparison of 'a'; a code past
+    the end has no id. Both are refused, whether the vocabularies are sorted
+    and all in use, which needs no recoding, or must be recoded."""
+    vocab = ["a", "b", "c"] if vocabulary == "sorted" else ["c", "a", "b"]
+    columns = {"user": [0, 1, 2, 0], "criterion": [0, 1, 2, 0],
+               "left": [0, 1, 2, 0], "right": [1, 2, 0, 1]}
+    columns[column][3] = bad
+    with pytest.raises(ValueError, match=f"^{column} code {bad} outside a vocabulary of 3 ids$"):
+        ComparisonSet(vocab, columns["user"], vocab, columns["criterion"],
+                      vocab, columns["left"], columns["right"], [0.5] * 4)
+
+
 def test_scaled_comparisons_with_two_tags_are_refused(tmp_path):
     path = _write(tmp_path, "s.csv", HEADER[:-1] + ",scaler\n"
                   "u1,g,a,b,0.5,minmax\nu1,g,a,c,0.5,none\n")

@@ -252,26 +252,25 @@ def test_populations_match_oracle(cset, weight):
 
 
 def _latent(cset, config=GbtConfig(tol=1e-6, max_iter=300)):
-    """(fits, theta, present) over the sorted item codes, as mehestan_scale builds them."""
+    """(fits, latent) over the sorted item codes, latent NaN where a user
+    scored no item, as mehestan_scale builds them."""
     fits = [fit_users(take(cset, u), config) for u in cset.user_ids]
     index = {item: i for i, item in enumerate(cset.item_ids)}
-    theta = np.zeros((len(fits), len(index)))
-    present = np.zeros(theta.shape, dtype=bool)
+    latent = np.full((len(fits), len(index)), np.nan)
     for k, fit in enumerate(fits):
-        codes = [index[item] for item in by_item(fit)]
-        theta[k, codes] = fit.theta
-        present[k, codes] = True
-    return fits, theta, present
+        latent[k, [index[item] for item in by_item(fit)]] = fit.theta
+    return fits, latent
 
 
-def oracle_vote_matrix(theta, present):
+def oracle_vote_matrix(latent):
     """The per-pair loop: the lower user's row holds the median, the upper's its negation."""
-    votes = np.full((len(theta),) * 2, np.nan)
-    for u, v in itertools.combinations(range(len(theta)), 2):
+    votes = np.full((len(latent),) * 2, np.nan)
+    present = ~np.isnan(latent)
+    for u, v in itertools.combinations(range(len(latent)), 2):
         ratios = []
         for a, b in itertools.combinations(np.flatnonzero(present[u] & present[v]).tolist(), 2):
-            gap_u = abs(theta[u, a] - theta[u, b])
-            gap_v = abs(theta[v, a] - theta[v, b])
+            gap_u = abs(latent[u, a] - latent[u, b])
+            gap_v = abs(latent[v, a] - latent[v, b])
             if gap_u > scaling.EPSILON_PAIR and gap_v > scaling.EPSILON_PAIR:
                 ratios.append(np.log(gap_v) - np.log(gap_u))
         if ratios:
@@ -286,8 +285,8 @@ def test_vote_matrix_is_antisymmetric(cset):
     # Each unordered pair of users is scored once and the other vote is its
     # exact negation; NaN marks exactly the pairs of users that share no item
     # pair whose gaps both exceed EPSILON_PAIR.
-    fits, theta, present = _latent(cset)
-    votes = scaling._vote_matrix(theta, present)
+    fits, latent = _latent(cset)
+    votes = scaling._vote_matrix(latent)
 
     def gap(scores, a, b):
         return abs(scores[a] - scores[b])
@@ -308,9 +307,8 @@ def test_item_pairs_are_the_upper_triangle_row_by_row(n, monkeypatch):
     # User 0 lacks item 0, so its tile's n items are columns 1..n; user 1
     # scores every item. Distinct scores make every gap valid.
     rng = np.random.default_rng(n)
-    theta = np.stack([rng.permutation(n + 1), rng.permutation(n + 1)]).astype(float)
-    present = np.ones(theta.shape, dtype=bool)
-    present[0, 0] = False
+    latent = np.stack([rng.permutation(n + 1), rng.permutation(n + 1)]).astype(float)
+    latent[0, 0] = np.nan
     calls = []
     gaps = scaling._gaps
 
@@ -319,11 +317,11 @@ def test_item_pairs_are_the_upper_triangle_row_by_row(n, monkeypatch):
         return gaps(rows, a, b)
 
     monkeypatch.setattr(scaling, "_gaps", spy)
-    votes = scaling._vote_matrix(theta, present)
+    votes = scaling._vote_matrix(latent)
     first, second = np.triu_indices(n, 1)
     want = ((first + 1).tolist(), (second + 1).tolist())
     assert calls == [want] * (1 if n < 2 else 2)
-    assert _bits(votes) == _bits(oracle_vote_matrix(theta, present))
+    assert _bits(votes) == _bits(oracle_vote_matrix(latent))
 
 
 def assert_votes_match_oracle_in_every_tiling(cset, monkeypatch, config=GbtConfig(
@@ -332,14 +330,14 @@ def assert_votes_match_oracle_in_every_tiling(cset, monkeypatch, config=GbtConfi
     # Tiles of 1, 2 and 3 users. With _BLOCK_ENTRIES one entry short of the
     # next multiple of P, blocks of later users are wider than a tile over
     # the tile's smaller union of pairs, so they end inside a later tile.
-    _, theta, present = _latent(cset, config)
-    want = _bits(oracle_vote_matrix(theta, present))
-    assert _bits(scaling._vote_matrix(theta, present)) == want
+    _, latent = _latent(cset, config)
+    want = _bits(oracle_vote_matrix(latent))
+    assert _bits(scaling._vote_matrix(latent)) == want
     pairs = len(cset.item_ids) * (len(cset.item_ids) - 1) // 2
     for users_per_tile in (1, 2, 3):
         for entries in (users_per_tile * pairs, (users_per_tile + 1) * pairs - 1):
             monkeypatch.setattr(scaling, "_BLOCK_ENTRIES", entries)
-            assert _bits(scaling._vote_matrix(theta, present)) == want
+            assert _bits(scaling._vote_matrix(latent)) == want
 
 
 @given(cset=populations())
@@ -393,12 +391,12 @@ def test_vote_rows_with_one_and_with_no_finite_difference(monkeypatch):
     rows += [("c", "g", "z0", "z1", 0.4), ("c", "g", "z1", "z2", 0.2)]
     cset = comparison_set(rows)
     assert_votes_match_oracle_in_every_tiling(cset, monkeypatch)
-    _, theta, present = _latent(cset)
-    votes = scaling._vote_matrix(theta, present)
+    _, latent = _latent(cset)
+    votes = scaling._vote_matrix(latent)
     k = {user: k for k, user in enumerate(cset.user_ids)}
     for user, pair in [("b", ("i0", "i1")), ("d", ("i2", "i3"))]:
         i, j = map(cset.item_ids.index, pair)
-        gap = [abs(theta[k[u], i] - theta[k[u], j]) for u in ("a", user)]
+        gap = [abs(latent[k[u], i] - latent[k[u], j]) for u in ("a", user)]
         assert _bits(votes[k["a"], k[user]]) == _bits(np.log(gap[1]) - np.log(gap[0]))
     for u, v in [("a", "c"), ("a", "e"), ("b", "d"), ("b", "e"), ("c", "e"), ("d", "e")]:
         assert np.isnan(votes[k[u], k[v]]) and np.isnan(votes[k[v], k[u]])
@@ -406,15 +404,16 @@ def test_vote_rows_with_one_and_with_no_finite_difference(monkeypatch):
 
 def test_vote_memory_stays_below_one_users_by_pairs_table():
     # 30 users x 150 items: 11,175 item pairs, so tiles of 2 users. The
-    # kernel's peak must stay below one users x pairs float64 table.
+    # kernel's peak must stay below one users x pairs float64 table. The
+    # users x items table is built before tracing starts.
     rng = np.random.default_rng(2)
     theta = rng.normal(size=(30, 150))
-    present = rng.random(theta.shape) < 0.8
+    latent = np.where(rng.random(theta.shape) < 0.8, theta, np.nan)
     pairs = 150 * 149 // 2
     assert scaling._BLOCK_ENTRIES // pairs == 2
     tracemalloc.start()
     try:
-        votes = scaling._vote_matrix(theta, present)
+        votes = scaling._vote_matrix(latent)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -487,6 +486,45 @@ def test_user_with_more_pairs_than_one_block():
     affines = assert_matches_oracle(cset, config)
     assert affines.user_ids[affines.anchor] == "big0"
     assert affines.votes[1] == 3
+
+
+def test_two_groups_that_share_no_items(monkeypatch):
+    # u0-u3 compare only i00-i09 and u4-u7 only i10-i19, so no vote or
+    # candidate crosses the groups: the anchor u0's gauge never reaches
+    # u4-u7, which are scaled among themselves. A tile within one group holds
+    # the other group's columns all NaN, and a tile across both holds every
+    # pair across the groups invalid for all its users.
+    rng = np.random.default_rng(0)
+    rows = []
+    for k in range(8):
+        first = 10 * (k // 4)
+        for _ in range(60):
+            a, b = rng.choice(10, size=2, replace=False) + first
+            rows.append((f"u{k}", "g", f"i{a:02d}", f"i{b:02d}", float(rng.uniform(-1, 1))))
+    cset = comparison_set(rows)
+    affines = assert_matches_oracle(cset)
+    assert affines.user_ids[affines.anchor] == "u0"
+    others = np.arange(8) != affines.anchor
+    assert affines.votes[others].tolist() == [3] * 7
+    assert affines.candidates[others].tolist() == [30] * 7
+    assert_votes_match_oracle_in_every_tiling(cset, monkeypatch, GbtConfig())
+
+
+def test_peak_memory_is_below_two_users_by_items_tables():
+    # simulate's population at the paper's shape: 300 users x 2,000 items x
+    # 20 comparisons each, about 40 items a user. One users x items float64
+    # table is 4.8 MB and the vote matrix 0.72 MB; the peak of mehestan_scale,
+    # its GBT fits included, must stay below two such tables.
+    cset, _, _ = generate(SimConfig(
+        n_items=2000, feature_dim=3, n_users=300, comparisons_per_user=20, seed=1
+    ))
+    tracemalloc.start()
+    try:
+        mehestan_scale(cset)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 300 * 2000 * 8
 
 
 def _simulated_crowd():
