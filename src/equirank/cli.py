@@ -349,31 +349,40 @@ def write_loss_trace(trace: list[float], path: str | Path) -> None:
 
 
 def _train(
-    cset: ComparisonSet, features: FeatureTable, config: TrainConfig
-) -> tuple[TrainResult, dict]:
-    """`train`, with its manifest diagnostics: `sgd_steps` (one step per
-    batch of each epoch) and `final_loss`, the trace's last value. A set
-    whose every target is a tie, |score| <= tie_epsilon, which leaves the
-    hinge losses no comparison to order, is reported on stderr."""
-    result = train(cset, features, config)
+    sets: list[ComparisonSet], features: FeatureTable, config: TrainConfig
+) -> list[tuple[TrainResult, dict]]:
+    """`train` on each of `sets`, which hold the rows of one set (a scaler's
+    output keeps them) under their own scores, in one lockstep run when there
+    are two or more. Each model comes with its manifest diagnostics:
+    `sgd_steps` (one step per batch of each epoch) and `final_loss`, the
+    trace's last value."""
+    if len(sets) == 1:
+        results = [train(sets[0], features, config)]
+    else:
+        results = train(sets[0], features, config, targets=[s.score for s in sets])
+    steps = config.epochs * -(-len(sets[0]) // config.batch_size)
+    return [(result, {"sgd_steps": steps, "final_loss": result.loss_trace[-1]})
+            for result in results]
+
+
+def _warn_if_all_ties(cset: ComparisonSet, config: TrainConfig) -> None:
+    """Report on stderr a training set whose every target is a tie,
+    |score| <= tie_epsilon, which leaves the hinge losses no comparison to
+    order."""
     if (np.abs(cset.score) <= config.tie_epsilon).all():
         print(
             f"equirank: warning: every training target is a tie: "
             f"|score| <= tie_epsilon={config.tie_epsilon!r}",
             file=sys.stderr,
         )
-    diagnostics = {
-        "sgd_steps": config.epochs * -(-len(cset) // config.batch_size),
-        "final_loss": result.loss_trace[-1],
-    }
-    return result, diagnostics
 
 
 def cmd_train(args: argparse.Namespace) -> int:
     cset = _load_comparisons(args.input, args.criterion)
     features = parse_features(args.features)
     config = _train_config(vars(args), contrastive=True, embeddings=args.user_embeddings)
-    result, diagnostics = _train(cset, features, config)
+    [(result, diagnostics)] = _train([cset], features, config)
+    _warn_if_all_ties(cset, config)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     model_path = outdir / "model.json"
@@ -587,14 +596,28 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
             if scaler == "mehestan":
                 diagnostics = _mehestan_diagnostics(affines, fits)
 
-    reports, trained = [], {}
-    for name, (scaler, _, _), config in zip(experiments, cells, train_configs):
-        result, trained[name] = _train(fit_sets[scaler], features, config)
+    # Cells with equal TrainConfigs train in one lockstep run on their fit
+    # sets, as cells sharing a scaler share its one run; each model is the
+    # one its cell would train alone.
+    groups: dict[TrainConfig, list[int]] = {}
+    for index, config in enumerate(train_configs):
+        groups.setdefault(config, []).append(index)
+    trained = [None] * len(cells)
+    for config, members in groups.items():
+        runs = _train([fit_sets[cells[i][0]] for i in members], features, config)
+        for i, run in zip(members, runs):
+            trained[i] = run
+
+    # Each cell's training diagnostics, as `train` writes them, by experiment.
+    reports, diagnostics["experiments"] = [], {}
+    for name, (scaler, _, _), config, (result, cell_diagnostics) in zip(
+        experiments, cells, train_configs, trained
+    ):
+        _warn_if_all_ties(fit_sets[scaler], config)
+        diagnostics["experiments"][name] = cell_diagnostics
         reports.append(
             build_report(predict_all(result.params, test_set, features), config.tie_epsilon)
         )
-    # Each cell's training diagnostics, as `train` writes them, by experiment.
-    diagnostics["experiments"] = trained
 
     # Written only once every cell has trained, so a run-time failure writes nothing.
     outdir = Path(args.out)

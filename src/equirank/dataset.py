@@ -87,9 +87,15 @@ def _canonical(
     vocab: Sequence[str], **columns: np.ndarray
 ) -> tuple[tuple[str, ...], list[np.ndarray]]:
     """Sort the vocabulary, drop entries no code refers to, and recode the
-    code columns, in the order given. Raises ValueError naming a column and
-    its first code outside the vocabulary, or an id that two codes in use name."""
-    codes = [np.asarray(c, dtype=np.intp) for c in columns.values()]
+    code columns, in the order given. Raises ValueError naming a column whose
+    codes are not integers, or a column and its first code outside the
+    vocabulary, or an id that two codes in use name."""
+    codes = []
+    for name, c in columns.items():
+        c = np.asarray(c)
+        if c.size and c.dtype.kind not in "iu":
+            raise ValueError(f"{name} codes must be integers, got {c.dtype}")
+        codes.append(np.asarray(c, dtype=np.intp))
     present = np.zeros(len(vocab), dtype=bool)
     for name, c in zip(columns, codes):
         if c.size and not (c.min() >= 0 and c.max() < len(vocab)):
@@ -476,10 +482,13 @@ def _score_tokens(score: np.ndarray, out: np.ndarray, keep: np.ndarray) -> None:
     high = best // 10**8
     first = high // 10**8
     out[:, :8].view("<u8")[:, 0] = _PREFIX + (first << 48)
-    eights = np.stack((high - first * 10**8, best - high * 10**8), 1)
-    fours = eights // 10**4
-    fours = np.stack((fours, eights - fours * 10**4), 2).reshape(-1, 4)
-    out[:, 8:].view("<u4")[:] = _QUADS.take(fours)
+    # The other 16 digits, four to a uint32 column: each half of eight
+    # split at 10**4, written straight into its columns.
+    quads = out[:, 8:].view("<u4")
+    for col, eight in ((0, high - first * 10**8), (2, best - high * 10**8)):
+        four = eight // 10**4
+        quads[:, col] = _QUADS.take(four)
+        quads[:, col + 1] = _QUADS.take(eight - four * 10**4)
     code = (np.signbit(score) * 20 + point + 3) * 18 + digits
     keep.view(f"V{_REPR_CAP}")[:, 0] = _KEEP.take(code)
     for q in range(2, point.max(initial=0) + 1):

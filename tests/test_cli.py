@@ -1090,6 +1090,57 @@ class TestPipeline:
             assert f'"final_loss": {cells[name]["final_loss"]!r}' in staged
             assert f'"final_loss": {cells[name]["final_loss"]!r}' in text
 
+    def test_cells_sharing_a_config_train_as_if_alone(self, tmp_path, monkeypatch, capsys):
+        # Eight cells in three TrainConfigs: three plain, three contrastive
+        # and two with embeddings, interleaved. Each group is one `train`
+        # call, with the set, features and config as its positional
+        # arguments (the benchmark's tracer unpacks them) and the stacked
+        # targets by keyword. Each cell's report, summary row and
+        # diagnostics are those of a grid of that cell alone, and stderr
+        # holds the Mehestan warnings once, then the tie warning of each cell
+        # whose targets are all ties (the Mehestan cells, at lam 1e300), in
+        # experiment order.
+        import equirank.cli
+
+        cells = ["baseline", "mehestan+contrastive", "minmax", "embeddings", "mehestan",
+                 "minmax+contrastive", "normalization+embeddings", "contrastive"]
+        settings = PIPELINE_CONFIG.split("experiment")[0] + "lam = 1e300\n"
+        grouped_train, calls = equirank.cli.train, []
+
+        def spying(*args, **kwargs):
+            assert len(args) == 3 and set(kwargs) <= {"targets"}
+            calls.append(len(kwargs.get("targets", [None])))
+            return grouped_train(*args, **kwargs)
+
+        def run(name, experiments):
+            config = tmp_path / f"{name}.cfg"
+            config.write_text(settings + "".join(f"experiment = {e}\n" for e in experiments))
+            capsys.readouterr()
+            assert _run(["pipeline", "--config", str(config), "-o", str(tmp_path / name)]) == 0
+            manifest = json.loads((tmp_path / name / "manifest_pipeline.json").read_text())
+            return manifest["diagnostics"]["experiments"], capsys.readouterr().err.splitlines()
+
+        monkeypatch.setattr(equirank.cli, "train", spying)
+        grid, err = run("grid", cells)
+        assert calls == [3, 3, 2]
+        assert list(grid) == cells
+        scale_lines, tie_lines = [], []
+        for k, cell in enumerate(cells):
+            alone, alone_err = run(f"alone{k}", [cell])
+            assert grid[cell] == alone[cell]
+            report = f"report_{cell.replace('+', '_')}.json"
+            assert (tmp_path / "grid" / report).read_bytes() == \
+                (tmp_path / f"alone{k}" / report).read_bytes()
+            summary = (tmp_path / f"alone{k}" / "summary.csv").read_text().splitlines()
+            assert (tmp_path / "grid" / "summary.csv").read_text().splitlines()[k + 1] == summary[1]
+            ties = [line for line in alone_err if "every training target is a tie" in line]
+            tie_lines += ties
+            if "mehestan" in cell and not scale_lines:
+                scale_lines = [line for line in alone_err if line not in ties]
+        assert calls == [3, 3, 2] + [1] * 8
+        assert len(scale_lines) == 3 and len(tie_lines) == 2
+        assert err == scale_lines + tie_lines
+
     def test_each_scaler_runs_once_per_grid(self, tmp_path, monkeypatch):
         import equirank.cli
 

@@ -130,6 +130,21 @@ def test_code_outside_its_vocabulary_is_refused(column, bad, vocabulary):
                       vocab, columns["left"], columns["right"], [0.5] * 4)
 
 
+def test_non_integer_codes_are_refused():
+    """Float codes 1.9, 0.5 and 1.99 would truncate to user 'v' comparing
+    'a' with 'b'; a code column of floats or booleans is refused by name, as
+    `ComparisonSet.take` refuses such rows. An empty column holds no code."""
+    with pytest.raises(ValueError, match="^user codes must be integers, got float64$"):
+        ComparisonSet(["u", "v"], [1.9], ["c"], [0], ["a", "b", "x"], [0.5], [1.99], [0.5])
+    with pytest.raises(ValueError, match="^left codes must be integers, got float64$"):
+        ComparisonSet(["u"], [0], ["c"], [0], ["a", "b"], [0.0], [1], [0.5])
+    with pytest.raises(ValueError, match="^criterion codes must be integers, got bool$"):
+        ComparisonSet(["u"], [0], ["c", "d"], [True], ["a", "b"], [0], [1], [0.5])
+    cset = ComparisonSet(["u"], np.array([0], np.uint8), ["c"], [0], ["a", "b"], [0], [1], [0.5])
+    assert rows_of(cset) == (("u", "c", "a", "b", 0.5),)
+    assert len(ComparisonSet([], [], [], [], [], [], [], [])) == 0
+
+
 def test_scaled_comparisons_with_two_tags_are_refused(tmp_path):
     path = _write(tmp_path, "s.csv", HEADER[:-1] + ",scaler\n"
                   "u1,g,a,b,0.5,minmax\nu1,g,a,c,0.5,none\n")

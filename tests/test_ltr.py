@@ -497,6 +497,139 @@ def test_train_matches_oracle_at_extreme_learning_rates(name, learning_rate, emb
         assert _outcome(train, cset, table, config) == expected
 
 
+# --- lockstep runs: each model of a stack is the one trained alone ------------
+
+def _assert_stack_matches_oracle(cset, table, config, targets):
+    """`train` with `targets` gives, for each column, the bytes of
+    `oracle_train` on the set with that column as its scores; when any of
+    those runs raises, the stack raises the same message."""
+    with np.errstate(all="ignore"):
+        expected = [_outcome(oracle_train, cset.with_scores(t), table, config) for t in targets]
+    failures = {e for e in expected if isinstance(e, str)}
+    try:
+        results = train(cset, table, config, targets=targets)
+    except ValueError as exc:
+        assert failures == {str(exc)}
+        return
+    assert not failures
+    assert len(results) == len(targets)
+    for result, want in zip(results, expected):
+        assert (_bits(result.params.w), result.params.user_ids, _bits(result.params.offsets),
+                _bits(result.loss_trace)) == want
+
+
+def _score_columns(rng, k, n, tie_epsilon):
+    """k score columns of n rows, about a third of them ties at 0 or exactly
+    +-tie_epsilon."""
+    scores = rng.uniform(-1.0, 1.0, size=(k, n))
+    ties = rng.choice([0.0, tie_epsilon, -tie_epsilon], size=(k, n))
+    return np.where(rng.random((k, n)) < 0.3, ties, scores)
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    weights=st.sampled_from(list(_WEIGHTS.values())),
+    tie_epsilon=st.sampled_from([0.0, 0.05, 0.2]),
+    k=st.integers(1, 4),
+    n_rows=st.integers(1, 20),
+    n_users=st.integers(1, 4),
+    dim=st.integers(1, 4),
+    embeddings=st.booleans(),
+    embedding_l2=st.sampled_from([0.0, 1e-4, 0.05]),
+    batch_size=st.integers(1, 25),
+    epochs=st.integers(0, 3),
+    learning_rate=st.sampled_from([0.01, 0.1, 10.0, 1e150]),
+    seed=st.integers(0, 2**16),
+)
+def test_stacked_train_matches_oracle(weights, tie_epsilon, k, n_rows, n_users, dim,
+                                      embeddings, embedding_l2, batch_size, epochs,
+                                      learning_rate, seed):
+    """k = 1 to 4 models in one run, each loss alone and all four, with and
+    without embeddings, batches of 1 up to more than the rows (a short last
+    batch whenever the size does not divide them), and learning rates that
+    overflow the weights."""
+    rng = np.random.default_rng(seed)
+    targets = _score_columns(rng, k, n_rows, tie_epsilon)
+    cset, table = _oracle_case(rng, targets[0].tolist(), n_users, dim=dim)
+    config = TrainConfig(
+        loss_weights=weights, tie_epsilon=tie_epsilon, learning_rate=learning_rate,
+        epochs=epochs, batch_size=batch_size, seed=seed,
+        use_user_embeddings=embeddings, embedding_l2=embedding_l2,
+    )
+    _assert_stack_matches_oracle(cset, table, config, list(targets))
+
+
+@pytest.mark.parametrize("weights, embeddings, k", [
+    (LossWeights(mse=1.0), False, 4),
+    (LossWeights(mse=1.0, contrastive=1.0), False, 4),
+    (LossWeights(mse=1.0), True, 2),
+    (LossWeights(mse=1.0, contrastive=1.0), True, 2),
+    (_WEIGHTS["ranking"], True, 3),
+    (_WEIGHTS["bce"], False, 3),
+    (_WEIGHTS["mixed"], True, 3),
+], ids=["mse-4", "contrastive-4", "embeddings-2", "embeddings-contrastive-2",
+        "ranking-embeddings-3", "bce-3", "all-four-embeddings-3"])
+def test_stacked_train_matches_oracle_at_benchmark_shape(weights, embeddings, k):
+    """The grid's groups at 2,000 rows of 20 users in batches of 32 for 3
+    epochs, the last batch of each epoch 16 rows: four MSE cells, four
+    contrastive ones, the two embeddings cells; and the ranking and BCE
+    terms, which no grid cell trains."""
+    rng = np.random.default_rng(57)
+    targets = _score_columns(rng, k, 2000, 0.05)
+    cset, table = _oracle_case(rng, targets[0].tolist(), 20, dim=4, n_items=60)
+    config = TrainConfig(
+        loss_weights=weights, tie_epsilon=0.05, epochs=3, batch_size=32, seed=5,
+        use_user_embeddings=embeddings, embedding_l2=1e-4 if embeddings else 0.0,
+    )
+    _assert_stack_matches_oracle(cset, table, config, list(targets))
+
+
+@pytest.mark.parametrize("embeddings", [False, True], ids=["plain", "embeddings"])
+def test_stacked_train_matches_oracle_across_chunk_ends(embeddings):
+    """Three models over more rows than two chunks, in batches of 7, which
+    divide neither the rows nor `_CHUNK_ROWS`, with all four losses."""
+    n_rows = 2 * _CHUNK_ROWS + 404
+    rng = np.random.default_rng(58)
+    targets = _score_columns(rng, 3, n_rows, 0.05)
+    cset, table = _oracle_case(rng, targets[0].tolist(), 5, dim=3, n_items=40)
+    config = TrainConfig(loss_weights=_WEIGHTS["mixed"], tie_epsilon=0.05, epochs=2,
+                         batch_size=7, seed=8, use_user_embeddings=embeddings,
+                         embedding_l2=1e-4)
+    _assert_stack_matches_oracle(cset, table, config, list(targets))
+
+
+@pytest.mark.parametrize("embeddings", [False, True], ids=["plain", "embeddings"])
+def test_stack_raises_when_one_model_diverges(embeddings):
+    """At learning rate 1e150 the model of all-zero MSE targets never leaves
+    zero, and that of the other column overflows: the run raises the error
+    that model's run alone raises, in either order of the columns."""
+    rng = np.random.default_rng(59)
+    scores = rng.uniform(-1.0, 1.0, 30)
+    cset, table = _oracle_case(rng, scores.tolist(), 3)
+    config = TrainConfig(learning_rate=1e150, epochs=3, batch_size=4, seed=3,
+                         use_user_embeddings=embeddings, embedding_l2=0.01)
+    zeros = np.zeros(30)
+    assert _outcome(train, cset.with_scores(zeros), table, config)[0] == _bits(np.zeros(3))
+    for targets in ([zeros, scores], [scores, zeros]):
+        with pytest.raises(ValueError, match="^training loss became non-finite; try a smaller"):
+            train(cset, table, config, targets=targets)
+        _assert_stack_matches_oracle(cset, table, config, targets)
+
+
+@pytest.mark.parametrize("targets, message", [
+    ([], "targets must be one or more score columns of 4 rows"),
+    ([[0.5, 0.1, 0.2]], "targets must be one or more score columns of 4 rows"),
+    ([0.5, 0.1, 0.2, 0.3], "targets must be one or more score columns of 4 rows"),
+    ([[0.5, 0.1, 0.2, 1.5]], r"targets must be finite scores in \[-1, 1\]"),
+    ([[0.5, 0.1, 0.2, 0.3], [0.5, float("nan"), 0.2, 0.3]],
+     r"targets must be finite scores in \[-1, 1\]"),
+])
+def test_malformed_targets_are_refused(targets, message):
+    cset, table = _oracle_case(np.random.default_rng(60), [0.5, 0.1, 0.2, 0.3], 2)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        train(cset, table, TrainConfig(epochs=1), targets=targets)
+
+
 @pytest.mark.parametrize("weights, embeddings, parent_peak", [
     (LossWeights(mse=1.0), False, 5_302_426),
     (LossWeights(mse=1.0, contrastive=1.0), True, 5_309_900),
