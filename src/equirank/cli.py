@@ -312,15 +312,11 @@ def cmd_scale(args: argparse.Namespace) -> int:
     return 0
 
 
+# The `train` flags: the four loss weights, then TrainConfig fields.
 _TRAIN_KEYS = (
-    "ranking_margin",
-    "contrastive_margin",
-    "tie_epsilon",
-    "learning_rate",
-    "epochs",
-    "batch_size",
-    "seed",
-    "embedding_l2",
+    "mse_weight", "ranking_weight", "bce_weight", "contrastive_weight",
+    "ranking_margin", "contrastive_margin", "tie_epsilon", "learning_rate",
+    "epochs", "batch_size", "seed", "embedding_l2",
 )
 
 
@@ -330,16 +326,12 @@ def _train_config(
     """TrainConfig from the `train` flags (`vars(args)`) or the pipeline
     config, which share key names; the contrastive term and the user
     embeddings are switched on per call."""
-    return TrainConfig(
-        loss_weights=LossWeights(
-            mse=values["mse_weight"],
-            ranking=values["ranking_weight"],
-            bce=values["bce_weight"],
-            contrastive=values["contrastive_weight"] if contrastive else 0.0,
-        ),
-        use_user_embeddings=embeddings,
-        **{key: values[key] for key in _TRAIN_KEYS},
-    )
+    settings = {key: values[key] for key in _TRAIN_KEYS}
+    weights = {loss: settings.pop(f"{loss}_weight")
+               for loss in ("mse", "ranking", "bce", "contrastive")}
+    if not contrastive:
+        weights["contrastive"] = 0.0
+    return TrainConfig(LossWeights(**weights), use_user_embeddings=embeddings, **settings)
 
 
 def write_loss_trace(trace: list[float], path: str | Path) -> None:
@@ -352,14 +344,11 @@ def _train(
     sets: list[ComparisonSet], features: FeatureTable, config: TrainConfig
 ) -> list[tuple[TrainResult, dict]]:
     """`train` on each of `sets`, which hold the rows of one set (a scaler's
-    output keeps them) under their own scores, in one lockstep run when there
-    are two or more. Each model comes with its manifest diagnostics:
-    `sgd_steps` (one step per batch of each epoch) and `final_loss`, the
-    trace's last value."""
-    if len(sets) == 1:
-        results = [train(sets[0], features, config)]
-    else:
-        results = train(sets[0], features, config, targets=[s.score for s in sets])
+    output keeps them) under their own scores, in one run: a lockstep one
+    when there are two or more. Each model comes with its manifest
+    diagnostics: `sgd_steps` (one step per batch of each epoch) and
+    `final_loss`, the trace's last value."""
+    results = train(sets[0], features, config, targets=[s.score for s in sets])
     steps = config.epochs * -(-len(sets[0]) // config.batch_size)
     return [(result, {"sgd_steps": steps, "final_loss": result.loss_trace[-1]})
             for result in results]
@@ -389,15 +378,8 @@ def cmd_train(args: argparse.Namespace) -> int:
     trace_path = outdir / "loss_trace.csv"
     save_model(result.params, model_path)
     write_loss_trace(result.loss_trace, trace_path)
-    _write_manifest(
-        outdir,
-        "train",
-        vars(args),
-        args.seed,
-        [args.input, args.features],
-        [model_path, trace_path],
-        diagnostics,
-    )
+    _write_manifest(outdir, "train", vars(args), args.seed, [args.input, args.features],
+                    [model_path, trace_path], diagnostics)
     print(f"trained on {len(cset)} comparisons; model at {model_path}")
     return 0
 
@@ -422,14 +404,8 @@ def cmd_audit(args: argparse.Namespace) -> int:
     lorenz_path = outdir / "lorenz.csv"
     write_report(report, report_path)
     write_lorenz(report, lorenz_path)
-    _write_manifest(
-        outdir,
-        "audit",
-        vars(args),
-        0,
-        [args.model, args.test, args.features],
-        [report_path, lorenz_path],
-    )
+    _write_manifest(outdir, "audit", vars(args), 0, [args.model, args.test, args.features],
+                    [report_path, lorenz_path])
     print(
         f"audited {len(cset)} comparisons: accuracy {report.overall_accuracy:.4f}, "
         f"acc std {report.acc_std:.4f}, gini {report.gini_accuracy:.4f}"
@@ -445,8 +421,12 @@ def _truth(text: str) -> bool:
     return text.lower() == "true"
 
 
-# Each pipeline config key: (parser, default). The keys that share a flag's
-# name share its parser, so they are checked as the flag is.
+# Each pipeline config key: (parser, default). `build_parser` makes each
+# shared setting's flag (`--per-user` for `per_user`) from this table, so a
+# key and its flag are parsed and checked alike; it spells out only the flag
+# defaults that differ. The flags it writes by hand differ in kind or name:
+# switches, choices, `--tol`/`--max-iter` (keys `gbt_tol`, `gbt_max_iter`),
+# the `--criterion` filter of `scale`/`train`/`audit` (default None), paths.
 _PIPELINE_KEYS: dict[str, tuple[Callable[[str], object], object]] = {
     "seed": (int, 42),
     "users": (_positive_int, 8),
@@ -642,6 +622,25 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
     return 0
 
 
+_FLAG_HELP = {
+    "per_user": "comparisons drawn per user", "group_sizes": "comma-separated block sizes",
+    "archetypes": "counts like neutral=4,conservative=2 (default all neutral)",
+}
+
+
+def _add_flags(parser: argparse.ArgumentParser, keys: tuple[str, ...], required: bool = False,
+               **defaults: object) -> None:
+    """The flag of each pipeline key in `keys` (`--per-user` for `per_user`),
+    with the key's parser, and its default unless `defaults` gives the flag
+    its own; `required` flags have none."""
+    for key in keys:
+        parse, default = _PIPELINE_KEYS[key]
+        parser.add_argument(
+            "--" + key.replace("_", "-"), type=parse, required=required,
+            default=None if required else defaults.get(key, default), help=_FLAG_HELP.get(key),
+        )
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="equirank",
@@ -651,22 +650,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     p = sub.add_parser("simulate", help="generate a synthetic voter population")
-    p.add_argument("--users", type=_positive_int, required=True)
-    p.add_argument("--items", type=_positive_int, required=True)
-    p.add_argument("--dim", type=_positive_int, required=True)
-    p.add_argument("--per-user", type=_positive_int, required=True,
-                   help="comparisons drawn per user")
-    p.add_argument("--noise", type=float, default=0.1)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--criterion", default="overall")
-    p.add_argument("--archetypes", type=_archetype_mix, default=None,
-                   help="counts like neutral=4,conservative=2 (default all neutral)")
-    p.add_argument("--groups", type=_positive_int, default=1)
+    _add_flags(p, ("users", "items", "dim", "per_user"), required=True)
+    _add_flags(p, ("noise", "seed", "criterion", "archetypes", "groups", "group_sizes",
+                   "weight_scale", "user_jitter"), seed=0)
     p.add_argument("--opposed-groups", action="store_true")
-    p.add_argument("--group-sizes", type=_group_sizes, default=None,
-                   help="comma-separated block sizes")
-    p.add_argument("--weight-scale", type=float, default=0.5)
-    p.add_argument("--user-jitter", type=float, default=0.1)
     p.add_argument("--malicious-mode", choices=["signflip", "random"], default="signflip")
     p.add_argument("-o", "--out", required=True)
     p.set_defaults(func=cmd_simulate)
@@ -675,10 +662,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True)
     p.add_argument("--scaler", choices=list(SCALER_TAGS), required=True)
     p.add_argument("--criterion", default=None)
-    p.add_argument("--lam", type=float, default=0.1)
+    _add_flags(p, ("lam", "resilience_weight"))
     p.add_argument("--tol", type=float, default=1e-8)
     p.add_argument("--max-iter", type=_positive_int, default=10000)
-    p.add_argument("--resilience-weight", type=float, default=1.0)
     p.add_argument("-o", "--out", required=True)
     p.set_defaults(func=cmd_scale)
 
@@ -686,19 +672,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True)
     p.add_argument("--features", required=True)
     p.add_argument("--criterion", default=None)
-    p.add_argument("--mse-weight", type=float, default=1.0)
-    p.add_argument("--ranking-weight", type=float, default=0.0)
-    p.add_argument("--bce-weight", type=float, default=0.0)
-    p.add_argument("--contrastive-weight", type=float, default=0.0)
-    p.add_argument("--ranking-margin", type=float, default=0.1)
-    p.add_argument("--contrastive-margin", type=float, default=0.3)
-    p.add_argument("--tie-epsilon", type=float, default=0.05)
-    p.add_argument("--learning-rate", type=float, default=0.05)
-    p.add_argument("--epochs", type=int, default=50)
-    p.add_argument("--batch-size", type=_positive_int, default=32)
-    p.add_argument("--seed", type=int, default=0)
+    _add_flags(p, _TRAIN_KEYS, epochs=50, seed=0, contrastive_weight=0.0, embedding_l2=0.0)
     p.add_argument("--user-embeddings", action="store_true")
-    p.add_argument("--embedding-l2", type=float, default=0.0)
     p.add_argument("-o", "--out", required=True)
     p.set_defaults(func=cmd_train)
 
@@ -707,7 +682,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--test", required=True)
     p.add_argument("--features", required=True)
     p.add_argument("--criterion", default=None)
-    p.add_argument("--tie-epsilon", type=float, default=0.05)
+    _add_flags(p, ("tie_epsilon",))
     p.add_argument("-o", "--out", required=True)
     p.set_defaults(func=cmd_audit)
 

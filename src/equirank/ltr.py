@@ -285,17 +285,18 @@ def train(
     epoch-end full-set loss trace (index 0 is the pre-training loss).
 
     With `targets`, k score columns as long as the set, it trains k models
-    in one lockstep run, model c on the set's rows with `targets[c]` as
-    their scores, and returns the k results in order; targets that are not
-    one or more such columns, or hold a score outside [-1, 1], raise
-    ValueError. The models share the difference rows, the permutation of
-    each epoch and so every batch, and each is bit for bit the model and
-    trace of a run on `train_set.with_scores(targets[c])`. `_sgd_step`
-    gives the stacked forms that keep its bits; at epoch end,
-    `np.matmul(w, diff.T)` gave the bits of each model's `diff.dot(w)` on
-    60 random sets of up to 160,000 rows, and `np.add.reduce(x, axis=-1)`
-    over the C-contiguous (k, 1, rows) loss those of each model's 1-D
-    reduce. The one-model run is the k = 1 case without the stack axes.
+    in one run, model c on the set's rows with `targets[c]` as their scores,
+    and returns the k results in order; targets that are not one or more
+    such columns, or hold a score outside [-1, 1], raise ValueError. The
+    models share the difference rows, the permutation of each epoch and so
+    every batch, and each is bit for bit the model and trace of a run on
+    `train_set.with_scores(targets[c])`. Two or more columns run on the
+    stacked forms of `_sgd_step`, which keep its bits; one column, or none,
+    runs the one-model step on that column itself, not a copy. At epoch
+    end, `np.matmul(w, diff.T)` gave the bits of each model's `diff.dot(w)`,
+    1-D `w` or stacked, on 60 random sets of up to 160,000 rows, and
+    `np.add.reduce(x, axis=-1)` over the C-contiguous (k, 1, rows) loss
+    those of each model's 1-D reduce.
 
     `w` and, with embeddings, the (users x dim) offsets are one flat
     vector, the k models' weights and then their offsets, and the step
@@ -330,20 +331,18 @@ def train(
     n = len(train_set)
     if n == 0:
         raise ValueError("cannot train on an empty comparison set")
-    stacked = targets is not None
-    if stacked:
-        r = np.array(targets, dtype=np.float64)
-        if r.ndim != 2 or r.shape[0] == 0 or r.shape[1] != n:
-            raise ValueError(f"targets must be one or more score columns of {n} rows")
-        if not (np.abs(r) <= 1.0).all():
-            raise ValueError("targets must be finite scores in [-1, 1]")
-        k = r.shape[0]
-        r = r.reshape(k, 1, n)
-    else:
-        r, k = train_set.score, 1
+    scores = ([train_set.score] if targets is None
+              else [np.asarray(column, dtype=np.float64) for column in targets])
+    if not scores or any(column.shape != (n,) for column in scores):
+        raise ValueError(f"targets must be one or more score columns of {n} rows")
+    if not all(-1.0 <= column.min() and column.max() <= 1.0 for column in scores):
+        raise ValueError("targets must be finite scores in [-1, 1]")
+    k = len(scores)
+    stacked = k > 1
     # The stack axes of each model's values: (k, 1), so that a model's
     # weights are a (1, dim) row of the products; none for one model.
     lead = (k, 1) if stacked else ()
+    r = np.stack(scores).reshape(*lead, n) if stacked else scores[0]
     x = features.matrix(train_set.item_ids)
     users = train_set.user
     dim = features.dim
@@ -361,7 +360,7 @@ def train(
     rows = _Rows.of(r, config)
 
     def full_loss() -> list[float]:
-        d = np.matmul(w, diff.T) if stacked else diff.dot(w)
+        d = np.matmul(w, diff.T)
         if n_users:
             for block in blocks:
                 d[..., block] += np.einsum("ij,...ij->...i", diff[block],
@@ -406,7 +405,7 @@ def train(
     w, table = w.reshape(k, dim), table.reshape(k, n_users, dim)
     results = [TrainResult(ModelParams(w[c], user_ids, table[c]), list(losses))
                for c, losses in enumerate(zip(*trace))]
-    return results if stacked else results[0]
+    return results if targets is not None else results[0]
 
 
 class PredictionOverflow(ValueError):

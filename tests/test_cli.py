@@ -1,5 +1,7 @@
 """CLI subcommands: file contracts, exit codes, determinism, manifests."""
 
+import argparse
+import itertools
 import json
 import os
 import stat
@@ -13,6 +15,7 @@ import pytest
 import equirank
 from equirank.cli import (
     _PIPELINE_DEFAULTS,
+    _PIPELINE_KEYS,
     _sim_config,
     _train_config,
     build_parser,
@@ -764,50 +767,78 @@ experiment = embeddings
 """
 
 
-@pytest.mark.parametrize("argv, message", [
-    (["train", "--bce-weight", "nan"], "loss weight bce must be >= 0, got nan"),
-    (["train", "--user-embeddings", "--embedding-l2", "nan"], "embedding_l2 must be >= 0, got nan"),
-    (["train", "--tie-epsilon", "nan"], "tie_epsilon must be in [0, 1), got nan"),
-    (["simulate", "--user-jitter", "nan"], "user_jitter must be >= 0, got nan"),
-    (["simulate", "--noise", "nan"], "noise_std must be >= 0, got nan"),
-    (["audit", "--tie-epsilon", "nan"], "tie_epsilon must be in [0, 1), got nan"),
-    (["train", "--bce-weight", "inf"], "loss weight bce must be >= 0, got inf"),
-    (["train", "--user-embeddings", "--embedding-l2", "inf"], "embedding_l2 must be >= 0, got inf"),
-    (["train", "--tie-epsilon", "inf"], "tie_epsilon must be in [0, 1), got inf"),
-    (["train", "--learning-rate", "inf"], "learning_rate must be positive, got inf"),
-    (["train", "--ranking-margin", "inf"], "ranking_margin must be positive, got inf"),
-    (["simulate", "--user-jitter", "inf"], "user_jitter must be >= 0, got inf"),
-    (["simulate", "--noise", "inf"], "noise_std must be >= 0, got inf"),
-    (["simulate", "--noise=-inf"], "noise_std must be >= 0, got -inf"),
-    (["simulate", "--weight-scale", "inf"], "weight_scale must be positive, got inf"),
-    (["audit", "--tie-epsilon", "inf"], "tie_epsilon must be in [0, 1), got inf"),
-    (["train", "--tie-epsilon", "1"], "tie_epsilon must be in [0, 1), got 1.0"),
-    (["train", "--tie-epsilon", "5"], "tie_epsilon must be in [0, 1), got 5.0"),
-    (["audit", "--tie-epsilon", "1"], "tie_epsilon must be in [0, 1), got 1.0"),
-    (["audit", "--tie-epsilon", "5"], "tie_epsilon must be in [0, 1), got 5.0"),
-], ids=["bce-weight", "embedding-l2", "train-tie-epsilon", "user-jitter", "noise",
-        "audit-tie-epsilon", "bce-weight-inf", "embedding-l2-inf", "train-tie-epsilon-inf",
-        "learning-rate-inf", "ranking-margin-inf", "user-jitter-inf", "noise-inf",
-        "noise-minus-inf", "weight-scale-inf", "audit-tie-epsilon-inf", "train-tie-epsilon-1",
-        "train-tie-epsilon-5", "audit-tie-epsilon-1", "audit-tie-epsilon-5"])
-def test_nan_value_fails_before_anything_is_written(tmp_path, capsys, argv, message):
+def _subcommands():
+    """Each subcommand's parser, by name."""
+    return next(action for action in build_parser()._actions
+                if isinstance(action, argparse._SubParsersAction)).choices
+
+
+_CHECKED_COMMANDS = ("simulate", "scale", "train", "audit")
+_VALUE_IDS = {"nan": "", "inf": "-inf", "-inf": "-minus-inf"}
+
+
+def _non_finite_cases():
+    """(command, setting, value) for NaN and each infinity in every float
+    flag of `simulate`, `scale`, `train` and `audit` and in every float
+    pipeline key (command `pipeline`, setting the key), and for a tie band
+    of 1 or more. A flag's id is its name, after its command's when two
+    commands take it; a key's is its name after `pipeline`."""
+    flags = [(command, action.dest) for command, parser in _subcommands().items()
+             if command in _CHECKED_COMMANDS for action in parser._actions
+             if action.type is float]
+    keys = [("pipeline", key) for key, (parse, _) in _PIPELINE_KEYS.items() if parse is float]
+    cases = []
+    for command, setting in flags + keys:
+        shared = command == "pipeline" or [dest for _, dest in flags].count(setting) > 1
+        name = (f"{command}-" if shared else "") + setting.replace("_", "-")
+        cases += [pytest.param(command, setting, value, id=name + suffix)
+                  for value, suffix in _VALUE_IDS.items()]
+    cases += [pytest.param(command, "tie_epsilon", value, id=f"{command}-tie-epsilon-{value}")
+              for command in ("train", "audit") for value in ("1", "5")]
+    return cases
+
+
+@pytest.fixture(scope="module")
+def command_inputs(tmp_path_factory):
+    """The input flags of each checked command, on one simulated set."""
+    root = tmp_path_factory.mktemp("inputs")
+    sim = _simulate(root)
+    model = root / "model.json"
+    save_model(ModelParams(np.zeros(3), (), np.zeros((0, 3))), model)
+    comparisons, features = str(sim / "comparisons.csv"), str(sim / "features.csv")
+    return {
+        "simulate": ["--users", "4", "--items", "12", "--dim", "3", "--per-user", "40"],
+        "scale": ["--input", comparisons, "--scaler", "minmax"],
+        "train": ["--input", comparisons, "--features", features],
+        "audit": ["--model", str(model), "--test", comparisons, "--features", features],
+    }
+
+
+@pytest.mark.parametrize("command, setting, value", _non_finite_cases())
+def test_nan_value_fails_before_anything_is_written(tmp_path, capsys, command_inputs, command,
+                                                    setting, value):
     # NaN passes every `x < 0` check and fails every `x > 0` gate, so a NaN
     # let through would switch its term off without an error. An infinity
     # passes both, and would make every target a tie or every score NaN, so
-    # each range check also refuses it.
-    sim = _simulate(tmp_path)
-    model = tmp_path / "model.json"
-    save_model(ModelParams(np.zeros(3), (), np.zeros((0, 3))), model)
-    comparisons, features = str(sim / "comparisons.csv"), str(sim / "features.csv")
-    inputs = {
-        "simulate": ["--users", "4", "--items", "12", "--dim", "3", "--per-user", "40"],
-        "train": ["--input", comparisons, "--features", features],
-        "audit": ["--model", str(model), "--test", comparisons, "--features", features],
-    }[argv[0]]
-    capsys.readouterr()
+    # each range check also refuses it. The message names the setting as
+    # its check does (`tol` for `gbt_tol`, `loss weight bce` for
+    # `bce_weight`, `noise_std` for `noise`) and the value.
     out = tmp_path / "out"
-    assert _run([argv[0], *inputs, *argv[1:], "-o", str(out)]) == 1
-    assert capsys.readouterr().err == f"equirank: {message}\n"
+    if command == "pipeline":
+        config = tmp_path / "grid.cfg"
+        config.write_text(PIPELINE_CONFIG.split("experiment")[0] + f"{setting} = {value}\n"
+                          "experiment = mehestan+contrastive+embeddings\n")
+        argv = ["pipeline", "--config", str(config)]
+    else:
+        flag = "--" + setting.replace("_", "-")
+        argv = [command, *command_inputs[command], f"{flag}={value}"]
+    capsys.readouterr()
+    assert _run([*argv, "-o", str(out)]) == 1
+    err = capsys.readouterr().err
+    names = (setting.removeprefix("gbt_"), "loss weight " + setting.removesuffix("_weight"))
+    assert any(name in err for name in names), err
+    assert err.startswith("equirank: ") and err.endswith(f", got {float(value)}\n"), err
+    assert err.count("\n") == 1
     assert not out.exists()
 
 
@@ -1094,9 +1125,10 @@ class TestPipeline:
         # Eight cells in three TrainConfigs: three plain, three contrastive
         # and two with embeddings, interleaved. Each group is one `train`
         # call, with the set, features and config as its positional
-        # arguments (the benchmark's tracer unpacks them) and the stacked
-        # targets by keyword. Each cell's report, summary row and
-        # diagnostics are those of a grid of that cell alone, and stderr
+        # arguments (the benchmark's tracer unpacks them) and its cells'
+        # targets by keyword, one column for a cell alone. Each cell's
+        # report, summary row and diagnostics are those of a grid of that
+        # cell alone, and stderr
         # holds the Mehestan warnings once, then the tie warning of each cell
         # whose targets are all ties (the Mehestan cells, at lam 1e300), in
         # experiment order.
@@ -1108,8 +1140,8 @@ class TestPipeline:
         grouped_train, calls = equirank.cli.train, []
 
         def spying(*args, **kwargs):
-            assert len(args) == 3 and set(kwargs) <= {"targets"}
-            calls.append(len(kwargs.get("targets", [None])))
+            assert len(args) == 3 and set(kwargs) == {"targets"}
+            calls.append(len(kwargs["targets"]))
             return grouped_train(*args, **kwargs)
 
         def run(name, experiments):
@@ -1169,6 +1201,130 @@ def test_help_available_for_every_subcommand(capsys):
             _run([sub, "--help"])
         assert excinfo.value.code == 0
         assert "--" in capsys.readouterr().out
+
+
+# Every argparse action of each subcommand, as the parser declared them one
+# by one before the shared flags were built from `_PIPELINE_KEYS`:
+# per subcommand, (option strings, dest, default, required, choices, action
+# class, the value its type gives "-3", or the name of the error it raises).
+_PINNED_ACTIONS = {
+    "simulate": [
+        (("-h", "--help"), "help", "==SUPPRESS==", False, None, "_HelpAction", "-3"),
+        (("--users",), "users", None, True, None, "_StoreAction", "ArgumentTypeError"),
+        (("--items",), "items", None, True, None, "_StoreAction", "ArgumentTypeError"),
+        (("--dim",), "dim", None, True, None, "_StoreAction", "ArgumentTypeError"),
+        (("--per-user",), "per_user", None, True, None, "_StoreAction", "ArgumentTypeError"),
+        (("--noise",), "noise", 0.1, False, None, "_StoreAction", -3.0),
+        (("--seed",), "seed", 0, False, None, "_StoreAction", -3),
+        (("--criterion",), "criterion", "overall", False, None, "_StoreAction", "-3"),
+        (("--archetypes",), "archetypes", None, False, None, "_StoreAction", "ArgumentTypeError"),
+        (("--groups",), "groups", 1, False, None, "_StoreAction", "ArgumentTypeError"),
+        (("--opposed-groups",), "opposed_groups", False, False, None, "_StoreTrueAction", "-3"),
+        (("--group-sizes",), "group_sizes", None, False, None, "_StoreAction", (-3,)),
+        (("--weight-scale",), "weight_scale", 0.5, False, None, "_StoreAction", -3.0),
+        (("--user-jitter",), "user_jitter", 0.1, False, None, "_StoreAction", -3.0),
+        (("--malicious-mode",), "malicious_mode", "signflip", False,
+         ["signflip", "random"], "_StoreAction", "-3"),
+        (("-o", "--out"), "out", None, True, None, "_StoreAction", "-3"),
+    ],
+    "scale": [
+        (("-h", "--help"), "help", "==SUPPRESS==", False, None, "_HelpAction", "-3"),
+        (("--input",), "input", None, True, None, "_StoreAction", "-3"),
+        (("--scaler",), "scaler", None, True,
+         ["minmax", "normalization", "mehestan", "none"], "_StoreAction", "-3"),
+        (("--criterion",), "criterion", None, False, None, "_StoreAction", "-3"),
+        (("--lam",), "lam", 0.1, False, None, "_StoreAction", -3.0),
+        (("--tol",), "tol", 1e-08, False, None, "_StoreAction", -3.0),
+        (("--max-iter",), "max_iter", 10000, False, None, "_StoreAction", "ArgumentTypeError"),
+        (("--resilience-weight",), "resilience_weight", 1.0, False, None, "_StoreAction", -3.0),
+        (("-o", "--out"), "out", None, True, None, "_StoreAction", "-3"),
+    ],
+    "train": [
+        (("-h", "--help"), "help", "==SUPPRESS==", False, None, "_HelpAction", "-3"),
+        (("--input",), "input", None, True, None, "_StoreAction", "-3"),
+        (("--features",), "features", None, True, None, "_StoreAction", "-3"),
+        (("--criterion",), "criterion", None, False, None, "_StoreAction", "-3"),
+        (("--mse-weight",), "mse_weight", 1.0, False, None, "_StoreAction", -3.0),
+        (("--ranking-weight",), "ranking_weight", 0.0, False, None, "_StoreAction", -3.0),
+        (("--bce-weight",), "bce_weight", 0.0, False, None, "_StoreAction", -3.0),
+        (("--contrastive-weight",), "contrastive_weight", 0.0, False, None, "_StoreAction", -3.0),
+        (("--ranking-margin",), "ranking_margin", 0.1, False, None, "_StoreAction", -3.0),
+        (("--contrastive-margin",), "contrastive_margin", 0.3, False, None, "_StoreAction", -3.0),
+        (("--tie-epsilon",), "tie_epsilon", 0.05, False, None, "_StoreAction", -3.0),
+        (("--learning-rate",), "learning_rate", 0.05, False, None, "_StoreAction", -3.0),
+        (("--epochs",), "epochs", 50, False, None, "_StoreAction", -3),
+        (("--batch-size",), "batch_size", 32, False, None, "_StoreAction", "ArgumentTypeError"),
+        (("--seed",), "seed", 0, False, None, "_StoreAction", -3),
+        (("--user-embeddings",), "user_embeddings", False, False, None, "_StoreTrueAction", "-3"),
+        (("--embedding-l2",), "embedding_l2", 0.0, False, None, "_StoreAction", -3.0),
+        (("-o", "--out"), "out", None, True, None, "_StoreAction", "-3"),
+    ],
+    "audit": [
+        (("-h", "--help"), "help", "==SUPPRESS==", False, None, "_HelpAction", "-3"),
+        (("--model",), "model", None, True, None, "_StoreAction", "-3"),
+        (("--test",), "test", None, True, None, "_StoreAction", "-3"),
+        (("--features",), "features", None, True, None, "_StoreAction", "-3"),
+        (("--criterion",), "criterion", None, False, None, "_StoreAction", "-3"),
+        (("--tie-epsilon",), "tie_epsilon", 0.05, False, None, "_StoreAction", -3.0),
+        (("-o", "--out"), "out", None, True, None, "_StoreAction", "-3"),
+    ],
+    "pipeline": [
+        (("-h", "--help"), "help", "==SUPPRESS==", False, None, "_HelpAction", "-3"),
+        (("--config",), "config", None, True, None, "_StoreAction", "-3"),
+        (("-o", "--out"), "out", None, True, None, "_StoreAction", "-3"),
+    ],
+}
+
+
+def _pinned(action):
+    try:
+        value = "-3" if action.type is None else action.type("-3")
+    except (ValueError, argparse.ArgumentTypeError) as exc:
+        value = type(exc).__name__
+    return (tuple(action.option_strings), action.dest, action.default, action.required,
+            action.choices, type(action).__name__, value)
+
+
+def test_every_flag_keeps_its_name_type_and_default():
+    # Compared as reprs, so that 0 is not 0.0, in any order: the order of
+    # the flags shows only in `--help`.
+    actions = {command: sorted(repr(_pinned(action)) for action in parser._actions)
+               for command, parser in _subcommands().items()}
+    pinned = {command: sorted(map(repr, rows)) for command, rows in _PINNED_ACTIONS.items()}
+    assert actions == pinned
+    assert sum(map(len, actions.values())) == 53
+
+
+def _shared_settings():
+    """(key, flag, flag default, pipeline default) of each pipeline key and
+    each flag of `simulate`, `scale`, `train` or `audit` that sets it: a
+    flag named like the key, or `--tol` and `--max-iter` for `gbt_tol` and
+    `gbt_max_iter`, but not the `--criterion` row filter. A key no flag sets
+    has one row with no flag."""
+    flag_keys = {"tol": "gbt_tol", "max_iter": "gbt_max_iter"}
+    rows = []
+    for command, parser in _subcommands().items():
+        for action in parser._actions:
+            key = flag_keys.get(action.dest, action.dest)
+            if command in _CHECKED_COMMANDS and key in _PIPELINE_KEYS and (
+                key != "criterion" or command == "simulate"
+            ):
+                default = "required" if action.required else repr(action.default)
+                rows.append((key, f"{command} {action.option_strings[-1]}", default,
+                             repr(_PIPELINE_DEFAULTS[key])))
+    rows += [(key, "—", "—", repr(default)) for key, default in _PIPELINE_DEFAULTS.items()
+             if key not in {row[0] for row in rows}]
+    return rows
+
+
+def test_readme_table_of_shared_settings_matches_the_parser():
+    lines = (Path(__file__).parent.parent / "README.md").read_text().splitlines()
+    start = lines.index("| key | flag | flag default | pipeline default |") + 2
+    table = []
+    for line in itertools.takewhile(lambda line: line.startswith("|"), lines[start:]):
+        table.append(tuple(cell.strip().strip("`") for cell in line.strip("|").split("|")))
+    assert sorted(table) == sorted(_shared_settings())
+    assert {row[0] for row in table} == set(_PIPELINE_KEYS)
 
 
 def test_version_flag():

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from equirank import ltr
 from equirank.dataset import FeatureTable
 from equirank.simgen import SimConfig, generate
 from equirank.ltr import (
@@ -628,6 +629,35 @@ def test_malformed_targets_are_refused(targets, message):
     cset, table = _oracle_case(np.random.default_rng(60), [0.5, 0.1, 0.2, 0.3], 2)
     with pytest.raises(ValueError, match=f"^{message}$"):
         train(cset, table, TrainConfig(epochs=1), targets=targets)
+
+
+@pytest.mark.parametrize("embeddings", [False, True], ids=["plain", "embeddings"])
+def test_column_count_alone_picks_the_stacked_forms(monkeypatch, embeddings):
+    """One target column builds the one-model step, reads that column itself
+    rather than a copy, and gives the bits of a run without `targets`; two
+    columns build the stacked step."""
+    rng = np.random.default_rng(61)
+    cset, table = _oracle_case(rng, rng.uniform(-1.0, 1.0, 300).tolist(), 4)
+    config = TrainConfig(loss_weights=_WEIGHTS["mixed"], epochs=2, batch_size=7, seed=4,
+                         use_user_embeddings=embeddings, embedding_l2=1e-4)
+    steps, targets = [], []
+    sgd_step, rows_of = ltr._sgd_step, ltr._Rows.of
+
+    def spying_step(config, dim, stacked=False):
+        steps.append(stacked)
+        return sgd_step(config, dim, stacked)
+
+    monkeypatch.setattr(ltr, "_sgd_step", spying_step)
+    monkeypatch.setattr(ltr._Rows, "of", lambda r, config: targets.append(r) or rows_of(r, config))
+
+    def one_column(cset, table, config):
+        [result] = train(cset, table, config, targets=[cset.score])
+        return result
+
+    assert _outcome(one_column, cset, table, config) == _outcome(train, cset, table, config)
+    assert steps == [False, False] and targets[0] is cset.score
+    train(cset, table, config, targets=[cset.score, -cset.score])
+    assert steps[2:] == [True] and targets[2].shape == (2, 1, 300)
 
 
 @pytest.mark.parametrize("weights, embeddings, parent_peak", [
