@@ -554,10 +554,14 @@ def write_summary(experiments: list[str], reports: list, path: str | Path) -> No
 
 def cmd_pipeline(args: argparse.Namespace) -> int:
     cfg, experiments = parse_pipeline_config(args.config)
+    if not experiments:
+        raise UsageError(f"{args.config}: no experiment line, so no grid cell to run")
     cells = [_parse_experiment(name) for name in experiments]
-    # Every value is checked before anything is written.
+    # Every value is checked before anything is written, each train key too
+    # through a config that reads them all, whichever cells the grid runs.
     try:
         sim_config = _sim_config(cfg)
+        _train_config(cfg, contrastive=True, embeddings=True)
         train_configs = [_train_config(cfg, contrastive, embeddings)
                          for _, contrastive, embeddings in cells]
         gbt_config = GbtConfig(lam=cfg["lam"], tol=cfg["gbt_tol"], max_iter=cfg["gbt_max_iter"])

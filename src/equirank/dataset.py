@@ -56,7 +56,6 @@ import functools
 import itertools
 import json
 import os
-import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 from typing import BinaryIO, Iterator, NamedTuple, Sequence
@@ -286,24 +285,21 @@ def atomic_write(path: str | Path) -> Iterator[BinaryIO]:
     """Open a new binary file that replaces `path` when the block exits
     without an error.
 
-    The file is written under a temporary name in `path`'s directory, given
-    the mode `open` gives a new file, then moved onto `path`. On an error it
-    is removed and `path` is left as it was, so no data file is ever cut
-    short.
+    The file is created by `open(..., "xb")` under a random temporary name
+    in `path`'s directory, so it has the mode of any new file, 0o666 less
+    the umask, then moved onto `path`. On an error it is removed and `path`
+    is left as it was, so no data file is ever cut short.
     """
     path = Path(path)
-    fd, tmp_name = tempfile.mkstemp(dir=path.parent, prefix=".equirank-", suffix=".tmp")
+    tmp = path.with_name(f".equirank-{os.urandom(8).hex()}.tmp")
+    fh = open(tmp, "xb")  # outside the try: a name already taken is not ours to remove
     try:
-        with os.fdopen(fd, "wb") as fh:
+        with fh:
             yield fh
-        # mkstemp creates the file 0600. Reading the umask means setting it.
-        umask = os.umask(0o022)
-        os.umask(umask)
-        os.chmod(tmp_name, 0o666 & ~umask)
-        os.replace(tmp_name, path)
+        os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(FileNotFoundError):
-            os.unlink(tmp_name)
+            os.unlink(tmp)
         raise
 
 

@@ -150,24 +150,19 @@ def _loss_terms(d: np.ndarray, rows: _Rows, config: TrainConfig) -> np.ndarray:
     the non-finite loss of a diverging run as a learning-rate problem.
     """
     lw = config.loss_weights
-    # The first term is the loss itself, not a sum onto zeros: every term is
-    # +0 or more, or NaN, so the two give the same bits.
-    loss = None
-    if lw.mse > 0:
-        loss = lw.mse * (d - rows.r) ** 2
+    # The MSE term, or zeros, then every other term added in place: every
+    # term is +0 or more, or NaN, so a sum onto zeros gives the term's bits.
+    loss = lw.mse * (d - rows.r) ** 2 if lw.mse > 0 else np.zeros(d.shape)
     if lw.ranking > 0:
         margin_gap = config.ranking_margin - rows.sign * d
         active = (rows.ranking_pull != 0) & (margin_gap > 0)
-        term = lw.ranking * np.where(active, margin_gap, 0.0)
-        loss = term if loss is None else np.add(loss, term, out=loss)
+        loss += lw.ranking * np.where(active, margin_gap, 0.0)
     if lw.bce > 0:
-        term = lw.bce * (rows.p * np.logaddexp(0.0, -d) + (1.0 - rows.p) * np.logaddexp(0.0, d))
-        loss = term if loss is None else np.add(loss, term, out=loss)
+        loss += lw.bce * (rows.p * np.logaddexp(0.0, -d) + (1.0 - rows.p) * np.logaddexp(0.0, d))
     if lw.contrastive > 0:
         margin_gap = config.contrastive_margin - np.abs(d)
         active = (rows.contrastive_pull != 0) & (margin_gap > 0)
-        term = lw.contrastive * np.where(active, margin_gap, 0.0)
-        loss = term if loss is None else np.add(loss, term, out=loss)
+        loss += lw.contrastive * np.where(active, margin_gap, 0.0)
     return loss
 
 
@@ -176,7 +171,7 @@ def _loss_terms(d: np.ndarray, rows: _Rows, config: TrainConfig) -> np.ndarray:
 _CHUNK_ROWS = 2048
 
 
-def _sgd_step(config: TrainConfig, dim: int, stacked: bool = False) -> Callable[..., None]:
+def _sgd_step(config: TrainConfig, stacked: bool = False) -> Callable[..., None]:
     """The SGD step of one run, its derivative terms chosen once from
     `config`'s positive loss weights.
 
@@ -193,18 +188,18 @@ def _sgd_step(config: TrainConfig, dim: int, stacked: bool = False) -> Callable[
     Both BLAS products, the predicted differences `(w + offset) . diff_i`
     and the `w` gradient `grad . diff`, are `ndarray.dot` calls: they run
     the `cblas_dgemv` that `@` runs, so they give its bits, without the
-    gufunc dispatch. The derivative of `_loss_terms` sums the terms in their
-    order there, the first one in place of the zeros it was once added to.
-    A hinge's `margin - x > 0` is `x < margin`, and a row's term is
+    gufunc dispatch. The derivative of `_loss_terms` has one form per term,
+    as the loss does: it starts from the MSE term, or from zeros without
+    one, and adds every other term in place, in their order there. A
+    hinge's `margin - x > 0` is `x < margin`, and a row's term is
     `weight * where(active, -s, 0)`: its pull times sign(d) for the
     contrastive hinge, its pull for the ranking one, added only where
-    `x < margin` (`np.add(..., where=)`); a first term is `where(x < margin,
-    term, 0)`. Only the sign of a zero can differ from that sum, where it
-    added a hinge's -0 (`0 * -weight`): a skipped row adds nothing, a tie
-    row's zero pull adds +0 or -0, and a first term holds +0. No step can
-    see it: `w` and the offsets start at +0 and only ever have a gradient
-    subtracted, so they never hold -0, and subtracting either zero leaves
-    them as they are.
+    `x < margin` (`np.add(..., where=)`). Only the sign of a zero can
+    differ from that sum, where it added a hinge's -0 (`0 * -weight`): a
+    skipped row adds nothing, a tie row's zero pull adds +0 or -0, and a
+    -0 added to the zeros start gives +0. No step can see it: `w` and the
+    offsets start at +0 and only ever have a gradient subtracted, so they
+    never hold -0, and subtracting either zero leaves them as they are.
 
     A `stacked` step takes k models at once, each on its own targets over
     the same rows: `w` and `grad_w` are (k, 1, dim), the `_Rows` values are
@@ -235,27 +230,21 @@ def _sgd_step(config: TrainConfig, dim: int, stacked: bool = False) -> Callable[
         if cells is not None:
             cb = cells[..., start:stop, :]
             d += np.einsum("ij,...ij->...i", db, offsets.take(cb))
-        grad = None
         if mse:
             grad = d - r[..., start:stop]
             grad *= mse
+        else:
+            grad = np.zeros(d.shape)
         if ranking_pull is not None:
             active = sign[..., start:stop] * d < ranking_margin
-            if grad is None:
-                grad = np.where(active, ranking_pull[..., start:stop], 0.0)
-            else:
-                np.add(grad, ranking_pull[..., start:stop], out=grad, where=active)
+            np.add(grad, ranking_pull[..., start:stop], out=grad, where=active)
         if bce:
-            term = (1.0 / (1.0 + np.exp(-d)) - p[..., start:stop]) * bce
-            grad = term if grad is None else np.add(grad, term, out=grad)
+            grad += (1.0 / (1.0 + np.exp(-d)) - p[..., start:stop]) * bce
         if contrastive_pull is not None:
             active = np.abs(d) < contrastive_margin
             term = np.sign(d)
             term *= contrastive_pull[..., start:stop]
-            if grad is None:
-                grad = np.where(active, term, 0.0)
-            else:
-                np.add(grad, term, out=grad, where=active)
+            np.add(grad, term, out=grad, where=active)
         grad /= full if len(db) == batch_size else len(db)
         if stacked:
             np.matmul(grad, db, out=grad_w)
@@ -266,8 +255,8 @@ def _sgd_step(config: TrainConfig, dim: int, stacked: bool = False) -> Callable[
             # `np.add.at(grad_off, users, diff * grad[:, None])` does, each
             # cell's product diff_ij * grad_i taken from the flat rows; the
             # L2 term is added to that sum, as the earlier trainer did.
-            products = (db * grad[..., None]).ravel() if stacked else db.ravel() * grad.repeat(dim)
-            sums = np.bincount(cb.ravel(), weights=products, minlength=grad_off.size)
+            sums = np.bincount(cb.ravel(), weights=(db * grad[..., None]).ravel(),
+                               minlength=grad_off.size)
             if l2:
                 np.multiply(offsets, l2, out=grad_off)
                 np.add(sums, grad_off, out=grad_off)
@@ -375,7 +364,7 @@ def train(
     # lr is a 0-d array, as `_sgd_step`'s scalars are.
     size, lr = config.batch_size, np.array(config.learning_rate)
     chunk = size * max(1, _CHUNK_ROWS // size)
-    step = _sgd_step(config, dim, stacked)
+    step = _sgd_step(config, stacked)
     # A row's cells are its user code times dim plus these, which put model
     # c's cells past the n_users * dim offsets of each model before it.
     columns = np.arange(dim) + (n_users * dim * np.arange(k)).reshape(*lead, 1, 1)

@@ -229,7 +229,7 @@ def step_gradient(
         codes = np.array([users.index(c.user_id) for c, _, _ in batch], dtype=np.intp)
         cells = (codes * params.dim)[:, None] + np.arange(params.dim)
     grad_w, grad_off = np.empty(params.dim), np.empty(offsets.size)
-    step = _sgd_step(config, params.dim)
+    step = _sgd_step(config)
     step(params.w, offsets, diff, _Rows.of(r, config), cells, 0, len(diff), grad_w, grad_off)
     grad_off = grad_off.reshape(len(users), params.dim)
     return grad_w, {u: grad_off[k] for k, u in enumerate(users)}

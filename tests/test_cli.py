@@ -823,23 +823,28 @@ def test_nan_value_fails_before_anything_is_written(tmp_path, capsys, command_in
     # each range check also refuses it. The message names the setting as
     # its check does (`tol` for `gbt_tol`, `loss weight bce` for
     # `bce_weight`, `noise_std` for `noise`) and the value.
+    # A pipeline value is refused in a grid whose one cell reads every key,
+    # and in a `baseline`-only one, whose cell reads no contrastive weight.
     out = tmp_path / "out"
     if command == "pipeline":
-        config = tmp_path / "grid.cfg"
-        config.write_text(PIPELINE_CONFIG.split("experiment")[0] + f"{setting} = {value}\n"
-                          "experiment = mehestan+contrastive+embeddings\n")
-        argv = ["pipeline", "--config", str(config)]
+        runs = []
+        for cell in ("mehestan+contrastive+embeddings", "baseline"):
+            config = tmp_path / f"{cell}.cfg"
+            config.write_text(PIPELINE_CONFIG.split("experiment")[0]
+                              + f"{setting} = {value}\nexperiment = {cell}\n")
+            runs.append(["pipeline", "--config", str(config)])
     else:
         flag = "--" + setting.replace("_", "-")
-        argv = [command, *command_inputs[command], f"{flag}={value}"]
-    capsys.readouterr()
-    assert _run([*argv, "-o", str(out)]) == 1
-    err = capsys.readouterr().err
-    names = (setting.removeprefix("gbt_"), "loss weight " + setting.removesuffix("_weight"))
-    assert any(name in err for name in names), err
-    assert err.startswith("equirank: ") and err.endswith(f", got {float(value)}\n"), err
-    assert err.count("\n") == 1
-    assert not out.exists()
+        runs = [[command, *command_inputs[command], f"{flag}={value}"]]
+    for argv in runs:
+        capsys.readouterr()
+        assert _run([*argv, "-o", str(out)]) == 1
+        err = capsys.readouterr().err
+        names = (setting.removeprefix("gbt_"), "loss weight " + setting.removesuffix("_weight"))
+        assert any(name in err for name in names), err
+        assert err.startswith("equirank: ") and err.endswith(f", got {float(value)}\n"), err
+        assert err.count("\n") == 1
+        assert not out.exists()
 
 
 class TestPipeline:
@@ -866,13 +871,15 @@ class TestPipeline:
         row = (out / "summary.csv").read_text().splitlines()[1].split(",")
         assert all(cell.endswith("%") for cell in row[1:])
 
-    def test_empty_experiment_list(self, tmp_path):
+    def test_no_experiment_line_is_usage_error(self, tmp_path, capsys):
+        # A grid of no cells has nothing to run, so nothing is simulated or written.
         config = tmp_path / "empty.cfg"
         config.write_text("seed = 1\nusers = 2\nitems = 6\ndim = 2\nper_user = 10\n")
         out = tmp_path / "run"
-        assert _run(["pipeline", "--config", str(config), "-o", str(out)]) == 0
-        summary = (out / "summary.csv").read_text().splitlines()
-        assert len(summary) == 1
+        assert _run(["pipeline", "--config", str(config), "-o", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"equirank: {config}: no experiment line, so no grid cell to run\n")
+        assert not out.exists()
 
     def test_unknown_key_is_usage_error(self, tmp_path, capsys):
         config = tmp_path / "bad.cfg"

@@ -568,13 +568,16 @@ def test_stacked_train_matches_oracle(weights, tie_epsilon, k, n_rows, n_users, 
     (_WEIGHTS["ranking"], True, 3),
     (_WEIGHTS["bce"], False, 3),
     (_WEIGHTS["mixed"], True, 3),
+    (_WEIGHTS["contrastive"], True, 3),
 ], ids=["mse-4", "contrastive-4", "embeddings-2", "embeddings-contrastive-2",
-        "ranking-embeddings-3", "bce-3", "all-four-embeddings-3"])
+        "ranking-embeddings-3", "bce-3", "all-four-embeddings-3",
+        "contrastive-only-embeddings-3"])
 def test_stacked_train_matches_oracle_at_benchmark_shape(weights, embeddings, k):
     """The grid's groups at 2,000 rows of 20 users in batches of 32 for 3
     epochs, the last batch of each epoch 16 rows: four MSE cells, four
-    contrastive ones, the two embeddings cells; and the ranking and BCE
-    terms, which no grid cell trains."""
+    contrastive ones, the two embeddings cells; the ranking and BCE terms,
+    which no grid cell trains; and the contrastive hinge alone, the one
+    term whose sum onto the zeros start can turn a -0 into +0."""
     rng = np.random.default_rng(57)
     targets = _score_columns(rng, k, 2000, 0.05)
     cset, table = _oracle_case(rng, targets[0].tolist(), 20, dim=4, n_items=60)
@@ -643,9 +646,9 @@ def test_column_count_alone_picks_the_stacked_forms(monkeypatch, embeddings):
     steps, targets = [], []
     sgd_step, rows_of = ltr._sgd_step, ltr._Rows.of
 
-    def spying_step(config, dim, stacked=False):
+    def spying_step(config, stacked=False):
         steps.append(stacked)
-        return sgd_step(config, dim, stacked)
+        return sgd_step(config, stacked)
 
     monkeypatch.setattr(ltr, "_sgd_step", spying_step)
     monkeypatch.setattr(ltr._Rows, "of", lambda r, config: targets.append(r) or rows_of(r, config))
@@ -685,7 +688,9 @@ def test_train_peak_memory_within_the_earlier_trainer(weights, embeddings, paren
     one `_Rows` table per run, whose hinge pulls take 8 bytes a row where a
     tie mask took 1, the four read 2,911,298, 4,416,380, 4,415,052 and
     4,354,876 bytes: the difference rows (32 bytes a row), the table and the
-    epoch-end loss's per-row arrays set them."""
+    epoch-end loss's per-row arrays set them. The loss of a run with no MSE
+    term starts from zeros, 8 bytes a row, which raised the last two by
+    480,104 bytes, to 4,895,260 and 4,835,084."""
     cset, features, _ = generate(SimConfig(
         n_items=500, feature_dim=4, n_users=60, comparisons_per_user=1000, seed=1,
     ))
